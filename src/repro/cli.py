@@ -1206,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--inject", default=None,
-        choices=["reorder", "collective-shape", "grad-perturb"],
+        choices=["reorder", "collective-shape", "grad-perturb", "kv-offset"],
         help="self-test: inject a known defect and demand the verifier "
              "catches it (exits non-zero either way)",
     )

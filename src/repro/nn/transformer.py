@@ -89,18 +89,20 @@ class CausalSelfAttention(Module):
         cache = (qkv_cache, q, k, v, probs_cache, drop_mask, dropped, proj_cache, (b, s))
         return out, cache
 
-    def forward_step(self, x, past_kv=None):
+    def forward_step(self, x, past_kv=None, lengths=0):
         """Inference-only incremental forward over cached keys/values.
 
         ``x`` holds the ``s_new`` *newest* tokens' hidden states
-        (b, s_new, h); ``past_kv`` is ``(k, v)`` for the ``s_past``
-        tokens already decoded, each (b, a, s_past, dk), or ``None`` at
-        prefill.  Attention runs from the new queries over past + new
-        positions with the matching rows of the causal mask, so a
-        prefill (``past_kv=None``, ``s_new == s_total``) computes
-        exactly what :meth:`forward` computes in inference mode.
-        Returns ``(out, (k_new, v_new))`` — only the *new* tokens'
-        keys/values, for the caller's cache to absorb.
+        (b, s_new, h); ``past_kv`` is ``(k, v)``, each (b, a, S, dk),
+        whose row ``i`` holds the ``lengths[i]`` positions already
+        decoded (``None`` at prefill).  The new keys/values go into the
+        slots behind them -- ``PagedKVCache.gather`` leaves room for a
+        batch of requests, an exact-length past is copied once into
+        buffers that have it -- and query ``j`` of row ``i`` attends to
+        columns ``<= lengths[i] + j``, so a prefill computes exactly
+        what :meth:`forward` computes in inference mode.  Returns
+        ``(out, (k_new, v_new))`` -- only the *new* tokens' keys/values,
+        for the caller's cache to absorb.
         """
         b, s_new, h = x.shape
         a, dk = self.num_heads, self.head_dim
@@ -109,19 +111,27 @@ class CausalSelfAttention(Module):
         q = q.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
         k = k.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
         v = v.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
-        if past_kv is not None:
-            past_k, past_v = past_kv
-            k_all = np.concatenate([past_k, k], axis=2)
-            v_all = np.concatenate([past_v, v], axis=2)
-        else:
+        lengths = np.broadcast_to(lengths, b)
+        new = np.arange(s_new)  # the new tokens' offsets behind the past
+        if past_kv is None:
             k_all, v_all = k, v
+        else:
+            k_all, v_all = past_kv
+            s_past, s_total = k_all.shape[2], lengths.max() + s_new
+            if s_past < s_total:
+                k_all, v_all = np.empty((2, b, a, s_total, dk))
+                k_all[:, :, :s_past], v_all[:, :, :s_past] = past_kv
+            rows, slots = np.arange(b)[:, None], lengths[:, None] + new
+            k_all[rows, :, slots] = k.transpose(0, 2, 1, 3)
+            v_all[rows, :, slots] = v.transpose(0, 2, 1, 3)
         s_total = k_all.shape[2]
         scores = q @ k_all.transpose(0, 1, 3, 2) / np.sqrt(dk)
-        # The last s_new rows of the full causal mask: new position i
-        # (global index s_total - s_new + i) sees everything up to and
-        # including itself.  Adding the zero entries keeps the prefill
-        # arithmetic identical to forward()'s ``scores + mask``.
-        scores = scores + F.causal_mask(s_total)[s_total - s_new:]
+        if s_total - 1 > lengths.min():
+            # Only the causal-mask rows in use, values as
+            # F.causal_mask's so prefill stays bit-identical; a single
+            # token that sees every column adds none.
+            last = lengths[:, None, None, None] + new[:, None]
+            scores = scores + np.where(np.arange(s_total) > last, -np.inf, 0.0)
         probs, _ = F.softmax_forward(scores)
         ctx = probs @ v_all  # (b, a, s_new, dk)
         record_gemm_flops("attention", 2 * matmul_flops(b, a, s_new, dk, s_total))
@@ -225,14 +235,14 @@ class TransformerBlock(Module):
         y = x1 + g
         return y, (c_ln1, c_attn, m1, c_ln2, c_mlp, m2)
 
-    def forward_step(self, x, past_kv=None):
+    def forward_step(self, x, past_kv=None, lengths=0):
         """Inference-only incremental forward (see CausalSelfAttention).
 
         Dropout is a no-op in inference mode, so it is skipped outright;
         the arithmetic matches :meth:`forward` with ``training=False``.
         """
         a, _ = self.ln1.forward(x)
-        b, kv = self.attn.forward_step(a, past_kv)
+        b, kv = self.attn.forward_step(a, past_kv, lengths)
         x1 = x + b
         e, _ = self.ln2.forward(x1)
         f, _ = self.mlp.forward(e)
@@ -280,22 +290,25 @@ class EmbeddingStage(Module):
         y, mask = self.drop.forward(x, training=training, rng=rng)
         return y, (c_tok, c_pos, mask, b)
 
-    def forward_step(self, token_ids, start: int = 0):
+    def forward_step(self, token_ids, start=0):
         """Inference-only embedding of tokens at positions ``start..``.
 
         ``token_ids`` is (b, s_new); the learned position embeddings are
-        taken from ``arange(start, start + s_new)`` so cached decode can
-        embed only the newest tokens.  ``start=0`` with the full context
+        taken from ``start + arange(s_new)`` -- ``start`` is one int, or
+        one int per row for a ragged batch -- so cached decode can embed
+        only the newest tokens.  ``start=0`` with the full context
         matches :meth:`forward` in inference mode exactly.
         """
         token_ids = np.asarray(token_ids)
         b, s = token_ids.shape
-        if start + s > self.max_seq_length:
+        positions = np.asarray(start)[..., None] + np.arange(s)
+        if positions.max() >= self.max_seq_length:
             raise ValueError(
-                f"positions up to {start + s} exceed max {self.max_seq_length}"
+                f"positions up to {positions.max() + 1} exceed max "
+                f"{self.max_seq_length}"
             )
         tok, _ = self.wte.forward(token_ids)
-        pos, _ = self.wpe.forward(np.arange(start, start + s))
+        pos, _ = self.wpe.forward(positions)
         return tok + pos
 
     def backward(self, dy, cache):
@@ -383,30 +396,34 @@ class GPTModel(Module):
             caches.append(c)
         return x, caches
 
-    def forward_step(self, token_ids, past_kvs=None, *, start: int = 0):
+    def hidden_step(self, token_ids, past_kvs=None, *, start=0):
+        """:meth:`forward_step` below the head: ``(x, new_kvs)`` with
+        ``x`` the final hidden states (b, s_new, h).  Serving applies
+        the head to the one position it samples from."""
+        past_kvs = iter(past_kvs or [None] * len(self.blocks))
+        x = self.embedding.forward_step(token_ids, start=start)
+        new_kvs = []
+        for block in self.blocks:
+            # next(), not zip: a lazily read layer of past K/V is
+            # dropped before the next one is fetched.
+            x, kv = block.forward_step(x, next(past_kvs), start)
+            new_kvs.append(kv)
+        return x, new_kvs
+
+    def forward_step(self, token_ids, past_kvs=None, *, start=0):
         """Inference-only incremental forward with cached keys/values.
 
         ``token_ids`` is (b, s_new) holding only the *new* tokens;
-        ``past_kvs`` is a per-block list of ``(k, v)`` tensors (each
-        (b, a, s_past, dk)) from earlier steps, or ``None`` at prefill;
-        ``start`` is the absolute position of the first new token.
-        Returns ``(logits, new_kvs)`` where ``logits`` is
-        (b, s_new, V) and ``new_kvs`` lists each block's keys/values for
-        the new tokens only.  A prefill call (``past_kvs=None``,
-        ``start=0``) is bit-identical to
+        ``start`` is the absolute position of the first one (an int, or
+        one per row for a batch of requests) and ``past_kvs`` yields
+        each block's ``(k, v)`` of the ``start`` positions before it,
+        or is ``None`` at prefill.  Returns ``(logits, new_kvs)`` where
+        ``logits`` is (b, s_new, V) and ``new_kvs`` lists each block's
+        keys/values for the new tokens only.  A prefill call
+        (``past_kvs=None``, ``start=0``) is bit-identical to
         ``forward(token_ids, training=False)``.
         """
-        if past_kvs is None:
-            past_kvs = [None] * len(self.blocks)
-        if len(past_kvs) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} past_kvs, got {len(past_kvs)}"
-            )
-        x = self.embedding.forward_step(token_ids, start=start)
-        new_kvs = []
-        for block, past in zip(self.blocks, past_kvs):
-            x, kv = block.forward_step(x, past)
-            new_kvs.append(kv)
+        x, new_kvs = self.hidden_step(token_ids, past_kvs, start=start)
         logits, _ = self.head.forward(x)
         return logits, new_kvs
 

@@ -28,6 +28,7 @@ perf trajectory instead of ad-hoc printouts.  This module provides:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -788,6 +789,9 @@ def run_bench(
             continue
         say(f"bench {name} ({sc.kind}, {warmup}+{repeats} runs)")
         fn = sc.build(backend) if sc.backend_aware else sc.build()
+        # A full collection of the host process landing inside a sample
+        # is not the scenario's cost (when is set by allocation counts).
+        gc.collect()
         try:
             samples = []
             for _ in range(warmup + repeats):

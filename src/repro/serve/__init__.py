@@ -7,7 +7,7 @@ engine, and every fast path is pinned to the slow-but-trusted
 --only serve``).
 
 - :mod:`repro.serve.kv_cache` -- block allocator + paged K/V pools
-- :mod:`repro.serve.decode`   -- per-request incremental decode sessions
+- :mod:`repro.serve.decode`   -- per-request decode sessions, one batched step
 - :mod:`repro.serve.engine`   -- FIFO continuous batching + preemption
 - :mod:`repro.serve.traffic`  -- seeded Poisson traces, JSON replay
 - :mod:`repro.serve.metrics`  -- TTFT/latency/throughput SLO reports

@@ -3,12 +3,15 @@
 A :class:`DecodeSession` owns one request's decoding state: the token
 history, the sampling configuration with a *per-request* random
 generator, and a :class:`~repro.serve.kv_cache.KVHandle` into the shared
-pool.  One :meth:`step` produces one token via
-:meth:`repro.nn.transformer.GPTModel.forward_step`, reusing cached
-keys/values, and samples with the same :func:`repro.nn.generate._pick`
-the full-recompute oracle uses -- so a session's token stream equals
+pool.  Once a session's context is cached, its next token comes out of
+:func:`decode_batch`: one ragged
+:meth:`repro.nn.transformer.GPTModel.forward_step` for any number of
+sessions, reading K/V through their block tables.  :meth:`step` is the
+batch of one.  Every session samples with the same
+:func:`repro.nn.generate._pick` the full-recompute oracle uses and its
+own rng -- so its token stream equals
 ``generate(model, prompt, n, rng=default_rng(seed))`` exactly,
-independent of how the engine interleaves or preempts it.
+independent of how the engine batches, interleaves or preempts it.
 
 Sliding-window handling: the model uses *learned absolute* position
 embeddings, so once the context reaches ``seq_length`` the window slides
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.nn.generate import _pick
 from repro.nn.transformer import GPTModel
+from repro.obs.tracer import span
 
 from .kv_cache import PagedKVCache
 
@@ -78,7 +82,6 @@ class DecodeSession:
             "length" if max_new_tokens == 0 else None
         )
         self.handle = None
-        self._cached = 0
 
     # -- state --------------------------------------------------------------
     @property
@@ -97,11 +100,21 @@ class DecodeSession:
             return 0
         return self.cache.blocks_for(n) - self.live_blocks
 
+    @property
+    def batchable(self) -> bool:
+        """In the cached single-token regime: the whole context but the
+        newest token is in the cache, so :func:`decode_batch` can run
+        this session's next step together with other requests'."""
+        return bool(self.handle and self.handle.length
+                    and len(self.tokens) <= self.window)
+
     # -- decoding -----------------------------------------------------------
     def step(self) -> int:
         """Generate one token; returns it.  Raises if already done."""
         if self.done:
             raise RuntimeError("session already finished")
+        if self.batchable:
+            return self.sample(decode_batch([self])[0])
         n = len(self.tokens)
         if n > self.window:
             # Sliding window: absolute positions shift every step, so
@@ -109,18 +122,19 @@ class DecodeSession:
             # the shifted window (the oracle's exact computation).
             self._drop_cache()
             context = np.array(self.tokens[-self.window:])[None, :]
-            logits, _ = self.model.forward_step(context)
-        else:
+            x, _ = self.model.hidden_step(context)
+        else:  # prefill: prompt, or everything so far after a preemption
             if self.handle is None:
                 self.handle = self.cache.create()
-            new = np.array(self.tokens[self._cached:])[None, :]
-            past = self.cache.gather(self.handle) if self._cached else None
-            logits, new_kvs = self.model.forward_step(
-                new, past, start=self._cached
-            )
+            x, new_kvs = self.model.hidden_step(np.array(self.tokens)[None, :])
             self.cache.append(self.handle, new_kvs)
-            self._cached = n
-        token = _pick(logits[0, -1], self.temperature, self.top_k, self.rng)
+        logits, _ = self.model.head.forward(x[:, -1:])  # the sampled row only
+        return self.sample(logits[0, -1])
+
+    def sample(self, logits: np.ndarray) -> int:
+        """Pick the next token from its logits row with this request's
+        own sampling settings and rng; returns it."""
+        token = _pick(logits, self.temperature, self.top_k, self.rng)
         self.tokens.append(token)
         self.generated += 1
         if token in self.stop_ids:
@@ -155,10 +169,30 @@ class DecodeSession:
         if self.handle is not None:
             self.cache.free(self.handle)
             self.handle = None
-        self._cached = 0
 
     def output(self) -> np.ndarray:
         return np.array(self.tokens, dtype=np.int64)
+
+
+def decode_batch(sessions: list[DecodeSession]) -> np.ndarray:
+    """One batched forward for ``sessions`` (all :attr:`batchable`, one
+    model and cache): returns their next-token logits, ``(B, V)``.
+
+    Every request has its own context length, so K/V is read through
+    the block tables by :meth:`PagedKVCache.gather` (which raises
+    :class:`KVCorruptionError` before anything ran or changed) and the
+    new token's K/V is written back by one :meth:`PagedKVCache.append`.
+    """
+    model, cache = sessions[0].model, sessions[0].cache
+    handles = [s.handle for s in sessions]
+    past = cache.gather(handles)
+    with span("forward", phase="serve"):
+        logits, new_kvs = model.forward_step(
+            np.array([s.tokens[-1:] for s in sessions]), past,
+            start=np.array([h.length for h in handles]),
+        )
+        cache.append(handles, new_kvs)
+    return logits[:, -1]
 
 
 def cached_generate(

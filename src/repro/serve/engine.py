@@ -13,12 +13,21 @@ engine advances on a deterministic virtual clock (one unit per
    starvation by overtaking).  The one documented exception: a request
    serving a chaos-retry backoff steps aside until its ``not_before``
    step, so a crashed request cannot head-block healthy traffic;
-3. **decodes** one token for every running request, oldest first.  A
-   request whose next step needs blocks the pool cannot provide
-   triggers preemption of the *youngest-admitted* block-holding request
-   that is younger than itself (recompute-style: blocks released, the
-   victim re-queues by arrival order and re-prefills on resume).  The
-   oldest request is therefore never preempted and always progresses.
+3. **decodes** one token for every running request, oldest first:
+   *plan → one batched forward → sample*.  The walk makes a sequential
+   loop's decisions but only collects requests in the cached
+   single-token regime into the tick's open batch, which
+   :func:`repro.serve.decode.decode_batch` runs as one ragged forward
+   before each request samples from its own logits row with its own
+   rng.  The walk may only *add* to the batch: before anything else
+   (a block check that fails, a preemption, a retry, a prefill or
+   sliding-window step) the batch is flushed, so metrics, streams and
+   the run log are the sequential loop's.  A request whose next step
+   needs blocks the pool cannot provide triggers preemption of the
+   *youngest-admitted* block-holding request that is younger than
+   itself (recompute-style: blocks released, the victim re-queues by
+   arrival order and re-prefills on resume).  The oldest request is
+   therefore never preempted and always progresses.
 
 Overload degrades gracefully instead of growing without bound: with
 ``max_queue`` set, admission control sheds load at the door -- either
@@ -63,13 +72,14 @@ import numpy as np
 
 from repro.nn.transformer import GPTModel
 from repro.obs.runlog import RunLogger
+from repro.obs.tracer import span
 from repro.resilience.serve_chaos import (
     DecodeCrashError,
     ServeChaosInjector,
     ServeChaosPlan,
 )
 
-from .decode import DecodeSession
+from .decode import DecodeSession, decode_batch
 from .kv_cache import KVCorruptionError, PagedKVCache
 from .metrics import RequestMetrics, ServeReport
 from .traffic import TraceRequest
@@ -265,53 +275,101 @@ class ServeEngine:
         """One engine step; returns tokens generated this step."""
         step = self.step_count
         t0 = time.perf_counter()
-        if self._injector is not None:
-            self._injector.begin_step(self, step)
-        self._expire(step)
-        self._admit_waiting(step)
-        # One decode step per running request, oldest-admitted first.
         tokens = 0
-        for entry in list(self.running):
-            if entry.arrival_seq not in self._running_seqs:
-                continue  # preempted by an earlier request this tick
-            session = entry.session
-            if not session.done:
-                skip = False
-                while (session.blocks_for_next_step()
-                       > self.cache.free_blocks):
-                    victim = self._pick_victim(entry)
-                    if victim is None:
-                        # No younger block-holder: requeue this request
-                        # itself (it is never the oldest -- the oldest's
-                        # peak fits by submit-time validation).
-                        self._preempt(entry, step)
-                        skip = True
-                        break
-                    self._preempt(victim, step)
-                if skip:
-                    continue
-                try:
-                    if self._injector is not None:
+        batch: list[_Entry] = []  # the open decode batch ...
+        reserved = 0  # ... and the blocks it is going to allocate
+        with span("plan", phase="serve"):
+            if self._injector is not None:
+                self._injector.begin_step(self, step)
+            self._expire(step)
+            self._admit_waiting(step)
+            for entry in list(self.running):  # oldest-admitted first
+                if entry.arrival_seq not in self._running_seqs:
+                    continue  # preempted by an earlier request this tick
+                session = entry.session
+                if not (session.batchable and session.blocks_for_next_step()
+                        <= self.cache.free_blocks - reserved):
+                    # Only joining the batch can wait for it: run it,
+                    # then decide on the state a sequential loop sees.
+                    tokens += self._flush(batch, step)
+                    reserved = 0
+                    if session.done:  # max_new_tokens=0: nothing to do
+                        self._finish(entry, step)
+                        continue
+                    if not self._make_room(entry, step):
+                        continue
+                if self._injector is not None:
+                    try:
                         self._injector.before_decode(self, step, entry)
-                    session.step()
-                except (DecodeCrashError, KVCorruptionError) as fault:
-                    self._retry(entry, step, fault)
-                    continue
-                tokens += 1
-                if entry.first_token_step is None:
-                    entry.first_token_step = step
-                    self._emit("first-token", entry)
-            if session.done:
-                self._finish(entry, step)
-        if self.logger is not None:
-            self.logger.iteration(
-                iteration=step, loss=None,
-                seconds=time.perf_counter() - t0,
-                tokens=tokens, running=len(self.running),
-                waiting=len(self.waiting), queued=self._queued_new,
-            )
+                    except DecodeCrashError as fault:
+                        tokens += self._flush(batch, step)
+                        reserved = 0
+                        self._retry(entry, step, fault)
+                        continue
+                if session.batchable:
+                    batch.append(entry)
+                    reserved += session.blocks_for_next_step()
+                else:
+                    session.step()  # prefill or sliding-window recompute
+                    tokens += 1
+                    self._stepped(entry, step)
+            tokens += self._flush(batch, step)
+        with span("bookkeeping", phase="serve"):
+            if self.logger is not None:
+                self.logger.iteration(
+                    iteration=step, loss=None,
+                    seconds=time.perf_counter() - t0,
+                    tokens=tokens, running=len(self.running),
+                    waiting=len(self.waiting), queued=self._queued_new,
+                )
         self.step_count += 1
         return tokens
+
+    def _make_room(self, entry: _Entry, step: int) -> bool:
+        """Preempt younger block-holders until ``entry``'s next step
+        fits in the pool; False if ``entry`` itself had to go."""
+        while entry.session.blocks_for_next_step() > self.cache.free_blocks:
+            # No younger block-holder: requeue this request itself (it
+            # is never the oldest -- the oldest's peak fits by
+            # submit-time validation).
+            victim = self._pick_victim(entry) or entry
+            self._preempt(victim, step)
+            if victim is entry:
+                return False
+        return True
+
+    def _flush(self, batch: list[_Entry], step: int) -> int:
+        """Run and empty the open batch -- one forward, then sample and
+        book each request in order; returns the tokens generated.  A
+        request whose cache fails its checksum retries alone, between
+        the requests before and after it."""
+        todo = batch[:]
+        batch.clear()
+        if not todo:
+            return 0
+        try:
+            logits = decode_batch([e.session for e in todo])
+        except KVCorruptionError as fault:
+            bad = next(i for i, e in enumerate(todo)
+                       if fault.block in e.session.handle.block_table)
+            done = self._flush(todo[:bad], step)
+            self._retry(todo[bad], step, fault)
+            return done + self._flush(todo[bad + 1:], step)
+        with span("sample", phase="serve"):
+            for entry, row in zip(todo, logits):
+                entry.session.sample(row)
+        with span("bookkeeping", phase="serve"):
+            for entry in todo:
+                self._stepped(entry, step)
+        return len(todo)
+
+    def _stepped(self, entry: _Entry, step: int) -> None:
+        """Book one generated token."""
+        if entry.first_token_step is None:
+            entry.first_token_step = step
+            self._emit("first-token", entry)
+        if entry.session.done:
+            self._finish(entry, step)
 
     def _expire(self, step: int) -> None:
         """Time out requests past their deadline or queue TTL."""

@@ -17,13 +17,15 @@ Two layers:
   against its invariants: no double-assignment, never above capacity,
   zero live blocks once every request finished (mirroring the
   ``/dev/shm`` zero-leak check of the mp backend).
-- :class:`PagedKVCache` — the tensors: per-layer K and V pools of shape
-  ``(L, num_blocks, block_size, a, dk)``.  ``append`` writes the new
-  tokens' keys/values returned by
-  :meth:`repro.nn.transformer.GPTModel.forward_step`; ``gather``
-  reassembles a request's ``past_kvs`` view for the next step.  Values
-  round-trip bit-exactly (plain fancy-indexed copies), which is what
-  keeps cached decode on the oracle's token stream.
+- :class:`PagedKVCache` — the tensors: one fused pool of shape
+  ``(num_blocks + 1, 2, L, block_size, a, dk)``.  ``append`` writes the
+  new tokens' keys/values returned by
+  :meth:`repro.nn.transformer.GPTModel.forward_step`; ``gather`` hands
+  them back as its ``past_kvs``.  Both take one handle or a batch of
+  them: a batch is read through all the block tables at once, one
+  layer at a time, padded to the longest context from an all-zero
+  block no request ever owns.  Values round-trip bit-exactly (plain
+  fancy-indexed copies).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.obs.tracer import span
 
 
 class CacheFull(RuntimeError):
@@ -159,7 +163,8 @@ class PagedKVCache:
         # zero-copy crc32 call (layer-major or split pools would cost a
         # copy or a second call per hash -- measurable at decode rates,
         # since gather verifies every block of a handle each step).
-        shape = (num_blocks, 2, num_layers, block_size, num_heads, head_dim)
+        # One block past the allocator's: the zeros batched reads pad with.
+        shape = (num_blocks + 1, 2, num_layers, block_size, num_heads, head_dim)
         self.kv_pool = np.zeros(shape)
         self.k_pool = self.kv_pool[:, 0]
         self.v_pool = self.kv_pool[:, 1]
@@ -205,71 +210,97 @@ class PagedKVCache:
     def create(self) -> KVHandle:
         return KVHandle()
 
-    def _check(self, handle: KVHandle) -> None:
-        if handle.freed:
+    def _check(self, handles) -> list[KVHandle]:
+        """``handles`` as a list (one handle is a batch of one)."""
+        handles = [handles] if isinstance(handles, KVHandle) else handles
+        if any(handle.freed for handle in handles):
             raise ValueError("handle already freed")
+        return handles
 
-    def append(self, handle: KVHandle, new_kvs) -> None:
-        """Write the new tokens' K/V (one ``(k, v)`` pair per layer, each
-        ``(1, a, s_new, dk)`` as ``forward_step`` returns them).
+    def _slots(self, handles, first, count: int):
+        """``(blocks, offs)`` pool indices, each (B, count), of positions
+        ``first[i] .. first[i] + count - 1`` of every handle.  Columns
+        past a handle's block table point into the all-zero block."""
+        pos = np.asarray(first)[:, None] + np.arange(count)
+        table = np.full((len(handles), self.blocks_for(max(first) + count)),
+                        self.capacity)
+        for row, handle in zip(table, handles):
+            row[:len(handle.block_table)] = handle.block_table
+        return (table[np.arange(len(handles))[:, None], pos // self.block_size],
+                pos % self.block_size)
+
+    def append(self, handles, new_kvs) -> None:
+        """Write new tokens' K/V: one ``(k, v)`` pair per layer, each
+        ``(B, a, s_new, dk)`` as ``forward_step`` returns them, row ``i``
+        going to ``handles[i]`` (one handle stands for a batch of one).
 
         Needed blocks are allocated atomically *before* any write, so an
-        out-of-capacity append raises :class:`CacheFull` and leaves the
-        handle unchanged.
+        out-of-capacity append raises :class:`CacheFull` and leaves
+        every handle unchanged.  Checksummed caches refresh the CRC of
+        every block written.
         """
-        self._check(handle)
+        handles = self._check(handles)
         if len(new_kvs) != self.num_layers:
             raise ValueError(
                 f"expected {self.num_layers} layers of K/V, got {len(new_kvs)}"
             )
         s_new = new_kvs[0][0].shape[2]
-        want = (1, self.num_heads, s_new, self.head_dim)
+        want = (len(handles), self.num_heads, s_new, self.head_dim)
         for k, v in new_kvs:
             if k.shape != want or v.shape != want:
                 raise ValueError(f"K/V shape {k.shape} != expected {want}")
-        total = handle.length + s_new
-        extra = self.blocks_for(total) - len(handle.block_table)
-        if extra > 0:
-            handle.block_table.extend(self.allocator.alloc_many(extra))
-        pos = np.arange(handle.length, total)
-        table = np.asarray(handle.block_table)
-        blocks = table[pos // self.block_size]
-        offs = pos % self.block_size
+        extra = [self.blocks_for(h.length + s_new) - len(h.block_table)
+                 for h in handles]
+        fresh = iter(self.allocator.alloc_many(sum(extra)))
+        for handle, n in zip(handles, extra):
+            handle.block_table.extend(next(fresh) for _ in range(n))
+        blocks, offs = self._slots(handles, [h.length for h in handles], s_new)
         for layer, (k, v) in enumerate(new_kvs):
-            # (1, a, s_new, dk) -> (s_new, a, dk) slots.
-            self.k_pool[blocks, layer, offs] = k[0].transpose(1, 0, 2)
-            self.v_pool[blocks, layer, offs] = v[0].transpose(1, 0, 2)
-        handle.length = total
+            # (B, a, s_new, dk) -> (B, s_new, a, dk) slots.
+            self.k_pool[blocks, layer, offs] = k.transpose(0, 2, 1, 3)
+            self.v_pool[blocks, layer, offs] = v.transpose(0, 2, 1, 3)
+        for handle in handles:
+            handle.length += s_new
         if self.checksums:
-            for block in dict.fromkeys(int(b) for b in blocks):
+            for block in dict.fromkeys(blocks.ravel().tolist()):
                 self._crcs[block] = self._block_crc(block)
 
-    def gather(self, handle: KVHandle):
-        """Reassemble ``past_kvs`` (per-layer ``(k, v)``, each
-        ``(1, a, length, dk)``) for :meth:`GPTModel.forward_step`.
+    def gather(self, handles):
+        """Past K/V as :meth:`GPTModel.forward_step` takes it: per layer
+        one ``(k, v)`` pair.  A single handle gets the list of exact
+        ``(1, a, length, dk)`` pairs.  A batch of handles is read
+        through their block tables one layer at a time, as that layer is
+        asked for: fresh ``(B, a, S, dk)`` buffers, zero-padded to
+        ``S = max(lengths) + 1`` -- one free slot behind every row for
+        the token being decoded.
 
-        Checksummed caches verify every block of the handle first and
+        Checksummed caches verify every block of every handle first and
         raise :class:`KVCorruptionError` on a mismatch, so corrupted
         state can never silently feed a forward pass.
         """
-        self._check(handle)
+        batch = not isinstance(handles, KVHandle)
+        handles = self._check(handles)
         if self.checksums:
             # Hot path (every block, every decode step): locals bound
             # outside the loop, one crc32 per block.
             crcs, pool, crc32 = self._crcs, self.kv_pool, zlib.crc32
-            for block in handle.block_table:
-                if crcs.get(block) != crc32(pool[block]):
-                    raise KVCorruptionError(block)
-        pos = np.arange(handle.length)
-        table = np.asarray(handle.block_table)
-        blocks = table[pos // self.block_size]
-        offs = pos % self.block_size
-        out = []
-        for layer in range(self.num_layers):
-            k = self.k_pool[blocks, layer, offs].transpose(1, 0, 2)[None]
-            v = self.v_pool[blocks, layer, offs].transpose(1, 0, 2)[None]
-            out.append((k, v))
-        return out
+            for handle in handles:
+                for block in handle.block_table:
+                    if crcs.get(block) != crc32(pool[block]):
+                        raise KVCorruptionError(block)
+        blocks, offs = self._slots(handles, [0] * len(handles),
+                                   max(h.length for h in handles) + batch)
+        # A generator that binds no layer to a name: the reader's
+        # reference is the only one, so one layer is alive at a time.
+        past = (self._read(layer, blocks, offs)
+                for layer in range(self.num_layers))
+        return past if batch else list(past)
+
+    def _read(self, layer: int, blocks, offs):
+        with span("kv-read", phase="serve"):
+            # (B, S, a, dk) copies, viewed head-major.
+            return (self.k_pool[blocks, layer, offs].transpose(0, 2, 1, 3),
+                    self.v_pool[blocks, layer, offs].transpose(0, 2, 1, 3))
 
     def corrupt_block(self, block: int) -> None:
         """Perturb one stored value *without* refreshing its checksum.

@@ -31,19 +31,22 @@ Seven sections, each independently reportable:
   zero leaked cache blocks.
 
 Mutation self-test (``--inject``): the verifier is itself verified by
-injecting one of three known defects and demanding it is caught --
+injecting one of four known defects and demanding it is caught --
 ``reorder`` (a backward moved before its forward in a schedule),
 ``collective-shape`` (one rank posting a differently-shaped collective),
 ``grad-perturb`` (a silently corrupted gradient in one data-parallel
-replica).  An injection that is *not* detected is reported as a failure
-of the verifier, so the exit code is non-zero either way.
+replica), ``kv-offset`` (one row of a batched decode step's K/V written
+one slot off in the paged cache).  An injection that is *not* detected
+is reported as a failure of the verifier, so the exit code is non-zero
+either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
-INJECT_MODES = ("reorder", "collective-shape", "grad-perturb")
+INJECT_MODES = ("reorder", "collective-shape", "grad-perturb", "kv-offset")
 
 
 @dataclass
@@ -240,15 +243,22 @@ def _run_chaos(fast: bool, seed: int) -> SectionResult:
     return section
 
 
-def _run_serve(fast: bool, seed: int) -> SectionResult:
-    from .serve_check import run_serve_checks
+def _run_serve(fast: bool, seed: int,
+               inject: str | None = None) -> SectionResult:
+    from .serve_check import kv_offset_defect, run_serve_checks
 
     section = SectionResult("serve")
-    results = run_serve_checks(fast=fast, seed=seed)
+    defect = (kv_offset_defect(seed) if inject == "kv-offset"
+              else contextlib.nullcontext())
+    with defect:
+        results = run_serve_checks(fast=fast, seed=seed)
     section.checks = len(results)
+    repro = ("" if inject is None else
+             f"\nrepro: python -m repro verify --inject {inject} "
+             f"--seed {seed}")
     for name, failures in results:
         for failure in failures:
-            section.failures.append(f"{name}: {failure}")
+            section.failures.append(f"{name}: {failure}{repro}")
     section.notes.append(
         "decode conformance vs the generate oracle: "
         + ", ".join(name for name, _ in results)
@@ -346,6 +356,8 @@ def run_verification(
         report.sections.append(
             _run_conformance(fast, num_cases, seed, case, inject)
         )
+    elif inject == "kv-offset":
+        report.sections.append(_run_serve(fast, seed, inject))
     elif case is not None:
         report.sections.append(
             _run_conformance(fast, num_cases, seed, case, None)

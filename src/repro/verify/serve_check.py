@@ -4,6 +4,12 @@ The full-recompute :func:`repro.nn.generate.generate` is the slow,
 training-numerics-consistent reference.  This section pins the three
 fast paths of :mod:`repro.serve` to it:
 
+- **paged K/V round trip** (``PagedKVCache.append`` / ``gather`` over a
+  batch of handles, the write and read of the batched decode step):
+  after every ragged single-token write each handle must read back,
+  bit for bit, what a plain per-request list holds.  ``verify --inject
+  kv-offset`` proves this check can fail: a seeded defect lands one
+  batched row one slot off.
 - **cached decode** (`cached_generate`, paged KV cache + incremental
   ``forward_step``): token streams must be ``np.array_equal`` to the
   oracle across a seeded grid of sampling modes and prompt lengths
@@ -21,6 +27,7 @@ fast paths of :mod:`repro.serve` to it:
 
 from __future__ import annotations
 
+import contextlib
 import io
 
 import numpy as np
@@ -51,6 +58,89 @@ def _grid(fast: bool, seed: int):
             (12, 8, 0.0, None),  # long prompt, long decode
         ]
     return points
+
+
+_ROUNDTRIP_WRITES = 6  # batched single-token writes per round trip
+
+
+def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
+    from repro.serve import PagedKVCache
+
+    config = tiny_test_model()
+    model = GPTModel(config, seed=seed)
+    heads = config.num_attention_heads
+    rng = np.random.default_rng(seed + 4)
+
+    def kvs(rows: int, s_new: int):
+        shape = (config.num_layers, 2, rows, heads, s_new, config.head_dim)
+        return rng.standard_normal(shape)
+
+    failures = []
+    for block_size in (3,) if fast else (1, 3, 4):
+        cache = PagedKVCache.for_model(model, num_blocks=64,
+                                       block_size=block_size)
+        handles = [cache.create() for _ in range(5)]
+        kept = []  # per handle: (L, 2, 1, a, length, dk), grown by hand
+        for handle in handles:
+            kept.append(kvs(1, int(rng.integers(1, 9))))
+            cache.append(handle, [tuple(layer) for layer in kept[-1]])
+        for write in range(_ROUNDTRIP_WRITES):
+            new = kvs(len(handles), 1)
+            cache.append(handles, [tuple(layer) for layer in new])
+            kept = [np.concatenate([old, new[:, :, i:i + 1]], axis=4)
+                    for i, old in enumerate(kept)]
+            past = list(cache.gather(handles))
+            for i, (handle, want) in enumerate(zip(handles, kept)):
+                n = handle.length
+                dense = np.array(cache.gather(handle))
+                ragged = np.array([[t[i:i + 1, :, :n] for t in layer]
+                                   for layer in past])
+                if not (np.array_equal(dense, want)
+                        and np.array_equal(ragged, want)):
+                    failures.append(
+                        f"handle {i} read back different K/V than was "
+                        f"written (block_size={block_size}, batched write "
+                        f"{write + 1}, length {n})"
+                    )
+        for handle in handles:
+            cache.free(handle)
+        cache.assert_empty()
+    return failures
+
+
+@contextlib.contextmanager
+def kv_offset_defect(seed: int):
+    """The ``--inject kv-offset`` defect: in one seeded batched
+    single-token ``PagedKVCache.append``, one row lands one slot off
+    inside its block and its own slot never gets it."""
+    from repro.serve import PagedKVCache
+
+    real = PagedKVCache.append
+    rng = np.random.default_rng(seed)
+    target = int(rng.integers(1, _ROUNDTRIP_WRITES + 1))
+    row = int(rng.integers(0, 1 << 16))
+    writes = 0
+
+    def bent(self, handles, new_kvs):
+        nonlocal writes
+        real(self, handles, new_kvs)
+        if not isinstance(handles, list) or self.block_size < 2:
+            return
+        writes += 1
+        if writes != target:
+            return
+        handle = handles[row % len(handles)]
+        block_index, off = divmod(handle.length - 1, self.block_size)
+        block = handle.block_table[block_index]
+        self.kv_pool[block, :, :, (off + 1) % self.block_size] = (
+            self.kv_pool[block, :, :, off])
+        self.kv_pool[block, :, :, off] = 0.0
+
+    PagedKVCache.append = bent
+    try:
+        yield
+    finally:
+        PagedKVCache.append = real
 
 
 def _check_cached_decode(fast: bool, seed: int) -> list[str]:
@@ -218,6 +308,7 @@ def run_serve_checks(
 ) -> list[tuple[str, list[str]]]:
     """Every serving conformance check; ``(name, failures)`` per check."""
     return [
+        ("paged-kv-batch-roundtrip", _check_kv_roundtrip(fast, seed)),
         ("cached-decode-oracle-grid", _check_cached_decode(fast, seed)),
         ("continuous-batching", _check_engine(fast, seed)),
         ("tensor-parallel-decode", _check_tp(fast, seed)),

@@ -284,7 +284,7 @@ class TestVerify:
         assert "schedules" in out and "conformance" not in out
 
     @pytest.mark.parametrize("mode", [
-        "reorder", "collective-shape", "grad-perturb",
+        "reorder", "collective-shape", "grad-perturb", "kv-offset",
     ])
     def test_injected_mutations_exit_nonzero_with_repro(self, mode, capsys):
         rc = main(["verify", "--inject", mode, "--fast"])
@@ -292,6 +292,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verification FAILED" in out
         assert "python -m repro verify" in out or "rank" in out
+
+    def test_kv_offset_prints_seeded_repro_string(self, capsys):
+        rc = main(["verify", "--inject", "kv-offset", "--seed", "5",
+                   "--fast"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "paged-kv-batch-roundtrip" in out
+        assert "repro: python -m repro verify --inject kv-offset --seed 5" in out
 
     def test_grad_perturb_prints_seeded_repro_string(self, capsys):
         rc = main(["verify", "--inject", "grad-perturb", "--seed", "5"])

@@ -40,6 +40,7 @@ from repro.verify import (
     schedule_to_json,
     validate_schedule,
 )
+from repro.verify.runner import INJECT_MODES
 
 
 def _swap_ops(schedule, rank, i, j):
@@ -277,9 +278,7 @@ class TestRunner:
         }
         assert "verification PASSED" in report.describe()
 
-    @pytest.mark.parametrize("mode", [
-        "reorder", "collective-shape", "grad-perturb",
-    ])
+    @pytest.mark.parametrize("mode", INJECT_MODES)
     def test_each_injection_is_caught(self, mode):
         report = run_verification(inject=mode, fast=True)
         assert not report.ok
