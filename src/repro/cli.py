@@ -1172,6 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a static HTML dashboard")
     p_rep.set_defaults(func=_cmd_report)
 
+    from repro.verify.runner import INJECT_MODES, SECTIONS
+
     p_ver = sub.add_parser(
         "verify",
         help="run the correctness-verification suite (exit 1 on violations)",
@@ -1194,8 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--only", default=None,
-        choices=["schedules", "sanitizer", "conformance", "backend",
-                 "conservation", "chaos", "serve", "serve-chaos"],
+        choices=SECTIONS,
         help="run a single verification section",
     )
     p_ver.add_argument(
@@ -1206,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--inject", default=None,
-        choices=["reorder", "collective-shape", "grad-perturb", "kv-offset"],
+        choices=INJECT_MODES,
         help="self-test: inject a known defect and demand the verifier "
              "catches it (exits non-zero either way)",
     )

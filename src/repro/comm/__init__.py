@@ -2,7 +2,6 @@
 
 from .backend import BACKENDS, Backend, CoopBackend, MpBackend, get_backend
 from .cost_model import CommCostModel
-from .extras import all_to_all, barrier, gather, scatter
 from .groups import ProcessGroups, RankCoord
 from .primitives import (
     all_gather,
@@ -26,10 +25,6 @@ __all__ = [
     "ring_all_gather_hops",
     "ring_reduce_scatter_hops",
     "CommCostModel",
-    "gather",
-    "scatter",
-    "all_to_all",
-    "barrier",
     "ProcessGroups",
     "RankCoord",
     "ring_all_reduce",

@@ -1,146 +1,133 @@
-"""Execution backends for the communication primitives.
+"""Execution backends: who moves the bytes of a collective.
 
-A :class:`Backend` exposes the five primitives of
-:mod:`repro.comm.primitives` behind one interface so the engine
-(`ProcessGroups`, the schedule executor, ``PTDTrainer``, ZeRO-3) can
-select *how* collectives execute without changing *what* they compute:
+A :class:`~repro.comm.primitives.Backend` is the five primitives behind
+one front door (validation, sanitizer record, span, float64 flatten,
+single-rank shortcut -- all in :mod:`repro.comm.primitives`) plus the
+*mover* that front door calls:
 
-- :class:`CoopBackend` — the existing single-process cooperative path,
-  kept verbatim as the bit-exact oracle.
+- :class:`~repro.comm.primitives.CoopBackend` — the single-process
+  cooperative loops, the bit-exact oracle; logs each hop as it moves it.
 - :class:`MpBackend` — every virtual rank of a group is a real OS
-  process (:class:`~repro.comm.shm_ring.ShmWorkerPool`) moving bytes
-  through ``multiprocessing.shared_memory`` numpy buffers with the
-  standard ring algorithms.
+  process (a :class:`~repro.comm.shm_ring.WorkerPool` serving
+  :func:`ring_ops`) moving bytes between ``multiprocessing.shared_memory``
+  segments with the standard ring algorithms; the parent replays the
+  pure ``ring_*_hops`` plans for the hops it did not see.
 
-The contract (asserted by ``repro verify --only backend`` and the
-cross-backend test grid): for identical inputs both backends return
+Only the mover differs, so the contract holds by construction, and is
+still asserted (``repro verify --only backend``, ``tests/test_backend.py``,
+``tests/test_front_door.py``): for identical inputs both backends return
 bit-identical arrays, raise the same validation errors, record the same
 sanitizer events, and append the exact same §3.3.1 hop sequence to the
-:class:`~repro.comm.traffic.TrafficLog` — ring all-reduce moves
-``2(k-1)/k`` of the buffer per rank, all-gather/reduce-scatter
-``(k-1)/k``, p2p the full size.  The mp backend achieves this by
-keeping validation, sanitizer recording, span emission and traffic
-accounting in the parent (replayed from the pure hop plans in
-:mod:`repro.comm.primitives`) while the worker processes perform the
-actual data movement.
+:class:`~repro.comm.traffic.TrafficLog`.
+
+Engines resolve a backend once with :func:`get_backend` and hold the
+object; the coop oracle is the default object, never ``None``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-from repro.obs.tracer import span as _obs_span
-from repro.verify.sanitizer import record_collective as _sanitize
-
-from . import primitives as _coop
 from .primitives import (
-    _check_group,
-    _check_group_like,
-    _check_ranks,
-    _comm_span,
+    COOP,
+    Backend,
+    CoopBackend,
+    replay,
     ring_all_gather_hops,
     ring_all_reduce_hops,
     ring_reduce_scatter_hops,
 )
-from .shm_ring import ShmWorkerPool, create_segment, destroy_segment
-from .traffic import TrafficKind
+from .shm_ring import (
+    POOL_TIMEOUT,
+    WorkerPool,
+    attached,
+    ring_all_reduce_step,
+    scratch_segments,
+)
+
+__all__ = ["BACKENDS", "Backend", "CoopBackend", "MpBackend", "get_backend"]
 
 BACKENDS = ("coop", "mp")
 
 
-class Backend(ABC):
-    """Interface over the collective/p2p primitives."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def all_reduce(self, buffers, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag=""):
-        ...
-
-    @abstractmethod
-    def all_gather(self, shards, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag="", axis=0):
-        ...
-
-    @abstractmethod
-    def reduce_scatter(self, buffers, ranks, log=None,
-                       kind=TrafficKind.OTHER, tag=""):
-        ...
-
-    @abstractmethod
-    def broadcast(self, buffer, root, ranks, log=None,
-                  kind=TrafficKind.OTHER, tag=""):
-        ...
-
-    @abstractmethod
-    def send(self, buffer, src, dst, log=None,
-             kind=TrafficKind.PIPELINE_P2P, tag=""):
-        ...
-
-    def close(self) -> None:
-        """Release any real-process resources (no-op for coop)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+def _view(seg, shape, dtype) -> np.ndarray:
+    return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
 
-class CoopBackend(Backend):
-    """The single-process cooperative oracle — delegates verbatim."""
+def ring_ops(rank: int, k: int, barrier_wait, _segment_names) -> dict:
+    """Op table of an :class:`MpBackend` worker: virtual rank ``rank``
+    of a ``k``-rank group, moving bytes between the segments the mover
+    of the same name (below) lays out and names in the payload."""
 
-    name = "coop"
+    def all_reduce(payload):
+        names, n = payload
+        with attached(names[rank], names[(rank - 1) % k]) as (mine, prev):
+            ring_all_reduce_step(
+                [n], rank, k, _view(mine, (n,), np.float64),
+                _view(prev, (n,), np.float64), barrier_wait,
+            )
 
-    def all_reduce(self, buffers, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag=""):
-        return _coop.ring_all_reduce(buffers, ranks, log, kind, tag)
+    def all_gather(payload):
+        names, offsets, shape, dtype = payload
+        with attached(names[rank], names[(rank - 1) % k]) as (mine, prev):
+            mine, prev = _view(mine, shape, dtype), _view(prev, shape, dtype)
+            for step in range(k - 1):
+                j = (rank - 1 - step) % k
+                mine[offsets[j]:offsets[j + 1]] = prev[offsets[j]:offsets[j + 1]]
+                barrier_wait()
 
-    def all_gather(self, shards, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag="", axis=0):
-        return _coop.all_gather(shards, ranks, log, kind, tag, axis)
+    def reduce_scatter(payload):
+        # Each rank pulls its own slab rows from every peer's full
+        # buffer (real cross-process reads) and reduces them with the
+        # same axis-0 ``np.sum`` tree the coop reference applies to the
+        # full stack — elementwise the reduction order depends only on
+        # k, so slab-local summation is bit-identical.  No inter-worker
+        # writes, hence no barriers.
+        in_names, out_names, shape = payload
+        rows = shape[0] // k
+        with attached(out_names[rank], *in_names) as (out, *ins):
+            slabs = [
+                _view(seg, shape, np.float64)[rank * rows:(rank + 1) * rows]
+                for seg in ins
+            ]
+            _view(out, (rows,) + shape[1:], np.float64)[...] = np.sum(
+                np.stack(slabs), axis=0
+            )
 
-    def reduce_scatter(self, buffers, ranks, log=None,
-                       kind=TrafficKind.OTHER, tag=""):
-        return _coop.reduce_scatter(buffers, ranks, log, kind, tag)
+    def copy(payload):  # broadcast fan-out / p2p courier
+        src_name, out_name, nbytes = payload
+        with attached(src_name, out_name) as (src, out):
+            out.buf[:nbytes] = src.buf[:nbytes]
 
-    def broadcast(self, buffer, root, ranks, log=None,
-                  kind=TrafficKind.OTHER, tag=""):
-        return _coop.broadcast(buffer, root, ranks, log, kind, tag)
-
-    def send(self, buffer, src, dst, log=None,
-             kind=TrafficKind.PIPELINE_P2P, tag=""):
-        return _coop.send(buffer, src, dst, log, kind, tag)
+    return {"all_reduce": all_reduce, "all_gather": all_gather,
+            "reduce_scatter": reduce_scatter, "copy": copy}
 
 
 class MpBackend(Backend):
-    """Real multi-process backend over shared-memory ring transfers.
+    """Real multi-process mover over shared-memory ring transfers.
 
-    Keeps one persistent :class:`ShmWorkerPool` per distinct group size
-    (created lazily, reused across collectives) plus a single-worker
-    courier pool for p2p sends.  ``close()`` tears the pools down;
-    segments are per-call and always unlinked in ``finally``.
+    Keeps one persistent :class:`WorkerPool` per distinct group size
+    (created lazily, reused across collectives).  ``close()`` tears the
+    pools down; segments are per-call and always unlinked on the way out.
+    ``timeout`` bounds the parent's wait for replies and the workers'
+    waits on their ring barrier.
     """
 
     name = "mp"
 
-    def __init__(self, *, timeout: float | None = None):
-        self._pools: dict[int, ShmWorkerPool] = {}
-        self._timeout = timeout
+    def __init__(self, *, timeout: float = POOL_TIMEOUT):
+        self.timeout = timeout
+        self._pools: dict[int, WorkerPool] = {}
         self._closed = False
 
-    def _pool(self, size: int) -> ShmWorkerPool:
+    def _pool(self, size: int) -> WorkerPool:
         if self._closed:
             raise RuntimeError("mp backend is closed")
         pool = self._pools.get(size)
         if pool is None:
-            kwargs = {} if self._timeout is None else {"timeout": self._timeout}
-            pool = ShmWorkerPool(size, **kwargs)
-            self._pools[size] = pool
+            pool = self._pools[size] = WorkerPool(
+                size, ring_ops, timeout=self.timeout, name=f"repro-shm-{size}"
+            )
         return pool
 
     def close(self) -> None:
@@ -149,210 +136,73 @@ class MpBackend(Backend):
             pool.close()
         self._pools.clear()
 
-    # -- collectives ---------------------------------------------------
+    # -- the mover -----------------------------------------------------------
+    def _all_reduce(self, flat, hop):
+        k, n = len(flat), flat[0].size
+        with scratch_segments([n * 8] * k) as segs:
+            for seg, f in zip(segs, flat):
+                _view(seg, (n,), np.float64)[...] = f
+            names = [seg.name for seg in segs]
+            self._pool(k).run("all_reduce", [(names, n)] * k)
+            out = [_view(seg, (n,), np.float64).copy() for seg in segs]
+        replay(hop, ring_all_reduce_hops(n, 8, k))
+        return out
 
-    def all_reduce(self, buffers, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag=""):
-        _check_group(buffers, ranks)
-        _sanitize("all_reduce", ranks, np.asarray(buffers[0]).shape,
-                  np.asarray(buffers[0]).dtype, tag)
-        with _comm_span("all_reduce", ranks, kind, tag):
-            k = len(ranks)
-            if k == 1:
-                return [buffers[0].copy()]
-            shape, dtype = buffers[0].shape, buffers[0].dtype
-            flats = [
-                np.ascontiguousarray(b, dtype=np.float64).ravel()
-                for b in buffers
-            ]
-            n = flats[0].size
-            segs = [create_segment(n * 8) for _ in range(k)]
-            try:
-                for seg, flat in zip(segs, flats):
-                    np.ndarray((n,), dtype=np.float64, buffer=seg.buf)[...] = flat
-                names = [seg.name for seg in segs]
-                self._pool(k).run("all_reduce", [(names, n, k)] * k)
-                out = [
-                    np.ndarray((n,), dtype=np.float64, buffer=seg.buf)
-                    .copy().reshape(shape).astype(dtype)
-                    for seg in segs
-                ]
-            finally:
-                for seg in segs:
-                    destroy_segment(seg)
-            if log is not None:
-                for si, di, nb in ring_all_reduce_hops(n, 8, k):
-                    log.add(ranks[si], ranks[di], nb, kind, tag)
-            return out
-
-    def all_gather(self, shards, ranks, log=None,
-                   kind=TrafficKind.OTHER, tag="", axis=0):
-        _check_group_like(shards, ranks, axis)
-        k = len(ranks)
-        if k == 1:
-            return _coop.all_gather(shards, ranks, log, kind, tag, axis)
-        with _comm_span("all_gather", ranks, kind, tag):
-            arrs = [np.asarray(s) for s in shards]
-            ax = axis % arrs[0].ndim
-            moved = [np.ascontiguousarray(np.moveaxis(a, ax, 0)) for a in arrs]
-            lens = [m.shape[0] for m in moved]
-            offsets = [0]
-            for length in lens:
-                offsets.append(offsets[-1] + length)
-            rest = moved[0].shape[1:]
-            full_moved_shape = (offsets[-1],) + rest
-            dtype = arrs[0].dtype
-            full_shape = list(arrs[0].shape)
-            full_shape[ax] = offsets[-1]
-            _sanitize("all_gather", ranks, tuple(full_shape), dtype, tag)
-            nbytes = int(np.prod(full_moved_shape)) * dtype.itemsize
-            segs = [create_segment(nbytes) for _ in range(k)]
-            try:
-                for j, seg in enumerate(segs):
-                    view = np.ndarray(full_moved_shape, dtype=dtype, buffer=seg.buf)
-                    view[offsets[j]:offsets[j + 1]] = moved[j]
-                names = [seg.name for seg in segs]
-                payload = (names, offsets, full_moved_shape, dtype.str, k)
-                self._pool(k).run("all_gather", [payload] * k)
-                out = []
-                for seg in segs:
-                    view = np.ndarray(full_moved_shape, dtype=dtype, buffer=seg.buf)
-                    out.append(np.ascontiguousarray(np.moveaxis(view.copy(), 0, ax)))
-            finally:
-                for seg in segs:
-                    destroy_segment(seg)
-            if log is not None:
-                hops = ring_all_gather_hops([a.nbytes for a in arrs])
-                for si, di, nb in hops:
-                    log.add(ranks[si], ranks[di], nb, kind, tag)
-            return out
-
-    def reduce_scatter(self, buffers, ranks, log=None,
-                       kind=TrafficKind.OTHER, tag=""):
-        _check_group(buffers, ranks)
-        k = len(ranks)
-        first = np.asarray(buffers[0])
-        if first.ndim < 1:
-            raise ValueError(
-                "reduce_scatter needs buffers with at least 1 dimension to "
-                "scatter along axis 0"
+    def _all_gather(self, shards, ax, hop):
+        # Each rank's segment holds the whole (moveaxis'd) concatenation
+        # with only its own row-slot filled in; the ring fills the rest.
+        k = len(shards)
+        moved = [np.moveaxis(s, ax, 0) for s in shards]
+        offsets = [0]
+        for m in moved:
+            offsets.append(offsets[-1] + m.shape[0])
+        shape = (offsets[-1],) + moved[0].shape[1:]
+        dtype = shards[0].dtype
+        with scratch_segments([sum(s.nbytes for s in shards)] * k) as segs:
+            for j, seg in enumerate(segs):
+                _view(seg, shape, dtype)[offsets[j]:offsets[j + 1]] = moved[j]
+            names = [seg.name for seg in segs]
+            self._pool(k).run(
+                "all_gather", [(names, offsets, shape, dtype)] * k
             )
-        if first.shape[0] % k != 0:
-            raise ValueError(
-                f"reduce_scatter needs axis-0 ({first.shape[0]}) divisible "
-                f"by group size ({k})"
-            )
-        if k == 1:
-            return _coop.reduce_scatter(buffers, ranks, log, kind, tag)
-        _sanitize("reduce_scatter", ranks, first.shape, first.dtype, tag)
-        with _comm_span("reduce_scatter", ranks, kind, tag):
-            dtype = first.dtype
-            shape = first.shape
-            rows = shape[0] // k
-            slab_nbytes = int(np.prod((rows,) + tuple(shape[1:]))) * 8
-            in_segs = [create_segment(first.size * 8) for _ in range(k)]
-            out_segs = [create_segment(slab_nbytes) for _ in range(k)]
-            try:
-                for seg, b in zip(in_segs, buffers):
-                    view = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-                    view[...] = np.asarray(b).astype(np.float64)
-                in_names = [seg.name for seg in in_segs]
-                payloads = [
-                    (in_names, out_segs[r].name, tuple(shape), k)
-                    for r in range(k)
-                ]
-                self._pool(k).run("reduce_scatter", payloads)
-                out = []
-                for seg in out_segs:
-                    slab = np.ndarray((rows,) + tuple(shape[1:]),
-                                      dtype=np.float64, buffer=seg.buf)
-                    out.append(slab.copy().astype(dtype))
-            finally:
-                for seg in in_segs + out_segs:
-                    destroy_segment(seg)
-            if log is not None:
-                hops = ring_reduce_scatter_hops(first.nbytes, k)
-                for si, di, nb in hops:
-                    log.add(ranks[si], ranks[di], nb, kind, tag)
-            return out
-
-    def broadcast(self, buffer, root, ranks, log=None,
-                  kind=TrafficKind.OTHER, tag=""):
-        _check_ranks(ranks)
-        if root not in ranks:
-            raise ValueError(f"root {root} not in group {ranks}")
-        arr = np.asarray(buffer)
-        _sanitize("broadcast", ranks, arr.shape, arr.dtype,
-                  tag or f"root={root}")
-        with _comm_span("broadcast", ranks, kind, tag):
-            k = len(ranks)
-            if k == 1:
-                return [arr.copy()]
-            root_idx = list(ranks).index(root)
-            contig = np.ascontiguousarray(arr)
-            src_seg = create_segment(contig.nbytes)
-            out_segs = {
-                i: create_segment(contig.nbytes)
-                for i in range(k) if i != root_idx
-            }
-            try:
-                np.ndarray(contig.shape, dtype=contig.dtype,
-                           buffer=src_seg.buf)[...] = contig
-                messages = []
-                for i in range(k):
-                    if i == root_idx:
-                        messages.append(("noop", None))
-                    else:
-                        messages.append((
-                            "copy",
-                            (src_seg.name, out_segs[i].name, contig.nbytes),
-                        ))
-                self._pool(k).request(messages)
-                out = []
-                for i, r in enumerate(ranks):
-                    if i == root_idx:
-                        out.append(arr.copy())
-                    else:
-                        view = np.ndarray(contig.shape, dtype=contig.dtype,
-                                          buffer=out_segs[i].buf)
-                        out.append(view.copy())
-                    if log is not None and r != root:
-                        log.add(root, r, arr.nbytes, kind, tag)
-            finally:
-                for seg in [src_seg, *out_segs.values()]:
-                    destroy_segment(seg)
-            return out
-
-    def send(self, buffer, src, dst, log=None,
-             kind=TrafficKind.PIPELINE_P2P, tag=""):
-        if src == dst:
-            raise ValueError("p2p send requires distinct src and dst ranks")
-        arr = np.asarray(buffer)
-        _sanitize("send", (src, dst), arr.shape, arr.dtype, tag)
-        with _obs_span(
-            "send", phase=f"comm.{kind.value}", rank=src, dst=dst, tag=tag
-        ):
-            if log is not None:
-                log.add(src, dst, arr.nbytes, kind, tag)
-            contig = np.ascontiguousarray(arr)
-            in_seg = create_segment(contig.nbytes)
-            out_seg = create_segment(contig.nbytes)
-            try:
-                np.ndarray(contig.shape, dtype=contig.dtype,
-                           buffer=in_seg.buf)[...] = contig
-                self._pool(1).run(
-                    "copy", [(in_seg.name, out_seg.name, contig.nbytes)]
+            out = [
+                np.ascontiguousarray(
+                    np.moveaxis(_view(seg, shape, dtype).copy(), 0, ax)
                 )
-                view = np.ndarray(contig.shape, dtype=contig.dtype,
-                                  buffer=out_seg.buf)
-                out = view.copy()
-            finally:
-                destroy_segment(in_seg)
-                destroy_segment(out_seg)
-            return out
+                for seg in segs
+            ]
+        replay(hop, ring_all_gather_hops([s.nbytes for s in shards]))
+        return out
 
+    def _reduce_scatter(self, wide, nbytes, hop):
+        k, shape = len(wide), wide[0].shape
+        slab_shape = (shape[0] // k,) + shape[1:]
+        with scratch_segments([wide[0].nbytes] * k) as ins, \
+                scratch_segments([wide[0].nbytes // k] * k) as outs:
+            for seg, w in zip(ins, wide):
+                _view(seg, shape, np.float64)[...] = w
+            payload = ([s.name for s in ins], [s.name for s in outs], shape)
+            self._pool(k).run("reduce_scatter", [payload] * k)
+            out = [_view(seg, slab_shape, np.float64).copy() for seg in outs]
+        replay(hop, ring_reduce_scatter_hops(nbytes, k))
+        return out
 
-_COOP_SINGLETON = CoopBackend()
+    def _broadcast(self, buffer, root_index, k, hop):
+        shape, dtype, nbytes = buffer.shape, buffer.dtype, buffer.nbytes
+        with scratch_segments([nbytes] * k) as segs:
+            _view(segs[root_index], shape, dtype)[...] = buffer
+            self._pool(k).request([
+                None if i == root_index else
+                ("copy", (segs[root_index].name, segs[i].name, nbytes))
+                for i in range(k)
+            ])
+            out = [_view(seg, shape, dtype).copy() for seg in segs]
+        replay(hop, [(root_index, i, nbytes)
+                     for i in range(k) if i != root_index])
+        return out
+
+    def _send(self, buffer, hop):
+        return self._broadcast(buffer, 0, 2, hop)[1]  # a fan-out of one
 
 
 def get_backend(spec: str | Backend | None = None) -> Backend:
@@ -361,13 +211,12 @@ def get_backend(spec: str | Backend | None = None) -> Backend:
 
     ``"mp"`` returns a *fresh* :class:`MpBackend` — the caller owns its
     lifetime and should ``close()`` it (or use it as a context manager).
+    A caller can tell what it owns by ``get_backend(spec) is not spec``.
     """
-    if spec is None:
-        return _COOP_SINGLETON
+    if spec is None or spec == "coop":
+        return COOP
     if isinstance(spec, Backend):
         return spec
-    if spec == "coop":
-        return _COOP_SINGLETON
     if spec == "mp":
         return MpBackend()
     raise ValueError(f"unknown backend {spec!r}; expected one of {BACKENDS}")

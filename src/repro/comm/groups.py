@@ -28,38 +28,14 @@ class RankCoord:
 
 
 class ProcessGroups:
-    """All tensor/data/pipeline groups for a :class:`ParallelConfig`.
+    """All tensor/data/pipeline groups for a :class:`ParallelConfig`."""
 
-    ``backend`` selects how collectives over these groups execute
-    (``"coop"`` single-process oracle or ``"mp"`` real processes, see
-    :mod:`repro.comm.backend`); the rank arithmetic itself is
-    backend-independent.  The spec is resolved lazily so constructing
-    groups for analytic models stays free.
-    """
-
-    def __init__(self, parallel: ParallelConfig, backend: str = "coop"):
-        from .backend import BACKENDS, Backend
-
+    def __init__(self, parallel: ParallelConfig):
         self.parallel = parallel
         self.p = parallel.pipeline_parallel_size
         self.t = parallel.tensor_parallel_size
         self.d = parallel.data_parallel_size
         self.world_size = parallel.world_size
-        if not isinstance(backend, Backend) and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        self.backend_spec = backend
-        self._backend = backend if isinstance(backend, Backend) else None
-
-    @property
-    def backend(self):
-        """The resolved :class:`~repro.comm.backend.Backend` instance."""
-        if self._backend is None:
-            from .backend import get_backend
-
-            self._backend = get_backend(self.backend_spec)
-        return self._backend
 
     # -- coordinate transforms -------------------------------------------
     def rank_of(self, pp: int, dp: int, tp: int) -> int:

@@ -6,6 +6,17 @@ belonging to global rank ``ranks[i]``), really computes the collective
 with the standard ring algorithm, and logs every hop's bytes to a
 :class:`~repro.comm.traffic.TrafficLog`.
 
+:class:`Backend` is the one front door: its five public methods own
+everything about a collective that is not byte movement (validation,
+the sanitizer record, the comm span, the float64 flatten and ``astype``
+back, the single-rank shortcut) and hand validated arrays plus a
+``hop(src_index, dst_index, nbytes)`` callable to the *mover*, five
+hooks a backend plugs in.  :class:`CoopBackend` is the single-process
+mover -- the in-process ring loops, logging each hop where it moves it;
+the bit-exact oracle, whose methods the module-level functions
+(:func:`ring_all_reduce`, :func:`all_gather`, ...) are.  The
+real-process mover is :class:`repro.comm.backend.MpBackend`.
+
 Because the parallel-training engine is single-process and synchronous
 (see DESIGN.md), collectives are invoked once per group rather than once
 per rank; the data movement and byte accounting are identical to the
@@ -20,7 +31,9 @@ Byte-volume identities implemented (and tested against) §3.3.1/§3.2:
 
 from __future__ import annotations
 
-from typing import Sequence
+from abc import abstractmethod
+from contextlib import AbstractContextManager
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +41,10 @@ from repro.obs.tracer import span as _obs_span
 from repro.verify.sanitizer import record_collective as _sanitize
 
 from .traffic import TrafficKind, TrafficLog
+
+#: ``hop(src_index, dst_index, nbytes)``: one transfer between two
+#: members of the group, by position in ``ranks``.
+Hop = Callable[[int, int, int], None]
 
 
 def _comm_span(name: str, ranks: Sequence[int], kind: TrafficKind, tag: str):
@@ -45,6 +62,24 @@ def _comm_span(name: str, ranks: Sequence[int], kind: TrafficKind, tag: str):
         group=len(ranks),
         tag=tag,
     )
+
+
+def _hop_logger(ranks: Sequence[int], log: TrafficLog | None,
+                kind: TrafficKind, tag: str) -> Hop:
+    """The ``hop`` a mover reports to: group positions become global
+    ranks and the transfer lands in ``log`` (nowhere without one)."""
+    if log is None:
+        return lambda src, dst, nbytes: None
+    return lambda src, dst, nbytes: log.add(
+        ranks[src], ranks[dst], nbytes, kind, tag
+    )
+
+
+def replay(hop: Hop, plan: Iterable[tuple[int, int, int]]) -> None:
+    """Report a whole hop plan (``ring_*_hops``): how a mover whose
+    bytes travel in other processes accounts for them."""
+    for src, dst, nbytes in plan:
+        hop(src, dst, nbytes)
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:
@@ -78,236 +113,6 @@ def _check_group(buffers: Sequence[np.ndarray], ranks: Sequence[int]) -> None:
                 f"all group buffers must share shape: buffer 0 has "
                 f"{first.shape}, buffer {i} has {b.shape}"
             )
-
-
-def ring_all_reduce(
-    buffers: Sequence[np.ndarray],
-    ranks: Sequence[int],
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.OTHER,
-    tag: str = "",
-) -> list[np.ndarray]:
-    """Sum-all-reduce via reduce-scatter + all-gather rings.
-
-    Returns new arrays (one per rank), all equal to the element-wise sum.
-    Each rank sends ``2 (k-1)/k`` of the buffer size, the classic
-    bandwidth-optimal ring volume the paper's §3.3.1 ``(d-1)/d`` scaling
-    argument refers to.
-    """
-    _check_group(buffers, ranks)
-    _sanitize("all_reduce", ranks, np.asarray(buffers[0]).shape,
-              np.asarray(buffers[0]).dtype, tag)
-    with _comm_span("all_reduce", ranks, kind, tag):
-        k = len(ranks)
-        if k == 1:
-            return [buffers[0].copy()]
-        flat = [
-            np.ascontiguousarray(b, dtype=np.float64).ravel().copy()
-            for b in buffers
-        ]
-        n = flat[0].size
-        bounds = np.linspace(0, n, k + 1).astype(int)
-        itemsize = flat[0].itemsize
-
-        def chunk(i: int) -> slice:
-            j = i % k
-            return slice(bounds[j], bounds[j + 1])
-
-        # Phase 1: reduce-scatter.  Step s: rank i sends chunk (i - s) to
-        # rank i+1, which accumulates.
-        for step in range(k - 1):
-            for i in range(k):
-                src, dst = i, (i + 1) % k
-                sl = chunk(i - step)
-                flat[dst][sl] += flat[src][sl]
-                if log is not None:
-                    log.add(
-                        ranks[src],
-                        ranks[dst],
-                        (sl.stop - sl.start) * itemsize,
-                        kind,
-                        tag,
-                    )
-        # After phase 1, rank i holds the fully-reduced chunk (i + 1).
-        # Phase 2: all-gather the reduced chunks around the ring.
-        for step in range(k - 1):
-            for i in range(k):
-                src, dst = i, (i + 1) % k
-                sl = chunk(i + 1 - step)
-                flat[dst][sl] = flat[src][sl]
-                if log is not None:
-                    log.add(
-                        ranks[src],
-                        ranks[dst],
-                        (sl.stop - sl.start) * itemsize,
-                        kind,
-                        tag,
-                    )
-        shape, dtype = buffers[0].shape, buffers[0].dtype
-        return [f.reshape(shape).astype(dtype) for f in flat]
-
-
-def all_gather(
-    shards: Sequence[np.ndarray],
-    ranks: Sequence[int],
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.OTHER,
-    tag: str = "",
-    axis: int = 0,
-) -> list[np.ndarray]:
-    """Ring all-gather: every rank ends with the concatenation (along
-    ``axis``) of all shards, in group-rank order."""
-    _check_group_like(shards, ranks, axis)
-    with _comm_span("all_gather", ranks, kind, tag):
-        k = len(ranks)
-        full = np.concatenate([np.asarray(s) for s in shards], axis=axis)
-        _sanitize("all_gather", ranks, full.shape, full.dtype, tag)
-        if log is not None and k > 1:
-            # Ring: each rank forwards each of the other k-1 shards once.
-            for step in range(k - 1):
-                for i in range(k):
-                    src, dst = i, (i + 1) % k
-                    moved = shards[(i - step) % k].nbytes
-                    log.add(ranks[src], ranks[dst], moved, kind, tag)
-        return [full.copy() for _ in range(k)]
-
-
-def reduce_scatter(
-    buffers: Sequence[np.ndarray],
-    ranks: Sequence[int],
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.OTHER,
-    tag: str = "",
-) -> list[np.ndarray]:
-    """Ring reduce-scatter along axis 0: rank i receives the i-th
-    equal slab of the element-wise sum.  Requires axis-0 divisibility."""
-    _check_group(buffers, ranks)
-    k = len(ranks)
-    first = np.asarray(buffers[0])
-    if first.ndim < 1:
-        raise ValueError(
-            "reduce_scatter needs buffers with at least 1 dimension to "
-            "scatter along axis 0"
-        )
-    if first.shape[0] % k != 0:
-        raise ValueError(
-            f"reduce_scatter needs axis-0 ({first.shape[0]}) divisible "
-            f"by group size ({k})"
-        )
-    _sanitize("reduce_scatter", ranks, first.shape, first.dtype, tag)
-    with _comm_span("reduce_scatter", ranks, kind, tag):
-        total = np.sum([b.astype(np.float64) for b in buffers], axis=0)
-        slabs = np.split(total, k, axis=0)
-        if log is not None and k > 1:
-            per_rank_bytes = buffers[0].nbytes // k
-            for step in range(k - 1):
-                for i in range(k):
-                    log.add(
-                        ranks[i], ranks[(i + 1) % k], per_rank_bytes, kind, tag
-                    )
-        return [s.astype(buffers[0].dtype) for s in slabs]
-
-
-def broadcast(
-    buffer: np.ndarray,
-    root: int,
-    ranks: Sequence[int],
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.OTHER,
-    tag: str = "",
-) -> list[np.ndarray]:
-    """Broadcast from ``root`` (a global rank in ``ranks``) to the group."""
-    _check_ranks(ranks)
-    if root not in ranks:
-        raise ValueError(f"root {root} not in group {ranks}")
-    buffer = np.asarray(buffer)
-    _sanitize("broadcast", ranks, buffer.shape, buffer.dtype,
-              tag or f"root={root}")
-    with _comm_span("broadcast", ranks, kind, tag):
-        out = []
-        for r in ranks:
-            out.append(np.asarray(buffer).copy())
-            if log is not None and r != root:
-                log.add(root, r, buffer.nbytes, kind, tag)
-        return out
-
-
-def send(
-    buffer: np.ndarray,
-    src: int,
-    dst: int,
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.PIPELINE_P2P,
-    tag: str = "",
-) -> np.ndarray:
-    """Point-to-point transfer; returns the received array."""
-    if src == dst:
-        raise ValueError("p2p send requires distinct src and dst ranks")
-    buffer = np.asarray(buffer)
-    _sanitize("send", (src, dst), buffer.shape, buffer.dtype, tag)
-    with _obs_span(
-        "send", phase=f"comm.{kind.value}", rank=src, dst=dst, tag=tag
-    ):
-        if log is not None:
-            log.add(src, dst, buffer.nbytes, kind, tag)
-        return np.asarray(buffer).copy()
-
-
-def ring_all_reduce_hops(
-    n: int, itemsize: int, k: int
-) -> list[tuple[int, int, int]]:
-    """The exact ``(src_index, dst_index, nbytes)`` hop sequence
-    :func:`ring_all_reduce` logs for a k-rank ring over ``n`` elements.
-
-    Pure function of the ring geometry — the mp backend replays this
-    plan into the parent's :class:`TrafficLog` while real processes move
-    the bytes, and the conformance tests assert the coop log matches it
-    record for record.
-    """
-    if k < 2:
-        return []
-    bounds = np.linspace(0, n, k + 1).astype(int)
-
-    def chunk_bytes(i: int) -> int:
-        j = i % k
-        return int(bounds[j + 1] - bounds[j]) * itemsize
-
-    hops = []
-    for step in range(k - 1):  # phase 1: reduce-scatter
-        for i in range(k):
-            hops.append((i, (i + 1) % k, chunk_bytes(i - step)))
-    for step in range(k - 1):  # phase 2: all-gather
-        for i in range(k):
-            hops.append((i, (i + 1) % k, chunk_bytes(i + 1 - step)))
-    return hops
-
-
-def ring_all_gather_hops(shard_nbytes: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Hop plan :func:`all_gather` logs: each rank forwards each of the
-    other ``k-1`` shards once around the ring."""
-    k = len(shard_nbytes)
-    if k < 2:
-        return []
-    hops = []
-    for step in range(k - 1):
-        for i in range(k):
-            hops.append((i, (i + 1) % k, int(shard_nbytes[(i - step) % k])))
-    return hops
-
-
-def ring_reduce_scatter_hops(
-    buffer_nbytes: int, k: int
-) -> list[tuple[int, int, int]]:
-    """Hop plan :func:`reduce_scatter` logs: ``(k-1)`` steps of one
-    slab (``nbytes/k``) per rank."""
-    if k < 2:
-        return []
-    per_rank = buffer_nbytes // k
-    hops = []
-    for step in range(k - 1):
-        for i in range(k):
-            hops.append((i, (i + 1) % k, per_rank))
-    return hops
 
 
 def _check_group_like(
@@ -349,3 +154,310 @@ def _check_group_like(
                 f"shard 0 has shape {tuple(ref)}, shard {i} has "
                 f"{tuple(got)} (concat axis {axis})"
             )
+
+
+class Backend(AbstractContextManager):
+    """The five primitives: one front door, five mover hooks."""
+
+    name: str = "abstract"
+
+    # -- the front door ----------------------------------------------------
+    def all_reduce(
+        self,
+        buffers: Sequence[np.ndarray],
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+    ) -> list[np.ndarray]:
+        """Sum-all-reduce via reduce-scatter + all-gather rings.
+
+        Returns new arrays (one per rank), all equal to the element-wise
+        sum.  Each rank sends ``2 (k-1)/k`` of the buffer size, the
+        classic bandwidth-optimal ring volume the paper's §3.3.1
+        ``(d-1)/d`` scaling argument refers to.
+        """
+        _check_group(buffers, ranks)
+        first = np.asarray(buffers[0])
+        _sanitize("all_reduce", ranks, first.shape, first.dtype, tag)
+        with _comm_span("all_reduce", ranks, kind, tag):
+            if len(ranks) == 1:
+                return [first.copy()]
+            flat = [
+                np.ascontiguousarray(b, dtype=np.float64).ravel()
+                for b in buffers
+            ]
+            reduced = self._all_reduce(
+                flat, _hop_logger(ranks, log, kind, tag)
+            )
+            return [f.reshape(first.shape).astype(first.dtype) for f in reduced]
+
+    def all_gather(
+        self,
+        shards: Sequence[np.ndarray],
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+        axis: int = 0,
+    ) -> list[np.ndarray]:
+        """Ring all-gather: every rank ends with the concatenation (along
+        ``axis``) of all shards, in group-rank order."""
+        _check_group_like(shards, ranks, axis)
+        arrs = [np.asarray(s) for s in shards]
+        ax = axis % arrs[0].ndim
+        full_shape = list(arrs[0].shape)
+        full_shape[ax] = sum(a.shape[ax] for a in arrs)
+        _sanitize("all_gather", ranks, tuple(full_shape), arrs[0].dtype, tag)
+        with _comm_span("all_gather", ranks, kind, tag):
+            if len(ranks) == 1:
+                return [arrs[0].copy()]
+            return self._all_gather(
+                arrs, ax, _hop_logger(ranks, log, kind, tag)
+            )
+
+    def reduce_scatter(
+        self,
+        buffers: Sequence[np.ndarray],
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+    ) -> list[np.ndarray]:
+        """Ring reduce-scatter along axis 0: rank i receives the i-th
+        equal slab of the element-wise sum.  Requires axis-0 divisibility."""
+        _check_group(buffers, ranks)
+        k = len(ranks)
+        first = np.asarray(buffers[0])
+        if first.ndim < 1:
+            raise ValueError(
+                "reduce_scatter needs buffers with at least 1 dimension to "
+                "scatter along axis 0"
+            )
+        if first.shape[0] % k != 0:
+            raise ValueError(
+                f"reduce_scatter needs axis-0 ({first.shape[0]}) divisible "
+                f"by group size ({k})"
+            )
+        _sanitize("reduce_scatter", ranks, first.shape, first.dtype, tag)
+        with _comm_span("reduce_scatter", ranks, kind, tag):
+            wide = [np.asarray(b).astype(np.float64) for b in buffers]
+            if k == 1:
+                slabs = wide
+            else:
+                slabs = self._reduce_scatter(
+                    wide, first.nbytes, _hop_logger(ranks, log, kind, tag)
+                )
+            return [s.astype(first.dtype) for s in slabs]
+
+    def broadcast(
+        self,
+        buffer: np.ndarray,
+        root: int,
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+    ) -> list[np.ndarray]:
+        """Broadcast from ``root`` (a global rank in ``ranks``) to the group."""
+        _check_ranks(ranks)
+        if root not in ranks:
+            raise ValueError(f"root {root} not in group {ranks}")
+        buffer = np.asarray(buffer)
+        _sanitize("broadcast", ranks, buffer.shape, buffer.dtype,
+                  tag or f"root={root}")
+        with _comm_span("broadcast", ranks, kind, tag):
+            if len(ranks) == 1:
+                return [buffer.copy()]
+            return self._broadcast(
+                buffer, list(ranks).index(root), len(ranks),
+                _hop_logger(ranks, log, kind, tag),
+            )
+
+    def send(
+        self,
+        buffer: np.ndarray,
+        src: int,
+        dst: int,
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.PIPELINE_P2P,
+        tag: str = "",
+    ) -> np.ndarray:
+        """Point-to-point transfer; returns the received array."""
+        if src == dst:
+            raise ValueError("p2p send requires distinct src and dst ranks")
+        buffer = np.asarray(buffer)
+        _sanitize("send", (src, dst), buffer.shape, buffer.dtype, tag)
+        with _obs_span(
+            "send", phase=f"comm.{kind.value}", rank=src, dst=dst, tag=tag
+        ):
+            return self._send(
+                buffer, _hop_logger((src, dst), log, kind, tag)
+            )
+
+    # -- the mover (groups of two or more; inputs are not to be mutated) ----
+    @abstractmethod
+    def _all_reduce(self, flat: list[np.ndarray], hop: Hop) -> list[np.ndarray]:
+        """Ring-sum ``k`` equal-length float64 vectors; ``k`` results."""
+
+    @abstractmethod
+    def _all_gather(self, shards: list[np.ndarray], ax: int,
+                    hop: Hop) -> list[np.ndarray]:
+        """``k`` copies of the shards concatenated along ``ax``."""
+
+    @abstractmethod
+    def _reduce_scatter(self, wide: list[np.ndarray], nbytes: int,
+                        hop: Hop) -> list[np.ndarray]:
+        """The ``k`` axis-0 slabs of the float64 sum; ``nbytes`` is one
+        buffer's size on the wire (its original dtype)."""
+
+    @abstractmethod
+    def _broadcast(self, buffer: np.ndarray, root_index: int, k: int,
+                   hop: Hop) -> list[np.ndarray]:
+        """``k`` copies of ``buffer``, fanned out from ``root_index``."""
+
+    @abstractmethod
+    def _send(self, buffer: np.ndarray, hop: Hop) -> np.ndarray:
+        """A copy of ``buffer`` moved from position 0 to position 1."""
+
+    # -- lifetime ------------------------------------------------------------
+    def close(self) -> None:
+        """Release any real-process resources (no-op for coop)."""
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+class CoopBackend(Backend):
+    """The single-process cooperative mover — the bit-exact oracle."""
+
+    name = "coop"
+
+    def _all_reduce(self, flat, hop):
+        flat = [f.copy() for f in flat]
+        k, n = len(flat), flat[0].size
+        bounds = np.linspace(0, n, k + 1).astype(int)
+        itemsize = flat[0].itemsize
+
+        def chunk(i: int) -> slice:
+            j = i % k
+            return slice(bounds[j], bounds[j + 1])
+
+        # Phase 1: reduce-scatter.  Step s: rank i sends chunk (i - s) to
+        # rank i+1, which accumulates.
+        for step in range(k - 1):
+            for i in range(k):
+                src, dst = i, (i + 1) % k
+                sl = chunk(i - step)
+                flat[dst][sl] += flat[src][sl]
+                hop(src, dst, (sl.stop - sl.start) * itemsize)
+        # After phase 1, rank i holds the fully-reduced chunk (i + 1).
+        # Phase 2: all-gather the reduced chunks around the ring.
+        for step in range(k - 1):
+            for i in range(k):
+                src, dst = i, (i + 1) % k
+                sl = chunk(i + 1 - step)
+                flat[dst][sl] = flat[src][sl]
+                hop(src, dst, (sl.stop - sl.start) * itemsize)
+        return flat
+
+    def _all_gather(self, shards, ax, hop):
+        k = len(shards)
+        full = np.concatenate(shards, axis=ax)
+        # Ring: each rank forwards each of the other k-1 shards once.
+        for step in range(k - 1):
+            for i in range(k):
+                hop(i, (i + 1) % k, shards[(i - step) % k].nbytes)
+        return [full.copy() for _ in range(k)]
+
+    def _reduce_scatter(self, wide, nbytes, hop):
+        k = len(wide)
+        total = np.sum(wide, axis=0)
+        for step in range(k - 1):
+            for i in range(k):
+                hop(i, (i + 1) % k, nbytes // k)
+        return np.split(total, k, axis=0)
+
+    def _broadcast(self, buffer, root_index, k, hop):
+        out = []
+        for i in range(k):
+            out.append(buffer.copy())
+            if i != root_index:
+                hop(root_index, i, buffer.nbytes)
+        return out
+
+    def _send(self, buffer, hop):
+        hop(0, 1, buffer.nbytes)
+        return buffer.copy()
+
+
+#: The shared oracle object: what ``get_backend(None | "coop")`` returns
+#: and what the module-level primitives below are methods of.
+COOP = CoopBackend()
+ring_all_reduce = COOP.all_reduce
+all_gather = COOP.all_gather
+reduce_scatter = COOP.reduce_scatter
+broadcast = COOP.broadcast
+send = COOP.send
+
+
+def replay_all_reduce(
+    shape: tuple[int, ...],
+    dtype,
+    ranks: Sequence[int],
+    log: TrafficLog | None = None,
+    kind: TrafficKind = TrafficKind.OTHER,
+    tag: str = "",
+) -> None:
+    """Front door for a ring all-reduce whose bytes other processes
+    already moved (the replica workers' batched gradient ring): the same
+    sanitizer record, span and hop records :meth:`Backend.all_reduce`
+    leaves for one buffer of ``shape`` per rank."""
+    _sanitize("all_reduce", ranks, shape, dtype, tag)
+    with _comm_span("all_reduce", ranks, kind, tag):
+        replay(
+            _hop_logger(ranks, log, kind, tag),
+            ring_all_reduce_hops(int(np.prod(shape)), 8, len(ranks)),
+        )
+
+
+def ring_all_reduce_hops(
+    n: int, itemsize: int, k: int
+) -> list[tuple[int, int, int]]:
+    """The exact ``(src_index, dst_index, nbytes)`` hop sequence
+    :func:`ring_all_reduce` logs for a k-rank ring over ``n`` elements.
+
+    Pure function of the ring geometry — the mp backend replays this
+    plan into the parent's :class:`TrafficLog` while real processes move
+    the bytes, and the conformance tests assert the coop log matches it
+    record for record.
+    """
+    bounds = np.linspace(0, n, k + 1).astype(int)
+    chunks = [int(c) * itemsize for c in np.diff(bounds)]
+    # Reduce-scatter walks the chunks as an all-gather of them would;
+    # the all-gather phase starts one chunk further round the ring.
+    return ring_all_gather_hops(chunks) + ring_all_gather_hops(
+        chunks[1:] + chunks[:1]
+    )
+
+
+def ring_all_gather_hops(shard_nbytes: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Hop plan :func:`all_gather` logs: each rank forwards each of the
+    other ``k-1`` shards once around the ring."""
+    k = len(shard_nbytes)
+    if k < 2:
+        return []
+    hops = []
+    for step in range(k - 1):
+        for i in range(k):
+            hops.append((i, (i + 1) % k, int(shard_nbytes[(i - step) % k])))
+    return hops
+
+
+def ring_reduce_scatter_hops(
+    buffer_nbytes: int, k: int
+) -> list[tuple[int, int, int]]:
+    """Hop plan :func:`reduce_scatter` logs: ``(k-1)`` steps of one
+    slab (``nbytes/k``) per rank -- an all-gather of ``k`` such slabs."""
+    return ring_all_gather_hops([buffer_nbytes // k] * k) if k > 1 else []

@@ -1,7 +1,5 @@
 """Shared-memory substrate for the multi-process ("mp") backend.
 
-This module owns the two low-level pieces the mp backend is built on:
-
 1. **Segment bookkeeping** — every ``multiprocessing.shared_memory``
    segment the backend creates is registered in a module-level table and
    unlinked on :func:`destroy_segment`, :func:`cleanup_all_segments`
@@ -9,36 +7,43 @@ This module owns the two low-level pieces the mp backend is built on:
    recognisable ``reproshm_`` name prefix so tests (and the chaos
    harness) can assert nothing leaked into ``/dev/shm``.
 
-2. **ShmWorkerPool** — ``k`` real OS processes, one per virtual rank of
-   a process group, that execute the standard ring algorithms over
-   shared-memory numpy buffers.  The rings are *bit-identical* to the
-   cooperative reference in :mod:`repro.comm.primitives`: the coop
-   loops only ever read chunk slices that are disjoint from the slices
-   written in the same ring step, so running the per-rank step bodies
-   concurrently with a barrier between steps reproduces the exact same
-   float64 operation sequence per element.
+2. :class:`WorkerPool` — the one place real OS processes are spawned,
+   asked, collected from, failed and closed.  What its workers *do* is
+   an op table the owner supplies: :func:`repro.comm.backend.ring_ops`
+   for ``MpBackend``'s collectives,
+   :func:`repro.parallel.mp_workers.replica_ops` for the trainer's
+   data-parallel replicas.
 
-The parent process keeps all validation, sanitizer recording, span
-emission and :class:`~repro.comm.traffic.TrafficLog` accounting (see
-:mod:`repro.comm.backend`); the pool moves the bytes.
+3. :func:`ring_all_reduce_step` — the per-rank body of the ring
+   all-reduce over shared float64 buffers, *bit-identical* to the
+   cooperative reference in :mod:`repro.comm.primitives`.
+
+Validation, sanitizer records, spans and traffic accounting stay in the
+parent (the front door in :mod:`repro.comm.primitives`); the processes
+here only move bytes.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import multiprocessing as mp
 import os
+import time
 import traceback
 import uuid
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_ready
+from typing import Callable, Sequence
 
 import numpy as np
 
 SEGMENT_PREFIX = "reproshm"
 
-#: Default seconds a pool waits on a worker reply / ring barrier before
-#: declaring the pool broken.  Generous: CI machines can be slow.
+#: Default seconds a pool waits on a worker reply, and a worker on a
+#: ring barrier, before declaring the pool broken.  Generous: CI
+#: machines can be slow.
 POOL_TIMEOUT = 120.0
 
 _LIVE_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
@@ -73,6 +78,20 @@ def destroy_segment(seg: shared_memory.SharedMemory) -> None:
         seg.unlink()
     except FileNotFoundError:
         pass
+
+
+@contextlib.contextmanager
+def scratch_segments(sizes: Sequence[int]):
+    """Segments of ``sizes`` bytes for one collective call, unlinked on
+    the way out whatever happened inside."""
+    segs: list[shared_memory.SharedMemory] = []
+    try:
+        for nbytes in sizes:
+            segs.append(create_segment(nbytes))
+        yield segs
+    finally:
+        for seg in segs:
+            destroy_segment(seg)
 
 
 def cleanup_all_segments() -> None:
@@ -127,199 +146,230 @@ def ring_chunk_bounds(n: int, k: int) -> np.ndarray:
     return np.linspace(0, n, k + 1).astype(int)
 
 
-def _pool_worker_main(rank: int, size: int, conn, barrier) -> None:
-    """Event loop of one pool worker (real OS process, one virtual rank).
+def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
+                         mine: np.ndarray, prev: np.ndarray,
+                         barrier_wait: Callable[[], None]) -> None:
+    """Rank ``rank``'s part of a k-rank ring all-reduce over
+    ``len(sizes)`` buffers laid end to end in ``mine`` / ``prev`` (float64
+    views of this rank's and the previous rank's segment).
 
-    Commands arrive as ``(op, payload)`` tuples; replies are
-    ``("ok", result)`` or ``("err", traceback)``.  Ring ops synchronise
-    steps with the pool barrier; on error the barrier is aborted so
-    peers fail fast instead of deadlocking.
+    Transcribes the cooperative ring per rank: phase-1 step ``s``
+    accumulates chunk ``rank-1-s``, phase-2 step ``s`` copies chunk
+    ``rank-s``.  The coop loops only ever read chunk slices disjoint
+    from the slices written in the same ring step, so running the
+    per-rank bodies concurrently with a barrier between steps performs
+    the same float64 operation sequence per element.  Ring steps are
+    outermost, all buffers inside one step, so a step costs one barrier
+    however many buffers ride it; each buffer keeps its own chunk-bound
+    schedule, only the interleaving across independent buffers moves.
+    The caller makes the copy-ins visible before and reads results after.
+    """
+    bounds = []
+    offset = 0
+    for n in sizes:
+        bounds.append(offset + ring_chunk_bounds(n, k))
+        offset += n
+    for step in range(k - 1):  # phase 1: reduce-scatter
+        j = (rank - 1 - step) % k
+        for b in bounds:
+            mine[b[j]:b[j + 1]] += prev[b[j]:b[j + 1]]
+        barrier_wait()
+    for step in range(k - 1):  # phase 2: all-gather
+        j = (rank - step) % k
+        for b in bounds:
+            mine[b[j]:b[j + 1]] = prev[b[j]:b[j + 1]]
+        barrier_wait()
+
+
+@contextlib.contextmanager
+def attached(*names: str):
+    """Attach, in a worker, to the parent's segments for one op."""
+    segs: list[shared_memory.SharedMemory] = []
+    try:
+        for name in names:
+            segs.append(shared_memory.SharedMemory(name=name))
+        yield segs
+    finally:
+        for seg in segs:
+            try:
+                seg.close()
+            except OSError:
+                pass
+
+
+def _worker_main(rank: int, size: int, conn, barrier, timeout: float,
+                 segment_names: tuple[str, ...], make_ops, args) -> None:
+    """Event loop of one pool worker (real OS process).
+
+    Builds its op table once, acknowledges, then serves ``(op, payload)``
+    requests with ``("ok", result)`` or ``("err", traceback)``.  On
+    error the barrier is aborted so peers fail fast instead of
+    deadlocking.
     """
     disable_child_shm_tracking()
-
-    def attach(name: str) -> shared_memory.SharedMemory:
-        return shared_memory.SharedMemory(name=name)
-
-    def f64(seg: shared_memory.SharedMemory, n: int) -> np.ndarray:
-        return np.ndarray((n,), dtype=np.float64, buffer=seg.buf)
-
+    try:
+        ops = make_ops(
+            rank, size, lambda: barrier.wait(timeout), segment_names, *args
+        )
+    except Exception:  # reported to the parent, which raises it
+        conn.send(("err", traceback.format_exc()))
+        return
+    conn.send(("ok", None))
     while True:
         try:
             op, payload = conn.recv()
         except (EOFError, OSError):  # parent died
             return
-        if op == "exit":
-            conn.send(("ok", None))
-            return
-        if op == "noop":
-            conn.send(("ok", None))
-            continue
-        segs: list[shared_memory.SharedMemory] = []
         try:
-            if op == "all_reduce":
-                # Bit-exact parallel transcription of the coop ring: the
-                # coop loop body for dst rank ``r`` at step ``s`` touches
-                # chunk(r-1-s) (phase 1) / chunk(r-s) (phase 2), and its
-                # same-step reads are disjoint from same-step writes, so
-                # a barrier per step reproduces the serial arithmetic.
-                names, n, k = payload
-                mine_seg, prev_seg = attach(names[rank]), attach(names[(rank - 1) % k])
-                segs += [mine_seg, prev_seg]
-                mine, prev = f64(mine_seg, n), f64(prev_seg, n)
-                bounds = ring_chunk_bounds(n, k)
-
-                def chunk(i: int) -> slice:
-                    j = i % k
-                    return slice(bounds[j], bounds[j + 1])
-
-                for step in range(k - 1):  # phase 1: reduce-scatter
-                    sl = chunk(rank - 1 - step)
-                    mine[sl] += prev[sl]
-                    barrier.wait(POOL_TIMEOUT)
-                for step in range(k - 1):  # phase 2: all-gather
-                    sl = chunk(rank - step)
-                    mine[sl] = prev[sl]
-                    barrier.wait(POOL_TIMEOUT)
-            elif op == "all_gather":
-                # Ring gather of row-slots inside equal full-size
-                # segments; slot j of the (moveaxis'd) concatenation
-                # lives at rows [offsets[j], offsets[j+1]).
-                names, offsets, shape, dtype_str, k = payload
-                mine_seg, prev_seg = attach(names[rank]), attach(names[(rank - 1) % k])
-                segs += [mine_seg, prev_seg]
-                dt = np.dtype(dtype_str)
-                mine = np.ndarray(shape, dtype=dt, buffer=mine_seg.buf)
-                prev = np.ndarray(shape, dtype=dt, buffer=prev_seg.buf)
-                for step in range(k - 1):
-                    j = (rank - 1 - step) % k
-                    mine[offsets[j]:offsets[j + 1]] = prev[offsets[j]:offsets[j + 1]]
-                    barrier.wait(POOL_TIMEOUT)
-            elif op == "reduce_scatter":
-                # Each rank pulls its own slab rows from every peer's
-                # full buffer (real cross-process reads) and reduces
-                # them with the same axis-0 ``np.sum`` tree the coop
-                # reference applies to the full stack — elementwise the
-                # reduction order depends only on k, so slab-local
-                # summation is bit-identical.  No inter-worker writes,
-                # hence no barriers.
-                in_names, out_name, shape, k = payload
-                rows = shape[0] // k
-                sl = slice(rank * rows, (rank + 1) * rows)
-                slabs = []
-                for name in in_names:
-                    seg = attach(name)
-                    segs.append(seg)
-                    full = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-                    slabs.append(full[sl])
-                out_seg = attach(out_name)
-                segs.append(out_seg)
-                out = np.ndarray((rows,) + tuple(shape[1:]), dtype=np.float64,
-                                 buffer=out_seg.buf)
-                out[...] = np.sum(np.stack(slabs), axis=0)
-            elif op == "copy":
-                # broadcast fan-out / p2p courier: copy src -> my out.
-                src_name, out_name, nbytes = payload
-                src_seg, out_seg = attach(src_name), attach(out_name)
-                segs += [src_seg, out_seg]
-                out_seg.buf[:nbytes] = src_seg.buf[:nbytes]
-            else:
-                raise ValueError(f"unknown pool op {op!r}")
-            conn.send(("ok", None))
-        except Exception:
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            for seg in segs:
-                try:
-                    seg.close()
-                except OSError:
-                    pass
+            reply = ("ok", ops[op](payload))
+        except Exception:  # reported to the parent, which raises it
+            barrier.abort()
+            reply = ("err", traceback.format_exc())
+        conn.send(reply)
 
 
-class ShmWorkerPool:
-    """``size`` persistent worker processes executing ring collectives.
+class WorkerPool:
+    """``size`` persistent worker processes serving one op table.
 
-    One pool per group size; the mp backend keeps a small cache of them.
-    The parent writes operands into shared segments, issues one command
-    per worker, and reads results back once every worker acknowledged.
+    ``make_ops(rank, size, barrier_wait, segment_names, *args)`` runs
+    once inside each worker (after the fork, so what it builds lives
+    there) and returns ``{op: callable(payload) -> result}``;
+    ``barrier_wait()`` waits on the pool barrier for at most ``timeout``.
+    With ``segment_bytes`` the pool owns one shared segment of that size
+    per worker (``segment_names``), unlinked by :meth:`close`.
+
+    A worker that raises leaves the pool usable: one ``RuntimeError``
+    carries every traceback.  A worker that *died*, or a pool silent
+    for ``timeout`` seconds, is fatal: the error names the rank and the
+    pool closes itself.
     """
 
-    def __init__(self, size: int, *, timeout: float = POOL_TIMEOUT):
+    def __init__(self, size: int, make_ops: Callable, args: tuple = (), *,
+                 name: str, segment_bytes: int = 0,
+                 timeout: float = POOL_TIMEOUT):
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.size = size
         self.timeout = timeout
-        self._ctx = mp.get_context(_start_method())
-        self._barrier = self._ctx.Barrier(size)
+        self.name = name
+        ctx = mp.get_context(_start_method())
+        self._barrier = ctx.Barrier(size)
+        self._segments = (
+            [create_segment(segment_bytes) for _ in range(size)]
+            if segment_bytes else []
+        )
+        names = tuple(seg.name for seg in self._segments)
         self._conns = []
         self._procs = []
         self._closed = False
         for rank in range(size):
-            parent_conn, child_conn = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_pool_worker_main,
-                args=(rank, size, child_conn, self._barrier),
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(rank, size, child_conn, self._barrier, timeout,
+                      names, make_ops, args),
                 daemon=True,
-                name=f"repro-shm-{size}-{rank}",
+                name=f"{name}-{rank}",
             )
             proc.start()
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
+        try:
+            self._collect(range(size))  # every op table is built
+        except RuntimeError:
+            self.close()
+            raise
 
-    def request(self, messages: list[tuple]) -> None:
-        """Send one ``(op, payload)`` per worker; raise on any failure."""
+    def request(self, messages: Sequence[tuple | None]) -> list:
+        """Send ``messages[rank]`` (an ``(op, payload)`` pair, or None
+        to leave that worker idle) and return the results by rank."""
         if self._closed:
-            raise RuntimeError("pool is closed")
+            raise RuntimeError(f"{self.name} pool is closed")
         if len(messages) != self.size:
             raise ValueError(f"{len(messages)} messages for pool of {self.size}")
-        for conn, msg in zip(self._conns, messages):
-            conn.send(msg)
-        errors = []
-        for rank, conn in enumerate(self._conns):
+        asked = [r for r, msg in enumerate(messages) if msg is not None]
+        for rank in asked:
             try:
-                if not conn.poll(self.timeout):
-                    raise TimeoutError(f"pool worker {rank} timed out")
-                status, payload = conn.recv()
-            except (EOFError, OSError, TimeoutError) as exc:
-                self.close()
-                raise RuntimeError(
-                    f"shm pool worker {rank} died mid-collective: {exc}"
-                ) from exc
-            if status != "ok":
-                errors.append(f"worker {rank}:\n{payload}")
+                self._conns[rank].send(messages[rank])
+            except OSError:  # its end of the pipe closed with it
+                self._fail(f"worker {rank} died before the request")
+        results = self._collect(asked)
+        return [results.get(rank) for rank in range(self.size)]
+
+    def run(self, op: str, payloads: Sequence) -> list:
+        """Issue ``op`` to every worker with its per-rank payload."""
+        return self.request([(op, payload) for payload in payloads])
+
+    def _collect(self, ranks: Sequence[int]) -> dict:
+        """One result from each of ``ranks``, by rank.  Watches the
+        process sentinels next to the pipes, so a death is seen when it
+        happens and blamed on the worker that died."""
+        pending = set(ranks)
+        replies = {}
+        deadline = time.monotonic() + self.timeout
+        while pending:
+            ready = wait_ready(
+                [self._conns[r] for r in pending]
+                + [self._procs[r].sentinel for r in pending],
+                timeout=max(0.0, deadline - time.monotonic()),
+            )
+            if not ready:
+                self._fail(
+                    f"no reply from workers {sorted(pending)} within "
+                    f"{self.timeout} s"
+                )
+            for rank in sorted(pending):
+                conn, proc = self._conns[rank], self._procs[rank]
+                if conn not in ready and proc.sentinel not in ready:
+                    continue
+                try:
+                    if not conn.poll():  # exited and left nothing to read
+                        raise EOFError
+                    replies[rank] = conn.recv()
+                except (EOFError, OSError):
+                    proc.join(1.0)
+                    self._fail(
+                        f"worker {rank} died mid-request "
+                        f"(exit code {proc.exitcode})"
+                    )
+                pending.discard(rank)
+        errors = [
+            f"worker {rank}:\n{payload}"
+            for rank, (status, payload) in sorted(replies.items())
+            if status != "ok"
+        ]
         if errors:
             self._barrier.reset()
-            raise RuntimeError("shm pool collective failed\n" + "\n".join(errors))
+            raise RuntimeError(
+                f"{self.name} pool: worker failure\n" + "\n".join(errors)
+            )
+        return {rank: result for rank, (_, result) in replies.items()}
 
-    def run(self, op: str, payloads: list) -> None:
-        """Issue ``op`` to every worker with its per-rank payload."""
-        self.request([(op, payload) for payload in payloads])
+    def _fail(self, message: str):
+        """A worker is gone or silent: the pool is over."""
+        self.close()
+        raise RuntimeError(f"{self.name} pool: {message}")
 
     def close(self) -> None:
-        """Terminate workers (best effort) — segments are owned and
-        unlinked by the caller / module registry, not by the pool."""
+        """Kill the workers and unlink the pool's own segments.
+
+        Killed, not asked to leave or released through the barrier: a
+        worker owns nothing (the parent unlinks every segment), and
+        ``Barrier.abort`` -- like the wait of the last peer to arrive --
+        blocks for ever once a process died while waiting in it.
+        """
         if self._closed:
             return
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("exit", None))
-            except (BrokenPipeError, OSError):
-                pass
         for proc in self._procs:
+            proc.kill()
+        for proc, conn in zip(self._procs, self._conns):
             proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
+        for seg in self._segments:
+            destroy_segment(seg)
+        self._segments = []
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

@@ -767,12 +767,6 @@ def run_bench(
     execute as subprocess smoke runs; ``backend`` selects the execution
     backend (``coop``/``mp``) for backend-aware engine scenarios.
     """
-    from repro.comm import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
-        )
     if repeats is None:
         repeats = 3 if fast else 7
     if warmup is None:

@@ -1,10 +1,5 @@
 """PTD-P parallel training: tensor, pipeline, data parallelism, ZeRO-3."""
 
-from .expert_parallel import (
-    ExpertParallelGroup,
-    ExpertParallelSwitchMLP,
-    SwitchMLP,
-)
 from .data_parallel import (
     all_reduce_gradients,
     data_parallel_comm_bytes,
@@ -51,7 +46,4 @@ __all__ = [
     "ZeroShardedParameter",
     "zero3_comm_bytes",
     "PTDTrainer",
-    "SwitchMLP",
-    "ExpertParallelGroup",
-    "ExpertParallelSwitchMLP",
 ]

@@ -1,365 +1,88 @@
 """Real-process data-parallel replica workers for the mp backend.
 
-:class:`ReplicaWorkerGroup` runs each **data-parallel replica** of a
-:class:`~repro.parallel.trainer.PTDTrainer` as its own OS process — the
-process granularity of the mp backend (DESIGN.md "Running on real
-processes").  Each worker owns one full pipeline/tensor-parallel
-replica (the ``p·t`` virtual ranks of that replica execute
-cooperatively inside the worker, exactly as in the oracle) and the
-workers jointly run the §3.3.1 gradient ring all-reduce over
-``multiprocessing.shared_memory`` float64 buffers, one barrier per ring
-step.
+Under ``PTDTrainer(backend="mp")`` each **data-parallel replica** is its
+own OS process: a :class:`~repro.comm.shm_ring.WorkerPool` serving
+:func:`replica_ops`.  Each worker builds one full pipeline/tensor-
+parallel replica from the trainer's
+:class:`~repro.parallel.trainer.ReplicaSpec` (its ``p·t`` virtual ranks
+execute cooperatively inside the worker, exactly as in the oracle), and
+a ``"step"`` is the trainer's own ``forward_backward`` and
+``apply_update`` with the §3.3.1 gradient ring between them, run jointly
+over the pool's float64 segments by
+:func:`~repro.comm.shm_ring.ring_all_reduce_step` — one barrier per
+ring step for all parameters, 2(d-1)+2 per training step.
 
-Bit-exactness contract (asserted by the cross-backend conformance grid
-and ``repro verify --only backend``): the per-step chunk slices the
-cooperative ring reads are disjoint from the slices written in the same
-step, so executing the per-rank step bodies concurrently with a barrier
-between steps performs the identical float64 operation sequence per
-element; the post-ring ``/d`` average, loss-scale unwind, global-norm
-clip (every worker computes the same norm from identical averaged
-gradients) and Adam step likewise replicate the serial order.
-
-Traffic accounting stays in the parent: workers return their replica's
-:class:`~repro.comm.traffic.TrafficLog` records for the step (appended
-in data-parallel order, matching the oracle's sequential execution) and
-the parent replays the gradient-ring hop plan analytically.
+Bit-exactness (asserted by ``repro verify --only backend``): the ring
+step performs the cooperative ring's float64 operation sequence per
+element, and every worker then computes the same ``/d`` average and
+update from identical averaged gradients.  Traffic accounting stays in
+the parent: workers return their replica's
+:class:`~repro.comm.traffic.TrafficLog` records for the step and the
+parent puts the gradient ring through the collective front door.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-import traceback
+from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.comm.shm_ring import (
-    POOL_TIMEOUT,
-    _start_method,
-    create_segment,
-    destroy_segment,
-    disable_child_shm_tracking,
-    ring_chunk_bounds,
+from repro.comm.shm_ring import ring_all_reduce_step
+from repro.comm.traffic import TrafficLog
+
+from .trainer import (
+    ReplicaSpec,
+    apply_update,
+    export_state,
+    forward_backward,
+    load_state,
 )
-from repro.comm.traffic import TrafficKind
 
 
-def _grad_ring_step(params, d: int, dp: int, mine: np.ndarray,
-                    prev: np.ndarray, barrier) -> None:
-    """Run the data-parallel gradient ring for every parameter.
+def replica_ops(dp: int, d: int, barrier_wait, segment_names,
+                spec: ReplicaSpec) -> dict:
+    """Op table of one replica worker: build replica ``dp`` of ``d`` and
+    its optimizer, then serve ``step`` / ``get_state`` / ``set_state``."""
+    log = TrafficLog()
+    replica, optimizer = spec.build(dp, log)
+    params = replica.parameters()
+    sizes = [p.size for p in params]
+    offsets = np.cumsum([0] + sizes)
+    segments = [
+        shared_memory.SharedMemory(name=segment_names[r])
+        for r in ((dp, (dp - 1) % d) if d > 1 else ())
+    ]
 
-    ``mine``/``prev`` are float64 views of this rank's and the previous
-    rank's shared segments (sized to hold *all* parameters at their
-    flat offsets).  Transcribes the cooperative ring per-rank: phase-1
-    step ``s`` accumulates chunk ``(dp-1-s)``, phase-2 step ``s``
-    copies chunk ``(dp-s)`` — but iterates ring steps *outermost*, all
-    parameters inside one step, so a full step costs one barrier
-    instead of one per parameter.  Per element the float64 operation
-    sequence is unchanged (each parameter still runs its own
-    chunk-bound schedule in the same step order; only the interleaving
-    across independent parameters moves), so the result stays
-    bit-identical to the cooperative oracle, and the per-step barrier
-    preserves the no-race invariant for every parameter at once:
-    reads in step ``s`` touch only chunks written in step ``s-1``.
-    """
-    plans = []
-    offset = 0
-    for p in params:
-        n = p.grad.size
-        mine[offset:offset + n] = p.grad.ravel()
-        plans.append((p, offset, ring_chunk_bounds(n, d)))
-        offset += n
-    barrier.wait(POOL_TIMEOUT)  # all copy-ins visible
-    for step in range(d - 1):
-        for _, off, bounds in plans:
-            j = (dp - 1 - step) % d
-            sl = slice(off + bounds[j], off + bounds[j + 1])
-            mine[sl] += prev[sl]
-        barrier.wait(POOL_TIMEOUT)
-    for step in range(d - 1):
-        for _, off, bounds in plans:
-            j = (dp - step) % d
-            sl = slice(off + bounds[j], off + bounds[j + 1])
-            mine[sl] = prev[sl]
-        barrier.wait(POOL_TIMEOUT)
-    for p, off, _ in plans:
-        n = p.grad.size
-        p.grad[...] = mine[off:off + n].reshape(p.grad.shape) / d
-    barrier.wait(POOL_TIMEOUT)  # all reads done before the next copy-in
-
-
-def _replica_worker_main(dp: int, conn, barrier, seg_names, init) -> None:
-    """Worker entry point: build the replica, then serve commands."""
-    disable_child_shm_tracking()
-    from multiprocessing import shared_memory
-
-    from repro.comm import TrafficLog
-    from repro.nn import Adam
-    from repro.parallel.pipeline_parallel import (
-        PipelineParallelGPT,
-        make_microbatches,
-    )
-    from repro.schedule import make_schedule
-
-    try:
-        d = init["d"]
-        schedule = make_schedule(
-            init["schedule"],
-            init["parallel"].pipeline_parallel_size,
-            init["parallel"].num_microbatches,
-            init["parallel"].num_model_chunks,
+    def all_reduce_gradients() -> None:
+        """Average every parameter's gradient over the ``d`` workers."""
+        mine, prev = (
+            np.ndarray((offsets[-1],), dtype=np.float64, buffer=seg.buf)
+            for seg in segments
         )
-        log = TrafficLog()
-        replica = PipelineParallelGPT(
-            init["config"],
-            schedule,
-            tensor_parallel_size=init["parallel"].tensor_parallel_size,
-            seed=init["seed"],
-            dropout=init["dropout"],
-            attention_dropout=init["attention_dropout"],
-            recompute_activations=init["recompute_activations"],
-            log=log,
-            pipeline_ranks=init["pipeline_ranks"],
-        )
-        optimizer = Adam(replica.parameters(), lr=init["lr"], betas=init["betas"])
-        m = init["parallel"].num_microbatches
-        loss_scale = init["loss_scale"]
-        grad_clip_norm = init["grad_clip_norm"]
-        mine = prev = None
-        segs = []
+        for p, lo, hi in zip(params, offsets, offsets[1:]):
+            mine[lo:hi] = p.grad.ravel()
+        barrier_wait()  # all copy-ins visible
+        ring_all_reduce_step(sizes, dp, d, mine, prev, barrier_wait)
+        for p, lo, hi in zip(params, offsets, offsets[1:]):
+            p.grad[...] = mine[lo:hi].reshape(p.grad.shape) / d
+        barrier_wait()  # all reads done before the next copy-in
+
+    def step(shard):
+        start = time.perf_counter()
+        log_start = len(log.records)
+        loss = forward_backward(replica, *shard, spec)
         if d > 1:
-            mine_seg = shared_memory.SharedMemory(name=seg_names[dp])
-            prev_seg = shared_memory.SharedMemory(name=seg_names[(dp - 1) % d])
-            segs = [mine_seg, prev_seg]
-            total = sum(p.size for p in replica.parameters())
-            mine = np.ndarray((total,), dtype=np.float64, buffer=mine_seg.buf)
-            prev = np.ndarray((total,), dtype=np.float64, buffer=prev_seg.buf)
-        conn.send(("ok", None))
-    except Exception:
-        conn.send(("err", traceback.format_exc()))
-        return
+            all_reduce_gradients()
+        norm = apply_update([replica], [optimizer], spec)
+        records = [
+            (r.src, r.dst, r.nbytes, r.kind, r.tag)
+            for r in log.records[log_start:]
+        ]
+        return loss, records, norm, time.perf_counter() - start
 
-    while True:
-        try:
-            op, payload = conn.recv()
-        except (EOFError, OSError):  # parent died
-            break
-        try:
-            if op == "exit":
-                conn.send(("ok", None))
-                break
-            elif op == "step":
-                ids, targets = payload
-                step_start = time.perf_counter()
-                log_start = len(log.records)
-                replica.zero_grad()
-                microbatches = make_microbatches(ids, targets, m)
-                loss = replica.run_iteration(
-                    microbatches, grad_scale=loss_scale / m
-                )
-                if d > 1:
-                    _grad_ring_step(
-                        replica.parameters(), d, dp, mine, prev, barrier
-                    )
-                if loss_scale != 1.0:
-                    for p in replica.parameters():
-                        p.grad /= loss_scale
-                norm = None
-                if grad_clip_norm is not None:
-                    sq = 0.0
-                    for p in replica.parameters_for_norm():
-                        sq += float(np.sum(p.grad * p.grad))
-                    norm = float(np.sqrt(sq))
-                    if norm > grad_clip_norm and norm != 0.0:
-                        scale = grad_clip_norm / norm
-                        for p in replica.parameters():
-                            p.grad *= scale
-                optimizer.step()
-                records = [
-                    (r.src, r.dst, r.nbytes, r.kind.value, r.tag)
-                    for r in log.records[log_start:]
-                ]
-                seconds = time.perf_counter() - step_start
-                conn.send(("ok", (loss, records, norm, seconds)))
-            elif op == "get_state":
-                state = {
-                    "params": [p.data.copy() for p in replica.parameters()],
-                    "m": [a.copy() for a in optimizer._m],
-                    "v": [a.copy() for a in optimizer._v],
-                    "step_count": optimizer.step_count,
-                }
-                conn.send(("ok", state))
-            elif op == "set_state":
-                for p, arr in zip(replica.parameters(), payload["params"]):
-                    p.data[...] = arr
-                for a, arr in zip(optimizer._m, payload["m"]):
-                    a[...] = arr
-                for a, arr in zip(optimizer._v, payload["v"]):
-                    a[...] = arr
-                optimizer.step_count = payload["step_count"]
-                conn.send(("ok", None))
-            else:
-                raise ValueError(f"unknown worker op {op!r}")
-        except Exception:
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-            conn.send(("err", traceback.format_exc()))
-    for seg in segs:
-        try:
-            seg.close()
-        except OSError:
-            pass
-
-
-class ReplicaWorkerGroup:
-    """``d`` replica worker processes plus their shared grad-ring segments."""
-
-    def __init__(
-        self,
-        *,
-        config,
-        parallel,
-        schedule: str,
-        seed: int,
-        lr: float,
-        betas,
-        dropout: float,
-        attention_dropout: float,
-        recompute_activations: bool,
-        grad_clip_norm,
-        loss_scale: float,
-        pipeline_ranks_per_dp: list[list[int]],
-        total_param_size: int,
-        timeout: float = POOL_TIMEOUT,
-    ):
-        d = parallel.data_parallel_size
-        self.d = d
-        self.timeout = timeout
-        self._ctx = mp.get_context(_start_method())
-        self._barrier = self._ctx.Barrier(d)
-        self._segments = []
-        if d > 1:
-            self._segments = [
-                create_segment(max(1, total_param_size) * 8)
-                for _ in range(d)
-            ]
-        seg_names = [seg.name for seg in self._segments]
-        self._conns = []
-        self._procs = []
-        self._closed = False
-        for dp in range(d):
-            init = {
-                "d": d,
-                "config": config,
-                "parallel": parallel,
-                "schedule": schedule,
-                "seed": seed,
-                "lr": lr,
-                "betas": betas,
-                "dropout": dropout,
-                "attention_dropout": attention_dropout,
-                "recompute_activations": recompute_activations,
-                "grad_clip_norm": grad_clip_norm,
-                "loss_scale": loss_scale,
-                "pipeline_ranks": pipeline_ranks_per_dp[dp],
-            }
-            parent_conn, child_conn = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_replica_worker_main,
-                args=(dp, child_conn, self._barrier, seg_names, init),
-                daemon=True,
-                name=f"repro-replica-{dp}",
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        self._collect()  # init acks
-
-    def _collect(self) -> list:
-        results = []
-        errors = []
-        for dp, conn in enumerate(self._conns):
-            try:
-                if not conn.poll(self.timeout):
-                    raise TimeoutError(f"replica worker {dp} timed out")
-                status, payload = conn.recv()
-            except (EOFError, OSError, TimeoutError) as exc:
-                self.close()
-                raise RuntimeError(
-                    f"replica worker {dp} died: {exc}"
-                ) from exc
-            if status != "ok":
-                errors.append(f"replica worker {dp}:\n{payload}")
-            results.append(payload)
-        if errors:
-            self._barrier.reset()
-            raise RuntimeError("replica worker failure\n" + "\n".join(errors))
-        return results
-
-    def _broadcast(self, op: str, payloads) -> list:
-        if self._closed:
-            raise RuntimeError("replica worker group is closed")
-        for conn, payload in zip(self._conns, payloads):
-            conn.send((op, payload))
-        return self._collect()
-
-    def step(self, shards) -> list[tuple[float, list, float | None]]:
-        """One training step: ``shards[dp]`` is ``(ids, targets)`` for
-        replica dp.  Returns per-replica ``(loss, records, grad_norm)``."""
-        return self._broadcast("step", shards)
-
-    def get_state(self, dp: int = 0) -> dict:
-        """Pull replica ``dp``'s parameters + optimizer state."""
-        conn = self._conns[dp]
-        conn.send(("get_state", None))
-        if not conn.poll(self.timeout):
-            self.close()
-            raise RuntimeError(f"replica worker {dp} timed out on get_state")
-        status, payload = conn.recv()
-        if status != "ok":
-            raise RuntimeError(f"get_state failed:\n{payload}")
-        return payload
-
-    def set_state(self, state: dict) -> None:
-        """Push identical parameters + optimizer state to every worker."""
-        self._broadcast("set_state", [state] * self.d)
-
-    def close(self) -> None:
-        """Stop workers and unlink the grad-ring segments."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("exit", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for seg in self._segments:
-            destroy_segment(seg)
-        self._segments = []
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def replay_records(log, records) -> None:
-    """Append worker-returned ``(src, dst, nbytes, kind, tag)`` tuples to
-    the parent's TrafficLog (restoring the TrafficKind enum)."""
-    for src, dst, nbytes, kind_value, tag in records:
-        log.add(src, dst, nbytes, TrafficKind(kind_value), tag)
+    return {
+        "step": step,
+        "get_state": lambda _: export_state(replica, optimizer),
+        "set_state": lambda state: load_state([replica], [optimizer], state),
+    }

@@ -189,15 +189,11 @@ class PipelineParallelGPT:
         log: TrafficLog | None = None,
         pipeline_ranks: list[int] | None = None,
         data_rng_seed: int = 1234,
-        backend: Any = None,
     ):
         self.config = config
         self.schedule = schedule
         self.t = tensor_parallel_size
         self.log = log if log is not None else TrafficLog()
-        #: Execution backend for the schedule executor's collectives and
-        #: p2p transfers (None -> the coop oracle primitives).
-        self.backend = backend
         p = schedule.num_stages
         self.pipeline_ranks = pipeline_ranks or list(range(p))
         if len(self.pipeline_ranks) != p:
@@ -205,8 +201,7 @@ class PipelineParallelGPT:
 
         if tensor_parallel_size > 1:
             self.tp_group = TensorParallelGroup(
-                ranks=list(range(tensor_parallel_size)), log=self.log,
-                backend=backend,
+                ranks=list(range(tensor_parallel_size)), log=self.log
             )
             self._model = TensorParallelGPT(
                 config,
@@ -345,10 +340,9 @@ class PipelineParallelGPT:
             return np.asarray(tensor).copy()
         arr = np.asarray(tensor)
         copies = max(1, self.t)
-        p2p = self.backend.send if self.backend is not None else send
         for _ in range(copies):
-            out = p2p(arr, src_rank, dst_rank, self.log,
-                      TrafficKind.PIPELINE_P2P, tag)
+            out = send(arr, src_rank, dst_rank, self.log,
+                       TrafficKind.PIPELINE_P2P, tag)
         return out
 
     def _sync_tied_embeddings(self) -> None:
@@ -363,11 +357,7 @@ class PipelineParallelGPT:
             if len(ranks) == 1:
                 total = emb_p.grad + head_p.grad
             else:
-                reduce = (
-                    self.backend.all_reduce
-                    if self.backend is not None else ring_all_reduce
-                )
-                total = reduce(
+                total = ring_all_reduce(
                     [emb_p.grad, head_p.grad], ranks, self.log,
                     TrafficKind.PIPELINE_P2P, "tied-embedding",
                 )[0]

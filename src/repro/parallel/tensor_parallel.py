@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.comm import TrafficKind, TrafficLog, ring_all_reduce
+from repro.comm import Backend, TrafficKind, TrafficLog, get_backend
 from repro.config import GPTConfig
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, LayerNorm
@@ -52,14 +52,13 @@ from repro.nn.transformer import (
 class TensorParallelGroup:
     """The tensor-parallel group a sharded layer communicates in.
 
-    ``backend`` (a :class:`repro.comm.Backend` or None for the coop
-    oracle) selects how the all-reduce executes; the arithmetic and
-    traffic accounting are backend-invariant.
+    ``backend`` (the coop oracle unless given) moves the all-reduce's
+    bytes; the arithmetic and traffic accounting are backend-invariant.
     """
 
     ranks: list[int]
     log: TrafficLog = field(default_factory=TrafficLog)
-    backend: Any = None
+    backend: Backend = field(default_factory=get_backend)
 
     @property
     def size(self) -> int:
@@ -77,16 +76,9 @@ class TensorParallelGroup:
             )
         if self.size == 1:
             return partials[0]
-        if self.backend is not None:
-            out = self.backend.all_reduce(
-                partials, self.ranks, self.log,
-                TrafficKind.TENSOR_PARALLEL, tag,
-            )
-        else:
-            out = ring_all_reduce(
-                partials, self.ranks, self.log, TrafficKind.TENSOR_PARALLEL, tag
-            )
-        return out[0]
+        return self.backend.all_reduce(
+            partials, self.ranks, self.log, TrafficKind.TENSOR_PARALLEL, tag
+        )[0]
 
 
 class ColumnParallelLinear(Module):

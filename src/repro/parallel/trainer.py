@@ -17,16 +17,25 @@ Because every stage of this is exact, PTD-P training is bit-identical
 to serial training on the same global batch -- the property the paper
 calls "retaining strict optimizer semantics", and the one the
 integration tests assert for many (p, t, d, v) combinations.
+
+A replica's step is :func:`forward_backward` (1-2) and
+:func:`apply_update` (4) with the gradient ring (3) between them; the
+cooperative loop here and the worker processes of
+:mod:`repro.parallel.mp_workers` call the same two, on replicas built
+from the same :class:`ReplicaSpec`.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm import BACKENDS, Backend, ProcessGroups, TrafficLog
-from repro.comm.primitives import ring_all_reduce_hops
+from repro.comm import Backend, ProcessGroups, TrafficLog, get_backend
+from repro.comm.primitives import replay_all_reduce
+from repro.comm.shm_ring import WorkerPool
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
 from repro.nn import Adam
@@ -34,13 +43,113 @@ from repro.obs import span as obs_span
 from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import current_tracer
 from repro.schedule import make_schedule
-from repro.verify.sanitizer import record_collective as _sanitize
 
 from .data_parallel import all_reduce_gradients, scatter_batch
 from .pipeline_parallel import PipelineParallelGPT, make_microbatches
 
 
-class PTDTrainer:
+@dataclass(frozen=True)
+class ReplicaSpec:
+    """Everything one data-parallel replica is built from and stepped
+    with; the parent and every replica worker hold the same one."""
+
+    config: GPTConfig
+    parallel: ParallelConfig
+    schedule: str
+    seed: int
+    lr: float
+    betas: tuple[float, float]
+    recompute_activations: bool
+    dropout: float
+    attention_dropout: float
+    grad_clip_norm: float | None
+    loss_scale: float
+
+    def build(self, dp: int, log: TrafficLog) -> tuple[PipelineParallelGPT, Adam]:
+        """Replica ``dp`` on its pipeline ranks of the Megatron grid,
+        and its optimizer."""
+        par = self.parallel
+        replica = PipelineParallelGPT(
+            self.config,
+            make_schedule(self.schedule, par.p, par.num_microbatches, par.v),
+            tensor_parallel_size=par.t,
+            seed=self.seed,
+            dropout=self.dropout,
+            attention_dropout=self.attention_dropout,
+            recompute_activations=self.recompute_activations,
+            log=log,
+            pipeline_ranks=ProcessGroups(par).pipeline_group(dp, tp=0),
+        )
+        return replica, Adam(replica.parameters(), lr=self.lr, betas=self.betas)
+
+
+def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
+                     targets: np.ndarray, spec: ReplicaSpec) -> float:
+    """First half of a replica's step: clear the gradients and pipeline
+    its shard of the batch.  Returns the replica's mean loss."""
+    m = spec.parallel.num_microbatches
+    replica.zero_grad()
+    return replica.run_iteration(
+        make_microbatches(ids, targets, m), grad_scale=spec.loss_scale / m
+    )
+
+
+def apply_update(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
+                 spec: ReplicaSpec) -> float | None:
+    """Second half, on averaged gradients: unwind the loss scale, clip
+    by the *global* gradient norm, step Adam.  Returns the norm (None
+    without clipping).
+
+    Megatron clipping semantics: the norm is taken over the full model
+    -- all model-parallel shards, tied parameters counted once -- and
+    the same scale is applied to every shard on every replica (replicas
+    hold identical averaged gradients, so the first one's norm is the
+    global norm).
+    """
+    if spec.loss_scale != 1.0:
+        for replica in replicas:
+            for p in replica.parameters():
+                p.grad /= spec.loss_scale
+    norm = None
+    if spec.grad_clip_norm is not None:
+        sq = 0.0
+        for p in replicas[0].parameters_for_norm():
+            sq += float(np.sum(p.grad * p.grad))
+        norm = float(np.sqrt(sq))
+        if not (norm <= spec.grad_clip_norm or norm == 0.0):
+            scale = spec.grad_clip_norm / norm
+            for replica in replicas:
+                for p in replica.parameters():
+                    p.grad *= scale
+    for opt in optimizers:
+        opt.step()
+    return norm
+
+
+def export_state(replica: PipelineParallelGPT, optimizer: Adam) -> dict:
+    """A copy of one replica's parameters and Adam state."""
+    return {
+        "params": [p.data.copy() for p in replica.parameters()],
+        "m": [a.copy() for a in optimizer._m],
+        "v": [a.copy() for a in optimizer._v],
+        "step_count": optimizer.step_count,
+    }
+
+
+def load_state(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
+               state: dict) -> None:
+    """Write one :func:`export_state` into every given replica."""
+    for replica, opt in zip(replicas, optimizers):
+        for p, arr in zip(replica.parameters(), state["params"]):
+            p.data[...] = arr
+        for a, arr in zip(opt._m, state["m"]):
+            a[...] = arr
+        for a, arr in zip(opt._v, state["v"]):
+            a[...] = arr
+        opt.step_count = state["step_count"]
+
+
+class PTDTrainer(AbstractContextManager):
     """Train a GPT with composed pipeline/tensor/data parallelism.
 
     ``backend`` selects the execution substrate:
@@ -48,15 +157,12 @@ class PTDTrainer:
     - ``"coop"`` (default): every virtual rank executes cooperatively in
       this process — the bit-exact oracle.
     - ``"mp"``: each data-parallel replica runs as a real OS process
-      (:class:`~repro.parallel.mp_workers.ReplicaWorkerGroup`); the
-      gradient ring all-reduce runs over shared-memory buffers with one
-      barrier per ring step.  Losses, parameters, optimizer state and
-      the :class:`TrafficLog` are bit-identical to the oracle (asserted
-      by ``repro verify --only backend``).  The parent keeps canonical
+      (:mod:`repro.parallel.mp_workers`), bit-identical to the oracle in
+      losses, parameters, optimizer state and :class:`TrafficLog`
+      (``repro verify --only backend``).  The parent keeps canonical
       replicas/optimizers for checkpointing; state is pulled from
-      worker 0 lazily (replicas are identical across the data-parallel
-      group by construction).  Call :meth:`close` (or use the trainer
-      as a context manager) to release the worker processes.
+      worker 0 lazily.  Call :meth:`close` (or use the trainer as a
+      context manager) to release the worker processes.
     """
 
     def __init__(
@@ -77,54 +183,26 @@ class PTDTrainer:
         backend: str | Backend = "coop",
     ):
         parallel.validate_for_model(config)
-        self.config = config
-        self.parallel = parallel
-        self.backend_name = (
-            backend.name if isinstance(backend, Backend) else backend
-        )
-        if self.backend_name not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        self.groups = ProcessGroups(parallel, backend=backend)
-        self.log = log if log is not None else TrafficLog()
-        self.schedule = make_schedule(
-            schedule,
-            parallel.pipeline_parallel_size,
-            parallel.num_microbatches,
-            parallel.num_model_chunks,
-        )
-        self.replicas: list[PipelineParallelGPT] = []
-        for dp in range(parallel.data_parallel_size):
-            pipeline_ranks = [
-                self.groups.rank_of(pp, dp, 0)
-                for pp in range(parallel.pipeline_parallel_size)
-            ]
-            self.replicas.append(
-                PipelineParallelGPT(
-                    config,
-                    self.schedule,
-                    tensor_parallel_size=parallel.tensor_parallel_size,
-                    seed=seed,
-                    dropout=dropout,
-                    attention_dropout=attention_dropout,
-                    recompute_activations=recompute_activations,
-                    log=self.log,
-                    pipeline_ranks=pipeline_ranks,
-                )
-            )
-        self._dp_ranks = self.groups.data_group(pp=0, tp=0)
-        self.optimizers = [
-            Adam(replica.parameters(), lr=lr, betas=betas)
-            for replica in self.replicas
-        ]
         if grad_clip_norm is not None and grad_clip_norm <= 0:
             raise ValueError("grad_clip_norm must be positive")
         if loss_scale <= 0:
             raise ValueError("loss_scale must be positive")
-        self.grad_clip_norm = grad_clip_norm
-        self.loss_scale = loss_scale
+        self.backend = get_backend(backend)
+        self._owns_backend = self.backend is not backend
+        self.config = config
+        self.parallel = parallel
+        self.spec = ReplicaSpec(
+            config, parallel, schedule, seed, lr, betas,
+            recompute_activations, dropout, attention_dropout,
+            grad_clip_norm, loss_scale,
+        )
         self.recompute_activations = recompute_activations
+        self.log = log if log is not None else TrafficLog()
+        self.replicas, self.optimizers = map(list, zip(*(
+            self.spec.build(dp, self.log) for dp in range(parallel.d)
+        )))
+        self.schedule = self.replicas[0].schedule
+        self._dp_ranks = ProcessGroups(parallel).data_group(pp=0, tp=0)
         self.last_grad_norm: float | None = None
         self.iteration = 0
         # mp backend: one real process per data-parallel replica.  The
@@ -133,27 +211,17 @@ class PTDTrainer:
         self._workers = None
         self._parent_stale = False
         self._workers_stale = False
-        if self.backend_name == "mp":
-            from .mp_workers import ReplicaWorkerGroup
+        if self.backend.name == "mp":
+            from .mp_workers import replica_ops
 
-            self._workers = ReplicaWorkerGroup(
-                config=config,
-                parallel=parallel,
-                schedule=schedule,
-                seed=seed,
-                lr=lr,
-                betas=betas,
-                dropout=dropout,
-                attention_dropout=attention_dropout,
-                recompute_activations=recompute_activations,
-                grad_clip_norm=grad_clip_norm,
-                loss_scale=loss_scale,
-                pipeline_ranks_per_dp=[
-                    replica.pipeline_ranks for replica in self.replicas
-                ],
-                total_param_size=sum(
-                    p.size for p in self.replicas[0].parameters()
-                ),
+            d = parallel.data_parallel_size
+            # d > 1: one gradient-ring segment per worker, with room for
+            # every parameter as float64
+            ring_bytes = 8 * sum(p.size for p in self.replicas[0].parameters())
+            self._workers = WorkerPool(
+                d, replica_ops, (self.spec,),
+                segment_bytes=ring_bytes if d > 1 else 0,
+                timeout=self.backend.timeout, name="repro-replica",
             )
         #: Callables invoked with the trainer at the top of every
         #: ``train_step``, before any compute.  The chaos harness
@@ -176,7 +244,6 @@ class PTDTrainer:
         for hook in list(self.pre_step_hooks):
             hook(self)
         d = self.parallel.data_parallel_size
-        m = self.parallel.num_microbatches
         shards = scatter_batch(ids, targets, d)
         losses = []
         tracer = current_tracer()
@@ -188,7 +255,7 @@ class PTDTrainer:
             if self._workers is not None:
                 self._run_step_mp(shards, d, losses, rank_busy)
             else:
-                self._run_step_coop(shards, d, m, losses, rank_busy)
+                self._run_step_coop(shards, d, losses, rank_busy)
         mean_loss = float(np.mean(losses))
         if observed:
             seconds = time.perf_counter() - step_start
@@ -201,7 +268,7 @@ class PTDTrainer:
         self.iteration += 1
         return mean_loss
 
-    def _run_step_coop(self, shards, d, m, losses, rank_busy) -> None:
+    def _run_step_coop(self, shards, d, losses, rank_busy) -> None:
         """The cooperative oracle step (single process, every virtual
         rank in turn) — the reference the mp path is conformed against."""
         with obs_span("pipeline", phase="pipeline"):
@@ -211,50 +278,38 @@ class PTDTrainer:
                 replica_start = (
                     time.perf_counter() if rank_busy is not None else 0.0
                 )
-                replica.zero_grad()
-                microbatches = make_microbatches(rid, rtgt, m)
-                losses.append(
-                    replica.run_iteration(
-                        microbatches, grad_scale=self.loss_scale / m
-                    )
-                )
+                losses.append(forward_backward(replica, rid, rtgt, self.spec))
                 if rank_busy is not None:
                     rank_busy[dp] = time.perf_counter() - replica_start
         if d > 1:
             with obs_span("grad-allreduce", phase="grad-allreduce"):
                 all_reduce_gradients(
                     [replica.parameters() for replica in self.replicas],
-                    self._dp_ranks,
-                    self.log,
-                    average=True,
+                    self._dp_ranks, self.log,
                 )
         with obs_span("optimizer", phase="optimizer"):
-            if self.loss_scale != 1.0:
-                for replica in self.replicas:
-                    for p in replica.parameters():
-                        p.grad /= self.loss_scale
-            if self.grad_clip_norm is not None:
-                self._clip_gradients()
-            for opt in self.optimizers:
-                opt.step()
+            self.last_grad_norm = apply_update(
+                self.replicas, self.optimizers, self.spec
+            )
 
     def _run_step_mp(self, shards, d, losses, rank_busy) -> None:
-        """One step on real processes: each replica worker runs its
-        pipeline and the shared-memory gradient ring, then steps its
-        Adam locally.  The parent replays the workers' replica-local
-        traffic (in data-parallel order, matching the oracle's
-        sequential execution) and the analytic §3.3.1 gradient-ring hop
-        plan, so ``self.log`` is record-for-record identical to coop.
-        """
-        from .mp_workers import replay_records
-
+        """One step on real processes.  The parent replays the workers'
+        replica-local traffic (in data-parallel order, matching the
+        oracle's sequential execution) and puts the gradient ring
+        through the front door, so ``self.log`` is record-for-record
+        identical to coop."""
         if self._workers_stale:
-            self._push_worker_state()
+            self._workers.run(
+                "set_state",
+                [export_state(self.replicas[0], self.optimizers[0])] * d,
+            )
+            self._workers_stale = False
         with obs_span("pipeline", phase="pipeline"):
-            results = self._workers.step(list(shards))
+            results = self._workers.run("step", list(shards))
             for dp, (loss, records, norm, seconds) in enumerate(results):
                 losses.append(loss)
-                replay_records(self.log, records)
+                for record in records:  # (src, dst, nbytes, kind, tag)
+                    self.log.add(*record)
                 if rank_busy is not None:
                     rank_busy[dp] = seconds
                 if dp == 0:
@@ -262,45 +317,13 @@ class PTDTrainer:
         if d > 1:
             with obs_span("grad-allreduce", phase="grad-allreduce"):
                 for i, p in enumerate(self.replicas[0].parameters()):
-                    _sanitize("all_reduce", self._dp_ranks, p.data.shape,
-                              p.data.dtype, f"dp.grad.{i}")
-                    hops = ring_all_reduce_hops(p.data.size, 8, d)
-                    for si, di, nbytes in hops:
-                        self.log.add(
-                            self._dp_ranks[si], self._dp_ranks[di], nbytes,
-                            TrafficKind.DATA_PARALLEL, f"dp.grad.{i}",
-                        )
+                    replay_all_reduce(
+                        p.data.shape, p.data.dtype, self._dp_ranks, self.log,
+                        TrafficKind.DATA_PARALLEL, f"dp.grad.{i}",
+                    )
         with obs_span("optimizer", phase="optimizer"):
             pass  # loss-scale unwind, clip and Adam ran inside the workers
         self._parent_stale = True
-
-    def _pull_worker_state(self) -> None:
-        """Refresh the parent's canonical replicas/optimizers from
-        worker 0 (replicas are bit-identical across the data-parallel
-        group, so one pull covers all of them)."""
-        state = self._workers.get_state(0)
-        for replica in self.replicas:
-            for p, arr in zip(replica.parameters(), state["params"]):
-                p.data[...] = arr
-        for opt in self.optimizers:
-            for a, arr in zip(opt._m, state["m"]):
-                a[...] = arr
-            for a, arr in zip(opt._v, state["v"]):
-                a[...] = arr
-            opt.step_count = state["step_count"]
-        self._parent_stale = False
-
-    def _push_worker_state(self) -> None:
-        """Push the parent's canonical state to every worker (after a
-        checkpoint restore)."""
-        state = {
-            "params": [p.data.copy() for p in self.replicas[0].parameters()],
-            "m": [a.copy() for a in self.optimizers[0]._m],
-            "v": [a.copy() for a in self.optimizers[0]._v],
-            "step_count": self.optimizers[0].step_count,
-        }
-        self._workers.set_state(state)
-        self._workers_stale = False
 
     def invalidate_workers(self) -> None:
         """Mark worker state stale after the parent's replicas were
@@ -309,17 +332,21 @@ class PTDTrainer:
             self._workers_stale = True
 
     def sync_from_workers(self) -> None:
-        """Ensure the parent replicas hold the freshest parameters."""
+        """Ensure the parent replicas hold the freshest parameters:
+        refresh them from worker 0 (replicas are bit-identical across
+        the data-parallel group, so one pull covers all of them)."""
         if self._workers is not None and self._parent_stale:
-            self._pull_worker_state()
+            message = [("get_state", None)] + [None] * (len(self.replicas) - 1)
+            state = self._workers.request(message)[0]
+            load_state(self.replicas, self.optimizers, state)
+            self._parent_stale = False
 
     def close(self) -> None:
         """Release backend resources (mp worker processes + segments)."""
         if self._workers is not None:
             self._workers.close()
-
-    def __enter__(self):
-        return self
+        if self._owns_backend:
+            self.backend.close()
 
     def __exit__(self, *exc):
         self.close()
@@ -390,25 +417,6 @@ class PTDTrainer:
             rank_busy=rank_busy,
         )
 
-    def _clip_gradients(self) -> None:
-        """Clip by the *global* gradient norm (Megatron semantics): the
-        norm is taken over the full model -- all model-parallel shards,
-        tied parameters counted once -- and the same scale is applied to
-        every shard on every replica (replicas hold identical averaged
-        gradients, so replica 0's norm is the global norm)."""
-        replica = self.replicas[0]
-        sq = 0.0
-        for p in replica.parameters_for_norm():
-            sq += float(np.sum(p.grad * p.grad))
-        norm = float(np.sqrt(sq))
-        self.last_grad_norm = norm
-        if norm <= self.grad_clip_norm or norm == 0.0:
-            return
-        scale = self.grad_clip_norm / norm
-        for rep in self.replicas:
-            for p in rep.parameters():
-                p.grad *= scale
-
     def evaluate(self, ids: np.ndarray, targets: np.ndarray) -> float:
         """Loss without gradient accumulation or update (replica 0)."""
         self.sync_from_workers()
@@ -429,5 +437,5 @@ class PTDTrainer:
 
     def parameters_per_rank(self) -> int:
         """Trainable parameters held by one GPU (model-parallel shard)."""
-        total = sum(p.size for p in self.replicas[0].parameters())
-        return total // max(1, 1)  # replica already holds only its shard
+        # a replica's parameter list is already one rank's shard
+        return sum(p.size for p in self.replicas[0].parameters())

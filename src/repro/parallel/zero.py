@@ -29,17 +29,20 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.comm import TrafficKind, TrafficLog, all_gather, reduce_scatter
+from repro.comm import Backend, TrafficKind, TrafficLog, get_backend
 from repro.nn import Adam
 from repro.nn.module import Parameter
 
 
 class ZeroShardedParameter:
-    """One parameter sharded over ``d`` ranks (flattened, padded)."""
+    """One parameter sharded over ``d`` ranks (flattened, padded);
+    ``backend`` (the coop oracle unless given) moves its collectives."""
 
-    def __init__(self, param: Parameter, d: int):
+    def __init__(self, param: Parameter, d: int,
+                 backend: Backend | None = None):
         self.param = param
         self.d = d
+        self.backend = get_backend(backend)
         flat = param.data.ravel()
         pad = (-flat.size) % d
         self.padded_size = flat.size + pad
@@ -47,12 +50,11 @@ class ZeroShardedParameter:
         padded = np.concatenate([flat, np.zeros(pad)])
         self.shards = [s.copy() for s in np.split(padded, d)]
 
-    def gather(self, ranks: Sequence[int], log: TrafficLog | None, tag: str,
-               *, backend=None) -> None:
+    def gather(self, ranks: Sequence[int], log: TrafficLog | None,
+               tag: str) -> None:
         """All-gather shards into the full parameter (phases 1 and 2)."""
         if self.d > 1:
-            gather_fn = backend.all_gather if backend is not None else all_gather
-            full = gather_fn(
+            full = self.backend.all_gather(
                 self.shards, ranks, log, TrafficKind.DATA_PARALLEL, tag
             )[0]
         else:
@@ -66,7 +68,6 @@ class ZeroShardedParameter:
         log: TrafficLog | None,
         *,
         average: bool = True,
-        backend=None,
     ) -> list[np.ndarray]:
         """Reduce-scatter per-replica gradients; returns per-rank shards."""
         padded = []
@@ -75,8 +76,9 @@ class ZeroShardedParameter:
             pad = self.padded_size - flat.size
             padded.append(np.concatenate([flat, np.zeros(pad)]))
         stacked = [p.reshape(self.d, self.shard_size) for p in padded]
-        rs = backend.reduce_scatter if backend is not None else reduce_scatter
-        shards = rs(stacked, ranks, log, TrafficKind.DATA_PARALLEL, "zero.rs")
+        shards = self.backend.reduce_scatter(
+            stacked, ranks, log, TrafficKind.DATA_PARALLEL, "zero.rs"
+        )
         out = [s.ravel() for s in shards]
         if average:
             out = [s / self.d for s in out]
@@ -102,27 +104,26 @@ class Zero3Engine:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         log: TrafficLog | None = None,
-        backend: str | None = None,
+        backend: str | Backend | None = None,
     ):
         if data_parallel_size < 1:
             raise ValueError("data_parallel_size must be >= 1")
-        from repro.comm.backend import Backend, get_backend
-
-        #: Execution backend for the gather/reduce-scatter collectives
-        #: (None/"coop" -> the single-process oracle, "mp" -> real
-        #: processes over shared memory).  Stored resolved; callers that
-        #: pass "mp" should ``close()`` the engine when done.
-        self.backend = (
-            backend if isinstance(backend, Backend)
-            else get_backend(backend)
-        )
+        #: Moves the gather/reduce-scatter collectives (the coop oracle
+        #: unless "mp" or a live backend is given).  One resolved here
+        #: is the engine's to release: ``close()`` it when done.
+        self.backend = get_backend(backend)
+        self._owns_backend = self.backend is not backend
         self.d = data_parallel_size
         self.ranks = list(ranks) if ranks is not None else list(range(self.d))
         if len(self.ranks) != self.d:
             raise ValueError("need one rank per data-parallel shard")
         self.log = log if log is not None else TrafficLog()
-        self.sharded = [ZeroShardedParameter(p, self.d) for p in params]
+        self.sharded = [
+            ZeroShardedParameter(p, self.d, self.backend) for p in params
+        ]
         # Sharded Adam: one shard-sized optimizer per rank per parameter.
+        # Parameter keeps a float64 array as is, so each one's data *is*
+        # the shard and the step updates ``sp.shards`` in place.
         self._shard_params = [
             [Parameter(sp.shards[r]) for sp in self.sharded] for r in range(self.d)
         ]
@@ -134,12 +135,12 @@ class Zero3Engine:
     def gather_params(self, phase: str) -> None:
         """Phase 1/2: materialize full parameters from the shards."""
         for sp in self.sharded:
-            sp.gather(self.ranks, self.log, f"zero.gather.{phase}",
-                      backend=self.backend)
+            sp.gather(self.ranks, self.log, f"zero.gather.{phase}")
 
     def close(self) -> None:
-        """Release backend resources (worker processes, shm segments)."""
-        self.backend.close()
+        """Release the backend's worker processes if the engine made it."""
+        if self._owns_backend:
+            self.backend.close()
 
     def reduce_and_step(self, replica_grads: list[list[np.ndarray]]) -> None:
         """Phase 3+4: reduce-scatter grads, sharded Adam step.
@@ -151,18 +152,11 @@ class Zero3Engine:
             raise ValueError(f"expected {self.d} replicas of gradients")
         for i, sp in enumerate(self.sharded):
             grads = [replica_grads[r][i] for r in range(self.d)]
-            shard_grads = sp.reduce_scatter_grads(
-                grads, self.ranks, self.log, backend=self.backend
-            )
+            shard_grads = sp.reduce_scatter_grads(grads, self.ranks, self.log)
             for r in range(self.d):
                 self._shard_params[r][i].grad[...] = shard_grads[r]
         for r in range(self.d):
             self._optimizers[r].step()
-        # Shard storage is aliased into ZeroShardedParameter.shards via
-        # the Parameter constructor? No -- Parameter copies.  Write back.
-        for i, sp in enumerate(self.sharded):
-            for r in range(self.d):
-                sp.shards[r][...] = self._shard_params[r][i].data
 
     def comm_bytes_per_iteration(self, dtype_size: int = 2) -> float:
         """Analytic per-rank volume: 3 (d-1)/d * P * dtype_size

@@ -291,13 +291,6 @@ class ChaosHarness:
                 "need 0 < backoff_base <= backoff_cap, got "
                 f"{backoff_base}/{backoff_cap}"
             )
-        from repro.comm import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
-            )
         self.config = config
         self.parallel = parallel
         self.backend = backend

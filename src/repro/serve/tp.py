@@ -36,7 +36,7 @@ class TensorParallelDecoder:
 
     ``backend`` may be a spec string (``"coop"``/``"mp"``), a live
     :class:`~repro.comm.Backend`, or ``None`` for the cooperative
-    oracle.  A backend created *here* from a spec string is owned by the
+    oracle.  A backend resolved *here* from a spec is owned by the
     decoder -- ``close()`` it (or use the decoder as a context manager).
     """
 
@@ -50,24 +50,17 @@ class TensorParallelDecoder:
     ):
         if world < 1:
             raise ValueError(f"world must be >= 1, got {world}")
-        self._owned = None
-        resolved = None
-        if isinstance(backend, str):
-            resolved = get_backend(backend)
-            if resolved.name == "mp":
-                self._owned = resolved
-        elif backend is not None:
-            resolved = backend
+        self.backend = get_backend(backend)
+        self._owns_backend = self.backend is not backend
         self.group = TensorParallelGroup(
-            ranks=list(range(world)), backend=resolved
+            ranks=list(range(world)), backend=self.backend
         )
         self.model = TensorParallelGPT(config, self.group, seed=seed)
         self.config = config
 
     def close(self) -> None:
-        if self._owned is not None:
-            self._owned.close()
-            self._owned = None
+        if self._owns_backend:
+            self.backend.close()
 
     def __enter__(self) -> "TensorParallelDecoder":
         return self

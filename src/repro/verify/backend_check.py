@@ -25,94 +25,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformance import ConformanceCase, model_for_case, sample_cases
+from .conformance import (
+    ConformanceCase,
+    _batch,
+    _run_ptd,
+    _run_zero3,
+    model_for_case,
+    sample_cases,
+)
 
 
 def _records(log) -> list[tuple]:
     return [(r.src, r.dst, r.nbytes, r.kind.value, r.tag) for r in log.records]
 
 
-def _run_ptd_backend(config, case: ConformanceCase, ids, targets, lr,
-                     backend: str):
+def _run(config, case: ConformanceCase, ids, targets, backend: str):
+    """One conformance run of ``case`` on ``backend``: ``(losses,
+    state, Adam state or None for ZeRO-3, traffic records)``."""
     from repro.comm import TrafficLog
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
 
-    parallel = ParallelConfig(
-        pipeline_parallel_size=case.p,
-        tensor_parallel_size=case.t,
-        data_parallel_size=case.d,
-        microbatch_size=case.b,
-        global_batch_size=case.global_batch_size,
-        num_model_chunks=case.v,
-    )
     log = TrafficLog()
-    trainer = PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute, log=log, backend=backend,
-    )
-    try:
-        losses = [trainer.train_step(ids, targets)
-                  for _ in range(case.iterations)]
-        state = trainer.gather_state_dict()
-        opt = {
-            "step_count": trainer.optimizers[0].step_count,
-            "m": [a.copy() for a in trainer.optimizers[0]._m],
-            "v": [a.copy() for a in trainer.optimizers[0]._v],
-        }
-    finally:
-        trainer.close()
+    opt = None
+    if case.zero:
+        state, losses = _run_zero3(
+            config, case, ids, targets, 1e-2, backend=backend, log=log
+        )
+    else:
+        state, losses, trainer = _run_ptd(
+            config, case, ids, targets, 1e-2, backend=backend, log=log
+        )
+        adam = trainer.optimizers[0]
+        opt = {"step_count": adam.step_count, "m": adam._m, "v": adam._v}
     return losses, state, opt, _records(log)
-
-
-def _run_zero_backend(config, case: ConformanceCase, ids, targets, lr,
-                      backend: str):
-    from repro.comm import TrafficLog
-    from repro.nn import GPTModel
-    from repro.parallel import Zero3Engine
-
-    model = GPTModel(config, seed=0)
-    params = model.parameters()
-    log = TrafficLog()
-    engine = Zero3Engine(params, case.d, lr=lr, log=log, backend=backend)
-    try:
-        shard_ids = np.split(ids, case.d)
-        shard_tgts = np.split(targets, case.d)
-        losses = []
-        for _ in range(case.iterations):
-            engine.gather_params("fwd")
-            replica_grads, step_losses = [], []
-            for r in range(case.d):
-                model.zero_grad()
-                engine.gather_params("bwd")
-                loss, caches = model.loss(shard_ids[r], shard_tgts[r])
-                model.loss_backward(caches)
-                replica_grads.append([p.grad.copy() for p in params])
-                step_losses.append(loss)
-            engine.reduce_and_step(replica_grads)
-            losses.append(float(np.mean(step_losses)))
-        engine.gather_params("final")
-        state = model.state_dict()
-    finally:
-        engine.close()
-    return losses, state, None, _records(log)
 
 
 def check_backend_case(case: ConformanceCase) -> list[str]:
     """Run ``case`` under both backends; return bit-exactness failures."""
     config = model_for_case(case)
-    rng = np.random.default_rng(case.seed)
-    B = case.global_batch_size
-    ids = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    targets = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    lr = 1e-2
-    runner = _run_zero_backend if case.zero else _run_ptd_backend
-
-    coop_losses, coop_state, coop_opt, coop_recs = runner(
-        config, case, ids, targets, lr, "coop"
+    ids, targets = _batch(case, config)
+    coop_losses, coop_state, coop_opt, coop_recs = _run(
+        config, case, ids, targets, "coop"
     )
-    mp_losses, mp_state, mp_opt, mp_recs = runner(
-        config, case, ids, targets, lr, "mp"
+    mp_losses, mp_state, mp_opt, mp_recs = _run(
+        config, case, ids, targets, "mp"
     )
 
     failures: list[str] = []

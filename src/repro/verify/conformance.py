@@ -178,7 +178,10 @@ def _baseline(config, case: ConformanceCase, ids, targets, lr):
 
 
 def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
-             perturb_gradient: float):
+             perturb_gradient: float = 0.0, *, backend="coop", log=None):
+    """Train ``case`` on the PTD-P engine; returns ``(state, losses,
+    trainer)`` with the trainer closed (its replicas and optimizers
+    stay readable)."""
     from repro.config import ParallelConfig
     from repro.parallel import PTDTrainer
 
@@ -191,44 +194,49 @@ def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
         num_model_chunks=case.v,
     )
     parallel.validate_for_model(config)
-    trainer = PTDTrainer(
+    with PTDTrainer(
         config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute,
-    )
-    losses = [trainer.train_step(ids, targets) for _ in range(case.iterations)]
-    if perturb_gradient:
-        # Model a silently corrupted gradient: the bad update has already
-        # landed in one replica's parameters by the time anyone compares.
-        p0 = trainer.replicas[0].parameters()[0]
-        p0.data.ravel()[0] += perturb_gradient
-    replica_params = [r.parameters() for r in trainer.replicas]
-    return trainer.gather_state_dict(), losses, replica_params
+        recompute_activations=case.recompute, log=log, backend=backend,
+    ) as trainer:
+        losses = [trainer.train_step(ids, targets)
+                  for _ in range(case.iterations)]
+        if perturb_gradient:
+            # Model a silently corrupted gradient: the bad update has
+            # already landed in one replica's parameters by the time
+            # anyone compares.
+            p0 = trainer.replicas[0].parameters()[0]
+            p0.data.ravel()[0] += perturb_gradient
+        return trainer.gather_state_dict(), losses, trainer
 
 
-def _run_zero3(config, case: ConformanceCase, ids, targets, lr):
+def _run_zero3(config, case: ConformanceCase, ids, targets, lr,
+               *, backend="coop", log=None):
     """ZeRO-3 run (fully-sharded data parallel; §5.2 baseline)."""
     from repro.nn import GPTModel
     from repro.parallel import Zero3Engine
 
     model = GPTModel(config, seed=0)
     params = model.parameters()
-    engine = Zero3Engine(params, case.d, lr=lr)
-    shard_ids = np.split(ids, case.d)
-    shard_tgts = np.split(targets, case.d)
-    losses = []
-    for _ in range(case.iterations):
-        engine.gather_params("fwd")
-        replica_grads, step_losses = [], []
-        for r in range(case.d):
-            model.zero_grad()
-            engine.gather_params("bwd")
-            loss, caches = model.loss(shard_ids[r], shard_tgts[r])
-            model.loss_backward(caches)
-            replica_grads.append([p.grad.copy() for p in params])
-            step_losses.append(loss)
-        engine.reduce_and_step(replica_grads)
-        losses.append(float(np.mean(step_losses)))
-    engine.gather_params("final")
+    engine = Zero3Engine(params, case.d, lr=lr, log=log, backend=backend)
+    try:
+        shard_ids = np.split(ids, case.d)
+        shard_tgts = np.split(targets, case.d)
+        losses = []
+        for _ in range(case.iterations):
+            engine.gather_params("fwd")
+            replica_grads, step_losses = [], []
+            for r in range(case.d):
+                model.zero_grad()
+                engine.gather_params("bwd")
+                loss, caches = model.loss(shard_ids[r], shard_tgts[r])
+                model.loss_backward(caches)
+                replica_grads.append([p.grad.copy() for p in params])
+                step_losses.append(loss)
+            engine.reduce_and_step(replica_grads)
+            losses.append(float(np.mean(step_losses)))
+        engine.gather_params("final")
+    finally:
+        engine.close()
     return model.state_dict(), losses
 
 
@@ -252,9 +260,10 @@ def run_case(
         # ZeRO-3 cases use d copies of the global batch per shard split.
         par_state, par_losses = _run_zero3(config, case, ids, targets, lr)
     else:
-        par_state, par_losses, replica_params = _run_ptd(
+        par_state, par_losses, trainer = _run_ptd(
             config, case, ids, targets, lr, perturb_gradient
         )
+        replica_params = [r.parameters() for r in trainer.replicas]
         if perturb_gradient:
             par_state = None  # regather below, after the perturbation
 
@@ -319,26 +328,7 @@ def run_case(
 
 def _regather(config, case, ids, targets, lr, perturb_gradient):
     """Re-run the parallel case and gather state *after* perturbation."""
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
-
-    parallel = ParallelConfig(
-        pipeline_parallel_size=case.p,
-        tensor_parallel_size=case.t,
-        data_parallel_size=case.d,
-        microbatch_size=case.b,
-        global_batch_size=case.global_batch_size,
-        num_model_chunks=case.v,
-    )
-    trainer = PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute,
-    )
-    for _ in range(case.iterations):
-        trainer.train_step(ids, targets)
-    p0 = trainer.replicas[0].parameters()[0]
-    p0.data.ravel()[0] += perturb_gradient
-    return trainer.gather_state_dict()
+    return _run_ptd(config, case, ids, targets, lr, perturb_gradient)[0]
 
 
 def sample_cases(n: int, seed: int = 0) -> list[ConformanceCase]:

@@ -1,6 +1,6 @@
 """``python -m repro verify``: run every verification layer, report, exit.
 
-Seven sections, each independently reportable:
+Eight sections (``SECTIONS``), each independently reportable:
 
 - ``schedules``     -- static validation of every shipped schedule
   generator across a (p, m, v) grid, plus any user-supplied schedule
@@ -29,6 +29,11 @@ Seven sections, each independently reportable:
   bit-exact trace replay) and tensor-parallel decode must all produce
   token streams equal to the full-recompute ``generate`` oracle, with
   zero leaked cache blocks.
+- ``serve-chaos``   -- serving fault-tolerance conformance
+  (:mod:`repro.verify.serve_chaos_check`): decode crashes, KV
+  corruption and allocator storms injected into the engine must leave
+  every stream equal to the oracle, with typed outcomes and a
+  deterministic faulted replay.
 
 Mutation self-test (``--inject``): the verifier is itself verified by
 injecting one of four known defects and demanding it is caught --
@@ -46,6 +51,10 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
+SECTIONS = (
+    "schedules", "sanitizer", "conformance", "backend", "conservation",
+    "chaos", "serve", "serve-chaos",
+)
 INJECT_MODES = ("reorder", "collective-shape", "grad-perturb", "kv-offset")
 
 
@@ -338,10 +347,7 @@ def run_verification(
             f"unknown injection mode {inject!r}; choose from "
             f"{', '.join(INJECT_MODES)}"
         )
-    if only is not None and only not in (
-        "schedules", "sanitizer", "conformance", "backend", "conservation",
-        "chaos", "serve", "serve-chaos",
-    ):
+    if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}")
     if num_cases is None:
         num_cases = 6 if fast else 25

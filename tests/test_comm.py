@@ -364,86 +364,6 @@ class TestCommCostModel:
             self.cm.pipeline_p2p_time(0, 1, 10, tensor_parallel_size=0)
 
 
-class TestExtraCollectives:
-    def test_gather_concatenates(self):
-        from repro.comm import gather
-
-        shards = [np.full((2,), i, dtype=float) for i in range(3)]
-        log = TrafficLog()
-        full = gather(shards, root=1, ranks=[0, 1, 2], log=log)
-        np.testing.assert_array_equal(full, [0, 0, 1, 1, 2, 2])
-        # root receives from the 2 non-root ranks.
-        assert len(log) == 2
-        assert all(r.dst == 1 for r in log.records)
-
-    def test_gather_validates_root(self):
-        from repro.comm import gather
-
-        with pytest.raises(ValueError, match="root"):
-            gather([np.zeros(2)], root=9, ranks=[0])
-
-    def test_scatter_splits(self):
-        from repro.comm import scatter
-
-        full = np.arange(6, dtype=float)
-        log = TrafficLog()
-        out = scatter(full, root=0, ranks=[0, 1, 2], log=log)
-        np.testing.assert_array_equal(out[2], [4, 5])
-        assert all(r.src == 0 for r in log.records)
-        out[0][0] = 99  # copies, not views
-        assert full[0] == 0
-
-    def test_scatter_divisibility(self):
-        from repro.comm import scatter
-
-        with pytest.raises(ValueError, match="divisible"):
-            scatter(np.zeros(5), root=0, ranks=[0, 1])
-
-    def test_all_to_all_transpose(self):
-        from repro.comm import all_to_all
-
-        k = 3
-        chunks = [[np.array([i * 10 + j]) for j in range(k)] for i in range(k)]
-        log = TrafficLog()
-        out = all_to_all(chunks, ranks=[0, 1, 2], log=log)
-        for i in range(k):
-            for j in range(k):
-                np.testing.assert_array_equal(out[j][i], chunks[i][j])
-        # k*(k-1) off-diagonal transfers.
-        assert len(log) == k * (k - 1)
-
-    def test_all_to_all_validates(self):
-        from repro.comm import all_to_all
-
-        with pytest.raises(ValueError):
-            all_to_all([[np.zeros(1)]], ranks=[0, 1])
-        with pytest.raises(ValueError):
-            all_to_all([[np.zeros(1)], [np.zeros(1)]], ranks=[0, 1])
-
-    def test_barrier_logs_token_ring(self):
-        from repro.comm import barrier
-
-        log = TrafficLog()
-        barrier([0, 1, 2], log=log)
-        assert len(log) == 3
-        assert log.total_bytes() == 0
-        barrier([5], log=log)  # single-rank barrier is silent
-        assert len(log) == 3
-
-    def test_all_to_all_equals_gather_scatter_composition(self):
-        """all_to_all == every rank scattering + every rank gathering."""
-        from repro.comm import all_to_all
-
-        r = np.random.default_rng(0)
-        k = 4
-        chunks = [[r.standard_normal(3) for _ in range(k)] for _ in range(k)]
-        out = all_to_all(chunks, ranks=list(range(k)))
-        for j in range(k):
-            got = np.concatenate(out[j])
-            want = np.concatenate([chunks[i][j] for i in range(k)])
-            np.testing.assert_array_equal(got, want)
-
-
 class TestRingCollectiveProperties:
     """Hypothesis sweeps: random shapes, dtypes, and group sizes, checked
     against the plain numpy reference and the ring byte formulas.

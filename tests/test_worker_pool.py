@@ -1,0 +1,192 @@
+"""The one worker pool and the one replica step.
+
+- **Liveness** — a worker killed before or during a request ends in one
+  ``RuntimeError`` naming the rank that died, within seconds rather than
+  after ``POOL_TIMEOUT``, and ``close()`` leaves no shared memory behind;
+  the same for ``MpBackend``'s collective pool and the trainer's replica
+  workers, because it is one pool.
+- **Replica step** — the cooperative loop and a replica worker run the
+  same two functions, and the options only those functions read
+  (``grad_clip_norm``, ``loss_scale``) stay bit-identical across
+  backends.
+"""
+
+import os
+import signal
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.comm import TrafficLog
+from repro.comm.backend import MpBackend
+from repro.comm.shm_ring import leaked_dev_shm_segments, live_segment_names
+from repro.config import ParallelConfig, tiny_test_model
+from repro.parallel import PTDTrainer
+from repro.parallel import mp_workers
+from repro.parallel import trainer as trainer_mod
+
+CONFIG = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=4,
+                         vocab_size=32, seq_length=8)
+
+
+def _batch(batch_size, seed=0):
+    ids = np.random.default_rng(seed).integers(0, 32, size=(batch_size, 8))
+    return ids, np.roll(ids, -1, axis=1)
+
+
+@pytest.fixture(autouse=True)
+def _no_shm_leaks():
+    yield
+    assert live_segment_names() == []
+    assert leaked_dev_shm_segments() == []
+
+
+# -- liveness ---------------------------------------------------------------
+def _collective_target():
+    backend = MpBackend()
+    buffers = [np.full(64, float(i)) for i in range(3)]
+    backend.all_reduce(buffers, [0, 1, 2])  # spawns the k=3 pool
+    return (backend, backend._pools[3],
+            lambda: backend.all_reduce(buffers, [0, 1, 2]))
+
+
+def _trainer_target():
+    trainer = PTDTrainer(
+        CONFIG,
+        ParallelConfig(data_parallel_size=2, microbatch_size=1,
+                       global_batch_size=2),
+        backend="mp",
+    )
+    batch = _batch(2)
+    trainer.train_step(*batch)
+    return trainer, trainer._workers, lambda: trainer.train_step(*batch)
+
+
+@pytest.mark.parametrize("when", ["before", "mid-call"])
+@pytest.mark.parametrize("make_target", [_collective_target, _trainer_target],
+                         ids=["MpBackend.all_reduce", "PTDTrainer.train_step"])
+def test_killed_worker_is_named_quickly(make_target, when):
+    owner, pool, call = make_target()
+    victim = pool._procs[1]
+    try:
+        if when == "before":
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            assert not victim.is_alive()
+        else:
+            # Stopped, the victim cannot finish its part, so its peers
+            # are blocked in the ring when it dies under them.
+            os.kill(victim.pid, signal.SIGSTOP)
+            killer = threading.Timer(
+                0.5, os.kill, (victim.pid, signal.SIGKILL)
+            )
+            killer.start()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"worker 1 died"):
+            call()
+        assert time.monotonic() - start < 10.0
+        with pytest.raises(RuntimeError, match="closed"):
+            call()  # the pool is gone, not wedged
+    finally:
+        if when == "mid-call":
+            killer.join(5.0)
+        owner.close()
+    assert all(not proc.is_alive() for proc in pool._procs)
+
+
+def test_worker_error_names_the_worker_and_keeps_the_pool():
+    """A worker that raises (here: a segment that does not exist) is a
+    reported error, not a death: the pool serves the next request."""
+    buffers = [np.arange(6.0), np.ones(6)]
+    with MpBackend() as backend:
+        want = backend.all_reduce(buffers, [0, 1])
+        with pytest.raises(RuntimeError, match=r"worker 0:\n(.|\n)*worker 1:"):
+            backend._pools[2].run("all_reduce", [(["nope", "nope"], 6)] * 2)
+        got = backend.all_reduce(buffers, [0, 1])
+    assert np.array_equal(want[0], got[0])
+
+
+def test_pool_timeout_bounds_a_silent_worker():
+    """``MpBackend(timeout=)`` is the bound on both sides: a worker that
+    never answers costs ``timeout`` seconds, not ``POOL_TIMEOUT``."""
+    buffers = [np.arange(6.0), np.ones(6)]
+    backend = MpBackend(timeout=1.0)
+    try:
+        backend.all_reduce(buffers, [0, 1])
+        victim = backend._pools[2]._procs[0]
+        os.kill(victim.pid, signal.SIGSTOP)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"no reply from workers \[0"):
+            backend.all_reduce(buffers, [0, 1])
+        assert time.monotonic() - start < 10.0
+    finally:
+        backend.close()
+
+
+# -- the replica step -----------------------------------------------------------
+def test_worker_runs_the_trainers_step_functions(monkeypatch):
+    assert mp_workers.forward_backward is trainer_mod.forward_backward
+    assert mp_workers.apply_update is trainer_mod.apply_update
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("forward_backward", "apply_update"):
+        wrapped = counted(getattr(trainer_mod, name))
+        monkeypatch.setattr(trainer_mod, name, wrapped)
+        monkeypatch.setattr(mp_workers, name, wrapped)
+
+    parallel = ParallelConfig(pipeline_parallel_size=2, microbatch_size=1,
+                              global_batch_size=2)
+    batch = _batch(2)
+    trainer = PTDTrainer(CONFIG, parallel, grad_clip_norm=0.5)
+    coop_loss = trainer.train_step(*batch)
+    assert calls == ["forward_backward", "apply_update"]
+
+    # The op table a replica worker serves, run here instead of in a
+    # child (d=1: no ring, so the barrier is never waited on).
+    ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
+    loss, records, norm, _ = ops["step"](batch)
+    assert calls == ["forward_backward", "apply_update"] * 2
+    assert loss == coop_loss and norm == trainer.last_grad_norm
+    assert len(records) == len(trainer.log.records)
+    state = ops["get_state"](None)
+    for p, arr in zip(trainer.replicas[0].parameters(), state["params"]):
+        assert np.array_equal(p.data, arr)
+
+
+def test_clip_and_loss_scale_bit_identical_across_backends():
+    parallel = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=2,
+                              microbatch_size=1, global_batch_size=4)
+    batch = _batch(4, seed=3)
+    runs = {}
+    for backend in ("coop", "mp"):
+        log = TrafficLog()
+        with PTDTrainer(CONFIG, parallel, seed=1, lr=1e-2, log=log,
+                        grad_clip_norm=0.05, loss_scale=128.0,
+                        backend=backend) as trainer:
+            losses = [trainer.train_step(*batch) for _ in range(3)]
+            norm = trainer.last_grad_norm
+            state = trainer.gather_state_dict()
+            adam = trainer.optimizers[0]
+            runs[backend] = (
+                losses, norm, state, adam._m, adam._v, adam.step_count,
+                [(r.src, r.dst, r.nbytes, r.kind, r.tag) for r in log.records],
+            )
+    coop, mp = runs["coop"], runs["mp"]
+    assert coop[0] == mp[0]
+    assert coop[1] == mp[1] and coop[1] > 0.05  # the clip engaged
+    assert coop[2].keys() == mp[2].keys()
+    for name, want in coop[2].items():
+        assert np.array_equal(want, mp[2][name]), name
+    for want, got in zip(coop[3] + coop[4], mp[3] + mp[4]):
+        assert np.array_equal(want, got)
+    assert coop[5] == mp[5] == 3
+    assert coop[6] == mp[6]
