@@ -49,8 +49,8 @@ def run():
     return result
 
 
-def test_comm_ablation(benchmark, show):
-    result = benchmark(run)
+def test_comm_ablation(show):
+    result = run()
     show(result)
     for row in result.rows:
         assert row[3] > 0  # t=16 always worse than t=8

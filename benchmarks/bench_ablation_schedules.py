@@ -46,8 +46,8 @@ def run():
     return result
 
 
-def test_schedule_ablation(benchmark, show):
-    result = benchmark(run)
+def test_schedule_ablation(show):
+    result = run()
     show(result)
     by = {row[0]: row[2] for row in result.rows}
     assert by["interleaved"] > by["1f1b"]

@@ -31,8 +31,8 @@ def run():
     return result
 
 
-def test_analytic_vs_sim(benchmark, show):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_analytic_vs_sim(show):
+    result = run()
     show(result)
     for ratio in result.column("ratio"):
         assert 0.94 < ratio < 1.06

@@ -9,11 +9,8 @@ from repro.config import fig14_model
 from repro.perf import heuristic_gap
 
 
-def test_heuristic_vs_exhaustive(benchmark, show):
-    def run():
-        return heuristic_gap(fig14_model(), 32, 64)
-
-    gap, best, heuristic = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_heuristic_vs_exhaustive(show):
+    gap, best, heuristic = heuristic_gap(fig14_model(), 32, 64)
     from repro.experiments.report import ExperimentResult
 
     r = ExperimentResult(

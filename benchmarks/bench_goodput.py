@@ -1,6 +1,6 @@
 """Resilience: checkpoint-interval sweep and goodput replay (§5.10).
 
-Benchmarks the `goodput_interval` experiment (analytic sweep over
+Runs the `goodput_interval` experiment (analytic sweep over
 log-spaced checkpoint intervals for the 1T preset) and a deterministic
 failure-trace replay, asserting the sweep's optimum is interior and
 agrees with the Young/Daly interval within one sweep step.
@@ -16,9 +16,9 @@ from repro.resilience import (
 )
 
 
-def test_goodput_interval_sweep(benchmark, show, goodput_1t):
+def test_goodput_interval_sweep(show, goodput_1t):
     scenario, policy = goodput_1t
-    result = benchmark(goodput_interval.run)
+    result = goodput_interval.run()
     show(result)
     mtbf = scenario.cluster_mtbf_seconds
     sweep = sweep_checkpoint_interval(
@@ -35,16 +35,14 @@ def test_goodput_interval_sweep(benchmark, show, goodput_1t):
     assert result.column("optimum").count("<--") == 1
 
 
-def test_goodput_replay(benchmark, show, goodput_1t):
+def test_goodput_replay(goodput_1t):
     scenario, policy = goodput_1t
     interval = max(1, round(policy.optimal_interval_seconds(
         scenario.cluster_mtbf_seconds) / 108.0))
     plan = FaultPlan(failures=(
         RankFailure(at_iteration=150), RankFailure(at_iteration=400),
     ))
-    report = benchmark(
-        simulate_goodput, 108.0, 500, interval, policy, plan
-    )
+    report = simulate_goodput(108.0, 500, interval, policy, plan)
     assert report.num_failures == 2
     assert 0.0 < report.goodput < 1.0
     assert report.wall_clock_seconds == (

@@ -12,8 +12,7 @@ The mission-control contract from ISSUE 7, the runlog twin of
   ``current_run_logger()`` truthiness check per ``train_step``) must
   be indistinguishable from the baseline.
 
-Best-of-N timing keeps the assertion robust against scheduler noise;
-the pytest-benchmark fixtures report the full distributions alongside.
+Best-of-N timing keeps the assertion robust against scheduler noise.
 """
 
 import io
@@ -77,22 +76,3 @@ def test_runlog_overhead_under_5_percent():
     assert overhead < 0.05, (
         f"run-logging overhead {overhead*100:.1f}% exceeds the 5% budget"
     )
-
-
-def test_unlogged_iteration(benchmark):
-    ids, targets = _batch()
-    trainer = PTDTrainer(CFG, PAR)
-    benchmark(trainer.train_step, ids, targets)
-
-
-def test_logged_iteration(benchmark):
-    ids, targets = _batch()
-
-    def step():
-        trainer = PTDTrainer(CFG, PAR)
-        logger = RunLogger(io.StringIO(), "bench")
-        logger.start("engine")
-        with run_logging(logger):
-            trainer.train_step(ids, targets)
-
-    benchmark(step)

@@ -2,16 +2,14 @@
 self/total attribution and folded stacks costs <5% of the traced
 iteration itself, and the telemetry hooks are inert without a tracer.
 
-Three comparisons on a tiny PTD iteration (the observatory contract
+Two comparisons on a tiny PTD iteration (the observatory contract
 from ISSUE 6, the post-processing twin of ``bench_trace_overhead.py``):
 
 - ``profile_tracer`` + ``folded_stacks`` over a full iteration trace
   vs. the iteration's own wall time — analysis must stay a rounding
   error next to the work it analyses;
 - the throughput/memory telemetry added to ``train_step`` runs only
-  under an active tracer — untraced iterations must not pay for it;
-- pytest-benchmark fixtures report the full post-processing
-  distributions alongside.
+  under an active tracer — untraced iterations must not pay for it.
 
 Best-of-N timing keeps the assertions robust against scheduler noise.
 """
@@ -87,14 +85,3 @@ def test_untraced_step_emits_no_telemetry():
     with trace() as t:
         pass
     assert not t.spans and not t.samples
-
-
-def test_profile_postprocess(benchmark):
-    _, tracer = _traced_iteration(repeats=1)
-    benchmark(profile_tracer, tracer)
-
-
-def test_folded_stacks(benchmark):
-    _, tracer = _traced_iteration(repeats=1)
-    report = profile_tracer(tracer)
-    benchmark(folded_stacks, report)

@@ -15,8 +15,7 @@ The ISSUE 9 guards, the serving twin of ``bench_monitor_overhead.py``:
 - **TTFT/throughput report** — the trace run must produce a
   schema-valid SLO report (printed for the record).
 
-Best-of-N timing keeps the assertions robust against scheduler noise;
-pytest-benchmark fixtures report full distributions alongside.
+Best-of-N timing keeps the assertions robust against scheduler noise.
 """
 
 import gc
@@ -158,27 +157,3 @@ def test_trace_run_reports_valid_slos():
           f"throughput={agg['tokens_per_s']:.0f} tok/s")
     assert agg["total_generated_tokens"] == sum(
         r.max_new_tokens for r in trace)  # no stop_ids: all run to length
-
-
-# -- pytest-benchmark distributions -----------------------------------------
-
-def test_cached_decode(benchmark):
-    model, prompt = _model(), _prompt()
-    benchmark(cached_generate, model, prompt, NEW_TOKENS,
-              temperature=0.0, block_size=8)
-
-
-def test_recompute_decode(benchmark):
-    model, prompt = _model(), _prompt()
-    benchmark(generate, model, prompt, NEW_TOKENS, temperature=0.0)
-
-
-def test_engine_trace(benchmark):
-    model, trace = _model(), _trace()
-
-    def run():
-        cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4)
-        ServeEngine(model, cache).run(trace)
-        cache.assert_empty()
-
-    benchmark(run)

@@ -18,8 +18,7 @@ when everything does:
   stay within 10x the fault-free run (backoff is on the virtual clock,
   not wall time; the real cost is recompute work).
 
-Best-of-N timing keeps the assertions robust against scheduler noise;
-pytest-benchmark fixtures report full distributions alongside.
+Best-of-N timing keeps the assertions robust against scheduler noise.
 """
 
 import statistics
@@ -157,30 +156,3 @@ def test_chaos_recovery_correct_and_bounded():
     assert slowdown < 10.0, (
         f"chaos recovery cost {slowdown:.1f}x exceeds the 10x bound"
     )
-
-
-# -- pytest-benchmark distributions -----------------------------------------
-
-def test_engine_guarded(benchmark):
-    model = _model()
-    trace = _trace(deadline_steps=512, queue_ttl=256)
-
-    def run():
-        cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4,
-                                       checksums=True)
-        ServeEngine(model, cache, max_queue=32).run(trace)
-        cache.assert_empty()
-
-    benchmark(run)
-
-
-def test_engine_chaos(benchmark):
-    model, trace = _model(), _trace()
-
-    def run():
-        cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4,
-                                       checksums=True)
-        ServeEngine(model, cache, chaos=CHAOS).run(trace)
-        cache.assert_empty()
-
-    benchmark(run)

@@ -11,8 +11,7 @@ from ISSUE 1):
   instrumented site) must be indistinguishable from the baseline.
 
 Best-of-N timing is used for the assertion to keep it robust against
-scheduler noise; the pytest-benchmark fixtures report the full
-distributions alongside.
+scheduler noise.
 """
 
 import time
@@ -73,20 +72,3 @@ def test_tracing_overhead_under_5_percent():
     assert overhead < 0.05, (
         f"tracing overhead {overhead*100:.1f}% exceeds the 5% budget"
     )
-
-
-def test_untraced_iteration(benchmark):
-    ids, targets = _batch()
-    trainer = PTDTrainer(CFG, PAR)
-    benchmark(trainer.train_step, ids, targets)
-
-
-def test_traced_iteration(benchmark):
-    ids, targets = _batch()
-
-    def step():
-        trainer = PTDTrainer(CFG, PAR)
-        with trace():
-            trainer.train_step(ids, targets)
-
-    benchmark(step)

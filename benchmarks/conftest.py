@@ -1,9 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the pass/fail guards in this directory.
 
-Every benchmark regenerates one of the paper's tables or figures
-(`pytest benchmarks/ --benchmark-only`): the benchmarked callable is the
-experiment's `run()`, and each bench prints the reproduced rows once so
-the harness output contains the actual numbers next to the timings.
+Every ``test_*`` here asserts a bound (an overhead budget, a speedup
+floor, an ablation's direction); none only times.  Timing with history
+lives in the benchmark of record (``bench/run.py``, ``BENCHMARK.json``).
+Run the guards with ``pytest -p no:benchmark benchmarks/``.
 """
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 
 @pytest.fixture
 def show(capsys):
-    """Print an ExperimentResult outside of captured benchmark timing."""
+    """Print an ExperimentResult past pytest's output capture."""
 
     def _show(result):
         with capsys.disabled():

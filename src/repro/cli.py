@@ -25,13 +25,6 @@ Subcommands:
   checkpoint corruption, transient save errors), recover
   automatically, and prove the recovered run matches the uninterrupted
   reference (:mod:`repro.resilience.harness`);
-- ``bench``     — the performance observatory's unified benchmark
-  runner: steady-state timing of the registered micro/macro scenarios
-  (and optionally the ``benchmarks/bench_*.py`` pytest suites) into a
-  schema-versioned ``BENCH_<label>.json``, plus the noise-aware
-  regression gate ``--compare OLD NEW`` (:mod:`repro.obs.bench`);
-- ``report``    — render the perf trajectory recorded by one or more
-  BENCH files as a TTY or ``--html`` dashboard (:mod:`repro.obs.report`);
 - ``serve``     — continuous-batching inference over the paged KV
   cache: drive a seeded Poisson (or replayed JSON) request trace
   through :class:`repro.serve.ServeEngine`, print per-request
@@ -42,13 +35,14 @@ Subcommands:
   health / alert feed, ``--follow`` live tailing, ``--list``/``--gc``
   registry management, and a ``--check`` batch gate that exits
   non-zero on unacknowledged critical alerts
-  (:mod:`repro.obs.monitor`);
-- ``experiments`` — alias for ``python -m repro.experiments``.
+  (:mod:`repro.obs.monitor`).
+
+The paper's tables and figures are a separate entry point,
+``python -m repro.experiments``.
 
 Output conventions: every tracing-capable subcommand (``trace``,
-``goodput``, ``chaos``, ``bench``) accepts ``--metrics-out PATH``
-writing the same metrics-JSON schema
-(:meth:`repro.obs.MetricsRegistry.as_dict`).
+``goodput``, ``chaos``) accepts ``--metrics-out PATH`` writing the same
+metrics-JSON schema (:meth:`repro.obs.MetricsRegistry.as_dict`).
 
 Configuration errors (bad model shapes, infeasible parallel configs,
 unwritable output paths) are mapped onto a clean ``error: ...`` message
@@ -607,120 +601,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        SCENARIOS,
-        bench_metrics_registry,
-        compare_reports,
-        discover_suites,
-        load_report,
-        run_bench,
-        write_report,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        old, new = load_report(old_path), load_report(new_path)
-        if old.env.as_dict() != new.env.as_dict():
-            print("note: environment fingerprints differ between reports")
-        result = compare_reports(old, new, min_rel=args.threshold)
-        print(f"compare {old.label} ({old_path}) -> {new.label} ({new_path})")
-        print(result.describe())
-        return 0 if result.ok else 1
-
-    if args.list:
-        print("scenarios:")
-        for name in sorted(SCENARIOS):
-            sc = SCENARIOS[name]
-            fast = "" if sc.fast else "  (skipped by --fast)"
-            print(f"  {name}  [{sc.kind}]{fast}")
-        suites = discover_suites()
-        print(f"suites ({len(suites)} discovered, run with --suites):")
-        for path in suites:
-            print(f"  {path.name}")
-        return 0
-
-    report = run_bench(
-        fast=args.fast,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-        label=args.label,
-        filter_substr=args.filter,
-        suites=args.suites,
-        backend=args.backend,
-        progress=print,
-    )
-    if not report.records:
-        print("error: no scenarios matched", file=sys.stderr)
-        return 2
-    print()
-    header = (f"{'scenario':<32} {'median':>11} {'mad':>10} "
-              f"{'ci95':>23} {'runs':>5}")
-    print(header)
-    print("-" * len(header))
-    for rec in report.records:
-        s = rec.stats
-        ci = f"[{s.ci_low:.6f}, {s.ci_high:.6f}]"
-        print(f"{rec.name:<32} {s.median:>11.6f} {s.mad:>10.6f} "
-              f"{ci:>23} {len(s.samples):>5}")
-        if rec.metrics:
-            pairs = "  ".join(
-                f"{k}={v:.6g}" for k, v in sorted(rec.metrics.items())
-            )
-            print(f"{'':<32} {pairs}")
-    print("-" * len(header))
-    env = report.env
-    print(f"env: python={env.python} numpy={env.numpy} git={env.git_sha} "
-          f"cpus={env.cpu_count} ({env.platform})")
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out} (schema v{report.schema_version}, "
-              f"{len(report.records)} records)")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(bench_metrics_registry(report).to_json())
-        print(f"wrote {args.metrics_out}")
-    failed = [r for r in report.records
-              if r.kind == "suite" and r.metrics.get("exit_code", 0) != 0]
-    for rec in failed:
-        print(f"error: suite {rec.name} exited non-zero", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _cmd_report(args) -> int:
-    from repro.obs.bench import load_report
-    from repro.obs.report import discover_reports, render_html, render_text
-
-    if not args.files:
-        # No explicit files: pick up every root-level BENCH_*.json,
-        # ordered by creation time (shell glob order is lexicographic,
-        # which scrambles the trajectory).
-        reports = discover_reports(".")
-        if not reports:
-            print("no BENCH files given and none found in the current "
-                  "directory -- nothing to report.")
-            print("produce one with `python -m repro bench --fast "
-                  "--out BENCH_baseline.json`, then render the "
-                  "trajectory with `python -m repro report` (it "
-                  "discovers BENCH_*.json, oldest first).")
-            return 0
-        print(f"discovered {len(reports)} BENCH files (ordered by "
-              "creation time)")
-    else:
-        reports = [load_report(path) for path in args.files]
-    print(render_text(reports))
-    if len(reports) == 1:
-        print()
-        print("note: single report -- trend arrows appear once two or "
-              "more BENCH files are given, oldest first.")
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_html(reports))
-        print(f"\nwrote {args.html}")
-    return 0
-
-
 def _follow_monitor(path: str, acks: set[str], poll: float) -> int:
     """Live-tail one run log, re-rendering the dashboard per batch of
     events, until the run ends (``run-end`` observed)."""
@@ -1110,67 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dump the replay's metrics registry as JSON "
                              "(shared schema across subcommands)")
     p_good.set_defaults(func=_cmd_goodput)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="unified benchmark runner: BENCH_*.json trajectory + "
-             "noise-aware regression gate",
-    )
-    p_bench.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke: fewer repeats, fast-marked scenarios only",
-    )
-    p_bench.add_argument("--out", default=None,
-                         help="write the BENCH_<label>.json report here")
-    p_bench.add_argument("--label", default="run",
-                         help="report label (baseline, pr, ...)")
-    p_bench.add_argument("--repeats", type=int, default=None,
-                         help="steady-state samples per scenario "
-                              "(default 7, or 3 with --fast)")
-    p_bench.add_argument("--warmup", type=int, default=None,
-                         help="trimmed warmup runs per scenario "
-                              "(default 2, or 1 with --fast)")
-    p_bench.add_argument("--seed", type=int, default=0,
-                         help="bootstrap resampling seed")
-    p_bench.add_argument("--filter", default=None,
-                         help="run only scenarios whose name contains this")
-    p_bench.add_argument(
-        "--suites", default=None, metavar="GLOB",
-        help="also execute matching benchmarks/bench_*.py pytest suites "
-             "as timed subprocess smoke runs ('*' for all)",
-    )
-    p_bench.add_argument("--list", action="store_true",
-                         help="list scenarios and discovered suites, "
-                              "then exit")
-    p_bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="noise-aware regression gate between two BENCH files; "
-             "exits 1 on regression",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="relative regression floor for --compare (default 0.10)",
-    )
-    p_bench.add_argument("--metrics-out", dest="metrics_out", default=None,
-                         help="dump bench results in the shared "
-                              "metrics-JSON schema")
-    p_bench.add_argument(
-        "--backend", default="coop", choices=["coop", "mp"],
-        help="execution backend for the engine scenarios: coop "
-             "(single-process cooperative oracle) or mp (real worker "
-             "processes over shared memory)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_rep = sub.add_parser(
-        "report",
-        help="render the perf trajectory of one or more BENCH files",
-    )
-    p_rep.add_argument("files", nargs="*",
-                       help="BENCH_*.json files, oldest first")
-    p_rep.add_argument("--html", default=None,
-                       help="also write a static HTML dashboard")
-    p_rep.set_defaults(func=_cmd_report)
 
     from repro.verify.runner import INJECT_MODES, SECTIONS
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import networkx as nx
-
 from .node import NodeSpec, dgx_a100
 
 
@@ -114,6 +112,8 @@ class ClusterTopology:
         Each compute node connects to its leaf switch with its aggregate
         IB bandwidth; uplinks are provisioned for full bisection.
         """
+        import networkx as nx  # only the §5.9 experiment needs it
+
         g = nx.Graph()
         node_bw = self.node.total_ib_bandwidth
         num_leaves = -(-self.num_nodes // self.nodes_per_leaf)
@@ -151,6 +151,8 @@ class ClusterTopology:
         if self.num_nodes == 1:
             # Bisection inside one node: NVSwitch, 4 GPUs vs 4 GPUs.
             return self.node.nvlink_bandwidth * (self.gpus_per_node // 2)
+        import networkx as nx
+
         g = self.build_graph()
         half = self.num_nodes // 2
         inf = float("inf")

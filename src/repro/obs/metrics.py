@@ -70,8 +70,7 @@ class Histogram:
 
         Raises :class:`ValueError` on an empty histogram: a percentile
         of nothing has no value, and silently returning 0 would make a
-        missing measurement indistinguishable from a zero-duration one
-        (the bench statistics depend on this distinction).
+        missing measurement indistinguishable from a zero-duration one.
         """
         if not 0 <= q <= 100:
             raise ValueError("q must be in [0, 100]")

@@ -1,0 +1,22 @@
+"""``benchmarks/`` holds pass/fail guards only: a function that merely
+times something belongs to the benchmark of record (``bench/run.py``),
+so every collected ``test_*`` there must contain an ``assert``."""
+
+import ast
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def test_every_benchmarks_test_function_asserts():
+    files = sorted(BENCHMARKS.glob("bench_*.py"))
+    assert files
+    toothless = [
+        f"{path.name}::{node.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("test_")
+        and not any(isinstance(n, ast.Assert) for n in ast.walk(node))
+    ]
+    assert not toothless, f"timing-only wrappers, no assert: {toothless}"

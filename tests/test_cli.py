@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
 
 
 MODEL = ["--layers", "4", "--hidden", "256", "--heads", "8",
@@ -364,109 +368,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("name", ["bench", "report"])
+    def test_deleted_subcommands_are_unknown(self, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name])
+        assert exc.value.code == 2
 
-BENCH_FAST = ["bench", "--fast", "--repeats", "2", "--warmup", "0"]
-
-
-class TestBench:
-    def test_list(self, capsys):
-        rc = main(["bench", "--list"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "scenarios:" in out
-        assert "engine.train_step.p2d2" in out
-        assert "bench_trace_overhead.py" in out
-
-    def test_run_filtered_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_x.json"
-        metrics = tmp_path / "metrics.json"
-        rc = main([*BENCH_FAST, "--filter", "schedule",
-                   "--out", str(out), "--metrics-out", str(metrics),
-                   "--label", "x"])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "schedule.interleaved.p8m64v4" in text
-        assert "env: python=" in text
-        import json as _json
-        rep = _json.loads(out.read_text())
-        assert rep["schema_version"] == 1 and rep["label"] == "x"
-        m = _json.loads(metrics.read_text())
-        assert "bench.schedule.interleaved.p8m64v4.seconds" in m["histograms"]
-
-    def test_no_match_exits_two(self, capsys):
-        rc = main([*BENCH_FAST, "--filter", "no.such.scenario"])
-        assert rc == 2
-        assert "no scenarios matched" in capsys.readouterr().err
-
-    def test_compare_gate_end_to_end(self, tmp_path, capsys):
-        import json as _json
-        from repro.obs.bench import load_report, write_report
-        old_path = tmp_path / "BENCH_old.json"
-        new_path = tmp_path / "BENCH_new.json"
-        rc = main([*BENCH_FAST, "--filter", "schedule",
-                   "--out", str(old_path), "--label", "old"])
-        assert rc == 0
-        # Identical re-use: jitter-free self-comparison passes.
-        rc = main(["bench", "--compare", str(old_path), str(old_path)])
-        assert rc == 0
-        assert "0 regressions" in capsys.readouterr().out
-        # Inject a 2x slowdown into a copy: the gate must fire.
-        rep = load_report(old_path)
-        d = rep.as_dict()
-        for rec in d["records"]:
-            st = rec["stats"]
-            for key in ("samples",):
-                st[key] = [2 * x for x in st[key]]
-            for key in ("median", "mad", "mean", "min", "max",
-                        "ci_low", "ci_high"):
-                st[key] = 2 * st[key]
-        d["label"] = "slow"
-        new_path.write_text(_json.dumps(d))
-        rc = main(["bench", "--compare", str(old_path), str(new_path)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "2.00x" in out
-
-    def test_compare_threshold_flag(self, tmp_path, capsys):
-        # With a sky-high floor even a 2x slowdown passes.
-        import json as _json
-        from repro.obs.bench import load_report
-        old_path = tmp_path / "BENCH_old.json"
-        main([*BENCH_FAST, "--filter", "schedule", "--out", str(old_path),
-              "--label", "old"])
-        d = load_report(old_path).as_dict()
-        for rec in d["records"]:
-            st = rec["stats"]
-            st["samples"] = [2 * x for x in st["samples"]]
-            for key in ("median", "mad", "mean", "min", "max",
-                        "ci_low", "ci_high"):
-                st[key] = 2 * st[key]
-        new_path = tmp_path / "BENCH_new.json"
-        new_path.write_text(_json.dumps(d))
-        capsys.readouterr()
-        rc = main(["bench", "--compare", str(old_path), str(new_path),
-                   "--threshold", "5.0"])
-        assert rc == 0
+    def test_docstring_lists_exactly_the_registered_subcommands(self):
+        documented = set(re.findall(r"^- ``(\w+)``", repro.cli.__doc__, re.M))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(sub.choices)
 
 
-class TestReport:
-    def test_text_and_html(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_a.json"
-        rc = main([*BENCH_FAST, "--filter", "schedule",
-                   "--out", str(path), "--label", "a"])
-        assert rc == 0
-        capsys.readouterr()
-        html = tmp_path / "dash.html"
-        rc = main(["report", str(path), str(path), "--html", str(html)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        # Colliding labels render as disambiguated columns.
-        assert "perf trajectory: a#1 -> a#2" in out
-        assert "schedule.interleaved.p8m64v4" in out
-        text = html.read_text()
-        assert "<h1>Performance observatory</h1>" in text
-        assert "a#2" in text
-        assert "schedule.interleaved.p8m64v4" in text
+def tiny_trace(tmp_path):
+    """A small ``repro trace`` argv; ``--out`` keeps the Chrome trace
+    under ``tmp_path`` (the default is ``./trace.json``)."""
+    return ["trace", "--layers", "4", "--hidden", "32", "--heads", "4",
+            "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4",
+            "--out", str(tmp_path / "trace.json")]
 
 
 class TestMetricsOutUnified:
@@ -480,11 +400,7 @@ class TestMetricsOutUnified:
 
     def test_trace_metrics_out_alias(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
-        rc = main([
-            "trace", "--layers", "4", "--hidden", "32", "--heads", "4",
-            "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4",
-            "--metrics-out", str(metrics),
-        ])
+        rc = main([*tiny_trace(tmp_path), "--metrics-out", str(metrics)])
         assert rc == 0
         m = self._check(metrics)
         assert "throughput.mfu" in m["gauges"]
@@ -508,11 +424,8 @@ class TestMetricsOutUnified:
 class TestTraceProfile:
     def test_profile_and_folded(self, tmp_path, capsys):
         folded = tmp_path / "trace.folded"
-        rc = main([
-            "trace", "--layers", "4", "--hidden", "32", "--heads", "4",
-            "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4",
-            "--profile", "--top", "5", "--folded", str(folded),
-        ])
+        rc = main([*tiny_trace(tmp_path), "--profile", "--top", "5",
+                   "--folded", str(folded)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "self%" in out  # the hot-path table rendered
@@ -522,56 +435,6 @@ class TestTraceProfile:
             path_part, value = line.rsplit(" ", 1)
             assert ";" in path_part
             assert int(value) >= 0
-
-
-TINY_TRACE = ["trace", "--layers", "4", "--hidden", "32", "--heads", "4",
-              "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4"]
-
-
-class TestReportEdgeCases:
-    def test_zero_files_prints_hint(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # no BENCH_*.json anywhere
-        rc = main(["report"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "no BENCH files given" in out
-        assert "BENCH_baseline.json" in out  # how to produce one
-
-    def test_zero_files_discovers_cwd(self, tmp_path, monkeypatch, capsys):
-        """No-args `repro report` renders the root-level BENCH files,
-        ordered by creation stamp (not filename)."""
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "BENCH_a_newest.json"
-        rc = main([*BENCH_FAST, "--filter", "schedule",
-                   "--out", str(path), "--label", "newest"])
-        assert rc == 0
-        # A lexicographically-later file with an *earlier* stamp must
-        # render first.
-        older = json.loads(path.read_text())
-        older["label"] = "older"
-        older["created_unix"] -= 3600.0
-        (tmp_path / "BENCH_z_older.json").write_text(json.dumps(older))
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        capsys.readouterr()
-        rc = main(["report"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "discovered 2 BENCH files" in out
-        assert "perf trajectory: older -> newest" in out
-
-    def test_single_file_notes_missing_trend(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_a.json"
-        rc = main([*BENCH_FAST, "--filter", "schedule",
-                   "--out", str(path), "--label", "solo"])
-        assert rc == 0
-        capsys.readouterr()
-        rc = main(["report", str(path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "perf trajectory" in out
-        assert "single report" in out and "trend arrows" in out
 
 
 class TestChaosRunlog:
@@ -647,7 +510,7 @@ class TestMonitorCLI:
 
     def _trace_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--runlog", str(runs)])
+        rc = main([*tiny_trace(tmp_path), "--runlog", str(runs)])
         assert rc == 0
         capsys.readouterr()
         return str(runs)
@@ -703,7 +566,7 @@ class TestMonitorCLI:
 
     def test_list_and_gc(self, tmp_path, capsys):
         runs = self._trace_runlog(tmp_path, capsys)
-        main([*TINY_TRACE, "--runlog", runs])
+        main([*tiny_trace(tmp_path), "--runlog", runs])
         capsys.readouterr()
         rc = main(["monitor", "--runs", runs, "--list"])
         assert rc == 0
@@ -738,7 +601,7 @@ class TestMonitorCLI:
 class TestTraceRunlog:
     def test_engine_trace_writes_clean_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--runlog", str(runs)])
+        rc = main([*tiny_trace(tmp_path), "--runlog", str(runs)])
         assert rc == 0
         assert "run log:" in capsys.readouterr().out
         from repro.obs.monitor import run_monitor
@@ -752,7 +615,8 @@ class TestTraceRunlog:
 
     def test_sim_trace_writes_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--mode", "sim", "--runlog", str(runs)])
+        rc = main([*tiny_trace(tmp_path), "--mode", "sim",
+                   "--runlog", str(runs)])
         assert rc == 0
         from repro.obs.runlog import RunRegistry, manifest_of, read_events
 
