@@ -129,10 +129,12 @@ def autotune(
 ) -> list[ScoredConfig]:
     """Search every feasible configuration; return the best ``top_k``.
 
-    Raises ``ValueError`` if nothing fits device memory.
+    Raises ``ValueError`` if ``top_k < 1`` or nothing fits device memory.
     """
     from repro.sim import simulate_iteration
 
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     node = node or dgx_a100()
     scored: list[ScoredConfig] = []
     for parallel, options in enumerate_configs(

@@ -9,12 +9,13 @@ from .bubble import (
     throughput_factor,
 )
 from .execution import (
+    CompletionOrder,
     DeadlockError,
     OpInstance,
     TimedOp,
     Timeline,
+    completion_order,
     completion_order_is_serializable,
-    cross_rank_dependencies,
     dependencies,
     execute,
     resolve,
@@ -45,8 +46,9 @@ __all__ = [
     "TimedOp",
     "Timeline",
     "dependencies",
-    "cross_rank_dependencies",
     "resolve",
+    "CompletionOrder",
+    "completion_order",
     "execute",
     "validate",
     "simulate_times",

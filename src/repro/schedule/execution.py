@@ -1,17 +1,23 @@
 """Dependency semantics and execution of pipeline schedules.
 
 Defines *what a schedule op must wait for* (the cross-stage dataflow of
-synchronous pipeline training) and two executors over that dataflow:
+synchronous pipeline training) and separates the two questions every
+consumer asks:
 
-- :func:`execute` -- run a schedule to completion in dependency order,
-  invoking a caller-supplied handler per op.  This is the machinery the
-  numerical pipeline-parallel engine drives its real forward/backward
-  passes with, and doubles as the validator: an infeasible per-device
-  order (one that cannot be interleaved into any legal global order)
-  raises :class:`DeadlockError`.
-- :func:`simulate_times` -- compute start/finish times for every op
-  given forward/backward durations and a p2p latency, i.e. produce the
-  Figure 3/4 timelines and measured bubble fractions.
+- *In what order do the ops complete, and who waits on whom?*  A
+  property of the schedule alone: :func:`completion_order` answers it
+  with one readiness walk per schedule object and caches the answer on
+  that object.  An infeasible per-device order (one that cannot be
+  interleaved into any legal global order) raises
+  :class:`DeadlockError` -- the one place a deadlock is diagnosed.
+- *What happens at each op?*  :func:`execute` calls a handler per entry
+  (the numerical pipeline-parallel engine drives its real
+  forward/backward passes with it), :func:`simulate_times` assigns
+  start/finish times from fixed forward/backward durations and a p2p
+  latency (the Figure 3/4 timelines and measured bubble fractions), and
+  :func:`repro.sim.simulate_iteration` does the same with modelled
+  per-stage costs.  All of them iterate the compiled order and nothing
+  else.
 
 Dependency rules (strict synchronous semantics, §2.2):
 
@@ -25,17 +31,14 @@ Dependency rules (strict synchronous semantics, §2.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.obs.tracer import current_tracer
 
 from .ir import OpKind, PipelineSchedule, ScheduleOp
 
-_PHASE = {OpKind.FORWARD: "forward", OpKind.BACKWARD: "backward"}
-
-
-class DeadlockError(RuntimeError):
-    """The schedule's per-device op orders admit no legal interleaving."""
+_KINDS = (OpKind.FORWARD, OpKind.BACKWARD)
+_PHASE = ("forward", "backward")
 
 
 @dataclass(frozen=True, order=True)
@@ -48,6 +51,18 @@ class OpInstance:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind.value}{self.microbatch}@s{self.stage}"
+
+
+class DeadlockError(RuntimeError):
+    """The schedule's per-device op orders admit no legal interleaving.
+
+    ``blocked`` holds, per rank that still had ops to run, the
+    ``(rank, op, first unmet dependency)`` it is stuck on.
+    """
+
+    def __init__(self, message: str, blocked: Sequence[tuple] = ()) -> None:
+        super().__init__(message)
+        self.blocked = tuple(blocked)
 
 
 def resolve(schedule: PipelineSchedule, rank: int, op: ScheduleOp) -> OpInstance:
@@ -70,17 +85,121 @@ def dependencies(
     return tuple(deps)
 
 
-def cross_rank_dependencies(
-    schedule: PipelineSchedule, inst: OpInstance
-) -> tuple[OpInstance, ...]:
-    """The subset of dependencies that live on a *different* device and
-    therefore require point-to-point communication (the simulator charges
-    send/recv time on exactly these edges)."""
-    my_rank = inst.stage % schedule.num_stages
-    return tuple(
-        dep
-        for dep in dependencies(schedule, inst)
-        if dep.stage % schedule.num_stages != my_rank
+class CompletionOrder(NamedTuple):
+    """A schedule's ops in the order :func:`execute` completes them.
+
+    Flat parallel sequences, entry ``k`` describing the ``k``-th op to
+    complete: its pipeline ``rank``, its ``index`` into
+    ``schedule.ops[rank]``, its global ``stage``, its ``kind`` (0
+    forward, 1 backward) and the positions ``dep_a`` / ``dep_b`` of the
+    ops it waits for (a forward: the previous stage's forward, none; a
+    backward: its own forward, the next stage's backward).  Positions
+    are 1-based and 0 means "no such dependency", so a consumer that
+    starts ``finish = [0.0]`` and appends one time per entry reads both
+    with ``finish[dep_a]`` and ``finish[dep_b]``, no branch.
+    """
+
+    rank: tuple[int, ...]
+    index: tuple[int, ...]
+    stage: tuple[int, ...]
+    kind: tuple[int, ...]
+    dep_a: tuple[int, ...]
+    dep_b: tuple[int, ...]
+
+
+def completion_order(schedule: PipelineSchedule) -> CompletionOrder:
+    """The completion order of ``schedule``, walked once per object.
+
+    The result is cached on the instance, outside its dataclass fields:
+    equality, hashing and ``dataclasses.replace`` ignore it, so a
+    schedule derived from this one (tampered ops under the same name and
+    sizes) is walked afresh.  Raises :class:`DeadlockError` if the
+    per-rank orders admit no legal interleaving.
+    """
+    order = schedule.__dict__.get("_completion_order")
+    if order is None:
+        order = schedule.__dict__["_completion_order"] = _walk(schedule)
+    return order
+
+
+def _walk(schedule: PipelineSchedule) -> CompletionOrder:
+    """Scan the ranks round-robin, each running its next ops for as long
+    as their dependencies are done (cooperative multitasking of the
+    virtual devices).  Ops are integers here: forward ``(mb, stage)`` is
+    ``2 * (mb * S + stage)`` and its backward the odd number after it,
+    so a dependency is an offset and "done" is a list lookup."""
+    p, S = schedule.num_stages, schedule.total_stages
+    last = S - 1
+    microbatches = schedule.num_microbatches
+    # Per rank, parallel lists over its ops: id, id of dependency a and
+    # of dependency b (-1: none), stage, kind.
+    programs = []
+    for rank, rank_ops in enumerate(schedule.ops):
+        stage_of_chunk = range(rank, S, p)
+        flat: list[int] = []
+        encode = flat.extend
+        try:
+            for op in rank_ops:
+                microbatch = op.microbatch
+                if microbatch >= microbatches:
+                    microbatches = microbatch + 1
+                stage = stage_of_chunk[op.chunk]
+                fwd = 2 * (microbatch * S + stage)
+                if op.kind is OpKind.FORWARD:
+                    encode((fwd, fwd - 2 if stage else -1, -1, stage, 0))
+                else:
+                    encode((fwd + 1, fwd, fwd + 3 if stage < last else -1, stage, 1))
+        except IndexError:
+            raise ValueError(f"chunk {op.chunk} out of range") from None
+        programs.append([flat[column::5] for column in range(5)])
+
+    # position[op id]: 1-based completion position, -1 while not done; the
+    # extra last slot is what id -1 ("no dependency") reads: done, at 0.
+    position = [-1] * (2 * S * microbatches) + [0]
+    pointers = [0] * p
+    total = sum(len(rank_ops) for rank_ops in schedule.ops)
+    flat = []
+    record = flat.extend
+    done = 0
+    while done < total:
+        before = done
+        for rank, (ids, ids_a, ids_b, stages, kinds) in enumerate(programs):
+            i = pointers[rank]
+            while i < len(ids):
+                a = position[ids_a[i]]
+                if a < 0:
+                    break
+                b = position[ids_b[i]]
+                if b < 0:
+                    break
+                done += 1
+                position[ids[i]] = done
+                record((rank, i, stages[i], kinds[i], a, b))
+                i += 1
+            pointers[rank] = i
+        if done == before:
+            raise _deadlock(schedule, programs, pointers, position)
+    return CompletionOrder(*(tuple(flat[column::6]) for column in range(6)))
+
+
+def _deadlock(schedule, programs, pointers, position) -> DeadlockError:
+    """Name each stuck rank's next op and its first unmet dependency."""
+    def instance(op_id: int) -> OpInstance:
+        microbatch, stage = divmod(op_id >> 1, schedule.total_stages)
+        return OpInstance(_KINDS[op_id & 1], microbatch, stage)
+
+    blocked = []
+    for rank, (ids, ids_a, ids_b, _, _) in enumerate(programs):
+        i = pointers[rank]
+        if i < len(ids):
+            unmet = ids_a[i] if position[ids_a[i]] < 0 else ids_b[i]
+            blocked.append((rank, instance(ids[i]), instance(unmet)))
+    return DeadlockError(
+        f"schedule {schedule.describe()} deadlocked:\n  "
+        + "\n  ".join(
+            f"rank {rank}: {inst} waits on {dep}" for rank, inst, dep in blocked
+        ),
+        blocked,
     )
 
 
@@ -95,9 +214,7 @@ def execute(
 ) -> list[tuple[int, ScheduleOp]]:
     """Run every op of ``schedule`` respecting dependencies.
 
-    Repeatedly scans the ranks round-robin, running each rank's next op
-    as soon as its dependencies are done (cooperative multitasking of
-    the virtual devices).  Returns the global completion order as
+    Returns the global completion order (:func:`completion_order`) as
     ``(rank, op)`` pairs, calling ``handler(rank, op)`` at each step.
 
     When a :mod:`repro.obs` tracer is active and a handler is given,
@@ -108,57 +225,28 @@ def execute(
     Raises
     ------
     DeadlockError
-        If no rank can make progress but ops remain; the message lists
-        each blocked op and its first unmet dependency.
+        If no rank can make progress but ops remain, before the first
+        handler call; the message lists each blocked op and its first
+        unmet dependency.
     """
+    order = completion_order(schedule)
+    pairs = [
+        (rank, schedule.ops[rank][index])
+        for rank, index in zip(order.rank, order.index)
+    ]
     tracer = current_tracer() if handler is not None else None
-    pointers = [0] * schedule.num_stages
-    done: set[OpInstance] = set()
-    order: list[tuple[int, ScheduleOp]] = []
-    total = sum(len(r) for r in schedule.ops)
-    while len(order) < total:
-        progressed = False
-        for rank in range(schedule.num_stages):
-            while pointers[rank] < len(schedule.ops[rank]):
-                op = schedule.ops[rank][pointers[rank]]
-                inst = resolve(schedule, rank, op)
-                if any(dep not in done for dep in dependencies(schedule, inst)):
-                    break
-                if handler is not None:
-                    if tracer is not None:
-                        track = (
-                            span_ranks[rank] if span_ranks is not None else rank
-                        )
-                        with tracer.span(
-                            str(op),
-                            phase=_PHASE[op.kind],
-                            rank=track,
-                            microbatch=op.microbatch,
-                            chunk=op.chunk,
-                            stage=inst.stage,
-                        ):
-                            handler(rank, op)
-                    else:
-                        handler(rank, op)
-                done.add(inst)
-                order.append((rank, op))
-                pointers[rank] += 1
-                progressed = True
-        if not progressed:
-            blocked = []
-            for rank in range(schedule.num_stages):
-                if pointers[rank] < len(schedule.ops[rank]):
-                    op = schedule.ops[rank][pointers[rank]]
-                    inst = resolve(schedule, rank, op)
-                    missing = [
-                        d for d in dependencies(schedule, inst) if d not in done
-                    ]
-                    blocked.append(f"rank {rank}: {inst} waits on {missing[0]}")
-            raise DeadlockError(
-                f"schedule {schedule.describe()} deadlocked:\n  "
-                + "\n  ".join(blocked)
-            )
-    return order
+    if tracer is not None:
+        for (rank, op), stage, kind in zip(pairs, order.stage, order.kind):
+            with tracer.span(
+                str(op), phase=_PHASE[kind],
+                rank=span_ranks[rank] if span_ranks is not None else rank,
+                microbatch=op.microbatch, chunk=op.chunk, stage=stage,
+            ):
+                handler(rank, op)
+    elif handler is not None:
+        for rank, op in pairs:
+            handler(rank, op)
+    return pairs
 
 
 def validate(schedule: PipelineSchedule) -> None:
@@ -174,7 +262,7 @@ def validate(schedule: PipelineSchedule) -> None:
             f"schedule {schedule.describe()} is incomplete: each rank must run "
             "exactly one forward and one backward per (microbatch, chunk)"
         )
-    execute(schedule)
+    completion_order(schedule)
 
 
 @dataclass(frozen=True)
@@ -229,53 +317,32 @@ def simulate_times(
     """
     if t_forward <= 0 or t_backward <= 0:
         raise ValueError("durations must be positive")
+    order = completion_order(schedule)
     v = schedule.num_chunks
-    dur = {
-        OpKind.FORWARD: t_forward / v,
-        OpKind.BACKWARD: t_backward / v,
-    }
-    finish: dict[OpInstance, float] = {}
-    pointers = [0] * schedule.num_stages
+    dur = (t_forward / v, t_backward / v)
+    finish = [0.0]
     device_free = [0.0] * schedule.num_stages
     timed: list[TimedOp] = []
-    total = sum(len(r) for r in schedule.ops)
-    while len(timed) < total:
-        progressed = False
-        for rank in range(schedule.num_stages):
-            while pointers[rank] < len(schedule.ops[rank]):
-                op = schedule.ops[rank][pointers[rank]]
-                inst = resolve(schedule, rank, op)
-                deps = dependencies(schedule, inst)
-                if any(d not in finish for d in deps):
-                    break
-                ready = device_free[rank]
-                for d in deps:
-                    lat = p2p_latency if d.stage % schedule.num_stages != rank else 0.0
-                    ready = max(ready, finish[d] + lat)
-                end = ready + dur[op.kind]
-                finish[inst] = end
-                device_free[rank] = end
-                timed.append(TimedOp(rank, op, ready, end))
-                pointers[rank] += 1
-                progressed = True
-        if not progressed:
-            raise DeadlockError(
-                f"schedule {schedule.describe()} deadlocked during timing"
-            )
+    for rank, index, kind, a, b in zip(
+        order.rank, order.index, order.kind, order.dep_a, order.dep_b
+    ):
+        ready = device_free[rank]
+        for dep in (a, b):
+            if dep:
+                lat = p2p_latency if order.rank[dep - 1] != rank else 0.0
+                ready = max(ready, finish[dep] + lat)
+        end = ready + dur[kind]
+        finish.append(end)
+        device_free[rank] = end
+        timed.append(TimedOp(rank, schedule.ops[rank][index], ready, end))
     makespan = max(t.end for t in timed)
     tracer = current_tracer()
     if tracer is not None:
-        for t in timed:
-            inst = resolve(schedule, t.rank, t.op)
+        for t, stage, kind in zip(timed, order.stage, order.kind):
             tracer.add_span(
-                str(t.op),
-                phase=_PHASE[t.op.kind],
-                rank=t.rank,
-                start=t.start,
-                end=t.end,
-                microbatch=t.op.microbatch,
-                chunk=t.op.chunk,
-                stage=inst.stage,
+                str(t.op), phase=_PHASE[kind], rank=t.rank,
+                start=t.start, end=t.end,
+                microbatch=t.op.microbatch, chunk=t.op.chunk, stage=stage,
             )
     return Timeline(schedule=schedule, ops=tuple(timed), makespan=makespan)
 

@@ -20,53 +20,77 @@ are processed in groups of ``p`` per chunk, warm-up length is
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ir import OpKind, PipelineSchedule, ScheduleOp
+
+
+def _ops(kind: OpKind, num_microbatches: int) -> list[ScheduleOp]:
+    """One op per microbatch, built once and shared by every rank."""
+    return [ScheduleOp(kind, mb) for mb in range(num_microbatches)]
 
 
 def gpipe_schedule(num_stages: int, num_microbatches: int) -> PipelineSchedule:
     """All-forward, all-backward schedule (Figure 3)."""
     _check(num_stages, num_microbatches)
-    per_rank = []
-    for _rank in range(num_stages):
-        ops = [ScheduleOp(OpKind.FORWARD, mb) for mb in range(num_microbatches)]
-        ops += [ScheduleOp(OpKind.BACKWARD, mb) for mb in range(num_microbatches)]
-        per_rank.append(tuple(ops))
+    ops = tuple(
+        _ops(OpKind.FORWARD, num_microbatches)
+        + _ops(OpKind.BACKWARD, num_microbatches)
+    )
     return PipelineSchedule(
         name="gpipe",
         num_stages=num_stages,
         num_microbatches=num_microbatches,
         num_chunks=1,
-        ops=tuple(per_rank),
+        ops=(ops,) * num_stages,
     )
+
+
+def _one_f_one_b(
+    fwd: list[ScheduleOp], bwd: list[ScheduleOp], warmup: int
+) -> tuple[ScheduleOp, ...]:
+    """Warm-up forwards, a one-forward-one-backward steady state, then
+    the cooldown that drains the in-flight backwards."""
+    steady = len(fwd) - warmup
+    ops = fwd[:warmup]
+    for pair in zip(fwd[warmup:], bwd[:steady]):
+        ops.extend(pair)
+    return tuple(ops + bwd[steady:])
 
 
 def one_f_one_b_schedule(num_stages: int, num_microbatches: int) -> PipelineSchedule:
     """PipeDream-Flush / non-interleaved 1F1B schedule (Figure 4, top)."""
     _check(num_stages, num_microbatches)
     p, m = num_stages, num_microbatches
-    per_rank = []
-    for rank in range(p):
-        warmup = min(p - rank - 1, m)
-        remaining = m - warmup
-        ops: list[ScheduleOp] = []
-        # Warm-up: forwards only.
-        for mb in range(warmup):
-            ops.append(ScheduleOp(OpKind.FORWARD, mb))
-        # Steady state: one forward, one backward.
-        for i in range(remaining):
-            ops.append(ScheduleOp(OpKind.FORWARD, warmup + i))
-            ops.append(ScheduleOp(OpKind.BACKWARD, i))
-        # Cooldown: drain the in-flight backwards.
-        for i in range(remaining, m):
-            ops.append(ScheduleOp(OpKind.BACKWARD, i))
-        per_rank.append(tuple(ops))
+    fwd, bwd = _ops(OpKind.FORWARD, m), _ops(OpKind.BACKWARD, m)
     return PipelineSchedule(
         name="1f1b",
         num_stages=p,
         num_microbatches=m,
         num_chunks=1,
-        ops=tuple(per_rank),
+        ops=tuple(
+            _one_f_one_b(fwd, bwd, min(p - rank - 1, m)) for rank in range(p)
+        ),
     )
+
+
+def _virtual_microbatches(
+    p: int, m: int, v: int
+) -> tuple[list[ScheduleOp], list[ScheduleOp]]:
+    """The ``m * v`` (microbatch, chunk) forwards and backwards of one
+    device in Megatron's interleaved order: groups of ``p`` microbatches
+    per chunk, chunks ascending forward and descending backward."""
+    if p < 2:
+        raise ValueError("interleaved schedule requires num_stages >= 2")
+    if m % p != 0:
+        raise ValueError(
+            f"interleaved schedule requires num_microbatches ({m}) to be a "
+            f"multiple of num_stages ({p})"
+        )
+    order = [((k // p) % v, (k // (p * v)) * p + k % p) for k in range(m * v)]
+    fwd = [ScheduleOp(OpKind.FORWARD, mb, chunk) for chunk, mb in order]
+    bwd = [ScheduleOp(OpKind.BACKWARD, mb, v - 1 - chunk) for chunk, mb in order]
+    return fwd, bwd
 
 
 def interleaved_schedule(
@@ -83,48 +107,18 @@ def interleaved_schedule(
     if num_chunks == 1:
         return one_f_one_b_schedule(num_stages, num_microbatches)
     p, m, v = num_stages, num_microbatches, num_chunks
-    if p < 2:
-        raise ValueError("interleaved schedule requires num_stages >= 2")
-    if m % p != 0:
-        raise ValueError(
-            f"interleaved schedule requires num_microbatches ({m}) to be a "
-            f"multiple of num_stages ({p})"
-        )
+    fwd, bwd = _virtual_microbatches(p, m, v)
     total = m * v  # virtual microbatches per device
-
-    def fwd_op(k: int) -> ScheduleOp:
-        chunk = (k // p) % v
-        mb = (k // (p * v)) * p + k % p
-        return ScheduleOp(OpKind.FORWARD, mb, chunk)
-
-    def bwd_op(k: int) -> ScheduleOp:
-        chunk = v - 1 - ((k // p) % v)
-        mb = (k // (p * v)) * p + k % p
-        return ScheduleOp(OpKind.BACKWARD, mb, chunk)
-
-    per_rank = []
-    for rank in range(p):
-        if m == p:
-            warmup = total
-        else:
-            warmup = min(2 * (p - rank - 1) + (v - 1) * p, total)
-        ops: list[ScheduleOp] = []
-        for k in range(warmup):
-            ops.append(fwd_op(k))
-        # Steady state: 1F1B on virtual microbatches.
-        for i in range(total - warmup):
-            ops.append(fwd_op(warmup + i))
-            ops.append(bwd_op(i))
-        # Cooldown.
-        for i in range(total - warmup, total):
-            ops.append(bwd_op(i))
-        per_rank.append(tuple(ops))
+    warmups = [
+        total if m == p else min(2 * (p - rank - 1) + (v - 1) * p, total)
+        for rank in range(p)
+    ]
     return PipelineSchedule(
         name="interleaved",
         num_stages=p,
         num_microbatches=m,
         num_chunks=v,
-        ops=tuple(per_rank),
+        ops=tuple(_one_f_one_b(fwd, bwd, warmup) for warmup in warmups),
     )
 
 
@@ -144,41 +138,31 @@ def interleaved_gpipe_schedule(
         raise ValueError("num_chunks must be >= 1")
     if num_chunks == 1:
         return gpipe_schedule(num_stages, num_microbatches)
-    p, m, v = num_stages, num_microbatches, num_chunks
-    if p < 2:
-        raise ValueError("interleaved schedule requires num_stages >= 2")
-    if m % p != 0:
-        raise ValueError(
-            f"interleaved schedule requires num_microbatches ({m}) to be a "
-            f"multiple of num_stages ({p})"
-        )
-    total = m * v
-    per_rank = []
-    for _rank in range(p):
-        ops: list[ScheduleOp] = []
-        for k in range(total):
-            chunk = (k // p) % v
-            mb = (k // (p * v)) * p + k % p
-            ops.append(ScheduleOp(OpKind.FORWARD, mb, chunk))
-        for k in range(total):
-            chunk = v - 1 - ((k // p) % v)
-            mb = (k // (p * v)) * p + k % p
-            ops.append(ScheduleOp(OpKind.BACKWARD, mb, chunk))
-        per_rank.append(tuple(ops))
+    fwd, bwd = _virtual_microbatches(num_stages, num_microbatches, num_chunks)
     return PipelineSchedule(
         name="interleaved-gpipe",
-        num_stages=p,
-        num_microbatches=m,
-        num_chunks=v,
-        ops=tuple(per_rank),
+        num_stages=num_stages,
+        num_microbatches=num_microbatches,
+        num_chunks=num_chunks,
+        ops=(tuple(fwd + bwd),) * num_stages,
     )
 
 
+# One autotune sweep meets 36-60 distinct (kind, p, m, v) among its 63-152
+# candidates, out of order: the memo holds a whole sweep's worth, twice
+# over (DESIGN.md, "Schedules are computed once").
+@lru_cache(maxsize=128)
 def make_schedule(
     name: str, num_stages: int, num_microbatches: int, num_chunks: int = 1
 ) -> PipelineSchedule:
     """Dispatch by name: 'gpipe', '1f1b', 'interleaved', or
-    'interleaved-gpipe'."""
+    'interleaved-gpipe'.
+
+    Memoised: a schedule is a pure function of these arguments and
+    frozen all the way down, so equal calls return the *same* object,
+    and with it the completion order cached on it.  Derive a variant
+    with ``dataclasses.replace``; never mutate the result.
+    """
     if name == "gpipe":
         if num_chunks != 1:
             raise ValueError("gpipe schedule does not support model chunks")

@@ -41,14 +41,7 @@ from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import GLOBAL_RANK, current_tracer
 from repro.perf.layer_costs import stage_compute_cost
 from repro.perf.memory import MODEL_STATE_BYTES_PER_PARAM, parameters_per_rank
-from repro.schedule import (
-    OpKind,
-    PipelineSchedule,
-    TimedOp,
-    dependencies,
-    make_schedule,
-    resolve,
-)
+from repro.schedule import OpKind, TimedOp, completion_order, make_schedule
 
 
 @dataclass(frozen=True)
@@ -194,30 +187,27 @@ def simulate_iteration(
         else 0.0
     )
 
-    fwd_dur: dict[int, float] = {}
-    bwd_dur: dict[int, float] = {}
-    fwd_tp: dict[int, float] = {}
-    bwd_tp: dict[int, float] = {}
+    # Cost tables are indexed [kind][stage], kind 0 forward / 1 backward
+    # as in the schedule's completion order.  Interior stages all cost
+    # the same; only the first and last carry embedding / logit extras.
     total_stages = p * v
-    for g in range(total_stages):
-        cost = stage_compute_cost(
-            compute,
-            config,
-            layers_per_stage,
-            b,
-            t,
-            is_first=(g == 0),
-            is_last=(g == total_stages - 1),
+    stages = range(total_stages)
+    last = total_stages - 1
+    bwd_ars = 2 + (2 if options.recompute_activations else 0)
+    tp_time = (
+        2 * layers_per_stage * tp_ar_time,
+        bwd_ars * layers_per_stage * tp_ar_time,
+    )
+    cost = {
+        ends: stage_compute_cost(
+            compute, config, layers_per_stage, b, t,
+            is_first=ends[0], is_last=ends[1],
             fused=options.fused_kernels,
             recompute=options.recompute_activations,
         )
-        f_tp = 2 * layers_per_stage * tp_ar_time
-        bwd_ars = 2 + (2 if options.recompute_activations else 0)
-        b_tp = bwd_ars * layers_per_stage * tp_ar_time
-        fwd_dur[g] = cost.forward * options.compute_slowdown + f_tp
-        bwd_dur[g] = cost.backward * options.compute_slowdown + b_tp
-        fwd_tp[g] = f_tp
-        bwd_tp[g] = b_tp
+        for ends in {(g == 0, g == last) for g in stages}
+    }
+    costs = [cost[g == 0, g == last] for g in stages]
 
     # -- pipeline ranks (dp=0, tp=0 representative pipeline) ---------------
     pipe_ranks = groups.pipeline_group(dp=0, tp=0)
@@ -226,6 +216,13 @@ def simulate_iteration(
         return pipe_ranks[stage % p]
 
     def edge_time(src_stage: int, dst_stage: int) -> float:
+        """Transfer time of one stage-boundary tensor: nothing past
+        either end of the pipeline, between chunks of one device, or
+        when p2p is modelled as overlapped with compute."""
+        if options.overlap_p2p or not (
+            0 <= src_stage <= last and 0 <= dst_stage <= last
+        ):
+            return 0.0
         src, dst = stage_rank(src_stage), stage_rank(dst_stage)
         if src == dst:
             return 0.0
@@ -234,77 +231,49 @@ def simulate_iteration(
         )
 
     # Transfers occupy both endpoints (synchronous, non-overlapped p2p,
-    # as in Megatron's interleaved schedule): the producing op's
-    # duration grows by its send and the consuming op's by its receive.
+    # as in Megatron's interleaved schedule): the consuming op's
+    # duration grows by its receive and the producing op's by its send.
     # The §4.1 scatter/gather optimization shrinks exactly these terms
     # on inter-node hops.
-    send_fwd = {
-        g: edge_time(g, g + 1) if g + 1 < total_stages else 0.0
-        for g in range(total_stages)
-    }
-    send_bwd = {
-        g: edge_time(g, g - 1) if g > 0 else 0.0
-        for g in range(total_stages)
-    }
-    recv_fwd = {
-        g: edge_time(g - 1, g) if g > 0 else 0.0 for g in range(total_stages)
-    }
-    recv_bwd = {
-        g: edge_time(g + 1, g) if g + 1 < total_stages else 0.0
-        for g in range(total_stages)
-    }
-    if options.overlap_p2p:
-        send_fwd = {g: 0.0 for g in send_fwd}
-        send_bwd = {g: 0.0 for g in send_bwd}
-        recv_fwd = {g: 0.0 for g in recv_fwd}
-        recv_bwd = {g: 0.0 for g in recv_bwd}
+    comm_time = (
+        [edge_time(g - 1, g) + edge_time(g, g + 1) for g in stages],
+        [edge_time(g + 1, g) + edge_time(g, g - 1) for g in stages],
+    )
+    slow = options.compute_slowdown
+    dur = (
+        [c.forward * slow + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
+        [c.backward * slow + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
+    )
 
     # -- list-schedule the ops ---------------------------------------------
+    # The schedule's completion order is the order this loop has always
+    # visited ops in, and the two running sums depend on it: keep them
+    # sequential float adds (see DESIGN.md, "Schedules are computed once").
     tracer = current_tracer()
-    finish: dict = {}
-    pointers = [0] * p
+    order = completion_order(schedule)
+    finish = [0.0]  # position 0 is "no dependency"
     device_free = [0.0] * p
     busy = [0.0] * p
     p2p_total = 0.0
     collect = options.collect_timeline or tracer is not None
     timeline: list[SimTimedOp] | None = [] if collect else None
-    total_ops = sum(len(r) for r in schedule.ops)
-    done_ops = 0
-    while done_ops < total_ops:
-        progressed = False
-        for rank in range(p):
-            while pointers[rank] < len(schedule.ops[rank]):
-                op = schedule.ops[rank][pointers[rank]]
-                inst = resolve(schedule, rank, op)
-                deps = dependencies(schedule, inst)
-                if any(dp_ not in finish for dp_ in deps):
-                    break
-                ready = device_free[rank]
-                for dep in deps:
-                    ready = max(ready, finish[dep])
-                if op.kind is OpKind.FORWARD:
-                    comm_dur = recv_fwd[inst.stage] + send_fwd[inst.stage]
-                    dur = fwd_dur[inst.stage] + comm_dur
-                else:
-                    comm_dur = recv_bwd[inst.stage] + send_bwd[inst.stage]
-                    dur = bwd_dur[inst.stage] + comm_dur
-                p2p_total += comm_dur
-                end = ready + dur
-                finish[inst] = end
-                device_free[rank] = end
-                busy[rank] += dur
-                if timeline is not None:
-                    timeline.append(
-                        SimTimedOp(
-                            rank, op, ready, end,
-                            stage=inst.stage, comm_time=comm_dur,
-                        )
-                    )
-                pointers[rank] += 1
-                done_ops += 1
-                progressed = True
-        if not progressed:  # pragma: no cover - schedules are validated
-            raise RuntimeError("simulation deadlocked")
+    for rank, index, stage, kind, dep_a, dep_b in zip(*order):
+        ready = device_free[rank]
+        if finish[dep_a] > ready:
+            ready = finish[dep_a]
+        if finish[dep_b] > ready:
+            ready = finish[dep_b]
+        op_dur = dur[kind][stage]
+        end = ready + op_dur
+        finish.append(end)
+        device_free[rank] = end
+        busy[rank] += op_dur
+        p2p_total += comm_time[kind][stage]
+        if timeline is not None:
+            timeline.append(SimTimedOp(
+                rank, schedule.ops[rank][index], ready, end,
+                stage=stage, comm_time=comm_time[kind][stage],
+            ))
     pipeline_time = max(device_free)
 
     # -- data-parallel gradient all-reduce + embedding sync -----------------
@@ -331,7 +300,7 @@ def simulate_iteration(
     )
 
     tp_comm_total = sum(
-        m * (fwd_tp[g] + bwd_tp[g]) for g in range(total_stages)
+        m * (tp_time[0] + tp_time[1]) for _ in stages
     )
     iteration_time = pipeline_time + dp_time + embed_time + opt_time
     model_flops = config.flops_per_iteration(
@@ -341,11 +310,11 @@ def simulate_iteration(
 
     # -- emit the simulated timeline as spans (modelled clock) --------------
     if tracer is not None and timeline is not None:
-        phase_of = {OpKind.FORWARD: "forward", OpKind.BACKWARD: "backward"}
         for w in timeline:
+            backward = w.kind is OpKind.BACKWARD
             tracer.add_span(
                 str(w.op),
-                phase=phase_of[w.kind],
+                phase="backward" if backward else "forward",
                 rank=stage_rank(w.stage),
                 start=w.start,
                 end=w.end,
@@ -353,7 +322,7 @@ def simulate_iteration(
                 chunk=w.op.chunk,
                 stage=w.stage,
                 comm_time=w.comm_time,
-                tp_time=(fwd_tp if w.kind is OpKind.FORWARD else bwd_tp)[w.stage],
+                tp_time=tp_time[backward],
             )
         t0 = pipeline_time
         if d > 1:

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 
 from repro.schedule import OpKind, PipelineSchedule, ScheduleOp
-from repro.schedule.execution import OpInstance, dependencies, resolve
+from repro.schedule.execution import DeadlockError, completion_order
 
 
 @dataclass(frozen=True)
@@ -119,39 +119,17 @@ def check_local_races(schedule: PipelineSchedule) -> list[ScheduleViolation]:
 
 
 def check_deadlock(schedule: PipelineSchedule) -> list[ScheduleViolation]:
-    """Cooperative pointer-scan: per-rank orders must admit a legal
-    global interleaving of the §2.2 dataflow."""
-    pointers = [0] * schedule.num_stages
-    done: set[OpInstance] = set()
-    total = sum(len(r) for r in schedule.ops)
-    completed = 0
-    while completed < total:
-        progressed = False
-        for rank in range(schedule.num_stages):
-            while pointers[rank] < len(schedule.ops[rank]):
-                op = schedule.ops[rank][pointers[rank]]
-                inst = resolve(schedule, rank, op)
-                if any(dep not in done for dep in dependencies(schedule, inst)):
-                    break
-                done.add(inst)
-                pointers[rank] += 1
-                completed += 1
-                progressed = True
-        if not progressed:
-            out = []
-            for rank in range(schedule.num_stages):
-                if pointers[rank] < len(schedule.ops[rank]):
-                    op = schedule.ops[rank][pointers[rank]]
-                    inst = resolve(schedule, rank, op)
-                    missing = [
-                        d for d in dependencies(schedule, inst)
-                        if d not in done
-                    ]
-                    out.append(ScheduleViolation(
-                        "deadlock", rank,
-                        f"{inst} blocked forever waiting on {missing[0]}",
-                    ))
-            return out
+    """Per-rank orders must admit a legal global interleaving of the
+    §2.2 dataflow (the executor's own readiness walk decides)."""
+    try:
+        completion_order(schedule)
+    except DeadlockError as exc:
+        return [
+            ScheduleViolation(
+                "deadlock", rank, f"{inst} blocked forever waiting on {dep}"
+            )
+            for rank, inst, dep in exc.blocked
+        ]
     return []
 
 

@@ -45,6 +45,11 @@ class TestAutotune:
     def test_top_k_respected(self):
         assert len(autotune(SMALL, 16, 32, top_k=2)) == 2
 
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_nonpositive_top_k_rejected(self, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            autotune(SMALL, 16, 32, top_k=top_k)
+
     def test_raises_when_nothing_fits(self):
         with pytest.raises(ValueError, match="feasible"):
             autotune(gpt_1t(), 8, 64)

@@ -20,3 +20,13 @@ def test_every_benchmarks_test_function_asserts():
         and not any(isinstance(n, ast.Assert) for n in ast.walk(node))
     ]
     assert not toothless, f"timing-only wrappers, no assert: {toothless}"
+
+
+def test_one_round_robin_schedule_walk_in_src():
+    """``execute``, ``simulate_times``, ``simulate_iteration`` and
+    ``check_deadlock`` each had their own copy of the pointer scan; they
+    now share ``repro.schedule.execution._walk``."""
+    src = BENCHMARKS.parent / "src"
+    hits = [path.relative_to(src).as_posix() for path in src.rglob("*.py")
+            if "pointers = [0]" in path.read_text()]
+    assert hits == ["repro/schedule/execution.py"]

@@ -66,6 +66,17 @@ class TestAutotune:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_nonpositive_top_is_an_error(self, top, capsys):
+        """``scored[:top]`` used to print nothing (0) or drop the three
+        worst candidates (-3), both with exit 0."""
+        rc = main(["autotune", *MODEL, "--gpus", "4", "--batch", "8",
+                   "--top", top])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: top_k must be >= 1" in captured.err
+        assert "1." not in captured.out
+
 
 class TestSchedule:
     @pytest.mark.parametrize("name", ["gpipe", "1f1b", "interleaved",

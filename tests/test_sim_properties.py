@@ -109,3 +109,43 @@ class TestScheduleConsistency:
         # First/last stages carry embedding/logit extras, so the match
         # is approximate.
         assert r.bubble_fraction == pytest.approx(want, rel=0.35)
+
+
+class TestMatchesPerOpWalk:
+    """The simulator iterates a completion order compiled once per
+    schedule; the per-op walk it replaced (``tests/reference_walk.py``)
+    must agree on every number, bit for bit."""
+
+    @given(
+        name=st.sampled_from(
+            ["gpipe", "1f1b", "interleaved", "interleaved-gpipe"]),
+        p=st.sampled_from([1, 2, 4, 8]),
+        groups=st.integers(1, 3),
+        extra=st.integers(0, 3),
+        v=st.sampled_from([1, 2, 4]),
+        t=st.sampled_from([1, 2]),
+        b=st.sampled_from([1, 2]),
+        overlap_p2p=st.booleans(),
+        scatter_gather=st.booleans(),
+        recompute_activations=st.booleans(),
+        compute_slowdown=st.floats(1.0, 3.0),
+        bandwidth_derate=st.floats(0.1, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_number_equals_reference(
+        self, name, p, groups, extra, v, t, b, **toggles
+    ):
+        from . import reference_walk
+
+        if not name.startswith("interleaved") or p * v > MODEL.num_layers:
+            v = 1
+        if v > 1 and p < 2:
+            v = 1
+        m = groups * p + (extra if v == 1 else 0)
+        par = ParallelConfig(
+            pipeline_parallel_size=p, tensor_parallel_size=t,
+            microbatch_size=b, global_batch_size=m * b, num_model_chunks=v,
+        )
+        reference_walk.assert_simulation_matches(
+            MODEL, par, SimOptions(schedule_name=name, **toggles)
+        )
