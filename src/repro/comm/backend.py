@@ -144,9 +144,10 @@ class MpBackend(Backend):
                 _view(seg, (n,), np.float64)[...] = f
             names = [seg.name for seg in segs]
             self._pool(k).run("all_reduce", [(names, n)] * k)
-            out = [_view(seg, (n,), np.float64).copy() for seg in segs]
+            for seg, f in zip(segs, flat):
+                f[...] = _view(seg, (n,), np.float64)
         replay(hop, ring_all_reduce_hops(n, 8, k))
-        return out
+        return flat
 
     def _all_gather(self, shards, ax, hop):
         # Each rank's segment holds the whole (moveaxis'd) concatenation

@@ -8,8 +8,9 @@ with the standard ring algorithm, and logs every hop's bytes to a
 
 :class:`Backend` is the one front door: its five public methods own
 everything about a collective that is not byte movement (validation,
-the sanitizer record, the comm span, the float64 flatten and ``astype``
-back, the single-rank shortcut) and hand validated arrays plus a
+the sanitizer record, the comm span, the float64 flatten -- an
+all-reduce's one copy of its payload -- and ``astype`` back, the
+single-rank shortcut) and hand validated arrays plus a
 ``hop(src_index, dst_index, nbytes)`` callable to the *mover*, five
 hooks a backend plugs in.  :class:`CoopBackend` is the single-process
 mover -- the in-process ring loops, logging each hop where it moves it;
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from contextlib import AbstractContextManager
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,6 +75,17 @@ def _hop_logger(ranks: Sequence[int], log: TrafficLog | None,
     return lambda src, dst, nbytes: log.add(
         ranks[src], ranks[dst], nbytes, kind, tag
     )
+
+
+@lru_cache(maxsize=4096)
+def ring_chunk_bounds(n: int, k: int) -> tuple[int, ...]:
+    """The ``k + 1`` boundaries that cut ``n`` elements into the ring's
+    ``k`` chunks: the one definition the coop mover, the hop plans and
+    the shared-memory ring step (:mod:`repro.comm.shm_ring`) share, so
+    their chunks agree byte for byte.  Memoised, and Python ints in a
+    tuple: a caller cannot change what the next one gets.
+    """
+    return tuple(np.linspace(0, n, k + 1).astype(int).tolist())
 
 
 def replay(hop: Hop, plan: Iterable[tuple[int, int, int]]) -> None:
@@ -183,14 +196,18 @@ class Backend(AbstractContextManager):
         with _comm_span("all_reduce", ranks, kind, tag):
             if len(ranks) == 1:
                 return [first.copy()]
+            # The payload's one copy: the mover reduces into these.
             flat = [
-                np.ascontiguousarray(b, dtype=np.float64).ravel()
+                np.array(b, dtype=np.float64, order="C").reshape(-1)
                 for b in buffers
             ]
             reduced = self._all_reduce(
                 flat, _hop_logger(ranks, log, kind, tag)
             )
-            return [f.reshape(first.shape).astype(first.dtype) for f in reduced]
+            return [
+                f.reshape(first.shape).astype(first.dtype, copy=False)
+                for f in reduced
+            ]
 
     def all_gather(
         self,
@@ -295,10 +312,12 @@ class Backend(AbstractContextManager):
                 buffer, _hop_logger((src, dst), log, kind, tag)
             )
 
-    # -- the mover (groups of two or more; inputs are not to be mutated) ----
+    # -- the mover (groups of two or more).  Inputs are not to be mutated,
+    # -- except ``_all_reduce``'s: those are the front door's own copy. ------
     @abstractmethod
     def _all_reduce(self, flat: list[np.ndarray], hop: Hop) -> list[np.ndarray]:
-        """Ring-sum ``k`` equal-length float64 vectors; ``k`` results."""
+        """Ring-sum ``k`` equal-length float64 vectors, the mover's to
+        overwrite; ``k`` results, which may be those vectors."""
 
     @abstractmethod
     def _all_gather(self, shards: list[np.ndarray], ax: int,
@@ -335,21 +354,16 @@ class CoopBackend(Backend):
     name = "coop"
 
     def _all_reduce(self, flat, hop):
-        flat = [f.copy() for f in flat]
-        k, n = len(flat), flat[0].size
-        bounds = np.linspace(0, n, k + 1).astype(int)
+        k = len(flat)
+        bounds = ring_chunk_bounds(flat[0].size, k)
+        chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         itemsize = flat[0].itemsize
-
-        def chunk(i: int) -> slice:
-            j = i % k
-            return slice(bounds[j], bounds[j + 1])
-
         # Phase 1: reduce-scatter.  Step s: rank i sends chunk (i - s) to
         # rank i+1, which accumulates.
         for step in range(k - 1):
             for i in range(k):
                 src, dst = i, (i + 1) % k
-                sl = chunk(i - step)
+                sl = chunks[(i - step) % k]
                 flat[dst][sl] += flat[src][sl]
                 hop(src, dst, (sl.stop - sl.start) * itemsize)
         # After phase 1, rank i holds the fully-reduced chunk (i + 1).
@@ -357,7 +371,7 @@ class CoopBackend(Backend):
         for step in range(k - 1):
             for i in range(k):
                 src, dst = i, (i + 1) % k
-                sl = chunk(i + 1 - step)
+                sl = chunks[(i + 1 - step) % k]
                 flat[dst][sl] = flat[src][sl]
                 hop(src, dst, (sl.stop - sl.start) * itemsize)
         return flat
@@ -433,8 +447,8 @@ def ring_all_reduce_hops(
     the bytes, and the conformance tests assert the coop log matches it
     record for record.
     """
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    chunks = [int(c) * itemsize for c in np.diff(bounds)]
+    bounds = ring_chunk_bounds(n, k)
+    chunks = [(hi - lo) * itemsize for lo, hi in zip(bounds, bounds[1:])]
     # Reduce-scatter walks the chunks as an all-gather of them would;
     # the all-gather phase starts one chunk further round the ring.
     return ring_all_gather_hops(chunks) + ring_all_gather_hops(

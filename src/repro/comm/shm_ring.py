@@ -39,6 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .primitives import ring_chunk_bounds
+
 SEGMENT_PREFIX = "reproshm"
 
 #: Default seconds a pool waits on a worker reply, and a worker on a
@@ -140,12 +142,6 @@ def disable_child_shm_tracking() -> None:
     resource_tracker.register = register
 
 
-def ring_chunk_bounds(n: int, k: int) -> np.ndarray:
-    """The chunk boundaries every ring implementation shares (the same
-    ``np.linspace`` the coop reference uses, so chunk slices agree)."""
-    return np.linspace(0, n, k + 1).astype(int)
-
-
 def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
                          mine: np.ndarray, prev: np.ndarray,
                          barrier_wait: Callable[[], None]) -> None:
@@ -167,7 +163,7 @@ def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
     bounds = []
     offset = 0
     for n in sizes:
-        bounds.append(offset + ring_chunk_bounds(n, k))
+        bounds.append([offset + b for b in ring_chunk_bounds(n, k)])
         offset += n
     for step in range(k - 1):  # phase 1: reduce-scatter
         j = (rank - 1 - step) % k

@@ -78,15 +78,13 @@ class CausalSelfAttention(Module):
         q = q.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
         k = k.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
         v = v.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
-        scores = scores + F.causal_mask(s)
-        probs, probs_cache = F.softmax_forward(scores)
+        probs = F.scale_mask_softmax(q @ k.transpose(0, 1, 3, 2), dk)
         dropped, drop_mask = self.attn_dropout.forward(probs, training=training, rng=rng)
         ctx = dropped @ v  # (b, a, s, dk)
         record_gemm_flops("attention", 2 * matmul_flops(b, a, s, dk, s))
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, h)
         out, proj_cache = self.proj.forward(merged)
-        cache = (qkv_cache, q, k, v, probs_cache, drop_mask, dropped, proj_cache, (b, s))
+        cache = (qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, (b, s))
         return out, cache
 
     def forward_step(self, x, past_kv=None, lengths=0):
@@ -112,7 +110,6 @@ class CausalSelfAttention(Module):
         k = k.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
         v = v.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
         lengths = np.broadcast_to(lengths, b)
-        new = np.arange(s_new)  # the new tokens' offsets behind the past
         if past_kv is None:
             k_all, v_all = k, v
         else:
@@ -121,34 +118,33 @@ class CausalSelfAttention(Module):
             if s_past < s_total:
                 k_all, v_all = np.empty((2, b, a, s_total, dk))
                 k_all[:, :, :s_past], v_all[:, :, :s_past] = past_kv
-            rows, slots = np.arange(b)[:, None], lengths[:, None] + new
+            rows = np.arange(b)[:, None]
+            slots = lengths[:, None] + np.arange(s_new)  # behind the past
             k_all[rows, :, slots] = k.transpose(0, 2, 1, 3)
             v_all[rows, :, slots] = v.transpose(0, 2, 1, 3)
-        s_total = k_all.shape[2]
-        scores = q @ k_all.transpose(0, 1, 3, 2) / np.sqrt(dk)
-        if s_total - 1 > lengths.min():
-            # Only the causal-mask rows in use, values as
-            # F.causal_mask's so prefill stays bit-identical; a single
-            # token that sees every column adds none.
-            last = lengths[:, None, None, None] + new[:, None]
-            scores = scores + np.where(np.arange(s_total) > last, -np.inf, 0.0)
-        probs, _ = F.softmax_forward(scores)
+        # The kernel forward() runs, on the causal rows of these
+        # positions: that is what keeps a prefill bit-identical to it.
+        probs = F.scale_mask_softmax(
+            q @ k_all.transpose(0, 1, 3, 2), dk, lengths
+        )
         ctx = probs @ v_all  # (b, a, s_new, dk)
-        record_gemm_flops("attention", 2 * matmul_flops(b, a, s_new, dk, s_total))
+        record_gemm_flops(
+            "attention", 2 * matmul_flops(b, a, s_new, dk, k_all.shape[2])
+        )
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, s_new, h)
         out, _ = self.proj.forward(merged)
         return out, (k, v)
 
     def backward(self, dy, cache):
-        qkv_cache, q, k, v, probs_cache, drop_mask, dropped, proj_cache, (b, s) = cache
+        qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, (b, s) = cache
         a, dk, h = self.num_heads, self.head_dim, self.hidden_size
         dmerged = self.proj.backward(dy, proj_cache)
         dctx = dmerged.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
         ddropped = dctx @ v.transpose(0, 1, 3, 2)
         dv = dropped.transpose(0, 1, 3, 2) @ dctx
         dprobs = self.attn_dropout.backward(ddropped, drop_mask)
-        dscores = F.softmax_backward(dprobs, probs_cache)
-        dscores = dscores / np.sqrt(dk)
+        dscores = F.softmax_backward(dprobs, probs)
+        dscores /= np.sqrt(dk)
         dq = dscores @ k
         dk_grad = dscores.transpose(0, 1, 3, 2) @ q
         record_gemm_flops("attention", 4 * matmul_flops(b, a, s, dk, s))
@@ -225,14 +221,16 @@ class TransformerBlock(Module):
         self.drop2 = Dropout(dropout)
 
     def forward(self, x, *, training=True, rng=None):
+        # A sub-layer's output is a fresh array no cache holds (a no-op
+        # Dropout hands it on as it is), so the residual lands in it.
         a, c_ln1 = self.ln1.forward(x)
         b, c_attn = self.attn.forward(a, training=training, rng=rng)
         d, m1 = self.drop1.forward(b, training=training, rng=rng)
-        x1 = x + d
+        x1 = np.add(x, d, out=d)
         e, c_ln2 = self.ln2.forward(x1)
         f, c_mlp = self.mlp.forward(e, training=training, rng=rng)
         g, m2 = self.drop2.forward(f, training=training, rng=rng)
-        y = x1 + g
+        y = np.add(x1, g, out=g)
         return y, (c_ln1, c_attn, m1, c_ln2, c_mlp, m2)
 
     def forward_step(self, x, past_kv=None, lengths=0):
@@ -243,19 +241,21 @@ class TransformerBlock(Module):
         """
         a, _ = self.ln1.forward(x)
         b, kv = self.attn.forward_step(a, past_kv, lengths)
-        x1 = x + b
+        x1 = np.add(x, b, out=b)
         e, _ = self.ln2.forward(x1)
         f, _ = self.mlp.forward(e)
-        return x1 + f, kv
+        return np.add(x1, f, out=f), kv
 
     def backward(self, dy, cache):
         c_ln1, c_attn, m1, c_ln2, c_mlp, m2 = cache
         dg = self.drop2.backward(dy, m2)
         df = self.mlp.backward(dg, c_mlp)
-        dx1 = dy + self.ln2.backward(df, c_ln2)
+        dx1 = self.ln2.backward(df, c_ln2)  # the kernel's own array
+        dx1 += dy
         dd = self.drop1.backward(dx1, m1)
         db = self.attn.backward(dd, c_attn)
-        dx = dx1 + self.ln1.backward(db, c_ln1)
+        dx = self.ln1.backward(db, c_ln1)
+        dx += dx1
         return dx
 
 

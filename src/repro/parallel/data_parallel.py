@@ -51,10 +51,10 @@ def all_reduce_gradients(
             grads, ranks, log, TrafficKind.DATA_PARALLEL, f"dp.grad.{i}"
         )
         for r in range(d):
-            out = reduced[r]
             if average:
-                out = out / d
-            replica_params[r][i].grad[...] = out
+                np.divide(reduced[r], d, out=replica_params[r][i].grad)
+            else:
+                replica_params[r][i].grad[...] = reduced[r]
 
 
 def scatter_batch(

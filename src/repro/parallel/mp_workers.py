@@ -65,7 +65,7 @@ def replica_ops(dp: int, d: int, barrier_wait, segment_names,
         barrier_wait()  # all copy-ins visible
         ring_all_reduce_step(sizes, dp, d, mine, prev, barrier_wait)
         for p, lo, hi in zip(params, offsets, offsets[1:]):
-            p.grad[...] = mine[lo:hi].reshape(p.grad.shape) / d
+            np.divide(mine[lo:hi].reshape(p.grad.shape), d, out=p.grad)
         barrier_wait()  # all reads done before the next copy-in
 
     def step(shard):

@@ -152,8 +152,10 @@ class RowParallelLinear(Module):
         return outs, caches
 
     def add_bias(self, reduced: np.ndarray) -> np.ndarray:
+        """Add the bias into ``reduced``: the all-reduce of partials the
+        caller just made, so an array it owns."""
         if self.bias is not None:
-            return reduced + self.bias.data
+            reduced += self.bias.data
         return reduced
 
     def backward_partials(self, dy: np.ndarray, caches: Any) -> list[np.ndarray]:
@@ -251,13 +253,12 @@ class ParallelAttention(Module):
             q = q.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
             k = k.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
             v = v.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
-            scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + F.causal_mask(s)
-            probs, c_sm = F.softmax_forward(scores)
+            probs = F.scale_mask_softmax(q @ k.transpose(0, 1, 3, 2), dk)
             dropped, mask = self.attn_dropout.forward(probs, training=training, rng=rng)
             ctx = (dropped @ v).transpose(0, 2, 1, 3).reshape(b, s, ar * dk)
             record_gemm_flops("attention", 2 * matmul_flops(b, ar, s, dk, s))
             ctx_shards.append(ctx)
-            caches.append((c_qkv, q, k, v, c_sm, mask, dropped))
+            caches.append((c_qkv, q, k, v, probs, mask, dropped))
         z_partials, c_proj = self.proj.forward_partials(ctx_shards)
         z = self.group.all_reduce(z_partials, tag="attn.g")
         return self.proj.add_bias(z), (caches, c_proj, (b, s))
@@ -267,14 +268,15 @@ class ParallelAttention(Module):
         ar, dk = self.heads_per_rank, self.head_dim
         dctx_shards = self.proj.backward_partials(dy, c_proj)
         dx_partials = []
-        for i, ((c_qkv, q, k, v, c_sm, mask, dropped), dctx) in enumerate(
+        for i, ((c_qkv, q, k, v, probs, mask, dropped), dctx) in enumerate(
             zip(caches, dctx_shards)
         ):
             dctx = dctx.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
             ddropped = dctx @ v.transpose(0, 1, 3, 2)
             dv = dropped.transpose(0, 1, 3, 2) @ dctx
             dprobs = self.attn_dropout.backward(ddropped, mask)
-            dscores = F.softmax_backward(dprobs, c_sm) / np.sqrt(dk)
+            dscores = F.softmax_backward(dprobs, probs)
+            dscores /= np.sqrt(dk)
             dq = dscores @ k
             dkk = dscores.transpose(0, 1, 3, 2) @ q
             record_gemm_flops("attention", 4 * matmul_flops(b, ar, s, dk, s))
@@ -309,23 +311,28 @@ class ParallelTransformerBlock(Module):
         self.drop2 = Dropout(serial.drop2.p)
 
     def forward(self, x, *, training=True, rng=None):
+        # As in TransformerBlock: the residual lands in the sub-layer's
+        # output, a fresh array no cache holds.
         a, c_ln1 = self.ln1.forward(x)
         b, c_attn = self.attn.forward(a, training=training, rng=rng)
         d, m1 = self.drop1.forward(b, training=training, rng=rng)
-        x1 = x + d
+        x1 = np.add(x, d, out=d)
         e, c_ln2 = self.ln2.forward(x1)
         f_, c_mlp = self.mlp.forward(e, training=training, rng=rng)
         g, m2 = self.drop2.forward(f_, training=training, rng=rng)
-        return x1 + g, (c_ln1, c_attn, m1, c_ln2, c_mlp, m2)
+        return np.add(x1, g, out=g), (c_ln1, c_attn, m1, c_ln2, c_mlp, m2)
 
     def backward(self, dy, cache):
         c_ln1, c_attn, m1, c_ln2, c_mlp, m2 = cache
         dg = self.drop2.backward(dy, m2)
         df = self.mlp.backward(dg, c_mlp)
-        dx1 = dy + self.ln2.backward(df, c_ln2)
+        dx1 = self.ln2.backward(df, c_ln2)  # the kernel's own array
+        dx1 += dy
         dd = self.drop1.backward(dx1, m1)
         db = self.attn.backward(dd, c_attn)
-        return dx1 + self.ln1.backward(db, c_ln1)
+        dx = self.ln1.backward(db, c_ln1)
+        dx += dx1
+        return dx
 
 
 class VocabParallelEmbedding(Module):
@@ -439,9 +446,11 @@ class VocabParallelOutputHead(Module):
         maxes = [fl.max(axis=1) for fl in flats]
         self._log_scalar_allreduce(n_tok, tag="ce.max")
         gmax = np.max(maxes, axis=0)
-        sumexp_parts = [np.exp(fl - gmax[:, None]).sum(axis=1) for fl in flats]
+        exps = [fl - gmax[:, None] for fl in flats]
+        for e in exps:
+            np.exp(e, out=e)
         self._log_scalar_allreduce(n_tok, tag="ce.sumexp")
-        sumexp = np.sum(sumexp_parts, axis=0)
+        sumexp = np.sum([e.sum(axis=1) for e in exps], axis=0)
         # target logit: owned by one shard each.
         picked = np.zeros(n_tok)
         owners = []
@@ -452,14 +461,14 @@ class VocabParallelOutputHead(Module):
             picked[owned] = fl[owned, flat_t[owned] - lo]
         self._log_scalar_allreduce(n_tok, tag="ce.target")
         loss = float(np.mean(np.log(sumexp) + gmax - picked))
-        return loss, (flats, flat_t, gmax, sumexp, owners, targets.shape)
+        return loss, (exps, flat_t, sumexp, owners, targets.shape)
 
     def loss_backward(self, cache, scale: float = 1.0) -> list[np.ndarray]:
-        flats, flat_t, gmax, sumexp, owners, tgt_shape = cache
+        exps, flat_t, sumexp, owners, tgt_shape = cache
         n_tok = flat_t.shape[0]
         out = []
-        for i, (fl, owned) in enumerate(zip(flats, owners)):
-            probs = np.exp(fl - gmax[:, None]) / sumexp[:, None]
+        for i, (e, owned) in enumerate(zip(exps, owners)):
+            probs = e / sumexp[:, None]  # the softmax, from loss()'s exp
             lo = i * self.shard_size
             probs[owned, flat_t[owned] - lo] -= 1.0
             probs *= scale / n_tok

@@ -30,3 +30,17 @@ def test_one_round_robin_schedule_walk_in_src():
     hits = [path.relative_to(src).as_posix() for path in src.rglob("*.py")
             if "pointers = [0]" in path.read_text()]
     assert hits == ["repro/schedule/execution.py"]
+
+
+def test_no_power_operator_in_the_kernels_but_squares():
+    """numpy computes ``x**3`` through libm ``pow`` (70 ns an element,
+    a quarter of a train step until PR 19); ``x*x*x`` is two multiplies."""
+    kernels = BENCHMARKS.parent / "src" / "repro" / "nn" / "functional.py"
+    powers = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(kernels.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and not (isinstance(node.right, ast.Constant)
+                 and node.right.value == 2)
+    ]
+    assert not powers, f"write the product out: {powers}"

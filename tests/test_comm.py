@@ -1,5 +1,7 @@
 """Tests for collectives (numerics + byte volumes), groups, cost model."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,11 @@ from repro.comm import (
     broadcast,
     reduce_scatter,
     ring_all_reduce,
+    ring_all_reduce_hops,
     send,
 )
+from repro.comm.primitives import ring_chunk_bounds
+from repro.comm.shm_ring import ring_all_reduce_step
 from repro.config import ParallelConfig
 from repro.hardware import ClusterTopology
 
@@ -465,3 +470,69 @@ class TestRingCollectiveProperties:
         want = np.sum(bufs, axis=0)
         for o in out:
             np.testing.assert_array_equal(o, want)
+
+
+class TestRingChunkGeometry:
+    """One memoised definition of how a ring cuts ``n`` elements into
+    ``k`` chunks, shared by the coop mover, the hop plans and the
+    shared-memory ring step: the linspace expression all three used to
+    spell, evaluated once per ``(n, k)``."""
+
+    @given(n=st.integers(0, 2_000_000), k=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_are_the_linspace_as_immutable_python_ints(self, n, k):
+        bounds = ring_chunk_bounds(n, k)
+        assert list(bounds) == np.linspace(0, n, k + 1).astype(int).tolist()
+        assert type(bounds) is tuple  # a caller cannot poison the cache
+        assert all(type(b) is int for b in bounds)
+        assert ring_chunk_bounds(n, k) is bounds
+
+    @given(n=st.integers(0, 2_000_000), k=st.integers(1, 16),
+           itemsize=st.sampled_from([1, 4, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_hop_plan_volume(self, n, k, itemsize):
+        plan = ring_all_reduce_hops(n, itemsize, k)
+        assert len(plan) == 2 * k * (k - 1)
+        sent = [0] * k
+        for src, dst, nbytes in plan:
+            assert dst == (src + 1) % k and type(nbytes) is int
+            sent[src] += nbytes
+        # In each phase a rank forwards every chunk but one.
+        assert sum(sent) == 2 * (k - 1) * n * itemsize
+        chunks = np.diff(ring_chunk_bounds(n, k))
+        assert max(sent) - min(sent) <= 2 * itemsize * (
+            chunks.max() - chunks.min())
+        if n % k == 0:  # 2 (k-1)/k * n * itemsize per rank, exactly
+            assert set(sent) == {2 * (k - 1) * (n // k) * itemsize}
+        plan.append("poison")  # the caller's own list, rebuilt per call
+        assert ring_all_reduce_hops(n, itemsize, k) == plan[:-1]
+
+    @given(sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
+           k=st.integers(2, 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_ring_step_over_many_buffers_equals_coop(self, sizes, k, seed):
+        """The shared-memory ring step, one thread per rank, against the
+        coop ring run on each buffer by itself."""
+        rng = np.random.default_rng(seed)
+        per_rank = [[rng.standard_normal(n) for n in sizes] for _ in range(k)]
+        want = [
+            ring_all_reduce([per_rank[r][i] for r in range(k)], list(range(k)))
+            for i in range(len(sizes))
+        ]
+        segs = [np.concatenate(bufs) for bufs in per_rank]
+        barrier = threading.Barrier(k)
+        threads = [
+            threading.Thread(target=ring_all_reduce_step, args=(
+                sizes, r, k, segs[r], segs[(r - 1) % k],
+                lambda: barrier.wait(30)))
+            for r in range(k)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60)
+        assert not any(th.is_alive() for th in threads)
+        offsets = np.cumsum([0] + sizes)
+        for r in range(k):
+            for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                assert np.array_equal(segs[r][lo:hi], want[i][r])

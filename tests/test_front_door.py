@@ -127,3 +127,31 @@ def test_coop_and_mp_are_indistinguishable(case, mp_backend):
         # a rejected call or a group of one never reaches a worker
         assert mp_backend._pools == pools_before
         assert want_records == []
+
+
+@pytest.mark.parametrize("backend_name", ["coop", "mp"])
+@pytest.mark.parametrize("buffers", [
+    [A, B, C],
+    [F32, F32.copy()],
+    [WIDE.T, _f64((5, 4), 5)],  # a view no reshape can flatten in place
+    [A],
+], ids=["f64", "f32", "non-contiguous", "k1"])
+def test_all_reduce_copies_in_once_and_aliases_nothing(
+        backend_name, buffers, mp_backend):
+    """The front door makes the payload's one copy and the mover
+    reduces into it: the caller's buffers are as they were, and what
+    comes back shares memory neither with them nor with each other."""
+    backend = mp_backend if backend_name == "mp" else get_backend("coop")
+    before = [b.copy() for b in buffers]
+    out = backend.all_reduce(buffers, list(range(len(buffers))))
+    for b, was in zip(buffers, before):
+        assert np.array_equal(b, was)
+    want = np.sum([b.astype(np.float64) for b in buffers], axis=0)
+    for i, o in enumerate(out):
+        assert o.dtype == buffers[0].dtype and o.shape == buffers[0].shape
+        np.testing.assert_allclose(o, want, rtol=1e-6)
+        assert not any(np.shares_memory(o, b) for b in buffers)
+        assert not any(np.shares_memory(o, other) for other in out[i + 1:])
+        o += 1.0  # the caller's to overwrite
+    for b, was in zip(buffers, before):
+        assert np.array_equal(b, was)
