@@ -1,6 +1,6 @@
-"""Kernel and collective set-up guards (ISSUE 19).
+"""Kernel and collective set-up guards (ISSUEs 19 and 20).
 
-Two ratios, each of a thing to its own natural floor measured in the
+Three ratios, each of a thing to its own natural floor measured in the
 same process a moment apart, so machine speed cancels:
 
 - **a block's forward is not slower than its backward.**  A backward
@@ -34,7 +34,20 @@ same process a moment apart, so machine speed cancels:
   bare ring allocates and moves what the front door does, so the two
   drift together.
 
-Both use ``bench_serve_chaos``'s estimator: back-to-back pairs in
+- **a batched linear layer is one GEMM over its rows** (ISSUE 20).
+  ``F.linear_forward`` on a decode tick's ``(8, 1, 128)`` activation
+  with the ``(128, 512)`` fc1 weight of the serve models, against the
+  bare ``(8, 128) @ (128, 512)`` plus bias add it should be.  Until
+  PR 20 it computed ``x @ weight`` on the 3-D array, which numpy runs
+  as eight one-row products that each stream the whole weight:
+  **2.50-2.72x** over nine readings on the parent (83-104 us /
+  29-38 us; ISSUE 20 read 2.1-2.2x on its box).  Through the flat view
+  (``F.flat_matmul``): **1.02-1.13x** over six readings (32-43 us /
+  30-38 us; what is left is two reshapes, the FLOP record and the cache
+  tuple).  Bound: 1.4x -- the parent fails it by 79% or more, the
+  change clears it by 19% at its worst reading (27% at its best).
+
+All three use ``bench_serve_chaos``'s estimator: back-to-back pairs in
 alternating order, the smaller of the ratio of minima and the median of
 per-pair ratios, re-measured up to three times when over budget.
 """
@@ -47,11 +60,15 @@ import numpy as np
 from repro.comm import TrafficKind, TrafficLog, ring_all_reduce
 from repro.comm.primitives import ring_chunk_bounds
 from repro.nn import TransformerBlock
+from repro.nn import functional as F
 
 #: ``bench/wl_train.CONFIG``: one microbatch of s64 h128 a4.
 SHAPE, HEADS = (1, 64, 128), 4
 FORWARD_BOUND = 1.15
 ALL_REDUCE_BOUND = 3.8
+#: One decode tick of 8 requests through fc1 of the serve models.
+TICK_SHAPE, FC1_SHAPE = (8, 1, 128), (128, 512)
+BATCHED_LINEAR_BOUND = 1.4
 
 
 def _seconds(fn, calls: int) -> float:
@@ -139,4 +156,29 @@ def test_all_reduce_costs_a_bounded_multiple_of_its_ring():
         f"{ALL_REDUCE_BOUND}x the bare ring it runs (ratios {attempts}): "
         "per-call set-up (chunk geometry, payload copies, per-hop records) "
         "is back"
+    )
+
+
+def test_batched_linear_costs_one_gemm_over_its_rows():
+    rng = np.random.default_rng(0)
+    x, weight = rng.standard_normal(TICK_SHAPE), rng.standard_normal(FC1_SHAPE)
+    bias = rng.standard_normal(FC1_SHAPE[1])
+    rows = x.reshape(-1, x.shape[-1])
+
+    def bare():
+        y = rows @ weight
+        y += bias
+
+    # the same work (bit for bit the same is tests/test_kernels.py's job)
+    assert np.allclose(F.linear_forward(x, weight, bias)[0][:, 0],
+                       rows @ weight + bias)
+    attempts = guarded_ratio(
+        lambda: F.linear_forward(x, weight, bias), bare,
+        bound=BATCHED_LINEAR_BOUND, calls=100,
+    )
+    assert min(attempts) <= BATCHED_LINEAR_BOUND, (
+        f"F.linear_forward on a {TICK_SHAPE} activation costs more than "
+        f"{BATCHED_LINEAR_BOUND}x the one {FC1_SHAPE} GEMM over its rows "
+        f"(ratios {attempts}): a 3-D `@` is a loop of per-sample BLAS calls "
+        "-- multiply the flat (rows, k) view (F.flat_matmul)"
     )

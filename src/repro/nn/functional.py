@@ -136,15 +136,24 @@ def scale_mask_softmax(
     return _softmax(y, -1, out=y)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``np.mean`` over the last axis (``keepdims=True``) without its
+    Python wrapper: the same pairwise ``add.reduce``, true-divided by
+    the row length (numpy's own ``_mean`` body), so bit for bit the same."""
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= x.shape[-1]
+    return mean
+
+
 def layer_norm_forward(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, tuple]:
     """LayerNorm over the last axis, in one centred pass: the mean of
     the squared centred values is what ``np.var`` computes (same mean,
     same pairwise sum)."""
-    xhat = x - np.mean(x, axis=-1, keepdims=True)
+    xhat = x - _row_mean(x)
     y = xhat * xhat
-    inv_std = 1.0 / np.sqrt(np.mean(y, axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(_row_mean(y) + eps)
     xhat *= inv_std
     np.multiply(xhat, gamma, out=y)
     y += beta
@@ -162,18 +171,32 @@ def layer_norm_backward(
     dbeta = np.sum(dy, axis=lead)
     dx = dy * gamma  # dxhat
     np.multiply(dx, xhat, out=tmp)
-    np.multiply(xhat, np.mean(tmp, axis=-1, keepdims=True), out=tmp)
-    dx -= np.mean(dx, axis=-1, keepdims=True)
+    np.multiply(xhat, _row_mean(tmp), out=tmp)
+    dx -= _row_mean(dx)
     dx -= tmp
     dx *= inv_std
     return dx, dgamma, dbeta
+
+
+def flat_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for x of shape (..., k) and a 2-D ``w``, as one GEMM over
+    all ``x.size // k`` rows.
+
+    ``matmul`` with a 3-D left operand is a loop of one BLAS call per
+    leading index, each streaming the whole weight: a decode tick's
+    (8, 1, h) activation ran as eight one-row products.  Both reshapes
+    are views of a contiguous array.  The rows are cut by
+    ``x.shape[-1]``, never by ``w.shape[0]``, so a wrong inner width
+    still raises from the product.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
 def linear_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
 ) -> tuple[np.ndarray, tuple]:
     """y = x @ W + b with x of shape (..., in), W of shape (in, out)."""
-    y = x @ weight
+    y = flat_matmul(x, weight)
     if bias is not None:
         y += bias
     rows = x.size // x.shape[-1]
@@ -186,7 +209,7 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (dx, dweight, dbias)."""
     x, weight, has_bias = cache
-    dx = dy @ weight.T
+    dx = flat_matmul(dy, weight.T)
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
     dweight = x2.T @ dy2

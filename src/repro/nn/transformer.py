@@ -73,11 +73,8 @@ class CausalSelfAttention(Module):
         b, s, h = x.shape
         a, dk = self.num_heads, self.head_dim
         qkv, qkv_cache = self.qkv.forward(x)
-        q, k, v = np.split(qkv, 3, axis=-1)
-        # (b, s, h) -> (b, a, s, dk)
-        q = q.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
-        k = k.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
-        v = v.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
+        # (b, s, 3h) -> q, k, v of (b, a, s, dk) each: one view
+        q, k, v = qkv.reshape(b, s, 3, a, dk).transpose(2, 0, 3, 1, 4)
         probs = F.scale_mask_softmax(q @ k.transpose(0, 1, 3, 2), dk)
         dropped, drop_mask = self.attn_dropout.forward(probs, training=training, rng=rng)
         ctx = dropped @ v  # (b, a, s, dk)
@@ -105,11 +102,10 @@ class CausalSelfAttention(Module):
         b, s_new, h = x.shape
         a, dk = self.num_heads, self.head_dim
         qkv, _ = self.qkv.forward(x)
-        q, k, v = np.split(qkv, 3, axis=-1)
-        q = q.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
-        k = k.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
-        v = v.reshape(b, s_new, a, dk).transpose(0, 2, 1, 3)
-        lengths = np.broadcast_to(lengths, b)
+        q, k, v = qkv.reshape(b, s_new, 3, a, dk).transpose(2, 0, 3, 1, 4)
+        lengths = np.asarray(lengths)
+        if not lengths.ndim:  # one start for every row
+            lengths = np.full(b, lengths)
         if past_kv is None:
             k_all, v_all = k, v
         else:
@@ -137,23 +133,22 @@ class CausalSelfAttention(Module):
 
     def backward(self, dy, cache):
         qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, (b, s) = cache
-        a, dk, h = self.num_heads, self.head_dim, self.hidden_size
+        a, dk = self.num_heads, self.head_dim
         dmerged = self.proj.backward(dy, proj_cache)
         dctx = dmerged.reshape(b, s, a, dk).transpose(0, 2, 1, 3)
+        # The forward's q/k/v view, of the gradient: each product lands
+        # where qkv.backward reads it.
+        dqkv = np.empty((b, s, 3, a, dk))
+        dq, dk_grad, dv = dqkv.transpose(2, 0, 3, 1, 4)
         ddropped = dctx @ v.transpose(0, 1, 3, 2)
-        dv = dropped.transpose(0, 1, 3, 2) @ dctx
+        np.matmul(dropped.transpose(0, 1, 3, 2), dctx, out=dv)
         dprobs = self.attn_dropout.backward(ddropped, drop_mask)
         dscores = F.softmax_backward(dprobs, probs)
         dscores /= np.sqrt(dk)
-        dq = dscores @ k
-        dk_grad = dscores.transpose(0, 1, 3, 2) @ q
+        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk_grad)
         record_gemm_flops("attention", 4 * matmul_flops(b, a, s, dk, s))
-        # (b, a, s, dk) -> (b, s, h)
-        dq = dq.transpose(0, 2, 1, 3).reshape(b, s, h)
-        dk_grad = dk_grad.transpose(0, 2, 1, 3).reshape(b, s, h)
-        dv = dv.transpose(0, 2, 1, 3).reshape(b, s, h)
-        dqkv = np.concatenate([dq, dk_grad, dv], axis=-1)
-        return self.qkv.backward(dqkv, qkv_cache)
+        return self.qkv.backward(dqkv.reshape(b, s, -1), qkv_cache)
 
 
 class MLP(Module):
@@ -328,7 +323,7 @@ class OutputHead(Module):
 
     def forward(self, x, *, training=True, rng=None):
         xn, c_ln = self.ln_f.forward(x)
-        logits = xn @ self.tied.data.T
+        logits = F.flat_matmul(xn, self.tied.data.T)
         record_gemm_flops(
             "logit", matmul_flops(xn.size // xn.shape[-1], *self.tied.data.shape)
         )
@@ -336,7 +331,7 @@ class OutputHead(Module):
 
     def backward(self, dlogits, cache):
         c_ln, xn = cache
-        dxn = dlogits @ self.tied.data
+        dxn = F.flat_matmul(dlogits, self.tied.data)
         flat_x = xn.reshape(-1, xn.shape[-1])
         flat_dl = dlogits.reshape(-1, dlogits.shape[-1])
         self.tied.grad += flat_dl.T @ flat_x

@@ -249,10 +249,7 @@ class ParallelAttention(Module):
             qkv, c_qkv = F.linear_forward(
                 x, self.qkv_shards[i].data, self.qkv_bias_shards[i].data
             )
-            q, k, v = np.split(qkv, 3, axis=-1)
-            q = q.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
-            k = k.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
-            v = v.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
+            q, k, v = qkv.reshape(b, s, 3, ar, dk).transpose(2, 0, 3, 1, 4)
             probs = F.scale_mask_softmax(q @ k.transpose(0, 1, 3, 2), dk)
             dropped, mask = self.attn_dropout.forward(probs, training=training, rng=rng)
             ctx = (dropped @ v).transpose(0, 2, 1, 3).reshape(b, s, ar * dk)
@@ -272,19 +269,19 @@ class ParallelAttention(Module):
             zip(caches, dctx_shards)
         ):
             dctx = dctx.reshape(b, s, ar, dk).transpose(0, 2, 1, 3)
+            # As in CausalSelfAttention.backward: the forward's view, of
+            # the gradient.
+            dqkv = np.empty((b, s, 3, ar, dk))
+            dq, dkk, dv = dqkv.transpose(2, 0, 3, 1, 4)
             ddropped = dctx @ v.transpose(0, 1, 3, 2)
-            dv = dropped.transpose(0, 1, 3, 2) @ dctx
+            np.matmul(dropped.transpose(0, 1, 3, 2), dctx, out=dv)
             dprobs = self.attn_dropout.backward(ddropped, mask)
             dscores = F.softmax_backward(dprobs, probs)
             dscores /= np.sqrt(dk)
-            dq = dscores @ k
-            dkk = dscores.transpose(0, 1, 3, 2) @ q
+            np.matmul(dscores, k, out=dq)
+            np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dkk)
             record_gemm_flops("attention", 4 * matmul_flops(b, ar, s, dk, s))
-            dq = dq.transpose(0, 2, 1, 3).reshape(b, s, ar * dk)
-            dkk = dkk.transpose(0, 2, 1, 3).reshape(b, s, ar * dk)
-            dv = dv.transpose(0, 2, 1, 3).reshape(b, s, ar * dk)
-            dqkv = np.concatenate([dq, dkk, dv], axis=-1)
-            dx, dw, db = F.linear_backward(dqkv, c_qkv)
+            dx, dw, db = F.linear_backward(dqkv.reshape(b, s, -1), c_qkv)
             self.qkv_shards[i].grad += dw
             self.qkv_bias_shards[i].grad += db
             dx_partials.append(dx)
@@ -410,7 +407,7 @@ class VocabParallelOutputHead(Module):
 
     def forward(self, x, *, training=True, rng=None):
         xn, c_ln = self.ln_f.forward(x)
-        logits_shards = [xn @ p.data.T for p in self.tied_shards]
+        logits_shards = [F.flat_matmul(xn, p.data.T) for p in self.tied_shards]
         rows = xn.size // xn.shape[-1]
         for p in self.tied_shards:
             record_gemm_flops("logit", matmul_flops(rows, *p.data.shape))
@@ -421,7 +418,7 @@ class VocabParallelOutputHead(Module):
         flat_x = xn.reshape(-1, xn.shape[-1])
         dxn_partials = []
         for p, dl in zip(self.tied_shards, dlogits_shards):
-            dxn_partials.append(dl @ p.data)
+            dxn_partials.append(F.flat_matmul(dl, p.data))
             flat_dl = dl.reshape(-1, dl.shape[-1])
             p.grad += flat_dl.T @ flat_x
             record_gemm_flops(

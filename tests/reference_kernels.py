@@ -1,6 +1,6 @@
-"""The element-wise kernels as they stood before PR 19, kept as the oracle.
+"""The kernels as they stood before PRs 19 and 20, kept as the oracle.
 
-Until then ``repro.nn.functional`` spelled every kernel as the textbook
+Until PR 19 ``repro.nn.functional`` spelled every kernel as the textbook
 expression: one fresh temporary per operator, ``x**3`` through libm
 ``pow``, ``np.var`` next to ``np.mean``, a ``np.triu`` causal mask per
 attention call.  ``repro.nn.functional`` now runs the same float64
@@ -9,6 +9,11 @@ itself; this module is the old expressions, verbatim, for the
 differential tests to compare against with ``np.array_equal`` (GeLU to a
 few ulp: ``x*x*x`` is not ``pow(x, 3)`` in the last bit).  It shares no
 code with ``repro.nn.functional`` on purpose.
+
+PR 20 added the expressions it replaced -- ``np.split`` plus three
+reshapes for q/k/v, three copies and a concatenate for their gradient
+-- and restated one: ``linear_forward`` is the flat product (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -69,7 +74,17 @@ def layer_norm_backward(dy, cache):
 
 
 def linear_forward(x, weight, bias):
-    y = x @ weight
+    """Restated in PR 20, the one reference that is not the pre-PR 19
+    expression.  ``x @ weight`` with a 3-D ``x`` is a loop of one BLAS
+    call per leading index (a decode tick of 8 requests ran 8 one-row
+    products, each streaming the whole weight), so every linear and
+    head product now multiplies the flat ``(rows, k)`` view once.  BLAS
+    blocks by shape: for a leading batch > 1 the rows move in the last
+    ulp against the per-sample loop; with one sample, or a 2-D ``x``,
+    it is the same call (``test_kernels.py`` asserts both).
+    ``linear_backward``'s ``dx`` is this with ``weight.T``."""
+    y = (x.reshape(-1, x.shape[-1]) @ weight).reshape(
+        *x.shape[:-1], weight.shape[-1])
     if bias is not None:
         y = y + bias
     return y
@@ -119,3 +134,45 @@ def attention_probs_step(scores, dk, lengths):
         last = lengths[:, None, None, None] + new[:, None]
         scores = scores + np.where(np.arange(s_total) > last, -np.inf, 0.0)
     return softmax_forward(scores)[0]
+
+
+def split_qkv(qkv, heads):
+    """(b, s, 3h') -> q, k, v of (b, heads, s, dk) each, as the three
+    attention forwards spelled it before PR 20."""
+    b, s, width = qkv.shape
+    dk = width // 3 // heads
+    q, k, v = np.split(qkv, 3, axis=-1)
+    q = q.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+    k = k.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+    v = v.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+    return q, k, v
+
+
+def attention_forward(x, qkv_weight, qkv_bias, proj_weight, proj_bias, heads):
+    """``CausalSelfAttention.forward`` without dropout, on the split
+    above; returns ``(out, (q, k, v, probs))``."""
+    b, s, h = x.shape
+    q, k, v = split_qkv(linear_forward(x, qkv_weight, qkv_bias), heads)
+    probs = attention_probs(q @ k.transpose(0, 1, 3, 2), h // heads)
+    merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, h)
+    return linear_forward(merged, proj_weight, proj_bias), (q, k, v, probs)
+
+
+def attention_dqkv(dctx, q, k, v, probs, drop_mask, dropped):
+    """The gradient of the fused qkv activation, (b, s, 3h'), from the
+    gradient of the per-head context (b, heads, s, dk): as
+    ``CausalSelfAttention.backward`` and ``ParallelAttention.backward``
+    built it before PR 20 -- three transpose-reshape copies and a
+    concatenate."""
+    b, heads, s, dk = dctx.shape
+    ddropped = dctx @ v.transpose(0, 1, 3, 2)
+    dv = dropped.transpose(0, 1, 3, 2) @ dctx
+    dprobs = ddropped if drop_mask is None else ddropped * drop_mask
+    dscores = softmax_backward(dprobs, probs)
+    dscores /= np.sqrt(dk)
+    dq = dscores @ k
+    dk_grad = dscores.transpose(0, 1, 3, 2) @ q
+    dq = dq.transpose(0, 2, 1, 3).reshape(b, s, heads * dk)
+    dk_grad = dk_grad.transpose(0, 2, 1, 3).reshape(b, s, heads * dk)
+    dv = dv.transpose(0, 2, 1, 3).reshape(b, s, heads * dk)
+    return np.concatenate([dq, dk_grad, dv], axis=-1)

@@ -27,6 +27,7 @@ from repro.nn.transformer import (
     TransformerBlock,
 )
 from repro.parallel.tensor_parallel import (
+    ParallelAttention,
     ParallelTransformerBlock,
     TensorParallelGroup,
     TensorParallelGPT,
@@ -61,6 +62,27 @@ def same(got, want):
     return got == want
 
 
+def assert_flat_product(got, flat, x, weight, bias=None):
+    """What PR 20's flat GEMM may and may not change about ``x @ W + b``.
+
+    It *is* the flat reference, always.  It is the plain 3-D product
+    too whenever that is one BLAS call (one sample, or a 2-D ``x`` --
+    every shape ``train_ptd`` runs, whose microbatch is 1).  Otherwise
+    the per-sample loop and the one GEMM sum a row's ``k`` products in
+    different orders: both are within ``k`` eps of the row's scale
+    ``|x| @ |W|`` from the exact sum, so within ``4k`` ulp of it from
+    each other (plus the bias add's own rounding).
+    """
+    plain = x @ weight if bias is None else x @ weight + bias
+    assert same(got, flat)
+    if np.prod(x.shape[:-2]) == 1:  # one sample, or none to loop over
+        assert same(got, plain)
+    else:
+        scale = np.abs(x) @ np.abs(weight)
+        slack = 4 * x.shape[-1] * np.spacing(scale) + np.spacing(np.abs(plain))
+        assert (np.abs(got - plain) <= slack).all()
+
+
 # -- differential: the new kernels against the old expressions ----------------
 class TestAgainstReference:
     @given(shape=SHAPES, seed=st.integers(0, 2**16), layout=LAYOUTS,
@@ -84,9 +106,14 @@ class TestAgainstReference:
                     R.layer_norm_backward(dy, want_cache))
 
         weight = np.random.default_rng(seed + 3).standard_normal((h, 5))
+        dout = tensor((*shape[:-1], 5), seed + 4, dy_layout)
         for bias in (None, np.arange(5.0)):
-            assert same(F.linear_forward(x, weight, bias)[0],
-                        R.linear_forward(x, weight, bias))
+            y, cache = F.linear_forward(x, weight, bias)
+            assert_flat_product(y, R.linear_forward(x, weight, bias),
+                                x, weight, bias)
+            assert_flat_product(F.linear_backward(dout, cache)[0],
+                                R.linear_forward(dout, weight.T, None),
+                                dout, weight.T)
 
     @given(shape=SHAPES, seed=st.integers(0, 2**16), layout=LAYOUTS,
            scale=st.sampled_from([1.0, 0.25, 7.5]))
@@ -167,6 +194,91 @@ class TestAgainstReference:
         for j in range(9):
             assert same(F.scale_mask_softmax(scores[:, :, j:j + 1], 8, j),
                         full[:, :, j:j + 1])
+
+
+class TestFlatProductShapes:
+    """The flat view is cut by ``x.shape[-1]``: what raised still
+    raises, what had a shape keeps it."""
+
+    @pytest.mark.parametrize("width", [6, 7, 12])  # 48 = 6 * 8 = 12 * 4
+    def test_wrong_inner_width_still_raises(self, width):
+        x = tensor((2, 3, 8), 0)
+        with pytest.raises(ValueError):
+            F.linear_forward(x, np.ones((width, 5)), None)
+        _, cache = F.linear_forward(x, np.ones((8, width)), None)
+        with pytest.raises(ValueError):
+            F.linear_backward(tensor((2, 3, 8), 1), cache)
+
+    def test_one_dimensional_and_zero_row_inputs_keep_their_shapes(self):
+        weight = np.random.default_rng(0).standard_normal((8, 5))
+        x = tensor((2, 3, 8), 0)
+        for view in (x[0, 0], x[0], x[:, :0], x[:0]):
+            y, cache = F.linear_forward(view, weight, np.arange(5.0))
+            assert y.shape == (*view.shape[:-1], 5)
+            assert same(y, view @ weight + np.arange(5.0))
+            dx, dweight, dbias = F.linear_backward(y, cache)
+            assert dx.shape == view.shape and same(dx, y @ weight.T)
+            assert dweight.shape == weight.shape and dbias.shape == (5,)
+
+
+class TestAttentionViews:
+    """q/k/v are one view of the fused activation and their gradients
+    are written into one buffer through the same view: the values, the
+    caches and every gradient equal the ``np.split`` / ``concatenate``
+    spelling bit for bit."""
+
+    @given(b=st.integers(1, 3), s=st.integers(1, 20),
+           heads=st.sampled_from([1, 3, 4]), seed=st.integers(0, 2**16),
+           layout=LAYOUTS)
+    @settings(max_examples=40, deadline=None)
+    def test_serial_attention(self, b, s, heads, seed, layout):
+        attn = CausalSelfAttention(24, heads, rng=np.random.default_rng(seed))
+        x, dy = tensor((b, s, 24), seed, layout), tensor((b, s, 24), seed + 1)
+        out, cache = attn.forward(x)
+        qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, _ = cache
+        want, (want_q, want_k, want_v, want_probs) = R.attention_forward(
+            x, attn.qkv.weight.data, attn.qkv.bias.data,
+            attn.proj.weight.data, attn.proj.bias.data, heads)
+        assert same(out, want)
+        assert same((q, k, v, probs), (want_q, want_k, want_v, want_probs))
+        step_out, (step_k, step_v) = attn.forward_step(x)
+        assert same((step_out, step_k, step_v), (want, want_k, want_v))
+
+        dx = attn.backward(dy, cache)
+        dmerged, want_dproj, want_dproj_bias = F.linear_backward(dy, proj_cache)
+        dctx = dmerged.reshape(b, s, heads, -1).transpose(0, 2, 1, 3)
+        want_dqkv = R.attention_dqkv(dctx, q, k, v, probs, drop_mask, dropped)
+        want_dx, want_dw, want_db = F.linear_backward(want_dqkv, qkv_cache)
+        assert same(dx, want_dx)
+        assert same([p.grad for p in attn.parameters()],
+                    [want_dw, want_db, want_dproj, want_dproj_bias])
+
+    @given(b=st.integers(1, 3), s=st.integers(1, 20), t=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_parallel_attention(self, b, s, t, seed):
+        serial = CausalSelfAttention(24, 4, rng=np.random.default_rng(seed))
+        group = TensorParallelGroup(list(range(t)))
+        attn = ParallelAttention(serial, group)
+        x, dy = tensor((b, s, 24), seed), tensor((b, s, 24), seed + 1)
+        out, cache = attn.forward(x)
+        if t == 1:  # the serial layer's own arithmetic
+            assert same(out, serial.forward(x)[0])
+        dx = attn.backward(dy, cache)
+        caches, c_proj, _ = cache
+        want_partials = []
+        for i, (c_qkv, q, k, v, probs, mask, dropped) in enumerate(caches):
+            qkv = F.linear_forward(x, attn.qkv_shards[i].data,
+                                   attn.qkv_bias_shards[i].data)[0]
+            assert same((q, k, v), R.split_qkv(qkv, 4 // t))
+            dctx = F.linear_backward(dy, c_proj[i])[0]
+            dctx = dctx.reshape(b, s, 4 // t, -1).transpose(0, 2, 1, 3)
+            want_dx, want_dw, want_db = F.linear_backward(
+                R.attention_dqkv(dctx, q, k, v, probs, mask, dropped), c_qkv)
+            assert same(attn.qkv_shards[i].grad, want_dw)
+            assert same(attn.qkv_bias_shards[i].grad, want_db)
+            want_partials.append(want_dx)
+        assert same(dx, group.all_reduce(want_partials, tag="attn.f"))
 
 
 class TestPrefillSharesTheTrainingKernel:
@@ -293,6 +405,10 @@ def _head():
 
 
 BLOCKS = {
+    # the attention layers on their own: backward writes dq, dk, dv into
+    # one buffer it allocates, through matmul's out=
+    "CausalSelfAttention": lambda: _serial_block().attn,
+    "ParallelAttention-t2": lambda: _parallel_block(2).attn,
     "TransformerBlock": _serial_block,
     "ParallelTransformerBlock-t1": lambda: _parallel_block(1),
     "ParallelTransformerBlock-t2": lambda: _parallel_block(2),
