@@ -1,12 +1,14 @@
 """Ablation: the paper's Takeaway heuristics vs exhaustive search.
 
 The paper chooses configurations by heuristic rather than search (§1).
-This bench runs the exhaustive simulator-backed autotuner and reports
-how close the heuristic configuration comes to the true optimum.
+This bench runs the exact simulator-backed autotuner and reports how
+close the heuristic configuration comes to the true optimum; a second
+guard counts how few candidates that search has to simulate.
 """
 
-from repro.config import fig14_model
-from repro.perf import heuristic_gap
+import repro.sim
+from repro.config import TABLE1_ROWS, fig14_model
+from repro.perf import autotune, enumerate_configs, heuristic_gap
 
 
 def test_heuristic_vs_exhaustive(show):
@@ -24,3 +26,22 @@ def test_heuristic_vs_exhaustive(show):
     r.notes = f"heuristic gap: {gap*100:.1f}% (the Takeaways are near-optimal)"
     show(r)
     assert gap < 0.25
+
+
+def test_search_simulates_the_contenders_only(monkeypatch):
+    """Table-1 row 4 (39B, 512 GPUs): 152 candidates are bounded and 5
+    simulated for the top 5.  Counts, no clock."""
+    row = TABLE1_ROWS[4]
+    search = (row.model, row.num_gpus, row.parallel.global_batch_size)
+    simulated = []
+    simulate = repro.sim.simulate_iteration
+    monkeypatch.setattr(
+        repro.sim, "simulate_iteration",
+        lambda *args, **kwargs: simulated.append(args) or simulate(
+            *args, **kwargs))
+    best = autotune(*search, top_k=5)
+    assert sum(1 for _ in enumerate_configs(*search)) == 152
+    assert len(simulated) <= 15
+    assert best[0].describe() == (
+        "(p=4, t=4, d=32), n=512, B=1536, b=4, m=12, v=2 sched=interleaved"
+        " -> 171.3 Tflop/s/GPU")

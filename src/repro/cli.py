@@ -6,8 +6,9 @@ Subcommands:
   (p, t, d, b, B, v, schedule) on the modelled cluster;
 - ``suggest``   — apply the paper's Takeaway heuristics to pick a
   configuration for a model / GPU budget / batch size;
-- ``autotune``  — exhaustively search all feasible configurations with
-  the simulator and print the top results;
+- ``autotune``  — search all feasible configurations and print the top
+  results (exact: every candidate is bounded, the contenders are
+  simulated);
 - ``schedule``  — render a pipeline-schedule timeline (Figures 3/4);
 - ``trace``     — run one traced training iteration (numeric engine or
   simulator) and write a Chrome-trace JSON + phase summary
@@ -120,13 +121,16 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_autotune(args) -> int:
-    from repro.perf import autotune
+    from repro.perf import search_configs
 
     model = _model_from(args)
-    best = autotune(model, args.gpus, args.batch, top_k=args.top)
+    contenders, candidates = search_configs(
+        model, args.gpus, args.batch, top_k=args.top
+    )
     print(f"model: {model};  {args.gpus} GPUs, batch {args.batch}")
-    for i, s in enumerate(best, 1):
+    for i, s in enumerate(contenders[:args.top], 1):
         print(f"{i}. {s.describe()}")
+    print(f"simulated {len(contenders)} of {candidates} candidates")
     return 0
 
 
@@ -911,11 +915,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sug.add_argument("--batch", type=int, required=True)
     p_sug.set_defaults(func=_cmd_suggest)
 
-    p_auto = sub.add_parser("autotune", help="exhaustive configuration search")
+    p_auto = sub.add_parser(
+        "autotune",
+        help="exact configuration search: every candidate is bounded, "
+             "the contenders are simulated",
+    )
     _add_model_args(p_auto)
-    p_auto.add_argument("--gpus", type=int, required=True)
-    p_auto.add_argument("--batch", type=int, required=True)
-    p_auto.add_argument("--top", type=int, default=5)
+    p_auto.add_argument("--gpus", type=int, required=True,
+                        help="GPU budget; every candidate uses all of them")
+    p_auto.add_argument("--batch", type=int, required=True,
+                        help="global batch size (sequences per iteration)")
+    p_auto.add_argument("--top", type=int, default=5,
+                        help="how many of the best configurations to print")
     p_auto.set_defaults(func=_cmd_autotune)
 
     p_trace = sub.add_parser(

@@ -8,7 +8,13 @@ from .flops import (
     training_time_days_exact,
 )
 from .analytic_time import AnalyticEstimate, estimate_iteration
-from .autotune import ScoredConfig, autotune, enumerate_configs, heuristic_gap
+from .autotune import (
+    ScoredConfig,
+    autotune,
+    enumerate_configs,
+    heuristic_gap,
+    search_configs,
+)
 from .heuristics import suggest_parallel_config
 from .layer_costs import (
     LayerCost,
@@ -52,6 +58,7 @@ __all__ = [
     "ScoredConfig",
     "autotune",
     "enumerate_configs",
+    "search_configs",
     "heuristic_gap",
     "LayerCost",
     "StageCost",

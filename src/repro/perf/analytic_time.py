@@ -7,23 +7,22 @@ The paper's §3 analysis composes into a closed form for one iteration:
 
 where t_f/t_b are per-stage compute times (including serialized
 tensor-parallel all-reduces) and t_comm_per_mb the per-microbatch p2p
-cost charged on the critical path.  This estimator is O(1) rather than
-O(p * m) like the event simulator -- useful inside search loops -- and
-its agreement with the simulator (within a few percent across
-configurations; see tests) validates both: the simulator has no hidden
-scheduling pathology, and the closed form captures the §3 structure.
+cost charged on the critical path.  Every term is read from the pricing
+the event simulator itself runs on (:func:`repro.sim.price_iteration`),
+so the estimator costs that O(p * v) pricing and no O(p * v * m)
+schedule walk, and its agreement with the simulator (within a few
+percent across configurations; see tests) validates both: the simulator
+has no hidden scheduling pathology, and the closed form captures the §3
+structure.  The exact, non-uniform-stage form of the same formula is
+:meth:`repro.sim.IterationPricing.critical_path_bound`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm import CommCostModel, ProcessGroups
 from repro.config import GPTConfig, ParallelConfig
-from repro.hardware import ComputeModel, NodeSpec, cluster_for_gpus, dgx_a100
-
-from .layer_costs import stage_compute_cost
-from .memory import MODEL_STATE_BYTES_PER_PARAM, parameters_per_rank
+from repro.hardware import NodeSpec, dgx_a100
 
 
 @dataclass(frozen=True)
@@ -63,68 +62,40 @@ def estimate_iteration(
     the paper's bubble formula (1/v)(p-1) extra microbatch slots, and
     the same communication cost models as the simulator.
     """
-    node = node or dgx_a100()
-    parallel.validate_for_model(config)
-    p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
-    m = parallel.num_microbatches
-    b, s, h = parallel.b, config.seq_length, config.hidden_size
-    topo = cluster_for_gpus(parallel.world_size, node)
-    compute = ComputeModel(device=node.device)
-    comm = CommCostModel(topo)
-    groups = ProcessGroups(parallel)
+    # repro.sim imports repro.perf.layer_costs; import it lazily to
+    # avoid a package-initialization cycle.
+    from repro.sim import SimOptions, price_iteration
 
-    layers_per_stage = config.num_layers // (p * v)
-    boundary_bytes = b * s * h * activation_dtype_size
-    tp_ranks = groups.tensor_group(pp=0, dp=0)
-    tp_ar = (
-        comm.all_reduce_time(tp_ranks, boundary_bytes, channels=tp_channels)
-        if t > 1
-        else 0.0
+    pricing = price_iteration(
+        config, parallel,
+        SimOptions(
+            fused_kernels=fused, recompute_activations=recompute,
+            scatter_gather=scatter_gather, tp_channels=tp_channels,
+            grad_dtype_size=grad_dtype_size,
+            activation_dtype_size=activation_dtype_size,
+        ),
+        node or dgx_a100(),
     )
-    # Mean per-chunk compute: interior stages + amortized first/last extras.
-    total_stages = p * v
-    interior = stage_compute_cost(
-        compute, config, layers_per_stage, b, t, fused=fused, recompute=recompute
-    )
-    first = stage_compute_cost(
-        compute, config, layers_per_stage, b, t,
-        is_first=True, fused=fused, recompute=recompute,
-    )
-    last = stage_compute_cost(
-        compute, config, layers_per_stage, b, t,
-        is_last=True, fused=fused, recompute=recompute,
-    )
-    extras = (first.total - interior.total) + (last.total - interior.total)
-    ars_per_chunk = (2 + 2 + (2 if recompute else 0)) * layers_per_stage * tp_ar
-    chunk_time = interior.total + ars_per_chunk + extras / total_stages
+    p, v, m = parallel.p, parallel.v, parallel.num_microbatches
+
+    # Mean per-chunk time: the first/last stages' embedding and logit
+    # extras amortized over all chunks, plus a chunk's TP all-reduces.
+    costs = pricing.stage_costs
+    chunk_time = sum(c.total for c in costs) / len(costs) + sum(pricing.tp_time)
 
     # Pipeline p2p charged per chunk boundary (send + recv, as the
     # simulator does); v chunks => v boundaries per direction per mb.
-    pipe_ranks = groups.pipeline_group(dp=0, tp=0)
-    if p > 1:
-        hop = comm.pipeline_p2p_time(
-            pipe_ranks[0], pipe_ranks[1], boundary_bytes, t,
-            scatter_gather=scatter_gather,
-        )
-        p2p_per_mb = 2 * 2 * v * hop  # fwd+bwd, send+recv
-    else:
-        p2p_per_mb = 0.0
+    # Stage 0 receives nothing, so its forward p2p time is one hop.
+    hop = pricing.comm_time[0][0]
+    p2p_per_mb = 2 * 2 * v * hop  # fwd+bwd, send+recv
 
     per_mb = v * chunk_time + p2p_per_mb  # all chunks of one microbatch
     slots = m + (p - 1) / v
     pipeline_time = slots * per_mb
     bubble_time = ((p - 1) / v) * per_mb
 
-    params_rank = parameters_per_rank(config, parallel)
-    dp_time = 0.0
-    if d > 1:
-        dp_time = comm.all_reduce_time(
-            groups.data_group(pp=0, tp=0), params_rank * grad_dtype_size
-        )
-    if p > 1:
-        emb_bytes = config.vocab_size // t * h * grad_dtype_size
-        dp_time += comm.all_reduce_time([pipe_ranks[0], pipe_ranks[-1]], emb_bytes)
-    opt_time = compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
+    dp_time = pricing.dp_time + pricing.embed_time
+    opt_time = pricing.opt_time
 
     flops = config.flops_per_iteration(
         parallel.global_batch_size, with_recompute=recompute

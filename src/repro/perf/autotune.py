@@ -1,26 +1,36 @@
-"""Exhaustive parallel-configuration search over the simulator.
+"""Exact parallel-configuration search: bound first, simulate the finalists.
 
 The paper explicitly does *not* auto-explore the parallelism search
 space ("we suggest heuristics that we found work well in practice",
 §1), deferring to FlexFlow/PipeDream/DAPPLE-style planners.  This module
 implements that deferred planner as an extension: enumerate every valid
 (t, p, d, b, schedule, v) for a model and GPU budget, filter by the
-memory model, time each candidate with the discrete-event simulator, and
-rank by throughput.
+memory model, and rank by simulated throughput.
+
+The search is exact: every candidate is bounded, the contenders are
+simulated.  The bound is the closed form the paper itself reasons with
+(bubble ``(p - 1) / m``, per-microbatch ``t_f + t_b``, §3.2-3.3)
+written for non-uniform stages; it is a lower bound on the
+discrete-event simulator's iteration time, so a candidate whose bound
+is already worse than the ``top_k``-th best simulated time is never
+simulated, and the ranking is the one simulating everything returns
+(DESIGN.md, "Bound first, simulate the finalists").
 
 It doubles as validation of the paper's Takeaways: the ablation bench
 (`benchmarks/bench_autotune.py`) checks that the Takeaway-based
-heuristic configuration lands within a few percent of the exhaustive
+heuristic configuration lands within a few percent of the searched
 optimum.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.config import GPTConfig, ParallelConfig
 from repro.hardware import NodeSpec, dgx_a100
+from repro.obs.tracer import current_tracer
 
 from .memory import fits_in_memory
 
@@ -118,6 +128,79 @@ def enumerate_configs(
                     )
 
 
+#: Relative slack of the pruning test.  The bound adds the critical path
+#: up in another association than the simulator's sequential adds, so it
+#: can land above the time it bounds: by up to 4.9e-15 on the ten Table-1
+#: rows and 4.8e-14 over the 620 candidates of rows 0-6.  An exact ``>``
+#: would prune one side of a tie the exhaustive ranking keeps.
+BOUND_MARGIN = 1e-9
+
+
+def search_configs(
+    model: GPTConfig,
+    num_gpus: int,
+    global_batch_size: int,
+    *,
+    node: NodeSpec | None = None,
+    top_k: int = 5,
+    **enumerate_kwargs,
+) -> tuple[list[ScoredConfig], int]:
+    """Bound every feasible configuration, simulate the contenders.
+
+    Candidates are visited in increasing order of their critical-path
+    lower bound (:meth:`repro.sim.IterationPricing.critical_path_bound`)
+    and the search stops at the first whose bound cannot beat the
+    ``top_k``-th best simulated time; no later one can either.
+
+    Returns the simulated candidates, best first -- the leading
+    ``top_k`` are exactly those of simulating every candidate -- and the
+    number of candidates bounded.  With a tracer active the two counts
+    are added to ``perf.autotune.simulated`` / ``.candidates``.
+
+    Raises ``ValueError`` if ``top_k < 1`` or nothing fits device memory.
+    """
+    from repro.sim import price_iteration, simulate_iteration
+
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    node = node or dgx_a100()
+    candidates = list(enumerate_configs(
+        model, num_gpus, global_batch_size, node=node, **enumerate_kwargs
+    ))
+    if not candidates:
+        raise ValueError(
+            f"no feasible configuration of {num_gpus} GPUs for "
+            f"{model.name or 'the model'}"
+        )
+    bounds = [
+        price_iteration(model, parallel, options, node)
+        .critical_path_bound(parallel.num_microbatches)
+        for parallel, options in candidates
+    ]
+    # One search's candidates share model FLOPs and GPU count, so the
+    # Tflop/s/GPU ranking below is the iteration-time ranking pruned on.
+    scored: dict[int, ScoredConfig] = {}
+    times: list[float] = []  # simulated so far, ascending
+    for i in sorted(range(len(candidates)), key=bounds.__getitem__):
+        if len(times) >= top_k and bounds[i] > times[top_k - 1] * (
+            1 + BOUND_MARGIN
+        ):
+            break
+        parallel, options = candidates[i]
+        result = simulate_iteration(model, parallel, options=options, node=node)
+        scored[i] = ScoredConfig(parallel, options, result)
+        insort(times, result.iteration_time)
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.metrics.counter("perf.autotune.candidates").inc(len(candidates))
+        tracer.metrics.counter("perf.autotune.simulated").inc(len(scored))
+    # Back in enumeration order before the stable sort: ties break as
+    # they do when every candidate is simulated.
+    contenders = [scored[i] for i in sorted(scored)]
+    contenders.sort(key=lambda s: s.tflops_per_gpu, reverse=True)
+    return contenders, len(candidates)
+
+
 def autotune(
     model: GPTConfig,
     num_gpus: int,
@@ -129,26 +212,16 @@ def autotune(
 ) -> list[ScoredConfig]:
     """Search every feasible configuration; return the best ``top_k``.
 
+    Exact: every candidate is bounded, the contenders are simulated
+    (:func:`search_configs`).
+
     Raises ``ValueError`` if ``top_k < 1`` or nothing fits device memory.
     """
-    from repro.sim import simulate_iteration
-
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    node = node or dgx_a100()
-    scored: list[ScoredConfig] = []
-    for parallel, options in enumerate_configs(
-        model, num_gpus, global_batch_size, node=node, **enumerate_kwargs
-    ):
-        result = simulate_iteration(model, parallel, options=options, node=node)
-        scored.append(ScoredConfig(parallel, options, result))
-    if not scored:
-        raise ValueError(
-            f"no feasible configuration of {num_gpus} GPUs for "
-            f"{model.name or 'the model'}"
-        )
-    scored.sort(key=lambda s: s.tflops_per_gpu, reverse=True)
-    return scored[:top_k]
+    contenders, _ = search_configs(
+        model, num_gpus, global_batch_size, node=node, top_k=top_k,
+        **enumerate_kwargs,
+    )
+    return contenders[:top_k]
 
 
 def heuristic_gap(
@@ -159,11 +232,11 @@ def heuristic_gap(
     node: NodeSpec | None = None,
     **enumerate_kwargs,
 ) -> tuple[float, ScoredConfig, "SimulationResult"]:
-    """How far the Takeaway heuristic is from the exhaustive optimum.
+    """How far the Takeaway heuristic is from the searched optimum.
 
     Returns (relative gap in [0, ...), best scored config, heuristic's
     simulation result).  Gap 0.05 means the heuristic achieves 95% of
-    the exhaustive best throughput.
+    the best throughput any candidate reaches.
     """
     from repro.sim import SimOptions, simulate_iteration
 

@@ -148,9 +148,10 @@ def interleaved_gpipe_schedule(
     )
 
 
-# One autotune sweep meets 36-60 distinct (kind, p, m, v) among its 63-152
-# candidates, out of order: the memo holds a whole sweep's worth, twice
-# over (DESIGN.md, "Schedules are computed once").
+# One autotune sweep simulates only its contenders (3-5 distinct
+# (kind, p, m, v) at top_k=5); asked to rank every candidate it meets
+# 36-60 among its 63-152, out of order: the memo holds a whole sweep's
+# worth, twice over (DESIGN.md, "Schedules are computed once").
 @lru_cache(maxsize=128)
 def make_schedule(
     name: str, num_stages: int, num_microbatches: int, num_chunks: int = 1

@@ -1,9 +1,11 @@
 """Discrete-event performance simulation of PTD-P and ZeRO-3 training."""
 
 from .trainer_sim import (
+    IterationPricing,
     SimOptions,
     SimTimedOp,
     SimulationResult,
+    price_iteration,
     render_simulated_timeline,
     simulate_iteration,
 )
@@ -13,6 +15,8 @@ __all__ = [
     "SimOptions",
     "SimTimedOp",
     "SimulationResult",
+    "IterationPricing",
+    "price_iteration",
     "simulate_iteration",
     "render_simulated_timeline",
     "ZeroSimResult",

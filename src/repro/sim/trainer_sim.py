@@ -19,6 +19,12 @@ List scheduling is exact for this system: per-device op order is fixed
 by the schedule, so each op starts at max(device free, dependencies
 done + transfer time).
 
+Everything above is priced before any schedule is walked
+(:func:`price_iteration`); the same tables give a closed-form lower
+bound on the iteration time
+(:meth:`IterationPricing.critical_path_bound`) that ``repro.perf``
+searches and estimates with.
+
 The simulated timeline yields iteration time, from which the paper's
 metrics follow: achieved Tflop/s per GPU (eq. (3) FLOPs / n / time),
 sequences per second, and the compute/bubble/communication breakdown.
@@ -39,7 +45,7 @@ from repro.hardware import (
 )
 from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import GLOBAL_RANK, current_tracer
-from repro.perf.layer_costs import stage_compute_cost
+from repro.perf.layer_costs import StageCost, stage_compute_cost
 from repro.perf.memory import MODEL_STATE_BYTES_PER_PARAM, parameters_per_rank
 from repro.schedule import OpKind, TimedOp, completion_order, make_schedule
 
@@ -150,28 +156,62 @@ class SimulationResult:
         return max(0.0, 1.0 - busy / self.pipeline_time)
 
 
-def simulate_iteration(
+@dataclass(frozen=True)
+class IterationPricing:
+    """What every piece of one iteration costs, before a schedule is
+    walked.  The tables are indexed ``[kind][stage]``, kind 0 forward /
+    1 backward as in the schedule's completion order, stage global
+    (chunk ``c`` of pipeline rank ``r`` is stage ``c * p + r``)."""
+
+    stage_costs: list[StageCost]  # compute only, per microbatch
+    tp_time: tuple[float, float]  # serialized TP all-reduces of one op
+    comm_time: tuple[list[float], list[float]]  # p2p of both stage edges
+    dur: tuple[list[float], list[float]]  # what one op occupies its device for
+    pipe_ranks: list[int]  # the dp=0, tp=0 representative pipeline
+    params_rank: int
+    dp_time: float  # gradient all-reduce over the data-parallel group
+    embed_time: float  # tied-embedding all-reduce, first <-> last stage
+    opt_time: float
+
+    def critical_path_bound(self, num_microbatches: int) -> float:
+        """Admissible lower bound on ``iteration_time`` under any of the
+        generator-made schedules, in O(p * v).
+
+        Pipeline rank ``r`` opens with the forward of stage ``r`` and
+        closes with the backward of stage ``r``: its first op waits for
+        the forwards of stages ``0..r-1``, it then runs every one of its
+        own ops, and the backwards of stages ``r-1..0`` can only follow
+        its last.  Dependencies and device occupancy can only delay an
+        op, so no rank's chain finishes sooner -- the paper's
+        ``(m + p - 1)(t_f + t_b)`` without assuming uniform stages.
+        """
+        fwd, bwd = self.dur
+        p = len(self.pipe_ranks)
+        pipeline = ramp = 0.0
+        for r in range(p):
+            own = sum(fwd[r::p]) + sum(bwd[r::p])
+            pipeline = max(pipeline, ramp + num_microbatches * own)
+            ramp += fwd[r] + bwd[r]
+        return pipeline + self.dp_time + self.embed_time + self.opt_time
+
+
+def price_iteration(
     config: GPTConfig,
     parallel: ParallelConfig,
-    *,
-    options: SimOptions | None = None,
-    node: NodeSpec | None = None,
+    options: SimOptions,
+    node: NodeSpec,
     topology: ClusterTopology | None = None,
-) -> SimulationResult:
-    """Simulate one training iteration of ``config`` under ``parallel``."""
-    options = options or SimOptions()
-    node = node or dgx_a100()
+) -> IterationPricing:
+    """Price one iteration of ``config`` under ``parallel``: per-stage
+    op durations and the three terms that follow the pipeline flush."""
     parallel.validate_for_model(config)
-    n = parallel.world_size
-    topo = topology or cluster_for_gpus(max(n, 1), node)
+    topo = topology or cluster_for_gpus(max(parallel.world_size, 1), node)
     compute = ComputeModel(device=node.device)
     comm = CommCostModel(topo, bandwidth_derate=options.bandwidth_derate)
     groups = ProcessGroups(parallel)
 
     p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
-    m = parallel.num_microbatches
     b, s, h = parallel.b, config.seq_length, config.hidden_size
-    schedule = make_schedule(options.schedule_name, p, m, v)
 
     # -- per-stage compute + TP-collective durations -----------------------
     layers_per_stage = config.num_layers // (p * v)
@@ -187,9 +227,8 @@ def simulate_iteration(
         else 0.0
     )
 
-    # Cost tables are indexed [kind][stage], kind 0 forward / 1 backward
-    # as in the schedule's completion order.  Interior stages all cost
-    # the same; only the first and last carry embedding / logit extras.
+    # Interior stages all cost the same; only the first and last carry
+    # embedding / logit extras.
     total_stages = p * v
     stages = range(total_stages)
     last = total_stages - 1
@@ -212,9 +251,6 @@ def simulate_iteration(
     # -- pipeline ranks (dp=0, tp=0 representative pipeline) ---------------
     pipe_ranks = groups.pipeline_group(dp=0, tp=0)
 
-    def stage_rank(stage: int) -> int:
-        return pipe_ranks[stage % p]
-
     def edge_time(src_stage: int, dst_stage: int) -> float:
         """Transfer time of one stage-boundary tensor: nothing past
         either end of the pipeline, between chunks of one device, or
@@ -223,7 +259,7 @@ def simulate_iteration(
             0 <= src_stage <= last and 0 <= dst_stage <= last
         ):
             return 0.0
-        src, dst = stage_rank(src_stage), stage_rank(dst_stage)
+        src, dst = pipe_ranks[src_stage % p], pipe_ranks[dst_stage % p]
         if src == dst:
             return 0.0
         return comm.pipeline_p2p_time(
@@ -234,16 +270,78 @@ def simulate_iteration(
     # as in Megatron's interleaved schedule): the consuming op's
     # duration grows by its receive and the producing op's by its send.
     # The §4.1 scatter/gather optimization shrinks exactly these terms
-    # on inter-node hops.
+    # on inter-node hops.  Each boundary is priced once per direction:
+    # ``into[g]`` is the activation arriving at stage ``g``, ``back[g]``
+    # the gradient leaving it for stage ``g - 1``.
+    into = [edge_time(g - 1, g) for g in range(total_stages + 1)]
+    back = [edge_time(g, g - 1) for g in range(total_stages + 1)]
     comm_time = (
-        [edge_time(g - 1, g) + edge_time(g, g + 1) for g in stages],
-        [edge_time(g + 1, g) + edge_time(g, g - 1) for g in stages],
+        [into[g] + into[g + 1] for g in stages],
+        [back[g + 1] + back[g] for g in stages],
     )
     slow = options.compute_slowdown
     dur = (
         [c.forward * slow + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
         [c.backward * slow + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
     )
+
+    # -- data-parallel gradient all-reduce + embedding sync -----------------
+    params_rank = parameters_per_rank(config, parallel)
+    dp_time = 0.0
+    if d > 1:
+        dp_ranks = groups.data_group(pp=0, tp=0)
+        dp_time = comm.all_reduce_time(
+            dp_ranks, params_rank * options.grad_dtype_size
+        )
+    embed_time = 0.0
+    if p > 1:
+        emb_bytes = (
+            config.vocab_size // t * h * options.grad_dtype_size
+        )
+        embed_time = comm.all_reduce_time(
+            [pipe_ranks[0], pipe_ranks[-1]], emb_bytes
+        )
+
+    # -- optimizer step: memory-bound pass over the model state -------------
+    opt_time = (
+        compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
+        * options.compute_slowdown
+    )
+    return IterationPricing(
+        stage_costs=costs, tp_time=tp_time, comm_time=comm_time, dur=dur,
+        pipe_ranks=pipe_ranks, params_rank=params_rank,
+        dp_time=dp_time, embed_time=embed_time, opt_time=opt_time,
+    )
+
+
+def simulate_iteration(
+    config: GPTConfig,
+    parallel: ParallelConfig,
+    *,
+    options: SimOptions | None = None,
+    node: NodeSpec | None = None,
+    topology: ClusterTopology | None = None,
+) -> SimulationResult:
+    """Simulate one training iteration of ``config`` under ``parallel``."""
+    options = options or SimOptions()
+    node = node or dgx_a100()
+    pricing = price_iteration(config, parallel, options, node, topology)
+    tp_time, comm_time, dur = pricing.tp_time, pricing.comm_time, pricing.dur
+    pipe_ranks, params_rank = pricing.pipe_ranks, pricing.params_rank
+    dp_time, embed_time, opt_time = (
+        pricing.dp_time, pricing.embed_time, pricing.opt_time
+    )
+
+    n = parallel.world_size
+    p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
+    m = parallel.num_microbatches
+    b, s, h = parallel.b, config.seq_length, config.hidden_size
+    layers_per_stage = config.num_layers // (p * v)
+    stages = range(p * v)
+    schedule = make_schedule(options.schedule_name, p, m, v)
+
+    def stage_rank(stage: int) -> int:
+        return pipe_ranks[stage % p]
 
     # -- list-schedule the ops ---------------------------------------------
     # The schedule's completion order is the order this loop has always
@@ -275,29 +373,6 @@ def simulate_iteration(
                 stage=stage, comm_time=comm_time[kind][stage],
             ))
     pipeline_time = max(device_free)
-
-    # -- data-parallel gradient all-reduce + embedding sync -----------------
-    params_rank = parameters_per_rank(config, parallel)
-    dp_time = 0.0
-    if d > 1:
-        dp_ranks = groups.data_group(pp=0, tp=0)
-        dp_time = comm.all_reduce_time(
-            dp_ranks, params_rank * options.grad_dtype_size
-        )
-    embed_time = 0.0
-    if p > 1:
-        emb_bytes = (
-            config.vocab_size // t * h * options.grad_dtype_size
-        )
-        embed_time = comm.all_reduce_time(
-            [pipe_ranks[0], pipe_ranks[-1]], emb_bytes
-        )
-
-    # -- optimizer step: memory-bound pass over the model state -------------
-    opt_time = (
-        compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
-        * options.compute_slowdown
-    )
 
     tp_comm_total = sum(
         m * (tp_time[0] + tp_time[1]) for _ in stages

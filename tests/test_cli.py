@@ -60,6 +60,8 @@ class TestAutotune:
         assert rc == 0
         out = capsys.readouterr().out
         assert "1." in out and "2." in out
+        assert re.fullmatch(r"simulated \d+ of \d+ candidates",
+                            out.splitlines()[-1])
 
     def test_invalid_config_reports_error(self, capsys):
         rc = main(["autotune", *MODEL, "--gpus", "0", "--batch", "8"])
