@@ -3,12 +3,14 @@
 The paper chooses configurations by heuristic rather than search (§1).
 This bench runs the exact simulator-backed autotuner and reports how
 close the heuristic configuration comes to the true optimum; a second
-guard counts how few candidates that search has to simulate.
+guard counts how few candidates that search has to simulate, a third
+how few times it evaluates what its candidates share.
 """
 
 import repro.sim
 from repro.config import TABLE1_ROWS, fig14_model
-from repro.perf import autotune, enumerate_configs, heuristic_gap
+from repro.hardware import ClusterTopology
+from repro.perf import autotune, enumerate_configs, heuristic_gap, layer_costs
 
 
 def test_heuristic_vs_exhaustive(show):
@@ -45,3 +47,35 @@ def test_search_simulates_the_contenders_only(monkeypatch):
     assert best[0].describe() == (
         "(p=4, t=4, d=32), n=512, B=1536, b=4, m=12, v=2 sched=interleaved"
         " -> 171.3 Tflop/s/GPU")
+
+
+def test_search_prices_each_factor_once(monkeypatch):
+    """The same search evaluates the roofline of a transformer layer
+    once per distinct (b, t) of its candidates -- 28, where pricing each
+    candidate on its own took 431 -- and classifies a stage boundary
+    once per pipeline-rank pair, a group once per group: under 8 000
+    ``node_of`` calls where it took 24 030.  Counts, no clock."""
+    row = TABLE1_ROWS[4]
+    search = (row.model, row.num_gpus, row.parallel.global_batch_size)
+    distinct = {(parallel.b, parallel.t)
+                for parallel, _ in enumerate_configs(*search)}
+    assert len(distinct) == 28
+    calls = {"layer": 0, "node_of": 0}
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counting
+
+    # transformer_layer_cost's body lists its GEMMs exactly once.
+    monkeypatch.setattr(
+        layer_costs, "transformer_layer_gemms",
+        counted("layer", layer_costs.transformer_layer_gemms))
+    monkeypatch.setattr(
+        ClusterTopology, "node_of",
+        counted("node_of", ClusterTopology.node_of))
+    layer_costs.transformer_layer_cost.cache_clear()
+    autotune(*search, top_k=5)
+    assert 0 < calls["layer"] <= 28
+    assert 0 < calls["node_of"] <= 8000

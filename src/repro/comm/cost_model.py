@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hardware import ClusterTopology
+from repro.hardware.topology import Link
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,17 @@ class CommCostModel:
         return nominal * self.bandwidth_derate
 
     # -- point-to-point ---------------------------------------------------
+    def _wire_time(self, link: Link, nbytes: float) -> float:
+        """One send over a classified link: latency + bytes / bandwidth."""
+        return link.latency + nbytes / self._bw(link.bandwidth)
+
     def p2p_time(self, src: int, dst: int, nbytes: float) -> float:
         """One send: latency + bytes / link bandwidth."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if src == dst:
             return 0.0
-        bw = self._bw(self.topology.link_bandwidth(src, dst))
-        return self.topology.link_latency(src, dst) + nbytes / bw
+        return self._wire_time(self.topology.link(src, dst), nbytes)
 
     def pipeline_p2p_time(
         self,
@@ -80,10 +84,13 @@ class CommCostModel:
             raise ValueError("tensor_parallel_size must be >= 1")
         if not scatter_gather or tensor_parallel_size == 1:
             return self.p2p_time(src, dst, nbytes)
-        if self.topology.same_node(src, dst):
+        link = self.topology.link(src, dst)
+        if link.hops == 0:  # NVLink is not the bottleneck
             return self.p2p_time(src, dst, nbytes)
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
         t = tensor_parallel_size
-        ib_time = self.p2p_time(src, dst, nbytes / t)
+        ib_time = self._wire_time(link, nbytes / t)
         # NVLink all-gather of the other (t-1)/t of the tensor.
         nvlink_bw = self._bw(self.topology.node.nvlink_bandwidth)
         gather_time = (
@@ -100,9 +107,14 @@ class CommCostModel:
         (every node hosts the same number of members); we take the
         minimum for safety with irregular groups.
         """
+        topo = self.topology
+        if min(ranks) < 0 or max(ranks) >= topo.num_gpus:
+            for r in ranks:  # raises, naming the first rank out of range
+                topo.node_of(r)
+        per_node = topo.gpus_per_node
         counts: dict[int, int] = {}
         for r in ranks:
-            node = self.topology.node_of(r)
+            node = r // per_node
             counts[node] = counts.get(node, 0) + 1
         return min(counts.values()), len(counts)
 
@@ -121,7 +133,6 @@ class CommCostModel:
         collectives (tensor parallelism across nodes) run on few NCCL
         channels -- callers pass ``channels`` accordingly.
         """
-        k = len(ranks)
         node = self.topology.node
         g, num_nodes = self._group_geometry(ranks)
         intra = inter = 0.0
@@ -138,13 +149,6 @@ class CommCostModel:
             inter = (
                 (num_nodes - 1) * node.ib_latency
                 + (num_nodes - 1) / num_nodes * nbytes / bw
-            )
-        if g == 1 and num_nodes == 1 and k > 1:
-            # Degenerate: multiple ranks mapped to one GPU's node slot
-            # cannot happen with distinct ranks; keep NVLink ring.
-            intra = (
-                (k - 1) * node.nvlink_latency
-                + (k - 1) / k * nbytes / self._bw(node.nvlink_bandwidth)
             )
         return intra, inter
 

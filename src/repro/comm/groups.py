@@ -52,17 +52,23 @@ class ProcessGroups:
         return RankCoord(pp=pp, dp=dp, tp=tp)
 
     # -- groups ------------------------------------------------------------
+    # A group is an arithmetic progression of global ranks (the inverse
+    # of ``coord_of``): its two fixed coordinates are range-checked once
+    # and the members follow from ``rank_of``'s formula.
     def tensor_group(self, pp: int, dp: int) -> list[int]:
         """The t ranks that jointly hold one layer's tensor shards."""
-        return [self.rank_of(pp, dp, tp) for tp in range(self.t)]
+        first = self.rank_of(pp, dp, 0)
+        return list(range(first, first + self.t))
 
     def data_group(self, pp: int, tp: int) -> list[int]:
         """The d ranks holding replicas of the same model shard."""
-        return [self.rank_of(pp, dp, tp) for dp in range(self.d)]
+        first = self.rank_of(pp, 0, tp)
+        return list(range(first, first + self.t * self.d, self.t))
 
     def pipeline_group(self, dp: int, tp: int) -> list[int]:
         """The p ranks forming one pipeline, first stage to last."""
-        return [self.rank_of(pp, dp, tp) for pp in range(self.p)]
+        first = self.rank_of(0, dp, tp)
+        return list(range(first, self.world_size, self.t * self.d))
 
     def all_tensor_groups(self) -> list[list[int]]:
         return [

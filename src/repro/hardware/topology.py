@@ -17,8 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .node import NodeSpec, dgx_a100
+
+
+class Link(NamedTuple):
+    """The link between two GPUs, classified: NVLink inside a node
+    (``hops == 0``) or InfiniBand across 2, 4 or 6 switch hops."""
+
+    hops: int
+    latency: float  # seconds per message
+    bandwidth: float  # bytes/s, nominal
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,8 @@ class ClusterTopology:
             raise ValueError(f"rank {rank} out of range [0, {self.num_gpus})")
 
     # -- link classification ----------------------------------------------
-    def hop_count(self, rank_a: int, rank_b: int) -> int:
-        """Switch hops between two GPUs (0 = same node via NVSwitch)."""
-        if rank_a == rank_b:
-            return 0
-        na, nb = self.node_of(rank_a), self.node_of(rank_b)
+    def _node_hops(self, na: int, nb: int) -> int:
+        """Switch hops between two nodes (0 = the same node)."""
         if na == nb:
             return 0
         if self.leaf_of(na) == self.leaf_of(nb):
@@ -83,27 +90,41 @@ class ClusterTopology:
             return 4  # leaf -> spine -> leaf
         return 6  # leaf -> spine -> core -> spine -> leaf
 
-    def link_bandwidth(self, rank_a: int, rank_b: int) -> float:
-        """Point-to-point bandwidth between two GPUs, bytes/s.
+    def hop_count(self, rank_a: int, rank_b: int) -> int:
+        """Switch hops between two GPUs (0 = same node via NVSwitch).
+
+        This is a link's *class*: latency and bandwidth depend on the
+        two ranks through it alone (:meth:`link`)."""
+        if rank_a == rank_b:
+            return 0
+        return self._node_hops(self.node_of(rank_a), self.node_of(rank_b))
+
+    def link(self, rank_a: int, rank_b: int) -> Link:
+        """The link between two GPUs, classified once.
 
         Same node: NVLink.  Different nodes: this GPU's share of the
         node's NIC capacity -- one full HCA on a DGX (one 25 GB/s card
         per GPU), or a fraction when fewer NICs than GPUs share the node
-        (cloud-style instances).  The fat-tree is full-bisection, so
-        per-flow inter-node bandwidth is NIC-limited, not tree-limited.
+        (cloud-style instances) -- and one InfiniBand latency per switch
+        level crossed.  The fat-tree is full-bisection, so per-flow
+        inter-node bandwidth is NIC-limited, not tree-limited.
         """
-        if self.same_node(rank_a, rank_b):
-            return self.node.nvlink_bandwidth
-        return min(
-            self.node.ib_bandwidth_per_hca,
-            self.node.inter_node_bandwidth_per_gpu(),
+        hops = self._node_hops(self.node_of(rank_a), self.node_of(rank_b))
+        node = self.node
+        if hops == 0:
+            return Link(0, node.nvlink_latency, node.nvlink_bandwidth)
+        return Link(
+            hops,
+            node.ib_latency * max(1, hops // 2),
+            min(node.ib_bandwidth_per_hca, node.inter_node_bandwidth_per_gpu()),
         )
 
+    def link_bandwidth(self, rank_a: int, rank_b: int) -> float:
+        """Point-to-point bandwidth between two GPUs, bytes/s."""
+        return self.link(rank_a, rank_b).bandwidth
+
     def link_latency(self, rank_a: int, rank_b: int) -> float:
-        if self.same_node(rank_a, rank_b):
-            return self.node.nvlink_latency
-        hops = self.hop_count(rank_a, rank_b)
-        return self.node.ib_latency * max(1, hops // 2)
+        return self.link(rank_a, rank_b).latency
 
     # -- graph / bisection --------------------------------------------------
     def build_graph(self) -> nx.Graph:
@@ -170,9 +191,13 @@ def selene(num_nodes: int = 384) -> ClusterTopology:
     return ClusterTopology(num_nodes=num_nodes)
 
 
+@lru_cache(maxsize=256)
 def cluster_for_gpus(num_gpus: int, node: NodeSpec | None = None) -> ClusterTopology:
     """Smallest cluster holding ``num_gpus`` GPUs (last node may be partial
-    in rank arithmetic, so we require divisibility for clarity)."""
+    in rank arithmetic, so we require divisibility for clarity).
+
+    Memoised on its frozen arguments; the topology it returns is frozen
+    too, and equal calls share it."""
     node = node or dgx_a100()
     if num_gpus < node.gpus_per_node:
         # Sub-node jobs still live on one node.

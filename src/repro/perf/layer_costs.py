@@ -22,6 +22,7 @@ backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.config import GPTConfig
 from repro.hardware import ComputeModel, GemmShape
@@ -102,6 +103,13 @@ def transformer_layer_elementwise(
     return ops
 
 
+# The three leaf costs below are pure functions of frozen, hashable
+# arguments and return frozen values, so each is memoised in place: a
+# configuration search prices hundreds of candidates that share a few
+# dozen (b, t) between them (DESIGN.md, "Price by factor").  The memos
+# are bounded, and a ``ComputeModel`` or ``DeviceSpec`` field is in the
+# key by construction.
+@lru_cache(maxsize=256)
 def transformer_layer_cost(
     model: ComputeModel,
     b: int,
@@ -123,6 +131,7 @@ def transformer_layer_cost(
                      gemm_flops=gemm_flops)
 
 
+@lru_cache(maxsize=256)
 def logit_layer_cost(
     model: ComputeModel, b: int, s: int, h: int, vocab: int, t: int = 1
 ) -> LayerCost:
@@ -141,6 +150,7 @@ def logit_layer_cost(
                      gemm_flops=g.flops)
 
 
+@lru_cache(maxsize=256)
 def embedding_cost(model: ComputeModel, b: int, s: int, h: int) -> LayerCost:
     """Embedding lookup + position add + dropout: pure memory traffic."""
     ew_time = model.elementwise_time(b * s * h, 4.0)

@@ -251,34 +251,35 @@ def price_iteration(
     # -- pipeline ranks (dp=0, tp=0 representative pipeline) ---------------
     pipe_ranks = groups.pipeline_group(dp=0, tp=0)
 
-    def edge_time(src_stage: int, dst_stage: int) -> float:
-        """Transfer time of one stage-boundary tensor: nothing past
-        either end of the pipeline, between chunks of one device, or
-        when p2p is modelled as overlapped with compute."""
-        if options.overlap_p2p or not (
-            0 <= src_stage <= last and 0 <= dst_stage <= last
-        ):
-            return 0.0
-        src, dst = pipe_ranks[src_stage % p], pipe_ranks[dst_stage % p]
-        if src == dst:
-            return 0.0
-        return comm.pipeline_p2p_time(
-            src, dst, boundary_bytes, t, scatter_gather=options.scatter_gather
-        )
-
     # Transfers occupy both endpoints (synchronous, non-overlapped p2p,
     # as in Megatron's interleaved schedule): the consuming op's
     # duration grows by its receive and the producing op's by its send.
     # The §4.1 scatter/gather optimization shrinks exactly these terms
-    # on inter-node hops.  Each boundary is priced once per direction:
-    # ``into[g]`` is the activation arriving at stage ``g``, ``back[g]``
-    # the gradient leaving it for stage ``g - 1``.
-    into = [edge_time(g - 1, g) for g in range(total_stages + 1)]
-    back = [edge_time(g, g - 1) for g in range(total_stages + 1)]
-    comm_time = (
-        [into[g] + into[g + 1] for g in stages],
-        [back[g + 1] + back[g] for g in stages],
-    )
+    # on inter-node hops.  ``hop[r]`` is one transfer between pipeline
+    # ranks ``r - 1`` and ``r`` (``hop[0]`` the wrap from the last rank
+    # back to the first, which only chunks cross): the activation going
+    # one way and its gradient coming back cost the same, and so does
+    # every chunk's crossing of the same pair.  A pair's price depends
+    # on its ranks through the link's class alone (NVLink, or 2 / 4 / 6
+    # switch hops), so each class is priced once.
+    hop = [0.0] * p
+    if p > 1 and not options.overlap_p2p:
+        class_time: dict[int, float] = {}
+        for r in range(0 if v > 1 else 1, p):
+            src, dst = pipe_ranks[r - 1], pipe_ranks[r]
+            link_class = topo.hop_count(src, dst)
+            if link_class not in class_time:
+                class_time[link_class] = comm.pipeline_p2p_time(
+                    src, dst, boundary_bytes, t,
+                    scatter_gather=options.scatter_gather,
+                )
+            hop[r] = class_time[link_class]
+    # ``edge[g]`` is the boundary below stage ``g`` (stage ``g`` lives on
+    # rank ``g % p``); nothing crosses either end of the pipeline.  An
+    # op pays for both edges of its stage, forward or backward.
+    edge = [0.0, *(hop * v)[1:], 0.0]
+    both_edges = [below + above for below, above in zip(edge, edge[1:])]
+    comm_time = (both_edges, list(both_edges))
     slow = options.compute_slowdown
     dur = (
         [c.forward * slow + tp_time[0] + x for c, x in zip(costs, comm_time[0])],

@@ -368,6 +368,39 @@ class TestCommCostModel:
         with pytest.raises(ValueError):
             self.cm.pipeline_p2p_time(0, 1, 10, tensor_parallel_size=0)
 
+    #: group size -> (all-reduce, all-gather, broadcast) seconds for a
+    #: 4 MiB buffer over ranks 8..8+k-1 of one node, as priced before
+    #: PR 23 deleted ``_phase_times``'s unreachable "g == 1 on one node
+    #: with k > 1" branch (one node means g == k).
+    ONE_NODE_4MIB = {
+        1: (0.0, 0.0, 0.0),
+        2: (1.798101333333333e-05, 8.990506666666666e-06, 1.5981013333333334e-05),
+        3: (2.664135111111111e-05, 1.3320675555555555e-05, 1.798101333333333e-05),
+        4: (3.297152e-05, 1.648576e-05, 1.9981013333333333e-05),
+        5: (3.836962133333333e-05, 1.9184810666666667e-05, 2.198101333333333e-05),
+        6: (4.3301688888888883e-05, 2.1650844444444442e-05, 2.398101333333333e-05),
+        7: (4.796745142857143e-05, 2.3983725714285714e-05, 2.5981013333333333e-05),
+        8: (5.246677333333333e-05, 2.6233386666666667e-05, 2.7981013333333334e-05),
+    }
+
+    def collective_times(self, ranks, **kwargs):
+        nbytes = float(2 ** 22)
+        return (self.cm.all_reduce_time(ranks, nbytes, **kwargs),
+                self.cm.all_gather_time(ranks, nbytes, **kwargs),
+                self.cm.broadcast_time(ranks, nbytes))
+
+    @pytest.mark.parametrize("k", ONE_NODE_4MIB)
+    def test_one_node_group_times_are_pinned(self, k):
+        assert self.collective_times(list(range(8, 8 + k))) == (
+            self.ONE_NODE_4MIB[k])
+
+    def test_two_node_group_times_are_pinned(self):
+        ranks = [4, 5, 6, 7, 8, 9, 10, 11]  # four members on each of 2 nodes
+        assert self.collective_times(ranks) == (
+            8.491455999999999e-05, 4.2457279999999996e-05, 4.694304e-05)
+        assert self.collective_times(ranks, channels=1)[:2] == (
+            0.00021074368, 0.00010537184)
+
 
 class TestRingCollectiveProperties:
     """Hypothesis sweeps: random shapes, dtypes, and group sizes, checked
