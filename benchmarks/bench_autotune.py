@@ -4,13 +4,24 @@ The paper chooses configurations by heuristic rather than search (§1).
 This bench runs the exact simulator-backed autotuner and reports how
 close the heuristic configuration comes to the true optimum; a second
 guard counts how few candidates that search has to simulate, a third
-how few times it evaluates what its candidates share.
+how few times it evaluates what its candidates share, a fourth that a
+Table-1 sweep walks no schedule.
 """
+
+from dataclasses import replace
+
+import pytest
 
 import repro.sim
 from repro.config import TABLE1_ROWS, fig14_model
 from repro.hardware import ClusterTopology
 from repro.perf import autotune, enumerate_configs, heuristic_gap, layer_costs
+from repro.schedule import (
+    DeadlockError,
+    completion_order,
+    execution,
+    make_schedule,
+)
 
 
 def test_heuristic_vs_exhaustive(show):
@@ -79,3 +90,28 @@ def test_search_prices_each_factor_once(monkeypatch):
     autotune(*search, top_k=5)
     assert 0 < calls["layer"] <= 28
     assert 0 < calls["node_of"] <= 8000
+
+
+def test_table1_sweep_walks_no_schedule(monkeypatch):
+    """A cold Table-1 sweep simulates ten 1F1B configs over eight
+    distinct (p, m) and walks none of them: the generator attaches each
+    order in closed form (it walked 8).  A tampered copy of a generated
+    schedule carries no order and is walked once.  Counts, no clock."""
+    walked = []
+    walk = execution._walk
+    monkeypatch.setattr(
+        execution, "_walk",
+        lambda schedule: walked.append(schedule) or walk(schedule))
+    make_schedule.cache_clear()
+    for row in TABLE1_ROWS:
+        repro.sim.simulate_iteration(row.model, row.parallel)
+    assert make_schedule.cache_info().misses == 8
+    assert walked == []
+
+    good = make_schedule("1f1b", 4, 8)
+    rank3 = good.ops[3]
+    tampered = replace(good, ops=good.ops[:3] + ((rank3[1], rank3[0])
+                                                 + rank3[2:],))
+    with pytest.raises(DeadlockError):
+        completion_order(tampered)
+    assert walked == [tampered]

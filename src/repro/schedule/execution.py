@@ -6,10 +6,12 @@ consumer asks:
 
 - *In what order do the ops complete, and who waits on whom?*  A
   property of the schedule alone: :func:`completion_order` answers it
-  with one readiness walk per schedule object and caches the answer on
-  that object.  An infeasible per-device order (one that cannot be
-  interleaved into any legal global order) raises
-  :class:`DeadlockError` -- the one place a deadlock is diagnosed.
+  once per schedule object and caches the answer on that object -- in
+  closed form for a schedule the 1F1B generator just built, by one
+  readiness walk for any other.  An infeasible per-device order (one
+  that cannot be interleaved into any legal global order) raises
+  :class:`DeadlockError` -- the walk is the one place a deadlock is
+  diagnosed.
 - *What happens at each op?*  :func:`execute` calls a handler per entry
   (the numerical pipeline-parallel engine drives its real
   forward/backward passes with it), :func:`simulate_times` assigns
@@ -108,17 +110,26 @@ class CompletionOrder(NamedTuple):
 
 
 def completion_order(schedule: PipelineSchedule) -> CompletionOrder:
-    """The completion order of ``schedule``, walked once per object.
+    """The completion order of ``schedule``, compiled once per object.
 
-    The result is cached on the instance, outside its dataclass fields:
-    equality, hashing and ``dataclasses.replace`` ignore it, so a
-    schedule derived from this one (tampered ops under the same name and
-    sizes) is walked afresh.  Raises :class:`DeadlockError` if the
-    per-rank orders admit no legal interleaving.
+    The 1F1B generator attaches its schedule's order in closed form;
+    any other schedule is walked on first use.  Either way the result is
+    cached on the instance, outside its dataclass fields: equality,
+    hashing and ``dataclasses.replace`` ignore it, so a schedule derived
+    from this one (tampered ops under the same name and sizes) is walked
+    afresh.  Raises :class:`DeadlockError` if the per-rank orders admit
+    no legal interleaving.
     """
     order = schedule.__dict__.get("_completion_order")
     if order is None:
-        order = schedule.__dict__["_completion_order"] = _walk(schedule)
+        order = _attach(schedule, _walk(schedule))
+    return order
+
+
+def _attach(schedule: PipelineSchedule, order: CompletionOrder) -> CompletionOrder:
+    """Cache ``order`` on ``schedule``: the one way a compiled order,
+    walked or computed by a generator, enters a schedule."""
+    schedule.__dict__["_completion_order"] = order
     return order
 
 

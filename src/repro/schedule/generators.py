@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import execution
 from .ir import OpKind, PipelineSchedule, ScheduleOp
 
 
@@ -59,11 +60,14 @@ def _one_f_one_b(
 
 
 def one_f_one_b_schedule(num_stages: int, num_microbatches: int) -> PipelineSchedule:
-    """PipeDream-Flush / non-interleaved 1F1B schedule (Figure 4, top)."""
+    """PipeDream-Flush / non-interleaved 1F1B schedule (Figure 4, top).
+
+    The schedule comes with its completion order already compiled, in
+    closed form (:func:`_one_f_one_b_order`), so nothing walks it."""
     _check(num_stages, num_microbatches)
     p, m = num_stages, num_microbatches
     fwd, bwd = _ops(OpKind.FORWARD, m), _ops(OpKind.BACKWARD, m)
-    return PipelineSchedule(
+    schedule = PipelineSchedule(
         name="1f1b",
         num_stages=p,
         num_microbatches=m,
@@ -71,6 +75,61 @@ def one_f_one_b_schedule(num_stages: int, num_microbatches: int) -> PipelineSche
         ops=tuple(
             _one_f_one_b(fwd, bwd, min(p - rank - 1, m)) for rank in range(p)
         ),
+    )
+    execution._attach(schedule, _one_f_one_b_order(p, m))
+    return schedule
+
+
+def _steady_pass(j, p):
+    """``G(j) = j - floor((j - 1) / p)``: the pass of the walk in which
+    microbatch ``j``'s forward completes on every rank once it is past
+    that rank's first pass, and its backward on the last rank.  Rank 0
+    runs F(j) right after B(j - p), which took ``p - 1`` passes to climb
+    back from the last rank: ``G(j) = G(j - p) + p - 1``, ``G(0) = 1``,
+    ``G(j) = j`` for ``1 <= j <= p`` (DESIGN.md, "Schedules are computed
+    once")."""
+    return j - (j - 1) // p
+
+
+def _one_f_one_b_order(p: int, m: int) -> execution.CompletionOrder:
+    """The completion order :func:`execution._walk` finds for the 1F1B
+    schedule of ``p`` ranks and ``m`` microbatches, without walking it.
+
+    The walk completes ops in (pass, rank, index) order.  On rank ``r``
+    the forward of microbatch ``j`` completes in pass 1 if ``j < p - r``
+    (the warm-up wave), else in pass ``G(j)``; its backward in pass
+    ``G(j) + p - 1 - r`` (one pass per rank it climbs).  Sorting the ops
+    by that key numbers them; each op's two dependencies are then its
+    neighbours in a ``(kind, rank, microbatch)`` table of positions.
+    """
+    import numpy as np  # here: importing repro.schedule stays numpy-free
+
+    r = np.arange(p)[:, None]
+    j = np.arange(m)
+    warmup = np.minimum(p - 1 - r, m)
+    steady = _steady_pass(j, p)
+    # [kind][rank][microbatch], forwards first: index into ops[rank], pass.
+    index = np.stack((np.where(j < warmup, j, 2 * j - warmup),
+                      np.where(j < m - warmup, warmup + 2 * j + 1, j + m)))
+    passes = np.stack((np.where(j < p - r, 1, steady), steady + p - 1 - r))
+    order = np.argsort(((passes * p + r) * (2 * m) + index).ravel())
+    n = 2 * p * m
+    position = np.empty(n, np.int64)
+    position[order] = np.arange(1, n + 1)
+    fwd, bwd = position.reshape(2, p, m)
+    none = np.zeros((1, m), np.int64)
+    # F(j) on r waits for F(j) on r - 1; B(j) on r for F(j) on r and
+    # B(j) on r + 1.  0 is "no such dependency".
+    dep_a = np.concatenate((none, fwd[:-1], fwd)).ravel()
+    dep_b = np.concatenate((np.zeros((p, m), np.int64), bwd[1:], none)).ravel()
+    rank = tuple((order // m % p).tolist())
+    return execution.CompletionOrder(
+        rank=rank,
+        index=tuple(index.ravel()[order].tolist()),
+        stage=rank,  # one chunk: a rank's stage is the rank
+        kind=tuple((order // (p * m)).tolist()),
+        dep_a=tuple(dep_a[order].tolist()),
+        dep_b=tuple(dep_b[order].tolist()),
     )
 
 

@@ -21,6 +21,8 @@ schedule is safe on real ranks:
 - **memory bound** -- peak in-flight microbatches per rank must respect
   the schedule family's §2.2.1/§2.2.2 activation-memory argument
   (GPipe: m per chunk; 1F1B: p; interleaved 1F1B: warmup + 1).
+- **compiled order** -- a generated schedule's completion order (the
+  1F1B generator attaches it in closed form) must equal a fresh walk's.
 
 All checks return :class:`ScheduleViolation` records instead of raising
 so ``python -m repro verify`` can print a structured report;
@@ -33,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.schedule import OpKind, PipelineSchedule, ScheduleOp
+from repro.schedule import OpKind, PipelineSchedule, ScheduleOp, execution
 from repro.schedule.execution import DeadlockError, completion_order
 
 
@@ -41,7 +43,8 @@ from repro.schedule.execution import DeadlockError, completion_order
 class ScheduleViolation:
     """One rule violation found in a schedule."""
 
-    check: str  # "completeness" | "race" | "deadlock" | "p2p" | "memory"
+    # "completeness" | "race" | "deadlock" | "p2p" | "memory" | "order"
+    check: str
     rank: int  # offending pipeline rank (-1 for schedule-wide)
     message: str
 
@@ -124,13 +127,42 @@ def check_deadlock(schedule: PipelineSchedule) -> list[ScheduleViolation]:
     try:
         completion_order(schedule)
     except DeadlockError as exc:
-        return [
-            ScheduleViolation(
-                "deadlock", rank, f"{inst} blocked forever waiting on {dep}"
-            )
-            for rank, inst, dep in exc.blocked
-        ]
+        return _deadlock_violations(exc)
     return []
+
+
+def check_compiled_order(schedule: PipelineSchedule) -> list[ScheduleViolation]:
+    """The order the schedule carries must be the one the walk finds.
+
+    A generator may attach its schedule's completion order in closed
+    form, and every other check reads that order: only a fresh walk can
+    tell a wrong closed form from a right one."""
+    try:
+        walked = execution._walk(schedule)
+    except DeadlockError as exc:
+        return _deadlock_violations(exc)
+    compiled = completion_order(schedule)
+    if compiled == walked:
+        return []
+    for k, (got, want) in enumerate(zip(zip(*compiled), zip(*walked)), 1):
+        if got != want:
+            message = (f"compiled completion order has (rank, index, stage, "
+                       f"kind, dep_a, dep_b) = {got} at position {k}, the "
+                       f"walk {want}")
+            break
+    else:
+        message = (f"compiled completion order has {len(compiled.rank)} "
+                   f"ops, the walk {len(walked.rank)}")
+    return [ScheduleViolation("order", -1, message)]
+
+
+def _deadlock_violations(exc: DeadlockError) -> list[ScheduleViolation]:
+    return [
+        ScheduleViolation(
+            "deadlock", rank, f"{inst} blocked forever waiting on {dep}"
+        )
+        for rank, inst, dep in exc.blocked
+    ]
 
 
 def _p2p_messages(
@@ -295,7 +327,8 @@ def generator_grid(fast: bool = False) -> list[tuple[str, int, int, int]]:
 def check_all_generators(
     fast: bool = False,
 ) -> dict[tuple[str, int, int, int], list[ScheduleViolation]]:
-    """Validate every shipped generator across a (p, m, v) grid.
+    """Validate every shipped generator across a (p, m, v) grid, and
+    hold the completion order each schedule carries to a fresh walk.
 
     Returns violations per configuration (all empty when healthy).
     """
@@ -304,7 +337,8 @@ def check_all_generators(
     out: dict[tuple[str, int, int, int], list[ScheduleViolation]] = {}
     for name, p, m, v in generator_grid(fast):
         schedule = make_schedule(name, p, m, v)
-        out[(name, p, m, v)] = validate_schedule(schedule)
+        violations = validate_schedule(schedule)
+        out[(name, p, m, v)] = violations or check_compiled_order(schedule)
     return out
 
 

@@ -236,11 +236,14 @@ class TestWalkCount:
                       name="small-1B-ish")
 
     def test_sweep_walks_each_distinct_schedule_once(self, monkeypatch):
-        walked = []
-        walk = execution._walk
+        """Counts compiled orders -- walked, or attached in closed form by
+        the 1F1B generator -- at the one seam both pass through."""
+        compiled = []
+        attach = execution._attach
         monkeypatch.setattr(
-            execution, "_walk",
-            lambda schedule: walked.append(schedule) or walk(schedule))
+            execution, "_attach",
+            lambda schedule, order: compiled.append(schedule) or attach(
+                schedule, order))
         distinct = {
             (options.schedule_name, parallel.p, parallel.num_microbatches,
              parallel.v)
@@ -252,12 +255,12 @@ class TestWalkCount:
         make_schedule.cache_clear()
         cold = autotune(self.SMALL, 16, 32, top_k=candidates)
         info = make_schedule.cache_info()
-        assert info.misses == len(distinct) == len(walked)
+        assert info.misses == len(distinct) == len(compiled)
         assert info.hits == candidates - len(distinct)
-        assert len({id(schedule) for schedule in walked}) == len(distinct)
+        assert len({id(schedule) for schedule in compiled}) == len(distinct)
 
         warm = autotune(self.SMALL, 16, 32, top_k=candidates)
-        assert len(walked) == len(distinct)  # nothing walked twice
+        assert len(compiled) == len(distinct)  # nothing compiled twice
         assert make_schedule.cache_info().misses == len(distinct)
         assert [(s.parallel, s.options, s.result) for s in warm] == [
             (s.parallel, s.options, s.result) for s in cold]
