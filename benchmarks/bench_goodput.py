@@ -8,11 +8,11 @@ agrees with the Young/Daly interval within one sweep step.
 
 from repro.experiments import goodput_interval
 from repro.resilience import (
-    FaultPlan,
-    RankFailure,
+    Kill,
     log_spaced_intervals,
     simulate_goodput,
     sweep_checkpoint_interval,
+    young_daly_interval,
 )
 
 
@@ -32,17 +32,16 @@ def test_goodput_interval_sweep(show, goodput_1t):
     # Interior optimum: the sweep brackets the U-shaped overhead curve.
     assert sweep.is_interior
     assert sweep.agrees_within_one_step
-    assert result.column("optimum").count("<--") == 1
+    optimum = result.columns.index("optimum")
+    assert [row[optimum] for row in result.rows].count("<--") == 1
 
 
 def test_goodput_replay(goodput_1t):
     scenario, policy = goodput_1t
-    interval = max(1, round(policy.optimal_interval_seconds(
-        scenario.cluster_mtbf_seconds) / 108.0))
-    plan = FaultPlan(failures=(
-        RankFailure(at_iteration=150), RankFailure(at_iteration=400),
-    ))
-    report = simulate_goodput(108.0, 500, interval, policy, plan)
+    interval = max(1, round(young_daly_interval(
+        scenario.cluster_mtbf_seconds, policy.save_seconds) / 108.0))
+    kills = (Kill(at_iteration=150), Kill(at_iteration=400))
+    report = simulate_goodput(108.0, 500, interval, policy, kills)
     assert report.num_failures == 2
     assert 0.0 < report.goodput < 1.0
     assert report.wall_clock_seconds == (

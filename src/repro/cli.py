@@ -255,8 +255,7 @@ def _run_trace(args, model, parallel) -> int:
 def _cmd_goodput(args) -> int:
     from repro.obs import trace, write_chrome_trace
     from repro.resilience import (
-        FaultPlan,
-        RankFailure,
+        Kill,
         RestartPolicy,
         goodput_scenarios,
         log_spaced_intervals,
@@ -322,19 +321,15 @@ def _cmd_goodput(args) -> int:
         step = max(1, round(mtbf / iter_time))
         failure_iters = [step * (i + 1) for i in range(4)]
     total = args.iterations or (max(failure_iters) + interval_iters)
-    plan = FaultPlan(
-        failures=tuple(
-            RankFailure(at_iteration=k) for k in failure_iters if k < total
-        )
-    )
+    kills = [Kill(at_iteration=k) for k in sorted(failure_iters) if k < total]
     print()
     print(f"failure trace    : rank failures at iterations "
-          f"{[f.at_iteration for f in plan.failures]} of {total} "
+          f"{[k.at_iteration for k in kills]} of {total} "
           f"(checkpoint every {interval_iters} iterations)")
     if args.out or args.metrics_out:
         with trace() as tracer:
             report = simulate_goodput(
-                iter_time, total, interval_iters, policy, plan
+                iter_time, total, interval_iters, policy, kills
             )
         if args.metrics_out:
             from repro.obs import write_metrics
@@ -369,7 +364,8 @@ def _cmd_goodput(args) -> int:
                   file=sys.stderr)
             return 1
     else:
-        report = simulate_goodput(iter_time, total, interval_iters, policy, plan)
+        report = simulate_goodput(iter_time, total, interval_iters, policy,
+                                  kills)
         print(report.describe())
     return 0
 
@@ -394,8 +390,11 @@ def _chaos_plan_from_args(args):
     )
 
     if args.plan is not None:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            return ChaosPlan.from_json(fh.read())
+        try:
+            with open(args.plan, "r", encoding="utf-8") as fh:
+                return ChaosPlan.from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--plan: {exc}") from None
     kills = tuple(
         Kill(at_iteration=k, rank=args.rank, permanent=args.permanent)
         for k in _parse_int_list(args.kill_at or "", "--kill-at")

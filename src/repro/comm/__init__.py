@@ -2,7 +2,7 @@
 
 from .backend import BACKENDS, Backend, CoopBackend, MpBackend, get_backend
 from .cost_model import CommCostModel
-from .groups import ProcessGroups, RankCoord
+from .groups import ProcessGroups
 from .primitives import (
     all_gather,
     broadcast,
@@ -26,7 +26,6 @@ __all__ = [
     "ring_reduce_scatter_hops",
     "CommCostModel",
     "ProcessGroups",
-    "RankCoord",
     "ring_all_reduce",
     "all_gather",
     "reduce_scatter",

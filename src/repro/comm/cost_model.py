@@ -25,32 +25,14 @@ from repro.hardware.topology import Link
 
 @dataclass(frozen=True)
 class CommCostModel:
-    """Prices communication operations on a :class:`ClusterTopology`.
-
-    ``bandwidth_derate`` scales every bandwidth term (NVLink, IB, all
-    collectives and p2p alike) to model degraded interconnect health —
-    the :mod:`repro.resilience.faults` link-degradation injector sets
-    it from a fault plan.  Latency (alpha) terms are unaffected: a
-    congested or flapping link loses throughput, not propagation time.
-    """
+    """Prices communication operations on a :class:`ClusterTopology`."""
 
     topology: ClusterTopology
-    bandwidth_derate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_derate <= 1:
-            raise ValueError(
-                f"bandwidth_derate must be in (0, 1], got {self.bandwidth_derate}"
-            )
-
-    def _bw(self, nominal: float) -> float:
-        """Effective bandwidth of a link with nominal rate ``nominal``."""
-        return nominal * self.bandwidth_derate
 
     # -- point-to-point ---------------------------------------------------
     def _wire_time(self, link: Link, nbytes: float) -> float:
         """One send over a classified link: latency + bytes / bandwidth."""
-        return link.latency + nbytes / self._bw(link.bandwidth)
+        return link.latency + nbytes / link.bandwidth
 
     def p2p_time(self, src: int, dst: int, nbytes: float) -> float:
         """One send: latency + bytes / link bandwidth."""
@@ -92,7 +74,7 @@ class CommCostModel:
         t = tensor_parallel_size
         ib_time = self._wire_time(link, nbytes / t)
         # NVLink all-gather of the other (t-1)/t of the tensor.
-        nvlink_bw = self._bw(self.topology.node.nvlink_bandwidth)
+        nvlink_bw = self.topology.node.nvlink_bandwidth
         gather_time = (
             self.topology.node.nvlink_latency * (t - 1)
             + (nbytes * (t - 1) / t) / nvlink_bw
@@ -139,13 +121,11 @@ class CommCostModel:
         if g > 1:
             intra = (
                 (g - 1) * node.nvlink_latency
-                + (g - 1) / g * nbytes / self._bw(node.nvlink_bandwidth)
+                + (g - 1) / g * nbytes / node.nvlink_bandwidth
             )
         if num_nodes > 1:
             lanes = g if channels is None else min(g, channels)
-            bw = self._bw(
-                min(lanes * node.ib_bandwidth_per_hca, node.total_ib_bandwidth)
-            )
+            bw = min(lanes * node.ib_bandwidth_per_hca, node.total_ib_bandwidth)
             inter = (
                 (num_nodes - 1) * node.ib_latency
                 + (num_nodes - 1) / num_nodes * nbytes / bw
@@ -187,21 +167,6 @@ class CommCostModel:
     ) -> float:
         """Hierarchical ring reduce-scatter of a ``nbytes`` input."""
         return self.all_gather_time(ranks, nbytes, channels)
-
-    def broadcast_time(self, ranks: Sequence[int], nbytes: float) -> float:
-        """Pipelined ring broadcast ~ one traversal of the buffer."""
-        self._check(ranks, nbytes)
-        k = len(ranks)
-        if k == 1:
-            return 0.0
-        g, num_nodes = self._group_geometry(ranks)
-        node = self.topology.node
-        if num_nodes == 1:
-            return (k - 1) * node.nvlink_latency + nbytes / self._bw(
-                node.nvlink_bandwidth
-            )
-        bw = self._bw(min(g * node.ib_bandwidth_per_hca, node.total_ib_bandwidth))
-        return (num_nodes - 1) * node.ib_latency + nbytes / bw
 
     @staticmethod
     def _check(ranks: Sequence[int], nbytes: float) -> None:

@@ -2,13 +2,9 @@
 
 Every primitive in :mod:`repro.comm.primitives` logs each point-to-point
 transfer it performs (ring steps included) to a :class:`TrafficLog`.
-The log is the ground truth for
-
-- validating the paper's §3.2 communication-volume formulas
-  (tensor parallelism moves ``8 b s h (t-1)/t`` bytes-worth of elements
-  per layer per device; pipeline p2p moves ``b s h``), and
-- the §5.9 effective-bisection-bandwidth experiment, which divides
-  bytes crossing the cluster midpoint by the simulated time window.
+The log is the ground truth for the paper's §3.2 communication-volume
+formulas (tensor parallelism moves ``8 b s h (t-1)/t`` bytes-worth of
+elements per layer per device; pipeline p2p moves ``b s h``).
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.hardware import ClusterTopology
 from repro.obs.tracer import record_transfer
 
 
@@ -78,57 +73,5 @@ class TrafficLog:
                 out[r.tag] += r.nbytes
         return dict(out)
 
-    def bytes_by_kind(self) -> dict[TrafficKind, int]:
-        """Total bytes per traffic kind (the §3 decomposition axis)."""
-        out: dict[TrafficKind, int] = defaultdict(int)
-        for r in self.records:
-            out[r.kind] += r.nbytes
-        return dict(out)
-
-    def bytes_sent_by_rank(self, kind: TrafficKind | None = None) -> dict[int, int]:
-        out: dict[int, int] = defaultdict(int)
-        for r in self.records:
-            if kind is None or r.kind is kind:
-                out[r.src] += r.nbytes
-        return dict(out)
-
-    def inter_node_bytes(
-        self, topology: ClusterTopology, kind: TrafficKind | None = None
-    ) -> int:
-        """Bytes that traversed InfiniBand (src and dst on different nodes)."""
-        return sum(
-            r.nbytes
-            for r in self.records
-            if (kind is None or r.kind is kind)
-            and not topology.same_node(r.src, r.dst)
-        )
-
-    def intra_node_bytes(
-        self, topology: ClusterTopology, kind: TrafficKind | None = None
-    ) -> int:
-        return sum(
-            r.nbytes
-            for r in self.records
-            if (kind is None or r.kind is kind) and topology.same_node(r.src, r.dst)
-        )
-
-    def bisection_bytes(
-        self, topology: ClusterTopology, kind: TrafficKind | None = None
-    ) -> int:
-        """Bytes crossing the node-halves midpoint (for §5.9)."""
-        half = topology.num_nodes // 2
-
-        def side(rank: int) -> int:
-            return 0 if topology.node_of(rank) < half else 1
-
-        return sum(
-            r.nbytes
-            for r in self.records
-            if (kind is None or r.kind is kind) and side(r.src) != side(r.dst)
-        )
-
     def clear(self) -> None:
         self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -15,7 +15,7 @@ Both are implemented here so every experiment shares one definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,6 @@ class GPTConfig:
         """Per-head dimension ``h / a``."""
         return self.hidden_size // self.num_attention_heads
 
-    @property
-    def kv_channels(self) -> int:
-        return self.head_dim
-
     def num_parameters(self) -> int:
         """Parameter count from eq. (2) of the paper.
 
@@ -128,20 +124,6 @@ class GPTConfig:
         factor = 4 if with_recompute else 3
         logit = 6 * B * s * h * V
         return factor * fwd_all_layers + logit
-
-    def flops_per_iteration_formula(self, batch_size: int) -> int:
-        """Literal eq. (3): ``96 B s l h^2 (1 + s/(6h) + V/(16 l h))``.
-
-        Identical to :meth:`flops_per_iteration` with recomputation;
-        retained separately so tests can check the algebra.
-        """
-        B, s = batch_size, self.seq_length
-        l, h, V = self.num_layers, self.hidden_size, self.vocab_size
-        return round(96 * B * s * l * h * h * (1 + s / (6 * h) + V / (16 * l * h)))
-
-    def scaled(self, **changes) -> "GPTConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or "GPT"

@@ -105,11 +105,6 @@ class ParallelConfig:
         return self.p * self.t * self.d
 
     @property
-    def model_parallel_size(self) -> int:
-        """``M = t * p`` (Takeaway #2)."""
-        return self.t * self.p
-
-    @property
     def num_microbatches(self) -> int:
         """``m = B / (d * b)`` -- microbatches per pipeline per iteration."""
         return self.global_batch_size // (self.data_parallel_size * self.microbatch_size)
@@ -142,11 +137,6 @@ class ParallelConfig:
                 f"vocab_size {model.vocab_size} not divisible by "
                 f"tensor-parallel size {self.t}"
             )
-
-    def layers_per_stage(self, model: GPTConfig) -> int:
-        """Transformer layers per (stage, chunk): ``l / (p * v)``."""
-        self.validate_for_model(model)
-        return model.num_layers // (self.p * self.v)
 
     def describe(self) -> str:
         return (

@@ -6,10 +6,9 @@ including data loading" (§5.1).  Since the corpus content never affects
 throughput (and the real 300B-token corpus is proprietary), this module
 provides:
 
-- :class:`TokenDataset`: a flat token stream (in memory or memory-mapped
-  from disk) sliced into fixed-length training sequences with
-  next-token-prediction targets -- the standard GPT data layout where
-  sample i is ``tokens[i*s : i*s + s + 1]``;
+- :class:`TokenDataset`: a flat token stream sliced into fixed-length
+  training sequences with next-token-prediction targets -- the standard
+  GPT data layout where sample i is ``tokens[i*s : i*s + s + 1]``;
 - :func:`synthetic_corpus`: a deterministic synthetic stream with a
   Zipfian unigram distribution and short-range repetition structure, so
   models trained on it have a learnable signal (losses drop -- used by
@@ -18,7 +17,6 @@ provides:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,19 +95,3 @@ class TokenDataset:
         ids = np.stack([p[0] for p in pairs])
         targets = np.stack([p[1] for p in pairs])
         return ids, targets
-
-    # -- disk round trip ----------------------------------------------------
-    def save(self, path: str) -> None:
-        """Write the token stream as a raw int32 file (mmap-able)."""
-        self.tokens.astype(np.int32).tofile(path)
-
-    @classmethod
-    def load(cls, path: str, seq_length: int, *, mmap: bool = True) -> "TokenDataset":
-        """Load a raw int32 token file, optionally memory-mapped."""
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        if mmap:
-            tokens = np.memmap(path, dtype=np.int32, mode="r")
-        else:
-            tokens = np.fromfile(path, dtype=np.int32)
-        return cls(tokens=tokens, seq_length=seq_length)

@@ -66,18 +66,3 @@ class ShardedBatchLoader:
         for i in range(self.batches_per_epoch):
             yield self.dataset.batch(order[i * B : (i + 1) * B])
         self._epoch += 1
-
-    def rank_slice(
-        self, batch: tuple[np.ndarray, np.ndarray], dp_rank: int, dp_size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The slice of a global batch belonging to one data-parallel rank."""
-        ids, targets = batch
-        if ids.shape[0] % dp_size != 0:
-            raise ValueError(
-                f"global batch {ids.shape[0]} not divisible by dp size {dp_size}"
-            )
-        if not 0 <= dp_rank < dp_size:
-            raise ValueError(f"dp_rank {dp_rank} out of range [0, {dp_size})")
-        per = ids.shape[0] // dp_size
-        sl = slice(dp_rank * per, (dp_rank + 1) * per)
-        return ids[sl], targets[sl]

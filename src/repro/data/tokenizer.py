@@ -17,7 +17,6 @@ standard greedy merge-training loop, deterministic and dependency-free.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 
@@ -92,22 +91,6 @@ class BPETokenizer:
                 raise ValueError(f"token id {t} out of range [0, {self.vocab_size})")
             out.extend(self.token_bytes[t])
         return out.decode("utf-8", errors="replace")
-
-    def decode_bytes(self, token_ids: list[int]) -> bytes:
-        return b"".join(self.token_bytes[t] for t in token_ids)
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump({"version": 1, "merges": self.merges}, f)
-
-    @classmethod
-    def load(cls, path: str) -> "BPETokenizer":
-        with open(path) as f:
-            payload = json.load(f)
-        if payload.get("version") != 1:
-            raise ValueError("unknown tokenizer format")
-        return cls(merges=[tuple(m) for m in payload["merges"]])
 
 
 def _apply_merge(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:

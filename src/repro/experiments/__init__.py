@@ -1,7 +1,6 @@
 """Experiment harness: one module per table/figure in the paper's §3/§5.
 
-``REGISTRY`` maps experiment ids to their ``run`` callables;
-``run_all`` executes everything and returns the results in order.
+``REGISTRY`` maps experiment ids to their ``run`` callables.
 Run ``python -m repro.experiments`` to print every table.
 """
 
@@ -57,8 +56,4 @@ REGISTRY = {
 }
 
 
-def run_all() -> list[ExperimentResult]:
-    return [fn() for fn in REGISTRY.values()]
-
-
-__all__ = ["REGISTRY", "run_all", "ExperimentResult"]
+__all__ = ["REGISTRY", "ExperimentResult"]

@@ -76,9 +76,3 @@ def run() -> ExperimentResult:
         "the network, sets the communication intensity."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -34,9 +34,3 @@ def run() -> ExperimentResult:
         "1 TB/s read peak; saves reach 40% of peak write."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -48,14 +48,3 @@ def run() -> ExperimentResult:
         "as Figure 1 shows."
     )
     return result
-
-
-def doubling_time_months() -> float:
-    res = run()
-    return float(res.notes.split("doubling every ")[1].split(" months")[0])
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -58,10 +58,3 @@ def render_all() -> str:
     for name, v in (("gpipe", 1), ("1f1b", 1), ("interleaved", V)):
         parts.append(render_schedule(make_schedule(name, P, M, v)))
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())
-    print(render_all())

@@ -33,9 +33,3 @@ def run() -> ExperimentResult:
         "larger n raises the whole curve, larger b' lowers it."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

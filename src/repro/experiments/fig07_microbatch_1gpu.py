@@ -45,9 +45,3 @@ def run() -> ExperimentResult:
         "smaller amplitude, see EXPERIMENTS.md)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -42,9 +42,3 @@ def run() -> ExperimentResult:
         "sizes); throughput falls off on both sides."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

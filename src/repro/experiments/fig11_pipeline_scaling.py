@@ -46,9 +46,3 @@ def run() -> ExperimentResult:
         "degrades steeply (bubble (p-1)/m)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -47,9 +47,3 @@ def run() -> ExperimentResult:
         "closes as the batch grows."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

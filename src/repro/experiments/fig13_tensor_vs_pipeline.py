@@ -38,14 +38,3 @@ def run() -> ExperimentResult:
         "~2x (cross-node all-reduce on one side, pipeline bubble on the other)."
     )
     return result
-
-
-def best_tensor_parallel_size(result, batch: int) -> int:
-    rows = [r for r in result.rows if r[0] == batch]
-    return max(rows, key=lambda r: r[3])[1]
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -39,9 +39,3 @@ def run() -> ExperimentResult:
         "size ((n-d)/b' bubble, §3.3.1); larger batches help."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

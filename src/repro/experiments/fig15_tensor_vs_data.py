@@ -39,9 +39,3 @@ def run() -> ExperimentResult:
         "node boundary (t > 8); per-microbatch all-reduces dominate."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

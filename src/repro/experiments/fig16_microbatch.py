@@ -44,9 +44,3 @@ def run() -> ExperimentResult:
         "B=512 dominates B=128 at every microbatch size."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

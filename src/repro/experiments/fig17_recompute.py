@@ -55,9 +55,3 @@ def run() -> ExperimentResult:
         "no-recompute throughput."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -45,9 +45,3 @@ def run() -> ExperimentResult:
         "communication-intensive interleaved schedule (paper: up to 11%)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -45,9 +45,3 @@ def run() -> ExperimentResult:
         "model (elementwise traffic is a larger share of its time)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -61,19 +61,3 @@ def run() -> ExperimentResult:
     if not sweep.is_interior:
         result.notes += " [WARNING: optimum on sweep boundary]"
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .plots import line_chart
-    from .report import print_result
-
-    result = run()
-    print_result(result)
-    print(
-        line_chart(
-            [float(v) for v in result.column("interval_s")],
-            {"goodput": [float(v) for v in result.column("goodput")]},
-            title="goodput vs checkpoint interval (log-spaced sweep)",
-            y_label="goodput",
-        )
-    )

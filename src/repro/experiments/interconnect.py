@@ -83,9 +83,3 @@ def run() -> ExperimentResult:
         "depends on the 8x-HDR-per-node fabric."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -2,39 +2,14 @@
 
 Dependency-free ASCII charts so `python -m repro.experiments --plot`
 can show the figures' *shapes* (the reproduction target) directly in the
-terminal: multi-series line charts for throughput-vs-x figures and bar
-charts for categorical comparisons.
+terminal: multi-series line charts for throughput-vs-x figures.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-BLOCKS = " ▁▂▃▄▅▆▇█"
 MARKERS = "ox+*#@%&"
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Horizontal bar chart; bars scaled to the max value."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not values:
-        raise ValueError("nothing to plot")
-    if any(v < 0 for v in values):
-        raise ValueError("bar_chart requires non-negative values")
-    peak = max(values) or 1.0
-    label_w = max(len(str(l)) for l in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        n = int(round(value / peak * width))
-        lines.append(f"{str(label):>{label_w}} | {'█' * n} {value:g}")
-    return "\n".join(lines)
 
 
 def line_chart(
@@ -91,26 +66,12 @@ def line_chart(
     return "\n".join(lines)
 
 
-def sparkline(values: Sequence[float]) -> str:
-    """One-line block-character sparkline."""
-    if not values:
-        raise ValueError("nothing to plot")
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return BLOCKS[4] * len(values)
-    out = []
-    for v in values:
-        idx = int(round((v - lo) / (hi - lo) * (len(BLOCKS) - 2))) + 1
-        out.append(BLOCKS[idx])
-    return "".join(out)
-
-
 def plot_experiment(result) -> str:
     """Best-effort chart for an ExperimentResult.
 
     Figures whose rows are (group, x, ..., value) render as a line chart
-    grouped by the first column; two-column results render as bars.
-    Returns "" when no sensible chart exists.
+    grouped by the first column.  Returns "" when no sensible chart
+    exists.
     """
     rows = result.rows
     if not rows:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 
 @dataclass
@@ -23,13 +23,6 @@ class ExperimentResult:
                 f"{len(self.columns)} columns"
             )
         self.rows.append(values)
-
-    def column(self, name: str) -> list[Any]:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"no column {name!r} in {self.columns}") from None
-        return [r[idx] for r in self.rows]
 
     def to_text(self) -> str:
         def fmt(v: Any) -> str:
@@ -54,11 +47,3 @@ class ExperimentResult:
 def print_result(result: ExperimentResult) -> None:  # pragma: no cover
     print(result.to_text())
     print()
-
-
-def series_monotone(values: Sequence[float], *, decreasing: bool = False) -> bool:
-    """Whether a series is (weakly) monotone -- used in shape assertions."""
-    pairs = zip(values, values[1:])
-    if decreasing:
-        return all(a >= b for a, b in pairs)
-    return all(a <= b for a, b in pairs)

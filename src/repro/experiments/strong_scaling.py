@@ -50,9 +50,3 @@ def run() -> ExperimentResult:
         "bubble grows with shrinking m."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

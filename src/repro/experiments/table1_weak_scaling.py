@@ -50,13 +50,3 @@ def run() -> ExperimentResult:
         "paper); aggregate throughput ~= n x per-GPU."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

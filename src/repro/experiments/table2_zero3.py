@@ -75,19 +75,3 @@ def run() -> ExperimentResult:
         "fixed batch (the paper's ~70% gap)."
     )
     return result
-
-
-def ptd_advantage_at_doubled_gpus(result: ExperimentResult) -> float:
-    """PTD-P throughput advantage over ZeRO-3 at 768 GPUs (175B)."""
-    rows = {(r[0], r[3]): r[5] for r in result.rows if r[1] == "175B"}
-    return rows[("ptd", 768)] / rows[("zero3", 768)] - 1.0
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

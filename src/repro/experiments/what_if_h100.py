@@ -64,9 +64,3 @@ def run() -> ExperimentResult:
         "(compute grew faster than memory/network bandwidth)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    from .report import print_result
-
-    print_result(run())

@@ -1,9 +1,9 @@
 """Hardware models: devices, nodes, cluster topology, roofline timing."""
 
-from .device import GB, TB, TFLOP, DeviceSpec, a100_80gb, v100_32gb
+from .device import GB, TB, TFLOP, DeviceSpec, a100_80gb
 from .node import NodeSpec, dgx_a100
 from .roofline import ComputeModel, GemmShape
-from .topology import ClusterTopology, cluster_for_gpus, selene
+from .topology import ClusterTopology, cluster_for_gpus
 
 __all__ = [
     "GB",
@@ -11,12 +11,10 @@ __all__ = [
     "TFLOP",
     "DeviceSpec",
     "a100_80gb",
-    "v100_32gb",
     "NodeSpec",
     "dgx_a100",
     "ComputeModel",
     "GemmShape",
     "ClusterTopology",
     "cluster_for_gpus",
-    "selene",
 ]

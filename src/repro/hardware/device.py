@@ -47,11 +47,6 @@ class DeviceSpec:
         if self.memory_capacity <= 0:
             raise ValueError("memory_capacity must be positive")
 
-    @property
-    def ridge_intensity(self) -> float:
-        """Roofline ridge point (FLOPs per byte) of this device."""
-        return self.peak_flops / self.memory_bandwidth
-
 
 def a100_80gb() -> DeviceSpec:
     """NVIDIA A100-SXM 80 GB (the paper's GPU): 312 Tflop/s fp16 peak."""
@@ -60,14 +55,4 @@ def a100_80gb() -> DeviceSpec:
         peak_flops=312 * TFLOP,
         memory_bandwidth=2.039 * TB,
         memory_capacity=80 * GB,
-    )
-
-
-def v100_32gb() -> DeviceSpec:
-    """NVIDIA V100 32 GB (used for the paper's GPT-3 '288 years' estimate)."""
-    return DeviceSpec(
-        name="V100-32GB",
-        peak_flops=125 * TFLOP,
-        memory_bandwidth=0.9 * TB,
-        memory_capacity=32 * GB,
     )

@@ -57,9 +57,6 @@ class NodeSpec:
         """Aggregate inter-node bandwidth of one server, bytes/s."""
         return self.ib_bandwidth_per_hca * self.num_ib_hcas
 
-    def intra_node_bandwidth(self) -> float:
-        return self.nvlink_bandwidth
-
     def inter_node_bandwidth_per_gpu(self) -> float:
         """Inter-node bandwidth available to one GPU when all GPUs on
         the node communicate simultaneously (one HCA per GPU on DGX)."""

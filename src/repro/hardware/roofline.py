@@ -103,10 +103,6 @@ class ComputeModel:
         )
         return max(compute, memory) + self.device.kernel_launch_overhead
 
-    def gemm_achieved_flops(self, shape: GemmShape) -> float:
-        """FLOP/s actually achieved (flops / roofline time)."""
-        return shape.flops / self.gemm_time(shape)
-
     def elementwise_time(self, num_elements: int, passes: float = 2.0) -> float:
         """Time of a memory-bound kernel touching ``num_elements``.
 

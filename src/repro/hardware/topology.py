@@ -62,13 +62,6 @@ class ClusterTopology:
         self._check_rank(rank)
         return rank // self.gpus_per_node
 
-    def local_index(self, rank: int) -> int:
-        self._check_rank(rank)
-        return rank % self.gpus_per_node
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.node_of(rank_a) == self.node_of(rank_b)
-
     def leaf_of(self, node_id: int) -> int:
         return node_id // self.nodes_per_leaf
 
@@ -118,13 +111,6 @@ class ClusterTopology:
             node.ib_latency * max(1, hops // 2),
             min(node.ib_bandwidth_per_hca, node.inter_node_bandwidth_per_gpu()),
         )
-
-    def link_bandwidth(self, rank_a: int, rank_b: int) -> float:
-        """Point-to-point bandwidth between two GPUs, bytes/s."""
-        return self.link(rank_a, rank_b).bandwidth
-
-    def link_latency(self, rank_a: int, rank_b: int) -> float:
-        return self.link(rank_a, rank_b).latency
 
     # -- graph / bisection --------------------------------------------------
     def build_graph(self) -> nx.Graph:
@@ -183,12 +169,6 @@ class ClusterTopology:
             g.add_edge(f"node{nid}", "SNK", capacity=inf)
         value, _ = nx.minimum_cut(g, "SRC", "SNK", capacity="capacity")
         return value
-
-
-@lru_cache(maxsize=None)
-def selene(num_nodes: int = 384) -> ClusterTopology:
-    """A Selene-like cluster of DGX A100 nodes (default: the paper's 384)."""
-    return ClusterTopology(num_nodes=num_nodes)
 
 
 @lru_cache(maxsize=256)

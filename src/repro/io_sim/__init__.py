@@ -7,7 +7,6 @@ from .checkpoint import (
     checkpoint_size_bytes,
     load_time,
     save_time,
-    shard_size_bytes,
 )
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "CheckpointIOReport",
     "ParallelFilesystem",
     "checkpoint_size_bytes",
-    "shard_size_bytes",
     "load_time",
     "save_time",
 ]

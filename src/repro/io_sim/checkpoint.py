@@ -45,20 +45,6 @@ def checkpoint_size_bytes(config: GPTConfig) -> int:
     return config.num_parameters() * CHECKPOINT_BYTES_PER_PARAM
 
 
-def shard_size_bytes(config: GPTConfig, parallel: ParallelConfig) -> int:
-    """Checkpoint bytes written by one model-parallel rank.
-
-    Ceil division: when the checkpoint size does not divide evenly by
-    ``t * p``, some ranks carry one extra byte's worth of state — the
-    shard set must cover the whole checkpoint, so
-    ``shard * model_parallel_size >= checkpoint_size`` always, with
-    equality exactly when it divides.
-    """
-    size = checkpoint_size_bytes(config)
-    mp = parallel.model_parallel_size
-    return -(-size // mp)
-
-
 @dataclass(frozen=True)
 class CheckpointIOReport:
     """Timing of a checkpoint load or save."""

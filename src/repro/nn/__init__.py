@@ -5,8 +5,8 @@ from .generate import generate, perplexity
 from .gradcheck import check_module_gradients, numerical_gradient
 from .layers import Dropout, Embedding, GeLU, LayerNorm, Linear, default_init
 from .module import Module, Parameter
-from .lr_scheduler import LinearSchedule, WarmupCosineSchedule
-from .optim import SGD, Adam, MixedPrecision
+from .lr_scheduler import WarmupCosineSchedule
+from .optim import Adam
 from .transformer import (
     MLP,
     CausalSelfAttention,
@@ -32,12 +32,9 @@ __all__ = [
     "EmbeddingStage",
     "OutputHead",
     "GPTModel",
-    "SGD",
     "Adam",
-    "MixedPrecision",
     "generate",
     "perplexity",
-    "LinearSchedule",
     "WarmupCosineSchedule",
     "check_module_gradients",
     "numerical_gradient",

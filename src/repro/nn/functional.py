@@ -75,12 +75,6 @@ def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndar
     return y
 
 
-def softmax_forward(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Numerically-stable softmax; cache is the output itself."""
-    y = _softmax(x, axis)
-    return y, y
-
-
 def softmax_backward(dy: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     dx = dy * y
     inner = np.sum(dx, axis=axis, keepdims=True)

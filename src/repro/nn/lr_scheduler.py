@@ -1,4 +1,4 @@
-"""Learning-rate schedules used for GPT training (linear warmup + decay).
+"""The learning-rate schedule used for GPT training (warmup + cosine decay).
 
 Large-model training (GPT-3, and the paper's runs) uses linear warmup
 followed by cosine decay to a floor.  Schedulers mutate ``optimizer.lr``
@@ -57,43 +57,3 @@ class WarmupCosineSchedule:
         self.optimizer.lr = lr
         return lr
 
-
-class LinearSchedule:
-    """Linear warmup then linear decay (the original GPT-2 recipe)."""
-
-    def __init__(
-        self,
-        optimizer,
-        *,
-        max_lr: float,
-        warmup_iters: int,
-        total_iters: int,
-        min_lr: float = 0.0,
-    ):
-        if max_lr <= 0:
-            raise ValueError("max_lr must be positive")
-        if warmup_iters < 0 or total_iters < 1 or warmup_iters > total_iters:
-            raise ValueError("invalid warmup/total iteration counts")
-        self.optimizer = optimizer
-        self.max_lr = max_lr
-        self.min_lr = min_lr
-        self.warmup_iters = warmup_iters
-        self.total_iters = total_iters
-        self.iteration = 0
-        self.optimizer.lr = self.lr_at(0)
-
-    def lr_at(self, iteration: int) -> float:
-        if self.warmup_iters > 0 and iteration < self.warmup_iters:
-            return self.max_lr * (iteration + 1) / self.warmup_iters
-        if iteration >= self.total_iters:
-            return self.min_lr
-        progress = (iteration - self.warmup_iters) / max(
-            1, self.total_iters - self.warmup_iters
-        )
-        return self.max_lr + (self.min_lr - self.max_lr) * progress
-
-    def step(self) -> float:
-        self.iteration += 1
-        lr = self.lr_at(self.iteration)
-        self.optimizer.lr = lr
-        return lr

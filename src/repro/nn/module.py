@@ -15,7 +15,7 @@ and must reproduce the original output bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class Parameter:
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Parameter(shape={self.data.shape})"
 
 
 class Module:
@@ -75,20 +72,9 @@ class Module:
                 out.append(p)
         return out
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def forward(
-        self, x: np.ndarray, *, training: bool = True, rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, Any]:
-        raise NotImplementedError
-
-    def backward(self, dy: np.ndarray, cache: Any) -> np.ndarray:
-        raise NotImplementedError
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}

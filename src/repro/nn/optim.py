@@ -1,44 +1,10 @@
-"""Optimizers: SGD and Adam, plus a mixed-precision wrapper.
-
-Optimizers operate on :class:`~repro.nn.module.Parameter` lists.  The
-mixed-precision wrapper emulates the paper's fp16 training (§5: "all of
-our results are run with mixed precision"): parameters are cast to
-float16 for the forward/backward compute while fp32/fp64 master copies
-receive the update, with static loss scaling.
-"""
+"""The optimizer: Adam over :class:`~repro.nn.module.Parameter` lists."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .module import Parameter
-
-
-class SGD:
-    """Plain (optionally momentum) SGD."""
-
-    def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class Adam:
@@ -80,59 +46,3 @@ class Adam:
             v *= b2
             v += (1 - b2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def state_nbytes(self) -> int:
-        """Bytes of optimizer state (m and v) -- the memory ZeRO shards."""
-        return sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v))
-
-
-class MixedPrecision:
-    """Static-loss-scaled fp16 emulation around another optimizer.
-
-    Workflow per iteration::
-
-        mp.cast_params_to_half()        # fp16 weights for compute
-        loss = model.loss(...)          # caller scales dlogits by mp.loss_scale
-        mp.unscale_and_restore()        # fp32 master weights + unscaled grads
-        optimizer.step()
-
-    The fp16 round-trip is emulated by casting through ``np.float16``.
-    """
-
-    def __init__(self, params: list[Parameter], loss_scale: float = 1024.0):
-        if loss_scale <= 0:
-            raise ValueError("loss_scale must be positive")
-        self.params = list(params)
-        self.loss_scale = loss_scale
-        self._master: list[np.ndarray] | None = None
-
-    def cast_params_to_half(self) -> None:
-        if self._master is not None:
-            raise RuntimeError("params already cast; call unscale_and_restore first")
-        self._master = [p.data.copy() for p in self.params]
-        for p in self.params:
-            p.data[...] = p.data.astype(np.float16).astype(np.float64)
-
-    def unscale_and_restore(self) -> bool:
-        """Restore master weights; unscale grads.  Returns False (and
-        zeroes grads) if any gradient overflowed to inf/nan, mimicking
-        dynamic-loss-scale skip behavior."""
-        if self._master is None:
-            raise RuntimeError("cast_params_to_half was not called")
-        ok = True
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                ok = False
-                break
-        for p, master in zip(self.params, self._master):
-            p.data[...] = master
-            if ok:
-                p.grad /= self.loss_scale
-            else:
-                p.grad.fill(0.0)
-        self._master = None
-        return ok

@@ -40,9 +40,6 @@ class FlopMeter:
     def total_flops(self) -> int:
         return sum(self.by_category.values())
 
-    def category(self, name: str) -> int:
-        return self.by_category.get(name, 0)
-
 
 _ACTIVE: list[FlopMeter] = []
 

@@ -19,7 +19,7 @@ Activate with ``with trace() as tracer: ...``; when no tracer is
 active every instrumentation hook short-circuits on an empty list.
 """
 
-from .adapters import TracerFlopMeter, flop_adapter, replay_traffic_log
+from .adapters import TracerFlopMeter, flop_adapter
 from .monitor import (
     Alert,
     CheckpointHealthDetector,
@@ -56,7 +56,6 @@ from .export import (
     chrome_trace,
     chrome_trace_events,
     counter_events,
-    metrics_counter_events,
     metrics_json,
     phase_summary,
     validate_chrome_trace,
@@ -86,10 +85,8 @@ from .tracer import (
     Tracer,
     current_tracer,
     record_transfer,
-    sample,
     span,
     trace,
-    tracing_active,
 )
 
 __all__ = [
@@ -99,9 +96,7 @@ __all__ = [
     "Tracer",
     "trace",
     "span",
-    "sample",
     "current_tracer",
-    "tracing_active",
     "record_transfer",
     "Counter",
     "Gauge",
@@ -109,11 +104,9 @@ __all__ = [
     "MetricsRegistry",
     "TracerFlopMeter",
     "flop_adapter",
-    "replay_traffic_log",
     "chrome_trace",
     "chrome_trace_events",
     "counter_events",
-    "metrics_counter_events",
     "write_chrome_trace",
     "phase_summary",
     "metrics_json",

@@ -13,9 +13,6 @@ land in one queryable store:
   done automatically by :func:`repro.obs.trace`).
 - ``TrafficLog`` needs no subclass: its ``add`` already reports to
   every active tracer via :func:`repro.obs.tracer.record_transfer`.
-  :func:`replay_traffic_log` is the offline counterpart — it feeds an
-  already-collected log into a tracer's metrics, for traces assembled
-  after the fact.
 """
 
 from __future__ import annotations
@@ -53,17 +50,3 @@ def flop_adapter(tracer: Tracer) -> Iterator[TracerFlopMeter]:
             if profiler._ACTIVE[i] is meter:
                 del profiler._ACTIVE[i]
                 break
-
-
-def replay_traffic_log(tracer: Tracer, log) -> None:
-    """Feed an already-collected TrafficLog into ``tracer``'s metrics.
-
-    Per-record attribution to spans is impossible after the fact, so
-    bytes land in the registry only (``comm.bytes.<kind>``).
-    """
-    for record in log.records:
-        tracer.metrics.counter(f"comm.bytes.{record.kind.value}").inc(
-            record.nbytes
-        )
-        tracer.metrics.counter("comm.bytes.total").inc(record.nbytes)
-        tracer.metrics.counter("comm.transfers").inc()

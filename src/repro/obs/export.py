@@ -56,34 +56,6 @@ def counter_events(tracer: Tracer, time_scale: float = 1e6) -> list[dict]:
     ]
 
 
-def metrics_counter_events(tracer: Tracer, at: float,
-                           time_scale: float = 1e6,
-                           prefixes: tuple[str, ...] = ()) -> list[dict]:
-    """The registry's gauges and counters as one ``ph: "C"`` snapshot.
-
-    Metrics that were never sampled as a time series (plain registry
-    gauges/counters) still deserve a point on the timeline; this dumps
-    them all at time ``at`` (typically the trace end), optionally
-    filtered to dotted-name ``prefixes``.
-    """
-    snap: dict[str, float] = {}
-    snap.update({k: c.value for k, c in tracer.metrics.counters.items()})
-    snap.update({k: g.value for k, g in tracer.metrics.gauges.items()})
-    return [
-        {
-            "name": name,
-            "cat": "counter",
-            "ph": "C",
-            "pid": 0,
-            "tid": _GLOBAL_TID,
-            "ts": at * time_scale,
-            "args": {"value": value},
-        }
-        for name, value in sorted(snap.items())
-        if not prefixes or name.startswith(prefixes)
-    ]
-
-
 def chrome_trace_events(tracer: Tracer, time_scale: float = 1e6) -> list[dict]:
     """Spans + counter samples as Chrome ``trace_event`` dicts.
 

@@ -95,13 +95,6 @@ class Alert:
         return (f"{flag} it={self.iteration:>4} [{self.detector}] "
                 f"{self.message}")
 
-    def as_event_fields(self) -> dict:
-        return {
-            "detector": self.detector, "severity": self.severity,
-            "iteration": self.iteration, "alert_seq": self.seq,
-            "message": self.message, "evidence": self.evidence,
-        }
-
 
 class Detector:
     """Base class: feed events, collect alerts.
@@ -111,9 +104,6 @@ class Detector:
     """
 
     name = "detector"
-
-    def observe(self, event: dict) -> list[Alert]:
-        raise NotImplementedError
 
 
 class LossSpikeDetector(Detector):
@@ -731,17 +721,6 @@ class Scoreboard:
     scores: list[DetectorScore]
     faults: int
     alerts: int
-
-    @property
-    def perfect(self) -> bool:
-        return all(s.precision == 1.0 and s.recall == 1.0
-                   for s in self.scores)
-
-    def score(self, name: str) -> DetectorScore | None:
-        for s in self.scores:
-            if s.name == name:
-                return s
-        return None
 
     def describe(self) -> str:
         header = (f"{'detector':<20} {'prec':>6} {'recall':>7} {'tp':>4} "

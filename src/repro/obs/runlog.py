@@ -219,10 +219,6 @@ class RunLogger:
             step=float(step), **detail,
         )
 
-    def ack(self, detector: str, note: str = "") -> dict:
-        """Acknowledge every (past) alert from one detector."""
-        return self.emit("ack", detector=detector, note=note)
-
     def end(self, status: str = "completed", **extra) -> dict:
         event = self.emit("run-end", status=status, **extra)
         self.closed = True

@@ -137,10 +137,6 @@ class MemoryBreakdown:
     def optimizer_bytes(self) -> int:
         return 12 * self.parameters
 
-    @property
-    def model_state_bytes(self) -> int:
-        return self.weight_bytes + self.gradient_bytes + self.optimizer_bytes
-
 
 def sample_memory(tracer: Tracer, breakdown: MemoryBreakdown,
                   activation_bytes: int, rank: int = GLOBAL_RANK,

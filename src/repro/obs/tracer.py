@@ -85,12 +85,6 @@ class Span:
     def add_counter(self, name: str, amount: float) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"[{self.phase}] {self.name} rank={self.rank} "
-            f"t=({self.start:.6g}, {self.end if self.end is None else round(self.end, 6)})"
-        )
-
 
 class Tracer:
     """Collects spans and metrics for one traced window.
@@ -195,19 +189,7 @@ class Tracer:
         self.metrics.gauge(name).set(value)
         return s
 
-    def series(self, name: str, rank: int | None = None) -> list[CounterSample]:
-        """All samples of one series, time-ordered as recorded."""
-        return [
-            s for s in self.samples
-            if s.name == name and (rank is None or s.rank == rank)
-        ]
-
     # -- attribution hooks ---------------------------------------------------
-    @property
-    def current(self) -> Span | None:
-        """Innermost open live span, if any."""
-        return self._stack[-1] if self._stack else None
-
     def on_transfer(self, nbytes: int, kind: str) -> None:
         """Attribute one logged transfer (called by the TrafficLog hook)."""
         self.metrics.counter(f"comm.bytes.{kind}").inc(nbytes)
@@ -224,9 +206,6 @@ class Tracer:
             self._stack[-1].add_counter("flops", flops)
 
     # -- queries -------------------------------------------------------------
-    def spans_by_phase(self, phase: str) -> list[Span]:
-        return [s for s in self.spans if s.phase == phase]
-
     def counter_total(self, counter: str, phase: str | None = None) -> float:
         """Sum a span counter over (optionally phase-filtered) spans.
 
@@ -238,10 +217,6 @@ class Tracer:
             for s in self.spans
             if phase is None or s.phase == phase
         )
-
-    @property
-    def open_spans(self) -> int:
-        return len(self._stack)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -255,10 +230,6 @@ def current_tracer() -> Tracer | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def tracing_active() -> bool:
-    return bool(_ACTIVE)
-
-
 def record_transfer(nbytes: int, kind: str) -> None:
     """Report one transfer to every active tracer (no-op when none).
 
@@ -268,14 +239,6 @@ def record_transfer(nbytes: int, kind: str) -> None:
     """
     for tracer in _ACTIVE:
         tracer.on_transfer(nbytes, kind)
-
-
-def sample(name: str, value: float, rank: int = GLOBAL_RANK,
-           t: float | None = None) -> None:
-    """Record a counter sample on the current tracer (no-op when
-    tracing is off — the same single-check null path as :func:`span`)."""
-    if _ACTIVE:
-        _ACTIVE[-1].sample(name, value, rank=rank, t=t)
 
 
 @contextlib.contextmanager

@@ -1,10 +1,6 @@
 """PTD-P parallel training: tensor, pipeline, data parallelism, ZeRO-3."""
 
-from .data_parallel import (
-    all_reduce_gradients,
-    data_parallel_comm_bytes,
-    scatter_batch,
-)
+from .data_parallel import all_reduce_gradients, scatter_batch
 from .pipeline_parallel import (
     PipelineParallelGPT,
     PipelineStage,
@@ -23,7 +19,7 @@ from .tensor_parallel import (
     VocabParallelOutputHead,
 )
 from .trainer import PTDTrainer
-from .zero import Zero3Engine, ZeroShardedParameter, zero3_comm_bytes
+from .zero import Zero3Engine, ZeroShardedParameter
 
 __all__ = [
     "TensorParallelGroup",
@@ -41,9 +37,7 @@ __all__ = [
     "make_microbatches",
     "all_reduce_gradients",
     "scatter_batch",
-    "data_parallel_comm_bytes",
     "Zero3Engine",
     "ZeroShardedParameter",
-    "zero3_comm_bytes",
     "PTDTrainer",
 ]

@@ -71,13 +71,3 @@ def scatter_batch(
             np.split(targets, data_parallel_size),
         )
     )
-
-
-def data_parallel_comm_bytes(num_parameters: int, d: int, dtype_size: int = 2) -> float:
-    """Per-rank bytes moved by one gradient all-reduce:
-    ``2 (d-1)/d * P * dtype_size`` (§3.3.1's ring-scaling argument)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
-        return 0.0
-    return 2 * (d - 1) / d * num_parameters * dtype_size

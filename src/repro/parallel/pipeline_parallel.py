@@ -65,20 +65,20 @@ class PipelineStage:
             np.random.SeedSequence([self.rng_seed, self.stage_id, microbatch])
         )
 
-    def _run_forward(self, x: Any, microbatch: int, training: bool) -> tuple[Any, list]:
+    def _run_forward(self, x: Any, microbatch: int) -> tuple[Any, list]:
         rng = self._make_rng(microbatch)
         caches = []
         for layer in self.layers:
-            x, c = layer.forward(x, training=training, rng=rng)
+            x, c = layer.forward(x, rng=rng)
             caches.append(c)
         return x, caches
 
-    def forward_microbatch(self, microbatch: int, x: Any, *, training: bool = True) -> Any:
+    def forward_microbatch(self, microbatch: int, x: Any) -> Any:
         if microbatch in self._stash:
             raise RuntimeError(
                 f"stage {self.stage_id}: microbatch {microbatch} already in flight"
             )
-        out, caches = self._run_forward(x, microbatch, training)
+        out, caches = self._run_forward(x, microbatch)
         self._stash[microbatch] = (x, None if self.recompute else caches)
         return out
 
@@ -89,7 +89,7 @@ class PipelineStage:
             )
         x, caches = self._stash.pop(microbatch)
         if caches is None:  # activation recomputation
-            _, caches = self._run_forward(x, microbatch, training=True)
+            _, caches = self._run_forward(x, microbatch)
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             dy = layer.backward(dy, cache)
         return dy
@@ -253,7 +253,6 @@ class PipelineParallelGPT:
         self,
         microbatches: list[tuple[np.ndarray, np.ndarray]],
         *,
-        training: bool = True,
         grad_scale: float | None = None,
     ) -> float:
         """Run one full batch (a list of (ids, targets) microbatches).
@@ -285,7 +284,7 @@ class PipelineParallelGPT:
                     x = inputs[mb]
                 else:
                     x = act_inbox.pop((mb, stage_id))
-                out = stage.forward_microbatch(mb, x, training=training)
+                out = stage.forward_microbatch(mb, x)
                 if stage.is_last:
                     self._compute_loss(mb, out)
                 else:
@@ -426,13 +425,6 @@ class PipelineParallelGPT:
         # Refresh the untied head copy from the embedding weights.
         for emb_p, head_p in self.tied_pairs:
             head_p.data[...] = emb_p.data
-
-    def max_stashed_microbatches(self) -> int:
-        """Peak activation stash over the iteration (schedule property)."""
-        return max(
-            self.schedule.max_in_flight_microbatches(r)
-            for r in range(self.schedule.num_stages)
-        )
 
 
 def make_microbatches(

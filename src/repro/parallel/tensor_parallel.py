@@ -518,20 +518,6 @@ class TensorParallelGPT(Module):
             caches.append(c)
         return x, caches  # x is the sharded-logit list
 
-    def loss(self, token_ids, targets, *, training=True, rng=None):
-        logits_shards, caches = self.forward(token_ids, training=training, rng=rng)
-        loss, ce_cache = self.head.loss(logits_shards, targets)
-        caches.append(ce_cache)
-        return loss, caches
-
-    def loss_backward(self, caches, scale: float = 1.0):
-        ce_cache = caches[-1]
-        dlogits = self.head.loss_backward(ce_cache, scale)
-        dy: Any = dlogits
-        for layer, cache in zip(reversed(self.layers), reversed(caches[:-1])):
-            dy = layer.backward(dy, cache)
-        return dy
-
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Reassemble full (serial-layout) weights from the shards."""
         out: dict[str, np.ndarray] = {}

@@ -417,25 +417,7 @@ class PTDTrainer(AbstractContextManager):
             rank_busy=rank_busy,
         )
 
-    def evaluate(self, ids: np.ndarray, targets: np.ndarray) -> float:
-        """Loss without gradient accumulation or update (replica 0)."""
-        self.sync_from_workers()
-        m = self.parallel.num_microbatches
-        d = self.parallel.data_parallel_size
-        per = ids.shape[0] // d
-        replica = self.replicas[0]
-        replica.zero_grad()
-        microbatches = make_microbatches(ids[:per], targets[:per], m)
-        loss = replica.run_iteration(microbatches, training=False, grad_scale=0.0)
-        replica.zero_grad()
-        return loss
-
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Replica 0's full serial-layout weights."""
         self.sync_from_workers()
         return self.replicas[0].gather_state_dict()
-
-    def parameters_per_rank(self) -> int:
-        """Trainable parameters held by one GPU (model-parallel shard)."""
-        # a replica's parameter list is already one rank's shard
-        return sum(p.size for p in self.replicas[0].parameters())

@@ -157,20 +157,3 @@ class Zero3Engine:
                 self._shard_params[r][i].grad[...] = shard_grads[r]
         for r in range(self.d):
             self._optimizers[r].step()
-
-    def comm_bytes_per_iteration(self, dtype_size: int = 2) -> float:
-        """Analytic per-rank volume: 3 (d-1)/d * P * dtype_size
-        (gather-fwd + gather-bwd + reduce-scatter)."""
-        P = sum(sp.padded_size for sp in self.sharded)
-        if self.d == 1:
-            return 0.0
-        return 3 * (self.d - 1) / self.d * P * dtype_size
-
-
-def zero3_comm_bytes(num_parameters: int, d: int, dtype_size: int = 2) -> float:
-    """Module-level helper mirroring :meth:`Zero3Engine.comm_bytes_per_iteration`."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
-        return 0.0
-    return 3 * (d - 1) / d * num_parameters * dtype_size

@@ -1,12 +1,6 @@
 """Analytical performance models: FLOPs, memory, microbatch, heuristics."""
 
-from .flops import (
-    flops_per_iteration,
-    iterations_for_tokens,
-    parameters,
-    training_time_days,
-    training_time_days_exact,
-)
+from .flops import training_time_days
 from .analytic_time import AnalyticEstimate, estimate_iteration
 from .autotune import (
     ScoredConfig,
@@ -30,11 +24,9 @@ from .memory import (
     MODEL_STATE_BYTES_PER_PARAM,
     MemoryFootprint,
     activation_bytes_per_layer,
-    checkpointed_memory,
     fits_in_memory,
     in_flight_microbatches,
     memory_footprint,
-    optimal_checkpoint_count,
     parameters_per_rank,
     stage_input_bytes,
 )
@@ -47,11 +39,7 @@ from .microbatch import (
 )
 
 __all__ = [
-    "parameters",
-    "flops_per_iteration",
-    "iterations_for_tokens",
     "training_time_days",
-    "training_time_days_exact",
     "suggest_parallel_config",
     "AnalyticEstimate",
     "estimate_iteration",
@@ -76,8 +64,6 @@ __all__ = [
     "memory_footprint",
     "fits_in_memory",
     "parameters_per_rank",
-    "optimal_checkpoint_count",
-    "checkpointed_memory",
     "MicrobatchPoint",
     "batch_time_eq1",
     "microbatch_times",

@@ -1,28 +1,8 @@
-"""FLOP and training-time arithmetic (eqs. 2-4, §5.1, appendix)."""
+"""Training-time arithmetic (eq. 4)."""
 
 from __future__ import annotations
 
-from repro.config import GPTConfig
-
 SECONDS_PER_DAY = 86400.0
-
-
-def parameters(config: GPTConfig) -> int:
-    """Eq. (2) parameter count."""
-    return config.num_parameters()
-
-
-def flops_per_iteration(config: GPTConfig, batch_size: int, *,
-                        with_recompute: bool = True) -> int:
-    """Eq. (3) FLOPs per training iteration."""
-    return config.flops_per_iteration(batch_size, with_recompute=with_recompute)
-
-
-def iterations_for_tokens(tokens: float, batch_size: int, seq_length: int) -> float:
-    """§5.1: ``I = T / (B s)``."""
-    if tokens <= 0 or batch_size < 1 or seq_length < 1:
-        raise ValueError("tokens, batch_size, seq_length must be positive")
-    return tokens / (batch_size * seq_length)
 
 
 def training_time_days(
@@ -43,16 +23,3 @@ def training_time_days(
     seconds = 8 * tokens * num_parameters / (num_gpus * achieved_flops_per_gpu)
     return seconds / SECONDS_PER_DAY
 
-
-def training_time_days_exact(
-    config: GPTConfig,
-    tokens: float,
-    batch_size: int,
-    num_gpus: int,
-    achieved_flops_per_gpu: float,
-) -> float:
-    """Training time from the exact eq. (3) FLOPs instead of eq. (4)."""
-    iters = iterations_for_tokens(tokens, batch_size, config.seq_length)
-    per_iter = config.flops_per_iteration(batch_size)
-    seconds = iters * per_iter / (num_gpus * achieved_flops_per_gpu)
-    return seconds / SECONDS_PER_DAY

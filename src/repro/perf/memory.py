@@ -13,9 +13,6 @@ Accounts, per GPU, for:
   persist, at the cost of the extra forward pass;
 - the in-flight microbatch count, which is a property of the pipeline
   schedule (``m`` for GPipe, ``min(p, m)`` for 1F1B, §2.2.1).
-
-Also implements §3.5's optimal checkpoint count
-``c* = sqrt(l (A_int / A_inp))``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ MODEL_STATE_BYTES_PER_PARAM = 16
 
 def activation_bytes_per_layer(
     b: int, s: int, h: int, a: int, t: int = 1, *, dtype_size: int = 2,
-    sequence_parallel: bool = False,
 ) -> int:
     """Stashed activation bytes for one microbatch through one layer.
 
@@ -44,18 +40,10 @@ def activation_bytes_per_layer(
     are sharded (the ``24/t``), attention score/probability matrices are
     sharded by head (the ``5 a s^2 b / t``, which contains dropout masks
     at 1 byte -- folded into the coefficient).
-
-    ``sequence_parallel`` models the activation-partitioning extension
-    §3.5 points to (ZeRO's activation partitioning / Megatron's later
-    sequence parallelism): the replicated ``10 s b h`` term is sharded
-    along the sequence dimension across the ``t`` tensor ranks, making
-    the whole footprint ``~(34/t) s b h + 5 a s^2 b / t``.
     """
     if min(b, s, h, a, t) < 1:
         raise ValueError("all dimensions must be >= 1")
     replicated = 10 * s * b * h
-    if sequence_parallel:
-        replicated //= t
     sharded = 24 * s * b * h // t
     attention = 5 * a * s * s * b // t
     return (replicated + sharded + attention) * dtype_size // 2
@@ -121,7 +109,6 @@ def memory_footprint(
     schedule_name: str = "1f1b",
     recompute: bool = False,
     dtype_size: int = 2,
-    sequence_parallel: bool = False,
 ) -> MemoryFootprint:
     """Peak per-GPU memory for training ``config`` under ``parallel``."""
     P_rank = parameters_per_rank(config, parallel)
@@ -138,7 +125,6 @@ def memory_footprint(
         # Only one layer's working set is live during recompute.
         working = activation_bytes_per_layer(
             parallel.b, s, h, a, parallel.t, dtype_size=dtype_size,
-            sequence_parallel=sequence_parallel,
         )
         return MemoryFootprint(
             model_state=model_state, activations=working, stage_inputs=inputs
@@ -149,7 +135,6 @@ def memory_footprint(
         * layers_per_stage
         * activation_bytes_per_layer(
             parallel.b, s, h, a, parallel.t, dtype_size=dtype_size,
-            sequence_parallel=sequence_parallel,
         )
     )
     return MemoryFootprint(
@@ -165,7 +150,6 @@ def fits_in_memory(
     schedule_name: str = "1f1b",
     recompute: bool = False,
     reserve_fraction: float = 0.1,
-    sequence_parallel: bool = False,
 ) -> bool:
     """Whether training fits in device memory (with a CUDA/fragmentation
     reserve)."""
@@ -173,27 +157,6 @@ def fits_in_memory(
         raise ValueError("reserve_fraction must be in [0, 1)")
     fp = memory_footprint(
         config, parallel, schedule_name=schedule_name, recompute=recompute,
-        sequence_parallel=sequence_parallel,
     )
     return fp.total <= device.memory_capacity * (1 - reserve_fraction)
 
-
-def optimal_checkpoint_count(
-    num_layers: int, a_input: float, a_intermediate: float
-) -> float:
-    """§3.5: minimize ``c A_input + (l/c) A_intermediate`` over c:
-    ``c* = sqrt(l A_int / A_inp)``."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    if a_input <= 0 or a_intermediate <= 0:
-        raise ValueError("activation sizes must be positive")
-    return math.sqrt(num_layers * a_intermediate / a_input)
-
-
-def checkpointed_memory(
-    num_checkpoints: float, num_layers: int, a_input: float, a_intermediate: float
-) -> float:
-    """Total activation memory with ``c`` checkpoints (§3.5 formula)."""
-    if num_checkpoints <= 0:
-        raise ValueError("num_checkpoints must be positive")
-    return num_checkpoints * a_input + num_layers / num_checkpoints * a_intermediate

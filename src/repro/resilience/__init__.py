@@ -4,11 +4,10 @@ The production-robustness arm of the reproduction: the paper's §5.10
 prices checkpoint I/O because at 3072-GPU scale failures are routine,
 and MegaScale (Jiang et al., 2024) makes detect / restart-from-
 checkpoint / goodput the defining concern beyond raw PTD-P throughput.
+One rank-death species serves both halves: a
+:class:`~repro.resilience.chaos.Kill` at an iteration boundary is what
+the goodput model prices and what the chaos harness raises.
 
-- :mod:`repro.resilience.faults` — declarative
-  :class:`~repro.resilience.faults.FaultPlan` (rank failures, link
-  degradation, stragglers) plus injectors into the discrete-event
-  simulator and the comm cost model;
 - :mod:`repro.resilience.detect` — heartbeat/timeout detection
   latency;
 - :mod:`repro.resilience.recovery` — restart-from-last-checkpoint
@@ -16,13 +15,13 @@ checkpoint / goodput the defining concern beyond raw PTD-P throughput.
   checkpoint interval;
 - :mod:`repro.resilience.goodput` — exact event-accounted
   :class:`~repro.resilience.goodput.GoodputReport` for a run under a
-  failure trace (exported through :mod:`repro.obs`), the steady-state
+  list of kills (exported through :mod:`repro.obs`), the steady-state
   expectation, and the checkpoint-interval sweep behind
   ``python -m repro goodput``;
 - :mod:`repro.resilience.chaos` — declarative
-  :class:`~repro.resilience.chaos.ChaosPlan`, the *live* twin of
-  ``FaultPlan``: kills, checkpoint corruption, and transient save
-  failures injected into the real engine;
+  :class:`~repro.resilience.chaos.ChaosPlan`: kills, checkpoint
+  corruption, and transient save failures injected into the real
+  engine, and the JSON codec every chaos plan shares;
 - :mod:`repro.resilience.harness` — supervised
   :class:`~repro.resilience.harness.ChaosHarness` that trains through a
   chaos plan with durable checkpoints, retries, fallback, and optional
@@ -46,16 +45,6 @@ from .chaos import (
     corrupt_file,
 )
 from .detect import HeartbeatDetector
-from .faults import (
-    FaultPlan,
-    LinkDegradation,
-    RankFailure,
-    Straggler,
-    degrade_cost_model,
-    fault_regimes,
-    faulted_iteration_seconds,
-    options_with_faults,
-)
 from .goodput import (
     ExpectedGoodput,
     GoodputReport,
@@ -112,14 +101,6 @@ __all__ = [
     "run_reset_reference",
     "shrink_parallel",
     "states_bit_equal",
-    "FaultPlan",
-    "RankFailure",
-    "LinkDegradation",
-    "Straggler",
-    "degrade_cost_model",
-    "options_with_faults",
-    "fault_regimes",
-    "faulted_iteration_seconds",
     "HeartbeatDetector",
     "RecoveryEvent",
     "RestartPolicy",

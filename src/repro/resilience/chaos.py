@@ -1,16 +1,16 @@
 """Declarative chaos plans for the *live* numeric engine.
 
-:class:`~repro.resilience.faults.FaultPlan` (PR 2) describes what goes
-wrong in a *modelled* run; :class:`ChaosPlan` is its executable twin:
-the same declarative shape, but every entry is injected into the real
-:class:`~repro.parallel.trainer.PTDTrainer` loop or the real checkpoint
-writer by :class:`~repro.resilience.harness.ChaosHarness`.  Three
-species again, now with teeth:
+A :class:`ChaosPlan` lists what goes wrong in one run; every entry is
+injected into the real :class:`~repro.parallel.trainer.PTDTrainer` loop
+or the real checkpoint writer by
+:class:`~repro.resilience.harness.ChaosHarness`.  Three species:
 
 - :class:`Kill` — raise :class:`RankFailureError` out of
   ``train_step`` once committed progress reaches ``at_iteration``
   (``permanent=True`` means the rank is lost for good, forcing a
-  resharded resume on a smaller parallel configuration);
+  resharded resume on a smaller parallel configuration).  The goodput
+  model (:func:`~repro.resilience.goodput.simulate_goodput`) prices
+  the same species, restarts only;
 - :class:`CorruptCheckpoint` — after the checkpoint committed at
   ``at_iteration`` is verified and published, damage one of its files
   on disk (bit-flip / truncate / delete), modelling post-commit
@@ -34,7 +34,8 @@ is untouched while the anomaly detectors
   collapse) or to one rank's reported busy time (``rank=r``: a
   straggler).
 
-Plans round-trip through JSON (``python -m repro chaos --plan``).
+Plans round-trip through JSON (``python -m repro chaos --plan``) by
+:class:`PlanCodec`, which the serving plan shares.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 CORRUPT_MODES = ("flip", "truncate", "delete")
 
@@ -50,11 +52,10 @@ class RankFailureError(RuntimeError):
     """A rank died: the synchronous PTD-P job cannot continue around a
     hole, so this aborts the training step it interrupts.
 
-    The live counterpart of the declarative
-    :class:`~repro.resilience.faults.RankFailure`: ``iteration`` counts
-    committed iterations at the instant of death, ``rank`` labels the
-    trace span, and ``permanent`` marks a rank that will not come back
-    (the recovery policy reshards onto fewer ranks).
+    What a :class:`Kill` raises: ``iteration`` counts committed
+    iterations at the instant of death, ``rank`` labels the trace span,
+    and ``permanent`` marks a rank that will not come back (the recovery
+    policy reshards onto fewer ranks).
     """
 
     def __init__(self, iteration: int, rank: int = 0,
@@ -74,9 +75,11 @@ class TransientSaveError(OSError):
 
 @dataclass(frozen=True)
 class Kill:
-    """Kill ``rank`` once committed progress reaches ``at_iteration``
-    (before the next iteration runs -- the same boundary semantics as
-    :class:`~repro.resilience.faults.RankFailure`).  Fires once."""
+    """Kill ``rank`` once committed progress reaches ``at_iteration``:
+    after any checkpoint due at that boundary is written, before the
+    next iteration runs.  Fires once.  Any death restarts the whole
+    synchronous job, so in the goodput model ``rank`` only labels the
+    event."""
 
     at_iteration: int
     rank: int = 0
@@ -178,9 +181,69 @@ class Stall:
             )
 
 
+class PlanCodec:
+    """The JSON codec every chaos plan shares.
+
+    A plan is a frozen dataclass with one tuple of entries per key of
+    ``ENTRIES`` (plan key -> entry class, and what one entry is called
+    in an error); ``KIND`` names the plan in its errors.  Loading
+    parses or raises ``ValueError``, never anything else.
+    """
+
+    KIND: ClassVar[str]
+    ENTRIES: ClassVar[dict[str, tuple[type, str]]]
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {key: [asdict(entry) for entry in getattr(self, key)]
+             for key in self.ENTRIES},
+            indent=2,
+        )
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"unparseable {cls.KIND}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{cls.KIND} must be a JSON object")
+        unknown = set(raw) - set(cls.ENTRIES)
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.KIND} keys: {', '.join(sorted(unknown))}"
+            )
+        return cls(**{key: cls._build(key, raw.get(key, []))
+                      for key in cls.ENTRIES})
+
+    @classmethod
+    def _build(cls, key: str, entries) -> tuple:
+        entry_cls, what = cls.ENTRIES[key]
+        if not isinstance(entries, list):
+            raise ValueError(f"{key} must be a list")
+        out = []
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"{what} entries must be objects")
+            try:
+                out.append(entry_cls(**entry))
+            except TypeError as exc:
+                raise ValueError(f"bad {what} entry: {exc}") from exc
+        return tuple(out)
+
+
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(PlanCodec):
     """Everything that goes wrong during one *live* training run."""
+
+    KIND: ClassVar[str] = "chaos plan"
+    ENTRIES: ClassVar[dict[str, tuple[type, str]]] = {
+        "kills": (Kill, "kill"),
+        "corruptions": (CorruptCheckpoint, "corruption"),
+        "save_failures": (SaveFailure, "save_failure"),
+        "loss_spikes": (LossSpike, "loss_spike"),
+        "stalls": (Stall, "stall"),
+    }
 
     kills: tuple[Kill, ...] = ()
     corruptions: tuple[CorruptCheckpoint, ...] = ()
@@ -213,86 +276,16 @@ class ChaosPlan:
                 )
             seen.add(ls.at_iteration)
 
-    @property
-    def is_healthy(self) -> bool:
-        return not (self.kills or self.corruptions or self.save_failures
-                    or self.loss_spikes or self.stalls)
-
-    def corruptions_at(self, iteration: int) -> tuple[CorruptCheckpoint, ...]:
-        return tuple(
-            c for c in self.corruptions if c.at_iteration == iteration
-        )
-
     def loss_spike_at(self, iteration: int) -> LossSpike | None:
         for ls in self.loss_spikes:
             if ls.at_iteration == iteration:
                 return ls
         return None
 
-    def stalls_at(self, iteration: int) -> tuple[Stall, ...]:
-        return tuple(
-            s for s in self.stalls
-            if s.at_iteration <= iteration < s.at_iteration + s.iterations
-        )
-
     def save_failure_budget(self) -> dict[int, int]:
         """Mutable ``{iteration: remaining transient failures}`` map
         (one per run; the harness decrements it as failures fire)."""
         return {sf.at_iteration: sf.times for sf in self.save_failures}
-
-    # -- (de)serialisation --------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kills": [asdict(k) for k in self.kills],
-                "corruptions": [asdict(c) for c in self.corruptions],
-                "save_failures": [asdict(s) for s in self.save_failures],
-                "loss_spikes": [asdict(s) for s in self.loss_spikes],
-                "stalls": [asdict(s) for s in self.stalls],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"unparseable chaos plan: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("chaos plan must be a JSON object")
-        unknown = set(raw) - {
-            "kills", "corruptions", "save_failures", "loss_spikes", "stalls",
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown chaos plan keys: {', '.join(sorted(unknown))}"
-            )
-
-        def build(cls_, entries, what):
-            out = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise ValueError(f"{what} entries must be objects")
-                try:
-                    out.append(cls_(**entry))
-                except TypeError as exc:
-                    raise ValueError(f"bad {what} entry: {exc}") from exc
-            return tuple(out)
-
-        return cls(
-            kills=build(Kill, raw.get("kills", ()), "kill"),
-            corruptions=build(
-                CorruptCheckpoint, raw.get("corruptions", ()), "corruption"
-            ),
-            save_failures=build(
-                SaveFailure, raw.get("save_failures", ()), "save_failure"
-            ),
-            loss_spikes=build(
-                LossSpike, raw.get("loss_spikes", ()), "loss_spike"
-            ),
-            stalls=build(Stall, raw.get("stalls", ()), "stall"),
-        )
 
 
 def corrupt_file(path: str, mode: str = "flip") -> None:

@@ -65,11 +65,3 @@ class HeartbeatDetector:
             (self.missed_heartbeats - 0.5) * self.heartbeat_interval
             + self.notification_latency
         )
-
-    def worst_case_latency(self) -> float:
-        """Failure immediately after a successful ping: the full
-        ``missed_heartbeats`` intervals elapse before declaration."""
-        return (
-            self.missed_heartbeats * self.heartbeat_interval
-            + self.notification_latency
-        )

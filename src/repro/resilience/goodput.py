@@ -3,8 +3,8 @@
 Two complementary models share one overhead decomposition
 (``wall = useful + checkpoint + detection + load + lost work``):
 
-- :func:`simulate_goodput` replays a concrete
-  :class:`~repro.resilience.faults.FaultPlan` iteration by iteration —
+- :func:`simulate_goodput` replays a run under a list of
+  :class:`~repro.resilience.chaos.Kill` entries iteration by iteration —
   exact, deterministic event accounting, with every checkpoint save,
   detection stall, restart load and recompute window exported as a
   span through :mod:`repro.obs` (the trace's per-phase sums equal the
@@ -30,7 +30,7 @@ from repro.config import (
 )
 from repro.obs.tracer import GLOBAL_RANK, current_tracer
 
-from .faults import FaultPlan
+from .chaos import Kill
 from .recovery import (
     RecoveryEvent,
     RestartPolicy,
@@ -74,10 +74,6 @@ class GoodputReport:
         )
 
     @property
-    def overhead_seconds(self) -> float:
-        return self.wall_clock_seconds - self.useful_seconds
-
-    @property
     def goodput(self) -> float:
         """Effective-training-time fraction of wall clock, in [0, 1]."""
         wall = self.wall_clock_seconds
@@ -95,33 +91,15 @@ class GoodputReport:
         )
 
 
-def _iteration_seconds(
-    iteration_seconds: float | Sequence[float], total_iterations: int
-) -> Sequence[float]:
-    if isinstance(iteration_seconds, (int, float)):
-        if iteration_seconds <= 0:
-            raise ValueError(
-                f"iteration_seconds must be > 0, got {iteration_seconds}"
-            )
-        return [float(iteration_seconds)] * total_iterations
-    if len(iteration_seconds) != total_iterations:
-        raise ValueError(
-            f"{len(iteration_seconds)} per-iteration durations for "
-            f"{total_iterations} iterations -- must match"
-        )
-    if any(t <= 0 for t in iteration_seconds):
-        raise ValueError("per-iteration durations must be > 0")
-    return iteration_seconds
-
-
 def simulate_goodput(
-    iteration_seconds: float | Sequence[float],
+    iteration_seconds: float,
     total_iterations: int,
     checkpoint_interval_iterations: int,
     policy: RestartPolicy,
-    plan: FaultPlan | None = None,
+    kills: Sequence[Kill] = (),
 ) -> GoodputReport:
-    """Replay a training run of ``total_iterations`` under ``plan``.
+    """Replay a training run of ``total_iterations`` iterations of
+    ``iteration_seconds`` each, under ``kills``.
 
     Semantics (deterministic, at iteration granularity):
 
@@ -129,13 +107,15 @@ def simulate_goodput(
       ``checkpoint_interval_iterations`` committed iterations except at
       the very end (the final save is interval-independent and would
       only shift every sweep point by a constant);
-    - a :class:`~repro.resilience.faults.RankFailure` at iteration ``k``
+    - a :class:`~repro.resilience.chaos.Kill` at iteration ``k``
       strikes when committed progress first reaches ``k`` — after the
       checkpoint scheduled at the same boundary, before the next
       iteration.  The job pays the detector's expected latency, the
       restart load, and re-runs everything since the last checkpoint;
-      failures at ``k >= total_iterations`` never strike.  ``useful``
-      counts each iteration once; re-executions are ``lost work``;
+      kills at ``k >= total_iterations`` never strike.  ``useful``
+      counts each iteration once; re-executions are ``lost work``.
+      The model prices restarts, not reshards: a ``permanent`` kill is
+      a ``ValueError``;
     - while a tracer is active (``with trace() as t:``) every save /
       detect / load / recompute window and the training segments
       between them are emitted as modelled-clock spans (phases
@@ -152,14 +132,22 @@ def simulate_goodput(
             "checkpoint_interval_iterations must be >= 1, got "
             f"{checkpoint_interval_iterations}"
         )
-    iter_secs = _iteration_seconds(iteration_seconds, total_iterations)
-    plan = plan or FaultPlan()
+    if iteration_seconds <= 0:
+        raise ValueError(
+            f"iteration_seconds must be > 0, got {iteration_seconds}"
+        )
+    if any(kill.permanent for kill in kills):
+        raise ValueError(
+            "the goodput model prices restarts, not reshards: "
+            "a permanent kill cannot be priced"
+        )
+    iter_secs = float(iteration_seconds)
     interval = checkpoint_interval_iterations
     detect_latency = policy.detector.expected_latency()
     tracer = current_tracer()
 
     events: list[RecoveryEvent] = []
-    pending = list(plan.failures)  # sorted by at_iteration (FaultPlan)
+    pending = sorted(kills, key=lambda kill: kill.at_iteration)
     train_accrued = 0.0  # every executed iteration, incl. re-runs
     checkpoint = detect = load = lost = 0.0
     num_checkpoints = 0
@@ -185,7 +173,8 @@ def simulate_goodput(
             flush_train_segment()
             last_ckpt = (committed // interval) * interval
             lost_iters = committed - last_ckpt
-            lost_secs = float(sum(iter_secs[last_ckpt:committed]))
+            # Summed, not multiplied: the same float the run accrued.
+            lost_secs = float(sum([iter_secs] * lost_iters))
             event = RecoveryEvent(
                 at_iteration=committed,
                 rank=f.rank,
@@ -229,8 +218,8 @@ def simulate_goodput(
                 )
             segment_start = wall
             committed = last_ckpt
-        train_accrued += iter_secs[committed]
-        wall += iter_secs[committed]
+        train_accrued += iter_secs
+        wall += iter_secs
         committed += 1
         if committed % interval == 0 and committed < total_iterations:
             flush_train_segment()

@@ -116,7 +116,3 @@ class RestartPolicy:
             .duration_seconds,
             detector=detector or HeartbeatDetector(),
         )
-
-    def optimal_interval_seconds(self, mtbf_seconds: float) -> float:
-        """Young/Daly interval for this policy's save cost."""
-        return young_daly_interval(mtbf_seconds, self.save_seconds)

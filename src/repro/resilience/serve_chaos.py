@@ -23,17 +23,21 @@ cares about:
 
 All faults are injected on the engine's deterministic virtual clock, so
 a faulted run replays bit-exactly.  Plans round-trip through JSON
-(``repro serve --chaos-plan``).  :class:`ServeChaosInjector` executes a
-plan against one engine run and emits one ground-truth ``fault``
-run-log event per plan entry (``expect=`` names the monitor detector
-that should catch it, exactly like the training chaos harness), which
-the scoreboard scores detectors against.
+(``repro serve --chaos-plan``) by the codec the training plan uses
+(:class:`~repro.resilience.chaos.PlanCodec`).
+:class:`ServeChaosInjector` executes a plan against one engine run and
+emits one ground-truth ``fault`` run-log event per plan entry
+(``expect=`` names the monitor detector that should catch it, exactly
+like the training chaos harness), which the scoreboard scores detectors
+against.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import ClassVar
+
+from .chaos import PlanCodec
 
 
 class DecodeCrashError(RuntimeError):
@@ -103,8 +107,15 @@ class AllocExhaustion:
 
 
 @dataclass(frozen=True)
-class ServeChaosPlan:
+class ServeChaosPlan(PlanCodec):
     """Everything that goes wrong during one serve-engine run."""
+
+    KIND: ClassVar[str] = "serve chaos plan"
+    ENTRIES: ClassVar[dict[str, tuple[type, str]]] = {
+        "crashes": (DecodeCrash, "crash"),
+        "corruptions": (KVCorruption, "corruption"),
+        "exhaustions": (AllocExhaustion, "exhaustion"),
+    }
 
     crashes: tuple[DecodeCrash, ...] = ()
     corruptions: tuple[KVCorruption, ...] = ()
@@ -134,56 +145,6 @@ class ServeChaosPlan:
                     f"overlapping exhaustion storms at step {storm.at_step}"
                 )
             seen.update(span)
-
-    @property
-    def is_healthy(self) -> bool:
-        return not (self.crashes or self.corruptions or self.exhaustions)
-
-    # -- (de)serialisation --------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "crashes": [asdict(c) for c in self.crashes],
-                "corruptions": [asdict(c) for c in self.corruptions],
-                "exhaustions": [asdict(e) for e in self.exhaustions],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeChaosPlan":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"unparseable serve chaos plan: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("serve chaos plan must be a JSON object")
-        unknown = set(raw) - {"crashes", "corruptions", "exhaustions"}
-        if unknown:
-            raise ValueError(
-                f"unknown serve chaos plan keys: {', '.join(sorted(unknown))}"
-            )
-
-        def build(cls_, entries, what):
-            out = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise ValueError(f"{what} entries must be objects")
-                try:
-                    out.append(cls_(**entry))
-                except TypeError as exc:
-                    raise ValueError(f"bad {what} entry: {exc}") from exc
-            return tuple(out)
-
-        return cls(
-            crashes=build(DecodeCrash, raw.get("crashes", ()), "crash"),
-            corruptions=build(
-                KVCorruption, raw.get("corruptions", ()), "corruption"
-            ),
-            exhaustions=build(
-                AllocExhaustion, raw.get("exhaustions", ()), "exhaustion"
-            ),
-        )
 
 
 class ServeChaosInjector:

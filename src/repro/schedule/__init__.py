@@ -4,9 +4,6 @@ from .bubble import (
     bubble_fraction,
     bubble_fraction_vs_data_parallel,
     bubble_overhead,
-    bubble_time,
-    ideal_time,
-    throughput_factor,
 )
 from .execution import (
     CompletionOrder,
@@ -53,11 +50,8 @@ __all__ = [
     "validate",
     "simulate_times",
     "completion_order_is_serializable",
-    "bubble_time",
-    "ideal_time",
     "bubble_fraction",
     "bubble_overhead",
-    "throughput_factor",
     "bubble_fraction_vs_data_parallel",
     "render_schedule",
     "render_timeline",

@@ -12,20 +12,6 @@ All formulas are the paper's:
 from __future__ import annotations
 
 
-def bubble_time(p: int, t_f: float, t_b: float, v: int = 1) -> float:
-    """Absolute bubble time ``(p-1)(t_f + t_b)/v`` for one batch."""
-    _check_p_m(p, 1)
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    return (p - 1) * (t_f + t_b) / v
-
-
-def ideal_time(m: int, t_f: float, t_b: float) -> float:
-    """Ideal (bubble-free) batch time ``m (t_f + t_b)``."""
-    _check_p_m(1, m)
-    return m * (t_f + t_b)
-
-
 def bubble_fraction(p: int, m: int, v: int = 1) -> float:
     """Bubble time over ideal time: ``(1/v) (p - 1)/m``.
 
@@ -44,11 +30,6 @@ def bubble_overhead(p: int, m: int, v: int = 1) -> float:
     fraction equals."""
     f = bubble_fraction(p, m, v)
     return f / (1.0 + f)
-
-
-def throughput_factor(p: int, m: int, v: int = 1) -> float:
-    """Fraction of ideal throughput achieved: ``1 / (1 + bubble)``."""
-    return 1.0 / (1.0 + bubble_fraction(p, m, v))
 
 
 def bubble_fraction_vs_data_parallel(n: int, d: int, b_prime: int) -> float:

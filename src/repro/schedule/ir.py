@@ -107,15 +107,6 @@ class PipelineSchedule:
             raise ValueError(f"chunk {chunk} out of range")
         return chunk * self.num_stages + rank
 
-    def rank_chunk_of_stage(self, stage: int) -> tuple[int, int]:
-        """Inverse of :meth:`global_stage`: stage -> (rank, chunk)."""
-        if not 0 <= stage < self.total_stages:
-            raise ValueError(f"stage {stage} out of range")
-        return stage % self.num_stages, stage // self.num_stages
-
-    def ops_for_rank(self, rank: int) -> tuple[ScheduleOp, ...]:
-        return self.ops[rank]
-
     def counts_are_complete(self) -> bool:
         """Every rank runs exactly one F and one B per (microbatch, chunk)."""
         want = {

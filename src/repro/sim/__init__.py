@@ -6,7 +6,6 @@ from .trainer_sim import (
     SimTimedOp,
     SimulationResult,
     price_iteration,
-    render_simulated_timeline,
     simulate_iteration,
 )
 from .zero_sim import ZeroSimResult, simulate_zero3_iteration
@@ -18,7 +17,6 @@ __all__ = [
     "IterationPricing",
     "price_iteration",
     "simulate_iteration",
-    "render_simulated_timeline",
     "ZeroSimResult",
     "simulate_zero3_iteration",
 ]

@@ -75,15 +75,7 @@ class SimTimedOp(TimedOp):
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Simulation switches (the paper's implementation options).
-
-    ``compute_slowdown`` and ``bandwidth_derate`` are the fault-
-    injection hooks used by :mod:`repro.resilience.faults`: training is
-    synchronous, so a straggling rank paces every iteration — the
-    slowdown multiplies compute and optimizer time (communication is
-    priced separately, and degraded links are ``bandwidth_derate``'s
-    job, applied to every bandwidth term of the comm cost model).
-    """
+    """Simulation switches (the paper's implementation options)."""
 
     schedule_name: str = "1f1b"
     fused_kernels: bool = True
@@ -94,18 +86,6 @@ class SimOptions:
     overlap_p2p: bool = False  # paper: sends/recvs in parallel w/ compute
     tp_channels: int = 2  # NCCL channels for per-layer TP collectives
     collect_timeline: bool = False  # keep per-op SimTimedOp windows
-    compute_slowdown: float = 1.0  # straggler multiplier (>= 1)
-    bandwidth_derate: float = 1.0  # link health factor in (0, 1]
-
-    def __post_init__(self) -> None:
-        if self.compute_slowdown < 1:
-            raise ValueError(
-                f"compute_slowdown must be >= 1, got {self.compute_slowdown}"
-            )
-        if not 0 < self.bandwidth_derate <= 1:
-            raise ValueError(
-                f"bandwidth_derate must be in (0, 1], got {self.bandwidth_derate}"
-            )
 
 
 @dataclass
@@ -142,10 +122,6 @@ class SimulationResult:
     @property
     def sequences_per_second(self) -> float:
         return self.global_batch_size / self.iteration_time
-
-    @property
-    def tokens_per_second(self) -> float:
-        return self.sequences_per_second * self.seq_length
 
     @property
     def bubble_fraction(self) -> float:
@@ -207,7 +183,7 @@ def price_iteration(
     parallel.validate_for_model(config)
     topo = topology or cluster_for_gpus(max(parallel.world_size, 1), node)
     compute = ComputeModel(device=node.device)
-    comm = CommCostModel(topo, bandwidth_derate=options.bandwidth_derate)
+    comm = CommCostModel(topo)
     groups = ProcessGroups(parallel)
 
     p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
@@ -280,10 +256,9 @@ def price_iteration(
     edge = [0.0, *(hop * v)[1:], 0.0]
     both_edges = [below + above for below, above in zip(edge, edge[1:])]
     comm_time = (both_edges, list(both_edges))
-    slow = options.compute_slowdown
     dur = (
-        [c.forward * slow + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
-        [c.backward * slow + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
+        [c.forward + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
+        [c.backward + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
     )
 
     # -- data-parallel gradient all-reduce + embedding sync -----------------
@@ -304,10 +279,7 @@ def price_iteration(
         )
 
     # -- optimizer step: memory-bound pass over the model state -------------
-    opt_time = (
-        compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
-        * options.compute_slowdown
-    )
+    opt_time = compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
     return IterationPricing(
         stage_costs=costs, tp_time=tp_time, comm_time=comm_time, dur=dur,
         pipe_ranks=pipe_ranks, params_rank=params_rank,
@@ -508,29 +480,3 @@ def simulate_iteration(
             "pipeline_schedule": schedule,
         },
     )
-
-
-def render_simulated_timeline(result: SimulationResult) -> str:
-    """ASCII timeline of a simulation run with ``collect_timeline=True``.
-
-    Unlike the unit-time Figure 3/4 renders, this shows *modelled*
-    durations: backward boxes are visibly longer than forward ones, p2p
-    time stretches the boxes, and the warm-up/cool-down bubble appears
-    to scale.
-    """
-    from repro.schedule.execution import Timeline
-    from repro.schedule.visualize import render_timeline
-
-    ops = result.extras.get("timeline")
-    schedule = result.extras.get("pipeline_schedule")
-    if not ops or schedule is None:
-        raise ValueError(
-            "simulation was not run with SimOptions(collect_timeline=True)"
-        )
-    tl = Timeline(schedule=schedule, ops=tuple(ops),
-                  makespan=max(t.end for t in ops))
-    header = (
-        f"simulated timeline: makespan={tl.makespan:.3f}s  "
-        f"bubble={tl.bubble_fraction():.3f}"
-    )
-    return header + "\n" + render_timeline(tl)

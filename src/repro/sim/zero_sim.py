@@ -49,10 +49,6 @@ class ZeroSimResult:
     def tflops_per_gpu(self) -> float:
         return self.model_flops / self.num_gpus / self.iteration_time / 1e12
 
-    @property
-    def peak_fraction(self) -> float:
-        return self.tflops_per_gpu * 1e12 / self.peak_flops
-
 
 def simulate_zero3_iteration(
     config: GPTConfig,

@@ -1,8 +1,8 @@
 """Correctness-verification subsystem.
 
-Four cooperating pieces that turn the paper's validity argument --
-any (data, tensor, pipeline) decomposition preserves strict
-synchronous-SGD semantics -- into executable, CI-enforced properties:
+Checkers that turn the paper's validity argument -- any (data, tensor,
+pipeline) decomposition preserves strict synchronous-SGD semantics --
+into executable, CI-enforced properties:
 
 - :mod:`repro.verify.schedule_check` -- static validator over the
   schedule IR: dependency races, p2p send/recv matching (real-rank
@@ -13,13 +13,19 @@ synchronous-SGD semantics -- into executable, CI-enforced properties:
 - :mod:`repro.verify.conformance` -- property harness sampling random
   small-model (d, t, p, v, m, recompute, ZeRO) configs and asserting
   the parallel engine matches the single-rank baseline.
+- :mod:`repro.verify.backend_check` -- the multi-process backend is
+  bit-identical to the cooperative one.
 - :mod:`repro.verify.conservation` -- cross-checks measured TrafficLog
   bytes and FlopMeter FLOPs against the §3.2 / eq. (3) closed forms.
 - :mod:`repro.verify.chaos_check` -- fault-tolerance conformance: the
   chaos harness's recovery (kill/resume, corrupt/fallback, interrupted
   commits, resharding) must not change what training computes.
+- :mod:`repro.verify.serve_check` and
+  :mod:`repro.verify.serve_chaos_check` -- the serving engine's token
+  streams equal the ``generate`` oracle, with and without injected
+  faults.
 
-``python -m repro verify`` runs all five (see
+``python -m repro verify`` runs them as eight sections (see
 :mod:`repro.verify.runner`).
 
 This ``__init__`` resolves its public names lazily (PEP 562):
@@ -36,7 +42,6 @@ _EXPORTS = {
     "CollectiveMismatch": "sanitizer",
     "CollectiveSanitizer": "sanitizer",
     "SanitizerError": "sanitizer",
-    "current_sanitizer": "sanitizer",
     "record_collective": "sanitizer",
     # schedule validator
     "ScheduleViolation": "schedule_check",
@@ -83,7 +88,3 @@ def __getattr__(name: str):
     value = getattr(module, name)
     globals()[name] = value  # cache for subsequent lookups
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -63,20 +63,8 @@ class ConservationReport:
     items: list[ConservationItem] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    @property
     def failures(self) -> list[ConservationItem]:
         return [item for item in self.items if not item.ok]
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        out = f"{status}  conservation {self.case.describe()}"
-        for item in self.items:
-            if not item.ok:
-                out += f"\n      {item.describe()}"
-        return out
 
 
 def default_conservation_configs(fast: bool = False) -> list[ConformanceCase]:

@@ -196,11 +196,6 @@ class CollectiveSanitizer:
 _ACTIVE: list[CollectiveSanitizer] = []
 
 
-def current_sanitizer() -> CollectiveSanitizer | None:
-    """Innermost active sanitizer (None when sanitizing is off)."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
 def record_collective(op: str, ranks, shape, dtype, tag: str = "") -> None:
     """Report one group collective to every active sanitizer.
 

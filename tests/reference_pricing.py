@@ -139,27 +139,9 @@ def cluster_for_gpus(num_gpus: int, node: NodeSpec | None = None) -> ClusterTopo
 # -- repro.comm.cost_model ----------------------------------------------------
 @dataclass(frozen=True)
 class CommCostModel:
-    """Prices communication operations on a :class:`ClusterTopology`.
-
-    ``bandwidth_derate`` scales every bandwidth term (NVLink, IB, all
-    collectives and p2p alike) to model degraded interconnect health —
-    the :mod:`repro.resilience.faults` link-degradation injector sets
-    it from a fault plan.  Latency (alpha) terms are unaffected: a
-    congested or flapping link loses throughput, not propagation time.
-    """
+    """Prices communication operations on a :class:`ClusterTopology`."""
 
     topology: ClusterTopology
-    bandwidth_derate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_derate <= 1:
-            raise ValueError(
-                f"bandwidth_derate must be in (0, 1], got {self.bandwidth_derate}"
-            )
-
-    def _bw(self, nominal: float) -> float:
-        """Effective bandwidth of a link with nominal rate ``nominal``."""
-        return nominal * self.bandwidth_derate
 
     # -- point-to-point ---------------------------------------------------
     def p2p_time(self, src: int, dst: int, nbytes: float) -> float:
@@ -168,7 +150,7 @@ class CommCostModel:
             raise ValueError("nbytes must be >= 0")
         if src == dst:
             return 0.0
-        bw = self._bw(self.topology.link_bandwidth(src, dst))
+        bw = self.topology.link_bandwidth(src, dst)
         return self.topology.link_latency(src, dst) + nbytes / bw
 
     def pipeline_p2p_time(
@@ -200,7 +182,7 @@ class CommCostModel:
         t = tensor_parallel_size
         ib_time = self.p2p_time(src, dst, nbytes / t)
         # NVLink all-gather of the other (t-1)/t of the tensor.
-        nvlink_bw = self._bw(self.topology.node.nvlink_bandwidth)
+        nvlink_bw = self.topology.node.nvlink_bandwidth
         gather_time = (
             self.topology.node.nvlink_latency * (t - 1)
             + (nbytes * (t - 1) / t) / nvlink_bw
@@ -243,13 +225,11 @@ class CommCostModel:
         if g > 1:
             intra = (
                 (g - 1) * node.nvlink_latency
-                + (g - 1) / g * nbytes / self._bw(node.nvlink_bandwidth)
+                + (g - 1) / g * nbytes / node.nvlink_bandwidth
             )
         if num_nodes > 1:
             lanes = g if channels is None else min(g, channels)
-            bw = self._bw(
-                min(lanes * node.ib_bandwidth_per_hca, node.total_ib_bandwidth)
-            )
+            bw = min(lanes * node.ib_bandwidth_per_hca, node.total_ib_bandwidth)
             inter = (
                 (num_nodes - 1) * node.ib_latency
                 + (num_nodes - 1) / num_nodes * nbytes / bw
@@ -259,7 +239,7 @@ class CommCostModel:
             # cannot happen with distinct ranks; keep NVLink ring.
             intra = (
                 (k - 1) * node.nvlink_latency
-                + (k - 1) / k * nbytes / self._bw(node.nvlink_bandwidth)
+                + (k - 1) / k * nbytes / node.nvlink_bandwidth
             )
         return intra, inter
 
@@ -308,10 +288,8 @@ class CommCostModel:
         g, num_nodes = self._group_geometry(ranks)
         node = self.topology.node
         if num_nodes == 1:
-            return (k - 1) * node.nvlink_latency + nbytes / self._bw(
-                node.nvlink_bandwidth
-            )
-        bw = self._bw(min(g * node.ib_bandwidth_per_hca, node.total_ib_bandwidth))
+            return (k - 1) * node.nvlink_latency + nbytes / node.nvlink_bandwidth
+        bw = min(g * node.ib_bandwidth_per_hca, node.total_ib_bandwidth)
         return (num_nodes - 1) * node.ib_latency + nbytes / bw
 
     @staticmethod
@@ -473,7 +451,7 @@ def price_iteration(
     parallel.validate_for_model(config)
     topo = topology or cluster_for_gpus(max(parallel.world_size, 1), node)
     compute = ComputeModel(device=node.device)
-    comm = CommCostModel(topo, bandwidth_derate=options.bandwidth_derate)
+    comm = CommCostModel(topo)
     groups = ProcessGroups(parallel)
 
     p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
@@ -545,10 +523,9 @@ def price_iteration(
         [into[g] + into[g + 1] for g in stages],
         [back[g + 1] + back[g] for g in stages],
     )
-    slow = options.compute_slowdown
     dur = (
-        [c.forward * slow + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
-        [c.backward * slow + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
+        [c.forward + tp_time[0] + x for c, x in zip(costs, comm_time[0])],
+        [c.backward + tp_time[1] + x for c, x in zip(costs, comm_time[1])],
     )
 
     # -- data-parallel gradient all-reduce + embedding sync -----------------
@@ -569,10 +546,7 @@ def price_iteration(
         )
 
     # -- optimizer step: memory-bound pass over the model state -------------
-    opt_time = (
-        compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
-        * options.compute_slowdown
-    )
+    opt_time = compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
     return IterationPricing(
         stage_costs=costs, tp_time=tp_time, comm_time=comm_time, dur=dur,
         pipe_ranks=pipe_ranks, params_rank=params_rank,

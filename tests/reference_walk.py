@@ -105,10 +105,7 @@ def simulate_iteration(config, parallel, options) -> dict:
     node = dgx_a100()
     n = parallel.world_size
     compute = ComputeModel(device=node.device)
-    comm = CommCostModel(
-        cluster_for_gpus(max(n, 1), node),
-        bandwidth_derate=options.bandwidth_derate,
-    )
+    comm = CommCostModel(cluster_for_gpus(max(n, 1), node))
     groups = ProcessGroups(parallel)
     p, t, d, v = parallel.p, parallel.t, parallel.d, parallel.v
     m = parallel.num_microbatches
@@ -137,8 +134,8 @@ def simulate_iteration(config, parallel, options) -> dict:
         f_tp = 2 * layers_per_stage * tp_ar_time
         bwd_ars = 2 + (2 if options.recompute_activations else 0)
         b_tp = bwd_ars * layers_per_stage * tp_ar_time
-        fwd_dur[g] = cost.forward * options.compute_slowdown + f_tp
-        bwd_dur[g] = cost.backward * options.compute_slowdown + b_tp
+        fwd_dur[g] = cost.forward + f_tp
+        bwd_dur[g] = cost.backward + b_tp
         fwd_tp[g] = f_tp
         bwd_tp[g] = b_tp
 
@@ -202,10 +199,7 @@ def simulate_iteration(config, parallel, options) -> dict:
         embed_time = comm.all_reduce_time(
             [pipe_ranks[0], pipe_ranks[-1]], emb_bytes
         )
-    opt_time = (
-        compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
-        * options.compute_slowdown
-    )
+    opt_time = compute.memory_time(params_rank * MODEL_STATE_BYTES_PER_PARAM)
     return {
         "iteration_time": pipeline_time + dp_time + embed_time + opt_time,
         "pipeline_time": pipeline_time,

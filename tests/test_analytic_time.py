@@ -80,46 +80,3 @@ class TestStructure:
         t0 = time.perf_counter()
         estimate_iteration(row.model, row.parallel)
         assert time.perf_counter() - t0 < 0.1
-
-
-class TestSequenceParallelMemory:
-    """The §3.5 activation-partitioning extension in the memory model."""
-
-    def test_reduces_activation_footprint(self):
-        from repro.perf import memory_footprint
-
-        par = ParallelConfig(
-            pipeline_parallel_size=12, tensor_parallel_size=8,
-            data_parallel_size=1, microbatch_size=1, global_batch_size=48,
-        )
-        plain = memory_footprint(gpt3_175b(), par, recompute=False)
-        seq = memory_footprint(
-            gpt3_175b(), par, recompute=False, sequence_parallel=True
-        )
-        assert seq.activations < plain.activations
-        assert seq.model_state == plain.model_state
-
-    def test_noop_at_t1(self):
-        from repro.perf import activation_bytes_per_layer
-
-        assert activation_bytes_per_layer(
-            1, 128, 256, 8, 1, sequence_parallel=True
-        ) == activation_bytes_per_layer(1, 128, 256, 8, 1)
-
-    def test_enables_larger_batches(self):
-        """Sequence parallelism should admit configs that otherwise OOM."""
-        from repro.config import fig17_model
-        from repro.hardware import a100_80gb
-        from repro.perf import fits_in_memory
-
-        # m = 12 in-flight microbatches: plain activations overflow the
-        # 80 GB device, sequence-parallel ones fit.
-        par = ParallelConfig(
-            pipeline_parallel_size=16, tensor_parallel_size=8,
-            data_parallel_size=1, microbatch_size=2, global_batch_size=24,
-        )
-        dev = a100_80gb()
-        assert not fits_in_memory(fig17_model(), par, dev, recompute=False)
-        assert fits_in_memory(
-            fig17_model(), par, dev, recompute=False, sequence_parallel=True
-        )

@@ -42,6 +42,8 @@ from repro.config import ParallelConfig
 from repro.verify.backend_check import check_backend_case
 from repro.verify.conformance import ConformanceCase
 
+from .test_comm import group_families
+
 
 @pytest.fixture(autouse=True)
 def _no_shm_leaks():
@@ -178,9 +180,10 @@ class TestRankLayoutProperty:
         data_ref = {tuple(range(pp * t * d + tp, (pp + 1) * t * d, t))
                     for pp in range(p) for tp in range(t)}
         pipe_ref = {tuple(range(i, world, t * d)) for i in range(t * d)}
-        assert {tuple(g) for g in groups.all_tensor_groups()} == tensor_ref
-        assert {tuple(g) for g in groups.all_data_groups()} == data_ref
-        assert {tuple(g) for g in groups.all_pipeline_groups()} == pipe_ref
+        tensor, data, pipe = group_families(groups)
+        assert {tuple(g) for g in tensor} == tensor_ref
+        assert {tuple(g) for g in data} == data_ref
+        assert {tuple(g) for g in pipe} == pipe_ref
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(1, 4), t=st.integers(1, 4), d=st.integers(1, 4))
@@ -191,13 +194,11 @@ class TestRankLayoutProperty:
             data_parallel_size=d, microbatch_size=1,
             global_batch_size=d,
         ))
-        for rank in range(world):
-            c = groups.coord_of(rank)
-            assert groups.rank_of(c.pp, c.dp, c.tp) == rank
+        ranks = sorted(groups.rank_of(pp, dp, tp) for pp in range(p)
+                       for dp in range(d) for tp in range(t))
+        assert ranks == list(range(world))
         # Each group family partitions the world exactly once.
-        for family in (groups.all_tensor_groups(),
-                       groups.all_data_groups(),
-                       groups.all_pipeline_groups()):
+        for family in group_families(groups):
             flat = sorted(r for g in family for r in g)
             assert flat == list(range(world))
 

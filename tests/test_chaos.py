@@ -15,8 +15,10 @@ from repro.resilience import (
     CorruptCheckpoint,
     HarnessGaveUpError,
     Kill,
+    LossSpike,
     RankFailureError,
     SaveFailure,
+    Stall,
     TransientSaveError,
     batch_for_iteration,
     corrupt_file,
@@ -50,16 +52,14 @@ class TestChaosPlan:
                    Kill(at_iteration=2)),
             corruptions=(CorruptCheckpoint(at_iteration=4, mode="truncate"),),
             save_failures=(SaveFailure(at_iteration=2, times=3),),
+            loss_spikes=(LossSpike(at_iteration=6),),
+            stalls=(Stall(at_iteration=3, rank=1),),
         )
         assert ChaosPlan.from_json(plan.to_json()) == plan
 
     def test_kills_sorted_by_iteration(self):
         plan = ChaosPlan(kills=(Kill(at_iteration=5), Kill(at_iteration=2)))
         assert [k.at_iteration for k in plan.kills] == [2, 5]
-
-    def test_healthy(self):
-        assert ChaosPlan().is_healthy
-        assert not ChaosPlan(kills=(Kill(at_iteration=0),)).is_healthy
 
     def test_duplicate_save_failures_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -77,6 +77,16 @@ class TestChaosPlan:
     ])
     def test_from_json_rejects_garbage(self, text, match):
         with pytest.raises(ValueError, match=match):
+            ChaosPlan.from_json(text)
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"kills": 3}', "kills"),
+        ('{"kills": null}', "kills"),
+        ('{"stalls": {"at_iteration": 1}}', "stalls"),
+        ('{"corruptions": "flip"}', "corruptions"),
+    ])
+    def test_from_json_rejects_a_key_that_is_not_a_list(self, text, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a list$"):
             ChaosPlan.from_json(text)
 
     @pytest.mark.parametrize("bad", [

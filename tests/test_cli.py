@@ -249,6 +249,16 @@ class TestChaos:
         assert rc == 2
         assert "unparseable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"kills": 3}', '{"kills": null}'])
+    def test_plan_key_that_is_not_a_list_reports_error(self, tmp_path,
+                                                        capsys, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        rc = main([*CHAOS_FAST, "--plan", str(plan)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --plan: kills must be a list")
+
     def test_invalid_parallel_reports_error(self, capsys):
         rc = main([*CHAOS_FAST, "-p", "3"])
         assert rc == 2

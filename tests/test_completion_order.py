@@ -44,8 +44,8 @@ TOGGLES = (
     {"overlap_p2p": True},
     {"scatter_gather": False},
     {"recompute_activations": False},
-    {"compute_slowdown": 1.7},
-    {"bandwidth_derate": 0.6},
+    {"fused_kernels": False},
+    {"activation_dtype_size": 4},
 )
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import GPTConfig, ParallelConfig
 from repro.data import ShardedBatchLoader, TokenDataset, synthetic_corpus
+from repro.nn import GPTModel
 from repro.nn.lr_scheduler import WarmupCosineSchedule
 from repro.parallel import PTDTrainer
 
@@ -80,7 +81,13 @@ class TestConvergence:
             seed=0, lr=5e-3,
         )
         def val_loss():
-            return np.mean([trainer.evaluate(i, t) for i, t in val])
+            """Held-out loss of the trainer's current weights."""
+            model = GPTModel(CFG)
+            params = dict(model.named_parameters())
+            for name, value in trainer.gather_state_dict().items():
+                params[name].data[...] = value  # the head is tied
+            return np.mean([model.loss(i, t, training=False)[0]
+                            for i, t in val])
 
         before = val_loss()
         for i in range(24):

@@ -77,19 +77,6 @@ class TestTokenDataset:
         with pytest.raises(ValueError, match="too short"):
             TokenDataset(np.arange(5), seq_length=8)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        ds = self.make(200, 16)
-        path = str(tmp_path / "tokens.bin")
-        ds.save(path)
-        for mmap in (True, False):
-            loaded = TokenDataset.load(path, 16, mmap=mmap)
-            assert len(loaded) == len(ds)
-            np.testing.assert_array_equal(loaded[3][0], ds[3][0])
-
-    def test_load_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            TokenDataset.load("/nonexistent/tokens.bin", 8)
-
     @given(n=st.integers(10, 500), s=st.integers(1, 16))
     @settings(max_examples=50, deadline=None)
     def test_every_sample_well_formed(self, n, s):
@@ -129,22 +116,6 @@ class TestShardedBatchLoader:
         loader = self.make_loader()
         order = loader.epoch_order(0)
         assert sorted(order) == list(range(len(loader.dataset)))
-
-    def test_rank_slices_partition_batch(self):
-        loader = self.make_loader()
-        batch = next(iter(loader))
-        parts = [loader.rank_slice(batch, r, 4) for r in range(4)]
-        np.testing.assert_array_equal(
-            np.concatenate([p[0] for p in parts]), batch[0]
-        )
-
-    def test_rank_slice_validation(self):
-        loader = self.make_loader()
-        batch = next(iter(loader))
-        with pytest.raises(ValueError):
-            loader.rank_slice(batch, 0, 3)
-        with pytest.raises(ValueError):
-            loader.rank_slice(batch, 4, 4)
 
     def test_loader_validation(self):
         with pytest.raises(ValueError):

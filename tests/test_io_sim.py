@@ -9,7 +9,6 @@ from repro.io_sim import (
     checkpoint_size_bytes,
     load_time,
     save_time,
-    shard_size_bytes,
 )
 
 
@@ -27,37 +26,6 @@ class TestCheckpointSize:
 
     def test_bytes_per_param(self):
         assert CHECKPOINT_BYTES_PER_PARAM == 14
-
-    def test_shard_size(self):
-        par = one_t_parallel()
-        shard = shard_size_bytes(gpt_1t(), par)
-        # Ceil division: 512 shards must cover the whole checkpoint.
-        assert shard == -(-checkpoint_size_bytes(gpt_1t()) // 512)
-
-    def test_shards_cover_checkpoint(self):
-        # The shard set always covers the checkpoint, with equality
-        # exactly when the size divides by t * p.
-        for model, par in (
-            (gpt_1t(), one_t_parallel()),
-            (gpt3_175b(), ParallelConfig(
-                pipeline_parallel_size=8, tensor_parallel_size=8,
-                data_parallel_size=16, microbatch_size=1,
-                global_batch_size=1536,
-            )),
-            (gpt3_175b(), ParallelConfig(
-                pipeline_parallel_size=3, tensor_parallel_size=1,
-                data_parallel_size=1, microbatch_size=1,
-                global_batch_size=3,
-            )),
-        ):
-            total = checkpoint_size_bytes(model)
-            mp = par.model_parallel_size
-            shard = shard_size_bytes(model, par)
-            assert shard * mp >= total
-            if total % mp == 0:
-                assert shard * mp == total
-            else:
-                assert (shard - 1) * mp < total
 
     def test_175b_size(self):
         assert checkpoint_size_bytes(gpt3_175b()) / 1e12 == pytest.approx(

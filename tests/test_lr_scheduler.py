@@ -1,16 +1,16 @@
-"""Tests for learning-rate schedules."""
+"""Tests for the learning-rate schedule."""
 
 import pytest
 
-from repro.nn import SGD
-from repro.nn.lr_scheduler import LinearSchedule, WarmupCosineSchedule
+from repro.nn import Adam
+from repro.nn.lr_scheduler import WarmupCosineSchedule
 from repro.nn.module import Parameter
 
 import numpy as np
 
 
 def opt():
-    return SGD([Parameter(np.zeros(2))], lr=1.0)
+    return Adam([Parameter(np.zeros(2))], lr=1.0)
 
 
 class TestWarmupCosine:
@@ -52,28 +52,6 @@ class TestWarmupCosine:
         with pytest.raises(ValueError):
             WarmupCosineSchedule(opt(), max_lr=1, warmup_iters=0,
                                  decay_iters=10, min_lr=2)
-
-
-class TestLinear:
-    def test_ramp_and_decay(self):
-        o = opt()
-        s = LinearSchedule(o, max_lr=1.0, warmup_iters=4, total_iters=12)
-        lrs = [s.lr_at(i) for i in range(13)]
-        assert lrs[3] == pytest.approx(1.0)
-        assert lrs[12] == pytest.approx(0.0)
-        # linear decay: equal decrements
-        decs = [lrs[i] - lrs[i + 1] for i in range(4, 11)]
-        assert max(decs) - min(decs) < 1e-12
-
-    def test_step_advances(self):
-        o = opt()
-        s = LinearSchedule(o, max_lr=2.0, warmup_iters=0, total_iters=4)
-        s.step()
-        assert o.lr < 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearSchedule(opt(), max_lr=1.0, warmup_iters=5, total_iters=2)
 
 
 class TestIntegration:

@@ -50,8 +50,13 @@ class TestFlops:
     def test_formula_matches_term_sum(self):
         for row in TABLE1_ROWS:
             B = row.parallel.global_batch_size
+            s, l = row.model.seq_length, row.model.num_layers
+            h, V = row.model.hidden_size, row.model.vocab_size
+            # Literal eq. (3): 96 B s l h^2 (1 + s/(6h) + V/(16 l h)).
+            formula = 96 * B * s * l * h * h * (
+                1 + s / (6 * h) + V / (16 * l * h))
             assert row.model.flops_per_iteration(B) == pytest.approx(
-                row.model.flops_per_iteration_formula(B), rel=1e-12
+                formula, rel=1e-12
             )
 
     def test_recompute_factor(self):

@@ -1,9 +1,9 @@
-"""Tests for optimizers and mixed-precision emulation."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, MixedPrecision
+from repro.nn import Adam
 from repro.nn.module import Parameter
 
 
@@ -19,34 +19,6 @@ def quad_step(p, target):
     p.zero_grad()
     p.grad += p.data - target
     return 0.5 * float(np.sum((p.data - target) ** 2))
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p, target = quadratic_params()
-        opt = SGD([p], lr=0.5)
-        for _ in range(50):
-            quad_step(p, target)
-            opt.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        losses = {}
-        for mom in (0.0, 0.9):
-            p, target = quadratic_params()
-            opt = SGD([p], lr=0.05, momentum=mom)
-            for _ in range(30):
-                loss = quad_step(p, target)
-                opt.step()
-            losses[mom] = loss
-        assert losses[0.9] < losses[0.0]
-
-    def test_validates(self):
-        p, _ = quadratic_params()
-        with pytest.raises(ValueError):
-            SGD([p], lr=0)
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.0)
 
 
 class TestAdam:
@@ -75,11 +47,6 @@ class TestAdam:
         opt.step()
         assert p.data[0] < 10.0
 
-    def test_state_nbytes(self):
-        p = Parameter(np.zeros(100))
-        opt = Adam([p])
-        assert opt.state_nbytes() == 2 * 100 * 8
-
     def test_validates(self):
         p, _ = quadratic_params()
         with pytest.raises(ValueError):
@@ -87,60 +54,3 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([p], betas=(1.0, 0.9))
 
-
-class TestMixedPrecision:
-    def test_fp16_roundtrip_restores_master(self):
-        p = Parameter(np.array([1.0 + 1e-9]))  # not representable in fp16
-        mp = MixedPrecision([p], loss_scale=8.0)
-        mp.cast_params_to_half()
-        assert p.data[0] == np.float16(1.0)
-        p.grad += np.array([16.0])
-        ok = mp.unscale_and_restore()
-        assert ok
-        assert p.data[0] == 1.0 + 1e-9  # master restored
-        assert p.grad[0] == pytest.approx(2.0)  # 16 / 8
-
-    def test_overflow_skips_update(self):
-        p = Parameter(np.array([1.0]))
-        mp = MixedPrecision([p], loss_scale=8.0)
-        mp.cast_params_to_half()
-        p.grad += np.array([np.inf])
-        ok = mp.unscale_and_restore()
-        assert not ok
-        assert p.grad[0] == 0.0
-
-    def test_double_cast_rejected(self):
-        p = Parameter(np.array([1.0]))
-        mp = MixedPrecision([p])
-        mp.cast_params_to_half()
-        with pytest.raises(RuntimeError):
-            mp.cast_params_to_half()
-
-    def test_restore_without_cast_rejected(self):
-        mp = MixedPrecision([Parameter(np.array([1.0]))])
-        with pytest.raises(RuntimeError):
-            mp.unscale_and_restore()
-
-    def test_training_with_mixed_precision_converges(self):
-        """A tiny GPT trains under the fp16 emulation."""
-        from repro.config import tiny_test_model
-        from repro.nn import GPTModel
-
-        cfg = tiny_test_model()
-        model = GPTModel(cfg, seed=0)
-        params = model.parameters()
-        opt = Adam(params, lr=1e-2)
-        mp = MixedPrecision(params, loss_scale=128.0)
-        r = np.random.default_rng(0)
-        ids = r.integers(0, cfg.vocab_size, size=(4, cfg.seq_length))
-        targets = np.roll(ids, -1, axis=1)
-        losses = []
-        for _ in range(10):
-            model.zero_grad()
-            mp.cast_params_to_half()
-            loss, caches = model.loss(ids, targets)
-            model.loss_backward(caches, scale=mp.loss_scale)
-            if mp.unscale_and_restore():
-                opt.step()
-            losses.append(loss)
-        assert losses[-1] < losses[0]

@@ -29,10 +29,6 @@ class TestArithmetic:
         cfg = make(p=2, t=1, d=4, b=2, B=64)
         assert cfg.num_microbatches == 8  # 64 / (4*2)
 
-    def test_model_parallel_size(self):
-        cfg = make(p=4, t=8, d=1, B=32)
-        assert cfg.model_parallel_size == 32
-
     def test_paper_notation_aliases(self):
         cfg = make(p=2, t=4, d=8, b=2, B=128)
         assert (cfg.p, cfg.t, cfg.d, cfg.b, cfg.B, cfg.v) == (2, 4, 8, 2, 128, 1)
@@ -86,16 +82,6 @@ class TestValidation:
 
 
 class TestModelValidation:
-    def test_layers_per_stage(self):
-        model = tiny_test_model(num_layers=8)
-        cfg = make(p=4, B=8)
-        assert cfg.layers_per_stage(model) == 2
-
-    def test_layers_per_stage_interleaved(self):
-        model = tiny_test_model(num_layers=8)
-        cfg = make(p=2, B=8, v=2)
-        assert cfg.layers_per_stage(model) == 2
-
     def test_rejects_unsplittable_layers(self):
         model = tiny_test_model(num_layers=6)
         cfg = make(p=4, B=8)
@@ -129,4 +115,5 @@ class TestModelValidation:
             global_batch_size=2520,
         )
         assert cfg.world_size == 2520
-        assert cfg.layers_per_stage(gpt_530b()) == 3
+        cfg.validate_for_model(gpt_530b())
+        assert gpt_530b().num_layers == 3 * cfg.p

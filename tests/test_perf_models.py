@@ -1,10 +1,6 @@
 """Tests for the analytical performance models (perf package)."""
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import ParallelConfig, fig7_model, gpt3_175b, gpt_1t, tiny_test_model
 from repro.hardware import ComputeModel, a100_80gb
@@ -12,18 +8,15 @@ from repro.perf import (
     MODEL_STATE_BYTES_PER_PARAM,
     activation_bytes_per_layer,
     batch_time_eq1,
-    checkpointed_memory,
     fits_in_memory,
     in_flight_microbatches,
     memory_footprint,
-    optimal_checkpoint_count,
     optimal_microbatch_size,
     parameters_per_rank,
     stage_compute_cost,
     suggest_parallel_config,
     sweep_microbatch_sizes,
     training_time_days,
-    training_time_days_exact,
     transformer_layer_cost,
     transformer_layer_gemms,
 )
@@ -129,40 +122,6 @@ class TestMemoryModel:
         # The replicated 10*s*b*h part does not shrink.
         assert a8 > 10 * 2048 * 12288 * 2 // 2
 
-    def test_optimal_checkpoint_formula(self):
-        """c* = sqrt(l A_int / A_inp) minimizes the §3.5 memory function."""
-        l, a_in, a_int = 24, 1.0, 34.0
-        c_star = optimal_checkpoint_count(l, a_in, a_int)
-        assert c_star == pytest.approx(math.sqrt(l * a_int / a_in))
-        m_star = checkpointed_memory(c_star, l, a_in, a_int)
-        for c in (c_star * 0.5, c_star * 0.9, c_star * 1.1, c_star * 2):
-            assert checkpointed_memory(c, l, a_in, a_int) >= m_star
-
-    def test_checkpoint_every_1_or_2_layers_near_optimal(self):
-        """§3.5: 'checkpointing every 1 or 2 transformer layers is
-        optimal' -- c in {l, l/2} is within 40% of the true minimum for
-        transformer-like A_int/A_inp ratios."""
-        l = 24
-        a_in, a_int = 1.0, 12.0  # A_intermediate >> A_input
-        m_star = checkpointed_memory(
-            optimal_checkpoint_count(l, a_in, a_int), l, a_in, a_int
-        )
-        best_practical = min(
-            checkpointed_memory(c, l, a_in, a_int) for c in (l, l / 2)
-        )
-        assert best_practical <= 1.4 * m_star
-
-    @given(
-        l=st.integers(1, 100),
-        ratio=st.floats(0.1, 100.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_checkpoint_optimum_property(self, l, ratio):
-        c_star = optimal_checkpoint_count(l, 1.0, ratio)
-        m_star = checkpointed_memory(c_star, l, 1.0, ratio)
-        for mult in (0.5, 2.0):
-            assert checkpointed_memory(c_star * mult, l, 1.0, ratio) >= m_star - 1e-9
-
 
 class TestMicrobatchModel:
     def test_eq1_literal(self):
@@ -212,7 +171,10 @@ class TestTrainingTime:
 
     def test_exact_close_to_eq4(self):
         cfg = gpt3_175b()
-        exact = training_time_days_exact(cfg, 300e9, 1536, 1024, 140e12)
+        # Eq. (3) FLOPs per iteration over I = T / (B s) iterations.
+        iterations = 300e9 / (1536 * cfg.seq_length)
+        seconds = iterations * cfg.flops_per_iteration(1536) / (1024 * 140e12)
+        exact = seconds / 86400
         approx = training_time_days(cfg.num_parameters(), 300e9, 1024, 140e12)
         assert exact == pytest.approx(approx, rel=0.05)
 
@@ -239,7 +201,7 @@ class TestHeuristics:
         small = GPTConfig(num_layers=24, hidden_size=2048,
                           num_attention_heads=16, name="small")
         cfg = suggest_parallel_config(small, 64, 512)
-        assert cfg.model_parallel_size <= 8
+        assert cfg.t * cfg.p <= 8
         assert cfg.data_parallel_size >= 8
 
     def test_huge_model_small_cluster_raises(self):

@@ -2,30 +2,9 @@
 
 import pytest
 
-from repro.experiments.plots import (
-    bar_chart,
-    line_chart,
-    plot_experiment,
-    sparkline,
-)
+from repro.experiments.plots import line_chart, plot_experiment
 from repro.experiments.report import ExperimentResult
-
-
-class TestBarChart:
-    def test_renders_scaled_bars(self):
-        out = bar_chart(["a", "bb"], [1.0, 2.0], width=10, title="T")
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert lines[2].count("█") == 10  # max value fills the width
-        assert lines[1].count("█") == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bar_chart([], [])
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [-1.0])
+from repro.obs.monitor import sparkline
 
 
 class TestLineChart:
@@ -59,6 +38,8 @@ class TestLineChart:
 
 
 class TestSparkline:
+    """The one sparkline, the dashboard's."""
+
     def test_shape(self):
         out = sparkline([1, 2, 3, 2, 1])
         assert len(out) == 5
@@ -68,8 +49,7 @@ class TestSparkline:
         assert len(set(sparkline([5, 5, 5]))) == 1
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            sparkline([])
+        assert sparkline([]) == "(no data)"
 
 
 class TestPlotExperiment:

@@ -1,6 +1,5 @@
 """Coverage for preset constructors, renderers, and misc surfaces."""
 
-import numpy as np
 import pytest
 
 from repro.config import (
@@ -111,9 +110,9 @@ class TestTrafficAndGroupsMisc:
         with pytest.raises(ValueError):
             g.rank_of(2, 0, 0)
         with pytest.raises(ValueError):
-            g.coord_of(8)
+            g.tensor_group(0, 2)
         with pytest.raises(ValueError):
-            g.pipeline_peer(0, 2)
+            g.pipeline_group(0, -1)
 
     def test_schedule_ir_bounds(self):
         from repro.schedule import OpKind, ScheduleOp, gpipe_schedule
@@ -123,19 +122,20 @@ class TestTrafficAndGroupsMisc:
         sched = gpipe_schedule(2, 2)
         with pytest.raises(ValueError):
             sched.global_stage(5, 0)
-        with pytest.raises(ValueError):
-            sched.rank_chunk_of_stage(9)
-        rank, chunk = sched.rank_chunk_of_stage(1)
-        assert (rank, chunk) == (1, 0)
+        assert sched.global_stage(1, 0) == 1
 
 
 class TestRooflineMisc:
     def test_v100_slower_than_a100(self):
-        from repro.hardware import ComputeModel, GemmShape, a100_80gb, v100_32gb
+        from repro.hardware import (
+            TB, TFLOP, ComputeModel, DeviceSpec, GemmShape, a100_80gb,
+        )
 
+        v100 = DeviceSpec("V100-32GB", peak_flops=125 * TFLOP,
+                          memory_bandwidth=0.9 * TB, memory_capacity=32e9)
         g = GemmShape(m=4096, k=4096, n=4096)
         a = ComputeModel(device=a100_80gb()).gemm_time(g)
-        v = ComputeModel(device=v100_32gb()).gemm_time(g)
+        v = ComputeModel(device=v100).gemm_time(g)
         assert v > 2 * a  # 312 vs 125 Tflop/s peak
 
     def test_memory_bound_gemm_hits_bandwidth_roof(self):
@@ -147,22 +147,3 @@ class TestRooflineMisc:
         t = cm.gemm_time(g)
         mem_floor = g.bytes_moved(2) / a100_80gb().memory_bandwidth
         assert t >= mem_floor
-
-
-class TestTrainerEdges:
-    def test_evaluate_does_not_mutate_weights(self):
-        from repro.config import tiny_test_model
-        from repro.parallel import PTDTrainer
-
-        cfg = tiny_test_model()
-        trainer = PTDTrainer(
-            cfg, ParallelConfig(microbatch_size=1, global_batch_size=4),
-            seed=0,
-        )
-        before = {k: v.copy() for k, v in trainer.gather_state_dict().items()}
-        r = np.random.default_rng(0)
-        ids = r.integers(0, cfg.vocab_size, size=(4, cfg.seq_length))
-        trainer.evaluate(ids, np.roll(ids, -1, axis=1))
-        after = trainer.gather_state_dict()
-        for k in before:
-            np.testing.assert_array_equal(before[k], after[k])

@@ -20,6 +20,8 @@ from repro.parallel import (
 )
 from repro.schedule import make_schedule
 
+from .test_tensor_parallel import tp_loss, tp_loss_backward
+
 CFG = tiny_test_model(num_layers=3, hidden_size=24, num_attention_heads=4,
                       vocab_size=48, seq_length=12)
 
@@ -39,8 +41,7 @@ class TestFlopMeter:
         m.add("a", 5)
         m.add("b", 1)
         assert m.total_flops == 16
-        assert m.category("a") == 15
-        assert m.category("missing") == 0
+        assert m.by_category == {"a": 15, "b": 1}
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -70,8 +71,8 @@ class TestFlopMeter:
             with count_flops() as inner:
                 pass  # both meters are empty, hence equal
             record_gemm_flops("late", 7)
-        assert outer.category("late") == 7
-        assert inner.category("late") == 0
+        assert outer.by_category == {"late": 7}
+        assert inner.by_category == {}
         assert len(_ACTIVE) == depth
 
     def test_meter_deactivated_on_exception(self):
@@ -106,13 +107,13 @@ class TestEq3Agreement:
             model.loss_backward(caches)
         s, h, l, V = CFG.seq_length, CFG.hidden_size, CFG.num_layers, CFG.vocab_size
         # Attention score GEMMs: 4 B s^2 h fwd, x3 with backward.
-        assert meter.category("attention") == 3 * l * 4 * B * s * s * h
+        assert meter.by_category["attention"] == 3 * l * 4 * B * s * s * h
         # Linear GEMMs: 24 B s h^2 - 4 B s^2 h... no: linears are
         # QKV (6Bsh^2) + proj (2Bsh^2) + MLP (16Bsh^2) = 24Bsh^2 per
         # layer forward, x3 with backward.
-        assert meter.category("linear") == 3 * l * 24 * B * s * h * h
+        assert meter.by_category["linear"] == 3 * l * 24 * B * s * h * h
         # Logit layer: 2BshV fwd + 4BshV bwd.
-        assert meter.category("logit") == 6 * B * s * h * V
+        assert meter.by_category["logit"] == 6 * B * s * h * V
 
     def test_recompute_measures_extra_forward(self):
         """Pipeline with recomputation executes eq. (3)'s 4x layer factor."""
@@ -149,8 +150,8 @@ class TestEq3Agreement:
             serial.loss_backward(caches)
         tp = TensorParallelGPT(CFG, TensorParallelGroup(ranks=[0, 1]), seed=0)
         with count_flops() as m_tp:
-            loss, caches = tp.loss(ids, targets)
-            tp.loss_backward(caches)
+            loss, caches = tp_loss(tp, ids, targets)
+            tp_loss_backward(tp, caches)
         assert m_tp.total_flops == m_serial.total_flops
 
     def test_full_ptd_trainer_matches_eq3(self):

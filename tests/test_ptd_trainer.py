@@ -7,7 +7,6 @@ from repro.comm import TrafficKind, TrafficLog
 from repro.config import ParallelConfig, tiny_test_model
 from repro.nn import Adam, GPTModel
 from repro.parallel import PTDTrainer, all_reduce_gradients, scatter_batch
-from repro.parallel.data_parallel import data_parallel_comm_bytes
 
 CFG = tiny_test_model(num_layers=4, hidden_size=16, num_attention_heads=4,
                       vocab_size=32, seq_length=8)
@@ -114,14 +113,6 @@ class TestPTDEquivalence:
         with pytest.raises(ValueError, match="global batch"):
             trainer.train_step(ids, targets)
 
-    def test_evaluate_matches_loss(self):
-        trainer = make_trainer(p=2, B=8)
-        ids, targets = global_batch(8)
-        ev = trainer.evaluate(ids, targets)
-        serial = GPTModel(CFG, seed=0)
-        want, _ = serial.loss(ids, targets)
-        assert ev == pytest.approx(want, rel=1e-10)
-
 
 class TestDataParallelPieces:
     def test_scatter_batch(self):
@@ -153,12 +144,6 @@ class TestDataParallelPieces:
             all_reduce_gradients(
                 [[Parameter(np.zeros(2))], []], ranks=[0, 1]
             )
-
-    def test_dp_comm_formula(self):
-        assert data_parallel_comm_bytes(100, 1) == 0.0
-        assert data_parallel_comm_bytes(100, 4, 2) == pytest.approx(
-            2 * 0.75 * 200
-        )
 
     def test_dp_traffic_logged_once_per_batch(self):
         """§3.3.2: data parallelism communicates once per batch, not per

@@ -85,27 +85,6 @@ class TestScheduleFaults:
 
 
 class TestNumericFaults:
-    def test_nan_gradients_detected_by_mixed_precision(self):
-        from repro.nn import MixedPrecision
-
-        model = GPTModel(CFG, seed=0)
-        params = model.parameters()
-        mp = MixedPrecision(params, loss_scale=2.0**40)
-        opt = Adam(params, lr=1e-2)
-        ids, targets = batch()
-        before = params[0].data.copy()
-        model.zero_grad()
-        mp.cast_params_to_half()
-        loss, caches = model.loss(ids, targets)
-        # Inject an overflow directly (huge loss scales overflow fp64
-        # rarely; force it).
-        model.loss_backward(caches, scale=mp.loss_scale)
-        params[0].grad[0] = np.inf
-        ok = mp.unscale_and_restore()
-        assert not ok
-        opt.step()  # grads were zeroed -> harmless step
-        np.testing.assert_array_equal(params[0].data, before)
-
     def test_collective_on_mismatched_shapes_raises(self):
         with pytest.raises(ValueError):
             ring_all_reduce(

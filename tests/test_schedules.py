@@ -12,7 +12,6 @@ from repro.schedule import (
     bubble_fraction,
     bubble_fraction_vs_data_parallel,
     bubble_overhead,
-    bubble_time,
     completion_order_is_serializable,
     execute,
     gpipe_schedule,
@@ -202,10 +201,6 @@ class TestTiming:
 
 
 class TestBubbleFormulas:
-    def test_bubble_time(self):
-        assert bubble_time(4, 1.0, 2.0) == pytest.approx(9.0)
-        assert bubble_time(4, 1.0, 2.0, v=3) == pytest.approx(3.0)
-
     def test_fraction_decreases_with_m(self):
         assert bubble_fraction(8, 64) < bubble_fraction(8, 8)
 

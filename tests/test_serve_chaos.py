@@ -41,6 +41,8 @@ from repro.serve import (
     poisson_trace,
 )
 
+from .test_monitor import score_of
+
 CFG = tiny_test_model()  # seq_length=8, vocab 64
 
 
@@ -97,11 +99,6 @@ class TestServeChaosPlan:
         ))
         assert [c.at_step for c in plan.crashes] == [2, 9]
 
-    def test_is_healthy(self):
-        assert ServeChaosPlan().is_healthy
-        assert not ServeChaosPlan(
-            crashes=(DecodeCrash(at_step=0),)).is_healthy
-
     def test_overlapping_storms_rejected(self):
         with pytest.raises(ValueError, match="overlapping"):
             ServeChaosPlan(exhaustions=(
@@ -129,6 +126,15 @@ class TestServeChaosPlan:
     ])
     def test_from_json_rejects_garbage(self, text, match):
         with pytest.raises(ValueError, match=match):
+            ServeChaosPlan.from_json(text)
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"exhaustions": 5}', "exhaustions"),
+        ('{"crashes": {"at_step": 1}}', "crashes"),
+        ('{"corruptions": null}', "corruptions"),
+    ])
+    def test_from_json_rejects_a_key_that_is_not_a_list(self, text, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a list$"):
             ServeChaosPlan.from_json(text)
 
 
@@ -327,7 +333,7 @@ class TestServeDetectors:
         _, _, events = run_chaos(trace, num_blocks=4, chaos=plan)
         detectors = [QueueGrowthDetector(min_depth=6, min_consecutive=3)]
         board = score_run(events, run_monitor(events, detectors).alerts)
-        score = board.score("queue-growth")
+        score = score_of(board, "queue-growth")
         assert score.recall == 1.0
         assert score.precision == 1.0
 
@@ -339,7 +345,7 @@ class TestServeDetectors:
         _, _, events = run_chaos([req], chaos=plan)
         detectors = [TtftSloDetector(slo_steps=2)]
         board = score_run(events, run_monitor(events, detectors).alerts)
-        score = board.score("ttft-slo")
+        score = score_of(board, "ttft-slo")
         assert score.recall == 1.0
         assert score.precision == 1.0
 
@@ -352,5 +358,5 @@ class TestServeDetectors:
         _, _, events = run_chaos(trace, checksums=True, chaos=plan)
         detectors = [PreemptionStormDetector(window_steps=16, threshold=2)]
         board = score_run(events, run_monitor(events, detectors).alerts)
-        score = board.score("preemption-storm")
+        score = score_of(board, "preemption-storm")
         assert score.recall == 1.0

@@ -151,7 +151,8 @@ class TestSimTelemetry:
                  if s.name == "mem.activations.bytes"}
         assert ranks, "no activation-memory samples emitted"
         for r in sorted(ranks):
-            series = tracer.series("mem.activations.bytes", rank=r)
+            series = [s for s in tracer.samples
+                      if s.name == "mem.activations.bytes" and s.rank == r]
             values = [s.value for s in series]
             assert values[0] == 0.0          # before the first forward
             assert max(values) > 0.0         # stashes grow mid-iteration
@@ -167,7 +168,7 @@ class TestSimTelemetry:
                                options=SimOptions(schedule_name="1f1b"))
         for name in ("mem.weights.bytes", "mem.gradients.bytes",
                      "mem.optimizer.bytes"):
-            values = {s.value for s in tracer.series(name)}
+            values = {s.value for s in tracer.samples if s.name == name}
             assert len(values) == 1  # model state doesn't sawtooth
 
 
@@ -177,11 +178,12 @@ class TestMemoryBreakdown:
         assert b.weight_bytes == 2000
         assert b.gradient_bytes == 2000
         assert b.optimizer_bytes == 12000
-        assert b.model_state_bytes == 16000
+        assert b.weight_bytes + b.gradient_bytes + b.optimizer_bytes == 16000
 
     def test_sample_memory_series(self):
         tracer = Tracer()
         sample_memory(tracer, MemoryBreakdown(parameters=10),
                       activation_bytes=7, rank=2, t=0.5)
-        assert tracer.series("mem.activations.bytes", rank=2)[0].value == 7.0
-        assert tracer.series("mem.weights.bytes", rank=2)[0].t == 0.5
+        by_name = {s.name: s for s in tracer.samples if s.rank == 2}
+        assert by_name["mem.activations.bytes"].value == 7.0
+        assert by_name["mem.weights.bytes"].t == 0.5

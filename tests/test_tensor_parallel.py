@@ -30,6 +30,20 @@ def group(t):
     return TensorParallelGroup(ranks=list(range(t)))
 
 
+def tp_loss(tp, ids, targets):
+    """Whole-model forward through the vocab-parallel cross entropy."""
+    logits_shards, caches = tp.forward(ids)
+    loss, ce_cache = tp.head.loss(logits_shards, targets)
+    return loss, caches + [ce_cache]
+
+
+def tp_loss_backward(tp, caches):
+    """Backward of :func:`tp_loss` through every layer."""
+    dy = tp.head.loss_backward(caches[-1])
+    for layer, cache in zip(reversed(tp.layers), reversed(caches[:-1])):
+        dy = layer.backward(dy, cache)
+
+
 class TestForwardEquivalence:
     @pytest.mark.parametrize("t", [1, 2, 4])
     def test_loss_matches_serial(self, t):
@@ -39,7 +53,7 @@ class TestForwardEquivalence:
         serial = GPTModel(cfg, seed=0)
         loss_s, _ = serial.loss(ids, targets)
         tp = TensorParallelGPT(cfg, group(t), seed=0)
-        loss_t, _ = tp.loss(ids, targets)
+        loss_t, _ = tp_loss(tp, ids, targets)
         assert loss_t == pytest.approx(loss_s, rel=1e-12)
 
     def test_logits_match_serial(self):
@@ -74,8 +88,8 @@ class TestTrainingEquivalence:
             losses_s.append(ls)
 
             tp.zero_grad()
-            lt, ct = tp.loss(ids, targets)
-            tp.loss_backward(ct)
+            lt, ct = tp_loss(tp, ids, targets)
+            tp_loss_backward(tp, ct)
             opt_t.step()
             losses_t.append(lt)
         np.testing.assert_allclose(losses_t, losses_s, rtol=1e-10)
@@ -97,8 +111,8 @@ class TestTrainingEquivalence:
         _, cs = serial.loss(ids, targets)
         serial.loss_backward(cs)
         tp.zero_grad()
-        _, ct = tp.loss(ids, targets)
-        tp.loss_backward(ct)
+        _, ct = tp_loss(tp, ids, targets)
+        tp_loss_backward(tp, ct)
         # MLP fc1 weight grads: concat of shard grads == serial grad.
         got = np.concatenate(
             [p.grad for p in tp.blocks[0].mlp.fc1.weight_shards], axis=1
@@ -122,12 +136,12 @@ class TestCommunicationVolume:
         g = group(2)
         tp = TensorParallelGPT(cfg, g, seed=0)
         ids, targets = data(cfg)
-        _, caches = tp.loss(ids, targets)
+        _, caches = tp_loss(tp, ids, targets)
         fwd_tags = [r.tag for r in g.log.records]
         assert fwd_tags.count("mlp.g") / _ring_steps(2) == 3
         assert fwd_tags.count("attn.g") / _ring_steps(2) == 3
         n_fwd = len(g.log.records)
-        tp.loss_backward(caches)
+        tp_loss_backward(tp, caches)
         bwd_tags = [r.tag for r in g.log.records[n_fwd:]]
         assert bwd_tags.count("mlp.f") / _ring_steps(2) == 3
         assert bwd_tags.count("attn.f") / _ring_steps(2) == 3
@@ -142,8 +156,8 @@ class TestCommunicationVolume:
         g = group(t)
         tp = TensorParallelGPT(cfg, g, seed=0)
         ids, targets = data(cfg, batch=2)
-        _, caches = tp.loss(ids, targets)
-        tp.loss_backward(caches)
+        _, caches = tp_loss(tp, ids, targets)
+        tp_loss_backward(tp, caches)
         layer_bytes = sum(
             r.nbytes
             for r in g.log.records
@@ -159,7 +173,7 @@ class TestCommunicationVolume:
         g = group(4)
         tp = TensorParallelGPT(cfg, g, seed=0)
         ids, targets = data(cfg, batch=2)
-        tp.loss(ids, targets)
+        tp_loss(tp, ids, targets)
         ce_bytes = sum(r.nbytes for r in g.log.records if r.tag.startswith("ce."))
         n_tok = 2 * cfg.seq_length
         full_gather_bytes = n_tok * cfg.vocab_size * 8

@@ -81,23 +81,6 @@ class TestEncodeDecode:
         assert tok.decode(tok.encode(text)) == text
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        tok = BPETokenizer.train(SAMPLE, 300)
-        path = str(tmp_path / "tok.json")
-        tok.save(path)
-        loaded = BPETokenizer.load(path)
-        assert loaded.merges == tok.merges
-        assert loaded.encode(SAMPLE) == tok.encode(SAMPLE)
-
-    def test_load_rejects_unknown_format(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as f:
-            f.write('{"version": 99}')
-        with pytest.raises(ValueError):
-            BPETokenizer.load(path)
-
-
 class TestPipelineIntegration:
     def test_tokenized_text_trains(self):
         """Text -> BPE -> TokenDataset -> GPT training step."""

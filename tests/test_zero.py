@@ -11,8 +11,7 @@ import pytest
 from repro.comm import TrafficKind, TrafficLog
 from repro.config import tiny_test_model
 from repro.nn import Adam, GPTModel
-from repro.parallel import Zero3Engine, ZeroShardedParameter, zero3_comm_bytes
-from repro.parallel.data_parallel import data_parallel_comm_bytes
+from repro.parallel import Zero3Engine, ZeroShardedParameter
 
 CFG = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=4,
                       vocab_size=32, seq_length=8)
@@ -111,18 +110,6 @@ class TestZero3Numerics:
 
 
 class TestZero3Communication:
-    def test_comm_formula(self):
-        assert zero3_comm_bytes(100, 1) == 0.0
-        assert zero3_comm_bytes(100, 4, 2) == pytest.approx(3 * 0.75 * 200)
-
-    def test_zero3_moves_1_5x_data_parallel(self):
-        """The crux of Figure 10: ZeRO-3 moves 1.5x the per-rank bytes of
-        plain DP's single gradient all-reduce."""
-        P = 12345
-        assert zero3_comm_bytes(P, 8) == pytest.approx(
-            1.5 * data_parallel_comm_bytes(P, 8)
-        )
-
     def test_logged_traffic_matches_formula(self):
         log = TrafficLog()
         d, steps = 2, 1
