@@ -17,8 +17,9 @@ step performs the cooperative ring's float64 operation sequence per
 element, and every worker then computes the same ``/d`` average and
 update from identical averaged gradients.  Traffic accounting stays in
 the parent: workers return their replica's
-:class:`~repro.comm.traffic.TrafficLog` records for the step and the
-parent puts the gradient ring through the collective front door.
+:class:`~repro.comm.traffic.TrafficLog` records for the step, keeping
+none, and the parent puts the gradient ring through the collective
+front door.
 """
 
 from __future__ import annotations
@@ -70,15 +71,18 @@ def replica_ops(dp: int, d: int, barrier_wait, segment_names,
 
     def step(shard):
         start = time.perf_counter()
-        log_start = len(log.records)
-        loss = forward_backward(replica, *shard, spec)
-        if d > 1:
-            all_reduce_gradients()
-        norm = apply_update([replica], [optimizer], spec)
-        records = [
-            (r.src, r.dst, r.nbytes, r.kind, r.tag)
-            for r in log.records[log_start:]
-        ]
+        try:
+            loss = forward_backward(replica, *shard, spec)
+            if d > 1:
+                all_reduce_gradients()
+            norm = apply_update([replica], [optimizer], spec)
+            records = [
+                (r.src, r.dst, r.nbytes, r.kind, r.tag) for r in log.records
+            ]
+        finally:
+            # The parent keeps every record it is sent; kept here too,
+            # they would grow for the life of the worker.
+            log.clear()
         return loss, records, norm, time.perf_counter() - start
 
     return {

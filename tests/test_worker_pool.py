@@ -162,6 +162,32 @@ def test_worker_runs_the_trainers_step_functions(monkeypatch):
         assert np.array_equal(p.data, arr)
 
 
+def test_worker_keeps_no_records_between_steps(monkeypatch):
+    """The parent logs every record a step's reply carries, so a worker
+    that kept them too would grow its log for as long as it lives."""
+    logs = []
+
+    class SpiedLog(TrafficLog):
+        def __init__(self):
+            super().__init__()
+            logs.append(self)
+
+    monkeypatch.setattr(mp_workers, "TrafficLog", SpiedLog)
+    parallel = ParallelConfig(pipeline_parallel_size=2, microbatch_size=1,
+                              global_batch_size=2)
+    trainer = PTDTrainer(CONFIG, parallel)
+    ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
+    (log,) = logs
+    batch = _batch(2)
+    replies = []
+    for _ in range(3):
+        replies.append(ops["step"](batch)[1])
+        assert log.records == []
+    trainer.train_step(*batch)
+    assert [len(records) for records in replies] == [
+        len(trainer.log.records)] * 3
+
+
 def test_clip_and_loss_scale_bit_identical_across_backends():
     parallel = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=2,
                               microbatch_size=1, global_batch_size=4)
