@@ -25,6 +25,7 @@ from repro.verify import (
     run_verification,
     validate_schedule,
 )
+from repro.verify.runner import grad_perturb_defect
 
 
 def banner(title: str) -> None:
@@ -77,7 +78,8 @@ def demo_gradient_corruption() -> None:
     case = ConformanceCase(p=2, d=2, b=1, m=2, seed=5)
     clean = run_case(case)
     print(f"clean run:     {clean.describe()}")
-    broken = run_case(case, perturb_gradient=1e-6)
+    with grad_perturb_defect(seed=0):  # `verify --inject grad-perturb`
+        broken = run_case(case)
     print(f"perturbed run: {broken.describe()}")
 
 

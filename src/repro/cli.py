@@ -706,10 +706,7 @@ def _cmd_serve(args) -> int:
     import contextlib
     import json
 
-    import numpy as np
-
     from repro.config import tiny_test_model
-    from repro.nn.generate import generate
     from repro.nn.transformer import GPTModel
     from repro.serve import (
         PagedKVCache,
@@ -835,26 +832,17 @@ def _cmd_serve(args) -> int:
         print(f"wrote {args.metrics_out}")
     failures = [f"metrics schema: {v}" for v in validate_serve_metrics(metrics)]
     if args.smoke:
+        from repro.verify.serve_check import stream_mismatches
+
         # Differential gate: every *completed* engine stream must equal
         # its single-request full-recompute oracle, token for token.
         # Typed degradation outcomes (timeout/rejected/cancelled/failed)
         # have no full stream to compare.
         completed = {r.request_id for r in report.requests
                      if r.outcome == "completed"}
-        for req in trace:
-            if req.request_id not in completed:
-                continue
-            oracle = generate(
-                model, np.array(req.prompt), req.max_new_tokens,
-                temperature=req.temperature, top_k=req.top_k,
-                rng=np.random.default_rng(req.seed),
-                stop_ids=set(req.stop_ids),
-            )
-            got = engine.outputs.get(req.request_id)
-            if got is None or not np.array_equal(oracle, got):
-                failures.append(
-                    f"{req.request_id}: engine stream != generate oracle"
-                )
+        failures += stream_mismatches(
+            model, [req for req in trace if req.request_id in completed],
+            engine.outputs)
         print(f"smoke: {len(completed)} completed streams checked "
               f"against the oracle, {len(failures)} violations")
     for failure in failures:
@@ -864,7 +852,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.verify import parse_case
-    from repro.verify.runner import INJECT_MODES, run_verification
+    from repro.verify.runner import run_verification
 
     schedule_json = None
     if args.schedule_json is not None:
@@ -1006,6 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify",
         help="run the correctness-verification suite (exit 1 on violations)",
+        description="Run every verification section, or the one that "
+                    "--only, --case (conformance), --schedule-json "
+                    "(schedules) and --inject (the owner of the defect) "
+                    "choose; flags choosing different sections are an "
+                    "error.",
     )
     p_ver.add_argument(
         "--fast", action="store_true",
@@ -1013,15 +1006,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--configs", type=int, default=None,
-        help="number of sampled conformance configurations "
-             "(default 25, or 6 with --fast)",
+        help="number of sampled configurations in each section that "
+             "samples them: conformance (default 25, or 6 with --fast) "
+             "and backend (default 10, or 4 with --fast)",
     )
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for configuration sampling")
     p_ver.add_argument(
         "--schedule-json", default=None,
-        help="also validate a schedule fixture (JSON, see "
-             "repro.verify.schedule_to_json)",
+        help="validate a schedule fixture (JSON, see "
+             "repro.verify.schedule_to_json) in the schedules section",
     )
     p_ver.add_argument(
         "--only", default=None,
@@ -1037,8 +1031,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--inject", default=None,
         choices=INJECT_MODES,
-        help="self-test: inject a known defect and demand the verifier "
-             "catches it (exits non-zero either way)",
+        help="self-test: plant a known defect and run the one section "
+             "that owns it, which must catch it (exits non-zero either "
+             "way)",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

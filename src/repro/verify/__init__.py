@@ -25,8 +25,9 @@ into executable, CI-enforced properties:
   streams equal the ``generate`` oracle, with and without injected
   faults.
 
-``python -m repro verify`` runs them as eight sections (see
-:mod:`repro.verify.runner`).
+``python -m repro verify`` runs them as the eight sections of one table,
+:data:`repro.verify.runner.TABLE`, which also names the defect each of
+four sections must catch under ``--inject``.
 
 This ``__init__`` resolves its public names lazily (PEP 562):
 :mod:`repro.comm.primitives` imports the sanitizer hook at module load,

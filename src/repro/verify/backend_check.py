@@ -115,20 +115,11 @@ def check_backend_case(case: ConformanceCase) -> list[str]:
 
 def backend_cases(fast: bool, num_cases: int | None, seed: int,
                   ) -> list[ConformanceCase]:
-    """The cross-backend grid: the standard stratified sample, trimmed
-    to keep worker spawn counts reasonable in --fast mode."""
+    """The cross-backend grid: the standard stratified sample, smaller
+    than conformance's to keep worker spawn counts reasonable."""
     if num_cases is None:
         num_cases = 4 if fast else 10
     cases = sample_cases(num_cases, seed=seed)
-    if fast:
-        cases = [
-            ConformanceCase(
-                p=c.p, t=c.t, d=c.d, v=c.v, b=c.b, m=c.m,
-                schedule=c.schedule, recompute=c.recompute, zero=c.zero,
-                seed=c.seed, iterations=min(c.iterations, 2),
-            )
-            for c in cases
-        ]
     # Always include one composed multi-replica case: d>1 is where the
     # shared-memory gradient ring actually runs.
     if not any(c.d > 1 and not c.zero for c in cases):

@@ -178,7 +178,7 @@ def _baseline(config, case: ConformanceCase, ids, targets, lr):
 
 
 def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
-             perturb_gradient: float = 0.0, *, backend="coop", log=None):
+             *, backend="coop", log=None):
     """Train ``case`` on the PTD-P engine; returns ``(state, losses,
     trainer)`` with the trainer closed (its replicas and optimizers
     stay readable)."""
@@ -200,12 +200,6 @@ def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
     ) as trainer:
         losses = [trainer.train_step(ids, targets)
                   for _ in range(case.iterations)]
-        if perturb_gradient:
-            # Model a silently corrupted gradient: the bad update has
-            # already landed in one replica's parameters by the time
-            # anyone compares.
-            p0 = trainer.replicas[0].parameters()[0]
-            p0.data.ravel()[0] += perturb_gradient
         return trainer.gather_state_dict(), losses, trainer
 
 
@@ -240,15 +234,8 @@ def _run_zero3(config, case: ConformanceCase, ids, targets, lr,
     return model.state_dict(), losses
 
 
-def run_case(
-    case: ConformanceCase, *, perturb_gradient: float = 0.0
-) -> ConformanceResult:
-    """Train ``case`` and the single-rank baseline; compare everything.
-
-    ``perturb_gradient`` injects a silent gradient corruption into the
-    parallel run (mutation testing for the harness itself): a correct
-    harness must flag any non-zero perturbation above fp64 noise.
-    """
+def run_case(case: ConformanceCase) -> ConformanceResult:
+    """Train ``case`` and the single-rank baseline; compare everything."""
     _check_case(case)
     config = model_for_case(case)
     ids, targets = _batch(case, config)
@@ -261,11 +248,9 @@ def run_case(
         par_state, par_losses = _run_zero3(config, case, ids, targets, lr)
     else:
         par_state, par_losses, trainer = _run_ptd(
-            config, case, ids, targets, lr, perturb_gradient
+            config, case, ids, targets, lr
         )
         replica_params = [r.parameters() for r in trainer.replicas]
-        if perturb_gradient:
-            par_state = None  # regather below, after the perturbation
 
     failures: list[str] = []
 
@@ -295,11 +280,6 @@ def run_case(
             break
 
     # 3. final parameters match the baseline in serial layout.
-    if par_state is None:  # regather after a perturbation landed
-        from repro.parallel import PTDTrainer  # noqa: F401  (doc pointer)
-
-        par_state = _regather(config, case, ids, targets, lr,
-                              perturb_gradient)
     for name, want in base_state.items():
         if name == "head.tied":
             continue
@@ -324,11 +304,6 @@ def run_case(
         losses_parallel=[float(x) for x in par_losses],
         losses_baseline=[float(x) for x in base_losses],
     )
-
-
-def _regather(config, case, ids, targets, lr, perturb_gradient):
-    """Re-run the parallel case and gather state *after* perturbation."""
-    return _run_ptd(config, case, ids, targets, lr, perturb_gradient)[0]
 
 
 def sample_cases(n: int, seed: int = 0) -> list[ConformanceCase]:

@@ -1,61 +1,43 @@
-"""``python -m repro verify``: run every verification layer, report, exit.
+"""``python -m repro verify``: run the verification sections, report, exit.
 
-Eight sections (``SECTIONS``), each independently reportable:
+``TABLE`` is the one list of sections, in run order.  A section names a
+check that returns ``(label, failures)`` pairs, one pair per thing it
+checked, and -- where it has one -- its *mutation*: an ``--inject`` mode
+and a context manager that plants a known defect in the code the
+section checks.  ``SECTIONS``, ``INJECT_MODES`` and the CLI's choices
+are read from it.
 
-- ``schedules``     -- static validation of every shipped schedule
-  generator across a (p, m, v) grid, plus any user-supplied schedule
-  JSON fixture (``--schedule-json``).
-- ``sanitizer``     -- a real composed (p, t, d) training step under the
-  collective sanitizer; any cross-rank timeline divergence fails.
-- ``conformance``   -- N sampled random configurations trained against
-  the single-rank baseline (``--configs``/``--seed``/``--case``).
-- ``backend``       -- cross-backend conformance
-  (:mod:`repro.verify.backend_check`): the multi-process shared-memory
-  backend must be bit-identical to the cooperative oracle (losses,
-  parameters, optimizer state, traffic log) over the same stratified
-  config grid, and must leak no ``/dev/shm`` segments.
-- ``conservation``  -- measured traffic bytes and FLOPs vs the §3.2 /
-  eq. (3) closed forms, exact integer equality.
-- ``chaos``         -- fault-tolerance conformance
-  (:mod:`repro.verify.chaos_check`): a run killed and recovered by the
-  chaos harness must be bit-identical to an uninterrupted run, a
-  corrupted newest checkpoint must fall back to an older verified one,
-  interrupted commits must never leave ``LATEST`` at an unverifiable
-  checkpoint, and a resharded resume must match the single-rank
-  reference at fp64 tolerance.
-- ``serve``         -- serving conformance
-  (:mod:`repro.verify.serve_check`): paged-KV cached decode, the
-  continuous-batching engine (including under forced preemption and on
-  bit-exact trace replay) and tensor-parallel decode must all produce
-  token streams equal to the full-recompute ``generate`` oracle, with
-  zero leaked cache blocks.
-- ``serve-chaos``   -- serving fault-tolerance conformance
-  (:mod:`repro.verify.serve_chaos_check`): decode crashes, KV
-  corruption and allocator storms injected into the engine must leave
-  every stream equal to the oracle, with typed outcomes and a
-  deterministic faulted replay.
+- ``schedules``    every shipped generator over a (p, m, v) grid, and a
+  ``--schedule-json`` fixture (:mod:`.schedule_check`);
+- ``sanitizer``    cross-rank agreement of every collective of a
+  p=2, t=2, d=2 training step (:mod:`.sanitizer`);
+- ``conformance``  sampled configurations, or ``--case``, against the
+  single-rank baseline (:mod:`.conformance`);
+- ``backend``      mp bit-identical to coop (:mod:`.backend_check`);
+- ``conservation`` bytes and FLOPs equal to the §3.2 / eq. (3) closed
+  forms (:mod:`.conservation`);
+- ``chaos``        recovery leaves training bit-identical
+  (:mod:`.chaos_check`);
+- ``serve``        every decode path equals the ``generate`` oracle
+  (:mod:`.serve_check`);
+- ``serve-chaos``  the same under injected serving faults
+  (:mod:`.serve_chaos_check`).
 
-Mutation self-test (``--inject``): the verifier is itself verified by
-injecting one of four known defects and demanding it is caught --
-``reorder`` (a backward moved before its forward in a schedule),
-``collective-shape`` (one rank posting a differently-shaped collective),
-``grad-perturb`` (a silently corrupted gradient in one data-parallel
-replica), ``kv-offset`` (one row of a batched decode step's K/V written
-one slot off in the paged cache).  An injection that is *not* detected
-is reported as a failure of the verifier, so the exit code is non-zero
-either way.
+Four sections own a mutation -- ``reorder``, ``collective-shape``,
+``grad-perturb`` and ``kv-offset``; the ``*_defect`` functions below say
+what each plants.  Under ``--inject`` the owning section runs unchanged
+with its defect planted; every failure then carries the one repro line that reproduces
+it, and a defect the section does not catch fails the run as a verifier
+that has lost its teeth.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, ContextManager, NamedTuple
 
-SECTIONS = (
-    "schedules", "sanitizer", "conformance", "backend", "conservation",
-    "chaos", "serve", "serve-chaos",
-)
-INJECT_MODES = ("reorder", "collective-shape", "grad-perturb", "kv-offset")
+Pairs = list[tuple[str, list[str]]]
 
 
 @dataclass
@@ -101,40 +83,59 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# -- sections ----------------------------------------------------------------
+@dataclass(frozen=True)
+class Options:
+    """What a section's check reads: :func:`run_verification`'s flags."""
+
+    fast: bool
+    seed: int
+    configs: int | None
+    case: object  # a ConformanceCase, or None
+    schedule_json: str | None
 
 
-def _run_schedules(fast: bool, schedule_json: str | None) -> SectionResult:
+class Mutation(NamedTuple):
+    name: str  # the ``--inject`` mode
+    defect: Callable[[int], ContextManager]  # seed -> plants it while entered
+
+
+@dataclass(frozen=True)
+class Section:
+    name: str
+    check: Callable[[Options], Pairs]
+    mutation: Mutation | None = None
+    note: str = ""  # formatted with {checks} and {labels}
+
+
+# -- checks ------------------------------------------------------------------
+
+
+def _schedules(o: Options) -> Pairs:
     from .schedule_check import (
         check_all_generators,
         schedule_from_json,
         validate_schedule,
     )
 
-    section = SectionResult("schedules")
-    results = check_all_generators(fast=fast)
-    section.checks = len(results)
-    for (name, p, m, v), violations in sorted(results.items()):
-        for violation in violations:
-            section.failures.append(
-                f"{name}(p={p}, m={m}, v={v}): {violation.describe()}"
-            )
-    if schedule_json is not None:
-        section.checks += 1
+    pairs = [
+        (f"{name}(p={p}, m={m}, v={v})", [x.describe() for x in violations])
+        for (name, p, m, v), violations
+        in sorted(check_all_generators(fast=o.fast).items())
+    ]
+    if o.schedule_json is not None:
         try:
-            schedule = schedule_from_json(schedule_json)
+            schedule = schedule_from_json(o.schedule_json)
         except ValueError as exc:
-            section.failures.append(f"schedule fixture: unparseable: {exc}")
+            pairs.append(("schedule fixture", [f"unparseable: {exc}"]))
         else:
-            for violation in validate_schedule(schedule):
-                section.failures.append(
-                    f"schedule fixture '{schedule.name}': "
-                    f"{violation.describe()}"
-                )
-    return section
+            pairs.append((f"schedule fixture '{schedule.name}'",
+                          [x.describe() for x in validate_schedule(schedule)]))
+    return pairs
 
 
-def _run_sanitizer(inject: str | None, seed: int) -> SectionResult:
+def _sanitizer(o: Options) -> Pairs:
+    """One pair per recorded collective event; a cross-rank mismatch is
+    filed under the event where the two ranks first diverge."""
     import numpy as np
 
     from repro.config import ParallelConfig, tiny_test_model
@@ -142,7 +143,6 @@ def _run_sanitizer(inject: str | None, seed: int) -> SectionResult:
 
     from .sanitizer import CollectiveSanitizer
 
-    section = SectionResult("sanitizer")
     config = tiny_test_model(num_layers=2, hidden_size=16,
                              num_attention_heads=4, vocab_size=32,
                              seq_length=8)
@@ -153,174 +153,236 @@ def _run_sanitizer(inject: str | None, seed: int) -> SectionResult:
                        global_batch_size=4),
         seed=0,
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(o.seed)
     ids = rng.integers(0, config.vocab_size, size=(4, config.seq_length))
     with CollectiveSanitizer() as sanitizer:
         trainer.train_step(ids, np.roll(ids, -1, axis=1))
-        if inject == "collective-shape":
-            # One rank posts a differently-shaped buffer for the "same"
-            # collective -- silent corruption on real ranks.
-            sanitizer.record_rank_event(0, "all_reduce", (0, 1), (5,),
-                                        "float64", tag="injected")
-            sanitizer.record_rank_event(1, "all_reduce", (0, 1), (4,),
-                                        "float64", tag="injected")
-    mismatches = sanitizer.check()
-    section.checks = sanitizer.num_events
-    section.notes.append(
-        f"{sanitizer.num_events} collective events across "
-        f"{len(sanitizer.timelines)} ranks (p=2, t=2, d=2 train step)"
-    )
-    for mismatch in mismatches:
-        section.failures.append(mismatch.describe())
-    return section
+    found: dict[tuple[int, int], list[str]] = {}
+    for mm in sanitizer.check():
+        rank, other = ((mm.rank_a, mm.rank_b) if mm.event_a is not None
+                       else (mm.rank_b, mm.rank_a))
+        shared = [i for i, e in enumerate(sanitizer.timelines[rank])
+                  if other in e.group]
+        found.setdefault((rank, shared[mm.position]), []).append(
+            mm.describe())
+    return [(f"rank {rank} call #{i}", found.get((rank, i), []))
+            for rank, timeline in sorted(sanitizer.timelines.items())
+            for i in range(len(timeline))]
 
 
-def _run_conformance(fast: bool, num_cases: int, seed: int,
-                     case, inject: str | None) -> SectionResult:
+def _conformance(o: Options) -> Pairs:
     from .conformance import run_case, sample_cases
 
-    section = SectionResult("conformance")
-    perturb = 1e-6 if inject == "grad-perturb" else 0.0
-    if case is not None:
-        cases = [case]
-    elif inject == "grad-perturb":
-        from .conformance import ConformanceCase
-
-        cases = [ConformanceCase(p=2, d=2, b=1, m=2, seed=seed)]
+    if o.case is not None:
+        cases = [o.case]
     else:
-        cases = sample_cases(num_cases, seed=seed)
-    section.checks = len(cases)
-    for c in cases:
-        result = run_case(c, perturb_gradient=perturb)
-        if not result.ok:
-            detail = "\n".join(result.failures)
-            section.failures.append(
-                f"{c.describe()}\n{detail}\nrepro: {c.repro_string}"
-            )
-    return section
+        cases = sample_cases(o.configs if o.configs is not None
+                             else 6 if o.fast else 25, seed=o.seed)
+    pairs = []
+    for case in cases:
+        failures = run_case(case).failures
+        if failures:
+            failures = ["\n".join(failures + [f"repro: {case.repro_string}"])]
+        pairs.append((case.describe(), failures))
+    return pairs
 
 
-def _run_backend(fast: bool, num_cases: int | None, seed: int) -> SectionResult:
-    """Cross-backend conformance: mp (real processes over shared
-    memory) must be *bit*-identical to the coop oracle — losses,
-    parameters, optimizer state and the traffic log, with no leaked
-    ``/dev/shm`` segments."""
+def _backend(o: Options) -> Pairs:
     from .backend_check import run_backend_checks
 
-    section = SectionResult("backend")
-    results = run_backend_checks(fast, num_cases, seed)
-    section.checks = len(results)
-    for case, failures in results:
-        for failure in failures:
-            section.failures.append(
-                f"{case.describe()}: {failure}\nrepro: {case.repro_string}"
-            )
-    section.notes.append(
-        f"{len(results)} configs bit-compared coop vs mp "
-        "(losses, params, optimizer, traffic)"
-    )
-    return section
+    return [(case.describe(), failures) for case, failures
+            in run_backend_checks(o.fast, o.configs, o.seed)]
 
 
-def _run_conservation(fast: bool) -> SectionResult:
+def _conservation(o: Options) -> Pairs:
     from .conservation import check_conservation, default_conservation_configs
 
-    section = SectionResult("conservation")
-    configs = default_conservation_configs(fast=fast)
-    section.checks = len(configs)
-    for case in configs:
-        report = check_conservation(case)
-        for item in report.failures:
-            section.failures.append(
-                f"{case.describe()}: {item.describe()}"
-            )
-    return section
+    return [(case.describe(),
+             [item.describe() for item in check_conservation(case).failures])
+            for case in default_conservation_configs(fast=o.fast)]
 
 
-def _run_chaos(fast: bool, seed: int) -> SectionResult:
+def _chaos(o: Options) -> Pairs:
     from .chaos_check import run_chaos_checks
 
-    section = SectionResult("chaos")
-    results = run_chaos_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}")
-    section.notes.append(
-        "recovery conformance: " + ", ".join(name for name, _ in results)
-    )
-    return section
+    return run_chaos_checks(fast=o.fast, seed=o.seed)
 
 
-def _run_serve(fast: bool, seed: int,
-               inject: str | None = None) -> SectionResult:
-    from .serve_check import kv_offset_defect, run_serve_checks
+def _serve(o: Options) -> Pairs:
+    from .serve_check import run_serve_checks
 
-    section = SectionResult("serve")
-    defect = (kv_offset_defect(seed) if inject == "kv-offset"
-              else contextlib.nullcontext())
-    with defect:
-        results = run_serve_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    repro = ("" if inject is None else
-             f"\nrepro: python -m repro verify --inject {inject} "
-             f"--seed {seed}")
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}{repro}")
-    section.notes.append(
-        "decode conformance vs the generate oracle: "
-        + ", ".join(name for name, _ in results)
-    )
-    return section
+    return run_serve_checks(fast=o.fast, seed=o.seed)
 
 
-def _run_serve_chaos(fast: bool, seed: int) -> SectionResult:
+def _serve_chaos(o: Options) -> Pairs:
     from .serve_chaos_check import run_serve_chaos_checks
 
-    section = SectionResult("serve-chaos")
-    results = run_serve_chaos_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}")
-    section.notes.append(
-        "serving under fire: " + ", ".join(name for name, _ in results)
-    )
-    return section
+    return run_serve_chaos_checks(fast=o.fast, seed=o.seed)
 
 
-def _run_injected_reorder(seed: int) -> SectionResult:
-    """Mutate a known-good 1F1B schedule (a backward hoisted before its
-    forward on rank 0) and demand the static validator flags it."""
-    from dataclasses import replace
+# -- defects -----------------------------------------------------------------
 
-    from repro.schedule import make_schedule
-    from repro.schedule.ir import OpKind
 
-    from .schedule_check import validate_schedule
+@contextlib.contextmanager
+def _patched(owner, name: str, replacement):
+    """``owner.name`` is ``replacement`` while entered."""
+    real = getattr(owner, name)
+    setattr(owner, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
 
-    section = SectionResult("schedules")
-    schedule = make_schedule("1f1b", num_stages=4, num_microbatches=4)
-    rank0 = list(schedule.ops[0])
-    b_idx = next(i for i, op in enumerate(rank0)
-                 if op.kind is OpKind.BACKWARD)
-    f_idx = next(i for i, op in enumerate(rank0)
-                 if op.kind is OpKind.FORWARD
-                 and (op.microbatch, op.chunk) ==
-                 (rank0[b_idx].microbatch, rank0[b_idx].chunk))
-    rank0[f_idx], rank0[b_idx] = rank0[b_idx], rank0[f_idx]
-    mutated = replace(
-        schedule, ops=(tuple(rank0),) + schedule.ops[1:]
-    )
-    section.checks = 1
-    for violation in validate_schedule(mutated):
-        section.failures.append(
-            f"1f1b(p=4, m=4, v=1) [injected reorder]: "
-            f"{violation.describe()}\n"
-            f"repro: python -m repro verify --inject reorder --seed {seed}"
+
+@contextlib.contextmanager
+def reorder_defect(seed: int):
+    """Every 1F1B schedule the generator builds has rank 0's backward of
+    microbatch ``seed % m`` hoisted above its own forward."""
+    from repro.schedule import generators
+    from repro.schedule.ir import OpKind, ScheduleOp
+
+    real = generators.one_f_one_b_schedule
+
+    def hoisted(num_stages: int, num_microbatches: int):
+        good = real(num_stages, num_microbatches)
+        rank0 = list(good.ops[0])
+        mb = seed % num_microbatches
+        f = rank0.index(ScheduleOp(OpKind.FORWARD, mb))
+        b = rank0.index(ScheduleOp(OpKind.BACKWARD, mb))
+        rank0[f], rank0[b] = rank0[b], rank0[f]
+        return replace(good, ops=(tuple(rank0),) + good.ops[1:])
+
+    # A memoised good schedule would hide the defect, and a memoised bad
+    # one must not outlive it.
+    generators.make_schedule.cache_clear()
+    try:
+        with _patched(generators, "one_f_one_b_schedule", hoisted):
+            yield
+    finally:
+        generators.make_schedule.cache_clear()
+
+
+def collective_shape_defect(seed: int):
+    """In the ``1 + seed % 32``-th collective a sanitizer records for a
+    group of two or more ranks, the group's first rank records its buffer
+    with one more axis than its peers do."""
+    from .sanitizer import CollectiveSanitizer
+
+    real = CollectiveSanitizer.record
+    calls = 0
+
+    def bent(self, op, ranks, shape, dtype, tag=""):
+        nonlocal calls
+        real(self, op, ranks, shape, dtype, tag)
+        if len(ranks) > 1:
+            calls += 1
+            if calls == 1 + seed % 32:
+                timeline = self.timelines[int(ranks[0])]
+                timeline[-1] = replace(timeline[-1],
+                                       shape=timeline[-1].shape + (1,))
+
+    return _patched(CollectiveSanitizer, "record", bent)
+
+
+def grad_perturb_defect(seed: int):
+    """Inside every parallel training step, one seeded gradient entry of
+    the last data-parallel replica moves by 1e-6 just before the
+    optimizer applies it.  The serial baseline (p = t = d = 1) is spared."""
+    from repro.parallel import trainer
+
+    real = trainer.apply_update
+
+    def bent(replicas, optimizers, spec):
+        if spec.parallel.world_size > 1:
+            params = replicas[-1].parameters()
+            params[seed % len(params)].grad.flat[0] += 1e-6
+        return real(replicas, optimizers, spec)
+
+    return _patched(trainer, "apply_update", bent)
+
+
+def kv_offset_defect(seed: int):
+    """In one seeded batched single-token ``PagedKVCache.append``, one row
+    lands one slot off inside its block and its own slot never gets it."""
+    import numpy as np
+
+    from repro.serve import PagedKVCache
+
+    from .serve_check import ROUNDTRIP_WRITES
+
+    real = PagedKVCache.append
+    rng = np.random.default_rng(seed)
+    target = int(rng.integers(1, ROUNDTRIP_WRITES + 1))
+    row = int(rng.integers(0, 1 << 16))
+    writes = 0
+
+    def bent(self, handles, new_kvs):
+        nonlocal writes
+        real(self, handles, new_kvs)
+        if not isinstance(handles, list) or self.block_size < 2:
+            return
+        writes += 1
+        if writes != target:
+            return
+        handle = handles[row % len(handles)]
+        block_index, off = divmod(handle.length - 1, self.block_size)
+        block = handle.block_table[block_index]
+        self.kv_pool[block, :, :, (off + 1) % self.block_size] = (
+            self.kv_pool[block, :, :, off])
+        self.kv_pool[block, :, :, off] = 0.0
+
+    return _patched(PagedKVCache, "append", bent)
+
+
+# -- the table ---------------------------------------------------------------
+
+
+TABLE = (
+    Section("schedules", _schedules, Mutation("reorder", reorder_defect)),
+    Section("sanitizer", _sanitizer,
+            Mutation("collective-shape", collective_shape_defect),
+            note="{checks} collective events of a p=2, t=2, d=2 train "
+                 "step"),
+    Section("conformance", _conformance,
+            Mutation("grad-perturb", grad_perturb_defect)),
+    Section("backend", _backend,
+            note="{checks} configs bit-compared coop vs mp "
+                 "(losses, params, optimizer, traffic)"),
+    Section("conservation", _conservation),
+    Section("chaos", _chaos, note="recovery conformance: {labels}"),
+    Section("serve", _serve, Mutation("kv-offset", kv_offset_defect),
+            note="decode conformance vs the generate oracle: {labels}"),
+    Section("serve-chaos", _serve_chaos,
+            note="serving under fire: {labels}"),
+)
+SECTIONS = tuple(s.name for s in TABLE)
+INJECT_MODES = tuple(s.mutation.name for s in TABLE if s.mutation)
+
+
+def _select(only, case, schedule_json, inject) -> list[Section]:
+    """Every section, or the one that each flag choosing a section names;
+    two flags naming different sections are an error."""
+    owners = {s.mutation.name: s.name for s in TABLE if s.mutation}
+    if inject is not None and inject not in owners:
+        raise ValueError(
+            f"unknown injection mode {inject!r}; choose from "
+            f"{', '.join(INJECT_MODES)}"
         )
-    return section
+    if only is not None and only not in SECTIONS:
+        raise ValueError(f"unknown section {only!r}")
+    chosen = [(flag, name) for flag, name in (
+        (f"--only {only}", only),
+        ("--case", case is not None and "conformance"),
+        ("--schedule-json", schedule_json is not None and "schedules"),
+        (f"--inject {inject}", inject and owners[inject]),
+    ) if name]
+    for flag, name in chosen[1:]:
+        if name != chosen[0][1]:
+            raise ValueError(
+                f"{chosen[0][0]} selects the {chosen[0][1]} section but "
+                f"{flag} selects {name}"
+            )
+    return [s for s in TABLE if not chosen or s.name == chosen[0][1]]
 
 
 # -- entry point -------------------------------------------------------------
@@ -340,56 +402,34 @@ def run_verification(
 
     Parameters mirror the CLI flags; ``schedule_json`` is the fixture
     *text* (the CLI reads the file), ``case`` a parsed
-    :class:`~repro.verify.conformance.ConformanceCase`.
+    :class:`~repro.verify.conformance.ConformanceCase`, ``num_cases``
+    the sample size of the conformance and backend sections.
     """
-    if inject is not None and inject not in INJECT_MODES:
-        raise ValueError(
-            f"unknown injection mode {inject!r}; choose from "
-            f"{', '.join(INJECT_MODES)}"
-        )
-    if only is not None and only not in SECTIONS:
-        raise ValueError(f"unknown section {only!r}")
-    if num_cases is None:
-        num_cases = 6 if fast else 25
-
+    if case is not None and num_cases is not None:
+        raise ValueError("--case runs one configuration; --configs "
+                         "samples them")
+    sections = _select(only, case, schedule_json, inject)
+    options = Options(fast, seed, num_cases, case, schedule_json)
     report = VerificationReport()
-
-    if inject == "reorder":
-        report.sections.append(_run_injected_reorder(seed))
-    elif inject == "collective-shape":
-        report.sections.append(_run_sanitizer(inject, seed))
-    elif inject == "grad-perturb":
-        report.sections.append(
-            _run_conformance(fast, num_cases, seed, case, inject)
-        )
-    elif inject == "kv-offset":
-        report.sections.append(_run_serve(fast, seed, inject))
-    elif case is not None:
-        report.sections.append(
-            _run_conformance(fast, num_cases, seed, case, None)
-        )
-    else:
-        if only in (None, "schedules"):
-            report.sections.append(_run_schedules(fast, schedule_json))
-        if only in (None, "sanitizer"):
-            report.sections.append(_run_sanitizer(None, seed))
-        if only in (None, "conformance"):
-            report.sections.append(
-                _run_conformance(fast, num_cases, seed, None, None)
-            )
-        if only in (None, "backend"):
-            report.sections.append(
-                _run_backend(fast, num_cases if only == "backend" else None,
-                             seed)
-            )
-        if only in (None, "conservation"):
-            report.sections.append(_run_conservation(fast))
-        if only in (None, "chaos"):
-            report.sections.append(_run_chaos(fast, seed))
-        if only in (None, "serve"):
-            report.sections.append(_run_serve(fast, seed))
-        if only in (None, "serve-chaos"):
-            report.sections.append(_run_serve_chaos(fast, seed))
+    for section in sections:
+        with (section.mutation.defect(seed) if inject
+              else contextlib.nullcontext()):
+            pairs = section.check(options)
+        result = SectionResult(section.name, checks=len(pairs), failures=[
+            f"{label}: {failure}" for label, failures in pairs
+            for failure in failures])
+        if section.note:
+            result.notes.append(section.note.format(
+                checks=len(pairs),
+                labels=", ".join(label for label, _ in pairs)))
+        if inject:
+            # One repro line per failure, the one that plants the defect
+            # again: a section's own (a --case line) would exit 0.
+            repro = (f"repro: python -m repro verify --inject {inject} "
+                     f"--seed {seed}")
+            result.failures = [f.split("\nrepro: ")[0] + "\n" + repro
+                               for f in result.failures]
+        report.sections.append(result)
 
     if inject is not None and report.ok:
         # The injected defect was NOT caught: the verifier itself is

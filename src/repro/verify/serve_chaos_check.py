@@ -30,15 +30,10 @@ Five checks, one guarantee each:
 
 from __future__ import annotations
 
-import io
-import json
-
 import numpy as np
 
 from repro.config import tiny_test_model
-from repro.nn.generate import generate
 from repro.nn.transformer import GPTModel
-from repro.obs.runlog import RunLogger
 from repro.resilience.serve_chaos import (
     AllocExhaustion,
     DecodeCrash,
@@ -46,38 +41,7 @@ from repro.resilience.serve_chaos import (
     ServeChaosPlan,
 )
 
-
-def _run(model, trace, *, num_blocks, block_size, checksums=False,
-         max_steps=None, **engine_kw):
-    """One deterministic chaos run; returns (engine, report, events)."""
-    from repro.serve import PagedKVCache, ServeEngine
-
-    cache = PagedKVCache.for_model(
-        model, num_blocks=num_blocks, block_size=block_size,
-        checksums=checksums,
-    )
-    buf = io.StringIO()
-    logger = RunLogger(buf, "serve-chaos-check", clock=lambda: 0.0)
-    logger.start("serve")
-    engine = ServeEngine(model, cache, logger=logger, **engine_kw)
-    report = engine.run(trace, max_steps=max_steps)
-    events = []
-    for line in buf.getvalue().splitlines():
-        event = json.loads(line)
-        if event["type"] not in ("request", "iteration", "fault"):
-            continue
-        event.pop("t", None)
-        event.pop("seconds", None)
-        events.append(event)
-    return engine, report, events
-
-
-def _oracle(model, req):
-    return generate(
-        model, np.array(req.prompt), req.max_new_tokens,
-        temperature=req.temperature, top_k=req.top_k,
-        rng=np.random.default_rng(req.seed), stop_ids=set(req.stop_ids),
-    )
+from .serve_check import run_logged, stream_mismatches
 
 
 def _invariants(label, engine, report, events, trace) -> list[str]:
@@ -106,19 +70,15 @@ def _invariants(label, engine, report, events, trace) -> list[str]:
             f"{label}: {len(report.requests)} terminal requests for a "
             f"{len(trace)}-request trace (requests lost or duplicated)"
         )
-    by_id = {r.request_id: r for r in report.requests}
-    for req in trace:
-        metrics = by_id.get(req.request_id)
-        if metrics is None or metrics.outcome != "completed":
-            continue
-        oracle = _oracle(engine.model, req)
-        got = engine.outputs.get(req.request_id)
-        if got is None or not np.array_equal(oracle, got):
-            failures.append(
-                f"{label}: completed stream for {req.request_id} != its "
-                f"oracle under injected faults: oracle={oracle.tolist()} "
-                f"engine={None if got is None else got.tolist()}"
-            )
+    completed = {r.request_id for r in report.requests
+                 if r.outcome == "completed"}
+    failures += [
+        f"{label}: completed {mismatch}"
+        for mismatch in stream_mismatches(
+            engine.model,
+            [req for req in trace if req.request_id in completed],
+            engine.outputs)
+    ]
     return failures
 
 
@@ -145,7 +105,7 @@ def _check_crash_grid(fast: bool, seed: int) -> list[str]:
     failures = []
     for i, plan in enumerate(plans):
         label = f"crash-plan[{i}]"
-        engine, report, events = _run(
+        engine, report, events = run_logged(
             model, trace, num_blocks=6, block_size=3, chaos=plan,
         )
         failures += _invariants(label, engine, report, events, trace)
@@ -174,7 +134,7 @@ def _check_corruption(fast: bool, seed: int) -> list[str]:
     plan = ServeChaosPlan(corruptions=(
         KVCorruption(at_step=2, times=1 if fast else 2),
     ))
-    engine, report, events = _run(
+    engine, report, events = run_logged(
         model, trace, num_blocks=8, block_size=3, checksums=True, chaos=plan,
     )
     failures = _invariants("corruption", engine, report, events, trace)
@@ -210,7 +170,7 @@ def _check_exhaustion_overload(fast: bool, seed: int) -> list[str]:
     failures = []
     for policy in ("reject-newest", "edf"):
         label = f"overload[{policy}]"
-        engine, report, events = _run(
+        engine, report, events = run_logged(
             model, trace, num_blocks=4, block_size=3, chaos=plan,
             max_queue=3, shed_policy=policy,
         )
@@ -253,7 +213,8 @@ def _check_deadline_typing(fast: bool, seed: int) -> list[str]:
         TraceRequest("edge-many", 0, prompt, 5, seed=2, deadline_steps=0),
         TraceRequest("roomy", 0, prompt, 4, seed=3, deadline_steps=50),
     ]
-    engine, report, events = _run(model, trace, num_blocks=8, block_size=3)
+    engine, report, events = run_logged(model, trace, num_blocks=8,
+                                        block_size=3)
     failures = _invariants("deadline-typing", engine, report, events, trace)
     by_id = {r.request_id: r for r in report.requests}
     if by_id["edge-one"].outcome != "completed":
@@ -296,8 +257,8 @@ def _check_faulted_replay(fast: bool, seed: int) -> list[str]:
     )
 
     def once():
-        return _run(model, trace, num_blocks=6, block_size=3,
-                    checksums=True, chaos=plan, max_queue=6)
+        return run_logged(model, trace, num_blocks=6, block_size=3,
+                          checksums=True, chaos=plan, max_queue=6)
 
     engine1, report1, events1 = once()
     engine2, report2, events2 = once()

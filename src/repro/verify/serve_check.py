@@ -23,12 +23,16 @@ fast paths of :mod:`repro.serve` to it:
 - **tensor-parallel decode** (`tp_generate` over the coop oracle and,
   in full mode, the real-process mp backend): token streams equal
   single-rank decode record-for-record.
+
+:func:`stream_mismatches` (engine streams vs their per-request oracle)
+and :func:`run_logged` (one engine run and its replayable events) are
+shared with :mod:`.serve_chaos_check` and ``repro serve --smoke``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
+import json
 
 import numpy as np
 
@@ -60,7 +64,7 @@ def _grid(fast: bool, seed: int):
     return points
 
 
-_ROUNDTRIP_WRITES = 6  # batched single-token writes per round trip
+ROUNDTRIP_WRITES = 6  # batched single-token writes per round trip
 
 
 def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
@@ -84,7 +88,7 @@ def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
         for handle in handles:
             kept.append(kvs(1, int(rng.integers(1, 9))))
             cache.append(handle, [tuple(layer) for layer in kept[-1]])
-        for write in range(_ROUNDTRIP_WRITES):
+        for write in range(ROUNDTRIP_WRITES):
             new = kvs(len(handles), 1)
             cache.append(handles, [tuple(layer) for layer in new])
             kept = [np.concatenate([old, new[:, :, i:i + 1]], axis=4)
@@ -106,41 +110,6 @@ def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
             cache.free(handle)
         cache.assert_empty()
     return failures
-
-
-@contextlib.contextmanager
-def kv_offset_defect(seed: int):
-    """The ``--inject kv-offset`` defect: in one seeded batched
-    single-token ``PagedKVCache.append``, one row lands one slot off
-    inside its block and its own slot never gets it."""
-    from repro.serve import PagedKVCache
-
-    real = PagedKVCache.append
-    rng = np.random.default_rng(seed)
-    target = int(rng.integers(1, _ROUNDTRIP_WRITES + 1))
-    row = int(rng.integers(0, 1 << 16))
-    writes = 0
-
-    def bent(self, handles, new_kvs):
-        nonlocal writes
-        real(self, handles, new_kvs)
-        if not isinstance(handles, list) or self.block_size < 2:
-            return
-        writes += 1
-        if writes != target:
-            return
-        handle = handles[row % len(handles)]
-        block_index, off = divmod(handle.length - 1, self.block_size)
-        block = handle.block_table[block_index]
-        self.kv_pool[block, :, :, (off + 1) % self.block_size] = (
-            self.kv_pool[block, :, :, off])
-        self.kv_pool[block, :, :, off] = 0.0
-
-    PagedKVCache.append = bent
-    try:
-        yield
-    finally:
-        PagedKVCache.append = real
 
 
 def _check_cached_decode(fast: bool, seed: int) -> list[str]:
@@ -185,32 +154,53 @@ def _check_cached_decode(fast: bool, seed: int) -> list[str]:
     return failures
 
 
-def _run_trace(model, trace, num_blocks, block_size):
-    """One deterministic engine run; returns (outputs, report, events)."""
+def stream_mismatches(model, requests, outputs) -> list[str]:
+    """One line per request whose engine stream is not, token for token,
+    its single-request ``generate`` oracle (the request's own sampling
+    seed and stop ids)."""
+    failures = []
+    for req in requests:
+        oracle = generate(
+            model, np.array(req.prompt), req.max_new_tokens,
+            temperature=req.temperature, top_k=req.top_k,
+            rng=np.random.default_rng(req.seed), stop_ids=set(req.stop_ids),
+        )
+        got = outputs.get(req.request_id)
+        if got is None or not np.array_equal(oracle, got):
+            failures.append(
+                f"stream for {req.request_id} != its generate oracle: "
+                f"oracle={oracle.tolist()} "
+                f"engine={None if got is None else got.tolist()}"
+            )
+    return failures
+
+
+def run_logged(model, trace, *, num_blocks, block_size, checksums=False,
+               **engine_kw):
+    """One engine run logging into a buffer; returns ``(engine, report,
+    events)``, the events being what a replay must reproduce."""
     from repro.serve import PagedKVCache, ServeEngine
 
     cache = PagedKVCache.for_model(
-        model, num_blocks=num_blocks, block_size=block_size
+        model, num_blocks=num_blocks, block_size=block_size,
+        checksums=checksums,
     )
     buf = io.StringIO()
     logger = RunLogger(buf, "serve-check", clock=lambda: 0.0)
     logger.start("serve")
-    engine = ServeEngine(model, cache, logger=logger)
+    engine = ServeEngine(model, cache, logger=logger, **engine_kw)
     report = engine.run(trace)
-    cache.assert_empty()
-    import json
-
     events = []
     for line in buf.getvalue().splitlines():
         event = json.loads(line)
-        if event["type"] not in ("request", "iteration"):
+        if event["type"] not in ("request", "iteration", "fault"):
             continue
         # Wall-clock fields are the only nondeterminism; everything on
         # the virtual clock must replay bit-exactly.
         event.pop("t", None)
         event.pop("seconds", None)
         events.append(event)
-    return engine.outputs, report, events
+    return engine, report, events
 
 
 def _check_engine(fast: bool, seed: int) -> list[str]:
@@ -225,35 +215,27 @@ def _check_engine(fast: bool, seed: int) -> list[str]:
     )
     failures = []
     # A 4-block pool is deliberately scarce: the trace must preempt.
-    outputs, report, events = _run_trace(model, trace, 4, 3)
+    engine, report, events = run_logged(model, trace, num_blocks=4,
+                                        block_size=3)
     if sum(r.preemptions for r in report.requests) == 0:
         failures.append(
             "scarce-capacity trace triggered no preemption -- the "
             "preemption path went unexercised"
         )
-    for req in trace:
-        oracle = generate(
-            model, np.array(req.prompt), req.max_new_tokens,
-            temperature=req.temperature, top_k=req.top_k,
-            rng=np.random.default_rng(req.seed),
-            stop_ids=set(req.stop_ids),
-        )
-        got = outputs.get(req.request_id)
-        if got is None or not np.array_equal(oracle, got):
-            failures.append(
-                f"engine stream for {req.request_id} != its oracle: "
-                f"oracle={oracle.tolist()} "
-                f"engine={None if got is None else got.tolist()}"
-            )
+    failures += stream_mismatches(model, trace, engine.outputs)
     # Deterministic replay: same trace, fresh pool -> identical run.
-    outputs2, report2, events2 = _run_trace(model, trace, 4, 3)
-    for rid, stream in outputs.items():
-        if not np.array_equal(stream, outputs2[rid]):
+    engine2, report2, events2 = run_logged(model, trace, num_blocks=4,
+                                           block_size=3)
+    for rid, stream in engine.outputs.items():
+        if not np.array_equal(stream, engine2.outputs[rid]):
             failures.append(f"replay diverged on {rid}'s token stream")
     if report.to_dict()["requests"] != report2.to_dict()["requests"]:
         failures.append("replay diverged on per-request metrics")
     if events != events2:
         failures.append("replay diverged on the run-log event sequence")
+    leaked = engine.cache.live_blocks + engine2.cache.live_blocks
+    if leaked:
+        failures.append(f"{leaked} cache blocks leaked over two runs")
     return failures
 
 

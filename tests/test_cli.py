@@ -329,10 +329,38 @@ class TestVerify:
         assert "repro: python -m repro verify --inject kv-offset --seed 5" in out
 
     def test_grad_perturb_prints_seeded_repro_string(self, capsys):
-        rc = main(["verify", "--inject", "grad-perturb", "--seed", "5"])
+        rc = main(["verify", "--inject", "grad-perturb", "--seed", "5",
+                   "--fast"])
         assert rc == 1
-        assert ("python -m repro verify --case" in
-                capsys.readouterr().out)
+        lines = {line.strip() for line in capsys.readouterr().out.splitlines()
+                 if line.strip().startswith("repro: ")}
+        assert lines == {
+            "repro: python -m repro verify --inject grad-perturb --seed 5"}
+        # the printed repro reproduces the failure
+        argv = lines.pop().split()[4:]  # after "repro: python -m repro"
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--only", "serve", "--inject", "reorder"],
+        ["--only", "chaos", "--case", "p=2,d=2,m=2"],
+        ["--case", "p=2,d=2,m=2", "--configs", "3"],
+    ])
+    def test_conflicting_flags_report_error(self, argv, capsys):
+        rc = main(["verify", "--fast", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(flag in err for flag in argv if flag.startswith("--"))
+
+    def test_schedule_json_conflicting_with_inject_reports_error(
+            self, tmp_path, capsys):
+        fixture = tmp_path / "schedule.json"
+        fixture.write_text("{}")
+        rc = main(["verify", "--schedule-json", str(fixture),
+                   "--inject", "kv-offset"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--schedule-json" in err and "--inject kv-offset" in err
 
     def test_corrupted_schedule_fixture_exits_nonzero(self, tmp_path,
                                                       capsys):

@@ -28,8 +28,9 @@ from repro.schedule import (
     simulate_times,
 )
 from repro.sim import SimOptions
-from repro.verify import runner
+from repro.verify import run_verification
 from repro.verify.schedule_check import (
+    check_compiled_order,
     check_deadlock,
     generator_grid,
     validate_schedule,
@@ -165,9 +166,12 @@ class TestCacheSafety:
             with pytest.raises(DeadlockError):
                 simulate_times(bad)
             assert validate_schedule(bad)
-        # ... and through the verify runner, which spells the call its own way
+        # ... and through `verify --inject reorder`, whose defect wraps the
+        # memoised generator: caught, and gone from the memo afterwards
         completion_order(make_schedule("1f1b", num_stages=4, num_microbatches=4))
-        assert runner._run_injected_reorder(seed=0).failures
+        assert not run_verification(inject="reorder", fast=True).ok
+        assert not validate_schedule(make_schedule("1f1b", 4, 4))
+        assert not check_compiled_order(make_schedule("1f1b", 4, 8))
         renamed = replace(good, name="1f1b-copy")  # same ops, new object
         assert execute(renamed) == execute(good)
         assert completion_order(renamed) is not completion_order(good)

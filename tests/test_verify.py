@@ -40,7 +40,9 @@ from repro.verify import (
     schedule_to_json,
     validate_schedule,
 )
-from repro.verify.runner import INJECT_MODES
+from repro.verify.runner import TABLE, grad_perturb_defect
+
+MUTATED = [section for section in TABLE if section.mutation]
 
 
 def _swap_ops(schedule, rank, i, j):
@@ -217,7 +219,8 @@ class TestConformance:
     def test_perturbed_gradient_is_flagged_with_repro_string(self):
         # Acceptance mutation #3: silent gradient corruption.
         case = ConformanceCase(p=2, d=2, b=1, m=2, seed=5)
-        result = run_case(case, perturb_gradient=1e-6)
+        with grad_perturb_defect(seed=0):
+            result = run_case(case)
         assert not result.ok
         assert any("diverged" in f or "deviates" in f
                    for f in result.failures)
@@ -272,21 +275,84 @@ class TestRunner:
     def test_fast_run_passes(self):
         report = run_verification(fast=True)
         assert report.ok, report.describe()
-        assert {s.name for s in report.sections} == {
+        assert [s.name for s in report.sections] == [
             "schedules", "sanitizer", "conformance", "backend",
             "conservation", "chaos", "serve", "serve-chaos",
-        }
+        ]
         assert "verification PASSED" in report.describe()
 
-    @pytest.mark.parametrize("mode", INJECT_MODES)
+    @pytest.mark.parametrize("mode", [s.mutation.name for s in MUTATED])
     def test_each_injection_is_caught(self, mode):
-        report = run_verification(inject=mode, fast=True)
-        assert not report.ok
-        assert "repro" in report.describe() or "rank" in report.describe()
+        (owner,) = [s for s in MUTATED if s.mutation.name == mode]
+        report = run_verification(inject=mode, fast=True, seed=3)
+        (section,) = report.sections
+        assert section.name == owner.name
+        assert section.failures
+        repro = f"repro: python -m repro verify --inject {mode} --seed 3"
+        for failure in section.failures:
+            assert failure.endswith("\n" + repro)
+            assert failure.count("repro: ") == 1
+        # ... and the defect was planted for that run only
+        assert run_verification(fast=True, only=owner.name).ok
+    def test_every_section_but_four_owns_a_mutation(self):
+        # Each of these is a section no --inject mode proves able to
+        # fail; a new section lands with its mutation.
+        assert {s.name for s in TABLE if s.mutation is None} == {
+            "backend", "conservation", "chaos", "serve-chaos",
+        }
+
+    def test_an_uncaught_defect_fails_as_lost_teeth(self, monkeypatch):
+        from contextlib import nullcontext
+
+        from repro.verify import runner
+
+        harmless = replace(TABLE[0], mutation=runner.Mutation(
+            "reorder", lambda seed: nullcontext()))
+        monkeypatch.setattr(runner, "TABLE", (harmless,) + TABLE[1:])
+        report = run_verification(inject="reorder", fast=True)
+        assert [s.name for s in report.sections] == ["schedules", "injection"]
+        assert "lost its teeth" in report.sections[-1].failures[0]
 
     def test_unknown_injection_rejected(self):
         with pytest.raises(ValueError, match="injection"):
             run_verification(inject="bitflip")
+
+    @pytest.mark.parametrize("flags, named", [
+        ({"only": "serve", "inject": "reorder"},
+         ("--only serve", "--inject reorder")),
+        ({"only": "chaos", "case": ConformanceCase()},
+         ("--only chaos", "--case")),
+        ({"schedule_json": "{}", "case": ConformanceCase()},
+         ("--case", "--schedule-json")),
+        ({"schedule_json": "{}", "inject": "kv-offset"},
+         ("--schedule-json", "--inject kv-offset")),
+    ])
+    def test_flags_choosing_different_sections_are_an_error(self, flags,
+                                                           named):
+        with pytest.raises(ValueError) as caught:
+            run_verification(fast=True, **flags)
+        assert all(flag in str(caught.value) for flag in named)
+
+    def test_case_and_configs_are_an_error(self):
+        with pytest.raises(ValueError, match="--configs"):
+            run_verification(case=ConformanceCase(), num_cases=3)
+
+    def test_flags_choosing_the_same_section_agree(self):
+        case = ConformanceCase(p=2, d=2, b=1, m=2, seed=5)
+        report = run_verification(inject="grad-perturb", case=case,
+                                  only="conformance")
+        (section,) = report.sections
+        assert (section.name, section.checks) == ("conformance", 1)
+        assert not section.ok
+
+    def test_configs_has_one_meaning(self):
+        # Alone, the backend section samples what it does in a whole
+        # --fast run; --configs sizes its sample as it does conformance's.
+        (alone,) = run_verification(fast=True, only="backend").sections
+        assert alone.checks == 4
+        (sized,) = run_verification(fast=True, only="backend",
+                                    num_cases=2).sections
+        assert sized.checks == 2 + 1  # and the composed d>1 case it adds
 
     def test_corrupted_schedule_fixture_fails(self):
         schedule = make_schedule("gpipe", 2, 2)

@@ -327,6 +327,7 @@ def drive_entry_points() -> None:
         KVCorruption, LossSpike, SaveFailure, ServeChaosPlan, Stall)
     from repro.schedule import make_schedule
     from repro.verify import schedule_to_json
+    from repro.verify.runner import INJECT_MODES
 
     home = os.getcwd()
     work = tempfile.mkdtemp(prefix="reach-drive-")
@@ -370,9 +371,9 @@ def drive_entry_points() -> None:
         # -- verification (README "Verification", CI)
         _repro("verify")
         _repro("verify", "--fast")
-        for mode in ("reorder", "collective-shape", "grad-perturb",
-                     "kv-offset"):
+        for mode in INJECT_MODES:
             _repro("verify", "--fast", "--inject", mode, want=1)
+        _repro("verify", "--only", "serve", "--inject", "reorder", want=2)
         _repro("verify", "--case", "p=2,t=1,d=2,v=1,b=1,m=2,schedule=1f1b,"
                "recompute=0,zero=0,seed=5")
         with open("schedule.json", "w", encoding="utf-8") as fh:
