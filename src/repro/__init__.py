@@ -28,30 +28,37 @@ Quickstart::
                               microbatch_size=1, global_batch_size=8)
     trainer = PTDTrainer(model, parallel)
     loss = trainer.train_step(ids, targets)
-"""
 
-from .config import GPTConfig, ParallelConfig
-from .parallel import PTDTrainer
-from .schedule import (
-    gpipe_schedule,
-    interleaved_schedule,
-    make_schedule,
-    one_f_one_b_schedule,
-)
-from .sim import SimOptions, simulate_iteration, simulate_zero3_iteration
+The names below resolve on first use (PEP 562), so importing any
+``repro.<module>`` -- the ``repro`` CLI above all -- loads only what
+that module needs.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GPTConfig",
-    "ParallelConfig",
-    "PTDTrainer",
-    "make_schedule",
-    "gpipe_schedule",
-    "one_f_one_b_schedule",
-    "interleaved_schedule",
-    "SimOptions",
-    "simulate_iteration",
-    "simulate_zero3_iteration",
-    "__version__",
-]
+#: Each re-export and the subpackage it comes from.
+_EXPORTS = {
+    "GPTConfig": "config",
+    "ParallelConfig": "config",
+    "PTDTrainer": "parallel",
+    "make_schedule": "schedule",
+    "gpipe_schedule": "schedule",
+    "one_f_one_b_schedule": "schedule",
+    "interleaved_schedule": "schedule",
+    "SimOptions": "sim",
+    "simulate_iteration": "sim",
+    "simulate_zero3_iteration": "sim",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    value = getattr(module, name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value

@@ -41,9 +41,14 @@ Subcommands:
 The paper's tables and figures are a separate entry point,
 ``python -m repro.experiments``.
 
-Output conventions: every tracing-capable subcommand (``trace``,
-``goodput``, ``chaos``) accepts ``--metrics-out PATH`` writing the same
-metrics-JSON schema (:meth:`repro.obs.MetricsRegistry.as_dict`).
+Output conventions: ``--metrics-out PATH`` on ``trace``, ``goodput``,
+``chaos`` and ``monitor`` writes one shared metrics-JSON schema
+(:meth:`repro.obs.MetricsRegistry.as_dict`); on ``serve`` it writes the
+SLO-metrics schema (:func:`repro.serve.validate_serve_metrics`).
+``--runlog DIR`` on ``trace``, ``chaos`` and ``serve`` registers the run
+under ``DIR`` for ``monitor``; a command that raises ends its run log
+``failed``.  Subsystems are imported inside the command that runs them,
+so ``--help`` and argument errors load neither numpy nor a trainer.
 
 Configuration errors (bad model shapes, infeasible parallel configs,
 unwritable output paths) are mapped onto a clean ``error: ...`` message
@@ -53,9 +58,12 @@ and exit code 2 — no tracebacks for user input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.config import GPTConfig, ParallelConfig
+
+SCHEDULES = ["gpipe", "1f1b", "interleaved", "interleaved-gpipe"]
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -76,11 +84,26 @@ def _model_from(args) -> GPTConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
-    from repro.sim import SimOptions, simulate_iteration
+def _add_parallel_args(p: argparse.ArgumentParser, *, d: int = 1,
+                       batch: int | None = None, chunks: bool = True) -> None:
+    """``-p/-t/-d/-b/--batch[/--chunks]/--schedule``; ``--batch`` is
+    required unless given a default."""
+    p.add_argument("-p", type=int, default=1, help="pipeline-parallel size")
+    p.add_argument("-t", type=int, default=1, help="tensor-parallel size")
+    p.add_argument("-d", type=int, default=d, help="data-parallel size")
+    p.add_argument("-b", type=int, default=1, help="microbatch size")
+    p.add_argument("--batch", type=int, default=batch,
+                   required=batch is None, help="global batch size")
+    if chunks:
+        p.add_argument("--chunks", type=int, default=1,
+                       help="model chunks (v)")
+    else:
+        p.set_defaults(chunks=1)
+    p.add_argument("--schedule", default="1f1b", choices=SCHEDULES)
 
-    model = _model_from(args)
-    parallel = ParallelConfig(
+
+def _parallel_from(args) -> ParallelConfig:
+    return ParallelConfig(
         pipeline_parallel_size=args.p,
         tensor_parallel_size=args.t,
         data_parallel_size=args.d,
@@ -88,6 +111,55 @@ def _cmd_simulate(args) -> int:
         global_batch_size=args.batch,
         num_model_chunks=args.chunks,
     )
+
+
+@contextlib.contextmanager
+def _run_log(args, source: str, model: GPTConfig, parallel: ParallelConfig,
+             **manifest):
+    """The run's log under ``--runlog DIR``, active for the body, or
+    ``None`` without the flag.  The body ends the run with its status
+    (:func:`_end_run`); a body that raises first ends it ``failed``, so
+    ``monitor`` never shows it running forever."""
+    if not args.runlog:
+        yield None
+        return
+    from repro.obs.runlog import RunRegistry, run_logging
+
+    logger, log_fh = RunRegistry(args.runlog).create(source)
+    with contextlib.closing(log_fh), run_logging(logger):
+        logger.start(
+            source,
+            model={"layers": model.num_layers,
+                   "hidden": model.hidden_size,
+                   "heads": model.num_attention_heads,
+                   "vocab": model.vocab_size,
+                   "seq": model.seq_length},
+            parallel={"p": parallel.pipeline_parallel_size,
+                      "t": parallel.tensor_parallel_size,
+                      "d": parallel.data_parallel_size,
+                      "B": parallel.global_batch_size},
+            **manifest,
+        )
+        try:
+            yield logger
+        except BaseException:
+            if not logger.closed:
+                logger.end("failed")
+            raise
+
+
+def _end_run(logger, status: str = "completed", note: str = "") -> None:
+    """End a :func:`_run_log` run (if there is one) and say where its
+    log is."""
+    if logger is not None:
+        logger.end(status)
+        print(f"run log: {logger.stream.name}{note}")
+
+
+def _cmd_simulate(args) -> int:
+    from repro.sim import SimOptions, simulate_iteration
+
+    model, parallel = _model_from(args), _parallel_from(args)
     options = SimOptions(
         schedule_name=args.schedule,
         recompute_activations=not args.no_recompute,
@@ -144,45 +216,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import contextlib
-
-    from repro.obs import phase_summary, trace, write_chrome_trace, write_metrics
-
-    model = _model_from(args)
-    parallel = ParallelConfig(
-        pipeline_parallel_size=args.p,
-        tensor_parallel_size=args.t,
-        data_parallel_size=args.d,
-        microbatch_size=args.b,
-        global_batch_size=args.batch,
-        num_model_chunks=args.chunks,
-    )
+    model, parallel = _model_from(args), _parallel_from(args)
     parallel.validate_for_model(model)
-    with contextlib.ExitStack() as stack:
-        logger = None
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry, run_logging
-
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create(args.mode)
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                args.mode,
-                model={"layers": model.num_layers,
-                       "hidden": model.hidden_size,
-                       "heads": model.num_attention_heads,
-                       "vocab": model.vocab_size,
-                       "seq": model.seq_length},
-                parallel={"p": parallel.pipeline_parallel_size,
-                          "t": parallel.tensor_parallel_size,
-                          "d": parallel.data_parallel_size,
-                          "B": parallel.global_batch_size},
-            )
-            stack.enter_context(run_logging(logger))
+    with _run_log(args, args.mode, model, parallel) as logger:
         rc = _run_trace(args, model, parallel)
-        if logger is not None:
-            logger.end("completed" if rc == 0 else "failed")
-            print(f"run log: {registry.events_path(logger.run_id)}")
+        _end_run(logger, "completed" if rc == 0 else "failed")
     return rc
 
 
@@ -379,6 +417,21 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         ) from None
 
 
+def _parse_entries(text: str | None, flag: str, build) -> tuple:
+    """Comma-separated ``k[:x]`` entries, each ``build(k, x)``."""
+    entries = []
+    for spec in (text or "").split(","):
+        spec = spec.strip()
+        if not spec:
+            continue
+        at, _, extra = spec.partition(":")
+        try:
+            entries.append(build(int(at), extra))
+        except ValueError as exc:
+            raise ValueError(f"bad {flag} entry {spec!r}: {exc}")
+    return tuple(entries)
+
+
 def _chaos_plan_from_args(args):
     from repro.resilience import (
         ChaosPlan,
@@ -404,48 +457,30 @@ def _chaos_plan_from_args(args):
                           mode=args.corrupt_mode)
         for k in _parse_int_list(args.corrupt or "", "--corrupt")
     )
-    save_failures = []
-    for spec in (args.save_fail or "").split(","):
-        spec = spec.strip()
-        if not spec:
-            continue
-        at, _, times = spec.partition(":")
-        try:
-            save_failures.append(SaveFailure(
-                at_iteration=int(at), times=int(times) if times else 1
-            ))
-        except ValueError as exc:
-            raise ValueError(f"bad --save-fail entry {spec!r}: {exc}")
+    save_failures = _parse_entries(
+        args.save_fail, "--save-fail",
+        lambda at, times: SaveFailure(at_iteration=at,
+                                      times=int(times) if times else 1))
     loss_spikes = tuple(
         LossSpike(at_iteration=k)
         for k in _parse_int_list(args.loss_spike or "", "--loss-spike")
     )
-    stalls = []
-    for spec in (args.stall or "").split(","):
-        spec = spec.strip()
-        if not spec:
-            continue
-        at, _, rank = spec.partition(":")
-        try:
-            stalls.append(Stall(
-                at_iteration=int(at), seconds=args.stall_seconds,
-                rank=int(rank) if rank else None,
-            ))
-        except ValueError as exc:
-            raise ValueError(f"bad --stall entry {spec!r}: {exc}")
+    stalls = _parse_entries(
+        args.stall, "--stall",
+        lambda at, rank: Stall(at_iteration=at, seconds=args.stall_seconds,
+                               rank=int(rank) if rank else None))
     return ChaosPlan(kills=kills, corruptions=corruptions,
-                     save_failures=tuple(save_failures),
-                     loss_spikes=loss_spikes, stalls=tuple(stalls))
+                     save_failures=save_failures,
+                     loss_spikes=loss_spikes, stalls=stalls)
 
 
 def _cmd_chaos(args) -> int:
-    import contextlib
     import tempfile
 
     import numpy as np
 
     from repro.config import tiny_test_model
-    from repro.obs import phase_summary, trace, write_chrome_trace
+    from repro.obs import phase_summary, trace, write_chrome_trace, write_metrics
     from repro.resilience import (
         ChaosHarness,
         run_baseline,
@@ -462,13 +497,7 @@ def _cmd_chaos(args) -> int:
     config = tiny_test_model(num_layers=2, hidden_size=16,
                              num_attention_heads=4, vocab_size=32,
                              seq_length=8)
-    parallel = ParallelConfig(
-        pipeline_parallel_size=args.p,
-        tensor_parallel_size=args.t,
-        data_parallel_size=args.d,
-        microbatch_size=args.b,
-        global_batch_size=args.batch,
-    )
+    parallel = _parallel_from(args)
     parallel.validate_for_model(config)
 
     with contextlib.ExitStack() as stack:
@@ -498,49 +527,21 @@ def _cmd_chaos(args) -> int:
         print(f"checkpoints: every {args.every} iterations, "
               f"keep last {args.keep_last}, under {directory}")
         print()
-        logger = None
-        runlog_ctx = contextlib.nullcontext()
         if args.monitor and not args.runlog:
             raise ValueError("--monitor needs --runlog DIR (the run log is "
                              "what the detectors watch)")
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry, run_logging
-
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create("chaos")
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                "chaos",
-                model={"layers": config.num_layers,
-                       "hidden": config.hidden_size,
-                       "heads": config.num_attention_heads,
-                       "vocab": config.vocab_size,
-                       "seq": config.seq_length},
-                parallel={"p": parallel.pipeline_parallel_size,
-                          "t": parallel.tensor_parallel_size,
-                          "d": parallel.data_parallel_size,
-                          "B": parallel.global_batch_size},
-            )
-            runlog_ctx = run_logging(logger)
-        try:
-            with trace() as tracer, runlog_ctx:
-                report = harness.run()
-        except Exception:
-            if logger is not None and not logger.closed:
-                logger.end("failed")
-            raise
-        if logger is not None:
-            logger.end("completed")
-            events_path = registry.events_path(logger.run_id)
-            print(f"run log: {events_path} "
-                  f"(tail with `python -m repro monitor --runs "
-                  f"{args.runlog}`)")
+        logger = stack.enter_context(
+            _run_log(args, "chaos", config, parallel))
+        with trace() as tracer:
+            report = harness.run()
+        _end_run(logger, note=f" (tail with `python -m repro monitor "
+                              f"--runs {args.runlog}`)")
         print(report.describe())
         if args.monitor:
             from repro.obs.monitor import run_monitor, score_run
             from repro.obs.runlog import read_events
 
-            events = read_events(events_path)
+            events = read_events(logger.stream.name)
             monitor = run_monitor(events)
             print()
             for alert in monitor.alerts:
@@ -557,8 +558,6 @@ def _cmd_chaos(args) -> int:
             print()
             print(phase_summary(tracer))
         if args.metrics_out:
-            from repro.obs import write_metrics
-
             write_metrics(tracer, args.metrics_out)
             print(f"wrote {args.metrics_out}")
 
@@ -703,7 +702,6 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import contextlib
     import json
 
     from repro.config import tiny_test_model
@@ -760,32 +758,14 @@ def _cmd_serve(args) -> int:
         model, num_blocks=args.blocks, block_size=args.block_size,
         checksums=checksums,
     )
-    with contextlib.ExitStack() as stack:
-        logger = None
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry
-
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create("serve")
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                "serve",
-                model={"layers": config.num_layers,
-                       "hidden": config.hidden_size,
-                       "heads": config.num_attention_heads,
-                       "vocab": config.vocab_size,
-                       "seq": config.seq_length},
-                parallel={"p": 1, "t": 1, "d": 1, "B": 1},
-                requests=len(trace),
-            )
+    with _run_log(args, "serve", config, ParallelConfig(),
+                  requests=len(trace)) as logger:
         engine = ServeEngine(
             model, cache, logger=logger, chaos=plan,
             max_queue=args.max_queue, shed_policy=args.shed,
         )
         report = engine.run(trace)
-        if logger is not None:
-            logger.end("completed")
-            print(f"run log: {registry.events_path(logger.run_id)}")
+        _end_run(logger)
     cache.assert_empty()
     metrics = report.to_dict()
     agg = metrics["aggregate"]
@@ -881,16 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate one training iteration")
     _add_model_args(p_sim)
-    p_sim.add_argument("-p", type=int, default=1, help="pipeline-parallel size")
-    p_sim.add_argument("-t", type=int, default=1, help="tensor-parallel size")
-    p_sim.add_argument("-d", type=int, default=1, help="data-parallel size")
-    p_sim.add_argument("-b", type=int, default=1, help="microbatch size")
-    p_sim.add_argument("--batch", type=int, required=True, help="global batch size")
-    p_sim.add_argument("--chunks", type=int, default=1, help="model chunks (v)")
-    p_sim.add_argument(
-        "--schedule", default="1f1b",
-        choices=["gpipe", "1f1b", "interleaved", "interleaved-gpipe"],
-    )
+    _add_parallel_args(p_sim)
     p_sim.add_argument("--no-recompute", action="store_true")
     p_sim.add_argument("--no-scatter-gather", action="store_true")
     p_sim.add_argument("--no-fusion", action="store_true")
@@ -920,16 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="trace one training iteration (Chrome-trace output)"
     )
     _add_model_args(p_trace)
-    p_trace.add_argument("-p", type=int, default=1, help="pipeline-parallel size")
-    p_trace.add_argument("-t", type=int, default=1, help="tensor-parallel size")
-    p_trace.add_argument("-d", type=int, default=1, help="data-parallel size")
-    p_trace.add_argument("-b", type=int, default=1, help="microbatch size")
-    p_trace.add_argument("--batch", type=int, required=True, help="global batch size")
-    p_trace.add_argument("--chunks", type=int, default=1, help="model chunks (v)")
-    p_trace.add_argument(
-        "--schedule", default="1f1b",
-        choices=["gpipe", "1f1b", "interleaved", "interleaved-gpipe"],
-    )
+    _add_parallel_args(p_trace)
     p_trace.add_argument(
         "--mode", default="engine", choices=["engine", "sim"],
         help="engine: run the numeric trainer (real bytes/FLOPs); "
@@ -937,8 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome-trace output path")
-    p_trace.add_argument("--metrics-out", "--metrics", dest="metrics_out",
-                         default=None,
+    p_trace.add_argument("--metrics-out", dest="metrics_out", default=None,
                          help="also dump the metrics registry as JSON "
                               "(shared schema across subcommands)")
     p_trace.add_argument("--profile", action="store_true",
@@ -1042,16 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="supervised fault-tolerant training of the tiny model under "
              "live injected failures",
     )
-    p_chaos.add_argument("-p", type=int, default=1, help="pipeline-parallel size")
-    p_chaos.add_argument("-t", type=int, default=1, help="tensor-parallel size")
-    p_chaos.add_argument("-d", type=int, default=2, help="data-parallel size")
-    p_chaos.add_argument("-b", type=int, default=1, help="microbatch size")
-    p_chaos.add_argument("--batch", type=int, default=4,
-                         help="global batch size")
-    p_chaos.add_argument(
-        "--schedule", default="1f1b",
-        choices=["gpipe", "1f1b", "interleaved", "interleaved-gpipe"],
-    )
+    _add_parallel_args(p_chaos, d=2, batch=4, chunks=False)
     p_chaos.add_argument("--iterations", type=int, default=8,
                          help="iterations of real training")
     p_chaos.add_argument("--every", type=int, default=2,
@@ -1264,9 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.set_defaults(func=_cmd_monitor)
 
     p_sched = sub.add_parser("schedule", help="render a schedule timeline")
-    p_sched.add_argument(
-        "name", choices=["gpipe", "1f1b", "interleaved", "interleaved-gpipe"]
-    )
+    p_sched.add_argument("name", choices=SCHEDULES)
     p_sched.add_argument("-p", type=int, default=4)
     p_sched.add_argument("-m", type=int, default=8)
     p_sched.add_argument("--chunks", type=int, default=2)

@@ -10,7 +10,9 @@ streams meet:
   :class:`~repro.obs.metrics.MetricsRegistry`, fed by the
   :class:`~repro.nn.profiler.FlopMeter` and
   :class:`~repro.comm.traffic.TrafficLog` adapters
-  (:mod:`repro.obs.adapters`);
+  (:mod:`repro.obs.adapters`, which :func:`trace` installs; it is the
+  package's one path to :mod:`repro.nn` and numpy, so it is not
+  imported here);
 - **exports** — Chrome ``trace_event`` JSON (Perfetto /
   chrome://tracing), a flat phase-summary table, and a metrics dump
   (:mod:`repro.obs.export`), surfaced by ``python -m repro trace``.
@@ -19,7 +21,6 @@ Activate with ``with trace() as tracer: ...``; when no tracer is
 active every instrumentation hook short-circuits on an empty list.
 """
 
-from .adapters import TracerFlopMeter, flop_adapter
 from .monitor import (
     Alert,
     CheckpointHealthDetector,
@@ -34,7 +35,6 @@ from .monitor import (
     StragglerDetector,
     ThroughputCollapseDetector,
     TtftSloDetector,
-    default_detectors,
     render_dashboard,
     run_monitor,
     score_run,
@@ -102,8 +102,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TracerFlopMeter",
-    "flop_adapter",
     "chrome_trace",
     "chrome_trace_events",
     "counter_events",
@@ -143,7 +141,6 @@ __all__ = [
     "QueueGrowthDetector",
     "TtftSloDetector",
     "PreemptionStormDetector",
-    "default_detectors",
     "Monitor",
     "run_monitor",
     "Scoreboard",

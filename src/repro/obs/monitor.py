@@ -35,11 +35,13 @@ no-op on training streams:
   inside a sliding step window (cache thrash or repeated fault
   recovery).
 
-:class:`Monitor` drives a detector set over a stream (live, as a
-:class:`~repro.obs.runlog.RunLogger` observer, or offline over a log
-file) and keeps the state the ``python -m repro monitor`` dashboard
-renders: metric histories, per-rank health, the alert feed, and
-acknowledgements.
+All eight share :class:`Detector`, which builds their alerts and fires
+each once per episode; their thresholds are class constants.
+:class:`Monitor` drives one of each (:data:`DETECTORS`) over a stream
+(live, as a :class:`~repro.obs.runlog.RunLogger` observer, or offline
+over a log file) and keeps the state the ``python -m repro monitor``
+dashboard renders: metric histories, per-rank health, the alert feed,
+and acknowledgements.
 
 Because the chaos harness writes ground-truth ``fault`` events into the
 same log, detector quality is *measurable*: :func:`score_run` matches
@@ -101,9 +103,51 @@ class Detector:
 
     ``observe`` returns the alerts this event triggered (usually 0 or
     1).  Detectors are stream-online: no lookahead, state only.
+
+    The base holds the episode bookkeeping the detectors share.  Per
+    key -- a rank, a request, a checkpoint, or ``None`` for the whole
+    run -- it counts consecutive bad records and remembers whether the
+    key's current episode has alerted: :meth:`_bad` fires once, on the
+    ``CONSECUTIVE``-th bad record in a row, and stays quiet until
+    :meth:`_good` ends the episode.
     """
 
     name = "detector"
+    severity = "critical"
+    #: Consecutive bad records before an episode's one alert.
+    CONSECUTIVE = 1
+
+    def __init__(self) -> None:
+        self.rounds: dict = {}      # key -> consecutive bad records
+        self.declared: set = set()  # keys whose episode has alerted
+
+    def _bad(self, key=None) -> int:
+        """Count one more bad record for ``key``; returns that count if
+        this record fires the episode's alert, else 0."""
+        rounds = self.rounds.get(key, 0) + 1
+        self.rounds[key] = rounds
+        if rounds < self.CONSECUTIVE or key in self.declared:
+            return 0
+        self.declared.add(key)
+        return rounds
+
+    def _good(self, key=None, *, episode_over: bool = True) -> None:
+        """A healthy record: the count restarts, and unless the
+        detector says otherwise the episode ends (the next one alerts)."""
+        self.rounds[key] = 0
+        if episode_over:
+            self.declared.discard(key)
+
+    def _alert(self, event: dict, message: str, *,
+               severity: str | None = None, iteration: int | None = None,
+               **evidence) -> Alert:
+        """This detector's alert, fired at ``event``."""
+        return Alert(
+            detector=self.name, severity=severity or self.severity,
+            iteration=(int(event["iteration"]) if iteration is None
+                       else iteration),
+            seq=int(event["seq"]), message=message, evidence=evidence,
+        )
 
 
 class LossSpikeDetector(Detector):
@@ -115,42 +159,33 @@ class LossSpikeDetector(Detector):
     """
 
     name = "loss-spike"
+    WINDOW = 16
+    Z_THRESHOLD = 8.0
+    MIN_POINTS = 4
 
-    def __init__(self, window: int = 16, z_threshold: float = 8.0,
-                 min_points: int = 4):
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        if z_threshold <= 0:
-            raise ValueError(f"z_threshold must be > 0, got {z_threshold}")
-        self.window: deque[float] = deque(maxlen=window)
-        self.z_threshold = z_threshold
-        self.min_points = max(2, min_points)
+    def __init__(self) -> None:
+        super().__init__()
+        self.window: deque[float] = deque(maxlen=self.WINDOW)
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] != "iteration" or event.get("loss") is None:
             return []
         loss = float(event["loss"])
-        alerts: list[Alert] = []
-        if len(self.window) >= self.min_points:
+        if len(self.window) >= self.MIN_POINTS:
             med = statistics.median(self.window)
             mad = statistics.median(abs(x - med) for x in self.window)
             scale = 1.4826 * mad + 1e-3 * max(abs(med), 1e-9)
             z = (loss - med) / scale
-            if z > self.z_threshold:
-                alerts.append(Alert(
-                    detector=self.name, severity="critical",
-                    iteration=int(event["iteration"]),
-                    seq=int(event["seq"]),
-                    message=(f"loss {loss:.4g} is {z:.1f} MADs above "
-                             f"rolling median {med:.4g}"),
-                    evidence={"loss": loss, "median": med, "mad": mad,
-                              "z": z},
-                ))
-        if not alerts:
-            # Spikes stay out of the baseline so one blow-up does not
-            # widen the window enough to mask the next.
-            self.window.append(loss)
-        return alerts
+            if z > self.Z_THRESHOLD:
+                # Spikes stay out of the baseline so one blow-up does
+                # not widen the window enough to mask the next.
+                return [self._alert(
+                    event, f"loss {loss:.4g} is {z:.1f} MADs above "
+                           f"rolling median {med:.4g}",
+                    loss=loss, median=med, mad=mad, z=z,
+                )]
+        self.window.append(loss)
+        return []
 
 
 class ThroughputCollapseDetector(Detector):
@@ -160,189 +195,138 @@ class ThroughputCollapseDetector(Detector):
     simulator records its eq. (3)-derived analytic rate) pins the
     baseline; without it the detector self-calibrates on a rolling
     median of healthy iterations.  The collapse must *persist* for
-    ``min_consecutive`` records before the (once-per-episode) alert
-    fires — a single slow iteration on a busy machine is scheduler
-    jitter, not a collapse.
+    ``CONSECUTIVE`` records before the (once-per-episode) alert fires
+    — a single slow iteration on a busy machine is scheduler jitter,
+    not a collapse.
     """
 
     name = "throughput-collapse"
+    COLLAPSE_FRACTION = 0.5
+    WINDOW = 8
+    MIN_POINTS = 3
+    CONSECUTIVE = 2
 
-    def __init__(self, collapse_fraction: float = 0.5, window: int = 8,
-                 min_points: int = 3, min_consecutive: int = 2):
-        if not 0 < collapse_fraction < 1:
-            raise ValueError(
-                f"collapse_fraction must be in (0, 1), got {collapse_fraction}"
-            )
-        if min_consecutive < 1:
-            raise ValueError(
-                f"min_consecutive must be >= 1, got {min_consecutive}"
-            )
-        self.collapse_fraction = collapse_fraction
-        self.window: deque[float] = deque(maxlen=window)
-        self.min_points = max(1, min_points)
-        self.min_consecutive = min_consecutive
+    def __init__(self) -> None:
+        super().__init__()
+        self.window: deque[float] = deque(maxlen=self.WINDOW)
         self.expected: float | None = None
-        self._below = 0
-        self._declared = False
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] == "run-start":
             expected = event.get("expected_tokens_per_s")
             self.expected = float(expected) if expected else None
             return []
-        if event["type"] != "iteration":
+        if event["type"] != "iteration" or event.get("tokens_per_s") is None:
             return []
-        rate = event.get("tokens_per_s")
-        if rate is None:
-            return []
-        rate = float(rate)
+        rate = float(event["tokens_per_s"])
         if self.expected is not None:
             baseline = self.expected
-        elif len(self.window) >= self.min_points:
+        elif len(self.window) >= self.MIN_POINTS:
             baseline = statistics.median(self.window)
         else:
             baseline = None
-        alerts: list[Alert] = []
-        if baseline is not None and rate < self.collapse_fraction * baseline:
-            self._below += 1
-            if self._below >= self.min_consecutive and not self._declared:
-                self._declared = True
-                alerts.append(Alert(
-                    detector=self.name, severity="critical",
-                    iteration=int(event["iteration"]),
-                    seq=int(event["seq"]),
-                    message=(f"throughput {rate:.4g} tokens/s below "
-                             f"{self.collapse_fraction:.0%} of expected "
-                             f"{baseline:.4g} for {self._below} "
-                             f"consecutive records"),
-                    evidence={"tokens_per_s": rate, "expected": baseline,
-                              "fraction": (rate / baseline) if baseline
-                              else 0.0,
-                              "consecutive": self._below},
-                ))
-        else:
-            self._below = 0
-            self._declared = False
+        if not (baseline is not None
+                and rate < self.COLLAPSE_FRACTION * baseline):
+            self._good()
             self.window.append(rate)  # healthy samples calibrate
-        return alerts
+            return []
+        below = self._bad()
+        if not below:
+            return []
+        return [self._alert(
+            event, f"throughput {rate:.4g} tokens/s below "
+                   f"{self.COLLAPSE_FRACTION:.0%} of expected "
+                   f"{baseline:.4g} for {below} consecutive records",
+            tokens_per_s=rate, expected=baseline,
+            fraction=(rate / baseline) if baseline else 0.0,
+            consecutive=below,
+        )]
 
 
 class StragglerDetector(Detector):
     """Per-rank span self-time skew, leave-one-out median.
 
-    A rank is a straggler when its busy time exceeds ``skew_threshold``
+    A rank is a straggler when its busy time exceeds ``SKEW_THRESHOLD``
     times the median of the *other* ranks' busy times for
-    ``min_consecutive`` consecutive iteration records — synchronous
+    ``CONSECUTIVE`` consecutive iteration records — synchronous
     training paces every iteration at the slowest rank, so this is
     exactly the skew that costs goodput, and demanding persistence
     keeps one jittery record from raising a false alarm.
     """
 
     name = "straggler"
+    severity = "warning"
+    SKEW_THRESHOLD = 3.0
+    MIN_RANKS = 2
+    CONSECUTIVE = 2
 
-    def __init__(self, skew_threshold: float = 3.0, min_ranks: int = 2,
-                 min_consecutive: int = 2):
-        if skew_threshold <= 1:
-            raise ValueError(
-                f"skew_threshold must be > 1, got {skew_threshold}"
-            )
-        if min_consecutive < 1:
-            raise ValueError(
-                f"min_consecutive must be >= 1, got {min_consecutive}"
-            )
-        self.skew_threshold = skew_threshold
-        self.min_ranks = max(2, min_ranks)
-        self.min_consecutive = min_consecutive
-        self._skewed_rounds: dict[int, int] = {}
-        self.stragglers: set[int] = set()  # declared (persistent) ranks
+    @property
+    def stragglers(self) -> set[int]:
+        """The ranks declared (persistently) slow."""
+        return self.declared
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] != "iteration":
             return []
         busy = event.get("rank_busy")
-        if not busy or len(busy) < self.min_ranks:
+        if not busy or len(busy) < self.MIN_RANKS:
             return []
         busy = {int(r): float(v) for r, v in busy.items()}
         alerts: list[Alert] = []
         for rank, t in busy.items():
             others = [v for r, v in busy.items() if r != rank]
             med = statistics.median(others)
-            if med > 0 and t > self.skew_threshold * med:
-                rounds = self._skewed_rounds.get(rank, 0) + 1
-                self._skewed_rounds[rank] = rounds
-                if (rounds >= self.min_consecutive
-                        and rank not in self.stragglers):
-                    self.stragglers.add(rank)  # alert once per episode
-                    alerts.append(Alert(
-                        detector=self.name, severity="warning",
-                        iteration=int(event["iteration"]),
-                        seq=int(event["seq"]),
-                        message=(f"rank {rank} busy {t:.4g}s is "
-                                 f"{t / med:.1f}x the other ranks' "
-                                 f"median {med:.4g}s "
-                                 f"({rounds} consecutive records)"),
-                        evidence={"rank": rank, "busy": t, "median": med,
-                                  "skew": t / med, "consecutive": rounds},
-                    ))
-            else:
-                self._skewed_rounds[rank] = 0
-                self.stragglers.discard(rank)
+            if not (med > 0 and t > self.SKEW_THRESHOLD * med):
+                self._good(rank)
+                continue
+            rounds = self._bad(rank)
+            if rounds:
+                alerts.append(self._alert(
+                    event, f"rank {rank} busy {t:.4g}s is {t / med:.1f}x "
+                           f"the other ranks' median {med:.4g}s "
+                           f"({rounds} consecutive records)",
+                    rank=rank, busy=t, median=med, skew=t / med,
+                    consecutive=rounds,
+                ))
         return alerts
 
 
 class HeartbeatGapDetector(Detector):
     """Consecutive missed liveness rounds declare a rank dead.
 
-    The stream twin of the PR 2 latency model
+    The stream twin of the heartbeat latency model
     (:class:`repro.resilience.detect.HeartbeatDetector`): a rank absent
-    from ``missed_threshold`` consecutive ``heartbeat`` rounds raises a
+    from ``CONSECUTIVE`` consecutive ``heartbeat`` rounds raises a
     critical alert.  Recovery events (restore/reshard/restart) reset
     the roster — after a reshard the world legitimately shrinks.
     """
 
     name = "heartbeat-gap"
+    CONSECUTIVE = 2
 
     _RESETS = ("restore", "reshard", "restart-from-scratch")
 
-    def __init__(self, missed_threshold: int = 2):
-        if missed_threshold < 1:
-            raise ValueError(
-                f"missed_threshold must be >= 1, got {missed_threshold}"
-            )
-        self.missed_threshold = missed_threshold
-        self.missed: dict[int, int] = {}
-        self.declared: set[int] = set()
-
-    def _reset(self) -> None:
-        self.missed.clear()
-        self.declared.clear()
-
     def observe(self, event: dict) -> list[Alert]:
-        if event["type"] == "run-start":
-            self._reset()
-            return []
-        if event["type"] == "recovery" and event.get("kind") in self._RESETS:
-            self._reset()
+        if event["type"] == "run-start" or (
+                event["type"] == "recovery"
+                and event.get("kind") in self._RESETS):
+            self.rounds.clear()
+            self.declared.clear()
             return []
         if event["type"] != "heartbeat":
             return []
         alive = set(int(r) for r in event["ranks"])
         for rank in alive:
-            self.missed[rank] = 0
-            self.declared.discard(rank)
+            self._good(rank)
         alerts: list[Alert] = []
-        for rank in set(self.missed) - alive:
-            self.missed[rank] += 1
-            if (self.missed[rank] >= self.missed_threshold
-                    and rank not in self.declared):
-                self.declared.add(rank)
-                alerts.append(Alert(
-                    detector=self.name, severity="critical",
+        for rank in set(self.rounds) - alive:
+            missed = self._bad(rank)
+            if missed:
+                alerts.append(self._alert(
+                    event, f"rank {rank} silent for {missed} heartbeat "
+                           "rounds",
                     iteration=int(event.get("iteration", -1)),
-                    seq=int(event["seq"]),
-                    message=(f"rank {rank} silent for "
-                             f"{self.missed[rank]} heartbeat rounds"),
-                    evidence={"rank": rank, "missed": self.missed[rank]},
+                    rank=rank, missed=missed,
                 ))
         return alerts
 
@@ -350,12 +334,10 @@ class HeartbeatGapDetector(Detector):
 class CheckpointHealthDetector(Detector):
     """Checkpoint-layer trouble: transient save retries (warning) and
     corrupted snapshots skipped during restore (critical — the run just
-    lost committed progress to bit-rot)."""
+    lost committed progress to bit-rot).  One alert per (kind,
+    iteration)."""
 
     name = "checkpoint"
-
-    def __init__(self):
-        self._seen: set[tuple[str, int]] = set()  # dedup per (kind, it)
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] != "recovery":
@@ -364,76 +346,56 @@ class CheckpointHealthDetector(Detector):
         if kind not in ("save-retry", "checkpoint-skipped"):
             return []
         iteration = int(event.get("iteration", -1))
-        key = (kind, iteration)
-        if key in self._seen:
+        if not self._bad((kind, iteration)):
             return []
-        self._seen.add(key)
         critical = kind == "checkpoint-skipped"
-        return [Alert(
-            detector=self.name,
+        return [self._alert(
+            event,
+            f"restore skipped corrupted checkpoint at iteration "
+            f"{iteration}" if critical else
+            f"checkpoint save at iteration {iteration} needed a retry",
             severity="critical" if critical else "warning",
-            iteration=iteration, seq=int(event["seq"]),
-            message=(
-                f"restore skipped corrupted checkpoint at iteration "
-                f"{iteration}" if critical else
-                f"checkpoint save at iteration {iteration} needed a retry"
-            ),
-            evidence={"kind": kind, "detail": event.get("detail", "")},
+            iteration=iteration, kind=kind, detail=event.get("detail", ""),
         )]
 
 
 class QueueGrowthDetector(Detector):
     """Admission starvation: the waiting queue both deep and
-    non-decreasing for ``min_consecutive`` consecutive serve iteration
+    non-decreasing for ``CONSECUTIVE`` consecutive serve iteration
     records.
 
     Depth alone is not a signal under bursty arrivals (a burst drains);
     a deep queue that *keeps not draining* is -- the symptom of an
     allocator-exhaustion storm or a stuck scheduler.  Alerts once per
-    episode; the episode ends when the queue dips below ``min_depth``.
+    episode; the episode ends when the queue dips below ``MIN_DEPTH``,
+    not on a tick where a still-deep queue shrank.
     """
 
     name = "queue-growth"
+    MIN_DEPTH = 6
+    CONSECUTIVE = 3
 
-    def __init__(self, min_depth: int = 6, min_consecutive: int = 3):
-        if min_depth < 1:
-            raise ValueError(f"min_depth must be >= 1, got {min_depth}")
-        if min_consecutive < 1:
-            raise ValueError(
-                f"min_consecutive must be >= 1, got {min_consecutive}"
-            )
-        self.min_depth = min_depth
-        self.min_consecutive = min_consecutive
+    def __init__(self) -> None:
+        super().__init__()
         self._last: int | None = None
-        self._rounds = 0
-        self._declared = False
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] != "iteration" or event.get("waiting") is None:
             return []
         waiting = int(event["waiting"])
-        alerts: list[Alert] = []
         grown = self._last is not None and waiting >= self._last
-        if waiting >= self.min_depth and grown:
-            self._rounds += 1
-            if self._rounds >= self.min_consecutive and not self._declared:
-                self._declared = True
-                alerts.append(Alert(
-                    detector=self.name, severity="critical",
-                    iteration=int(event["iteration"]),
-                    seq=int(event["seq"]),
-                    message=(f"waiting queue at {waiting} and "
-                             f"non-decreasing for {self._rounds} "
-                             f"consecutive ticks"),
-                    evidence={"waiting": waiting,
-                              "consecutive": self._rounds},
-                ))
-        else:
-            self._rounds = 0
-            if waiting < self.min_depth:
-                self._declared = False
         self._last = waiting
-        return alerts
+        if not (waiting >= self.MIN_DEPTH and grown):
+            self._good(episode_over=waiting < self.MIN_DEPTH)
+            return []
+        rounds = self._bad()
+        if not rounds:
+            return []
+        return [self._alert(
+            event, f"waiting queue at {waiting} and non-decreasing for "
+                   f"{rounds} consecutive ticks",
+            waiting=waiting, consecutive=rounds,
+        )]
 
 
 class TtftSloDetector(Detector):
@@ -446,13 +408,11 @@ class TtftSloDetector(Detector):
     """
 
     name = "ttft-slo"
+    SLO_STEPS = 32
 
-    def __init__(self, slo_steps: int = 32):
-        if slo_steps < 1:
-            raise ValueError(f"slo_steps must be >= 1, got {slo_steps}")
-        self.slo_steps = slo_steps
+    def __init__(self) -> None:
+        super().__init__()
         self._arrived: dict[str, int] = {}
-        self._alerted: set[str] = set()
 
     def observe(self, event: dict) -> list[Alert]:
         if event["type"] != "request":
@@ -462,96 +422,75 @@ class TtftSloDetector(Detector):
         if phase == "arrive":
             self._arrived[rid] = step
             return []
-        if rid not in self._arrived or rid in self._alerted:
+        if rid not in self._arrived or phase not in ("first-token",
+                                                     "timeout"):
             return []
-        if phase == "first-token":
-            ttft = step - self._arrived[rid]
-        elif phase == "timeout":
-            ttft = step - self._arrived[rid]  # never served at all
-        else:
+        ttft = step - self._arrived[rid]
+        if ttft <= self.SLO_STEPS or not self._bad(rid):
             return []
-        if ttft <= self.slo_steps:
-            return []
-        self._alerted.add(rid)
-        starved = phase == "timeout"
-        return [Alert(
-            detector=self.name, severity="critical",
-            iteration=step, seq=int(event["seq"]),
-            message=(f"request {rid} "
-                     + ("timed out with no first token after"
-                        if starved else "first token after")
-                     + f" {ttft} steps (SLO {self.slo_steps})"),
-            evidence={"request_id": rid, "ttft_steps": ttft,
-                      "slo_steps": self.slo_steps, "starved": starved},
+        starved = phase == "timeout"  # never served at all
+        return [self._alert(
+            event, f"request {rid} "
+                   + ("timed out with no first token after"
+                      if starved else "first token after")
+                   + f" {ttft} steps (SLO {self.SLO_STEPS})",
+            iteration=step, request_id=rid, ttft_steps=ttft,
+            slo_steps=self.SLO_STEPS, starved=starved,
         )]
 
 
 class PreemptionStormDetector(Detector):
     """Preempt/retry churn clustered in a sliding virtual-clock window.
 
-    Healthy continuous batching preempts occasionally; ``threshold``
-    such events inside ``window_steps`` is thrash -- repeated fault
+    Healthy continuous batching preempts occasionally; ``THRESHOLD``
+    such events inside ``WINDOW_STEPS`` is thrash -- repeated fault
     recovery (KV corruption retries) or a pool far too small.  Alerts
-    once per episode; the episode ends when the window empties.
+    once per episode; the episode ends when the window thins out.
     """
 
     name = "preemption-storm"
+    severity = "warning"
+    WINDOW_STEPS = 8
+    THRESHOLD = 4
 
-    def __init__(self, window_steps: int = 8, threshold: int = 4):
-        if window_steps < 1:
-            raise ValueError(
-                f"window_steps must be >= 1, got {window_steps}"
-            )
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.window_steps = window_steps
-        self.threshold = threshold
+    def __init__(self) -> None:
+        super().__init__()
         self._events: deque[int] = deque()
-        self._declared = False
 
     def observe(self, event: dict) -> list[Alert]:
-        if event["type"] != "request":
-            return []
-        phase = event.get("phase")
-        if phase not in ("preempt", "retry"):
+        if (event["type"] != "request"
+                or event.get("phase") not in ("preempt", "retry")):
             return []
         step = int(event.get("step", 0))
         self._events.append(step)
-        while self._events and self._events[0] < step - self.window_steps:
+        while self._events and self._events[0] < step - self.WINDOW_STEPS:
             self._events.popleft()
         count = len(self._events)
-        if count < self.threshold:
-            self._declared = False  # the storm abated; episode over
+        if count < self.THRESHOLD:
+            self._good()
             return []
-        if self._declared:
+        if not self._bad():
             return []
-        self._declared = True
-        return [Alert(
-            detector=self.name, severity="warning",
-            iteration=step, seq=int(event["seq"]),
-            message=(f"{count} preempt/retry events within "
-                     f"{self.window_steps} steps"),
-            evidence={"count": count, "window_steps": self.window_steps},
+        return [self._alert(
+            event, f"{count} preempt/retry events within "
+                   f"{self.WINDOW_STEPS} steps",
+            iteration=step, count=count, window_steps=self.WINDOW_STEPS,
         )]
 
 
-def default_detectors() -> list[Detector]:
-    """The default-threshold detector set the acceptance grid scores.
-
-    Includes the serve-side detectors: they key on fields only the
-    serve engine emits (``waiting`` iteration counts, ``request``
-    events), so they are inert on training streams.
-    """
-    return [
-        LossSpikeDetector(),
-        ThroughputCollapseDetector(),
-        StragglerDetector(),
-        HeartbeatGapDetector(),
-        CheckpointHealthDetector(),
-        QueueGrowthDetector(),
-        TtftSloDetector(),
-        PreemptionStormDetector(),
-    ]
+#: Every :class:`Monitor` runs one of each.  The serve-side detectors
+#: key on fields only the serve engine emits (``waiting`` iteration
+#: counts, ``request`` events), so they are inert on training streams.
+DETECTORS = (
+    LossSpikeDetector,
+    ThroughputCollapseDetector,
+    StragglerDetector,
+    HeartbeatGapDetector,
+    CheckpointHealthDetector,
+    QueueGrowthDetector,
+    TtftSloDetector,
+    PreemptionStormDetector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +508,7 @@ class RankHealth:
 
 
 class Monitor:
-    """Drives a detector set over a run event stream.
+    """Drives one of each of :data:`DETECTORS` over a run event stream.
 
     Use live by attaching :meth:`observe` as a
     :class:`~repro.obs.runlog.RunLogger` observer, or offline via
@@ -578,9 +517,8 @@ class Monitor:
     alert feed, acknowledgements.
     """
 
-    def __init__(self, detectors: list[Detector] | None = None):
-        self.detectors = (detectors if detectors is not None
-                          else default_detectors())
+    def __init__(self) -> None:
+        self.detectors = [cls() for cls in DETECTORS]
         self.alerts: list[Alert] = []
         self.acks: list[tuple[str, int]] = []  # (detector, ack seq)
         self.manifest: dict = {}
@@ -654,10 +592,8 @@ class Monitor:
         if event["type"] == "iteration":
             # A full iteration record means the job is making progress;
             # straggler status refreshes per record.
-            straggling = set()
-            for d in self.detectors:
-                if isinstance(d, StragglerDetector):
-                    straggling = d.stragglers
+            straggling = next(d for d in self.detectors
+                              if isinstance(d, StragglerDetector)).stragglers
             for health in self.ranks.values():
                 if health.status == "slow" and health.rank not in straggling:
                     health.status = "ok"
@@ -680,10 +616,9 @@ class Monitor:
                 and not self.acknowledged(a, extra_acks)]
 
 
-def run_monitor(events: list[dict],
-                detectors: list[Detector] | None = None) -> Monitor:
+def run_monitor(events: list[dict]) -> Monitor:
     """Replay a complete (or in-progress) log through a fresh monitor."""
-    monitor = Monitor(detectors)
+    monitor = Monitor()
     for event in events:
         monitor.observe(event)
     return monitor
@@ -740,11 +675,11 @@ class Scoreboard:
             )
         return "\n".join(lines)
 
-    def publish(self, metrics: MetricsRegistry,
-                prefix: str = "monitor") -> None:
-        """Export through the shared ``--metrics-out`` schema."""
+    def publish(self, metrics: MetricsRegistry) -> None:
+        """Export as ``monitor.*`` gauges, the shared ``--metrics-out``
+        schema."""
         for s in self.scores:
-            g = f"{prefix}.{s.name}"
+            g = f"monitor.{s.name}"
             metrics.gauge(f"{g}.precision").set(s.precision)
             metrics.gauge(f"{g}.recall").set(s.recall)
             metrics.gauge(f"{g}.tp").set(s.tp)
@@ -754,8 +689,8 @@ class Scoreboard:
             metrics.gauge(f"{g}.latency_iterations").set(
                 s.latency_iterations
             )
-        metrics.gauge(f"{prefix}.faults").set(self.faults)
-        metrics.gauge(f"{prefix}.alerts").set(self.alerts)
+        metrics.gauge("monitor.faults").set(self.faults)
+        metrics.gauge("monitor.alerts").set(self.alerts)
 
 
 def score_run(events: list[dict],
@@ -841,9 +776,11 @@ def sparkline(values: list[float], width: int = 48) -> str:
 _STATUS_CELL = {"ok": "ok", "slow": "SLOW", "silent": "SILENT",
                 "lost": "LOST"}
 
+#: How many of the newest alerts the dashboard's feed shows.
+_FEED = 12
 
-def render_dashboard(monitor: Monitor, *, feed: int = 12,
-                     width: int = 48) -> str:
+
+def render_dashboard(monitor: Monitor) -> str:
     """The ``repro monitor`` TTY view of one run."""
     m = monitor.manifest
     lines = []
@@ -866,13 +803,13 @@ def render_dashboard(monitor: Monitor, *, feed: int = 12,
     )
     lines.append("")
     if monitor.losses:
-        lines.append(f"loss      {sparkline(monitor.losses, width)}  "
+        lines.append(f"loss      {sparkline(monitor.losses)}  "
                      f"last={monitor.losses[-1]:.5g}")
     if monitor.tokens_per_s:
-        lines.append(f"tokens/s  {sparkline(monitor.tokens_per_s, width)}  "
+        lines.append(f"tokens/s  {sparkline(monitor.tokens_per_s)}  "
                      f"last={monitor.tokens_per_s[-1]:.5g}")
     if monitor.mfu:
-        lines.append(f"mfu       {sparkline(monitor.mfu, width)}  "
+        lines.append(f"mfu       {sparkline(monitor.mfu)}  "
                      f"last={monitor.mfu[-1]:.3%}")
     if monitor.ranks:
         lines.append("")
@@ -890,7 +827,7 @@ def render_dashboard(monitor: Monitor, *, feed: int = 12,
         f"alerts: {len(monitor.alerts)} total, {len(critical)} critical, "
         f"{len(unack)} critical unacknowledged"
     )
-    for alert in monitor.alerts[-feed:]:
+    for alert in monitor.alerts[-_FEED:]:
         suffix = ""
         if alert.severity == "critical" and monitor.acknowledged(alert):
             suffix = "  [ack]"

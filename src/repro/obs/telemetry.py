@@ -69,15 +69,15 @@ class ThroughputReport:
         """Model FLOPs utilization: achieved / peak, in [0, ...)."""
         return self.flops_per_second_per_gpu / self.peak_flops
 
-    def publish(self, metrics: MetricsRegistry, prefix: str = "throughput") -> None:
-        """Export the report as ``<prefix>.*`` gauges."""
-        metrics.gauge(f"{prefix}.iteration_seconds").set(self.seconds)
-        metrics.gauge(f"{prefix}.tokens_per_s").set(self.tokens_per_second)
-        metrics.gauge(f"{prefix}.tflops_per_gpu").set(self.tflops_per_gpu)
-        metrics.gauge(f"{prefix}.mfu").set(self.mfu)
-        metrics.gauge(f"{prefix}.model_flops").set(float(self.flops))
-        metrics.gauge(f"{prefix}.num_gpus").set(float(self.num_gpus))
-        metrics.gauge(f"{prefix}.peak_flops").set(self.peak_flops)
+    def publish(self, metrics: MetricsRegistry) -> None:
+        """Export the report as ``throughput.*`` gauges."""
+        metrics.gauge("throughput.iteration_seconds").set(self.seconds)
+        metrics.gauge("throughput.tokens_per_s").set(self.tokens_per_second)
+        metrics.gauge("throughput.tflops_per_gpu").set(self.tflops_per_gpu)
+        metrics.gauge("throughput.mfu").set(self.mfu)
+        metrics.gauge("throughput.model_flops").set(float(self.flops))
+        metrics.gauge("throughput.num_gpus").set(float(self.num_gpus))
+        metrics.gauge("throughput.peak_flops").set(self.peak_flops)
 
 
 def throughput_report(
@@ -102,14 +102,13 @@ def throughput_report(
 
 
 def sample_throughput(tracer: Tracer, report: ThroughputReport,
-                      t: float | None = None,
-                      prefix: str = "throughput") -> None:
+                      t: float | None = None) -> None:
     """Publish gauges *and* drop timeline counter samples at ``t``."""
-    report.publish(tracer.metrics, prefix=prefix)
+    report.publish(tracer.metrics)
     for name, value in (
-        (f"{prefix}.mfu", report.mfu),
-        (f"{prefix}.tflops_per_gpu", report.tflops_per_gpu),
-        (f"{prefix}.tokens_per_s", report.tokens_per_second),
+        ("throughput.mfu", report.mfu),
+        ("throughput.tflops_per_gpu", report.tflops_per_gpu),
+        ("throughput.tokens_per_s", report.tokens_per_second),
     ):
         tracer.sample(name, value, rank=GLOBAL_RANK, t=t)
 
@@ -140,13 +139,14 @@ class MemoryBreakdown:
 
 def sample_memory(tracer: Tracer, breakdown: MemoryBreakdown,
                   activation_bytes: int, rank: int = GLOBAL_RANK,
-                  t: float | None = None, prefix: str = "mem") -> None:
-    """Drop one set of memory counter samples (bytes) at time ``t``."""
-    tracer.sample(f"{prefix}.weights.bytes", breakdown.weight_bytes,
+                  t: float | None = None) -> None:
+    """Drop one set of ``mem.*`` counter samples (bytes) at time
+    ``t``."""
+    tracer.sample("mem.weights.bytes", breakdown.weight_bytes,
                   rank=rank, t=t)
-    tracer.sample(f"{prefix}.gradients.bytes", breakdown.gradient_bytes,
+    tracer.sample("mem.gradients.bytes", breakdown.gradient_bytes,
                   rank=rank, t=t)
-    tracer.sample(f"{prefix}.optimizer.bytes", breakdown.optimizer_bytes,
+    tracer.sample("mem.optimizer.bytes", breakdown.optimizer_bytes,
                   rank=rank, t=t)
-    tracer.sample(f"{prefix}.activations.bytes", activation_bytes,
+    tracer.sample("mem.activations.bytes", activation_bytes,
                   rank=rank, t=t)

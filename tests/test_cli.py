@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -456,6 +460,15 @@ class TestMetricsOutUnified:
         m = self._check(metrics)
         assert "throughput.mfu" in m["gauges"]
 
+    def test_trace_metrics_prefix_still_accepted(self, tmp_path, capsys):
+        # ``--metrics`` is no longer a spelling of its own; argparse's
+        # prefix matching still takes it for ``--metrics-out``.
+        metrics = tmp_path / "m.json"
+        rc = main([*tiny_trace(tmp_path), "--metrics", str(metrics)])
+        assert rc == 0
+        assert f"wrote {metrics}" in capsys.readouterr().out
+        assert "throughput.mfu" in self._check(metrics)["gauges"]
+
     def test_goodput_metrics_out(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         rc = main([*GOODPUT_FAST, "--metrics-out", str(metrics)])
@@ -663,6 +676,20 @@ class TestTraceRunlog:
         monitor = run_monitor(events)
         assert monitor.alerts == []
         assert monitor.iterations == 1
+        assert monitor.status == "completed"
+
+    def test_raising_trace_ends_its_runlog_failed(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from repro.parallel import PTDTrainer
+
+        def crash(self, ids, targets):
+            raise RuntimeError("trainer crashed")
+
+        monkeypatch.setattr(PTDTrainer, "train_step", crash)
+        runs = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="trainer crashed"):
+            main([*tiny_trace(tmp_path), "--runlog", str(runs)])
+        assert last_event(runs) == ("run-end", "failed")
 
     def test_sim_trace_writes_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -675,6 +702,16 @@ class TestTraceRunlog:
         events = read_events(registry.events_path(registry.latest()))
         assert manifest_of(events)["source"] == "sim"
         assert any(e["type"] == "iteration" for e in events)
+
+
+def last_event(runs):
+    """Type and status of the last event of the newest run under
+    ``runs``."""
+    from repro.obs.runlog import RunRegistry, read_events
+
+    registry = RunRegistry(str(runs))
+    event = read_events(registry.events_path(registry.latest()))[-1]
+    return event["type"], event.get("status")
 
 
 class TestServeCLI:
@@ -728,6 +765,27 @@ class TestServeCLI:
         assert manifest_of(events)["source"] == "serve"
         phases = {e["phase"] for e in events if e["type"] == "request"}
         assert {"arrive", "admit", "first-token", "finish"} <= phases
+        assert last_event(runs) == ("run-end", "completed")
+
+    def test_raising_run_ends_its_runlog_failed(self, tmp_path, monkeypatch,
+                                                capsys):
+        # Without run-end, `monitor --list` would show the run as
+        # running forever and `monitor --follow` would never return.
+        from repro.serve import ServeEngine
+
+        def crash(self, trace):
+            raise RuntimeError("engine crashed")
+
+        monkeypatch.setattr(ServeEngine, "run", crash)
+        runs = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="engine crashed"):
+            main([*self.SERVE, "--runlog", str(runs)])
+        assert last_event(runs) == ("run-end", "failed")
+        capsys.readouterr()
+        assert main(["monitor", "--runs", str(runs), "--list"]) == 0
+        assert " failed " in capsys.readouterr().out
+        assert main(["monitor", "--runs", str(runs), "--follow",
+                     "--poll", "0.01"]) == 0
 
     def test_chaos_smoke_recovers_and_matches_oracle(self, capsys):
         rc = main([*self.SERVE, "--smoke", "--chaos", "--blocks", "6",
@@ -777,3 +835,65 @@ class TestServeCLI:
         rc = main(["serve", "--trace", str(tmp_path / "ghost.json")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up: what the CLI imports before it runs a command
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = sorted(next(
+    a for a in build_parser()._actions
+    if isinstance(a, argparse._SubParsersAction)).choices)
+
+#: ``python -m repro`` in an interpreter where importing numpy fails.
+WITHOUT_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
+                 "sys.argv = ['repro', *sys.argv[1:]]; "
+                 "runpy.run_module('repro', run_name='__main__')")
+
+
+def python(*argv):
+    """A fresh interpreter on this checkout's ``src``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.cli.__file__)))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+
+
+class TestStartup:
+    """``--help``, argument errors and run-log reading must not pay for
+    numpy, the trainer or the simulator."""
+
+    @pytest.mark.parametrize("argv", [[], *([c] for c in SUBCOMMANDS)],
+                             ids=["repro", *SUBCOMMANDS])
+    def test_help_without_numpy(self, argv):
+        proc = python("-c", WITHOUT_NUMPY, *argv, "--help")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith("usage: repro")
+
+    def test_argument_error_without_numpy(self):
+        proc = python("-c", WITHOUT_NUMPY, "simulate", "--layers", "four")
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "invalid int value: 'four'" in proc.stderr
+
+    def test_monitor_reads_a_chaos_log_without_numpy(self, tmp_path,
+                                                     capsys):
+        runs = str(tmp_path / "runs")
+        assert main(["chaos", "--fast", "--backoff", "0.001", "--no-verify",
+                     "--runlog", runs]) == 0
+        listed = python("-c", WITHOUT_NUMPY, "monitor", "--runs", runs,
+                        "--list")
+        assert listed.returncode == 0, listed.stderr[-2000:]
+        assert " completed " in listed.stdout
+        checked = python("-c", WITHOUT_NUMPY, "monitor", "--runs", runs,
+                         "--check")
+        assert checked.returncode == 1, checked.stderr[-2000:]
+        assert "unacknowledged critical alerts" in checked.stderr
+
+    def test_importing_the_cli_loads_few_repro_modules(self):
+        proc = python("-c", "import json, sys; import repro.cli; "
+                            "print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded = json.loads(proc.stdout)
+        ours = [m for m in loaded if m == "repro" or m.startswith("repro.")]
+        assert len(ours) <= 10, ours
+        assert "numpy" not in loaded

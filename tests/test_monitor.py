@@ -14,9 +14,9 @@ from repro.obs.monitor import (
     HeartbeatGapDetector,
     LossSpikeDetector,
     Monitor,
+    QueueGrowthDetector,
     StragglerDetector,
     ThroughputCollapseDetector,
-    default_detectors,
     render_dashboard,
     run_monitor,
     score_run,
@@ -83,8 +83,8 @@ class TestLossSpikeDetector:
         assert len(alerts) == 2
 
     def test_needs_min_points(self):
-        alerts = self._feed(LossSpikeDetector(min_points=4),
-                            [2.0, 2.0, 2.0, 200.0])
+        assert LossSpikeDetector.MIN_POINTS == 4
+        alerts = self._feed(LossSpikeDetector(), [2.0, 2.0, 2.0, 200.0])
         assert alerts == []  # window has 3 points, below the floor
 
     def test_missing_loss_ignored(self):
@@ -97,7 +97,11 @@ class TestLossSpikeDetector:
         {"window": 1}, {"z_threshold": 0.0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # The thresholds are class constants inside the range the old
+        # constructor enforced; none can be passed in.
+        assert LossSpikeDetector.WINDOW >= 2
+        assert LossSpikeDetector.Z_THRESHOLD > 0
+        with pytest.raises(TypeError):
             LossSpikeDetector(**kwargs)
 
 
@@ -145,7 +149,9 @@ class TestThroughputCollapseDetector:
         {"min_consecutive": 0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        assert 0 < ThroughputCollapseDetector.COLLAPSE_FRACTION < 1
+        assert ThroughputCollapseDetector.CONSECUTIVE >= 1
+        with pytest.raises(TypeError):
             ThroughputCollapseDetector(**kwargs)
 
 
@@ -203,7 +209,9 @@ class TestStragglerDetector:
         {"skew_threshold": 1.0}, {"min_consecutive": 0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        assert StragglerDetector.SKEW_THRESHOLD > 1
+        assert StragglerDetector.CONSECUTIVE >= 1
+        with pytest.raises(TypeError):
             StragglerDetector(**kwargs)
 
 
@@ -253,7 +261,8 @@ class TestHeartbeatGapDetector:
         ) == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        assert HeartbeatGapDetector.CONSECUTIVE >= 1
+        with pytest.raises(TypeError):
             HeartbeatGapDetector(missed_threshold=0)
 
 
@@ -284,6 +293,29 @@ class TestCheckpointHealthDetector:
         assert detector.observe(
             s.ev("recovery", kind="restore", iteration=4)
         ) == []
+
+
+class TestQueueGrowthDetector:
+    def _feed(self, depths):
+        detector = QueueGrowthDetector()
+        s = Stream()
+        alerts = []
+        for n, waiting in enumerate(depths):
+            alerts += detector.observe(s.iteration(n, waiting=waiting))
+        return alerts
+
+    def test_deep_non_decreasing_queue_fires_once(self):
+        (alert,) = self._feed([6, 6, 7, 8, 8, 9])
+        assert alert.iteration == 3  # the third non-decreasing tick
+        assert alert.evidence == {"waiting": 8, "consecutive": 3}
+
+    def test_shrinking_but_deep_queue_keeps_its_episode(self):
+        # 9 -> 7 breaks the run but the queue never drained below
+        # MIN_DEPTH: the same episode, no second alert.
+        assert len(self._feed([6, 7, 8, 9, 7, 8, 9, 9, 9])) == 1
+
+    def test_dip_below_min_depth_ends_the_episode(self):
+        assert len(self._feed([6, 7, 8, 9, 2, 6, 7, 8, 9])) == 2
 
 
 class TestAlert:
@@ -580,6 +612,6 @@ class TestAcceptanceGrid:
         # the detectors fire: they see only telemetry.
         events = run_chaos_with_log(tmp_path, GRID_PLAN)
         scrubbed = [e for e in events if e["type"] != "fault"]
-        full = run_monitor(events, default_detectors())
-        blind = run_monitor(scrubbed, default_detectors())
+        full = run_monitor(events)
+        blind = run_monitor(scrubbed)
         assert full.alerts == blind.alerts

@@ -322,6 +322,8 @@ class TestServeDetectors:
         assert monitor.alerts == []
 
     def test_queue_growth_catches_exhaustion_storm(self):
+        assert (QueueGrowthDetector.MIN_DEPTH,
+                QueueGrowthDetector.CONSECUTIVE) == (6, 3)
         trace = [
             TraceRequest(f"r{i}", 0, (1, 2, 3), 3, temperature=0.0,
                          seed=i)
@@ -331,32 +333,32 @@ class TestServeDetectors:
             AllocExhaustion(at_step=0, steps=10),
         ))
         _, _, events = run_chaos(trace, num_blocks=4, chaos=plan)
-        detectors = [QueueGrowthDetector(min_depth=6, min_consecutive=3)]
-        board = score_run(events, run_monitor(events, detectors).alerts)
+        board = score_run(events, run_monitor(events).alerts)
         score = score_of(board, "queue-growth")
         assert score.recall == 1.0
         assert score.precision == 1.0
 
-    def test_ttft_slo_catches_crash_looped_request(self):
+    def test_ttft_slo_catches_crash_looped_request(self, monkeypatch):
+        monkeypatch.setattr(TtftSloDetector, "SLO_STEPS", 2)
         req = TraceRequest("lagged", 0, (1, 2, 3), 3, temperature=0.0)
         plan = ServeChaosPlan(crashes=(
             DecodeCrash(at_step=0, times=2),
         ))
         _, _, events = run_chaos([req], chaos=plan)
-        detectors = [TtftSloDetector(slo_steps=2)]
-        board = score_run(events, run_monitor(events, detectors).alerts)
+        board = score_run(events, run_monitor(events).alerts)
         score = score_of(board, "ttft-slo")
         assert score.recall == 1.0
         assert score.precision == 1.0
 
-    def test_preemption_storm_catches_corruption_churn(self):
+    def test_preemption_storm_catches_corruption_churn(self, monkeypatch):
+        monkeypatch.setattr(PreemptionStormDetector, "WINDOW_STEPS", 16)
+        monkeypatch.setattr(PreemptionStormDetector, "THRESHOLD", 2)
         trace = poisson_trace(5, 0.8, vocab_size=CFG.vocab_size, seed=4,
                               temperature=1.0, top_k=5)
         plan = ServeChaosPlan(corruptions=(
             KVCorruption(at_step=2, times=2),
         ))
         _, _, events = run_chaos(trace, checksums=True, chaos=plan)
-        detectors = [PreemptionStormDetector(window_steps=16, threshold=2)]
-        board = score_run(events, run_monitor(events, detectors).alerts)
+        board = score_run(events, run_monitor(events).alerts)
         score = score_of(board, "preemption-storm")
         assert score.recall == 1.0
