@@ -71,7 +71,7 @@ def test_commit_protocol_overhead(capsys, monkeypatch):
             shutil.rmtree(root)
 
     meta = run()
-    assert meta["format_version"] == 2
+    assert meta["format_version"] == cp.FORMAT_VERSION
 
     protocol_overhead = protocol / legacy - 1.0
     durable_overhead = durable / legacy - 1.0

@@ -18,6 +18,13 @@ the bit-exact oracle, whose methods the module-level functions
 (:func:`ring_all_reduce`, :func:`all_gather`, ...) are.  The
 real-process mover is :class:`repro.comm.backend.MpBackend`.
 
+The ring all-reduce is its two phases run back to back, and each phase
+has a front door of its own (:meth:`Backend.reduce_scatter_phase`,
+:meth:`Backend.all_gather_phase`) for the distributed optimizer, which
+steps each rank's :func:`owned_chunk` between them.  A phase works in
+place on vectors this process holds; the replica workers run the same
+halves over their shared segments (:mod:`repro.comm.shm_ring`).
+
 Because the parallel-training engine is single-process and synchronous
 (see DESIGN.md), collectives are invoked once per group rather than once
 per rank; the data movement and byte accounting are identical to the
@@ -86,6 +93,15 @@ def ring_chunk_bounds(n: int, k: int) -> tuple[int, ...]:
     tuple: a caller cannot change what the next one gets.
     """
     return tuple(np.linspace(0, n, k + 1).astype(int).tolist())
+
+
+def owned_chunk(n: int, k: int, index: int) -> tuple[int, int]:
+    """``(lo, hi)`` of the ring chunk group position ``index`` holds
+    fully reduced after the reduce-scatter phase: chunk
+    ``(index + 1) mod k``, the one its distributed optimizer steps."""
+    bounds = ring_chunk_bounds(n, k)
+    j = (index + 1) % k
+    return bounds[j], bounds[j + 1]
 
 
 def replay(hop: Hop, plan: Iterable[tuple[int, int, int]]) -> None:
@@ -170,7 +186,8 @@ def _check_group_like(
 
 
 class Backend(AbstractContextManager):
-    """The five primitives: one front door, five mover hooks."""
+    """The five primitives and the all-reduce's two phases: one front
+    door, five mover hooks plus the phases' in-process rings."""
 
     name: str = "abstract"
 
@@ -312,8 +329,75 @@ class Backend(AbstractContextManager):
                 buffer, _hop_logger((src, dst), log, kind, tag)
             )
 
+    def reduce_scatter_phase(
+        self,
+        flat: Sequence[np.ndarray],
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+    ) -> None:
+        """Phase one of :meth:`all_reduce`, in place on ``flat`` (one
+        flat float64 vector per rank, the caller's to overwrite):
+        position ``i`` ends holding chunk :func:`owned_chunk` of the sum,
+        the rest of its vector partial sums."""
+        self._phase("reduce_scatter", self._reduce_scatter_phase,
+                    flat, ranks, log, kind, tag)
+
+    def all_gather_phase(
+        self,
+        flat: Sequence[np.ndarray],
+        ranks: Sequence[int],
+        log: TrafficLog | None = None,
+        kind: TrafficKind = TrafficKind.OTHER,
+        tag: str = "",
+    ) -> None:
+        """Phase two of :meth:`all_reduce`, in place: position ``i``'s
+        :func:`owned_chunk` travels the ring, so every vector ends
+        holding every position's."""
+        self._phase("all_gather", self._all_gather_phase,
+                    flat, ranks, log, kind, tag)
+
+    def _phase(self, op, mover, flat, ranks, log, kind, tag) -> None:
+        _check_group(flat, ranks)
+        first = flat[0]
+        if first.dtype != np.float64 or first.ndim != 1:
+            raise ValueError(
+                f"a ring phase works in place on flat float64 vectors, "
+                f"not {first.dtype} of shape {first.shape}"
+            )
+        _sanitize(op, ranks, first.shape, first.dtype, tag)
+        with _comm_span(op, ranks, kind, tag):
+            if len(ranks) > 1:
+                mover(flat, _hop_logger(ranks, log, kind, tag))
+
     # -- the mover (groups of two or more).  Inputs are not to be mutated,
-    # -- except ``_all_reduce``'s: those are the front door's own copy. ------
+    # -- except ``_all_reduce``'s (the front door's own copy) and the
+    # -- phases' (the caller's, to be reduced or gathered in place). --------
+    def _reduce_scatter_phase(self, flat: list[np.ndarray], hop: Hop) -> None:
+        """Ring phase one in this process.  Step ``s``: position ``i``
+        sends chunk ``i - s`` to ``i + 1``, which accumulates it."""
+        k = len(flat)
+        bounds = ring_chunk_bounds(flat[0].size, k)
+        for step in range(k - 1):
+            for i in range(k):
+                j = (i - step) % k
+                sl = slice(bounds[j], bounds[j + 1])
+                flat[(i + 1) % k][sl] += flat[i][sl]
+                hop(i, (i + 1) % k, (sl.stop - sl.start) * 8)
+
+    def _all_gather_phase(self, flat: list[np.ndarray], hop: Hop) -> None:
+        """Ring phase two in this process.  Step ``s``: position ``i``
+        forwards chunk ``i + 1 - s``, which it owns or was just sent."""
+        k = len(flat)
+        bounds = ring_chunk_bounds(flat[0].size, k)
+        for step in range(k - 1):
+            for i in range(k):
+                j = (i + 1 - step) % k
+                sl = slice(bounds[j], bounds[j + 1])
+                flat[(i + 1) % k][sl] = flat[i][sl]
+                hop(i, (i + 1) % k, (sl.stop - sl.start) * 8)
+
     @abstractmethod
     def _all_reduce(self, flat: list[np.ndarray], hop: Hop) -> list[np.ndarray]:
         """Ring-sum ``k`` equal-length float64 vectors, the mover's to
@@ -354,26 +438,8 @@ class CoopBackend(Backend):
     name = "coop"
 
     def _all_reduce(self, flat, hop):
-        k = len(flat)
-        bounds = ring_chunk_bounds(flat[0].size, k)
-        chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        itemsize = flat[0].itemsize
-        # Phase 1: reduce-scatter.  Step s: rank i sends chunk (i - s) to
-        # rank i+1, which accumulates.
-        for step in range(k - 1):
-            for i in range(k):
-                src, dst = i, (i + 1) % k
-                sl = chunks[(i - step) % k]
-                flat[dst][sl] += flat[src][sl]
-                hop(src, dst, (sl.stop - sl.start) * itemsize)
-        # After phase 1, rank i holds the fully-reduced chunk (i + 1).
-        # Phase 2: all-gather the reduced chunks around the ring.
-        for step in range(k - 1):
-            for i in range(k):
-                src, dst = i, (i + 1) % k
-                sl = chunks[(i + 1 - step) % k]
-                flat[dst][sl] = flat[src][sl]
-                hop(src, dst, (sl.stop - sl.start) * itemsize)
+        self._reduce_scatter_phase(flat, hop)
+        self._all_gather_phase(flat, hop)
         return flat
 
     def _all_gather(self, shards, ax, hop):
@@ -416,26 +482,6 @@ broadcast = COOP.broadcast
 send = COOP.send
 
 
-def replay_all_reduce(
-    shape: tuple[int, ...],
-    dtype,
-    ranks: Sequence[int],
-    log: TrafficLog | None = None,
-    kind: TrafficKind = TrafficKind.OTHER,
-    tag: str = "",
-) -> None:
-    """Front door for a ring all-reduce whose bytes other processes
-    already moved (the replica workers' batched gradient ring): the same
-    sanitizer record, span and hop records :meth:`Backend.all_reduce`
-    leaves for one buffer of ``shape`` per rank."""
-    _sanitize("all_reduce", ranks, shape, dtype, tag)
-    with _comm_span("all_reduce", ranks, kind, tag):
-        replay(
-            _hop_logger(ranks, log, kind, tag),
-            ring_all_reduce_hops(int(np.prod(shape)), 8, len(ranks)),
-        )
-
-
 def ring_all_reduce_hops(
     n: int, itemsize: int, k: int
 ) -> list[tuple[int, int, int]]:
@@ -445,7 +491,8 @@ def ring_all_reduce_hops(
     Pure function of the ring geometry — the mp backend replays this
     plan into the parent's :class:`TrafficLog` while real processes move
     the bytes, and the conformance tests assert the coop log matches it
-    record for record.
+    record for record.  Its first half is the reduce-scatter phase's,
+    its second the all-gather phase's.
     """
     bounds = ring_chunk_bounds(n, k)
     chunks = [(hi - lo) * itemsize for lo, hi in zip(bounds, bounds[1:])]

@@ -14,9 +14,11 @@
    :func:`repro.parallel.mp_workers.replica_ops` for the trainer's
    data-parallel replicas.
 
-3. :func:`ring_all_reduce_step` — the per-rank body of the ring
-   all-reduce over shared float64 buffers, *bit-identical* to the
-   cooperative reference in :mod:`repro.comm.primitives`.
+3. :func:`ring_reduce_scatter_step` and :func:`ring_all_gather_step` —
+   the per-rank bodies of the ring all-reduce's two phases over shared
+   float64 buffers, *bit-identical* to the cooperative reference in
+   :mod:`repro.comm.primitives`.  :func:`ring_all_reduce_step` runs
+   them back to back; a replica worker runs its optimizer between them.
 
 Validation, sanitizer records, spans and traffic accounting stay in the
 parent (the front door in :mod:`repro.comm.primitives`); the processes
@@ -142,39 +144,66 @@ def disable_child_shm_tracking() -> None:
     resource_tracker.register = register
 
 
-def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
-                         mine: np.ndarray, prev: np.ndarray,
-                         barrier_wait: Callable[[], None]) -> None:
-    """Rank ``rank``'s part of a k-rank ring all-reduce over
-    ``len(sizes)`` buffers laid end to end in ``mine`` / ``prev`` (float64
-    views of this rank's and the previous rank's segment).
-
-    Transcribes the cooperative ring per rank: phase-1 step ``s``
-    accumulates chunk ``rank-1-s``, phase-2 step ``s`` copies chunk
-    ``rank-s``.  The coop loops only ever read chunk slices disjoint
-    from the slices written in the same ring step, so running the
-    per-rank bodies concurrently with a barrier between steps performs
-    the same float64 operation sequence per element.  Ring steps are
-    outermost, all buffers inside one step, so a step costs one barrier
-    however many buffers ride it; each buffer keeps its own chunk-bound
-    schedule, only the interleaving across independent buffers moves.
-    The caller makes the copy-ins visible before and reads results after.
-    """
+def _ring_bounds(sizes: Sequence[int], k: int) -> list[list[int]]:
+    """Each buffer's ring chunk bounds, offset to where it starts when
+    the buffers lie end to end."""
     bounds = []
     offset = 0
     for n in sizes:
         bounds.append([offset + b for b in ring_chunk_bounds(n, k)])
         offset += n
-    for step in range(k - 1):  # phase 1: reduce-scatter
+    return bounds
+
+
+def ring_reduce_scatter_step(sizes: Sequence[int], rank: int, k: int,
+                             mine: np.ndarray, prev: np.ndarray,
+                             barrier_wait: Callable[[], None]) -> None:
+    """Rank ``rank``'s part of a k-rank ring reduce-scatter phase over
+    ``len(sizes)`` buffers laid end to end in ``mine`` / ``prev`` (float64
+    views of this rank's and the previous rank's segment).  Step ``s``
+    accumulates chunk ``rank - 1 - s``; afterwards ``mine`` holds each
+    buffer's :func:`~repro.comm.primitives.owned_chunk` of the sum.
+
+    Transcribes the cooperative ring per rank.  The coop loops only ever
+    read chunk slices disjoint from the slices written in the same ring
+    step, so running the per-rank bodies concurrently with a barrier
+    between steps performs the same float64 operation sequence per
+    element.  Ring steps are outermost, all buffers inside one step, so
+    a step costs one barrier however many buffers ride it; each buffer
+    keeps its own chunk-bound schedule, only the interleaving across
+    independent buffers moves.  The caller makes the copy-ins visible
+    before.
+    """
+    bounds = _ring_bounds(sizes, k)
+    for step in range(k - 1):
         j = (rank - 1 - step) % k
         for b in bounds:
             mine[b[j]:b[j + 1]] += prev[b[j]:b[j + 1]]
         barrier_wait()
-    for step in range(k - 1):  # phase 2: all-gather
+
+
+def ring_all_gather_step(sizes: Sequence[int], rank: int, k: int,
+                         mine: np.ndarray, prev: np.ndarray,
+                         barrier_wait: Callable[[], None]) -> None:
+    """The all-gather phase, laid out as :func:`ring_reduce_scatter_step`:
+    step ``s`` copies chunk ``rank - s`` from the previous rank, so each
+    rank's owned chunk reaches every other.  The caller makes the owned
+    chunks visible before and reads results after."""
+    bounds = _ring_bounds(sizes, k)
+    for step in range(k - 1):
         j = (rank - step) % k
         for b in bounds:
             mine[b[j]:b[j + 1]] = prev[b[j]:b[j + 1]]
         barrier_wait()
+
+
+def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
+                         mine: np.ndarray, prev: np.ndarray,
+                         barrier_wait: Callable[[], None]) -> None:
+    """Rank ``rank``'s part of a k-rank ring all-reduce: the two phases
+    back to back, *bit-identical* to the cooperative reference."""
+    ring_reduce_scatter_step(sizes, rank, k, mine, prev, barrier_wait)
+    ring_all_gather_step(sizes, rank, k, mine, prev, barrier_wait)
 
 
 @contextlib.contextmanager

@@ -1,6 +1,6 @@
 """PTD-P parallel training: tensor, pipeline, data parallelism, ZeRO-3."""
 
-from .data_parallel import all_reduce_gradients, scatter_batch
+from .data_parallel import scatter_batch
 from .pipeline_parallel import (
     PipelineParallelGPT,
     PipelineStage,
@@ -35,7 +35,6 @@ __all__ = [
     "PipelineStage",
     "split_layers_into_stages",
     "make_microbatches",
-    "all_reduce_gradients",
     "scatter_batch",
     "Zero3Engine",
     "ZeroShardedParameter",

@@ -6,8 +6,10 @@ Layout on disk::
       metadata.json            # architecture, parallel config, iteration,
                                # and per-file integrity digests
       model.npz                # serial-layout (gathered) weights
-      optimizer_rank<r>.npz    # per-data-parallel-rank Adam state (sharded
-                               # exactly as the replica's parameter list)
+      optimizer_rank<r>.npz    # data-parallel rank r's Adam state: the
+                               # flat ring chunk of each parameter it
+                               # owns (format 3; formats 1-2 held the
+                               # full moments in every rank file)
 
 Two resume modes, mirroring what real systems support:
 
@@ -58,7 +60,7 @@ from repro.config import GPTConfig, ParallelConfig
 
 from .trainer import PTDTrainer
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _LATEST = "LATEST"
 _STEP_PREFIX = "step-"
 
@@ -169,7 +171,7 @@ def _read_metadata(directory: str) -> dict:
             f"checkpoint {directory}: unreadable metadata.json: {exc}"
         ) from exc
     version = meta.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise CheckpointMismatchError(
             f"unknown checkpoint format {version}"
         )
@@ -230,7 +232,7 @@ def _write_checkpoint_files(
     model_path = os.path.join(directory, "model.npz")
     np.savez(model_path, **state)
     filenames = ["model.npz"]
-    # Optimizer state, sharded as the replica parameter lists are.
+    # Optimizer state: each rank's owned chunk of every moment.
     for r, opt in enumerate(trainer.optimizers):
         arrays = {"step_count": np.array(opt.step_count)}
         for i, (m, v) in enumerate(zip(opt._m, opt._v)):
@@ -412,14 +414,18 @@ def load_checkpoint(
         arrays = _load_npz(directory, f"optimizer_rank{r}.npz")
         try:
             opt.step_count = int(arrays["step_count"])
-            for i in range(len(opt._m)):
-                if arrays[f"m_{i}"].shape != opt._m[i].shape:
-                    raise CheckpointCorruptError(
-                        f"checkpoint {directory}: optimizer shard {i} shape "
-                        f"mismatch on rank {r}"
-                    )
-                opt._m[i][...] = arrays[f"m_{i}"]
-                opt._v[i][...] = arrays[f"v_{i}"]
+            for i, (p, (lo, hi)) in enumerate(zip(opt.params, opt.owned)):
+                for key, moments in (("m", opt._m), ("v", opt._v)):
+                    arr = arrays[f"{key}_{i}"]
+                    if arr.shape == p.shape:  # a full moment: formats 1-2
+                        arr = arr.reshape(-1)[lo:hi]
+                    if arr.shape != (hi - lo,):
+                        raise CheckpointCorruptError(
+                            f"checkpoint {directory}: optimizer_rank{r}.npz "
+                            f"holds {key} of shape {arr.shape} for parameter "
+                            f"{i}; rank {r} owns {hi - lo} elements of it"
+                        )
+                    moments[i][...] = arr
         except KeyError as exc:
             raise CheckpointCorruptError(
                 f"checkpoint {directory}: optimizer_rank{r}.npz is missing "

@@ -5,21 +5,26 @@ own OS process: a :class:`~repro.comm.shm_ring.WorkerPool` serving
 :func:`replica_ops`.  Each worker builds one full pipeline/tensor-
 parallel replica from the trainer's
 :class:`~repro.parallel.trainer.ReplicaSpec` (its ``p·t`` virtual ranks
-execute cooperatively inside the worker, exactly as in the oracle), and
-a ``"step"`` is the trainer's own ``forward_backward`` and
-``apply_update`` with the §3.3.1 gradient ring between them, run jointly
-over the pool's float64 segments by
-:func:`~repro.comm.shm_ring.ring_all_reduce_step` — one barrier per
-ring step for all parameters, 2(d-1)+2 per training step.
+execute cooperatively inside the worker, exactly as in the oracle) and
+the optimizer over the ring chunk of each parameter it owns.  A
+``"step"`` is the trainer's own ``forward_backward`` and
+``apply_update`` with the §3.3.1 gradient ring split around the update,
+run jointly over the pool's float64 segments:
+:func:`~repro.comm.shm_ring.ring_reduce_scatter_step` leaves each worker
+its owned chunk of every summed gradient, the worker steps that chunk,
+and :func:`~repro.comm.shm_ring.ring_all_gather_step` carries the
+updated parameters round.  One barrier per ring step for all
+parameters, one before each phase: 2(d-1)+2 per training step, one more
+with clipping, whose partial sums of squares every worker reads from
+every segment's last slot.
 
-Bit-exactness (asserted by ``repro verify --only backend``): the ring
-step performs the cooperative ring's float64 operation sequence per
-element, and every worker then computes the same ``/d`` average and
-update from identical averaged gradients.  Traffic accounting stays in
-the parent: workers return their replica's
-:class:`~repro.comm.traffic.TrafficLog` records for the step, keeping
-none, and the parent puts the gradient ring through the collective
-front door.
+Bit-exactness (asserted by ``repro verify --only backend``): each phase
+performs the cooperative ring's float64 operation sequence per element,
+and a chunk's owner computes the same ``/d`` average and update the
+oracle's owner does.  Traffic accounting stays in the parent: workers
+return their replica's :class:`~repro.comm.traffic.TrafficLog` records
+for the step, keeping none, and the parent puts both phases of the
+gradient ring through the collective front door (:data:`WORKER_RING`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.comm.shm_ring import ring_all_reduce_step
+from repro.comm.primitives import CoopBackend, replay, ring_all_reduce_hops
+from repro.comm.shm_ring import ring_all_gather_step, ring_reduce_scatter_step
 from repro.comm.traffic import TrafficLog
 
 from .trainer import (
@@ -41,6 +47,25 @@ from .trainer import (
 )
 
 
+class WorkerRing(CoopBackend):
+    """The parent's front door onto the workers' gradient ring: each
+    phase leaves the sanitizer record, span and hop records of the coop
+    ring for bytes the workers moved between their segments."""
+
+    name = "mp"
+
+    def _reduce_scatter_phase(self, flat, hop):
+        plan = ring_all_reduce_hops(flat[0].size, 8, len(flat))
+        replay(hop, plan[:len(plan) // 2])
+
+    def _all_gather_phase(self, flat, hop):
+        plan = ring_all_reduce_hops(flat[0].size, 8, len(flat))
+        replay(hop, plan[len(plan) // 2:])
+
+
+WORKER_RING = WorkerRing()
+
+
 def replica_ops(dp: int, d: int, barrier_wait, segment_names,
                 spec: ReplicaSpec) -> dict:
     """Op table of one replica worker: build replica ``dp`` of ``d`` and
@@ -50,32 +75,54 @@ def replica_ops(dp: int, d: int, barrier_wait, segment_names,
     params = replica.parameters()
     sizes = [p.size for p in params]
     offsets = np.cumsum([0] + sizes)
-    segments = [
-        shared_memory.SharedMemory(name=segment_names[r])
-        for r in ((dp, (dp - 1) % d) if d > 1 else ())
-    ]
+    n = int(offsets[-1])
+    # Every segment: the parameters end to end, then its worker's
+    # partial sum of squares.
+    segments = [shared_memory.SharedMemory(name=name) for name in segment_names]
+    owned = [(int(offset) + lo, int(offset) + hi)
+             for offset, (lo, hi) in zip(offsets, optimizer.owned)]
 
-    def all_reduce_gradients() -> None:
-        """Average every parameter's gradient over the ``d`` workers."""
-        mine, prev = (
-            np.ndarray((offsets[-1],), dtype=np.float64, buffer=seg.buf)
-            for seg in segments
-        )
+    def view(rank: int) -> np.ndarray:
+        return np.ndarray((n + 1,), dtype=np.float64,
+                          buffer=segments[rank].buf)
+
+    def gather(partials):
+        """Every worker's partial sum of squares, in rank order."""
+        if d == 1:
+            return partials
+        view(dp)[n] = partials[0]
+        barrier_wait()
+        return [float(view(rank)[n]) for rank in range(d)]
+
+    def reduce_scatter_gradients():
+        """Leave this worker its owned chunk of every averaged gradient."""
+        mine, prev = view(dp), view((dp - 1) % d)
         for p, lo, hi in zip(params, offsets, offsets[1:]):
             mine[lo:hi] = p.grad.ravel()
         barrier_wait()  # all copy-ins visible
-        ring_all_reduce_step(sizes, dp, d, mine, prev, barrier_wait)
+        ring_reduce_scatter_step(sizes, dp, d, mine, prev, barrier_wait)
+        for g, (lo, hi) in zip(optimizer.owned_grads, owned):
+            np.divide(mine[lo:hi], d, out=g)
+
+    def all_gather_parameters():
+        """Hand every worker the chunks the others just updated."""
+        mine, prev = view(dp), view((dp - 1) % d)
+        for x, (lo, hi) in zip(optimizer.owned_data, owned):
+            mine[lo:hi] = x
+        barrier_wait()  # every owner's update visible
+        ring_all_gather_step(sizes, dp, d, mine, prev, barrier_wait)
         for p, lo, hi in zip(params, offsets, offsets[1:]):
-            np.divide(mine[lo:hi].reshape(p.grad.shape), d, out=p.grad)
-        barrier_wait()  # all reads done before the next copy-in
+            p.data[...] = mine[lo:hi].reshape(p.shape)
 
     def step(shard):
         start = time.perf_counter()
         try:
             loss = forward_backward(replica, *shard, spec)
             if d > 1:
-                all_reduce_gradients()
-            norm = apply_update([replica], [optimizer], spec)
+                reduce_scatter_gradients()
+            norm = apply_update([replica], [optimizer], spec, gather)
+            if d > 1:
+                all_gather_parameters()
             records = [
                 (r.src, r.dst, r.nbytes, r.kind, r.tag) for r in log.records
             ]
@@ -87,6 +134,8 @@ def replica_ops(dp: int, d: int, barrier_wait, segment_names,
 
     return {
         "step": step,
-        "get_state": lambda _: export_state(replica, optimizer),
-        "set_state": lambda state: load_state([replica], [optimizer], state),
+        "get_state": lambda moments_only: export_state(
+            optimizer, None if moments_only else replica
+        ),
+        "set_state": lambda state: load_state(replica, optimizer, state),
     }

@@ -95,8 +95,9 @@ class ColumnParallelLinear(Module):
         if out_f % t != 0:
             raise ValueError(f"out_features {out_f} not divisible by t={t}")
         self.t = t
-        self.weight_shards = [
-            Parameter(w) for w in np.split(full_weight, t, axis=1)
+        self.weight_shards = [  # contiguous, so a flat slice is a view
+            Parameter(np.ascontiguousarray(w))
+            for w in np.split(full_weight, t, axis=1)
         ]
         self.bias_shards = (
             [Parameter(b) for b in np.split(full_bias, t)] if full_bias is not None else None

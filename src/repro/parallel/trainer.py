@@ -9,9 +9,13 @@ synchronous training:
 1. the global batch is scattered across replicas,
 2. each replica pipelines its ``m`` microbatches under the chosen
    schedule (flush at the end: strict optimizer semantics),
-3. gradients are averaged across the data-parallel group with ring
-   all-reduces (once per batch),
-4. every replica's Adam takes the same step.
+3. the data-parallel gradient ring runs its reduce-scatter phase (once
+   per batch): replica ``r`` ends holding its owned ring chunk
+   (:func:`~repro.comm.primitives.owned_chunk`) of every summed gradient,
+4. each replica's Adam steps that chunk only -- it keeps moments for
+   nothing else (the distributed optimizer, ZeRO stage 1),
+5. the ring's all-gather phase carries the updated chunks, so every
+   replica again holds the whole model.
 
 Because every stage of this is exact, PTD-P training is bit-identical
 to serial training on the same global batch -- the property the paper
@@ -19,7 +23,7 @@ calls "retaining strict optimizer semantics", and the one the
 integration tests assert for many (p, t, d, v) combinations.
 
 A replica's step is :func:`forward_backward` (1-2) and
-:func:`apply_update` (4) with the gradient ring (3) between them; the
+:func:`apply_update` (4) with the ring's phases around the update; the
 cooperative loop here and the worker processes of
 :mod:`repro.parallel.mp_workers` call the same two, on replicas built
 from the same :class:`ReplicaSpec`.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm import Backend, ProcessGroups, TrafficLog, get_backend
-from repro.comm.primitives import replay_all_reduce
+from repro.comm.primitives import COOP, owned_chunk, ring_all_gather_hops
 from repro.comm.shm_ring import WorkerPool
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
@@ -46,7 +50,7 @@ from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import current_tracer
 from repro.schedule import make_schedule
 
-from .data_parallel import all_reduce_gradients, scatter_batch
+from .data_parallel import scatter_batch
 from .pipeline_parallel import PipelineParallelGPT, make_microbatches
 
 #: glibc ``mallopt`` parameters (``<malloc.h>``).
@@ -100,7 +104,7 @@ class ReplicaSpec:
 
     def build(self, dp: int, log: TrafficLog) -> tuple[PipelineParallelGPT, Adam]:
         """Replica ``dp`` on its pipeline ranks of the Megatron grid,
-        and its optimizer."""
+        and its optimizer over the ring chunk of each parameter it owns."""
         par = self.parallel
         replica = PipelineParallelGPT(
             self.config,
@@ -113,7 +117,11 @@ class ReplicaSpec:
             log=log,
             pipeline_ranks=ProcessGroups(par).pipeline_group(dp, tp=0),
         )
-        return replica, Adam(replica.parameters(), lr=self.lr, betas=self.betas)
+        params = replica.parameters()
+        return replica, Adam(
+            params, lr=self.lr, betas=self.betas,
+            owned=[owned_chunk(p.size, par.d, dp) for p in params],
+        )
 
 
 def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
@@ -128,58 +136,72 @@ def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
 
 
 def apply_update(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
-                 spec: ReplicaSpec) -> float | None:
-    """Second half, on averaged gradients: unwind the loss scale, clip
-    by the *global* gradient norm, step Adam.  Returns the norm (None
-    without clipping).
+                 spec: ReplicaSpec, gather=lambda partials: partials,
+                 ) -> float | None:
+    """Second half, on each optimizer's owned chunk of the averaged
+    gradients: unwind the loss scale, clip by the *global* gradient
+    norm, step Adam.  Returns the norm (None without clipping).
 
     Megatron clipping semantics: the norm is taken over the full model
     -- all model-parallel shards, tied parameters counted once -- and
-    the same scale is applied to every shard on every replica (replicas
-    hold identical averaged gradients, so the first one's norm is the
-    global norm).
+    the same scale is applied everywhere.  Each replica sums the squares
+    of its owned chunks of ``parameters_for_norm()``; ``gather`` returns
+    every data-parallel rank's partial sum in rank order (here, where
+    all replicas are given, the partials themselves), and their sum is
+    the squared norm on every replica.
     """
     if spec.loss_scale != 1.0:
-        for replica in replicas:
-            for p in replica.parameters():
-                p.grad /= spec.loss_scale
+        for opt in optimizers:
+            for g in opt.owned_grads:
+                g /= spec.loss_scale
     norm = None
     if spec.grad_clip_norm is not None:
+        partials = []
+        for replica, opt in zip(replicas, optimizers):
+            counted = {id(p) for p in replica.parameters_for_norm()}
+            sq = 0.0
+            for p, g in zip(opt.params, opt.owned_grads):
+                if id(p) in counted:
+                    sq += float(np.sum(g * g))
+            partials.append(sq)
         sq = 0.0
-        for p in replicas[0].parameters_for_norm():
-            sq += float(np.sum(p.grad * p.grad))
+        for partial in gather(partials):
+            sq += partial
         norm = float(np.sqrt(sq))
         if not (norm <= spec.grad_clip_norm or norm == 0.0):
             scale = spec.grad_clip_norm / norm
-            for replica in replicas:
-                for p in replica.parameters():
-                    p.grad *= scale
+            for opt in optimizers:
+                for g in opt.owned_grads:
+                    g *= scale
     for opt in optimizers:
         opt.step()
     return norm
 
 
-def export_state(replica: PipelineParallelGPT, optimizer: Adam) -> dict:
-    """A copy of one replica's parameters and Adam state."""
-    return {
-        "params": [p.data.copy() for p in replica.parameters()],
+def export_state(optimizer: Adam,
+                 replica: PipelineParallelGPT | None = None) -> dict:
+    """A copy of one replica's Adam state, and of its parameters when
+    ``replica`` is given."""
+    state = {
         "m": [a.copy() for a in optimizer._m],
         "v": [a.copy() for a in optimizer._v],
         "step_count": optimizer.step_count,
     }
+    if replica is not None:
+        state["params"] = [p.data.copy() for p in replica.parameters()]
+    return state
 
 
-def load_state(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
+def load_state(replica: PipelineParallelGPT, optimizer: Adam,
                state: dict) -> None:
-    """Write one :func:`export_state` into every given replica."""
-    for replica, opt in zip(replicas, optimizers):
-        for p, arr in zip(replica.parameters(), state["params"]):
-            p.data[...] = arr
-        for a, arr in zip(opt._m, state["m"]):
-            a[...] = arr
-        for a, arr in zip(opt._v, state["v"]):
-            a[...] = arr
-        opt.step_count = state["step_count"]
+    """Write one :func:`export_state` into a replica and its optimizer."""
+    for p, arr in zip(replica.parameters(), state.get("params", ())):
+        p.data[...] = arr
+    for a, arr in zip(optimizer._m, state["m"]):
+        a[...] = arr
+    for a, arr in zip(optimizer._v, state["v"]):
+        a[...] = arr
+    optimizer.step_count = state["step_count"]
 
 
 class PTDTrainer(AbstractContextManager):
@@ -193,8 +215,9 @@ class PTDTrainer(AbstractContextManager):
       (:mod:`repro.parallel.mp_workers`), bit-identical to the oracle in
       losses, parameters, optimizer state and :class:`TrafficLog`
       (``repro verify --only backend``).  The parent keeps canonical
-      replicas/optimizers for checkpointing; state is pulled from
-      worker 0 lazily.  Call :meth:`close` (or use the trainer as a
+      replicas/optimizers for checkpointing; state is pulled lazily,
+      parameters from worker 0 and each optimizer shard from its own
+      worker.  Call :meth:`close` (or use the trainer as a
       context manager) to release the worker processes.
     """
 
@@ -250,8 +273,11 @@ class PTDTrainer(AbstractContextManager):
 
             d = parallel.data_parallel_size
             # d > 1: one gradient-ring segment per worker, with room for
-            # every parameter as float64
-            ring_bytes = 8 * sum(p.size for p in self.replicas[0].parameters())
+            # every parameter as float64 and the worker's partial sum of
+            # squares for the gradient norm
+            ring_bytes = 8 * (
+                sum(p.size for p in self.replicas[0].parameters()) + 1
+            )
             self._workers = WorkerPool(
                 d, replica_ops, (self.spec,),
                 segment_bytes=ring_bytes if d > 1 else 0,
@@ -316,27 +342,31 @@ class PTDTrainer(AbstractContextManager):
                 if rank_busy is not None:
                     rank_busy[dp] = time.perf_counter() - replica_start
         if d > 1:
-            with obs_span("grad-allreduce", phase="grad-allreduce"):
-                all_reduce_gradients(
-                    [replica.parameters() for replica in self.replicas],
-                    self._dp_ranks, self.log,
-                )
+            self._gradient_ring(COOP.reduce_scatter_phase, "grad", "grad")
+            for opt in self.optimizers:
+                for g in opt.owned_grads:
+                    g /= d
         with obs_span("optimizer", phase="optimizer"):
             self.last_grad_norm = apply_update(
                 self.replicas, self.optimizers, self.spec
             )
+            self._log_norm_gather()
+        if d > 1:
+            self._gradient_ring(COOP.all_gather_phase, "data", "param")
 
     def _run_step_mp(self, shards, d, losses, rank_busy) -> None:
         """One step on real processes.  The parent replays the workers'
         replica-local traffic (in data-parallel order, matching the
-        oracle's sequential execution) and puts the gradient ring
-        through the front door, so ``self.log`` is record-for-record
-        identical to coop."""
+        oracle's sequential execution) and puts both phases of their
+        gradient ring through the front door, so ``self.log`` is
+        record-for-record identical to coop."""
+        from .mp_workers import WORKER_RING
+
         if self._workers_stale:
-            self._workers.run(
-                "set_state",
-                [export_state(self.replicas[0], self.optimizers[0])] * d,
-            )
+            self._workers.run("set_state", [
+                export_state(opt, replica)
+                for replica, opt in zip(self.replicas, self.optimizers)
+            ])
             self._workers_stale = False
         with obs_span("pipeline", phase="pipeline"):
             results = self._workers.run("step", list(shards))
@@ -349,15 +379,41 @@ class PTDTrainer(AbstractContextManager):
                 if dp == 0:
                     self.last_grad_norm = norm
         if d > 1:
-            with obs_span("grad-allreduce", phase="grad-allreduce"):
-                for i, p in enumerate(self.replicas[0].parameters()):
-                    replay_all_reduce(
-                        p.data.shape, p.data.dtype, self._dp_ranks, self.log,
-                        TrafficKind.DATA_PARALLEL, f"dp.grad.{i}",
-                    )
+            self._gradient_ring(WORKER_RING.reduce_scatter_phase, "grad",
+                                "grad")
         with obs_span("optimizer", phase="optimizer"):
-            pass  # loss-scale unwind, clip and Adam ran inside the workers
+            # loss-scale unwind, clip and Adam ran inside the workers
+            self._log_norm_gather()
+        if d > 1:
+            self._gradient_ring(WORKER_RING.all_gather_phase, "data", "param")
         self._parent_stale = True
+
+    def _gradient_ring(self, phase, attr: str, tag: str) -> None:
+        """One phase of the data-parallel ring through the collective
+        front door, over every parameter's ``grad`` or ``data``, each
+        tagged ``dp.<tag>.<i>``."""
+        with obs_span("grad-allreduce", phase="grad-allreduce"):
+            for i, params in enumerate(
+                zip(*(replica.parameters() for replica in self.replicas))
+            ):
+                phase(
+                    [np.reshape(getattr(p, attr), -1, copy=False)
+                     for p in params],
+                    self._dp_ranks, self.log, TrafficKind.DATA_PARALLEL,
+                    f"dp.{tag}.{i}",
+                )
+
+    def _log_norm_gather(self) -> None:
+        """Clipping's all-gather of one partial sum of squares per
+        data-parallel rank: logged, like the cross-entropy scalars, as
+        the traffic it is (the mp workers move it through their ring
+        segments)."""
+        if self.spec.grad_clip_norm is None:
+            return
+        ranks = self._dp_ranks
+        for src, dst, nbytes in ring_all_gather_hops([8] * len(ranks)):
+            self.log.add(ranks[src], ranks[dst], nbytes,
+                         TrafficKind.DATA_PARALLEL, "dp.norm")
 
     def invalidate_workers(self) -> None:
         """Mark worker state stale after the parent's replicas were
@@ -366,13 +422,19 @@ class PTDTrainer(AbstractContextManager):
             self._workers_stale = True
 
     def sync_from_workers(self) -> None:
-        """Ensure the parent replicas hold the freshest parameters:
-        refresh them from worker 0 (replicas are bit-identical across
-        the data-parallel group, so one pull covers all of them)."""
+        """Ensure the parent replicas hold the freshest state: parameters
+        from worker 0 (replicas are bit-identical across the
+        data-parallel group, so one pull covers all of them) and each
+        optimizer's shard from the worker that owns it."""
         if self._workers is not None and self._parent_stale:
-            message = [("get_state", None)] + [None] * (len(self.replicas) - 1)
-            state = self._workers.request(message)[0]
-            load_state(self.replicas, self.optimizers, state)
+            states = self._workers.run(
+                "get_state", [dp > 0 for dp in range(len(self.replicas))]
+            )
+            params = states[0]["params"]
+            for replica, opt, state in zip(
+                self.replicas, self.optimizers, states
+            ):
+                load_state(replica, opt, {**state, "params": params})
             self._parent_stale = False
 
     def close(self) -> None:

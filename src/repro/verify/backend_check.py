@@ -10,15 +10,18 @@ grid the serial-conformance section uses:
 
 - losses per iteration: exact equality (``==``, no tolerance),
 - final parameters (serial layout): ``np.array_equal``,
-- optimizer state (Adam moments + step count): ``np.array_equal``,
+- optimizer state (every data-parallel rank's Adam moments + step
+  count): ``np.array_equal``,
 - the :class:`~repro.comm.traffic.TrafficLog`: record-for-record
   equality, so the §3.3.1 byte-volume identities survive the backend
   swap.
 
 ZeRO-3 cases route their all-gather/reduce-scatter through the raw
 :class:`~repro.comm.backend.MpBackend` collectives; PTD cases run the
-trainer's replica-per-process path.  Every failure carries the case's
-seeded repro string.
+trainer's replica-per-process path, with a static loss scale and a
+global-norm clip (:data:`PTD_OPTIONS`), so the workers' exchange of
+partial sums of squares is compared too.  Every failure carries the
+case's seeded repro string.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ from .conformance import (
 )
 
 
+#: Trainer options every PTD case runs with on both backends: the clip
+#: engages on this grid's tiny models.
+PTD_OPTIONS = {"grad_clip_norm": 0.05, "loss_scale": 128.0}
+
+
 def _records(log) -> list[tuple]:
     return [(r.src, r.dst, r.nbytes, r.kind.value, r.tag) for r in log.records]
 
 
 def _run(config, case: ConformanceCase, ids, targets, backend: str):
     """One conformance run of ``case`` on ``backend``: ``(losses,
-    state, Adam state or None for ZeRO-3, traffic records)``."""
+    state, each data-parallel rank's Adam state or None for ZeRO-3,
+    traffic records)``."""
     from repro.comm import TrafficLog
 
     log = TrafficLog()
@@ -52,10 +61,11 @@ def _run(config, case: ConformanceCase, ids, targets, backend: str):
         )
     else:
         state, losses, trainer = _run_ptd(
-            config, case, ids, targets, 1e-2, backend=backend, log=log
+            config, case, ids, targets, 1e-2, backend=backend, log=log,
+            **PTD_OPTIONS,
         )
-        adam = trainer.optimizers[0]
-        opt = {"step_count": adam.step_count, "m": adam._m, "v": adam._v}
+        opt = [{"step_count": adam.step_count, "m": adam._m, "v": adam._v}
+               for adam in trainer.optimizers]
     return losses, state, opt, _records(log)
 
 
@@ -86,14 +96,17 @@ def check_backend_case(case: ConformanceCase) -> list[str]:
                 f"parameter {name} not bit-identical across backends "
                 f"(max |diff|={np.max(np.abs(got - want)):.3e})"
             )
-    if coop_opt is not None:
-        if coop_opt["step_count"] != mp_opt["step_count"]:
-            failures.append("optimizer step_count differs across backends")
+    for r, (want, got) in enumerate(zip(coop_opt or (), mp_opt or ())):
+        if want["step_count"] != got["step_count"]:
+            failures.append(
+                f"optimizer step_count of DP rank {r} differs across backends"
+            )
         for key in ("m", "v"):
-            for i, (a, b) in enumerate(zip(coop_opt[key], mp_opt[key])):
+            for i, (a, b) in enumerate(zip(want[key], got[key])):
                 if not np.array_equal(a, b):
                     failures.append(
-                        f"Adam {key}[{i}] not bit-identical across backends"
+                        f"Adam {key}[{i}] of DP rank {r} not bit-identical "
+                        f"across backends"
                     )
                     break
     if coop_recs != mp_recs:

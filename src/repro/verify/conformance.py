@@ -178,10 +178,10 @@ def _baseline(config, case: ConformanceCase, ids, targets, lr):
 
 
 def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
-             *, backend="coop", log=None):
-    """Train ``case`` on the PTD-P engine; returns ``(state, losses,
-    trainer)`` with the trainer closed (its replicas and optimizers
-    stay readable)."""
+             *, backend="coop", log=None, **options):
+    """Train ``case`` on the PTD-P engine (``options``: further
+    ``PTDTrainer`` keywords); returns ``(state, losses, trainer)`` with
+    the trainer closed (its replicas and optimizers stay readable)."""
     from repro.config import ParallelConfig
     from repro.parallel import PTDTrainer
 
@@ -197,6 +197,7 @@ def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
     with PTDTrainer(
         config, parallel, schedule=case.schedule, seed=0, lr=lr,
         recompute_activations=case.recompute, log=log, backend=backend,
+        **options,
     ) as trainer:
         losses = [trainer.train_step(ids, targets)
                   for _ in range(case.iterations)]

@@ -292,11 +292,11 @@ def grad_perturb_defect(seed: int):
 
     real = trainer.apply_update
 
-    def bent(replicas, optimizers, spec):
+    def bent(replicas, optimizers, spec, *rest):
         if spec.parallel.world_size > 1:
             params = replicas[-1].parameters()
             params[seed % len(params)].grad.flat[0] += 1e-6
-        return real(replicas, optimizers, spec)
+        return real(replicas, optimizers, spec, *rest)
 
     return _patched(trainer, "apply_update", bent)
 

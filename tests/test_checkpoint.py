@@ -197,7 +197,7 @@ class TestValidation:
     def test_verify_passes_on_committed_checkpoint(self, tmp_path):
         a = make_trainer()
         meta = save_checkpoint(a, str(tmp_path))
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
         assert set(meta["files"]) == {
             "model.npz", "optimizer_rank0.npz", "optimizer_rank1.npz"
         }
@@ -232,6 +232,69 @@ class TestValidation:
         b = make_trainer(seed=7)
         assert load_checkpoint(b, str(tmp_path)) is True
         assert b.iteration == 1
+
+
+def _rewrite(directory, name, arrays, version=None):
+    """Replace one file of a committed checkpoint, re-recording its
+    digests (and the format version) so only the content is changed."""
+    from repro.parallel.checkpoint import _file_digests
+
+    np.savez(os.path.join(directory, name), **arrays)
+    meta_path = os.path.join(directory, "metadata.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["files"][name] = _file_digests(os.path.join(directory, name))
+    if version is not None:
+        meta["format_version"] = version
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+
+
+class TestShardedOptimizerState:
+    """Format 3: ``optimizer_rank<r>.npz`` holds rank r's ring chunk of
+    every moment; format 2 (full moments in every rank file) loads."""
+
+    def test_format_2_restores_and_continues_bit_identically(self, tmp_path):
+        from repro.comm.primitives import owned_chunk
+
+        ids, targets = batch()
+        a = make_trainer()
+        for _ in range(2):
+            a.train_step(ids, targets)
+        save_checkpoint(a, str(tmp_path))
+        # The parent's layout: the full moments, in every rank file.
+        d = len(a.optimizers)
+        full = {"step_count": np.array(a.optimizers[0].step_count)}
+        for i, p in enumerate(a.optimizers[0].params):
+            for key in ("m", "v"):
+                whole = np.empty(p.size)
+                for r, opt in enumerate(a.optimizers):
+                    lo, hi = owned_chunk(p.size, d, r)
+                    whole[lo:hi] = getattr(opt, f"_{key}")[i]
+                full[f"{key}_{i}"] = whole.reshape(p.shape)
+        for r in range(d):
+            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", full, version=2)
+
+        b = make_trainer(seed=99)
+        assert load_checkpoint(b, str(tmp_path)) is True
+        for _ in range(2):
+            assert a.train_step(ids, targets) == b.train_step(ids, targets)
+        sa, sb = a.gather_state_dict(), b.gather_state_dict()
+        for name in sa:
+            assert np.array_equal(sa[name], sb[name]), name
+
+    def test_shard_of_the_wrong_length_is_corrupt(self, tmp_path):
+        a = make_trainer()
+        a.train_step(*batch())
+        save_checkpoint(a, str(tmp_path))
+        path = tmp_path / "optimizer_rank1.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["v_3"] = arrays["v_3"][:-1]
+        _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"optimizer_rank1.*v .*parameter 3; rank 1"):
+            load_checkpoint(make_trainer(), str(tmp_path))
 
 
 class TestAtomicCommit:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.comm import TrafficKind, TrafficLog
-from repro.config import ParallelConfig, tiny_test_model
+from repro.comm import TrafficKind, TrafficLog, ring_all_reduce, ring_all_reduce_hops
+from repro.comm.primitives import COOP, owned_chunk
+from repro.config import GPTConfig, ParallelConfig, tiny_test_model
 from repro.nn import Adam, GPTModel
-from repro.parallel import PTDTrainer, all_reduce_gradients, scatter_batch
+from repro.parallel import PTDTrainer, scatter_batch
 
 CFG = tiny_test_model(num_layers=4, hidden_size=16, num_attention_heads=4,
                       vocab_size=32, seq_length=8)
@@ -126,24 +127,40 @@ class TestDataParallelPieces:
         with pytest.raises(ValueError):
             scatter_batch(ids, targets, 4)
 
-    def test_all_reduce_gradients_averages(self):
-        from repro.nn.module import Parameter
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ring_phases_compose_to_the_all_reduce(self, k):
+        """Reduce-scatter leaves each position its owned chunk of the
+        sum; all-gather then hands every position the whole sum, bit for
+        bit the all-reduce's, with its hop records tag by tag."""
+        rng = np.random.default_rng(k)
+        bufs = [rng.standard_normal(11) for _ in range(k)]
+        ranks = list(range(10, 10 + k))
+        want = ring_all_reduce(bufs, ranks)[0]
+        flat = [b.copy() for b in bufs]
+        log = TrafficLog()
+        COOP.reduce_scatter_phase(flat, ranks, log, tag="rs")
+        for i, f in enumerate(flat):
+            lo, hi = owned_chunk(11, k, i)
+            assert np.array_equal(f[lo:hi], want[lo:hi])
+        COOP.all_gather_phase(flat, ranks, log, tag="ag")
+        for f in flat:
+            assert np.array_equal(f, want)
+        got = [(ranks.index(r.src), ranks.index(r.dst), r.nbytes)
+               for r in log.records]
+        assert got == ring_all_reduce_hops(11, 8, k)
+        assert [r.tag for r in log.records] == (
+            ["rs"] * (k * (k - 1)) + ["ag"] * (k * (k - 1)))
 
-        a = [Parameter(np.zeros(3))]
-        b = [Parameter(np.zeros(3))]
-        a[0].grad[...] = [1.0, 2.0, 3.0]
-        b[0].grad[...] = [3.0, 4.0, 5.0]
-        all_reduce_gradients([a, b], ranks=[0, 1])
-        np.testing.assert_allclose(a[0].grad, [2.0, 3.0, 4.0])
-        np.testing.assert_allclose(b[0].grad, [2.0, 3.0, 4.0])
-
-    def test_all_reduce_validates(self):
-        from repro.nn.module import Parameter
-
-        with pytest.raises(ValueError, match="aligned"):
-            all_reduce_gradients(
-                [[Parameter(np.zeros(2))], []], ranks=[0, 1]
-            )
+    @pytest.mark.parametrize("phase", ["reduce_scatter_phase",
+                                       "all_gather_phase"])
+    def test_ring_phases_validate(self, phase):
+        run = getattr(COOP, phase)
+        with pytest.raises(ValueError, match="share shape"):
+            run([np.zeros(3), np.zeros(4)], [0, 1])
+        with pytest.raises(ValueError, match="flat float64"):
+            run([np.zeros((2, 2)), np.zeros((2, 2))], [0, 1])
+        with pytest.raises(ValueError, match="flat float64"):
+            run([np.zeros(3, np.float32)] * 2, [0, 1])
 
     def test_dp_traffic_logged_once_per_batch(self):
         """§3.3.2: data parallelism communicates once per batch, not per
@@ -156,3 +173,53 @@ class TestDataParallelPieces:
             return log.total_bytes(TrafficKind.DATA_PARALLEL)
 
         assert dp_bytes(4) == dp_bytes(8)  # m=2 vs m=4 per replica
+
+
+# -- the distributed optimizer at ``train_ptd``'s shapes (exact integers) ----
+TRAIN_PTD = GPTConfig(num_layers=4, hidden_size=128, num_attention_heads=4,
+                      vocab_size=512, seq_length=64, name="bench-train")
+TRAIN_PTD_PARALLEL = ParallelConfig(
+    pipeline_parallel_size=2, tensor_parallel_size=2, data_parallel_size=2,
+    microbatch_size=1, global_batch_size=8,
+)
+TRAIN_PTD_PARAMETERS = 932_608  # in 79 tensors
+
+
+@pytest.fixture(scope="module")
+def train_ptd_trainer():
+    log = TrafficLog()
+    trainer = PTDTrainer(TRAIN_PTD, TRAIN_PTD_PARALLEL, seed=0, log=log)
+    rng = np.random.default_rng(0)
+    shape = (8, 64)
+    trainer.train_step(rng.integers(0, 512, size=shape),
+                       rng.integers(0, 512, size=shape))
+    return trainer
+
+
+class TestDistributedOptimizer:
+    def test_each_replica_keeps_moments_for_its_owned_chunks_only(
+            self, train_ptd_trainer):
+        total = 0
+        for opt in train_ptd_trainer.optimizers:
+            held = sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
+            assert held == 16 * sum(hi - lo for lo, hi in opt.owned)
+            total += held
+        params = train_ptd_trainer.replicas[0].parameters()
+        assert (len(params), sum(p.size for p in params)) == (
+            79, TRAIN_PTD_PARAMETERS)
+        assert total == 16 * TRAIN_PTD_PARAMETERS
+
+    def test_dp_hops_are_the_all_reduces_phase_by_phase(
+            self, train_ptd_trainer):
+        trainer = train_ptd_trainer
+        ranks = trainer._dp_ranks
+        dp = [r for r in trainer.log.records
+              if r.kind is TrafficKind.DATA_PARALLEL]
+        assert len(dp) == 316
+        for i, p in enumerate(trainer.replicas[0].parameters()):
+            hops = [
+                (ranks.index(r.src), ranks.index(r.dst), r.nbytes)
+                for tag in (f"dp.grad.{i}", f"dp.param.{i}")
+                for r in dp if r.tag == tag
+            ]
+            assert hops == ring_all_reduce_hops(p.size, 8, 2), i

@@ -9,6 +9,9 @@
   same two functions, and the options only those functions read
   (``grad_clip_norm``, ``loss_scale``) stay bit-identical across
   backends.
+- **Optimizer shards** — each worker steps and keeps only its own ring
+  chunk of the Adam state; a restore hands every worker its shard and a
+  sync brings every shard back, bit-identical to coop at d = 3.
 """
 
 import os
@@ -21,9 +24,14 @@ import pytest
 
 from repro.comm import TrafficLog
 from repro.comm.backend import MpBackend
-from repro.comm.shm_ring import leaked_dev_shm_segments, live_segment_names
+from repro.comm.shm_ring import (
+    WorkerPool,
+    leaked_dev_shm_segments,
+    live_segment_names,
+)
 from repro.config import ParallelConfig, tiny_test_model
 from repro.parallel import PTDTrainer
+from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.parallel import mp_workers
 from repro.parallel import trainer as trainer_mod
 
@@ -216,3 +224,66 @@ def test_clip_and_loss_scale_bit_identical_across_backends():
         assert np.array_equal(want, got)
     assert coop[5] == mp[5] == 3
     assert coop[6] == mp[6]
+
+
+# -- every optimizer shard survives a state sync ---------------------------------
+D3 = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=3,
+                    microbatch_size=1, global_batch_size=6)
+
+
+def _restore_then_step(directory, backend):
+    """Restore a d = 3 checkpoint (so an mp trainer hands each worker
+    its shard), two steps, then pull everything back from the workers."""
+    with PTDTrainer(CONFIG, D3, seed=7, lr=1e-2, backend=backend) as trainer:
+        assert load_checkpoint(trainer, directory) is True
+        losses = [trainer.train_step(*_batch(6, seed=5)) for _ in range(2)]
+        return (losses, trainer.gather_state_dict(),
+                [trainer_mod.export_state(opt) for opt in trainer.optimizers])
+
+
+def _differences(coop, mp) -> list[str]:
+    out = [] if coop[0] == mp[0] else ["losses"]
+    out += [name for name in coop[1]
+            if not np.array_equal(coop[1][name], mp[1][name])]
+    for r, (want, got) in enumerate(zip(coop[2], mp[2])):
+        out += [f"rank {r} {key}[{i}]" for key in ("m", "v")
+                for i, (a, b) in enumerate(zip(want[key], got[key]))
+                if not np.array_equal(a, b)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def d3_checkpoint(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("d3"))
+    with PTDTrainer(CONFIG, D3, seed=0, lr=1e-2) as trainer:
+        params = trainer.replicas[0].parameters()
+        assert any(p.size % 3 for p in params)  # unequal ring chunks
+        for _ in range(2):
+            trainer.train_step(*_batch(6, seed=4))
+        save_checkpoint(trainer, directory)
+    return directory, _restore_then_step(directory, "coop")
+
+
+def test_every_shard_survives_restore_and_sync_at_d3(d3_checkpoint):
+    directory, coop = d3_checkpoint
+    assert _differences(coop, _restore_then_step(directory, "mp")) == []
+
+
+def test_swapped_worker_shards_are_caught(d3_checkpoint, monkeypatch):
+    """The check above has teeth: workers 0 and 1 handed each other's
+    shard either fail to load it (unequal chunks) or step it wrongly."""
+    directory, coop = d3_checkpoint
+    real = WorkerPool.run
+
+    def swapped(self, op, payloads):
+        if op == "set_state":
+            payloads = [payloads[1], payloads[0], *payloads[2:]]
+        return real(self, op, payloads)
+
+    monkeypatch.setattr(WorkerPool, "run", swapped)
+    try:
+        mp = _restore_then_step(directory, "mp")
+    except RuntimeError as exc:
+        assert "set_state" in str(exc) or "broadcast" in str(exc)
+    else:
+        assert _differences(coop, mp) != []
