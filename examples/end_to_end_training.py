@@ -7,7 +7,8 @@ Exercises the full production path on a small GPT:
    clipping,
 3. checkpoint mid-run, "crash", rebuild everything, resume from the
    checkpoint, and verify the resumed trajectory is bit-identical to an
-   uninterrupted run.
+   uninterrupted run.  The rate is a function of the optimizer's step
+   count, which the checkpoint restores, so the schedule resumes too.
 
 Run:  python examples/end_to_end_training.py
 """
@@ -23,34 +24,25 @@ from repro.nn.lr_scheduler import WarmupCosineSchedule
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 
 
+SCHEDULE = WarmupCosineSchedule(max_lr=3e-3, warmup_iters=4, decay_iters=40)
+
+
 def make_trainer(model, parallel):
-    trainer = PTDTrainer(model, parallel, seed=0, lr=1.0, grad_clip_norm=1.0)
-    schedulers = [
-        WarmupCosineSchedule(opt, max_lr=3e-3, warmup_iters=4, decay_iters=40)
-        for opt in trainer.optimizers
-    ]
-    return trainer, schedulers
+    return PTDTrainer(model, parallel, seed=0, lr=SCHEDULE,
+                      grad_clip_norm=1.0)
 
 
-def train(trainer, schedulers, batches, steps, start_batch=0):
+def train(trainer, batches, steps, start_batch=0):
     losses = []
     for i in range(start_batch, start_batch + steps):
         ids, targets = batches[i % len(batches)]
         loss = trainer.train_step(ids, targets)
-        for s in schedulers:
-            lr = s.step()
         losses.append(loss)
+        # the rate the next step will apply
+        lr = SCHEDULE.lr_at(trainer.iteration)
         print(f"  step {trainer.iteration:>3}  loss {loss:.4f}  lr {lr:.2e}  "
               f"grad-norm {trainer.last_grad_norm or 0:.3f}")
     return losses
-
-
-def fast_forward(schedulers, iteration):
-    """LR-scheduler state is not in the checkpoint; rebuild it from the
-    restored iteration count (schedules are pure functions of it)."""
-    for s in schedulers:
-        s.iteration = iteration
-        s.optimizer.lr = s.lr_at(iteration)
 
 
 def main() -> None:
@@ -71,18 +63,17 @@ def main() -> None:
     ckpt_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
     try:
         print("phase 1: train 6 steps, checkpoint, train 4 more")
-        trainer, scheds = make_trainer(model, parallel)
-        train(trainer, scheds, batches, steps=6)
+        trainer = make_trainer(model, parallel)
+        train(trainer, batches, steps=6)
         save_checkpoint(trainer, ckpt_dir)
-        reference = train(trainer, scheds, batches, steps=4, start_batch=6)
+        reference = train(trainer, batches, steps=4, start_batch=6)
 
         print("\nphase 2: 'crash', rebuild, resume from the checkpoint")
-        trainer2, scheds2 = make_trainer(model, parallel)
+        trainer2 = make_trainer(model, parallel)
         restored = load_checkpoint(trainer2, ckpt_dir)
-        fast_forward(scheds2, trainer2.iteration)
         print(f"  optimizer state restored: {restored}, "
               f"iteration: {trainer2.iteration}")
-        resumed = train(trainer2, scheds2, batches, steps=4, start_batch=6)
+        resumed = train(trainer2, batches, steps=4, start_batch=6)
 
         exact = all(a == b for a, b in zip(reference, resumed))
         print(f"\nresumed losses identical to uninterrupted run: {exact}")

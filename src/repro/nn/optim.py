@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lr_scheduler import WarmupCosineSchedule, lr_at
 from .module import Parameter
 
 
@@ -17,18 +18,22 @@ class Adam:
     default; under the distributed optimizer a data-parallel replica
     owns one ring chunk of each.  ``owned_data`` / ``owned_grads`` are
     those slices as views, so a parameter's storage must be contiguous.
+
+    ``lr`` is a float or a schedule (anything with ``lr_at(step)``, such
+    as :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`): step ``k``
+    applies ``lr_at(k - 1)``, read at the optimizer's own ``step_count``.
     """
 
     def __init__(
         self,
         params: list[Parameter],
-        lr: float = 1e-3,
+        lr: float | WarmupCosineSchedule = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
         owned: Sequence[tuple[int, int]] | None = None,
     ):
-        if lr <= 0:
+        if lr_at(lr, 0) <= 0:
             raise ValueError("lr must be positive")
         b1, b2 = betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
@@ -55,6 +60,7 @@ class Adam:
         self._v = [np.zeros(hi - lo) for lo, hi in self.owned]
 
     def step(self) -> None:
+        lr = lr_at(self.lr, self.step_count)
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count
@@ -67,4 +73,4 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            x -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            x -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -1,4 +1,5 @@
-"""PTD-P parallel training: tensor, pipeline, data parallelism, ZeRO-3."""
+"""PTD-P parallel training: tensor, pipeline, data parallelism (ZeRO
+stage 1 or 3)."""
 
 from .data_parallel import scatter_batch
 from .pipeline_parallel import (
@@ -19,7 +20,6 @@ from .tensor_parallel import (
     VocabParallelOutputHead,
 )
 from .trainer import PTDTrainer
-from .zero import Zero3Engine, ZeroShardedParameter
 
 __all__ = [
     "TensorParallelGroup",
@@ -36,7 +36,5 @@ __all__ = [
     "split_layers_into_stages",
     "make_microbatches",
     "scatter_batch",
-    "Zero3Engine",
-    "ZeroShardedParameter",
     "PTDTrainer",
 ]

@@ -16,7 +16,10 @@ and :func:`~repro.comm.shm_ring.ring_all_gather_step` carries the
 updated parameters round.  One barrier per ring step for all
 parameters, one before each phase: 2(d-1)+2 per training step, one more
 with clipping, whose partial sums of squares every worker reads from
-every segment's last slot.
+every segment's last slot.  Under ZeRO stage 3 the step opens with one
+more all-gather of the parameters, d more barriers.  A step's payload
+carries its shard and the parent optimizer's rate, which the worker's
+optimizer takes before it steps.
 
 Bit-exactness (asserted by ``repro verify --only backend``): each phase
 performs the cooperative ring's float64 operation sequence per element,
@@ -114,10 +117,13 @@ def replica_ops(dp: int, d: int, barrier_wait, segment_names,
         for p, lo, hi in zip(params, offsets, offsets[1:]):
             p.data[...] = mine[lo:hi].reshape(p.shape)
 
-    def step(shard):
+    def step(work):
+        ids, targets, optimizer.lr = work
         start = time.perf_counter()
         try:
-            loss = forward_backward(replica, *shard, spec)
+            if d > 1 and spec.zero_stage == 3:
+                all_gather_parameters()
+            loss = forward_backward(replica, ids, targets, spec)
             if d > 1:
                 reduce_scatter_gradients()
             norm = apply_update([replica], [optimizer], spec, gather)

@@ -17,6 +17,12 @@ synchronous training:
 5. the ring's all-gather phase carries the updated chunks, so every
    replica again holds the whole model.
 
+ZeRO stage 3 (``zero_stage=3``, the §5.2 baseline) is the same step
+plus one more all-gather of the parameters before the pipeline: the
+reduce-scatter, the sharded update and the post-update gather are
+stage 1's, so only the traffic differs (DESIGN.md, "Distributed
+optimizer").
+
 Because every stage of this is exact, PTD-P training is bit-identical
 to serial training on the same global batch -- the property the paper
 calls "retaining strict optimizer semantics", and the one the
@@ -44,7 +50,7 @@ from repro.comm.primitives import COOP, owned_chunk, ring_all_gather_hops
 from repro.comm.shm_ring import WorkerPool
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
-from repro.nn import Adam
+from repro.nn import Adam, WarmupCosineSchedule
 from repro.obs import span as obs_span
 from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import current_tracer
@@ -88,19 +94,25 @@ def _keep_heap_resident() -> None:
 @dataclass(frozen=True)
 class ReplicaSpec:
     """Everything one data-parallel replica is built from and stepped
-    with; the parent and every replica worker hold the same one."""
+    with; the parent and every replica worker hold the same one.
+
+    ``lr`` is a float or a schedule with ``lr_at(step)``; every
+    replica's optimizer is built with it and reads it at its own
+    ``step_count``, so the rate is a function of the step on every
+    process and a restored step count restores it."""
 
     config: GPTConfig
     parallel: ParallelConfig
     schedule: str
     seed: int
-    lr: float
+    lr: float | WarmupCosineSchedule
     betas: tuple[float, float]
     recompute_activations: bool
     dropout: float
     attention_dropout: float
     grad_clip_norm: float | None
     loss_scale: float
+    zero_stage: int
 
     def build(self, dp: int, log: TrafficLog) -> tuple[PipelineParallelGPT, Adam]:
         """Replica ``dp`` on its pipeline ranks of the Megatron grid,
@@ -219,6 +231,13 @@ class PTDTrainer(AbstractContextManager):
       parameters from worker 0 and each optimizer shard from its own
       worker.  Call :meth:`close` (or use the trainer as a
       context manager) to release the worker processes.
+
+    ``lr`` is a float or a frozen
+    :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`.  The parent's
+    ``optimizers[i].lr`` is the one copy of the rate: mp workers receive
+    it with every step, so writing it acts the same on both backends.
+    ``zero_stage`` is 1 (the distributed optimizer) or 3 (ZeRO-3: one
+    more parameter all-gather per step).
     """
 
     def __init__(
@@ -228,13 +247,14 @@ class PTDTrainer(AbstractContextManager):
         *,
         schedule: str = "1f1b",
         seed: int = 0,
-        lr: float = 1e-3,
+        lr: float | WarmupCosineSchedule = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         recompute_activations: bool = False,
         dropout: float = 0.0,
         attention_dropout: float = 0.0,
         grad_clip_norm: float | None = None,
         loss_scale: float = 1.0,
+        zero_stage: int = 1,
         log: TrafficLog | None = None,
         backend: str | Backend = "coop",
     ):
@@ -244,6 +264,8 @@ class PTDTrainer(AbstractContextManager):
             raise ValueError("grad_clip_norm must be positive")
         if loss_scale <= 0:
             raise ValueError("loss_scale must be positive")
+        if zero_stage not in (1, 3):
+            raise ValueError("zero_stage must be 1 or 3")
         self.backend = get_backend(backend)
         self._owns_backend = self.backend is not backend
         self.config = config
@@ -251,7 +273,7 @@ class PTDTrainer(AbstractContextManager):
         self.spec = ReplicaSpec(
             config, parallel, schedule, seed, lr, betas,
             recompute_activations, dropout, attention_dropout,
-            grad_clip_norm, loss_scale,
+            grad_clip_norm, loss_scale, zero_stage,
         )
         self.recompute_activations = recompute_activations
         self.log = log if log is not None else TrafficLog()
@@ -331,6 +353,8 @@ class PTDTrainer(AbstractContextManager):
     def _run_step_coop(self, shards, d, losses, rank_busy) -> None:
         """The cooperative oracle step (single process, every virtual
         rank in turn) — the reference the mp path is conformed against."""
+        if d > 1 and self.spec.zero_stage == 3:
+            self._gradient_ring(COOP.all_gather_phase, "data", "zero3")
         with obs_span("pipeline", phase="pipeline"):
             for dp, (replica, (rid, rtgt)) in enumerate(
                 zip(self.replicas, shards)
@@ -368,8 +392,14 @@ class PTDTrainer(AbstractContextManager):
                 for replica, opt in zip(self.replicas, self.optimizers)
             ])
             self._workers_stale = False
+        if d > 1 and self.spec.zero_stage == 3:
+            self._gradient_ring(WORKER_RING.all_gather_phase, "data", "zero3")
         with obs_span("pipeline", phase="pipeline"):
-            results = self._workers.run("step", list(shards))
+            # each worker steps at its parent optimizer's rate, so a
+            # write to ``optimizers[i].lr`` acts as it does on coop
+            results = self._workers.run("step", [
+                (*shard, opt.lr) for shard, opt in zip(shards, self.optimizers)
+            ])
             for dp, (loss, records, norm, seconds) in enumerate(results):
                 losses.append(loss)
                 for record in records:  # (src, dst, nbytes, kind, tag)

@@ -16,31 +16,36 @@ grid the serial-conformance section uses:
   equality, so the §3.3.1 byte-volume identities survive the backend
   swap.
 
-ZeRO-3 cases route their all-gather/reduce-scatter through the raw
-:class:`~repro.comm.backend.MpBackend` collectives; PTD cases run the
-trainer's replica-per-process path, with a static loss scale and a
-global-norm clip (:data:`PTD_OPTIONS`), so the workers' exchange of
-partial sums of squares is compared too.  Every failure carries the
-case's seeded repro string.
+Every case, ZeRO-3 ones included, runs the trainer's
+replica-per-process path with a warmup-cosine rate, a static loss scale
+and a global-norm clip (:data:`PTD_OPTIONS`), so the workers' rate and
+their exchange of partial sums of squares are compared too.  Every
+failure carries the case's seeded repro string.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.lr_scheduler import WarmupCosineSchedule
+
 from .conformance import (
     ConformanceCase,
     _batch,
     _run_ptd,
-    _run_zero3,
     model_for_case,
     sample_cases,
 )
 
 
-#: Trainer options every PTD case runs with on both backends: the clip
-#: engages on this grid's tiny models.
-PTD_OPTIONS = {"grad_clip_norm": 0.05, "loss_scale": 128.0}
+#: Trainer options every case runs with on both backends: the rate
+#: warms up over two steps, so a case's first two steps differ in rate,
+#: and the clip engages on this grid's tiny models.
+PTD_OPTIONS = {
+    "lr": WarmupCosineSchedule(max_lr=1e-2, warmup_iters=2, decay_iters=8),
+    "grad_clip_norm": 0.05,
+    "loss_scale": 128.0,
+}
 
 
 def _records(log) -> list[tuple]:
@@ -49,23 +54,15 @@ def _records(log) -> list[tuple]:
 
 def _run(config, case: ConformanceCase, ids, targets, backend: str):
     """One conformance run of ``case`` on ``backend``: ``(losses,
-    state, each data-parallel rank's Adam state or None for ZeRO-3,
-    traffic records)``."""
+    state, each data-parallel rank's Adam state, traffic records)``."""
     from repro.comm import TrafficLog
 
     log = TrafficLog()
-    opt = None
-    if case.zero:
-        state, losses = _run_zero3(
-            config, case, ids, targets, 1e-2, backend=backend, log=log
-        )
-    else:
-        state, losses, trainer = _run_ptd(
-            config, case, ids, targets, 1e-2, backend=backend, log=log,
-            **PTD_OPTIONS,
-        )
-        opt = [{"step_count": adam.step_count, "m": adam._m, "v": adam._v}
-               for adam in trainer.optimizers]
+    state, losses, trainer = _run_ptd(
+        config, case, ids, targets, backend=backend, log=log, **PTD_OPTIONS,
+    )
+    opt = [{"step_count": adam.step_count, "m": adam._m, "v": adam._v}
+           for adam in trainer.optimizers]
     return losses, state, opt, _records(log)
 
 
@@ -96,7 +93,7 @@ def check_backend_case(case: ConformanceCase) -> list[str]:
                 f"parameter {name} not bit-identical across backends "
                 f"(max |diff|={np.max(np.abs(got - want)):.3e})"
             )
-    for r, (want, got) in enumerate(zip(coop_opt or (), mp_opt or ())):
+    for r, (want, got) in enumerate(zip(coop_opt, mp_opt)):
         if want["step_count"] != got["step_count"]:
             failures.append(
                 f"optimizer step_count of DP rank {r} differs across backends"
@@ -133,7 +130,7 @@ def backend_cases(fast: bool, num_cases: int | None, seed: int,
     if num_cases is None:
         num_cases = 4 if fast else 10
     cases = sample_cases(num_cases, seed=seed)
-    # Always include one composed multi-replica case: d>1 is where the
+    # Always include one multi-replica stage-1 case: d>1 is where the
     # shared-memory gradient ring actually runs.
     if not any(c.d > 1 and not c.zero for c in cases):
         cases.append(ConformanceCase(p=2, d=2, b=1, m=2, seed=seed,
@@ -141,19 +138,52 @@ def backend_cases(fast: bool, num_cases: int | None, seed: int,
     return cases
 
 
+def check_shard_collectives(seed: int) -> list[str]:
+    """The two front-door collectives no engine runs on the mp backend,
+    all-gather (uneven shards) and reduce-scatter, over a group of three:
+    outputs and traffic records bit-compared with coop."""
+    from repro.comm import TrafficLog, get_backend
+
+    rng = np.random.default_rng(seed)
+    shards = [rng.standard_normal((i + 1, 4)) for i in range(3)]
+    wide = [rng.standard_normal((6, 4)) for _ in range(3)]
+    runs = []
+    for name in ("coop", "mp"):
+        log = TrafficLog()
+        backend = get_backend(name)
+        try:
+            out = (backend.all_gather(shards, [0, 1, 2], log)
+                   + backend.reduce_scatter(wide, [0, 1, 2], log))
+        finally:
+            if backend.name == "mp":
+                backend.close()
+        runs.append((out, _records(log)))
+    (coop_out, coop_recs), (mp_out, mp_recs) = runs
+    failures = []
+    if not all(np.array_equal(a, b) for a, b in zip(coop_out, mp_out)):
+        failures.append("all-gather / reduce-scatter output differs "
+                        "across backends")
+    if coop_recs != mp_recs:
+        failures.append("all-gather / reduce-scatter traffic differs "
+                        "across backends")
+    return failures
+
+
 def run_backend_checks(fast: bool, num_cases: int | None, seed: int,
-                       ) -> list[tuple[ConformanceCase, list[str]]]:
-    """Run the grid; returns ``(case, failures)`` per case.  Also
-    asserts the backends leaked no shared-memory segments."""
+                       ) -> list[tuple[str, list[str]]]:
+    """Run the grid and the shard collectives; returns ``(label,
+    failures)`` pairs.  Also asserts the backends leaked no
+    shared-memory segments."""
     from repro.comm.shm_ring import leaked_dev_shm_segments, live_segment_names
 
-    results = []
-    for case in backend_cases(fast, num_cases, seed):
-        results.append((case, check_backend_case(case)))
+    results = [(case.describe(), check_backend_case(case))
+               for case in backend_cases(fast, num_cases, seed)]
+    results.append(("all-gather + reduce-scatter (k=3)",
+                    check_shard_collectives(seed)))
     leaks = live_segment_names() + leaked_dev_shm_segments()
     if leaks:
         results.append((
-            ConformanceCase(seed=seed),
+            "shared memory",
             [f"shared-memory segments leaked after backend grid: {leaks}"],
         ))
     return results

@@ -54,6 +54,11 @@ class ConformanceCase:
     def global_batch_size(self) -> int:
         return self.b * self.m * self.d
 
+    @property
+    def zero_stage(self) -> int:
+        """The trainer's ZeRO stage: 3 for a ZeRO-3 case, else 1."""
+        return 3 if self.zero else 1
+
     def key(self) -> str:
         """Canonical ``k=v,...`` form, accepted by :func:`parse_case`."""
         return (
@@ -177,11 +182,12 @@ def _baseline(config, case: ConformanceCase, ids, targets, lr):
     return trainer.gather_state_dict(), losses
 
 
-def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
+def _run_ptd(config, case: ConformanceCase, ids, targets,
              *, backend="coop", log=None, **options):
     """Train ``case`` on the PTD-P engine (``options``: further
-    ``PTDTrainer`` keywords); returns ``(state, losses, trainer)`` with
-    the trainer closed (its replicas and optimizers stay readable)."""
+    ``PTDTrainer`` keywords, ``lr`` among them); returns ``(state,
+    losses, trainer)`` with the trainer closed (its replicas and
+    optimizers stay readable)."""
     from repro.config import ParallelConfig
     from repro.parallel import PTDTrainer
 
@@ -195,44 +201,13 @@ def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
     )
     parallel.validate_for_model(config)
     with PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute, log=log, backend=backend,
-        **options,
+        config, parallel, schedule=case.schedule, seed=0,
+        recompute_activations=case.recompute, zero_stage=case.zero_stage,
+        log=log, backend=backend, **options,
     ) as trainer:
         losses = [trainer.train_step(ids, targets)
                   for _ in range(case.iterations)]
         return trainer.gather_state_dict(), losses, trainer
-
-
-def _run_zero3(config, case: ConformanceCase, ids, targets, lr,
-               *, backend="coop", log=None):
-    """ZeRO-3 run (fully-sharded data parallel; §5.2 baseline)."""
-    from repro.nn import GPTModel
-    from repro.parallel import Zero3Engine
-
-    model = GPTModel(config, seed=0)
-    params = model.parameters()
-    engine = Zero3Engine(params, case.d, lr=lr, log=log, backend=backend)
-    try:
-        shard_ids = np.split(ids, case.d)
-        shard_tgts = np.split(targets, case.d)
-        losses = []
-        for _ in range(case.iterations):
-            engine.gather_params("fwd")
-            replica_grads, step_losses = [], []
-            for r in range(case.d):
-                model.zero_grad()
-                engine.gather_params("bwd")
-                loss, caches = model.loss(shard_ids[r], shard_tgts[r])
-                model.loss_backward(caches)
-                replica_grads.append([p.grad.copy() for p in params])
-                step_losses.append(loss)
-            engine.reduce_and_step(replica_grads)
-            losses.append(float(np.mean(step_losses)))
-        engine.gather_params("final")
-    finally:
-        engine.close()
-    return model.state_dict(), losses
 
 
 def run_case(case: ConformanceCase) -> ConformanceResult:
@@ -243,15 +218,9 @@ def run_case(case: ConformanceCase) -> ConformanceResult:
     lr = 1e-2
 
     base_state, base_losses = _baseline(config, case, ids, targets, lr)
-    replica_params = None
-    if case.zero:
-        # ZeRO-3 cases use d copies of the global batch per shard split.
-        par_state, par_losses = _run_zero3(config, case, ids, targets, lr)
-    else:
-        par_state, par_losses, trainer = _run_ptd(
-            config, case, ids, targets, lr
-        )
-        replica_params = [r.parameters() for r in trainer.replicas]
+    par_state, par_losses, trainer = _run_ptd(config, case, ids, targets,
+                                              lr=lr)
+    replica_params = [r.parameters() for r in trainer.replicas]
 
     failures: list[str] = []
 
@@ -265,7 +234,7 @@ def run_case(case: ConformanceCase) -> ConformanceResult:
 
     # 2. data-parallel replicas hold identical parameters (the averaged
     #    gradient and the optimizer step are shared state).
-    if replica_params is not None and len(replica_params) > 1:
+    if len(replica_params) > 1:
         ref = replica_params[0]
         for rep_idx, params in enumerate(replica_params[1:], start=1):
             for p_idx, (a, b) in enumerate(zip(ref, params)):

@@ -10,7 +10,8 @@ between the measured totals and the closed forms:
 
 - **DP**: per-parameter ring all-reduce moves ``2 (d-1) * 8 * P_replica``
   bytes per iteration (the §3.3.1 ``(d-1)/d`` ring volume, summed over
-  the group's d ranks, fp64 internals).
+  the group's d ranks, fp64 internals); ZeRO-3's one more parameter
+  all-gather makes it ``3 (d-1) * 8 * P_replica``.
 - **PP**: every microbatch crosses every one of the ``p*v - 1`` stage
   boundaries forward and backward, ``t`` tensor-parallel copies of a
   ``(b, s, h)`` fp64 activation each; tied-embedding sync adds
@@ -86,6 +87,8 @@ def default_conservation_configs(fast: bool = False) -> list[ConformanceCase]:
                             seed=15),
             # recompute doubles forward TP volume and adds logit FLOPs
             ConformanceCase(p=2, t=2, b=1, m=2, recompute=True, seed=16),
+            # ZeRO-3: one more all-gather; 3 does not divide P here
+            ConformanceCase(d=3, b=1, m=1, zero=True, seed=17),
         ]
     return cases
 
@@ -100,11 +103,12 @@ def _expected(case: ConformanceCase, config, trainer) -> dict[str, int]:
     B = case.global_batch_size
     act = b * s * h * 8  # one (b, s, h) fp64 activation
 
-    # DP: ring all-reduce of every replica parameter over the d group.
+    # DP: ring reduce-scatter and all-gather of every replica parameter
+    # over the d group, each (d-1) * 8 * P; ZeRO-3 gathers once more.
     params_per_replica = sum(
         param.data.size for param in trainer.replicas[0].parameters()
     )
-    dp = 2 * (d - 1) * 8 * params_per_replica
+    dp = (3 if case.zero else 2) * (d - 1) * 8 * params_per_replica
 
     # PP: 2 directions x (p*v - 1) boundaries x m microbatches x t copies,
     # plus the tied-embedding ring all-reduce (2-rank group, t shards).
@@ -142,11 +146,6 @@ def check_conservation(case: ConformanceCase) -> ConservationReport:
     from repro.nn.profiler import count_flops
     from repro.parallel import PTDTrainer
 
-    if case.zero:
-        raise ValueError(
-            "conservation checks cover the PTD engine; ZeRO volumes are "
-            "tested separately (tests/test_zero.py)"
-        )
     config = model_for_case(case)
     log = TrafficLog()
     trainer = PTDTrainer(
@@ -162,6 +161,7 @@ def check_conservation(case: ConformanceCase) -> ConservationReport:
         schedule=case.schedule,
         seed=0,
         recompute_activations=case.recompute,
+        zero_stage=case.zero_stage,
         log=log,
     )
     rng = np.random.default_rng(case.seed)

@@ -23,12 +23,12 @@ are read from it.
 - ``serve-chaos``  the same under injected serving faults
   (:mod:`.serve_chaos_check`).
 
-Four sections own a mutation -- ``reorder``, ``collective-shape``,
-``grad-perturb`` and ``kv-offset``; the ``*_defect`` functions below say
-what each plants.  Under ``--inject`` the owning section runs unchanged
-with its defect planted; every failure then carries the one repro line that reproduces
-it, and a defect the section does not catch fails the run as a verifier
-that has lost its teeth.
+Five sections own a mutation -- ``reorder``, ``collective-shape``,
+``grad-perturb``, ``frozen-lr`` and ``kv-offset``; the ``*_defect``
+functions below say what each plants.  Under ``--inject`` the owning
+section runs unchanged with its defect planted; every failure then
+carries the one repro line that reproduces it, and a defect the section
+does not catch fails the run as a verifier that has lost its teeth.
 """
 
 from __future__ import annotations
@@ -190,8 +190,7 @@ def _conformance(o: Options) -> Pairs:
 def _backend(o: Options) -> Pairs:
     from .backend_check import run_backend_checks
 
-    return [(case.describe(), failures) for case, failures
-            in run_backend_checks(o.fast, o.configs, o.seed)]
+    return run_backend_checks(o.fast, o.configs, o.seed)
 
 
 def _conservation(o: Options) -> Pairs:
@@ -301,6 +300,24 @@ def grad_perturb_defect(seed: int):
     return _patched(trainer, "apply_update", bent)
 
 
+def frozen_lr_defect(seed: int):
+    """Every mp replica worker steps its optimizer at its schedule's first
+    rate, ``lr_at(0)``, every iteration; the parent's coop oracle does not
+    (the forked workers inherit the patch, the trainer's own
+    ``apply_update`` is untouched)."""
+    from repro.nn.lr_scheduler import lr_at
+    from repro.parallel import mp_workers
+
+    real = mp_workers.apply_update
+
+    def bent(replicas, optimizers, spec, *rest):
+        for opt in optimizers:
+            opt.lr = lr_at(opt.lr, 0)
+        return real(replicas, optimizers, spec, *rest)
+
+    return _patched(mp_workers, "apply_update", bent)
+
+
 def kv_offset_defect(seed: int):
     """In one seeded batched single-token ``PagedKVCache.append``, one row
     lands one slot off inside its block and its own slot never gets it."""
@@ -345,9 +362,10 @@ TABLE = (
                  "step"),
     Section("conformance", _conformance,
             Mutation("grad-perturb", grad_perturb_defect)),
-    Section("backend", _backend,
-            note="{checks} configs bit-compared coop vs mp "
-                 "(losses, params, optimizer, traffic)"),
+    Section("backend", _backend, Mutation("frozen-lr", frozen_lr_defect),
+            note="{checks} checks bit-compared coop vs mp: every config's "
+                 "losses, params, optimizer and traffic, and the shard "
+                 "collectives"),
     Section("conservation", _conservation),
     Section("chaos", _chaos, note="recovery conformance: {labels}"),
     Section("serve", _serve, Mutation("kv-offset", kv_offset_defect),

@@ -315,7 +315,8 @@ class TestVerify:
         assert "schedules" in out and "conformance" not in out
 
     @pytest.mark.parametrize("mode", [
-        "reorder", "collective-shape", "grad-perturb", "kv-offset",
+        "reorder", "collective-shape", "grad-perturb", "frozen-lr",
+        "kv-offset",
     ])
     def test_injected_mutations_exit_nonzero_with_repro(self, mode, capsys):
         rc = main(["verify", "--inject", mode, "--fast"])

@@ -29,8 +29,8 @@ def make_batches(n_batches=12, B=8, seed=1):
     return list(loader)
 
 
-def train_losses(p, t, d, batches, steps=24, v=1):
-    trainer = PTDTrainer(
+def train_losses(p, t, d, batches, steps=24, v=1, backend="coop"):
+    with PTDTrainer(
         CFG,
         ParallelConfig(
             pipeline_parallel_size=p, tensor_parallel_size=t,
@@ -38,19 +38,12 @@ def train_losses(p, t, d, batches, steps=24, v=1):
             num_model_chunks=v,
         ),
         schedule="interleaved" if v > 1 else "1f1b",
-        seed=0, lr=1.0, grad_clip_norm=1.0,
-    )
-    scheds = [
-        WarmupCosineSchedule(o, max_lr=5e-3, warmup_iters=3, decay_iters=steps)
-        for o in trainer.optimizers
-    ]
-    losses = []
-    for i in range(steps):
-        ids, targets = batches[i % len(batches)]
-        losses.append(trainer.train_step(ids, targets))
-        for s in scheds:
-            s.step()
-    return losses
+        seed=0, grad_clip_norm=1.0, backend=backend,
+        lr=WarmupCosineSchedule(max_lr=5e-3, warmup_iters=3,
+                                decay_iters=steps),
+    ) as trainer:
+        return [trainer.train_step(*batches[i % len(batches)])
+                for i in range(steps)]
 
 
 class TestConvergence:
@@ -70,6 +63,13 @@ class TestConvergence:
                            (2, 1, 1, 2)):
             got = train_losses(p, t, d, batches, steps=10, v=v)
             np.testing.assert_allclose(got, reference, rtol=1e-9)
+
+    def test_scheduled_trajectory_on_real_processes_equals_coop(self):
+        """The schedule reaches the mp replica workers: their trajectory
+        is the coop oracle's, bit for bit."""
+        batches = make_batches()
+        coop = train_losses(1, 1, 2, batches, steps=8)
+        assert train_losses(1, 1, 2, batches, steps=8, backend="mp") == coop
 
     def test_validation_loss_improves(self):
         """Train/val split: the model generalizes to held-out slices of

@@ -161,7 +161,7 @@ def test_worker_runs_the_trainers_step_functions(monkeypatch):
     # The op table a replica worker serves, run here instead of in a
     # child (d=1: no ring, so the barrier is never waited on).
     ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
-    loss, records, norm, _ = ops["step"](batch)
+    loss, records, norm, _ = ops["step"]((*batch, trainer.spec.lr))
     assert calls == ["forward_backward", "apply_update"] * 2
     assert loss == coop_loss and norm == trainer.last_grad_norm
     assert len(records) == len(trainer.log.records)
@@ -189,7 +189,7 @@ def test_worker_keeps_no_records_between_steps(monkeypatch):
     batch = _batch(2)
     replies = []
     for _ in range(3):
-        replies.append(ops["step"](batch)[1])
+        replies.append(ops["step"]((*batch, trainer.spec.lr))[1])
         assert log.records == []
     trainer.train_step(*batch)
     assert [len(records) for records in replies] == [
