@@ -54,7 +54,7 @@ def _view(seg, shape, dtype) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
 
-def ring_ops(rank: int, k: int, barrier_wait, _segment_names) -> dict:
+def ring_ops(rank: int, k: int, barrier_wait, _segments) -> dict:
     """Op table of an :class:`MpBackend` worker: virtual rank ``rank``
     of a ``k``-rank group, moving bytes between the segments the mover
     of the same name (below) lays out and names in the payload."""
@@ -63,7 +63,7 @@ def ring_ops(rank: int, k: int, barrier_wait, _segment_names) -> dict:
         names, n = payload
         with attached(names[rank], names[(rank - 1) % k]) as (mine, prev):
             ring_all_reduce_step(
-                [n], rank, k, _view(mine, (n,), np.float64),
+                n, rank, k, _view(mine, (n,), np.float64),
                 _view(prev, (n,), np.float64), barrier_wait,
             )
 

@@ -15,9 +15,9 @@
    data-parallel replicas.
 
 3. :func:`ring_reduce_scatter_step` and :func:`ring_all_gather_step` —
-   the per-rank bodies of the ring all-reduce's two phases over shared
-   float64 buffers, *bit-identical* to the cooperative reference in
-   :mod:`repro.comm.primitives`.  :func:`ring_all_reduce_step` runs
+   the per-rank bodies of the ring all-reduce's two phases over one
+   shared float64 buffer, *bit-identical* to the cooperative reference
+   in :mod:`repro.comm.primitives`.  :func:`ring_all_reduce_step` runs
    them back to back; a replica worker runs its optimizer between them.
 
 Validation, sanitizer records, spans and traffic accounting stay in the
@@ -144,66 +144,49 @@ def disable_child_shm_tracking() -> None:
     resource_tracker.register = register
 
 
-def _ring_bounds(sizes: Sequence[int], k: int) -> list[list[int]]:
-    """Each buffer's ring chunk bounds, offset to where it starts when
-    the buffers lie end to end."""
-    bounds = []
-    offset = 0
-    for n in sizes:
-        bounds.append([offset + b for b in ring_chunk_bounds(n, k)])
-        offset += n
-    return bounds
-
-
-def ring_reduce_scatter_step(sizes: Sequence[int], rank: int, k: int,
+def ring_reduce_scatter_step(n: int, rank: int, k: int,
                              mine: np.ndarray, prev: np.ndarray,
                              barrier_wait: Callable[[], None]) -> None:
     """Rank ``rank``'s part of a k-rank ring reduce-scatter phase over
-    ``len(sizes)`` buffers laid end to end in ``mine`` / ``prev`` (float64
-    views of this rank's and the previous rank's segment).  Step ``s``
-    accumulates chunk ``rank - 1 - s``; afterwards ``mine`` holds each
-    buffer's :func:`~repro.comm.primitives.owned_chunk` of the sum.
+    the first ``n`` elements of ``mine`` / ``prev`` (float64 views of
+    this rank's and the previous rank's segment).  Step ``s``
+    accumulates chunk ``rank - 1 - s``; afterwards ``mine`` holds its
+    :func:`~repro.comm.primitives.owned_chunk` of the sum.
 
     Transcribes the cooperative ring per rank.  The coop loops only ever
     read chunk slices disjoint from the slices written in the same ring
     step, so running the per-rank bodies concurrently with a barrier
     between steps performs the same float64 operation sequence per
-    element.  Ring steps are outermost, all buffers inside one step, so
-    a step costs one barrier however many buffers ride it; each buffer
-    keeps its own chunk-bound schedule, only the interleaving across
-    independent buffers moves.  The caller makes the copy-ins visible
-    before.
+    element.  The caller makes every rank's buffer visible before.
     """
-    bounds = _ring_bounds(sizes, k)
+    bounds = ring_chunk_bounds(n, k)
     for step in range(k - 1):
         j = (rank - 1 - step) % k
-        for b in bounds:
-            mine[b[j]:b[j + 1]] += prev[b[j]:b[j + 1]]
+        mine[bounds[j]:bounds[j + 1]] += prev[bounds[j]:bounds[j + 1]]
         barrier_wait()
 
 
-def ring_all_gather_step(sizes: Sequence[int], rank: int, k: int,
+def ring_all_gather_step(n: int, rank: int, k: int,
                          mine: np.ndarray, prev: np.ndarray,
                          barrier_wait: Callable[[], None]) -> None:
     """The all-gather phase, laid out as :func:`ring_reduce_scatter_step`:
     step ``s`` copies chunk ``rank - s`` from the previous rank, so each
     rank's owned chunk reaches every other.  The caller makes the owned
-    chunks visible before and reads results after."""
-    bounds = _ring_bounds(sizes, k)
+    chunks visible before."""
+    bounds = ring_chunk_bounds(n, k)
     for step in range(k - 1):
         j = (rank - step) % k
-        for b in bounds:
-            mine[b[j]:b[j + 1]] = prev[b[j]:b[j + 1]]
+        mine[bounds[j]:bounds[j + 1]] = prev[bounds[j]:bounds[j + 1]]
         barrier_wait()
 
 
-def ring_all_reduce_step(sizes: Sequence[int], rank: int, k: int,
+def ring_all_reduce_step(n: int, rank: int, k: int,
                          mine: np.ndarray, prev: np.ndarray,
                          barrier_wait: Callable[[], None]) -> None:
     """Rank ``rank``'s part of a k-rank ring all-reduce: the two phases
     back to back, *bit-identical* to the cooperative reference."""
-    ring_reduce_scatter_step(sizes, rank, k, mine, prev, barrier_wait)
-    ring_all_gather_step(sizes, rank, k, mine, prev, barrier_wait)
+    ring_reduce_scatter_step(n, rank, k, mine, prev, barrier_wait)
+    ring_all_gather_step(n, rank, k, mine, prev, barrier_wait)
 
 
 @contextlib.contextmanager
@@ -226,15 +209,18 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float,
                  segment_names: tuple[str, ...], make_ops, args) -> None:
     """Event loop of one pool worker (real OS process).
 
-    Builds its op table once, acknowledges, then serves ``(op, payload)``
-    requests with ``("ok", result)`` or ``("err", traceback)``.  On
-    error the barrier is aborted so peers fail fast instead of
-    deadlocking.
+    Attaches the pool's segments for its whole life (an op table may
+    keep views of them), builds its op table once, acknowledges, then
+    serves ``(op, payload)`` requests with ``("ok", result)`` or
+    ``("err", traceback)``.  On error the barrier is aborted so peers
+    fail fast instead of deadlocking.
     """
     disable_child_shm_tracking()
     try:
+        segments = [shared_memory.SharedMemory(name=name)
+                    for name in segment_names]
         ops = make_ops(
-            rank, size, lambda: barrier.wait(timeout), segment_names, *args
+            rank, size, lambda: barrier.wait(timeout), segments, *args
         )
     except Exception:  # reported to the parent, which raises it
         conn.send(("err", traceback.format_exc()))
@@ -256,12 +242,13 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float,
 class WorkerPool:
     """``size`` persistent worker processes serving one op table.
 
-    ``make_ops(rank, size, barrier_wait, segment_names, *args)`` runs
-    once inside each worker (after the fork, so what it builds lives
-    there) and returns ``{op: callable(payload) -> result}``;
+    ``make_ops(rank, size, barrier_wait, segments, *args)`` runs once
+    inside each worker (after the fork, so what it builds lives there)
+    and returns ``{op: callable(payload) -> result}``;
     ``barrier_wait()`` waits on the pool barrier for at most ``timeout``.
     With ``segment_bytes`` the pool owns one shared segment of that size
-    per worker (``segment_names``), unlinked by :meth:`close`.
+    per worker, unlinked by :meth:`close`; ``segments`` are those,
+    attached in the worker, in rank order.
 
     A worker that raises leaves the pool usable: one ``RuntimeError``
     carries every traceback.  A worker that *died*, or a pool silent

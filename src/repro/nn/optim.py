@@ -16,8 +16,12 @@ class Adam:
     ``owned[i]`` is the flat ``(lo, hi)`` slice of ``params[i]`` this
     optimizer keeps moments for and steps, the whole parameter by
     default; under the distributed optimizer a data-parallel replica
-    owns one ring chunk of each.  ``owned_data`` / ``owned_grads`` are
-    those slices as views, so a parameter's storage must be contiguous.
+    owns one contiguous range of its flat parameter vector, and
+    ``params`` are the parameters that range meets.  ``owned_data`` /
+    ``owned_grads`` are those slices as views, so a parameter's storage
+    must be contiguous.  The moments ``m`` and ``v`` are one vector each
+    over the owned elements end to end; ``_m[i]`` / ``_v[i]`` are the
+    views of ``params[i]``'s slice.
 
     ``lr`` is a float or a schedule (anything with ``lr_at(step)``, such
     as :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`): step ``k``
@@ -56,8 +60,10 @@ class Adam:
             np.reshape(p.grad, -1, copy=False)[lo:hi]
             for p, (lo, hi) in zip(self.params, self.owned)
         ]
-        self._m = [np.zeros(hi - lo) for lo, hi in self.owned]
-        self._v = [np.zeros(hi - lo) for lo, hi in self.owned]
+        self.m = np.zeros(sum(hi - lo for lo, hi in self.owned))
+        self.v = np.zeros(self.m.size)
+        self._m = _slices(self.m, self.owned)
+        self._v = _slices(self.v, self.owned)
 
     def step(self) -> None:
         lr = lr_at(self.lr, self.step_count)
@@ -74,3 +80,14 @@ class Adam:
             v *= b2
             v += (1 - b2) * g * g
             x -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def _slices(flat: np.ndarray, owned: Sequence[tuple[int, int]]
+            ) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one ``hi - lo`` long per range."""
+    out = []
+    offset = 0
+    for lo, hi in owned:
+        out.append(flat[offset:offset + hi - lo])
+        offset += hi - lo
+    return out

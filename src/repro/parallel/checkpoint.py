@@ -6,10 +6,12 @@ Layout on disk::
       metadata.json            # architecture, parallel config, iteration,
                                # and per-file integrity digests
       model.npz                # serial-layout (gathered) weights
-      optimizer_rank<r>.npz    # data-parallel rank r's Adam state: the
-                               # flat ring chunk of each parameter it
-                               # owns (format 3; formats 1-2 held the
-                               # full moments in every rank file)
+      optimizer_rank<r>.npz    # data-parallel rank r's Adam state:
+                               # ``m`` and ``v`` over the range of the
+                               # flat parameter vector it owns (format
+                               # 4; format 3 held its ring chunk of
+                               # each parameter, formats 1-2 the full
+                               # moments in every rank file)
 
 Two resume modes, mirroring what real systems support:
 
@@ -56,11 +58,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.comm.primitives import owned_chunk
 from repro.config import GPTConfig, ParallelConfig
 
 from .trainer import PTDTrainer
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _LATEST = "LATEST"
 _STEP_PREFIX = "step-"
 
@@ -171,7 +174,7 @@ def _read_metadata(directory: str) -> dict:
             f"checkpoint {directory}: unreadable metadata.json: {exc}"
         ) from exc
     version = meta.get("format_version")
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in (1, 2, 3, FORMAT_VERSION):
         raise CheckpointMismatchError(
             f"unknown checkpoint format {version}"
         )
@@ -232,14 +235,11 @@ def _write_checkpoint_files(
     model_path = os.path.join(directory, "model.npz")
     np.savez(model_path, **state)
     filenames = ["model.npz"]
-    # Optimizer state: each rank's owned chunk of every moment.
+    # Optimizer state: each rank's moments over its owned range.
     for r, opt in enumerate(trainer.optimizers):
-        arrays = {"step_count": np.array(opt.step_count)}
-        for i, (m, v) in enumerate(zip(opt._m, opt._v)):
-            arrays[f"m_{i}"] = m
-            arrays[f"v_{i}"] = v
         name = f"optimizer_rank{r}.npz"
-        np.savez(os.path.join(directory, name), **arrays)
+        np.savez(os.path.join(directory, name),
+                 step_count=np.array(opt.step_count), m=opt.m, v=opt.v)
         filenames.append(name)
     meta = {
         "format_version": FORMAT_VERSION,
@@ -410,28 +410,62 @@ def load_checkpoint(
     same_parallel = meta["parallel"] == _parallel_signature(trainer.parallel)
     if not same_parallel:
         return False
-    for r, opt in enumerate(trainer.optimizers):
-        arrays = _load_npz(directory, f"optimizer_rank{r}.npz")
-        try:
+    files = [_load_npz(directory, f"optimizer_rank{r}.npz")
+             for r in range(len(trainer.optimizers))]
+    try:
+        if any("m" not in arrays for arrays in files):
+            files = _cut_per_parameter_moments(
+                directory, files, trainer.replicas[0].parameters())
+        for r, (opt, arrays) in enumerate(zip(trainer.optimizers, files)):
+            for key in ("m", "v"):
+                arr = arrays[key]
+                if arr.shape != (opt.m.size,):
+                    raise CheckpointCorruptError(
+                        f"checkpoint {directory}: optimizer_rank{r}.npz "
+                        f"holds {key} of shape {arr.shape}; rank {r} owns "
+                        f"{opt.m.size} elements"
+                    )
+                getattr(opt, key)[...] = arr
             opt.step_count = int(arrays["step_count"])
-            for i, (p, (lo, hi)) in enumerate(zip(opt.params, opt.owned)):
-                for key, moments in (("m", opt._m), ("v", opt._v)):
-                    arr = arrays[f"{key}_{i}"]
-                    if arr.shape == p.shape:  # a full moment: formats 1-2
-                        arr = arr.reshape(-1)[lo:hi]
-                    if arr.shape != (hi - lo,):
-                        raise CheckpointCorruptError(
-                            f"checkpoint {directory}: optimizer_rank{r}.npz "
-                            f"holds {key} of shape {arr.shape} for parameter "
-                            f"{i}; rank {r} owns {hi - lo} elements of it"
-                        )
-                    moments[i][...] = arr
-        except KeyError as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint {directory}: optimizer_rank{r}.npz is missing "
-                f"array {exc}"
-            ) from exc
+    except KeyError as exc:
+        raise CheckpointCorruptError(
+            f"checkpoint {directory}: an optimizer shard is missing "
+            f"array {exc}"
+        ) from exc
     return True
+
+
+def _cut_per_parameter_moments(directory: str, files: list[dict],
+                               params: list) -> list[dict]:
+    """Formats 1-3 kept moments per parameter: rank r's ring chunk of
+    each (3), or every full moment in every rank file (1-2).  Assemble
+    the full moments end to end in ``params`` order and cut each rank's
+    range of that vector out again, the format-4 layout."""
+    d = len(files)
+    full = {key: np.empty(sum(p.size for p in params)) for key in ("m", "v")}
+    offset = 0
+    for i, p in enumerate(params):
+        for r, arrays in enumerate(files):
+            lo, hi = owned_chunk(p.size, d, r)
+            for key in ("m", "v"):
+                arr = arrays[f"{key}_{i}"]
+                if arr.shape == p.shape:  # a full moment: formats 1-2
+                    full[key][offset:offset + p.size] = arr.reshape(-1)
+                elif arr.shape == (hi - lo,):
+                    full[key][offset + lo:offset + hi] = arr
+                else:
+                    raise CheckpointCorruptError(
+                        f"checkpoint {directory}: optimizer_rank{r}.npz "
+                        f"holds {key} of shape {arr.shape} for parameter "
+                        f"{i}; rank {r} owns {hi - lo} elements of it"
+                    )
+        offset += p.size
+    cut = []
+    for r, arrays in enumerate(files):
+        lo, hi = owned_chunk(offset, d, r)
+        cut.append({"step_count": arrays["step_count"],
+                    "m": full["m"][lo:hi], "v": full["v"][lo:hi]})
+    return cut
 
 
 # -- run-level store ---------------------------------------------------------

@@ -5,25 +5,26 @@ own OS process: a :class:`~repro.comm.shm_ring.WorkerPool` serving
 :func:`replica_ops`.  Each worker builds one full pipeline/tensor-
 parallel replica from the trainer's
 :class:`~repro.parallel.trainer.ReplicaSpec` (its ``p·t`` virtual ranks
-execute cooperatively inside the worker, exactly as in the oracle) and
-the optimizer over the ring chunk of each parameter it owns.  A
-``"step"`` is the trainer's own ``forward_backward`` and
+execute cooperatively inside the worker, exactly as in the oracle),
+laid flat in its own pool segment: ``[grads | params | norm slot]``,
+2P + 1 float64, every ``Parameter.grad`` and ``.data`` a view of it.
+A ``"step"`` is the trainer's own ``forward_backward`` and
 ``apply_update`` with the §3.3.1 gradient ring split around the update,
-run jointly over the pool's float64 segments:
+run in place over the segments:
 :func:`~repro.comm.shm_ring.ring_reduce_scatter_step` leaves each worker
-its owned chunk of every summed gradient, the worker steps that chunk,
-and :func:`~repro.comm.shm_ring.ring_all_gather_step` carries the
-updated parameters round.  One barrier per ring step for all
-parameters, one before each phase: 2(d-1)+2 per training step, one more
-with clipping, whose partial sums of squares every worker reads from
-every segment's last slot.  Under ZeRO stage 3 the step opens with one
-more all-gather of the parameters, d more barriers.  A step's payload
-carries its shard and the parent optimizer's rate, which the worker's
-optimizer takes before it steps.
+its owned range of the summed gradient vector, the worker steps that
+range, and :func:`~repro.comm.shm_ring.ring_all_gather_step` carries the
+updated parameters round -- no copy into or out of a segment.  One
+barrier per ring step, one before each phase: 2(d-1)+2 per training
+step, one more with clipping, whose partial sums of squares every worker
+reads from every segment's last slot.  Under ZeRO stage 3 the step opens
+with one more all-gather of the parameters, d more barriers.  A step's
+payload carries its shard and the parent optimizer's rate, betas, eps
+and weight decay, which the worker's optimizer takes before it steps.
 
 Bit-exactness (asserted by ``repro verify --only backend``): each phase
 performs the cooperative ring's float64 operation sequence per element,
-and a chunk's owner computes the same ``/d`` average and update the
+and a range's owner computes the same ``/d`` average and update the
 oracle's owner does.  Traffic accounting stays in the parent: workers
 return their replica's :class:`~repro.comm.traffic.TrafficLog` records
 for the step, keeping none, and the parent puts both phases of the
@@ -33,11 +34,15 @@ gradient ring through the collective front door (:data:`WORKER_RING`).
 from __future__ import annotations
 
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.comm.primitives import CoopBackend, replay, ring_all_reduce_hops
+from repro.comm.primitives import (
+    CoopBackend,
+    owned_chunk,
+    replay,
+    ring_all_reduce_hops,
+)
 from repro.comm.shm_ring import ring_all_gather_step, ring_reduce_scatter_step
 from repro.comm.traffic import TrafficLog
 
@@ -69,56 +74,46 @@ class WorkerRing(CoopBackend):
 WORKER_RING = WorkerRing()
 
 
-def replica_ops(dp: int, d: int, barrier_wait, segment_names,
+def replica_ops(dp: int, d: int, barrier_wait, segments,
                 spec: ReplicaSpec) -> dict:
     """Op table of one replica worker: build replica ``dp`` of ``d`` and
     its optimizer, then serve ``step`` / ``get_state`` / ``set_state``."""
     log = TrafficLog()
-    replica, optimizer = spec.build(dp, log)
-    params = replica.parameters()
-    sizes = [p.size for p in params]
-    offsets = np.cumsum([0] + sizes)
-    n = int(offsets[-1])
-    # Every segment: the parameters end to end, then its worker's
-    # partial sum of squares.
-    segments = [shared_memory.SharedMemory(name=name) for name in segment_names]
-    owned = [(int(offset) + lo, int(offset) + hi)
-             for offset, (lo, hi) in zip(offsets, optimizer.owned)]
-
-    def view(rank: int) -> np.ndarray:
-        return np.ndarray((n + 1,), dtype=np.float64,
-                          buffer=segments[rank].buf)
+    # Every segment: its worker's gradients, then its parameters, then
+    # its partial sum of squares -- 2P + 1 float64.  This worker's
+    # replica lives in its own segment, so both ring phases run in place.
+    views = [np.ndarray((seg.size // 8,), dtype=np.float64, buffer=seg.buf)
+             for seg in segments]
+    replica, optimizer = spec.build(dp, log, views[dp] if views else None)
+    n = replica.flat_data.size
+    lo, hi = owned_chunk(n, d, dp)
+    grads = [view[:n] for view in views]
+    params = [view[n:2 * n] for view in views]
 
     def gather(partials):
         """Every worker's partial sum of squares, in rank order."""
         if d == 1:
             return partials
-        view(dp)[n] = partials[0]
+        views[dp][2 * n] = partials[0]
         barrier_wait()
-        return [float(view(rank)[n]) for rank in range(d)]
+        return [float(view[2 * n]) for view in views]
 
     def reduce_scatter_gradients():
-        """Leave this worker its owned chunk of every averaged gradient."""
-        mine, prev = view(dp), view((dp - 1) % d)
-        for p, lo, hi in zip(params, offsets, offsets[1:]):
-            mine[lo:hi] = p.grad.ravel()
-        barrier_wait()  # all copy-ins visible
-        ring_reduce_scatter_step(sizes, dp, d, mine, prev, barrier_wait)
-        for g, (lo, hi) in zip(optimizer.owned_grads, owned):
-            np.divide(mine[lo:hi], d, out=g)
+        """Leave this worker its owned range of the averaged gradients."""
+        barrier_wait()  # every worker's gradients in place
+        ring_reduce_scatter_step(n, dp, d, grads[dp], grads[dp - 1],
+                                 barrier_wait)
+        grads[dp][lo:hi] /= d
 
     def all_gather_parameters():
-        """Hand every worker the chunks the others just updated."""
-        mine, prev = view(dp), view((dp - 1) % d)
-        for x, (lo, hi) in zip(optimizer.owned_data, owned):
-            mine[lo:hi] = x
+        """Hand every worker the ranges the others just updated."""
         barrier_wait()  # every owner's update visible
-        ring_all_gather_step(sizes, dp, d, mine, prev, barrier_wait)
-        for p, lo, hi in zip(params, offsets, offsets[1:]):
-            p.data[...] = mine[lo:hi].reshape(p.shape)
+        ring_all_gather_step(n, dp, d, params[dp], params[dp - 1],
+                             barrier_wait)
 
     def step(work):
-        ids, targets, optimizer.lr = work
+        (ids, targets, optimizer.lr, optimizer.betas, optimizer.eps,
+         optimizer.weight_decay) = work
         start = time.perf_counter()
         try:
             if d > 1 and spec.zero_stage == 3:

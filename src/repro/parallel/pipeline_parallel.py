@@ -108,10 +108,6 @@ class PipelineStage:
                     out.append(p)
         return out
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
 
 def split_layers_into_stages(
     layers: list[Module],
@@ -231,6 +227,10 @@ class PipelineParallelGPT:
             recompute=recompute_activations,
             rng_seed=data_rng_seed,
         )
+        #: set by :meth:`lay_flat`: every parameter's gradient and data
+        #: end to end, in :meth:`parameters` order
+        self.flat_grad: np.ndarray | None = None
+        self.flat_data: np.ndarray | None = None
         self._loss_cache: dict[int, Any] = {}
         self._losses: dict[int, float] = {}
         self._targets: dict[int, np.ndarray] = {}
@@ -375,8 +375,26 @@ class PipelineParallelGPT:
         return out
 
     def zero_grad(self) -> None:
-        for stage in self.stages:
-            stage.zero_grad()
+        if self.flat_grad is not None:
+            self.flat_grad.fill(0.0)
+            return
+        for p in self.parameters():
+            p.zero_grad()
+
+    def lay_flat(self, grad: np.ndarray, data: np.ndarray) -> None:
+        """Move every parameter into the float64 vectors ``data`` and
+        ``grad`` (one element per parameter element, ``grad`` zero),
+        end to end in :meth:`parameters` order: each ``Parameter.data``
+        / ``.grad`` becomes a reshaped view of its range, its values
+        copied in."""
+        offset = 0
+        for p in self.parameters():
+            view = data[offset:offset + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            p.grad = grad[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+        self.flat_grad, self.flat_data = grad, data
 
     def parameters_for_norm(self) -> list[Parameter]:
         """Parameters entering the global gradient norm.
@@ -422,7 +440,15 @@ class PipelineParallelGPT:
                     f"{state[name].shape}"
                 )
             p.data[...] = state[name]
-        # Refresh the untied head copy from the embedding weights.
+        self.retie_embeddings()
+
+    def retie_embeddings(self) -> None:
+        """Give the head's copy of each tied embedding parameter the
+        first stage's values.  Training keeps the two equal only up to
+        the data-parallel ring: at d >= 3 the copies' gradients are
+        summed in different orders (their ranges of the flat gradient
+        vector fall in different ring chunks), so their updates can
+        differ in the last bits."""
         for emb_p, head_p in self.tied_pairs:
             head_p.data[...] = emb_p.data
 

@@ -10,12 +10,14 @@ synchronous training:
 2. each replica pipelines its ``m`` microbatches under the chosen
    schedule (flush at the end: strict optimizer semantics),
 3. the data-parallel gradient ring runs its reduce-scatter phase (once
-   per batch): replica ``r`` ends holding its owned ring chunk
-   (:func:`~repro.comm.primitives.owned_chunk`) of every summed gradient,
-4. each replica's Adam steps that chunk only -- it keeps moments for
+   per batch) over each replica's flat gradient vector -- every
+   parameter's gradient end to end, Megatron's contiguous buffer:
+   replica ``r`` ends holding its owned range
+   (:func:`~repro.comm.primitives.owned_chunk` of the vector) summed,
+4. each replica's Adam steps that range only -- it keeps moments for
    nothing else (the distributed optimizer, ZeRO stage 1),
-5. the ring's all-gather phase carries the updated chunks, so every
-   replica again holds the whole model.
+5. the ring's all-gather phase carries the updated ranges over the flat
+   parameter vectors, so every replica again holds the whole model.
 
 ZeRO stage 3 (``zero_stage=3``, the §5.2 baseline) is the same step
 plus one more all-gather of the parameters before the pipeline: the
@@ -114,9 +116,13 @@ class ReplicaSpec:
     loss_scale: float
     zero_stage: int
 
-    def build(self, dp: int, log: TrafficLog) -> tuple[PipelineParallelGPT, Adam]:
+    def build(self, dp: int, log: TrafficLog, buffer: np.ndarray | None = None,
+              ) -> tuple[PipelineParallelGPT, Adam]:
         """Replica ``dp`` on its pipeline ranks of the Megatron grid,
-        and its optimizer over the ring chunk of each parameter it owns."""
+        laid flat (:meth:`PipelineParallelGPT.lay_flat`) in ``buffer``
+        -- gradients in its first P elements, parameters in the next P
+        -- or in a fresh one, and its optimizer over the range
+        ``owned_chunk(P, d, dp)`` of the flat vector."""
         par = self.parallel
         replica = PipelineParallelGPT(
             self.config,
@@ -130,17 +136,31 @@ class ReplicaSpec:
             pipeline_ranks=ProcessGroups(par).pipeline_group(dp, tp=0),
         )
         params = replica.parameters()
-        return replica, Adam(
-            params, lr=self.lr, betas=self.betas,
-            owned=[owned_chunk(p.size, par.d, dp) for p in params],
-        )
+        n = sum(p.size for p in params)
+        if buffer is None:
+            # zeros, not a fill: the pages of a gradient nothing writes
+            # (an mp parent's) stay untouched, so they cost no memory
+            buffer = np.zeros(2 * n)
+        replica.lay_flat(buffer[:n], buffer[n:2 * n])
+        lo, hi = owned_chunk(n, par.d, dp)
+        mine, owned = [], []
+        offset = 0
+        for p in params:
+            start, stop = max(lo - offset, 0), min(hi - offset, p.size)
+            if start < stop:
+                mine.append(p)
+                owned.append((start, stop))
+            offset += p.size
+        return replica, Adam(mine, lr=self.lr, betas=self.betas, owned=owned)
 
 
 def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
                      targets: np.ndarray, spec: ReplicaSpec) -> float:
-    """First half of a replica's step: clear the gradients and pipeline
-    its shard of the batch.  Returns the replica's mean loss."""
+    """First half of a replica's step: re-tie the embedding copies,
+    clear the gradients and pipeline its shard of the batch.  Returns
+    the replica's mean loss."""
     m = spec.parallel.num_microbatches
+    replica.retie_embeddings()
     replica.zero_grad()
     return replica.run_iteration(
         make_microbatches(ids, targets, m), grad_scale=spec.loss_scale / m
@@ -150,14 +170,14 @@ def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
 def apply_update(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
                  spec: ReplicaSpec, gather=lambda partials: partials,
                  ) -> float | None:
-    """Second half, on each optimizer's owned chunk of the averaged
+    """Second half, on each optimizer's owned range of the averaged
     gradients: unwind the loss scale, clip by the *global* gradient
     norm, step Adam.  Returns the norm (None without clipping).
 
     Megatron clipping semantics: the norm is taken over the full model
     -- all model-parallel shards, tied parameters counted once -- and
     the same scale is applied everywhere.  Each replica sums the squares
-    of its owned chunks of ``parameters_for_norm()``; ``gather`` returns
+    of its owned slices of ``parameters_for_norm()``; ``gather`` returns
     every data-parallel rank's partial sum in rank order (here, where
     all replicas are given, the partials themselves), and their sum is
     the squared norm on every replica.
@@ -192,27 +212,25 @@ def apply_update(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
 
 def export_state(optimizer: Adam,
                  replica: PipelineParallelGPT | None = None) -> dict:
-    """A copy of one replica's Adam state, and of its parameters when
-    ``replica`` is given."""
+    """A copy of one replica's Adam state, and of its flat parameter
+    vector when ``replica`` is given."""
     state = {
-        "m": [a.copy() for a in optimizer._m],
-        "v": [a.copy() for a in optimizer._v],
+        "m": optimizer.m.copy(),
+        "v": optimizer.v.copy(),
         "step_count": optimizer.step_count,
     }
     if replica is not None:
-        state["params"] = [p.data.copy() for p in replica.parameters()]
+        state["params"] = replica.flat_data.copy()
     return state
 
 
 def load_state(replica: PipelineParallelGPT, optimizer: Adam,
                state: dict) -> None:
     """Write one :func:`export_state` into a replica and its optimizer."""
-    for p, arr in zip(replica.parameters(), state.get("params", ())):
-        p.data[...] = arr
-    for a, arr in zip(optimizer._m, state["m"]):
-        a[...] = arr
-    for a, arr in zip(optimizer._v, state["v"]):
-        a[...] = arr
+    if "params" in state:
+        replica.flat_data[...] = state["params"]
+    optimizer.m[...] = state["m"]
+    optimizer.v[...] = state["v"]
     optimizer.step_count = state["step_count"]
 
 
@@ -234,8 +252,9 @@ class PTDTrainer(AbstractContextManager):
 
     ``lr`` is a float or a frozen
     :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`.  The parent's
-    ``optimizers[i].lr`` is the one copy of the rate: mp workers receive
-    it with every step, so writing it acts the same on both backends.
+    ``optimizers[i]`` hold the one copy of the rate, betas, eps and
+    weight decay: mp workers receive them with every step, so writing
+    one acts the same on both backends.
     ``zero_stage`` is 1 (the distributed optimizer) or 3 (ZeRO-3: one
     more parameter all-gather per step).
     """
@@ -294,12 +313,10 @@ class PTDTrainer(AbstractContextManager):
             from .mp_workers import replica_ops
 
             d = parallel.data_parallel_size
-            # d > 1: one gradient-ring segment per worker, with room for
-            # every parameter as float64 and the worker's partial sum of
-            # squares for the gradient norm
-            ring_bytes = 8 * (
-                sum(p.size for p in self.replicas[0].parameters()) + 1
-            )
+            # d > 1: one ring segment per worker, holding its replica's
+            # gradients and parameters (mp_workers.replica_ops) and its
+            # partial sum of squares for the gradient norm
+            ring_bytes = 8 * (2 * self.replicas[0].flat_data.size + 1)
             self._workers = WorkerPool(
                 d, replica_ops, (self.spec,),
                 segment_bytes=ring_bytes if d > 1 else 0,
@@ -354,7 +371,7 @@ class PTDTrainer(AbstractContextManager):
         """The cooperative oracle step (single process, every virtual
         rank in turn) — the reference the mp path is conformed against."""
         if d > 1 and self.spec.zero_stage == 3:
-            self._gradient_ring(COOP.all_gather_phase, "data", "zero3")
+            self._gradient_ring(COOP.all_gather_phase, "flat_data", "zero3")
         with obs_span("pipeline", phase="pipeline"):
             for dp, (replica, (rid, rtgt)) in enumerate(
                 zip(self.replicas, shards)
@@ -366,17 +383,18 @@ class PTDTrainer(AbstractContextManager):
                 if rank_busy is not None:
                     rank_busy[dp] = time.perf_counter() - replica_start
         if d > 1:
-            self._gradient_ring(COOP.reduce_scatter_phase, "grad", "grad")
-            for opt in self.optimizers:
-                for g in opt.owned_grads:
-                    g /= d
+            self._gradient_ring(COOP.reduce_scatter_phase, "flat_grad",
+                                "grad")
+            for dp, replica in enumerate(self.replicas):
+                lo, hi = owned_chunk(replica.flat_grad.size, d, dp)
+                replica.flat_grad[lo:hi] /= d
         with obs_span("optimizer", phase="optimizer"):
             self.last_grad_norm = apply_update(
                 self.replicas, self.optimizers, self.spec
             )
             self._log_norm_gather()
         if d > 1:
-            self._gradient_ring(COOP.all_gather_phase, "data", "param")
+            self._gradient_ring(COOP.all_gather_phase, "flat_data", "param")
 
     def _run_step_mp(self, shards, d, losses, rank_busy) -> None:
         """One step on real processes.  The parent replays the workers'
@@ -393,12 +411,15 @@ class PTDTrainer(AbstractContextManager):
             ])
             self._workers_stale = False
         if d > 1 and self.spec.zero_stage == 3:
-            self._gradient_ring(WORKER_RING.all_gather_phase, "data", "zero3")
+            self._gradient_ring(WORKER_RING.all_gather_phase, "flat_data",
+                                "zero3")
         with obs_span("pipeline", phase="pipeline"):
-            # each worker steps at its parent optimizer's rate, so a
-            # write to ``optimizers[i].lr`` acts as it does on coop
+            # each worker steps with its parent optimizer's rate, betas,
+            # eps and weight decay, so a write to any of them on
+            # ``optimizers[i]`` acts as it does on coop
             results = self._workers.run("step", [
-                (*shard, opt.lr) for shard, opt in zip(shards, self.optimizers)
+                (*shard, opt.lr, opt.betas, opt.eps, opt.weight_decay)
+                for shard, opt in zip(shards, self.optimizers)
             ])
             for dp, (loss, records, norm, seconds) in enumerate(results):
                 losses.append(loss)
@@ -409,29 +430,24 @@ class PTDTrainer(AbstractContextManager):
                 if dp == 0:
                     self.last_grad_norm = norm
         if d > 1:
-            self._gradient_ring(WORKER_RING.reduce_scatter_phase, "grad",
-                                "grad")
+            self._gradient_ring(WORKER_RING.reduce_scatter_phase,
+                                "flat_grad", "grad")
         with obs_span("optimizer", phase="optimizer"):
             # loss-scale unwind, clip and Adam ran inside the workers
             self._log_norm_gather()
         if d > 1:
-            self._gradient_ring(WORKER_RING.all_gather_phase, "data", "param")
+            self._gradient_ring(WORKER_RING.all_gather_phase, "flat_data",
+                                "param")
         self._parent_stale = True
 
     def _gradient_ring(self, phase, attr: str, tag: str) -> None:
         """One phase of the data-parallel ring through the collective
-        front door, over every parameter's ``grad`` or ``data``, each
-        tagged ``dp.<tag>.<i>``."""
+        front door, over every replica's ``flat_grad`` or ``flat_data``,
+        tagged ``dp.<tag>``."""
         with obs_span("grad-allreduce", phase="grad-allreduce"):
-            for i, params in enumerate(
-                zip(*(replica.parameters() for replica in self.replicas))
-            ):
-                phase(
-                    [np.reshape(getattr(p, attr), -1, copy=False)
-                     for p in params],
-                    self._dp_ranks, self.log, TrafficKind.DATA_PARALLEL,
-                    f"dp.{tag}.{i}",
-                )
+            phase([getattr(replica, attr) for replica in self.replicas],
+                  self._dp_ranks, self.log, TrafficKind.DATA_PARALLEL,
+                  f"dp.{tag}")
 
     def _log_norm_gather(self) -> None:
         """Clipping's all-gather of one partial sum of squares per

@@ -8,10 +8,11 @@ loop: it runs one real training iteration with a :class:`TrafficLog`
 and :class:`FlopMeter` attached and asserts *exact integer equality*
 between the measured totals and the closed forms:
 
-- **DP**: per-parameter ring all-reduce moves ``2 (d-1) * 8 * P_replica``
-  bytes per iteration (the §3.3.1 ``(d-1)/d`` ring volume, summed over
-  the group's d ranks, fp64 internals); ZeRO-3's one more parameter
-  all-gather makes it ``3 (d-1) * 8 * P_replica``.
+- **DP**: the ring's two phases over the flat parameter vector move
+  ``2 (d-1) * 8 * P_replica`` bytes per iteration (the §3.3.1
+  ``(d-1)/d`` ring volume, summed over the group's d ranks, fp64
+  internals); ZeRO-3's one more parameter all-gather makes it
+  ``3 (d-1) * 8 * P_replica``.
 - **PP**: every microbatch crosses every one of the ``p*v - 1`` stage
   boundaries forward and backward, ``t`` tensor-parallel copies of a
   ``(b, s, h)`` fp64 activation each; tied-embedding sync adds
@@ -71,7 +72,7 @@ class ConservationReport:
 def default_conservation_configs(fast: bool = False) -> list[ConformanceCase]:
     """A small grid covering each traffic class and their composition."""
     cases = [
-        # pure DP: only dp.grad.* all-reduces
+        # pure DP: only the dp.grad / dp.param ring phases
         ConformanceCase(d=2, b=1, m=2, seed=11),
         # pure TP: g/f all-reduces, zero DP/PP bytes
         ConformanceCase(t=2, b=2, m=1, seed=12),

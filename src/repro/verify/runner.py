@@ -23,12 +23,13 @@ are read from it.
 - ``serve-chaos``  the same under injected serving faults
   (:mod:`.serve_chaos_check`).
 
-Five sections own a mutation -- ``reorder``, ``collective-shape``,
-``grad-perturb``, ``frozen-lr`` and ``kv-offset``; the ``*_defect``
-functions below say what each plants.  Under ``--inject`` the owning
-section runs unchanged with its defect planted; every failure then
-carries the one repro line that reproduces it, and a defect the section
-does not catch fails the run as a verifier that has lost its teeth.
+Six sections own a mutation -- ``reorder``, ``collective-shape``,
+``grad-perturb``, ``frozen-lr``, ``short-hop`` and ``kv-offset``; the
+``*_defect`` functions below say what each plants.  Under ``--inject``
+the owning section runs unchanged with its defect planted; every
+failure then carries the one repro line that reproduces it, and a
+defect the section does not catch fails the run as a verifier that has
+lost its teeth.
 """
 
 from __future__ import annotations
@@ -318,6 +319,26 @@ def frozen_lr_defect(seed: int):
     return _patched(mp_workers, "apply_update", bent)
 
 
+def short_hop_defect(seed: int):
+    """In every data-parallel all-gather phase, hop ``seed % hops`` of
+    the ring is logged 8 bytes short of what it moved."""
+    from repro.comm.primitives import Backend
+    from repro.comm.traffic import TrafficKind, TrafficLog
+
+    real = Backend.all_gather_phase
+
+    def bent(self, flat, ranks, log=None, kind=TrafficKind.OTHER, tag=""):
+        if log is None or kind is not TrafficKind.DATA_PARALLEL:
+            return real(self, flat, ranks, log, kind, tag)
+        moved = TrafficLog()
+        real(self, flat, ranks, moved, kind, tag)
+        for i, r in enumerate(moved.records):
+            short = 8 if i == seed % len(moved.records) else 0
+            log.add(r.src, r.dst, r.nbytes - short, r.kind, r.tag)
+
+    return _patched(Backend, "all_gather_phase", bent)
+
+
 def kv_offset_defect(seed: int):
     """In one seeded batched single-token ``PagedKVCache.append``, one row
     lands one slot off inside its block and its own slot never gets it."""
@@ -366,7 +387,8 @@ TABLE = (
             note="{checks} checks bit-compared coop vs mp: every config's "
                  "losses, params, optimizer and traffic, and the shard "
                  "collectives"),
-    Section("conservation", _conservation),
+    Section("conservation", _conservation,
+            Mutation("short-hop", short_hop_defect)),
     Section("chaos", _chaos, note="recovery conformance: {labels}"),
     Section("serve", _serve, Mutation("kv-offset", kv_offset_defect),
             note="decode conformance vs the generate oracle: {labels}"),

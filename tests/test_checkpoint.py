@@ -33,12 +33,12 @@ def batch(seed=0, B=8):
     )
 
 
-def make_trainer(p=2, t=2, d=2, v=1, seed=0):
+def make_trainer(p=2, t=2, d=2, v=1, seed=0, B=8):
     return PTDTrainer(
         CFG,
         ParallelConfig(
             pipeline_parallel_size=p, tensor_parallel_size=t,
-            data_parallel_size=d, microbatch_size=1, global_batch_size=8,
+            data_parallel_size=d, microbatch_size=1, global_batch_size=B,
             num_model_chunks=v,
         ),
         schedule="interleaved" if v > 1 else "1f1b",
@@ -197,7 +197,7 @@ class TestValidation:
     def test_verify_passes_on_committed_checkpoint(self, tmp_path):
         a = make_trainer()
         meta = save_checkpoint(a, str(tmp_path))
-        assert meta["format_version"] == 3
+        assert meta["format_version"] == 4
         assert set(meta["files"]) == {
             "model.npz", "optimizer_rank0.npz", "optimizer_rank1.npz"
         }
@@ -250,38 +250,73 @@ def _rewrite(directory, name, arrays, version=None):
         json.dump(meta, f)
 
 
-class TestShardedOptimizerState:
-    """Format 3: ``optimizer_rank<r>.npz`` holds rank r's ring chunk of
-    every moment; format 2 (full moments in every rank file) loads."""
+def _full_moments(trainer):
+    """Every rank's ``m`` and ``v`` put back together: the full moments
+    of each parameter, in ``parameters()`` order."""
+    from repro.comm.primitives import owned_chunk
 
-    def test_format_2_restores_and_continues_bit_identically(self, tmp_path):
+    params = trainer.replicas[0].parameters()
+    n, d = sum(p.size for p in params), len(trainer.optimizers)
+    full = {"m": np.empty(n), "v": np.empty(n)}
+    for r, opt in enumerate(trainer.optimizers):
+        lo, hi = owned_chunk(n, d, r)
+        full["m"][lo:hi], full["v"][lo:hi] = opt.m, opt.v
+    out = {}
+    offset = 0
+    for i, p in enumerate(params):
+        for key in ("m", "v"):
+            out[key, i] = full[key][offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    return out
+
+
+class TestShardedOptimizerState:
+    """Format 4: ``optimizer_rank<r>.npz`` holds rank r's moments over
+    its range of the flat parameter vector; format 3 (rank r's ring
+    chunk of every parameter) and format 2 (full moments in every rank
+    file) load."""
+
+    @staticmethod
+    def _restores_and_continues(directory, version, d):
+        """Rewrite a d-rank checkpoint's optimizer files in format
+        ``version``; a trainer restored from it trains on bit for bit."""
         from repro.comm.primitives import owned_chunk
 
-        ids, targets = batch()
-        a = make_trainer()
+        ids, targets = batch(B=6 * d)
+        a = make_trainer(p=2, t=1, d=d, B=6 * d)
         for _ in range(2):
             a.train_step(ids, targets)
-        save_checkpoint(a, str(tmp_path))
-        # The parent's layout: the full moments, in every rank file.
-        d = len(a.optimizers)
-        full = {"step_count": np.array(a.optimizers[0].step_count)}
-        for i, p in enumerate(a.optimizers[0].params):
-            for key in ("m", "v"):
-                whole = np.empty(p.size)
-                for r, opt in enumerate(a.optimizers):
-                    lo, hi = owned_chunk(p.size, d, r)
-                    whole[lo:hi] = getattr(opt, f"_{key}")[i]
-                full[f"{key}_{i}"] = whole.reshape(p.shape)
-        for r in range(d):
-            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", full, version=2)
+        save_checkpoint(a, directory)
+        moments = _full_moments(a)
+        for r, opt in enumerate(a.optimizers):
+            arrays = {"step_count": np.array(opt.step_count)}
+            for i, p in enumerate(a.replicas[0].parameters()):
+                lo, hi = owned_chunk(p.size, d, r)
+                for key in ("m", "v"):
+                    whole = moments[key, i]
+                    arrays[f"{key}_{i}"] = (
+                        whole if version == 2 else whole.reshape(-1)[lo:hi])
+            _rewrite(directory, f"optimizer_rank{r}.npz", arrays,
+                     version=version)
 
-        b = make_trainer(seed=99)
-        assert load_checkpoint(b, str(tmp_path)) is True
+        b = make_trainer(p=2, t=1, d=d, B=6 * d, seed=99)
+        assert load_checkpoint(b, directory) is True
+        for want, got in zip(a.optimizers, b.optimizers):
+            assert np.array_equal(want.m, got.m)
+            assert np.array_equal(want.v, got.v)
         for _ in range(2):
             assert a.train_step(ids, targets) == b.train_step(ids, targets)
         sa, sb = a.gather_state_dict(), b.gather_state_dict()
         for name in sa:
             assert np.array_equal(sa[name], sb[name]), name
+
+    def test_format_2_restores_and_continues_bit_identically(self, tmp_path):
+        for d in (2, 3):
+            self._restores_and_continues(str(tmp_path / f"d{d}"), 2, d)
+
+    def test_format_3_restores_and_continues_bit_identically(self, tmp_path):
+        for d in (2, 3):
+            self._restores_and_continues(str(tmp_path / f"d{d}"), 3, d)
 
     def test_shard_of_the_wrong_length_is_corrupt(self, tmp_path):
         a = make_trainer()
@@ -290,10 +325,29 @@ class TestShardedOptimizerState:
         path = tmp_path / "optimizer_rank1.npz"
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        arrays["v_3"] = arrays["v_3"][:-1]
+        owned = arrays["v"].size
+        arrays["v"] = arrays["v"][:-1]
         _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
         with pytest.raises(CheckpointCorruptError,
-                           match=r"optimizer_rank1.*v .*parameter 3; rank 1"):
+                           match=rf"optimizer_rank1.*v .*rank 1 owns {owned}"):
+            load_checkpoint(make_trainer(), str(tmp_path))
+
+    def test_per_parameter_chunk_of_the_wrong_length_is_corrupt(
+            self, tmp_path):
+        """The same for a format-3 file, whose chunks are cut per
+        parameter."""
+        a = make_trainer()
+        a.train_step(*batch())
+        save_checkpoint(a, str(tmp_path))
+        moments = _full_moments(a)
+        for r, opt in enumerate(a.optimizers):
+            arrays = {"step_count": np.array(opt.step_count)}
+            for (key, i), whole in moments.items():
+                arrays[f"{key}_{i}"] = whole.reshape(-1)[:-1]
+            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", arrays,
+                     version=3)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"optimizer_rank0.*m .*parameter 0; rank 0"):
             load_checkpoint(make_trainer(), str(tmp_path))
 
 

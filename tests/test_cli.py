@@ -316,7 +316,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", [
         "reorder", "collective-shape", "grad-perturb", "frozen-lr",
-        "kv-offset",
+        "short-hop", "kv-offset",
     ])
     def test_injected_mutations_exit_nonzero_with_repro(self, mode, capsys):
         rc = main(["verify", "--inject", mode, "--fast"])

@@ -535,19 +535,18 @@ class TestRingChunkGeometry:
            k=st.integers(2, 5), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_ring_step_over_many_buffers_equals_coop(self, sizes, k, seed):
-        """The shared-memory ring step, one thread per rank, against the
-        coop ring run on each buffer by itself."""
+        """The shared-memory ring step, one thread per rank, over buffers
+        laid end to end in one segment (a replica's flat gradient
+        vector), against the coop ring over their concatenation."""
         rng = np.random.default_rng(seed)
-        per_rank = [[rng.standard_normal(n) for n in sizes] for _ in range(k)]
-        want = [
-            ring_all_reduce([per_rank[r][i] for r in range(k)], list(range(k)))
-            for i in range(len(sizes))
-        ]
-        segs = [np.concatenate(bufs) for bufs in per_rank]
+        segs = [np.concatenate([rng.standard_normal(n) for n in sizes])
+                for _ in range(k)]
+        want = ring_all_reduce(segs, list(range(k)))
+        n = sum(sizes)
         barrier = threading.Barrier(k)
         threads = [
             threading.Thread(target=ring_all_reduce_step, args=(
-                sizes, r, k, segs[r], segs[(r - 1) % k],
+                n, r, k, segs[r], segs[(r - 1) % k],
                 lambda: barrier.wait(30)))
             for r in range(k)
         ]
@@ -556,7 +555,5 @@ class TestRingChunkGeometry:
         for th in threads:
             th.join(60)
         assert not any(th.is_alive() for th in threads)
-        offsets = np.cumsum([0] + sizes)
         for r in range(k):
-            for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-                assert np.array_equal(segs[r][lo:hi], want[i][r])
+            assert np.array_equal(segs[r], want[r])

@@ -142,6 +142,29 @@ class TestIntegration:
             assert_same_state(coop, mp)
         assert runs["schedule", "coop"][0] == runs["write", "coop"][0]
 
+    @pytest.mark.parametrize("name,value", [
+        ("betas", (0.5, 0.9)), ("eps", 1e-3), ("weight_decay", 0.1),
+    ])
+    def test_a_hyperparameter_written_on_a_parent_reaches_its_worker(
+            self, name, value):
+        """Like the rate, ``betas``, ``eps`` and ``weight_decay`` written
+        on ``trainer.optimizers[1]`` after step 1 act on step 2 the same
+        on both backends: its worker steps with them too."""
+        runs = {}
+        for backend in ("coop", "mp", "unwritten"):
+            with make_trainer(2, 1e-2, backend.replace("unwritten", "coop")
+                              ) as trainer:
+                losses = run(trainer, 1)
+                if backend != "unwritten":
+                    setattr(trainer.optimizers[1], name, value)
+                losses += run(trainer, 1, start=1)
+                runs[backend] = losses, final_state(trainer)
+        assert runs["coop"][0] == runs["mp"][0]
+        assert_same_state(runs["coop"][1], runs["mp"][1])
+        params, _ = runs["coop"][1]
+        assert any(not np.array_equal(params[k], runs["unwritten"][1][0][k])
+                   for k in params)
+
     @pytest.mark.parametrize("backend", ["coop", "mp"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_resume_mid_warmup_is_bit_identical(self, d, backend, tmp_path):

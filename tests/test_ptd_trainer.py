@@ -199,10 +199,14 @@ def train_ptd_trainer():
 class TestDistributedOptimizer:
     def test_each_replica_keeps_moments_for_its_owned_chunks_only(
             self, train_ptd_trainer):
+        """Rank r's moments are 16 bytes for each element of its range
+        ``owned_chunk(P, d, r)`` of the flat vector: the ranges tile P."""
         total = 0
-        for opt in train_ptd_trainer.optimizers:
-            held = sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
-            assert held == 16 * sum(hi - lo for lo, hi in opt.owned)
+        for r, opt in enumerate(train_ptd_trainer.optimizers):
+            lo, hi = owned_chunk(TRAIN_PTD_PARAMETERS, 2, r)
+            held = opt.m.nbytes + opt.v.nbytes
+            assert held == 16 * sum(b - a for a, b in opt.owned) \
+                == 16 * (hi - lo)
             total += held
         params = train_ptd_trainer.replicas[0].parameters()
         assert (len(params), sum(p.size for p in params)) == (
@@ -211,15 +215,41 @@ class TestDistributedOptimizer:
 
     def test_dp_hops_are_the_all_reduces_phase_by_phase(
             self, train_ptd_trainer):
+        """One reduce-scatter and one all-gather over the flat vectors:
+        4 records a step at d = 2, the all-reduce's hops split by phase,
+        and an mp trainer logs the same records."""
         trainer = train_ptd_trainer
         ranks = trainer._dp_ranks
         dp = [r for r in trainer.log.records
               if r.kind is TrafficKind.DATA_PARALLEL]
-        assert len(dp) == 316
-        for i, p in enumerate(trainer.replicas[0].parameters()):
-            hops = [
-                (ranks.index(r.src), ranks.index(r.dst), r.nbytes)
-                for tag in (f"dp.grad.{i}", f"dp.param.{i}")
-                for r in dp if r.tag == tag
-            ]
-            assert hops == ring_all_reduce_hops(p.size, 8, 2), i
+        assert len(dp) == 4
+        plan = ring_all_reduce_hops(TRAIN_PTD_PARAMETERS, 8, 2)
+        for tag, want in (("dp.grad", plan[:2]), ("dp.param", plan[2:])):
+            assert [(ranks.index(r.src), ranks.index(r.dst), r.nbytes)
+                    for r in dp if r.tag == tag] == want, tag
+        log = TrafficLog()
+        with PTDTrainer(TRAIN_PTD, TRAIN_PTD_PARALLEL, seed=0, log=log,
+                        backend="mp") as mp:
+            rng = np.random.default_rng(0)
+            mp.train_step(rng.integers(0, 512, size=(8, 64)),
+                          rng.integers(0, 512, size=(8, 64)))
+        assert log.records == trainer.log.records
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("p,t,d", [(1, 1, 1), (2, 2, 2), (2, 1, 3)])
+    def test_parameters_are_views_of_one_flat_vector(self, p, t, d):
+        """Every parameter's ``data`` and ``grad`` are its range of its
+        replica's flat vectors, end to end in ``parameters()`` order."""
+        trainer = make_trainer(p=p, t=t, d=d, B=6 if d == 3 else 8)
+        for replica in trainer.replicas:
+            offset = 0
+            for param in replica.parameters():
+                end = offset + param.size
+                for flat, arr in ((replica.flat_data, param.data),
+                                  (replica.flat_grad, param.grad)):
+                    assert np.shares_memory(arr, flat[offset:end])
+                    assert not np.shares_memory(arr, flat[:offset])
+                    assert not np.shares_memory(arr, flat[end:])
+                offset = end
+            assert offset == replica.flat_data.size == replica.flat_grad.size

@@ -301,7 +301,7 @@ class TestRunner:
         # Each of these is a section no --inject mode proves able to
         # fail; a new section lands with its mutation.
         assert {s.name for s in TABLE if s.mutation is None} == {
-            "conservation", "chaos", "serve-chaos",
+            "chaos", "serve-chaos",
         }
 
     def test_an_uncaught_defect_fails_as_lost_teeth(self, monkeypatch):
