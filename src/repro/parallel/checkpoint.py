@@ -412,27 +412,32 @@ def load_checkpoint(
         return False
     files = [_load_npz(directory, f"optimizer_rank{r}.npz")
              for r in range(len(trainer.optimizers))]
-    try:
-        if any("m" not in arrays for arrays in files):
-            files = _cut_per_parameter_moments(
-                directory, files, trainer.replicas[0].parameters())
-        for r, (opt, arrays) in enumerate(zip(trainer.optimizers, files)):
-            for key in ("m", "v"):
-                arr = arrays[key]
-                if arr.shape != (opt.m.size,):
-                    raise CheckpointCorruptError(
-                        f"checkpoint {directory}: optimizer_rank{r}.npz "
-                        f"holds {key} of shape {arr.shape}; rank {r} owns "
-                        f"{opt.m.size} elements"
-                    )
-                getattr(opt, key)[...] = arr
-            opt.step_count = int(arrays["step_count"])
-    except KeyError as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint {directory}: an optimizer shard is missing "
-            f"array {exc}"
-        ) from exc
+    if meta["format_version"] < FORMAT_VERSION:
+        files = _cut_per_parameter_moments(
+            directory, files, trainer.replicas[0].parameters())
+    for r, (opt, arrays) in enumerate(zip(trainer.optimizers, files)):
+        for key in ("m", "v"):
+            arr = _shard_array(directory, r, arrays, key)
+            if arr.shape != (opt.m.size,):
+                raise CheckpointCorruptError(
+                    f"checkpoint {directory}: optimizer_rank{r}.npz "
+                    f"holds {key} of shape {arr.shape}; rank {r} owns "
+                    f"{opt.m.size} elements"
+                )
+            getattr(opt, key)[...] = arr
+        opt.step_count = int(_shard_array(directory, r, arrays, "step_count"))
     return True
+
+
+def _shard_array(directory: str, r: int, arrays: dict,
+                 name: str) -> np.ndarray:
+    """Array ``name`` of rank ``r``'s optimizer file."""
+    if name not in arrays:
+        raise CheckpointCorruptError(
+            f"checkpoint {directory}: optimizer_rank{r}.npz is missing "
+            f"array {name!r}"
+        )
+    return arrays[name]
 
 
 def _cut_per_parameter_moments(directory: str, files: list[dict],
@@ -448,7 +453,7 @@ def _cut_per_parameter_moments(directory: str, files: list[dict],
         for r, arrays in enumerate(files):
             lo, hi = owned_chunk(p.size, d, r)
             for key in ("m", "v"):
-                arr = arrays[f"{key}_{i}"]
+                arr = _shard_array(directory, r, arrays, f"{key}_{i}")
                 if arr.shape == p.shape:  # a full moment: formats 1-2
                     full[key][offset:offset + p.size] = arr.reshape(-1)
                 elif arr.shape == (hi - lo,):
@@ -463,7 +468,8 @@ def _cut_per_parameter_moments(directory: str, files: list[dict],
     cut = []
     for r, arrays in enumerate(files):
         lo, hi = owned_chunk(offset, d, r)
-        cut.append({"step_count": arrays["step_count"],
+        cut.append({"step_count": _shard_array(directory, r, arrays,
+                                               "step_count"),
                     "m": full["m"][lo:hi], "v": full["v"][lo:hi]})
     return cut
 

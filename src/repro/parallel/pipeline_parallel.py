@@ -170,6 +170,10 @@ class PipelineParallelGPT:
     pipeline_ranks:
         Global device rank of each pipeline stage's tp-rank-0 GPU, for
         traffic logging (defaults to 0..p-1).
+    buffer:
+        Where the replica lays itself flat (:meth:`_lay_flat`): its
+        gradients in the first P elements, its parameters in the next
+        P.  A fresh zeroed vector by default.
     """
 
     def __init__(
@@ -185,6 +189,7 @@ class PipelineParallelGPT:
         log: TrafficLog | None = None,
         pipeline_ranks: list[int] | None = None,
         data_rng_seed: int = 1234,
+        buffer: np.ndarray | None = None,
     ):
         self.config = config
         self.schedule = schedule
@@ -227,10 +232,7 @@ class PipelineParallelGPT:
             recompute=recompute_activations,
             rng_seed=data_rng_seed,
         )
-        #: set by :meth:`lay_flat`: every parameter's gradient and data
-        #: end to end, in :meth:`parameters` order
-        self.flat_grad: np.ndarray | None = None
-        self.flat_data: np.ndarray | None = None
+        self._lay_flat(buffer)
         self._loss_cache: dict[int, Any] = {}
         self._losses: dict[int, float] = {}
         self._targets: dict[int, np.ndarray] = {}
@@ -375,26 +377,28 @@ class PipelineParallelGPT:
         return out
 
     def zero_grad(self) -> None:
-        if self.flat_grad is not None:
-            self.flat_grad.fill(0.0)
-            return
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat_grad.fill(0.0)
 
-    def lay_flat(self, grad: np.ndarray, data: np.ndarray) -> None:
-        """Move every parameter into the float64 vectors ``data`` and
-        ``grad`` (one element per parameter element, ``grad`` zero),
-        end to end in :meth:`parameters` order: each ``Parameter.data``
-        / ``.grad`` becomes a reshaped view of its range, its values
-        copied in."""
+    def _lay_flat(self, buffer: np.ndarray | None) -> None:
+        """Move every parameter into ``buffer`` (2P float64 or more):
+        gradients, zero, in its first P elements and data in the next P,
+        each end to end in :meth:`parameters` order.  Every
+        ``Parameter.data`` / ``.grad`` becomes a reshaped view of its
+        range, its values copied in."""
+        params = self.parameters()
+        n = sum(p.size for p in params)
+        if buffer is None:
+            # zeros, not a fill: the pages of a gradient nothing writes
+            # (an mp parent's) stay untouched, so they cost no memory
+            buffer = np.zeros(2 * n)
+        self.flat_grad, self.flat_data = buffer[:n], buffer[n:2 * n]
         offset = 0
-        for p in self.parameters():
-            view = data[offset:offset + p.size].reshape(p.shape)
+        for p in params:
+            view = self.flat_data[offset:offset + p.size].reshape(p.shape)
             view[...] = p.data
             p.data = view
-            p.grad = grad[offset:offset + p.size].reshape(p.shape)
+            p.grad = self.flat_grad[offset:offset + p.size].reshape(p.shape)
             offset += p.size
-        self.flat_grad, self.flat_data = grad, data
 
     def parameters_for_norm(self) -> list[Parameter]:
         """Parameters entering the global gradient norm.

@@ -119,10 +119,9 @@ class ReplicaSpec:
     def build(self, dp: int, log: TrafficLog, buffer: np.ndarray | None = None,
               ) -> tuple[PipelineParallelGPT, Adam]:
         """Replica ``dp`` on its pipeline ranks of the Megatron grid,
-        laid flat (:meth:`PipelineParallelGPT.lay_flat`) in ``buffer``
-        -- gradients in its first P elements, parameters in the next P
-        -- or in a fresh one, and its optimizer over the range
-        ``owned_chunk(P, d, dp)`` of the flat vector."""
+        laid flat in ``buffer`` (gradients in its first P elements,
+        parameters in the next P) or in a fresh one, and its optimizer
+        over the range ``owned_chunk(P, d, dp)`` of the flat vector."""
         par = self.parallel
         replica = PipelineParallelGPT(
             self.config,
@@ -134,14 +133,10 @@ class ReplicaSpec:
             recompute_activations=self.recompute_activations,
             log=log,
             pipeline_ranks=ProcessGroups(par).pipeline_group(dp, tp=0),
+            buffer=buffer,
         )
         params = replica.parameters()
-        n = sum(p.size for p in params)
-        if buffer is None:
-            # zeros, not a fill: the pages of a gradient nothing writes
-            # (an mp parent's) stay untouched, so they cost no memory
-            buffer = np.zeros(2 * n)
-        replica.lay_flat(buffer[:n], buffer[n:2 * n])
+        n = replica.flat_data.size
         lo, hi = owned_chunk(n, par.d, dp)
         mine, owned = [], []
         offset = 0

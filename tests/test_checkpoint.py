@@ -219,11 +219,17 @@ class TestValidation:
             load_checkpoint(make_trainer(), str(tmp_path), verify=True)
 
     def test_format_v1_still_loads(self, tmp_path):
-        """Pre-hardening checkpoints (no digests) remain readable."""
+        """Pre-hardening checkpoints (no digests, the full moments of
+        every parameter in every rank file) remain readable."""
         a = make_trainer()
         ids, targets = batch()
         a.train_step(ids, targets)
         save_checkpoint(a, str(tmp_path))
+        arrays = {f"{key}_{i}": whole
+                  for (key, i), whole in _full_moments(a).items()}
+        arrays["step_count"] = np.array(a.optimizers[0].step_count)
+        for r in range(len(a.optimizers)):
+            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", arrays)
         meta_path = tmp_path / "metadata.json"
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = 1
@@ -232,6 +238,9 @@ class TestValidation:
         b = make_trainer(seed=7)
         assert load_checkpoint(b, str(tmp_path)) is True
         assert b.iteration == 1
+        for want, got in zip(a.optimizers, b.optimizers):
+            assert np.array_equal(want.m, got.m)
+            assert np.array_equal(want.v, got.v)
 
 
 def _rewrite(directory, name, arrays, version=None):
@@ -276,22 +285,26 @@ class TestShardedOptimizerState:
     chunk of every parameter) and format 2 (full moments in every rank
     file) load."""
 
+    #: (p, t, d): tensor-parallel shards, a two-shard tied embedding,
+    #: and ranges that cut parameters unevenly at d = 3
+    GRIDS = ((2, 2, 2), (2, 1, 2), (2, 1, 3))
+
     @staticmethod
-    def _restores_and_continues(directory, version, d):
-        """Rewrite a d-rank checkpoint's optimizer files in format
+    def _restores_and_continues(directory, version, p, t, d):
+        """Rewrite a (p, t, d) checkpoint's optimizer files in format
         ``version``; a trainer restored from it trains on bit for bit."""
         from repro.comm.primitives import owned_chunk
 
         ids, targets = batch(B=6 * d)
-        a = make_trainer(p=2, t=1, d=d, B=6 * d)
+        a = make_trainer(p=p, t=t, d=d, B=6 * d)
         for _ in range(2):
             a.train_step(ids, targets)
         save_checkpoint(a, directory)
         moments = _full_moments(a)
         for r, opt in enumerate(a.optimizers):
             arrays = {"step_count": np.array(opt.step_count)}
-            for i, p in enumerate(a.replicas[0].parameters()):
-                lo, hi = owned_chunk(p.size, d, r)
+            for i, param in enumerate(a.replicas[0].parameters()):
+                lo, hi = owned_chunk(param.size, d, r)
                 for key in ("m", "v"):
                     whole = moments[key, i]
                     arrays[f"{key}_{i}"] = (
@@ -299,7 +312,7 @@ class TestShardedOptimizerState:
             _rewrite(directory, f"optimizer_rank{r}.npz", arrays,
                      version=version)
 
-        b = make_trainer(p=2, t=1, d=d, B=6 * d, seed=99)
+        b = make_trainer(p=p, t=t, d=d, B=6 * d, seed=99)
         assert load_checkpoint(b, directory) is True
         for want, got in zip(a.optimizers, b.optimizers):
             assert np.array_equal(want.m, got.m)
@@ -311,12 +324,14 @@ class TestShardedOptimizerState:
             assert np.array_equal(sa[name], sb[name]), name
 
     def test_format_2_restores_and_continues_bit_identically(self, tmp_path):
-        for d in (2, 3):
-            self._restores_and_continues(str(tmp_path / f"d{d}"), 2, d)
+        for p, t, d in self.GRIDS:
+            self._restores_and_continues(
+                str(tmp_path / f"p{p}t{t}d{d}"), 2, p, t, d)
 
     def test_format_3_restores_and_continues_bit_identically(self, tmp_path):
-        for d in (2, 3):
-            self._restores_and_continues(str(tmp_path / f"d{d}"), 3, d)
+        for p, t, d in self.GRIDS:
+            self._restores_and_continues(
+                str(tmp_path / f"p{p}t{t}d{d}"), 3, p, t, d)
 
     def test_shard_of_the_wrong_length_is_corrupt(self, tmp_path):
         a = make_trainer()
@@ -330,6 +345,20 @@ class TestShardedOptimizerState:
         _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
         with pytest.raises(CheckpointCorruptError,
                            match=rf"optimizer_rank1.*v .*rank 1 owns {owned}"):
+            load_checkpoint(make_trainer(), str(tmp_path))
+
+    def test_shard_missing_an_array_is_corrupt(self, tmp_path):
+        """The format version, not the file's contents, picks the
+        layout: a format-4 file without ``m`` is named as corrupt."""
+        a = make_trainer()
+        a.train_step(*batch())
+        save_checkpoint(a, str(tmp_path))
+        path = tmp_path / "optimizer_rank1.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "m"}
+        _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"optimizer_rank1\.npz is missing array 'm'"):
             load_checkpoint(make_trainer(), str(tmp_path))
 
     def test_per_parameter_chunk_of_the_wrong_length_is_corrupt(
