@@ -7,7 +7,7 @@ calibration.
 """
 
 from repro.config import ParallelConfig, fig13_model
-from repro.experiments.report import ExperimentResult
+from repro.experiments import ExperimentResult
 from repro.sim import SimOptions, simulate_iteration
 
 

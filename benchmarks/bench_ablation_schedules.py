@@ -7,7 +7,7 @@ interleaved-GPipe variant shows why memory matters.
 """
 
 from repro.config import ParallelConfig, gpt3_175b
-from repro.experiments.report import ExperimentResult
+from repro.experiments import ExperimentResult
 from repro.perf import in_flight_microbatches
 from repro.sim import SimOptions, simulate_iteration
 

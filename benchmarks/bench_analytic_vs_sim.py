@@ -8,7 +8,7 @@ speed advantage of the closed form.
 import time
 
 from repro.config import TABLE1_ROWS
-from repro.experiments.report import ExperimentResult
+from repro.experiments import ExperimentResult
 from repro.perf import estimate_iteration
 from repro.sim import simulate_iteration
 

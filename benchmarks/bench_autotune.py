@@ -26,7 +26,7 @@ from repro.schedule import (
 
 def test_heuristic_vs_exhaustive(show):
     gap, best, heuristic = heuristic_gap(fig14_model(), 32, 64)
-    from repro.experiments.report import ExperimentResult
+    from repro.experiments import ExperimentResult
 
     r = ExperimentResult(
         experiment_id="ablation_autotune",

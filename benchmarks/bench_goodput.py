@@ -6,7 +6,7 @@ failure-trace replay, asserting the sweep's optimum is interior and
 agrees with the Young/Daly interval within one sweep step.
 """
 
-from repro.experiments import goodput_interval
+from repro.experiments import GOODPUT_SWEEP_POINTS, goodput_interval
 from repro.resilience import (
     Kill,
     log_spaced_intervals,
@@ -18,12 +18,12 @@ from repro.resilience import (
 
 def test_goodput_interval_sweep(show, goodput_1t):
     scenario, policy = goodput_1t
-    result = goodput_interval.run()
+    result = goodput_interval()
     show(result)
     mtbf = scenario.cluster_mtbf_seconds
     sweep = sweep_checkpoint_interval(
         log_spaced_intervals(2.0 * policy.save_seconds, mtbf,
-                             goodput_interval.SWEEP_POINTS),
+                             GOODPUT_SWEEP_POINTS),
         mtbf_seconds=mtbf,
         save_seconds=policy.save_seconds,
         load_seconds=policy.load_seconds,

@@ -47,12 +47,12 @@ same process a moment apart, so machine speed cancels:
   tuple).  Bound: 1.4x -- the parent fails it by 79% or more, the
   change clears it by 19% at its worst reading (27% at its best).
 
-All three use ``bench_serve_chaos``'s estimator: back-to-back pairs in
-alternating order, the smaller of the ratio of minima and the median of
-per-pair ratios, re-measured up to three times when over budget.
+All three use the ``paired_ratio`` estimator of ``conftest.py`` (shared
+with ``bench_serve_chaos``): back-to-back pairs in alternating order, the
+smaller of the ratio of minima and the median of per-pair ratios,
+re-measured up to three times when over budget.
 """
 
-import statistics
 import time
 
 import numpy as np
@@ -71,49 +71,28 @@ TICK_SHAPE, FC1_SHAPE = (8, 1, 128), (128, 512)
 BATCHED_LINEAR_BOUND = 1.4
 
 
-def _seconds(fn, calls: int) -> float:
-    t0 = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return time.perf_counter() - t0
+def _seconds(fn, calls: int):
+    """One timed sample of ``fn``: seconds per call over ``calls``
+    back-to-back calls."""
+
+    def sample() -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - t0) / calls
+
+    return sample
 
 
-def paired_ratio(numerator, denominator, calls: int, pairs: int = 31) -> float:
-    """``numerator()`` time over ``denominator()`` time (see module
-    docstring for the estimator)."""
-    _seconds(numerator, calls), _seconds(denominator, calls)  # warm
-    samples = []
-    for i in range(pairs):
-        if i % 2 == 0:
-            num, den = _seconds(numerator, calls), _seconds(denominator, calls)
-        else:
-            den, num = _seconds(denominator, calls), _seconds(numerator, calls)
-        samples.append((num, den))
-    min_num, min_den = (min(arm) / calls * 1e6 for arm in zip(*samples))
-    med_ratio = statistics.median(n / d for n, d in samples)
-    print(f"\nbest {min_num:.0f} us over {min_den:.0f} us = "
-          f"{min_num / min_den:.2f}, median of pair ratios {med_ratio:.2f}")
-    return min(min_num / min_den, med_ratio)
-
-
-def guarded_ratio(numerator, denominator, bound: float, calls: int) -> list:
-    """Up to three measurements, stopping at the first within ``bound``."""
-    attempts = []
-    for _ in range(3):
-        attempts.append(paired_ratio(numerator, denominator, calls))
-        if attempts[-1] <= bound:
-            break
-    return attempts
-
-
-def test_block_forward_not_slower_than_backward():
+def test_block_forward_not_slower_than_backward(paired_ratio):
     rng = np.random.default_rng(0)
     x, dy = rng.standard_normal((2, *SHAPE))
     block = TransformerBlock(SHAPE[-1], HEADS)
     _, cache = block.forward(x)
-    attempts = guarded_ratio(
-        lambda: block.forward(x), lambda: block.backward(dy, cache),
-        bound=FORWARD_BOUND, calls=5,
+    attempts = paired_ratio(
+        _seconds(lambda: block.forward(x), 5),
+        _seconds(lambda: block.backward(dy, cache), 5),
+        bound=FORWARD_BOUND,
     )
     assert min(attempts) <= FORWARD_BOUND, (
         f"a TransformerBlock forward costs more than {FORWARD_BOUND}x its "
@@ -123,7 +102,7 @@ def test_block_forward_not_slower_than_backward():
     )
 
 
-def test_all_reduce_costs_a_bounded_multiple_of_its_ring():
+def test_all_reduce_costs_a_bounded_multiple_of_its_ring(paired_ratio):
     # Eight activation pairs cut from one buffer at offsets that differ
     # mod 4096, so no one cache alignment decides the reading.
     n, pad = int(np.prod(SHAPE)), 72
@@ -149,8 +128,8 @@ def test_all_reduce_costs_a_bounded_multiple_of_its_ring():
 
     a, b = pairs[0]
     assert np.array_equal(ring_all_reduce([a, b], [0, 1], log)[0], a + b)
-    attempts = guarded_ratio(all_reduces, bare_rings, bound=ALL_REDUCE_BOUND,
-                             calls=25)
+    attempts = paired_ratio(_seconds(all_reduces, 25), _seconds(bare_rings, 25),
+                            bound=ALL_REDUCE_BOUND)
     assert min(attempts) <= ALL_REDUCE_BOUND, (
         "a coop t=2 all-reduce of a 64 KB activation costs more than "
         f"{ALL_REDUCE_BOUND}x the bare ring it runs (ratios {attempts}): "
@@ -159,7 +138,7 @@ def test_all_reduce_costs_a_bounded_multiple_of_its_ring():
     )
 
 
-def test_batched_linear_costs_one_gemm_over_its_rows():
+def test_batched_linear_costs_one_gemm_over_its_rows(paired_ratio):
     rng = np.random.default_rng(0)
     x, weight = rng.standard_normal(TICK_SHAPE), rng.standard_normal(FC1_SHAPE)
     bias = rng.standard_normal(FC1_SHAPE[1])
@@ -172,9 +151,10 @@ def test_batched_linear_costs_one_gemm_over_its_rows():
     # the same work (bit for bit the same is tests/test_kernels.py's job)
     assert np.allclose(F.linear_forward(x, weight, bias)[0][:, 0],
                        rows @ weight + bias)
-    attempts = guarded_ratio(
-        lambda: F.linear_forward(x, weight, bias), bare,
-        bound=BATCHED_LINEAR_BOUND, calls=100,
+    attempts = paired_ratio(
+        _seconds(lambda: F.linear_forward(x, weight, bias), 100),
+        _seconds(bare, 100),
+        bound=BATCHED_LINEAR_BOUND,
     )
     assert min(attempts) <= BATCHED_LINEAR_BOUND, (
         f"F.linear_forward on a {TICK_SHAPE} activation costs more than "

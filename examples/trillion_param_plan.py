@@ -46,7 +46,7 @@ def main() -> None:
           f"{(fp.activations + fp.stage_inputs)/1e9:.1f})")
 
     print("\ncommunication (§5.9):")
-    for metric, value, paper in bisection.run().rows:
+    for metric, value, paper in bisection().rows:
         paper_s = f"(paper: {paper:g} GB/s)" if paper == paper else ""
         print(f"  {metric}: {value:,.0f} GB/s {paper_s}")
 

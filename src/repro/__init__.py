@@ -14,7 +14,8 @@ The package has two halves:
    `repro.perf`, `repro.io_sim`): a roofline kernel model of A100 GPUs,
    a fat-tree Selene-like cluster, and a discrete-event simulator that
    regenerates every table and figure of the paper's evaluation
-   (`repro.experiments`, `python -m repro.experiments`).
+   (`repro.experiments`, one function per table/figure;
+   `python -m repro.experiments`).
 
 Quickstart::
 

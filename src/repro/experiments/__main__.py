@@ -6,9 +6,7 @@ Pass --plot to additionally render ASCII charts of the figure shapes.
 import sys
 
 from . import REGISTRY
-from .fig03_fig04_schedules import render_all
 from .plots import plot_experiment
-from .report import print_result
 
 
 def main(argv: list[str]) -> int:
@@ -19,15 +17,13 @@ def main(argv: list[str]) -> int:
             print(f"unknown experiment {key!r}; choose from {sorted(REGISTRY)}")
             return 1
         result = REGISTRY[key]()
-        print_result(result)
+        print(result.to_text())
+        print()
         if plot:
             chart = plot_experiment(result)
             if chart:
                 print(chart)
                 print()
-        if key == "fig03_fig04":
-            print(render_all())
-            print()
     return 0
 
 

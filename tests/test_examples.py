@@ -37,10 +37,6 @@ class TestExamples:
         out = run_example("schedule_explorer.py", "4", "6", "2")
         assert "skipped" in out
 
-    def test_zero3_vs_ptdp(self):
-        out = run_example("zero3_vs_ptdp.py")
-        assert "PTD-P advantage" in out
-
     def test_trillion_param_plan(self):
         out = run_example("trillion_param_plan.py")
         assert "502" in out and "84 days" in out

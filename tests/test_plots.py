@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.experiments import ExperimentResult
 from repro.experiments.plots import line_chart, plot_experiment
-from repro.experiments.report import ExperimentResult
 from repro.obs.monitor import sparkline
 
 
@@ -76,7 +76,7 @@ class TestPlotExperiment:
         assert isinstance(plot_experiment(r), str)
 
     def test_real_experiments_plot_or_skip_cleanly(self):
-        from repro.experiments import fig06_bubble, fig12_interleaved
+        from repro.experiments import fig06, fig12
 
-        assert plot_experiment(fig06_bubble.run()) != ""
-        assert plot_experiment(fig12_interleaved.run()) != ""
+        assert plot_experiment(fig06()) != ""
+        assert plot_experiment(fig12()) != ""

@@ -222,7 +222,7 @@ class TestStrongScaling:
     def test_near_linear(self):
         from repro.experiments import strong_scaling
 
-        r = strong_scaling.run()
+        r = strong_scaling()
         effs = [row[r.columns.index("efficiency")] for row in r.rows]
         assert effs[0] == 1.0
         assert all(a >= b for a, b in zip(effs, effs[1:]))

@@ -14,7 +14,7 @@ other's caches:
 - ``entry``: every ``repro`` subcommand as CI and the README run it
   (``verify`` with ``--fast``, in full and with each ``--inject`` mode),
   the artefact readers (plans, traces, schedule fixtures, run logs, bad
-  ones included), ``python -m repro.experiments --plot``, the nine
+  ones included), ``python -m repro.experiments --plot``, the eight
   examples, and one traced run of each ``bench/worker.py`` workload;
 - ``tests``: the tier-1 suite.
 
@@ -445,7 +445,6 @@ def drive_entry_points() -> None:
         _example("capacity_planner.py", "18", "256", "1024")
         _example("schedule_explorer.py", "4", "8", "2")
         _example("schedule_explorer.py", "4", "6", "2")
-        _example("zero3_vs_ptdp.py")
         _example("trillion_param_plan.py")
         _example("end_to_end_training.py")
         _example("language_modeling.py")
