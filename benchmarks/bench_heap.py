@@ -14,6 +14,15 @@ single-worker trainer, each replica worker (field 10 of
 Readings, faults a step, glibc's defaults -> the trainer's policy: coop
 17 940-17 990 -> 39-41 (its own TrafficLog growing), single-worker
 24 940-25 070 -> 0-2, each mp worker 7 868-7 875 -> 0-5.
+
+One more guard reads memory, not faults: a replica worker holds one
+replica whatever d is.  Its peak resident set (VmHWM) at d = 4 minus at
+d = 2, each in a fresh interpreter, must be at most one parameter
+vector, 8·P bytes (7.1 MiB).  With the pool forked before the parent
+builds its replicas it reads +3.5 MiB (76.0 -> 79.5 MiB: the worker
+touches more of its neighbour's segment as d grows); forked after, every
+worker also carried the parent's d replicas and read +21.8 MiB
+(106.0 -> 127.8 MiB).
 """
 
 import json
@@ -54,20 +63,27 @@ def _minor_faults(pid: int) -> int:
         return int(fh.read().rpartition(")")[2].split()[7])
 
 
-def warm_step_faults(which: str, shape: dict = SHAPE) -> list[int]:
-    """Minor faults of each counted warm step of a new ``which`` trainer
-    in this process: one count per step, or per step and worker on mp."""
-    p, t, d = TRAINERS[which]
-    parallel = ParallelConfig(
-        pipeline_parallel_size=p, tensor_parallel_size=t,
-        data_parallel_size=d, microbatch_size=1,
-        global_batch_size=GLOBAL_BATCH)
+def _new_trainer(p: int, t: int, d: int, backend: str,
+                 shape: dict = SHAPE) -> tuple[PTDTrainer, np.ndarray]:
+    """A batch of ``(ids, targets)``, then a new trainer with (p, t, d),
+    microbatch 1 and ``GLOBAL_BATCH`` at ``shape``."""
     config = GPTConfig(**shape)
     rng = np.random.default_rng(0)
     batch = rng.integers(0, config.vocab_size,
                          size=(2, GLOBAL_BATCH, config.seq_length))
-    with PTDTrainer(config, parallel, backend="mp" if which == "mp"
-                    else "coop") as trainer:
+    parallel = ParallelConfig(
+        pipeline_parallel_size=p, tensor_parallel_size=t,
+        data_parallel_size=d, microbatch_size=1,
+        global_batch_size=GLOBAL_BATCH)
+    return PTDTrainer(config, parallel, backend=backend), batch
+
+
+def warm_step_faults(which: str, shape: dict = SHAPE) -> list[int]:
+    """Minor faults of each counted warm step of a new ``which`` trainer
+    in this process: one count per step, or per step and worker on mp."""
+    trainer, batch = _new_trainer(
+        *TRAINERS[which], "mp" if which == "mp" else "coop", shape)
+    with trainer:
         pids = ([proc.pid for proc in trainer._workers._procs]
                 if which == "mp" else [os.getpid()])
         for _ in range(WARM_STEPS):
@@ -80,34 +96,72 @@ def warm_step_faults(which: str, shape: dict = SHAPE) -> list[int]:
     return counts
 
 
+def _peak_resident_bytes(pid: int) -> int:
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise RuntimeError(f"no VmHWM in /proc/{pid}/status")
+
+
+def worker_peak_bytes(d: int) -> tuple[int, int]:
+    """Largest peak resident set (VmHWM) among the replica workers of a
+    new mp trainer at ``train_ptd``'s shapes with ``d`` data-parallel
+    replicas, after its warm steps, and P, its parameter count."""
+    trainer, batch = _new_trainer(2, 2, d, "mp")
+    with trainer:
+        for _ in range(WARM_STEPS):
+            trainer.train_step(*batch)
+        peak = max(_peak_resident_bytes(proc.pid)
+                   for proc in trainer._workers._procs)
+        return peak, trainer.spec.flat_size()
+
+
 _CHILD = """
 import json, sys
 import bench_heap
-which, shape, keep_heap = json.loads(sys.argv[1])
+name, args, keep_heap = json.loads(sys.argv[1])
 if not keep_heap:
     from repro.parallel import trainer
     trainer._keep_heap_resident = lambda: None
-print(json.dumps(bench_heap.warm_step_faults(which, shape)))
+print(json.dumps(getattr(bench_heap, name)(*args)))
 """
 
 
-def in_fresh_process(which: str, shape: dict = SHAPE,
-                     keep_heap: bool = True) -> list[int]:
-    """:func:`warm_step_faults` in a new interpreter, BLAS at one thread
-    as the benchmark runs it; ``keep_heap=False`` makes the trainer's
-    heap policy a no-op, as if it were not there."""
+def _fresh(name: str, args: list, keep_heap: bool = True):
+    """``name(*args)`` of this module in a new interpreter, BLAS at one
+    thread as the benchmark runs it; ``keep_heap=False`` makes the
+    trainer's heap policy a no-op, as if it were not there."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (
         str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD,
-         json.dumps([which, shape, keep_heap])],
+        [sys.executable, "-c", _CHILD, json.dumps([name, args, keep_heap])],
         env=env, capture_output=True, text=True, check=True, timeout=300)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def in_fresh_process(which: str, shape: dict = SHAPE,
+                     keep_heap: bool = True) -> list[int]:
+    """:func:`warm_step_faults` in a new interpreter."""
+    return _fresh("warm_step_faults", [which, shape], keep_heap)
 
 
 @pytest.mark.parametrize("which", list(TRAINERS))
 def test_warm_step_faults_no_pages(which):
     counts = in_fresh_process(which)
     assert max(counts) <= BOUND, f"{which}: {counts} faults a step"
+
+
+def test_a_worker_holds_one_replica_whatever_d():
+    # A worker forked after the parent built its d replicas carried all
+    # of them: two more at d = 4 than at d = 2.  Forked first, it only
+    # touches more of its neighbour's segment as d grows.
+    peak4, p = _fresh("worker_peak_bytes", [4])
+    peak2, _ = _fresh("worker_peak_bytes", [2])
+    growth = peak4 - peak2
+    assert growth <= 8 * p, (
+        f"a replica worker's peak RSS grows {growth / 2**20:.1f} MiB from "
+        f"d = 2 to d = 4, more than one parameter vector "
+        f"({8 * p / 2**20:.1f} MiB): it holds replicas it never reads")

@@ -250,6 +250,12 @@ class WorkerPool:
     per worker, unlinked by :meth:`close`; ``segments`` are those,
     attached in the worker, in rank order.
 
+    Create the pool before building anything large: under the fork
+    start method a worker starts as a copy of its creator, and every
+    page the creator has touched by then counts in the worker's
+    resident set for its whole life, read or not.  Build large state
+    in ``make_ops``, where only the worker that owns it holds it.
+
     A worker that raises leaves the pool usable: one ``RuntimeError``
     carries every traceback.  A worker that *died*, or a pool silent
     for ``timeout`` seconds, is fatal: the error names the rank and the

@@ -25,9 +25,11 @@ class TrafficKind(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
-    """One point-to-point transfer of ``nbytes`` from src to dst rank."""
+    """One point-to-point transfer of ``nbytes`` from src to dst rank.
+
+    Slotted: a training run keeps tens of thousands of these."""
 
     src: int
     dst: int

@@ -241,17 +241,19 @@ def record_transfer(nbytes: int, kind: str) -> None:
         tracer.on_transfer(nbytes, kind)
 
 
-@contextlib.contextmanager
+#: What :func:`span` returns when tracing is off: one shared context
+#: manager entering to None, so the null path builds nothing.
+_NO_SPAN = contextlib.nullcontext()
+
+
 def span(name: str, phase: str = "", rank: int = GLOBAL_RANK,
-         **counters: float) -> Iterator[Span | None]:
+         **counters: float) -> contextlib.AbstractContextManager[Span | None]:
     """Open a span on the current tracer, or do nothing if tracing is
     off.  The null path is a single truthiness check — instrumentation
     sites can use this unconditionally."""
     if not _ACTIVE:
-        yield None
-        return
-    with _ACTIVE[-1].span(name, phase, rank, **counters) as s:
-        yield s
+        return _NO_SPAN
+    return _ACTIVE[-1].span(name, phase, rank, **counters)
 
 
 @contextlib.contextmanager

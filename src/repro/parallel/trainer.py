@@ -116,6 +116,15 @@ class ReplicaSpec:
     loss_scale: float
     zero_stage: int
 
+    def flat_size(self) -> int:
+        """P, the length of a replica's flat parameter vector
+        (``replica.flat_data.size``), without building one: the model's
+        parameters, plus the head's copy of the tied embedding when
+        there are several pipeline stages."""
+        cfg = self.config
+        tied = cfg.vocab_size * cfg.hidden_size if self.parallel.p > 1 else 0
+        return cfg.num_parameters_exact() + tied
+
     def build(self, dp: int, log: TrafficLog, buffer: np.ndarray | None = None,
               ) -> tuple[PipelineParallelGPT, Adam]:
         """Replica ``dp`` on its pipeline ranks of the Megatron grid,
@@ -291,32 +300,40 @@ class PTDTrainer(AbstractContextManager):
         )
         self.recompute_activations = recompute_activations
         self.log = log if log is not None else TrafficLog()
-        self.replicas, self.optimizers = map(list, zip(*(
-            self.spec.build(dp, self.log) for dp in range(parallel.d)
-        )))
+        # mp backend: one real process per data-parallel replica, forked
+        # before the parent builds anything large, so that each worker
+        # holds its own replica and none of the parent's d.  The parent's
+        # replicas stay the canonical checkpoint state; the staleness
+        # flags track which side holds the freshest weights.
+        self._workers = None
+        self._parent_stale = False
+        self._workers_stale = False
+        try:
+            if self.backend.name == "mp":
+                from .mp_workers import replica_ops
+
+                d = parallel.data_parallel_size
+                # d > 1: one ring segment per worker, holding its
+                # replica's gradients and parameters
+                # (mp_workers.replica_ops) and its partial sum of squares
+                # for the gradient norm
+                ring_bytes = 8 * (2 * self.spec.flat_size() + 1)
+                self._workers = WorkerPool(
+                    d, replica_ops, (self.spec,),
+                    segment_bytes=ring_bytes if d > 1 else 0,
+                    timeout=self.backend.timeout, name="repro-replica",
+                )
+            self.replicas, self.optimizers = map(list, zip(*(
+                self.spec.build(dp, self.log) for dp in range(parallel.d)
+            )))
+        except BaseException:
+            # no worker process or segment outlives a failed constructor
+            self.close()
+            raise
         self.schedule = self.replicas[0].schedule
         self._dp_ranks = ProcessGroups(parallel).data_group(pp=0, tp=0)
         self.last_grad_norm: float | None = None
         self.iteration = 0
-        # mp backend: one real process per data-parallel replica.  The
-        # parent's replicas stay the canonical checkpoint state; the
-        # staleness flags track which side holds the freshest weights.
-        self._workers = None
-        self._parent_stale = False
-        self._workers_stale = False
-        if self.backend.name == "mp":
-            from .mp_workers import replica_ops
-
-            d = parallel.data_parallel_size
-            # d > 1: one ring segment per worker, holding its replica's
-            # gradients and parameters (mp_workers.replica_ops) and its
-            # partial sum of squares for the gradient norm
-            ring_bytes = 8 * (2 * self.replicas[0].flat_data.size + 1)
-            self._workers = WorkerPool(
-                d, replica_ops, (self.spec,),
-                segment_bytes=ring_bytes if d > 1 else 0,
-                timeout=self.backend.timeout, name="repro-replica",
-            )
         #: Callables invoked with the trainer at the top of every
         #: ``train_step``, before any compute.  The chaos harness
         #: (:mod:`repro.resilience.harness`) injects rank failures here;

@@ -92,6 +92,13 @@ class TestActiveTracerStack:
         with span("anything", phase="x") as s:
             assert s is None
 
+    def test_no_tracer_builds_no_context_manager(self):
+        """Off, every ``span()`` is one shared object, and it nests."""
+        outer = span("a")
+        assert span("b", phase="y", rank=3, bytes=8) is outer
+        with outer as a, span("c") as c:
+            assert a is None and c is None
+
     def test_trace_activates_and_pops(self):
         with trace(clock=ticker()) as t:
             assert current_tracer() is t

@@ -100,6 +100,16 @@ class TestTrafficAndGroupsMisc:
         with pytest.raises(ValueError):
             TransferRecord(src=-1, dst=1, nbytes=1)
 
+    def test_transfer_record_is_slotted_and_frozen(self):
+        import dataclasses
+
+        from repro.comm import TransferRecord
+
+        record = TransferRecord(src=0, dst=1, nbytes=8)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.nbytes = 16
+
     def test_group_bounds(self):
         from repro.comm import ProcessGroups
 

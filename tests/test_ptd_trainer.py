@@ -8,6 +8,7 @@ from repro.comm.primitives import COOP, owned_chunk
 from repro.config import GPTConfig, ParallelConfig, tiny_test_model
 from repro.nn import Adam, GPTModel
 from repro.parallel import PTDTrainer, scatter_batch
+from repro.verify.conformance import ConformanceCase, model_for_case
 
 CFG = tiny_test_model(num_layers=4, hidden_size=16, num_attention_heads=4,
                       vocab_size=32, seq_length=8)
@@ -237,6 +238,27 @@ class TestDistributedOptimizer:
 
 
 class TestFlatLayout:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p,t,v", [
+        (p, t, v) for p in (1, 2, 4) for t in (1, 2, 4) for v in (1, 2)
+        if v == 1 or p > 1
+    ])
+    def test_flat_size_is_the_built_vector(self, p, t, v, d):
+        """``ReplicaSpec.flat_size``, which sizes an mp trainer's ring
+        segments before any replica exists, is every replica's flat
+        vector length (the head's tied copy counted when p > 1) on the
+        conformance grid's models."""
+        case = ConformanceCase(p=p, t=t, d=d, v=v, m=p * v)
+        parallel = ParallelConfig(
+            pipeline_parallel_size=p, tensor_parallel_size=t,
+            data_parallel_size=d, microbatch_size=1,
+            global_batch_size=d * case.m, num_model_chunks=v,
+        )
+        trainer = PTDTrainer(model_for_case(case), parallel,
+                             schedule="interleaved" if v > 1 else "1f1b")
+        assert ({replica.flat_data.size for replica in trainer.replicas}
+                == {trainer.spec.flat_size()})
+
     @pytest.mark.parametrize("p,t,d", [(1, 1, 1), (2, 2, 2), (2, 1, 3)])
     def test_parameters_are_views_of_one_flat_vector(self, p, t, d):
         """Every parameter's ``data`` and ``grad`` are its range of its

@@ -141,6 +141,38 @@ def test_pool_timeout_bounds_a_silent_worker():
         backend.close()
 
 
+def test_a_parent_build_that_raises_leaves_no_worker(monkeypatch):
+    """The replica workers are forked before the parent builds its own
+    replicas; when that build raises, the constructor closes the pool:
+    no worker is alive and no segment is left."""
+    parent = os.getpid()
+    build = trainer_mod.ReplicaSpec.build
+    pools = []
+
+    class SpiedPool(WorkerPool):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    def build_failing_in_parent(spec, dp, log, buffer=None):
+        if os.getpid() == parent:
+            raise MemoryError("no room for the parent's replicas")
+        return build(spec, dp, log, buffer)
+
+    monkeypatch.setattr(trainer_mod, "WorkerPool", SpiedPool)
+    monkeypatch.setattr(trainer_mod.ReplicaSpec, "build",
+                        build_failing_in_parent)
+    with pytest.raises(MemoryError, match="parent's replicas"):
+        PTDTrainer(CONFIG, ParallelConfig(
+            data_parallel_size=2, microbatch_size=1, global_batch_size=2,
+        ), backend="mp")
+    [pool] = pools  # the workers existed, and built, before the parent
+    assert pool._closed
+    assert all(not proc.is_alive() for proc in pool._procs)
+    assert live_segment_names() == []
+    assert leaked_dev_shm_segments() == []
+
+
 # -- the replica step -----------------------------------------------------------
 def test_worker_runs_the_trainers_step_functions(monkeypatch):
     assert mp_workers.forward_backward is trainer_mod.forward_backward
