@@ -29,6 +29,11 @@ def generate(
 ) -> np.ndarray:
     """Continue ``prompt_ids`` (1-D int array) by ``max_new_tokens``.
 
+    ``model`` is anything with a ``config`` and a ``forward(context,
+    training=False)`` whose first result is the full-vocabulary logits
+    (a :class:`GPTModel`, or a tensor-parallel
+    :class:`~repro.serve.tp.TensorParallelDecoder`).
+
     ``temperature = 0`` selects greedy decoding; otherwise logits are
     divided by the temperature and sampled (restricted to the ``top_k``
     most likely tokens when given).  The context window slides so inputs

@@ -398,9 +398,9 @@ def load_checkpoint(
     try:
         for replica in trainer.replicas:
             replica.load_gathered_state_dict(state)
-    except KeyError as exc:
+    except ValueError as exc:  # a missing or wrong-shaped weight, named
         raise CheckpointCorruptError(
-            f"checkpoint {directory}: model.npz is missing parameter {exc}"
+            f"checkpoint {directory}: model.npz: {exc}"
         ) from exc
     trainer.iteration = int(meta["iteration"])
     # The parent's canonical state changed under the trainer: on the mp

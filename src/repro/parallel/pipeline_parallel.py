@@ -23,13 +23,12 @@ Features reproduced:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.comm import TrafficKind, TrafficLog, ring_all_reduce, send
 from repro.config import GPTConfig
-from repro.nn import GPTModel
 from repro.nn.module import Module, Parameter
 from repro.schedule import OpKind, PipelineSchedule, ScheduleOp, execute
 
@@ -98,6 +97,10 @@ class PipelineStage:
     def in_flight(self) -> int:
         return len(self._stash)
 
+    def clear(self) -> None:
+        """Drop every stashed microbatch."""
+        self._stash.clear()
+
     def parameters(self) -> list[Parameter]:
         seen: set[int] = set()
         out: list[Parameter] = []
@@ -152,7 +155,7 @@ def split_layers_into_stages(
 
 
 class PipelineParallelGPT:
-    """A GPT executed under a pipeline schedule, optionally tensor-parallel.
+    """A tensor-parallel GPT executed under a pipeline schedule.
 
     Parameters
     ----------
@@ -162,7 +165,8 @@ class PipelineParallelGPT:
         A validated :class:`PipelineSchedule`; its (p, v) determine the
         stage partitioning.
     tensor_parallel_size:
-        t; t > 1 shards every layer over a tensor-parallel group.
+        t: every layer is sharded over a tensor-parallel group of t
+        ranks (:class:`TensorParallelGPT`); t = 1 is a group of one.
     seed:
         Weight-init seed (must match the serial model to compare).
     recompute_activations:
@@ -200,23 +204,16 @@ class PipelineParallelGPT:
         if len(self.pipeline_ranks) != p:
             raise ValueError("pipeline_ranks must have one entry per stage")
 
-        if tensor_parallel_size > 1:
-            self.tp_group = TensorParallelGroup(
-                ranks=list(range(tensor_parallel_size)), log=self.log
-            )
-            self._model = TensorParallelGPT(
-                config,
-                self.tp_group,
-                seed=seed,
-                dropout=dropout,
-                attention_dropout=attention_dropout,
-            )
-        else:
-            self.tp_group = None
-            self._model = GPTModel(
-                config, seed=seed, dropout=dropout,
-                attention_dropout=attention_dropout,
-            )
+        self.tp_group = TensorParallelGroup(
+            ranks=list(range(tensor_parallel_size)), log=self.log
+        )
+        self._model = TensorParallelGPT(
+            config,
+            self.tp_group,
+            seed=seed,
+            dropout=dropout,
+            attention_dropout=attention_dropout,
+        )
 
         layers = self._model.layers
         self.total_stages = schedule.total_stages
@@ -238,17 +235,10 @@ class PipelineParallelGPT:
         self._targets: dict[int, np.ndarray] = {}
 
     def _untie_embeddings(self) -> None:
-        head = self._model.head
-        if self.t > 1:
-            emb_shards = self._model.embedding.wte_shards
-            new_shards = [Parameter(p.data.copy()) for p in emb_shards]
-            head.tied_shards = new_shards
-            self.tied_pairs = list(zip(emb_shards, new_shards))
-        else:
-            emb = self._model.embedding.wte.weight
-            new = Parameter(emb.data.copy())
-            head.tied = new
-            self.tied_pairs = [(emb, new)]
+        emb_shards = self._model.embedding.wte_shards
+        new_shards = [Parameter(p.data.copy()) for p in emb_shards]
+        self._model.head.tied_shards = new_shards
+        self.tied_pairs = list(zip(emb_shards, new_shards))
 
     # -- iteration ----------------------------------------------------------
     def run_iteration(
@@ -263,6 +253,10 @@ class PipelineParallelGPT:
         loss on the last stage and back-propagating with per-microbatch
         gradient scale ``grad_scale`` (default ``1/m`` so the batch
         gradient is the gradient of the mean loss).  Returns mean loss.
+
+        Per-iteration state (stage stashes, loss caches, targets) lives
+        for the call: an iteration that raises leaves none of it behind,
+        so the next one starts as on a fresh replica.
         """
         m = self.schedule.num_microbatches
         if len(microbatches) != m:
@@ -302,35 +296,31 @@ class PipelineParallelGPT:
                     prev = stage_id - 1
                     grad_inbox[(mb, prev)] = self._p2p(dx, stage_id, prev, "grad")
 
-        execute(self.schedule, handler, span_ranks=self.pipeline_ranks)
-        if act_inbox or grad_inbox:
-            raise RuntimeError("pipeline finished with undelivered tensors")
-        for stage in self.stages:
-            if stage.in_flight:
-                raise RuntimeError(
-                    f"stage {stage.stage_id} finished with stashed activations"
-                )
+        try:
+            execute(self.schedule, handler, span_ranks=self.pipeline_ranks)
+            if act_inbox or grad_inbox:
+                raise RuntimeError("pipeline finished with undelivered tensors")
+            for stage in self.stages:
+                if stage.in_flight:
+                    raise RuntimeError(
+                        f"stage {stage.stage_id} finished with stashed "
+                        "activations"
+                    )
+        finally:
+            for stage in self.stages:
+                stage.clear()
+            self._loss_cache.clear()
+            self._targets = {}
         self._sync_tied_embeddings()
         return float(np.mean([self._losses[i] for i in range(m)]))
 
     def _compute_loss(self, mb: int, out: Any) -> None:
-        targets = self._targets[mb]
-        if self.t > 1:
-            loss, cache = self._model.head.loss(out, targets)
-        else:
-            from repro.nn import functional as F
-
-            loss, cache = F.cross_entropy_forward(out, targets)
+        loss, cache = self._model.head.loss(out, self._targets[mb])
         self._losses[mb] = loss
         self._loss_cache[mb] = cache
 
     def _loss_grad(self, mb: int, scale: float) -> Any:
-        cache = self._loss_cache.pop(mb)
-        if self.t > 1:
-            return self._model.head.loss_backward(cache, scale)
-        from repro.nn import functional as F
-
-        return F.cross_entropy_backward(cache, scale)
+        return self._model.head.loss_backward(self._loss_cache.pop(mb), scale)
 
     def _p2p(self, tensor: Any, src_stage: int, dst_stage: int, tag: str) -> Any:
         """Send one stage-boundary tensor; logs bytes between the stages'
@@ -340,8 +330,7 @@ class PipelineParallelGPT:
         if src_rank == dst_rank:
             return np.asarray(tensor).copy()
         arr = np.asarray(tensor)
-        copies = max(1, self.t)
-        for _ in range(copies):
+        for _ in range(self.t):
             out = send(arr, src_rank, dst_rank, self.log,
                        TrafficKind.PIPELINE_P2P, tag)
         return out
@@ -414,36 +403,17 @@ class PipelineParallelGPT:
 
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Full serial-layout weights (tied copies collapse to one)."""
-        if self.t > 1:
-            return self._model.gather_state_dict()
-        state = self._model.state_dict()
-        # Drop the head's duplicated tied copy if present (serial layout
-        # names only the embedding copy).
-        state.pop("head.tied", None)
-        return state
+        return self._model.gather_state_dict()
 
     def load_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load serial-layout weights, re-sharding as needed.
 
         Accepts the output of :meth:`gather_state_dict` from *any*
         parallel configuration of the same architecture (checkpoint
-        resharding).
+        resharding).  A missing or wrong-shaped weight raises
+        ``ValueError`` naming it.
         """
-        if self.t > 1:
-            self._model.load_gathered_state_dict(state)
-            return
-        mine = dict(self._model.named_parameters())
-        for name, p in mine.items():
-            if name == "head.tied":
-                continue
-            if name not in state:
-                raise ValueError(f"checkpoint missing parameter {name}")
-            if p.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {p.data.shape} vs "
-                    f"{state[name].shape}"
-                )
-            p.data[...] = state[name]
+        self._model.load_gathered_state_dict(state)
         self.retie_embeddings()
 
     def retie_embeddings(self) -> None:

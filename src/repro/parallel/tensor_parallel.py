@@ -17,6 +17,16 @@ tensor-parallel group of ``t`` ranks:
   *without* gathering full logits, using all-reduced per-token max and
   sum-exp statistics (Megatron's vocab-parallel cross entropy).
 
+Layout: every module allocates its shards by shape and names, in
+:meth:`ShardedModule.layout`, the serial weight each shard list cuts and
+how (vocab rows, columns, rows, the per-head ``[q_i | k_i | v_i]``
+interleave, or replicated).  :meth:`~ShardedModule.load_gathered_state_dict`
+and :meth:`~ShardedModule.gather_state_dict` are the one cut and the one
+join over that table; :class:`TensorParallelGPT` fills itself from a
+serial :class:`GPTModel` through it.  ``t = 1`` is a group of one: every
+list holds one shard, every all-reduce returns its one partial, and the
+arithmetic is the serial model's.
+
 Representation: the engine is single-process, so a tensor that is
 *replicated* across the group is stored once, and a *partitioned* tensor
 is stored as a list of per-rank shards.  Every collective is executed by
@@ -38,14 +48,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Dropout, LayerNorm
 from repro.nn.module import Module, Parameter
 from repro.nn.profiler import matmul_flops, record_gemm_flops
-from repro.nn.transformer import (
-    CausalSelfAttention,
-    EmbeddingStage,
-    GPTModel,
-    MLP,
-    OutputHead,
-    TransformerBlock,
-)
+from repro.nn.transformer import GPTModel
 
 
 @dataclass
@@ -81,7 +84,82 @@ class TensorParallelGroup:
         )[0]
 
 
-class ColumnParallelLinear(Module):
+#: How a serial weight is cut into a module's shard list: along its
+#: rows, along its last axis, per head (serial ``[Q | K | V]`` columns,
+#: shard ``i`` holding ``[q_i | k_i | v_i]``), or not at all (one shard).
+ROWS, COLUMNS, HEADS, REPLICATED = "rows", "columns", "heads", "replicated"
+
+
+def _split(kind: str, full: np.ndarray, t: int) -> list[np.ndarray]:
+    """Views of ``full``, one per shard; a ``HEADS`` view is shaped
+    ``(..., 3, h/t)``, the shard's ``[q_i | k_i | v_i]`` row by row."""
+    if kind == HEADS:
+        qkv = full.reshape(*full.shape[:-1], 3, t, -1)
+        return [qkv[..., i, :] for i in range(t)]
+    return np.split(full, t, axis=-1 if kind == COLUMNS else 0)
+
+
+def _join(kind: str, shards: list[np.ndarray]) -> np.ndarray:
+    if kind == HEADS:
+        lead = shards[0].shape[:-1]
+        qkv = [s.reshape(*lead, 3, -1) for s in shards]
+        return np.stack(qkv, axis=-2).reshape(*lead, -1)
+    return np.concatenate(shards, axis=-1 if kind == COLUMNS else 0)
+
+
+def _joined_shape(kind: str, shards: list[Parameter]) -> tuple[int, ...]:
+    first = shards[0].shape
+    if kind in (COLUMNS, HEADS):
+        return (*first[:-1], sum(s.shape[-1] for s in shards))
+    return (sum(s.shape[0] for s in shards), *first[1:])
+
+
+def _replicated(module: Module, prefix: str):
+    """Layout entries of a module every rank holds whole (a LayerNorm)."""
+    for name, p in module.named_parameters(prefix):
+        yield name, REPLICATED, [p]
+
+
+class ShardedModule(Module):
+    """A module whose parameters are shards of serial-layout weights.
+
+    Each subclass's ``layout(prefix="")`` yields ``(serial name, kind,
+    shards)`` for every weight it holds; the cut, the join and their
+    checks are written once, here.
+    """
+
+    def gather_state_dict(self) -> dict[str, np.ndarray]:
+        """Reassemble full (serial-layout) weights from the shards."""
+        return {
+            name: _join(kind, [p.data for p in shards])
+            for name, kind, shards in self.layout()
+        }
+
+    def load_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`gather_state_dict`: cut serial-layout
+        weights onto the shards.  A missing name or a wrong shape
+        raises ``ValueError`` naming the weight, before any shard is
+        written; names the layout does not hold are ignored."""
+        layout = list(self.layout())
+        for name, kind, shards in layout:
+            if name not in state:
+                raise ValueError(f"missing parameter {name}")
+            want = _joined_shape(kind, shards)
+            if np.shape(state[name]) != want:
+                raise ValueError(
+                    f"shape mismatch for {name}: {want} vs "
+                    f"{np.shape(state[name])}"
+                )
+        for name, kind, shards in layout:
+            for p, part in zip(shards, _split(kind, state[name], len(shards))):
+                p.data.reshape(part.shape)[...] = part
+
+
+def _shards(t: int, *shape: int) -> list[Parameter]:
+    return [Parameter(np.zeros(shape)) for _ in range(t)]
+
+
+class ColumnParallelLinear(ShardedModule):
     """Linear with the weight split along output columns.
 
     Input is replicated; each rank computes its output shard.  No
@@ -90,25 +168,22 @@ class ColumnParallelLinear(Module):
     the full set of partial ``dx`` contributions.
     """
 
-    def __init__(self, full_weight: np.ndarray, full_bias: np.ndarray | None, t: int):
-        in_f, out_f = full_weight.shape
+    def __init__(self, in_f: int, out_f: int, t: int):
         if out_f % t != 0:
             raise ValueError(f"out_features {out_f} not divisible by t={t}")
         self.t = t
-        self.weight_shards = [  # contiguous, so a flat slice is a view
-            Parameter(np.ascontiguousarray(w))
-            for w in np.split(full_weight, t, axis=1)
-        ]
-        self.bias_shards = (
-            [Parameter(b) for b in np.split(full_bias, t)] if full_bias is not None else None
-        )
+        self.weight_shards = _shards(t, in_f, out_f // t)
+        self.bias_shards = _shards(t, out_f // t)
         self.in_features, self.out_features = in_f, out_f
+
+    def layout(self, prefix=""):
+        yield prefix + "weight", COLUMNS, self.weight_shards
+        yield prefix + "bias", COLUMNS, self.bias_shards
 
     def forward_shards(self, x: np.ndarray) -> tuple[list[np.ndarray], Any]:
         outs, caches = [], []
-        for i in range(self.t):
-            b = self.bias_shards[i].data if self.bias_shards else None
-            y, c = F.linear_forward(x, self.weight_shards[i].data, b)
+        for w, b in zip(self.weight_shards, self.bias_shards):
+            y, c = F.linear_forward(x, w.data, b.data)
             outs.append(y)
             caches.append(c)
         return outs, caches
@@ -119,13 +194,12 @@ class ColumnParallelLinear(Module):
         for i, (dy, c) in enumerate(zip(dys, caches)):
             dx, dw, db = F.linear_backward(dy, c)
             self.weight_shards[i].grad += dw
-            if self.bias_shards:
-                self.bias_shards[i].grad += db
+            self.bias_shards[i].grad += db
             dxs.append(dx)
         return dxs
 
 
-class RowParallelLinear(Module):
+class RowParallelLinear(ShardedModule):
     """Linear with the weight split along input rows.
 
     Input is partitioned (one shard per rank); outputs are partial sums
@@ -133,16 +207,17 @@ class RowParallelLinear(Module):
     added once after the reduction.
     """
 
-    def __init__(self, full_weight: np.ndarray, full_bias: np.ndarray | None, t: int):
-        in_f, out_f = full_weight.shape
+    def __init__(self, in_f: int, out_f: int, t: int):
         if in_f % t != 0:
             raise ValueError(f"in_features {in_f} not divisible by t={t}")
         self.t = t
-        self.weight_shards = [
-            Parameter(w) for w in np.split(full_weight, t, axis=0)
-        ]
-        self.bias = Parameter(full_bias) if full_bias is not None else None
+        self.weight_shards = _shards(t, in_f // t, out_f)
+        self.bias = Parameter(np.zeros(out_f))
         self.in_features, self.out_features = in_f, out_f
+
+    def layout(self, prefix=""):
+        yield prefix + "weight", ROWS, self.weight_shards
+        yield prefix + "bias", REPLICATED, [self.bias]
 
     def forward_partials(self, xs: list[np.ndarray]) -> tuple[list[np.ndarray], Any]:
         outs, caches = [], []
@@ -155,14 +230,12 @@ class RowParallelLinear(Module):
     def add_bias(self, reduced: np.ndarray) -> np.ndarray:
         """Add the bias into ``reduced``: the all-reduce of partials the
         caller just made, so an array it owns."""
-        if self.bias is not None:
-            reduced += self.bias.data
+        reduced += self.bias.data
         return reduced
 
     def backward_partials(self, dy: np.ndarray, caches: Any) -> list[np.ndarray]:
         """dy is replicated; returns per-rank input-shard gradients."""
-        if self.bias is not None:
-            self.bias.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        self.bias.grad += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
         dxs = []
         for i, c in enumerate(caches):
             dx, dw, _ = F.linear_backward(dy, c)
@@ -171,18 +244,18 @@ class RowParallelLinear(Module):
         return dxs
 
 
-class ParallelMLP(Module):
+class ParallelMLP(ShardedModule):
     """Figure 5(a): column-parallel fc1 + GeLU, row-parallel fc2, g/f ops."""
 
-    def __init__(self, serial: MLP, group: TensorParallelGroup):
-        t = group.size
+    def __init__(self, hidden_size: int, ffn_hidden_size: int,
+                 group: TensorParallelGroup):
         self.group = group
-        self.fc1 = ColumnParallelLinear(
-            serial.fc1.weight.data, serial.fc1.bias.data, t
-        )
-        self.fc2 = RowParallelLinear(
-            serial.fc2.weight.data, serial.fc2.bias.data, t
-        )
+        self.fc1 = ColumnParallelLinear(hidden_size, ffn_hidden_size, group.size)
+        self.fc2 = RowParallelLinear(ffn_hidden_size, hidden_size, group.size)
+
+    def layout(self, prefix=""):
+        yield from self.fc1.layout(prefix + "fc1.")
+        yield from self.fc2.layout(prefix + "fc2.")
 
     def forward(self, x, *, training=True, rng=None):
         u_shards, c1 = self.fc1.forward_shards(x)
@@ -206,40 +279,31 @@ class ParallelMLP(Module):
         return self.group.all_reduce(dx_partials, tag="mlp.f")
 
 
-class ParallelAttention(Module):
+class ParallelAttention(ShardedModule):
     """Figure 5(b): head-partitioned attention with row-parallel output."""
 
-    def __init__(self, serial: CausalSelfAttention, group: TensorParallelGroup):
+    def __init__(self, hidden_size: int, num_heads: int,
+                 group: TensorParallelGroup, *, attention_dropout: float = 0.0):
         t = group.size
-        if serial.num_heads % t != 0:
-            raise ValueError(
-                f"{serial.num_heads} heads not divisible by t={t}"
-            )
+        if hidden_size % num_heads != 0:
+            raise ValueError("hidden_size must be divisible by num_heads")
+        if num_heads % t != 0:
+            raise ValueError(f"{num_heads} heads not divisible by t={t}")
         self.group = group
-        self.num_heads = serial.num_heads
-        self.heads_per_rank = serial.num_heads // t
-        self.head_dim = serial.head_dim
-        self.hidden_size = serial.hidden_size
-        h = serial.hidden_size
-        # Serial QKV weight is concat([Wq, Wk, Wv], axis=1); re-split it
-        # so each rank gets its heads' q, k, v columns.
-        wq, wk, wv = np.split(serial.qkv.weight.data, 3, axis=1)
-        bq, bk, bv = np.split(serial.qkv.bias.data, 3)
-        self.qkv_shards = []
-        self.qkv_bias_shards = []
-        hp = h // t  # columns per rank within each of q, k, v
-        for i in range(t):
-            sl = slice(i * hp, (i + 1) * hp)
-            self.qkv_shards.append(
-                Parameter(np.concatenate([wq[:, sl], wk[:, sl], wv[:, sl]], axis=1))
-            )
-            self.qkv_bias_shards.append(
-                Parameter(np.concatenate([bq[sl], bk[sl], bv[sl]]))
-            )
-        self.proj = RowParallelLinear(
-            serial.proj.weight.data, serial.proj.bias.data, t
-        )
-        self.attn_dropout = Dropout(serial.attn_dropout.p)
+        self.num_heads = num_heads
+        self.heads_per_rank = num_heads // t
+        self.head_dim = hidden_size // num_heads
+        self.hidden_size = hidden_size
+        # each rank's q, k and v columns for its heads, side by side
+        self.qkv_shards = _shards(t, hidden_size, 3 * hidden_size // t)
+        self.qkv_bias_shards = _shards(t, 3 * hidden_size // t)
+        self.proj = RowParallelLinear(hidden_size, hidden_size, t)
+        self.attn_dropout = Dropout(attention_dropout)
+
+    def layout(self, prefix=""):
+        yield prefix + "qkv.weight", HEADS, self.qkv_shards
+        yield prefix + "qkv.bias", HEADS, self.qkv_bias_shards
+        yield from self.proj.layout(prefix + "proj.")
 
     def forward(self, x, *, training=True, rng=None):
         b, s, h = x.shape
@@ -289,24 +353,30 @@ class ParallelAttention(Module):
         return self.group.all_reduce(dx_partials, tag="attn.f")
 
 
-class ParallelTransformerBlock(Module):
+class ParallelTransformerBlock(ShardedModule):
     """Transformer block with tensor-parallel attention and MLP.
 
     LayerNorms, residuals and dropout act on replicated tensors (every
     rank computes them identically; computed once here).
     """
 
-    def __init__(self, serial: TransformerBlock, group: TensorParallelGroup):
-        self.ln1 = LayerNorm(serial.ln1.gamma.size)
-        self.ln1.gamma.data[...] = serial.ln1.gamma.data
-        self.ln1.beta.data[...] = serial.ln1.beta.data
-        self.attn = ParallelAttention(serial.attn, group)
-        self.drop1 = Dropout(serial.drop1.p)
-        self.ln2 = LayerNorm(serial.ln2.gamma.size)
-        self.ln2.gamma.data[...] = serial.ln2.gamma.data
-        self.ln2.beta.data[...] = serial.ln2.beta.data
-        self.mlp = ParallelMLP(serial.mlp, group)
-        self.drop2 = Dropout(serial.drop2.p)
+    def __init__(self, hidden_size: int, num_heads: int,
+                 group: TensorParallelGroup, ffn_hidden_size: int | None = None,
+                 *, dropout: float = 0.0, attention_dropout: float = 0.0):
+        self.ln1 = LayerNorm(hidden_size)
+        self.attn = ParallelAttention(hidden_size, num_heads, group,
+                                      attention_dropout=attention_dropout)
+        self.drop1 = Dropout(dropout)
+        self.ln2 = LayerNorm(hidden_size)
+        self.mlp = ParallelMLP(hidden_size, ffn_hidden_size or 4 * hidden_size,
+                               group)
+        self.drop2 = Dropout(dropout)
+
+    def layout(self, prefix=""):
+        yield from _replicated(self.ln1, prefix + "ln1.")
+        yield from self.attn.layout(prefix + "attn.")
+        yield from _replicated(self.ln2, prefix + "ln2.")
+        yield from self.mlp.layout(prefix + "mlp.")
 
     def forward(self, x, *, training=True, rng=None):
         # As in TransformerBlock: the residual lands in the sub-layer's
@@ -333,7 +403,7 @@ class ParallelTransformerBlock(Module):
         return dx
 
 
-class VocabParallelEmbedding(Module):
+class VocabParallelEmbedding(ShardedModule):
     """Token embedding split along the vocabulary dimension.
 
     Each rank owns rows ``[i*V/t, (i+1)*V/t)``; out-of-shard lookups
@@ -341,26 +411,32 @@ class VocabParallelEmbedding(Module):
     Position embeddings are replicated (no communication).
     """
 
-    def __init__(self, serial: EmbeddingStage, group: TensorParallelGroup):
+    def __init__(self, vocab_size: int, hidden_size: int, max_seq_length: int,
+                 group: TensorParallelGroup, *, dropout: float = 0.0):
         t = group.size
-        V = serial.vocab_size
-        if V % t != 0:
-            raise ValueError(f"vocab {V} not divisible by t={t}")
+        if vocab_size % t != 0:
+            raise ValueError(f"vocab {vocab_size} not divisible by t={t}")
         self.group = group
-        self.vocab_size = V
-        self.shard_size = V // t
-        self.wte_shards = [
-            Parameter(w) for w in np.split(serial.wte.weight.data, t, axis=0)
-        ]
-        self.wpe = Parameter(serial.wpe.weight.data.copy())
-        self.drop = Dropout(serial.drop.p)
-        self.max_seq_length = serial.max_seq_length
+        self.vocab_size = vocab_size
+        self.shard_size = vocab_size // t
+        self.wte_shards = _shards(t, self.shard_size, hidden_size)
+        self.wpe = Parameter(np.zeros((max_seq_length, hidden_size)))
+        self.drop = Dropout(dropout)
+        self.max_seq_length = max_seq_length
+
+    def layout(self, prefix=""):
+        yield prefix + "wte.weight", ROWS, self.wte_shards
+        yield prefix + "wpe.weight", REPLICATED, [self.wpe]
 
     def forward(self, token_ids, *, training=True, rng=None):
         token_ids = np.asarray(token_ids)
         b, s = token_ids.shape
         if s > self.max_seq_length:
-            raise ValueError("sequence too long")
+            raise ValueError(
+                f"sequence length {s} exceeds max {self.max_seq_length}"
+            )
+        if token_ids.min() < 0 or token_ids.max() >= self.vocab_size:
+            raise ValueError("embedding ids out of range")
         partials, masks = [], []
         for i, shard in enumerate(self.wte_shards):
             lo = i * self.shard_size
@@ -384,7 +460,7 @@ class VocabParallelEmbedding(Module):
         return np.zeros((b, s))
 
 
-class VocabParallelOutputHead(Module):
+class VocabParallelOutputHead(ShardedModule):
     """Final LayerNorm + vocab-sharded logits, tied to the embedding shards.
 
     ``forward`` returns the *sharded* logits (list of (b, s, V/t)); use
@@ -395,16 +471,18 @@ class VocabParallelOutputHead(Module):
 
     def __init__(
         self,
-        serial: OutputHead,
+        hidden_size: int,
         group: TensorParallelGroup,
         tied_shards: list[Parameter],
     ):
         self.group = group
-        self.ln_f = LayerNorm(serial.ln_f.gamma.size)
-        self.ln_f.gamma.data[...] = serial.ln_f.gamma.data
-        self.ln_f.beta.data[...] = serial.ln_f.beta.data
+        self.ln_f = LayerNorm(hidden_size)
         self.tied_shards = tied_shards
         self.shard_size = tied_shards[0].data.shape[0]
+
+    def layout(self, prefix=""):
+        # the tied shards are the embedding's (or a copy of them)
+        return _replicated(self.ln_f, prefix + "ln_f.")
 
     def forward(self, x, *, training=True, rng=None):
         xn, c_ln = self.ln_f.forward(x)
@@ -484,32 +562,48 @@ class VocabParallelOutputHead(Module):
                 )
 
 
-class TensorParallelGPT(Module):
+class TensorParallelGPT(ShardedModule):
     """A full GPT with every layer tensor-parallel over one group.
 
-    Built by sharding a serial :class:`GPTModel` constructed with the
-    same seed, so ``gather_state_dict`` reassembles weights bit-equal to
-    the serial model's (the basis of the §2.3 exactness tests).
+    Filled from a serial :class:`GPTModel` built with the same seed, so
+    ``gather_state_dict`` reassembles weights bit-equal to the serial
+    model's (the basis of the §2.3 exactness tests).  A group of one is
+    the serial model: the same parameters in the same order and shapes,
+    and the same arithmetic.
     """
 
     def __init__(self, config: GPTConfig, group: TensorParallelGroup, *, seed: int = 0,
                  dropout: float = 0.0, attention_dropout: float = 0.0):
-        serial = GPTModel(
-            config, seed=seed, dropout=dropout, attention_dropout=attention_dropout
-        )
+        # Built before the shards: built after them, train_ptd's peak
+        # RSS read 11% higher under the trainer's heap policy.
+        serial = GPTModel(config, seed=seed)
         self.config = config
         self.group = group
-        self.embedding = VocabParallelEmbedding(serial.embedding, group)
+        h = config.hidden_size
+        self.embedding = VocabParallelEmbedding(
+            config.vocab_size, h, config.seq_length, group, dropout=dropout
+        )
         self.blocks = [
-            ParallelTransformerBlock(blk, group) for blk in serial.blocks
+            ParallelTransformerBlock(
+                h, config.num_attention_heads, group, config.ffn_hidden_size,
+                dropout=dropout, attention_dropout=attention_dropout,
+            )
+            for _ in range(config.num_layers)
         ]
-        self.head = VocabParallelOutputHead(
-            serial.head, group, self.embedding.wte_shards
+        self.head = VocabParallelOutputHead(h, group, self.embedding.wte_shards)
+        self.load_gathered_state_dict(
+            {name: p.data for name, p in serial.named_parameters()}
         )
 
     @property
     def layers(self) -> list[Module]:
         return [self.embedding, *self.blocks, self.head]
+
+    def layout(self, prefix=""):
+        yield from self.embedding.layout(prefix + "embedding.")
+        for i, block in enumerate(self.blocks):
+            yield from block.layout(f"{prefix}blocks.{i}.")
+        yield from self.head.layout(prefix + "head.")
 
     def forward(self, token_ids, *, training=True, rng=None):
         caches = []
@@ -518,109 +612,3 @@ class TensorParallelGPT(Module):
             x, c = layer.forward(x, training=training, rng=rng)
             caches.append(c)
         return x, caches  # x is the sharded-logit list
-
-    def gather_state_dict(self) -> dict[str, np.ndarray]:
-        """Reassemble full (serial-layout) weights from the shards."""
-        out: dict[str, np.ndarray] = {}
-        out["embedding.wte.weight"] = np.concatenate(
-            [p.data for p in self.embedding.wte_shards], axis=0
-        )
-        out["embedding.wpe.weight"] = self.embedding.wpe.data.copy()
-        for li, blk in enumerate(self.blocks):
-            pre = f"blocks.{li}."
-            out[pre + "ln1.gamma"] = blk.ln1.gamma.data.copy()
-            out[pre + "ln1.beta"] = blk.ln1.beta.data.copy()
-            out[pre + "ln2.gamma"] = blk.ln2.gamma.data.copy()
-            out[pre + "ln2.beta"] = blk.ln2.beta.data.copy()
-            # QKV: per-rank [q_i | k_i | v_i] columns -> serial [Q | K | V].
-            qs, ks, vs = [], [], []
-            qbs, kbs, vbs = [], [], []
-            for w, bias in zip(blk.attn.qkv_shards, blk.attn.qkv_bias_shards):
-                q, k, v = np.split(w.data, 3, axis=1)
-                qs.append(q), ks.append(k), vs.append(v)
-                qb, kb, vb = np.split(bias.data, 3)
-                qbs.append(qb), kbs.append(kb), vbs.append(vb)
-            out[pre + "attn.qkv.weight"] = np.concatenate(
-                [np.concatenate(qs, axis=1), np.concatenate(ks, axis=1),
-                 np.concatenate(vs, axis=1)], axis=1,
-            )
-            out[pre + "attn.qkv.bias"] = np.concatenate(
-                [np.concatenate(qbs), np.concatenate(kbs), np.concatenate(vbs)]
-            )
-            out[pre + "attn.proj.weight"] = np.concatenate(
-                [p.data for p in blk.attn.proj.weight_shards], axis=0
-            )
-            out[pre + "attn.proj.bias"] = blk.attn.proj.bias.data.copy()
-            out[pre + "mlp.fc1.weight"] = np.concatenate(
-                [p.data for p in blk.mlp.fc1.weight_shards], axis=1
-            )
-            out[pre + "mlp.fc1.bias"] = np.concatenate(
-                [p.data for p in blk.mlp.fc1.bias_shards]
-            )
-            out[pre + "mlp.fc2.weight"] = np.concatenate(
-                [p.data for p in blk.mlp.fc2.weight_shards], axis=0
-            )
-            out[pre + "mlp.fc2.bias"] = blk.mlp.fc2.bias.data.copy()
-        out["head.ln_f.gamma"] = self.head.ln_f.gamma.data.copy()
-        out["head.ln_f.beta"] = self.head.ln_f.beta.data.copy()
-        return out
-
-    def load_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`gather_state_dict`: shard serial-layout
-        weights back onto the tensor-parallel shards.
-
-        Used by checkpoint resharding: a checkpoint written under one
-        (p, t, d) can be loaded under any other.
-        """
-        t = self.group.size
-        for i, shard in enumerate(
-            np.split(state["embedding.wte.weight"], t, axis=0)
-        ):
-            self.embedding.wte_shards[i].data[...] = shard
-        self.embedding.wpe.data[...] = state["embedding.wpe.weight"]
-        for li, blk in enumerate(self.blocks):
-            pre = f"blocks.{li}."
-            blk.ln1.gamma.data[...] = state[pre + "ln1.gamma"]
-            blk.ln1.beta.data[...] = state[pre + "ln1.beta"]
-            blk.ln2.gamma.data[...] = state[pre + "ln2.gamma"]
-            blk.ln2.beta.data[...] = state[pre + "ln2.beta"]
-            wq, wk, wv = np.split(state[pre + "attn.qkv.weight"], 3, axis=1)
-            bq, bk, bv = np.split(state[pre + "attn.qkv.bias"], 3)
-            h = wq.shape[0]
-            hp = h // t
-            for i in range(t):
-                sl = slice(i * hp, (i + 1) * hp)
-                blk.attn.qkv_shards[i].data[...] = np.concatenate(
-                    [wq[:, sl], wk[:, sl], wv[:, sl]], axis=1
-                )
-                blk.attn.qkv_bias_shards[i].data[...] = np.concatenate(
-                    [bq[sl], bk[sl], bv[sl]]
-                )
-            for i, shard in enumerate(
-                np.split(state[pre + "attn.proj.weight"], t, axis=0)
-            ):
-                blk.attn.proj.weight_shards[i].data[...] = shard
-            blk.attn.proj.bias.data[...] = state[pre + "attn.proj.bias"]
-            for i, shard in enumerate(
-                np.split(state[pre + "mlp.fc1.weight"], t, axis=1)
-            ):
-                blk.mlp.fc1.weight_shards[i].data[...] = shard
-            for i, shard in enumerate(
-                np.split(state[pre + "mlp.fc1.bias"], t)
-            ):
-                blk.mlp.fc1.bias_shards[i].data[...] = shard
-            for i, shard in enumerate(
-                np.split(state[pre + "mlp.fc2.weight"], t, axis=0)
-            ):
-                blk.mlp.fc2.weight_shards[i].data[...] = shard
-            blk.mlp.fc2.bias.data[...] = state[pre + "mlp.fc2.bias"]
-        self.head.ln_f.gamma.data[...] = state["head.ln_f.gamma"]
-        self.head.ln_f.beta.data[...] = state["head.ln_f.beta"]
-        # Tied head shards: if the pipeline engine untied them, refresh
-        # the copies from the embedding values.
-        if self.head.tied_shards is not self.embedding.wte_shards:
-            for dst, shard in zip(
-                self.head.tied_shards,
-                np.split(state["embedding.wte.weight"], t, axis=0),
-            ):
-                dst.data[...] = shard

@@ -345,13 +345,10 @@ class PTDTrainer(AbstractContextManager):
         """One strict synchronous iteration on the global batch.
 
         ``ids``/``targets``: (B, s) integer arrays, B the global batch
-        size of the parallel config.  Returns the global mean loss.
+        size of the parallel config, ``s <= seq_length`` and every value
+        a token id.  Returns the global mean loss.
         """
-        B = self.parallel.global_batch_size
-        if ids.shape[0] != B:
-            raise ValueError(
-                f"expected global batch of {B} sequences, got {ids.shape[0]}"
-            )
+        self._check_batch(ids, targets)
         for hook in list(self.pre_step_hooks):
             hook(self)
         d = self.parallel.data_parallel_size
@@ -378,6 +375,28 @@ class PTDTrainer(AbstractContextManager):
                 )
         self.iteration += 1
         return mean_loss
+
+    def _check_batch(self, ids: np.ndarray, targets: np.ndarray) -> None:
+        """Refuse a batch the model cannot take, before anything runs,
+        naming the offending length or value: every t fails alike."""
+        B, V = self.parallel.global_batch_size, self.config.vocab_size
+        if ids.shape != targets.shape:
+            raise ValueError(f"targets of shape {targets.shape} for ids of "
+                             f"shape {ids.shape}")
+        if ids.ndim != 2 or ids.shape[0] != B:
+            raise ValueError(f"expected global batch of {B} sequences, got "
+                             f"shape {ids.shape}")
+        s, S = ids.shape[1], self.config.seq_length
+        if not 0 < s <= S:
+            raise ValueError(f"sequence length {s} exceeds max {S}" if s
+                             else "empty sequences")
+        for name, arr in (("ids", ids), ("targets", targets)):
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must be integers, got {arr.dtype}")
+            lo, hi = arr.min(), arr.max()
+            if lo < 0 or hi >= V:
+                raise ValueError(f"{name} holds {lo if lo < 0 else hi}, "
+                                 f"outside the vocabulary [0, {V})")
 
     def _run_step_coop(self, shards, d, losses, rank_busy) -> None:
         """The cooperative oracle step (single process, every virtual

@@ -591,33 +591,24 @@ def run_reset_reference(
     lr: float = 1e-2,
 ) -> tuple[list[float], dict[str, np.ndarray]]:
     """Single-rank reference for a *resharded* resume: the serial
-    trajectory with the Adam state reset at ``reset_at`` (the iteration
-    the resharded run restored from, where the checkpoint layer resets
-    optimizer state)."""
-    from repro.nn import Adam
+    trajectory (:func:`~repro.nn.serial.train_serial`, one microbatch
+    per sequence; no engine code) with the Adam state reset at
+    ``reset_at`` (the iteration the resharded run restored from, where
+    the checkpoint layer resets optimizer state)."""
+    from repro.nn.serial import train_serial
 
     if not 0 <= reset_at <= total_iterations:
         raise ValueError(
             f"reset_at must be in [0, {total_iterations}], got {reset_at}"
         )
-    trainer = PTDTrainer(
-        config,
-        ParallelConfig(microbatch_size=1,
-                       global_batch_size=global_batch_size),
-        schedule="1f1b", seed=seed, lr=lr,
+    batches = (
+        batch_for_iteration(config, global_batch_size, seed, iteration)
+        for iteration in range(total_iterations)
     )
-    losses = []
-    for iteration in range(total_iterations):
-        if iteration == reset_at:
-            trainer.optimizers = [
-                Adam(replica.parameters(), lr=lr)
-                for replica in trainer.replicas
-            ]
-        ids, targets = batch_for_iteration(
-            config, global_batch_size, seed, iteration
-        )
-        losses.append(trainer.train_step(ids, targets))
-    return losses, trainer.gather_state_dict()
+    return train_serial(
+        config, batches, seed=seed, lr=lr,
+        num_microbatches=global_batch_size, reset_at=reset_at,
+    )
 
 
 def states_bit_equal(

@@ -257,8 +257,6 @@ def check_reshard_resume(directory: str, *, kill_at: int = 3,
                 f"the serial-reset reference {ref_losses[i]!r}"
             )
     for name, want in ref_state.items():
-        if name == "head.tied":
-            continue
         got = report.final_state.get(name)
         if got is None:
             failures.append(f"resharded state is missing {name}")

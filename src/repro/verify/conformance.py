@@ -25,7 +25,7 @@ the CLI works in minimal environments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,21 +165,14 @@ def _batch(case: ConformanceCase, config) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _baseline(config, case: ConformanceCase, ids, targets, lr):
-    """Single-rank reference: p=t=d=v=1, the whole batch in one
-    microbatch -- serial execution in the paper's sense."""
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
+    """Single-rank reference: the serial model and Adam on the whole
+    batch (:func:`~repro.nn.serial.train_serial`; no engine code)."""
+    from repro.nn.serial import train_serial
 
-    B = case.global_batch_size
-    trainer = PTDTrainer(
-        config,
-        ParallelConfig(microbatch_size=B, global_batch_size=B),
-        schedule="1f1b",
-        seed=0,
-        lr=lr,
+    losses, state = train_serial(
+        config, [(ids, targets)] * case.iterations, seed=0, lr=lr
     )
-    losses = [trainer.train_step(ids, targets) for _ in range(case.iterations)]
-    return trainer.gather_state_dict(), losses
+    return state, losses
 
 
 def _run_ptd(config, case: ConformanceCase, ids, targets,
@@ -251,8 +244,6 @@ def run_case(case: ConformanceCase) -> ConformanceResult:
 
     # 3. final parameters match the baseline in serial layout.
     for name, want in base_state.items():
-        if name == "head.tied":
-            continue
         got = par_state.get(name)
         if got is None:
             failures.append(f"parallel state is missing parameter {name}")

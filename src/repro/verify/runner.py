@@ -285,17 +285,16 @@ def collective_shape_defect(seed: int):
 
 
 def grad_perturb_defect(seed: int):
-    """Inside every parallel training step, one seeded gradient entry of
+    """Inside every engine training step, one seeded gradient entry of
     the last data-parallel replica moves by 1e-6 just before the
-    optimizer applies it.  The serial baseline (p = t = d = 1) is spared."""
+    optimizer applies it.  The serial baseline does not run the engine."""
     from repro.parallel import trainer
 
     real = trainer.apply_update
 
     def bent(replicas, optimizers, spec, *rest):
-        if spec.parallel.world_size > 1:
-            params = replicas[-1].parameters()
-            params[seed % len(params)].grad.flat[0] += 1e-6
+        params = replicas[-1].parameters()
+        params[seed % len(params)].grad.flat[0] += 1e-6
         return real(replicas, optimizers, spec, *rest)
 
     return _patched(trainer, "apply_update", bent)

@@ -130,6 +130,30 @@ class TestResharding:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("damage", ["missing parameter",
+                                        "shape mismatch for"])
+    def test_bad_model_weight_is_corrupt_and_named(self, tmp_path, t, damage):
+        """Unverified, a model.npz without a weight or with one of the
+        wrong shape is corrupt, named, and loads nothing -- at every t."""
+        save_checkpoint(make_trainer(t=t, d=1), str(tmp_path))
+        path = tmp_path / "model.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        name = "blocks.1.ln2.gamma"
+        if damage == "missing parameter":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][:1]
+        np.savez(path, **arrays)
+        b = make_trainer(t=t, d=1, seed=3)
+        before = b.gather_state_dict()
+        with pytest.raises(CheckpointCorruptError,
+                           match=rf"model\.npz: {damage} {name}\b"):
+            load_checkpoint(b, str(tmp_path), verify=False)
+        after = b.gather_state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
     def test_missing_checkpoint(self, tmp_path):
         t = make_trainer()
         with pytest.raises(FileNotFoundError):

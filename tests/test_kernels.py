@@ -259,7 +259,8 @@ class TestAttentionViews:
     def test_parallel_attention(self, b, s, t, seed):
         serial = CausalSelfAttention(24, 4, rng=np.random.default_rng(seed))
         group = TensorParallelGroup(list(range(t)))
-        attn = ParallelAttention(serial, group)
+        attn = ParallelAttention(24, 4, group)
+        attn.load_gathered_state_dict(serial.state_dict())
         x, dy = tensor((b, s, 24), seed), tensor((b, s, 24), seed + 1)
         out, cache = attn.forward(x)
         if t == 1:  # the serial layer's own arithmetic
@@ -393,8 +394,9 @@ def _serial_block():
 
 
 def _parallel_block(t):
-    group = TensorParallelGroup(list(range(t)))
-    return ParallelTransformerBlock(_serial_block(), group)
+    block = ParallelTransformerBlock(24, 4, TensorParallelGroup(list(range(t))))
+    block.load_gathered_state_dict(_serial_block().state_dict())
+    return block
 
 
 def _head():

@@ -275,3 +275,36 @@ class TestFlatLayout:
                     assert not np.shares_memory(arr, flat[end:])
                 offset = end
             assert offset == replica.flat_data.size == replica.flat_grad.size
+
+    @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (2, 2), (4, 1)])
+    def test_t1_flat_vector_is_the_serial_models_parameters(self, p, v):
+        """At t = 1 a replica's parameters are the serial model's, in its
+        order and shapes, then the head's tied copy when there are
+        several stages: the layout the flat vector and checkpoint format
+        4's moment ranges are cut by."""
+        trainer = make_trainer(p=p, v=v)
+        serial = GPTModel(CFG, seed=0).parameters()
+        tied = [serial[0]] if p * v > 1 else []
+        params = trainer.replicas[0].parameters()
+        assert [q.shape for q in params] == [q.shape for q in serial + tied]
+        want = np.concatenate([q.data.ravel() for q in serial + tied])
+        assert np.array_equal(trainer.replicas[0].flat_data, want)
+
+
+class TestSerialReference:
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_single_worker_trainer_is_the_serial_reference(self, m):
+        """PTDTrainer at p = t = d = 1 runs the tensor-parallel engine
+        with one shard; ``train_serial`` runs GPTModel and Adam alone.
+        Three steps agree bit for bit."""
+        from repro.nn.serial import train_serial
+
+        ids, targets = global_batch(4)
+        trainer = make_trainer(b=4 // m, B=4)
+        losses = [trainer.train_step(ids, targets) for _ in range(3)]
+        want_losses, want_state = train_serial(
+            CFG, [(ids, targets)] * 3, lr=1e-2, num_microbatches=m)
+        assert losses == want_losses
+        state = trainer.gather_state_dict()
+        assert state.keys() == want_state.keys()
+        assert all(np.array_equal(state[k], want_state[k]) for k in state)

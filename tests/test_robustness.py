@@ -107,6 +107,75 @@ class TestNumericFaults:
             trainer.train_step(ids, np.roll(ids, -1, axis=1))
 
 
+class TestTrainerDoor:
+    """A batch the model cannot take is refused by ``train_step`` before
+    any hook or compute, naming what is wrong, at every t."""
+
+    @staticmethod
+    def _trainer(t):
+        return PTDTrainer(CFG, ParallelConfig(
+            tensor_parallel_size=t, microbatch_size=1, global_batch_size=4,
+        ), seed=0)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("where,value", [
+        ("ids", 99), ("ids", -1), ("targets", 99), ("targets", -1),
+    ])
+    def test_out_of_vocabulary_value_is_named(self, t, where, value):
+        trainer = self._trainer(t)
+        hooked = []
+        trainer.pre_step_hooks.append(hooked.append)
+        before = trainer.gather_state_dict()
+        ids, targets = batch()
+        {"ids": ids, "targets": targets}[where][1, 3] = value
+        with pytest.raises(ValueError, match=rf"{where} holds {value}\b"):
+            trainer.train_step(ids, targets)
+        assert hooked == [] and trainer.iteration == 0
+        after = trainer.gather_state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_oversized_sequence_names_its_length(self, t):
+        ids = np.zeros((4, CFG.seq_length + 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="sequence length 9 exceeds max 8"):
+            self._trainer(t).train_step(ids, ids)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_non_integer_or_mismatched_batch_is_refused(self, t):
+        trainer = self._trainer(t)
+        ids, targets = batch()
+        with pytest.raises(ValueError, match="integer"):
+            trainer.train_step(ids.astype(float), targets)
+        with pytest.raises(ValueError, match="shape"):
+            trainer.train_step(ids, targets[:, :-1])
+
+
+class TestFailedStep:
+    def test_a_step_that_raises_leaves_no_stash_behind(self, monkeypatch):
+        """Stage 1's backward raises once, with stage 0 holding stashed
+        microbatches; the next step is the fresh trainer's first."""
+        def make():
+            return PTDTrainer(CFG, ParallelConfig(
+                pipeline_parallel_size=2, microbatch_size=1,
+                global_batch_size=4), seed=0)
+
+        ids, targets = batch()
+        want = make().train_step(ids, targets)
+        trainer = make()
+        stage = trainer.replicas[0].stages[1]
+        real = stage.backward_microbatch
+
+        def fail_once(mb, dy):
+            monkeypatch.setattr(stage, "backward_microbatch", real)
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(stage, "backward_microbatch", fail_once)
+        with pytest.raises(RuntimeError, match="planted"):
+            trainer.train_step(ids, targets)
+        assert all(s.in_flight == 0 for s in trainer.replicas[0].stages)
+        assert trainer.train_step(ids, targets) == want
+
+
 class TestUndeliveredTensorGuards:
     def test_leftover_stash_detected(self):
         """If a stage somehow keeps activations after the flush, the

@@ -190,7 +190,8 @@ class TestShardValidation:
         from repro.nn import MLP
 
         serial = MLP(8, 32, rng=np.random.default_rng(1))
-        pm = ParallelMLP(serial, group(4))
+        pm = ParallelMLP(8, 32, group(4))
+        pm.load_gathered_state_dict(serial.state_dict())
         x = np.random.default_rng(2).standard_normal((2, 3, 8))
         y_s, c_s = serial.forward(x)
         y_p, c_p = pm.forward(x)

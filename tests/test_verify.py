@@ -252,6 +252,31 @@ class TestConformance:
         assert result.ok, result.describe()
 
 
+class TestOracleIndependence:
+    def test_serial_references_run_no_engine_code(self, monkeypatch):
+        """The conformance baseline and the chaos harness's resharded
+        reference still run with the pipeline engine broken: a defect in
+        the engine cannot also sit in the reference it is held to."""
+        from repro.parallel import PipelineParallelGPT
+        from repro.resilience.harness import run_reset_reference
+        from repro.verify import conformance
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(PipelineParallelGPT, "run_iteration", broken)
+        case = ConformanceCase(p=2, d=2, m=2)
+        config = conformance.model_for_case(case)
+        ids, targets = conformance._batch(case, config)
+        state, losses = conformance._baseline(config, case, ids, targets, 1e-2)
+        assert len(losses) == case.iterations and state
+        losses, state = run_reset_reference(
+            config, 4, total_iterations=3, reset_at=1)
+        assert len(losses) == 3 and state
+        with pytest.raises(AssertionError, match="the engine ran"):
+            run_case(case)
+
+
 class TestConservation:
     def test_default_grid_is_exact(self):
         for case in default_conservation_configs():
