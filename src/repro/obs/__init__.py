@@ -19,133 +19,33 @@ streams meet:
 
 Activate with ``with trace() as tracer: ...``; when no tracer is
 active every instrumentation hook short-circuits on an empty list.
+
+The names below resolve on first use (:func:`repro.lazy_exports`):
+``from repro.obs.tracer import span``, which every instrumented module
+runs, loads the tracer and the metrics registry, not the monitor, the
+run log, the exporters, the profiler or the telemetry.
 """
 
-from .monitor import (
-    Alert,
-    CheckpointHealthDetector,
-    Detector,
-    DetectorScore,
-    HeartbeatGapDetector,
-    LossSpikeDetector,
-    Monitor,
-    PreemptionStormDetector,
-    QueueGrowthDetector,
-    Scoreboard,
-    StragglerDetector,
-    ThroughputCollapseDetector,
-    TtftSloDetector,
-    render_dashboard,
-    run_monitor,
-    score_run,
-    sparkline,
-)
-from .runlog import (
-    RUNLOG_SCHEMA_VERSION,
-    RunInfo,
-    RunLogError,
-    RunLogger,
-    RunRegistry,
-    current_run_logger,
-    manifest_of,
-    parse_events,
-    read_events,
-    run_logging,
-)
-from .export import (
-    chrome_trace,
-    chrome_trace_events,
-    counter_events,
-    metrics_json,
-    phase_summary,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import (
-    ProfileReport,
-    RankProfile,
-    SpanStat,
-    folded_stacks,
-    profile_tracer,
-    write_folded,
-)
-from .telemetry import (
-    MemoryBreakdown,
-    ThroughputReport,
-    sample_memory,
-    sample_throughput,
-    throughput_report,
-)
-from .tracer import (
-    GLOBAL_RANK,
-    CounterSample,
-    Span,
-    Tracer,
-    current_tracer,
-    record_transfer,
-    span,
-    trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "GLOBAL_RANK",
-    "CounterSample",
-    "Span",
-    "Tracer",
-    "trace",
-    "span",
-    "current_tracer",
-    "record_transfer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "chrome_trace",
-    "chrome_trace_events",
-    "counter_events",
-    "write_chrome_trace",
-    "phase_summary",
-    "metrics_json",
-    "write_metrics",
-    "validate_chrome_trace",
-    "ProfileReport",
-    "RankProfile",
-    "SpanStat",
-    "profile_tracer",
-    "folded_stacks",
-    "write_folded",
-    "ThroughputReport",
-    "MemoryBreakdown",
-    "throughput_report",
-    "sample_throughput",
-    "sample_memory",
-    "RUNLOG_SCHEMA_VERSION",
-    "RunLogger",
-    "RunLogError",
-    "RunRegistry",
-    "RunInfo",
-    "current_run_logger",
-    "run_logging",
-    "read_events",
-    "parse_events",
-    "manifest_of",
-    "Alert",
-    "Detector",
-    "LossSpikeDetector",
-    "ThroughputCollapseDetector",
-    "StragglerDetector",
-    "HeartbeatGapDetector",
-    "CheckpointHealthDetector",
-    "QueueGrowthDetector",
-    "TtftSloDetector",
-    "PreemptionStormDetector",
-    "Monitor",
-    "run_monitor",
-    "Scoreboard",
-    "DetectorScore",
-    "score_run",
-    "render_dashboard",
-    "sparkline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "tracer": "GLOBAL_RANK CounterSample Span Tracer trace span "
+              "current_tracer record_transfer",
+    "metrics": "Counter Gauge Histogram MetricsRegistry",
+    "export": "chrome_trace chrome_trace_events counter_events "
+              "write_chrome_trace phase_summary metrics_json write_metrics "
+              "validate_chrome_trace",
+    "profile": "ProfileReport RankProfile SpanStat profile_tracer "
+               "folded_stacks write_folded",
+    "telemetry": "ThroughputReport MemoryBreakdown throughput_report "
+                 "sample_throughput sample_memory",
+    "runlog": "RUNLOG_SCHEMA_VERSION RunLogger RunLogError RunRegistry "
+              "RunInfo current_run_logger run_logging read_events "
+              "parse_events manifest_of",
+    "monitor": "Alert Detector LossSpikeDetector ThroughputCollapseDetector "
+               "StragglerDetector HeartbeatGapDetector "
+               "CheckpointHealthDetector QueueGrowthDetector "
+               "TtftSloDetector PreemptionStormDetector Monitor run_monitor "
+               "Scoreboard DetectorScore score_run render_dashboard "
+               "sparkline",
+})

@@ -31,94 +31,28 @@ the goodput model prices and what the chaos harness raises.
   crashes, KV-block corruption, and allocator-exhaustion storms into
   the continuous-batching engine (``repro serve --chaos``), recovered
   by capped-exponential-backoff recompute retries.
+
+The names below resolve on first use (:func:`repro.lazy_exports`), so
+``repro goodput`` does not load the chaos harness and the trainer it
+drives, and the serve engine, which imports only
+:mod:`~repro.resilience.serve_chaos` and only under a fault plan, does
+not load this package at all without one.
 """
 
-from .chaos import (
-    ChaosPlan,
-    CorruptCheckpoint,
-    Kill,
-    LossSpike,
-    RankFailureError,
-    SaveFailure,
-    Stall,
-    TransientSaveError,
-    corrupt_file,
-)
-from .detect import HeartbeatDetector
-from .goodput import (
-    ExpectedGoodput,
-    GoodputReport,
-    GoodputScenario,
-    SweepResult,
-    expected_goodput,
-    goodput_scenarios,
-    log_spaced_intervals,
-    simulate_goodput,
-    sweep_checkpoint_interval,
-)
-from .harness import (
-    ChaosHarness,
-    ChaosReport,
-    HarnessGaveUpError,
-    RecoveryRecord,
-    batch_for_iteration,
-    run_baseline,
-    run_reset_reference,
-    shrink_parallel,
-    states_bit_equal,
-)
-from .recovery import (
-    RecoveryEvent,
-    RestartPolicy,
-    cluster_mtbf,
-    young_daly_interval,
-)
-from .serve_chaos import (
-    AllocExhaustion,
-    DecodeCrash,
-    DecodeCrashError,
-    KVCorruption,
-    ServeChaosInjector,
-    ServeChaosPlan,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ChaosPlan",
-    "Kill",
-    "CorruptCheckpoint",
-    "SaveFailure",
-    "LossSpike",
-    "Stall",
-    "RankFailureError",
-    "TransientSaveError",
-    "corrupt_file",
-    "ChaosHarness",
-    "ChaosReport",
-    "HarnessGaveUpError",
-    "RecoveryRecord",
-    "batch_for_iteration",
-    "run_baseline",
-    "run_reset_reference",
-    "shrink_parallel",
-    "states_bit_equal",
-    "HeartbeatDetector",
-    "RecoveryEvent",
-    "RestartPolicy",
-    "cluster_mtbf",
-    "young_daly_interval",
-    "GoodputReport",
-    "ExpectedGoodput",
-    "SweepResult",
-    "GoodputScenario",
-    "expected_goodput",
-    "simulate_goodput",
-    "sweep_checkpoint_interval",
-    "log_spaced_intervals",
-    "goodput_scenarios",
-    "ServeChaosPlan",
-    "ServeChaosInjector",
-    "DecodeCrash",
-    "DecodeCrashError",
-    "KVCorruption",
-    "AllocExhaustion",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": "ChaosPlan Kill CorruptCheckpoint SaveFailure LossSpike Stall "
+             "RankFailureError TransientSaveError corrupt_file",
+    "harness": "ChaosHarness ChaosReport HarnessGaveUpError RecoveryRecord "
+               "batch_for_iteration run_baseline run_reset_reference "
+               "shrink_parallel states_bit_equal",
+    "detect": "HeartbeatDetector",
+    "recovery": "RecoveryEvent RestartPolicy cluster_mtbf "
+                "young_daly_interval",
+    "goodput": "GoodputReport ExpectedGoodput SweepResult GoodputScenario "
+               "expected_goodput simulate_goodput sweep_checkpoint_interval "
+               "log_spaced_intervals goodput_scenarios",
+    "serve_chaos": "ServeChaosPlan ServeChaosInjector DecodeCrash "
+                   "DecodeCrashError KVCorruption AllocExhaustion",
+})

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 CORRUPT_MODES = ("flip", "truncate", "delete")
@@ -187,7 +187,8 @@ class PlanCodec:
     A plan is a frozen dataclass with one tuple of entries per key of
     ``ENTRIES`` (plan key -> entry class, and what one entry is called
     in an error); ``KIND`` names the plan in its errors.  Loading
-    parses or raises ``ValueError``, never anything else.
+    parses or raises ``ValueError``, never anything else; an ``int``
+    field takes only a JSON integer (not a float or a bool).
     """
 
     KIND: ClassVar[str]
@@ -221,10 +222,21 @@ class PlanCodec:
         entry_cls, what = cls.ENTRIES[key]
         if not isinstance(entries, list):
             raise ValueError(f"{key} must be a list")
+        # integer field -> whether it may be null
+        integers = {f.name: f.type == "int | None" for f in fields(entry_cls)
+                    if f.type in ("int", "int | None")}
         out = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"{what} entries must be objects")
+            for name, nullable in integers.items():
+                value = entry.get(name, 0)
+                # ``type``, not isinstance: a bool is an int subclass
+                if type(value) is not int and not (nullable and value is None):
+                    raise ValueError(
+                        f"{cls.KIND} {what} {index}: {name} must be an "
+                        f"integer, got {value!r}"
+                    )
             try:
                 out.append(entry_cls(**entry))
             except TypeError as exc:

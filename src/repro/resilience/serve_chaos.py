@@ -37,19 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from repro.serve.kv_cache import DecodeCrashError  # noqa: F401 (re-export)
+
 from .chaos import PlanCodec
-
-
-class DecodeCrashError(RuntimeError):
-    """An injected decode-step crash (fires before sampling, so a
-    recompute-restart retry reproduces the oracle stream)."""
-
-    def __init__(self, step: int, request_id: str):
-        super().__init__(
-            f"injected decode crash at step {step} on {request_id}"
-        )
-        self.step = step
-        self.request_id = request_id
 
 
 @dataclass(frozen=True)

@@ -13,62 +13,29 @@ engine, and every fast path is pinned to the slow-but-trusted
 - :mod:`repro.serve.metrics`  -- TTFT/latency/throughput SLO reports
 - :mod:`repro.serve.tp`       -- tensor-parallel decode over ``repro.comm``
 
-Robustness (ISSUE 10): per-request deadlines and queue TTLs, bounded
-admission with pluggable shedding, client cancellation, per-block cache
+Robustness: per-request deadlines and queue TTLs, bounded admission
+with pluggable shedding, client cancellation, per-block cache
 checksums, and chaos-injected fault recovery -- see
 :mod:`repro.resilience.serve_chaos` and ``repro verify --only
 serve-chaos``.
+
+The names below resolve on first use (:func:`repro.lazy_exports`):
+``from repro.serve import ServeEngine`` loads the engine and the model
+it serves, not ``serve.tp`` and the tensor-parallel stack behind it,
+and the engine imports the fault injector only when it is given a
+``chaos=`` plan (DESIGN.md, "Start-up").
 """
 
-from .decode import DecodeSession, cached_generate
-from .engine import SHED_POLICIES, ServeEngine
-from .kv_cache import (
-    BlockAllocator,
-    CacheFull,
-    KVCorruptionError,
-    KVHandle,
-    PagedKVCache,
-)
-from .metrics import (
-    FINISH_REASONS,
-    OUTCOMES,
-    SERVE_METRICS_SCHEMA_VERSION,
-    RequestMetrics,
-    ServeReport,
-    validate_serve_metrics,
-)
-from .tp import TensorParallelDecoder, tp_generate
-from .traffic import (
-    TraceRequest,
-    load_trace,
-    poisson_trace,
-    save_trace,
-    trace_from_json,
-    trace_to_json,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BlockAllocator",
-    "CacheFull",
-    "DecodeSession",
-    "FINISH_REASONS",
-    "KVCorruptionError",
-    "KVHandle",
-    "OUTCOMES",
-    "PagedKVCache",
-    "RequestMetrics",
-    "SERVE_METRICS_SCHEMA_VERSION",
-    "SHED_POLICIES",
-    "ServeEngine",
-    "ServeReport",
-    "TensorParallelDecoder",
-    "TraceRequest",
-    "cached_generate",
-    "load_trace",
-    "poisson_trace",
-    "save_trace",
-    "tp_generate",
-    "trace_from_json",
-    "trace_to_json",
-    "validate_serve_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "kv_cache": "BlockAllocator CacheFull KVCorruptionError KVHandle "
+                "PagedKVCache",
+    "decode": "DecodeSession cached_generate",
+    "engine": "SHED_POLICIES ServeEngine",
+    "metrics": "FINISH_REASONS OUTCOMES SERVE_METRICS_SCHEMA_VERSION "
+               "RequestMetrics ServeReport validate_serve_metrics",
+    "tp": "TensorParallelDecoder tp_generate",
+    "traffic": "TraceRequest load_trace poisson_trace save_trace "
+               "trace_from_json trace_to_json",
+})

@@ -67,22 +67,21 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.nn.transformer import GPTModel
-from repro.obs.runlog import RunLogger
 from repro.obs.tracer import span
-from repro.resilience.serve_chaos import (
-    DecodeCrashError,
-    ServeChaosInjector,
-    ServeChaosPlan,
-)
 
 from .decode import DecodeSession, decode_batch
-from .kv_cache import KVCorruptionError, PagedKVCache
+from .kv_cache import DecodeCrashError, KVCorruptionError, PagedKVCache
 from .metrics import RequestMetrics, ServeReport
 from .traffic import TraceRequest
+
+if TYPE_CHECKING:  # serving without a fault plan loads neither
+    from repro.obs.runlog import RunLogger
+    from repro.resilience.serve_chaos import ServeChaosPlan
 
 SHED_POLICIES = ("reject-newest", "edf")
 
@@ -153,14 +152,16 @@ class ServeEngine:
         self.finished: list[RequestMetrics] = []
         self.outputs: dict[str, np.ndarray] = {}  # completed request streams
         self._next_seq = 0
+        self._submitted: set[str] = set()  # every id ever queued or shed
         self._running_seqs: set[int] = set()  # O(1) membership for the loop
         self._queued_new = 0  # waiting entries never admitted (the "queue")
         self._backing_off = 0  # waiting entries re-queued by a chaos retry
         self._slo_count = 0  # live entries carrying a deadline or TTL
-        self._injector = (
-            None if chaos is None
-            else ServeChaosInjector(chaos, cache, logger=logger)
-        )
+        self._injector = None
+        if chaos is not None:
+            from repro.resilience.serve_chaos import ServeChaosInjector
+
+            self._injector = ServeChaosInjector(chaos, cache, logger=logger)
 
     # -- submission ---------------------------------------------------------
     def peak_blocks(self, req: TraceRequest) -> int:
@@ -177,9 +178,14 @@ class ServeEngine:
 
         Returns ``True`` if the request was queued, ``False`` if
         admission control shed it (outcome ``rejected``).  Structurally
-        impossible requests (peak block need above the whole pool) still
-        raise ``ValueError`` -- that is a caller bug, not overload.
+        impossible requests (peak block need above the whole pool) and
+        a ``request_id`` this engine already took still raise
+        ``ValueError`` -- that is a caller bug, not overload.
         """
+        if req.request_id in self._submitted:
+            raise ValueError(
+                f"request id {req.request_id!r} was already submitted"
+            )
         session = DecodeSession(
             self.model, self.cache, np.array(req.prompt), req.max_new_tokens,
             temperature=req.temperature, top_k=req.top_k,
@@ -199,6 +205,7 @@ class ServeEngine:
                       else req.arrival_step + req.queue_ttl),
         )
         self._next_seq += 1
+        self._submitted.add(req.request_id)
         if entry.deadline_step is not None or entry.ttl_step is not None:
             self._slo_count += 1
         self._emit(

@@ -42,6 +42,20 @@ class CacheFull(RuntimeError):
     """The block pool has no free block for a requested allocation."""
 
 
+class DecodeCrashError(RuntimeError):
+    """An injected decode-step crash
+    (:class:`~repro.resilience.serve_chaos.DecodeCrash`).  It fires
+    before sampling, so a recompute-restart retry reproduces the oracle
+    stream; the engine retries it like a :class:`KVCorruptionError`."""
+
+    def __init__(self, step: int, request_id: str):
+        super().__init__(
+            f"injected decode crash at step {step} on {request_id}"
+        )
+        self.step = step
+        self.request_id = request_id
+
+
 class KVCorruptionError(RuntimeError):
     """A block's stored K/V no longer matches its recorded checksum.
 

@@ -67,24 +67,39 @@ class TraceRequest:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TraceRequest":
+        """Load one request; an integer field must be a JSON integer
+        (not a float, a bool or a string), or this raises ``ValueError``
+        naming the request and the field."""
+
+        def integer(key, value):
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        def optional(key):
+            value = obj.get(key)
+            return None if value is None else integer(key, value)
+
         try:
             return cls(
                 request_id=str(obj["request_id"]),
-                arrival_step=int(obj["arrival_step"]),
-                prompt=tuple(int(t) for t in obj["prompt"]),
-                max_new_tokens=int(obj["max_new_tokens"]),
+                arrival_step=integer("arrival_step", obj["arrival_step"]),
+                prompt=tuple(integer("prompt", t) for t in obj["prompt"]),
+                max_new_tokens=integer("max_new_tokens",
+                                       obj["max_new_tokens"]),
                 temperature=float(obj.get("temperature", 0.0)),
-                top_k=(None if obj.get("top_k") is None
-                       else int(obj["top_k"])),
-                seed=int(obj.get("seed", 0)),
-                stop_ids=tuple(int(t) for t in obj.get("stop_ids", ())),
-                deadline_steps=(None if obj.get("deadline_steps") is None
-                                else int(obj["deadline_steps"])),
-                queue_ttl=(None if obj.get("queue_ttl") is None
-                           else int(obj["queue_ttl"])),
+                top_k=optional("top_k"),
+                seed=integer("seed", obj.get("seed", 0)),
+                stop_ids=tuple(integer("stop_ids", t)
+                               for t in obj.get("stop_ids", ())),
+                deadline_steps=optional("deadline_steps"),
+                queue_ttl=optional("queue_ttl"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed trace request: {exc}") from exc
+            rid = obj.get("request_id") if isinstance(obj, dict) else None
+            raise ValueError(
+                f"malformed trace request {rid!r}: {exc}"
+            ) from exc
 
 
 def poisson_trace(
@@ -157,7 +172,15 @@ def trace_from_json(text: str) -> list[TraceRequest]:
         raise ValueError(
             f"unsupported trace schema version {obj.get('schema_version')!r}"
         )
-    return [TraceRequest.from_dict(r) for r in obj["requests"]]
+    trace = [TraceRequest.from_dict(r) for r in obj["requests"]]
+    seen: set[str] = set()
+    for request in trace:
+        if request.request_id in seen:
+            raise ValueError(
+                f"trace repeats request id {request.request_id!r}"
+            )
+        seen.add(request.request_id)
+    return trace
 
 
 def save_trace(trace: list[TraceRequest], path: str) -> None:

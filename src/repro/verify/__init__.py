@@ -35,57 +35,20 @@ and an eager import of the conformance harness here (which imports
 ``repro.parallel`` and hence ``repro.comm``) would create a cycle.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-_EXPORTS = {
-    # sanitizer (dependency-free; safe for the comm substrate to import)
-    "CollectiveEvent": "sanitizer",
-    "CollectiveMismatch": "sanitizer",
-    "CollectiveSanitizer": "sanitizer",
-    "SanitizerError": "sanitizer",
-    "record_collective": "sanitizer",
-    # schedule validator
-    "ScheduleViolation": "schedule_check",
-    "ScheduleViolationError": "schedule_check",
-    "assert_valid_schedule": "schedule_check",
-    "check_all_generators": "schedule_check",
-    "in_flight_bound": "schedule_check",
-    "schedule_from_json": "schedule_check",
-    "schedule_to_json": "schedule_check",
-    "validate_schedule": "schedule_check",
-    # conformance harness
-    "ConformanceCase": "conformance",
-    "ConformanceResult": "conformance",
-    "parse_case": "conformance",
-    "run_case": "conformance",
-    "sample_cases": "conformance",
-    # chaos / fault-tolerance conformance
-    "run_chaos_checks": "chaos_check",
-    # conservation checks
-    "ConservationItem": "conformance_conservation",
-    "ConservationReport": "conformance_conservation",
-    "check_conservation": "conformance_conservation",
-    "default_conservation_configs": "conformance_conservation",
-    # runner
-    "VerificationReport": "runner",
-    "run_verification": "runner",
-}
-
-# conservation lives in conservation.py; the table above maps through a
-# distinct key so the module name stays accurate.
-_MODULE_ALIASES = {"conformance_conservation": "conservation"}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module_key = _EXPORTS[name]
-    module_name = _MODULE_ALIASES.get(module_key, module_key)
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    # dependency-free; safe for the comm substrate to import
+    "sanitizer": "CollectiveEvent CollectiveMismatch CollectiveSanitizer "
+                 "SanitizerError record_collective",
+    "schedule_check": "ScheduleViolation ScheduleViolationError "
+                      "assert_valid_schedule check_all_generators "
+                      "in_flight_bound schedule_from_json schedule_to_json "
+                      "validate_schedule",
+    "conformance": "ConformanceCase ConformanceResult parse_case run_case "
+                   "sample_cases",
+    "chaos_check": "run_chaos_checks",
+    "conservation": "ConservationItem ConservationReport check_conservation "
+                    "default_conservation_configs",
+    "runner": "VerificationReport run_verification",
+})

@@ -79,6 +79,36 @@ class TestChaosPlan:
         with pytest.raises(ValueError, match=match):
             ChaosPlan.from_json(text)
 
+    @pytest.mark.parametrize("entry,field,what", [
+        ('"kills": [{"at_iteration": 1.5}]', "at_iteration", "kill 0"),
+        ('"kills": [{"at_iteration": true}]', "at_iteration", "kill 0"),
+        ('"kills": [{"at_iteration": 1}, {"at_iteration": 2, "rank": 0.5}]',
+         "rank", "kill 1"),
+        ('"kills": [{"at_iteration": 1, "rank": null}]', "rank", "kill 0"),
+        ('"corruptions": [{"at_iteration": "4"}]', "at_iteration",
+         "corruption 0"),
+        ('"save_failures": [{"at_iteration": 2, "times": 2.0}]', "times",
+         "save_failure 0"),
+        ('"loss_spikes": [{"at_iteration": false}]', "at_iteration",
+         "loss_spike 0"),
+        ('"stalls": [{"at_iteration": 1, "rank": 1.0}]', "rank", "stall 0"),
+        ('"stalls": [{"at_iteration": 1, "iterations": 2.5}]', "iterations",
+         "stall 0"),
+    ])
+    def test_integer_fields_take_only_json_integers(self, entry, field, what):
+        with pytest.raises(ValueError,
+                           match=f"^chaos plan {what}: {field} must be an "
+                                 f"integer"):
+            ChaosPlan.from_json("{" + entry + "}")
+
+    def test_nullable_and_float_fields_still_load(self):
+        plan = ChaosPlan.from_json(
+            '{"stalls": [{"at_iteration": 1, "rank": null, "seconds": 2}],'
+            ' "loss_spikes": [{"at_iteration": 0, "factor": 3}]}'
+        )
+        assert plan.stalls == (Stall(at_iteration=1, seconds=2.0),)
+        assert plan.loss_spikes == (LossSpike(at_iteration=0, factor=3.0),)
+
     @pytest.mark.parametrize("text,key", [
         ('{"kills": 3}', "kills"),
         ('{"kills": null}', "kills"),

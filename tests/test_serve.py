@@ -457,6 +457,28 @@ class TestServeDegradation:
         engine.run([req])
         assert engine.cancel("done") is False  # already terminal
 
+    @pytest.mark.parametrize("state", ["waiting", "running", "finished"])
+    def test_a_request_id_is_taken_once(self, state):
+        """Two requests named "a" would share one ``outputs`` stream and
+        ``cancel("a")`` would act on whichever it met first."""
+        m = model()
+        cache = PagedKVCache.for_model(m, num_blocks=4, block_size=3)
+        engine = ServeEngine(m, cache)
+        engine.submit(TraceRequest("a", 0, (1, 2), 2, temperature=0.0))
+        if state == "running":
+            engine.tick()
+            assert engine.running
+        elif state == "finished":
+            while engine.waiting or engine.running:
+                engine.tick()
+        with pytest.raises(ValueError, match="request id 'a'"):
+            engine.submit(TraceRequest("a", 0, (3, 4), 2, temperature=0.0))
+        assert engine._next_seq == 1  # no session built, nothing queued
+        while engine.waiting or engine.running:
+            engine.tick()
+        assert [r.request_id for r in engine.finished] == ["a"]
+        cache.assert_empty()
+
     def test_deadline_equal_to_arrival_step(self):
         """deadline_steps=0 still grants the arrival tick: a one-token
         request completes; a longer one times out with its partial."""
@@ -606,6 +628,38 @@ class TestTraffic:
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         assert load_trace(path) == trace
+
+    def test_a_trace_that_repeats_an_id_is_rejected(self):
+        trace = poisson_trace(3, 0.6, vocab_size=32, seed=1)
+        doc = json.loads(trace_to_json(trace))
+        doc["requests"][2]["request_id"] = doc["requests"][0]["request_id"]
+        with pytest.raises(ValueError, match="repeats request id 'req-0000'"):
+            trace_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [
+        ("arrival_step", 1.5),
+        ("arrival_step", True),
+        ("arrival_step", "1"),
+        ("prompt", [1, 1.7]),
+        ("prompt", [1, False]),
+        ("max_new_tokens", "3"),
+        ("max_new_tokens", 3.0),
+        ("top_k", 2.5),
+        ("seed", 0.5),
+        ("stop_ids", [True]),
+        ("deadline_steps", 4.2),
+        ("queue_ttl", "2"),
+    ])
+    def test_integer_fields_take_only_json_integers(self, field, value):
+        doc = TraceRequest("r7", 1, (1, 2), 3, top_k=2).to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"'r7'.*{field}"):
+            TraceRequest.from_dict(doc)
+
+    def test_integer_fields_keep_their_nulls(self):
+        doc = TraceRequest("r7", 1, (1, 2), 3).to_dict()
+        assert doc["top_k"] is doc["deadline_steps"] is doc["queue_ttl"] is None
+        assert TraceRequest.from_dict(doc) == TraceRequest("r7", 1, (1, 2), 3)
 
     def test_arrivals_sorted_and_prompts_in_vocab(self):
         trace = poisson_trace(10, 2.0, vocab_size=16, seed=0)

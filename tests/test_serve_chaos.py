@@ -128,6 +128,21 @@ class TestServeChaosPlan:
         with pytest.raises(ValueError, match=match):
             ServeChaosPlan.from_json(text)
 
+    @pytest.mark.parametrize("entry,field,what", [
+        ('"crashes": [{"at_step": 1.5}]', "at_step", "crash 0"),
+        ('"crashes": [{"at_step": 1, "times": true}]', "times", "crash 0"),
+        ('"corruptions": [{"at_step": "2"}]', "at_step", "corruption 0"),
+        ('"exhaustions": [{"at_step": 1}, {"at_step": 9, "blocks": 2.0}]',
+         "blocks", "exhaustion 1"),
+        ('"exhaustions": [{"at_step": 1, "steps": null}]', "steps",
+         "exhaustion 0"),
+    ])
+    def test_integer_fields_take_only_json_integers(self, entry, field, what):
+        with pytest.raises(ValueError,
+                           match=f"^serve chaos plan {what}: {field} must be "
+                                 f"an integer"):
+            ServeChaosPlan.from_json("{" + entry + "}")
+
     @pytest.mark.parametrize("text,key", [
         ('{"exhaustions": 5}', "exhaustions"),
         ('{"crashes": {"at_step": 1}}', "crashes"),

@@ -57,6 +57,9 @@ _BROADCAST = ("client API: `broadcast` and `send`, on both backends "
               "(DESIGN.md, Communication substrate)")
 _DEADLOCK = "deadlock diagnosis: names the ops a stuck schedule waits on"
 KEPT: dict[str, str] = {
+    "repro/__init__.py::lazy_exports.__dir__":
+        "client API: `dir()` of a lazy package front lists its names "
+        "(PEP 562; DESIGN.md, Start-up)",
     "repro/comm/backend.py::ring_ops.copy": _BROADCAST,
     "repro/comm/backend.py::MpBackend._broadcast": _BROADCAST,
     "repro/comm/backend.py::MpBackend._send": _BROADCAST,
