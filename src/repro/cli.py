@@ -477,16 +477,10 @@ def _chaos_plan_from_args(args):
 def _cmd_chaos(args) -> int:
     import tempfile
 
-    import numpy as np
-
     from repro.config import tiny_test_model
     from repro.obs import phase_summary, trace, write_chrome_trace, write_metrics
-    from repro.resilience import (
-        ChaosHarness,
-        run_baseline,
-        run_reset_reference,
-        states_bit_equal,
-    )
+    from repro.resilience import ChaosHarness
+    from repro.verify.chaos_check import judge_recovery
 
     if args.fast and not (args.plan or args.kill_at or args.corrupt
                           or args.save_fail or args.loss_spike
@@ -563,44 +557,13 @@ def _cmd_chaos(args) -> int:
 
     if args.no_verify:
         return 0
+    verdict = judge_recovery(report, config, schedule=args.schedule,
+                             seed=args.seed)
     print()
-    if not report.resharded:
-        base_losses, base_state = run_baseline(
-            config, parallel, total_iterations=args.iterations,
-            schedule=args.schedule, seed=args.seed,
-        )
-        loss_ok = report.losses == base_losses
-        state_ok = states_bit_equal(report.final_state, base_state)
-        print(f"bit-exact vs uninterrupted run: losses={loss_ok}  "
-              f"parameters={state_ok}")
-        if not (loss_ok and state_ok):
-            print("error: recovered run deviates from the uninterrupted "
-                  "reference", file=sys.stderr)
-            return 1
-    else:
-        restored = [r for r in report.records if r.kind == "restore"]
-        reset_at = restored[0].at_iteration if restored else 0
-        ref_losses, ref_state = run_reset_reference(
-            config, args.batch, total_iterations=args.iterations,
-            reset_at=reset_at, seed=args.seed,
-        )
-        loss_ok = bool(np.allclose(
-            report.losses[reset_at:], ref_losses[reset_at:],
-            rtol=1e-9, atol=1e-12,
-        ))
-        state_ok = all(
-            np.allclose(report.final_state[k], ref_state[k],
-                        rtol=1e-8, atol=1e-11)
-            for k in ref_state if k != "head.tied"
-        )
-        print(f"resharded resume vs single-rank reference "
-              f"(optimizer reset at {reset_at}): losses={loss_ok}  "
-              f"parameters={state_ok}")
-        if not (loss_ok and state_ok):
-            print("error: resharded resume deviates from the single-rank "
-                  "reference", file=sys.stderr)
-            return 1
-    return 0
+    print(verdict.describe())
+    for failure in verdict.failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if verdict.failures else 0
 
 
 def _follow_monitor(path: str, acks: set[str], poll: float) -> int:

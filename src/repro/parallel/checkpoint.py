@@ -8,10 +8,10 @@ Layout on disk::
       model.npz                # serial-layout (gathered) weights
       optimizer_rank<r>.npz    # data-parallel rank r's Adam state:
                                # ``m`` and ``v`` over the range of the
-                               # flat parameter vector it owns (format
-                               # 4; format 3 held its ring chunk of
-                               # each parameter, formats 1-2 the full
-                               # moments in every rank file)
+                               # flat parameter vector it owns
+
+Only the current ``format_version`` (:data:`FORMAT_VERSION`) is read;
+a checkpoint written in any other format is refused by name.
 
 Two resume modes, mirroring what real systems support:
 
@@ -58,7 +58,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.comm.primitives import owned_chunk
 from repro.config import GPTConfig, ParallelConfig
 
 from .trainer import PTDTrainer
@@ -158,7 +157,14 @@ def _fsync_dir(path: str) -> None:
 
 
 def _read_metadata(directory: str) -> dict:
-    """Parse ``metadata.json``; raises the appropriate hierarchy error."""
+    """Parse ``metadata.json`` and check its shape; raises the
+    appropriate hierarchy error.
+
+    Only format :data:`FORMAT_VERSION` is read: any other version is a
+    :class:`CheckpointMismatchError` naming it.  A document that parses
+    but has the wrong shape is a :class:`CheckpointCorruptError` naming
+    the field, never an ``AttributeError`` or ``TypeError``.
+    """
     if not os.path.isdir(directory):
         raise CheckpointNotFoundError(f"no checkpoint at {directory}")
     meta_path = os.path.join(directory, "metadata.json")
@@ -169,20 +175,41 @@ def _read_metadata(directory: str) -> dict:
     try:
         with open(meta_path) as f:
             meta = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (ValueError, RecursionError, OSError) as exc:
         raise CheckpointCorruptError(
             f"checkpoint {directory}: unreadable metadata.json: {exc}"
         ) from exc
+
+    where = f"checkpoint {directory}: metadata.json"
+    if not isinstance(meta, dict):
+        raise CheckpointCorruptError(f"{where} is not a JSON object")
     version = meta.get("format_version")
-    if version not in (1, 2, 3, FORMAT_VERSION):
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointMismatchError(
-            f"unknown checkpoint format {version}"
+            f"checkpoint {directory}: unknown checkpoint format "
+            f"{version!r} (this reader takes format {FORMAT_VERSION} only)"
         )
-    for key in ("iteration", "model", "parallel"):
+    for key in ("iteration", "model", "parallel", "files"):
         if key not in meta:
-            raise CheckpointCorruptError(
-                f"checkpoint {directory}: metadata.json is missing {key!r}"
-            )
+            raise CheckpointCorruptError(f"{where} is missing {key!r}")
+    if type(meta["iteration"]) is not int:  # bools are refused too
+        raise CheckpointCorruptError(
+            f"{where}: 'iteration' is not an integer: {meta['iteration']!r}"
+        )
+    for key in ("model", "parallel"):
+        if not isinstance(meta[key], dict):
+            raise CheckpointCorruptError(f"{where}: {key!r} is not an object")
+    files = meta["files"]
+    if not isinstance(files, dict) or not all(
+        isinstance(want, dict) for want in files.values()
+    ):
+        raise CheckpointCorruptError(
+            f"{where}: 'files' is not an object of objects"
+        )
+    if "model.npz" not in files:
+        raise CheckpointCorruptError(
+            f"{where}: 'files' does not record model.npz"
+        )
     return meta
 
 
@@ -190,30 +217,22 @@ def verify_checkpoint(directory: str) -> dict:
     """Prove a committed checkpoint is intact; returns its metadata.
 
     Every file recorded in the metadata must exist with the recorded
-    size, CRC32, and SHA256 (format-version-1 checkpoints predate the
-    digests: only file presence is checked).  Raises
-    :class:`CheckpointNotFoundError` / :class:`CheckpointCorruptError` /
-    :class:`CheckpointMismatchError`.
+    size, CRC32, and SHA256.  Raises :class:`CheckpointNotFoundError` /
+    :class:`CheckpointCorruptError` / :class:`CheckpointMismatchError`.
     """
     meta = _read_metadata(directory)
-    if meta["format_version"] == 1:
-        if not os.path.exists(os.path.join(directory, "model.npz")):
-            raise CheckpointCorruptError(
-                f"checkpoint {directory} is missing model.npz"
-            )
-        return meta
-    files = meta.get("files")
-    if not isinstance(files, dict) or "model.npz" not in files:
-        raise CheckpointCorruptError(
-            f"checkpoint {directory}: metadata.json has no file manifest"
-        )
-    for name, want in files.items():
+    for name, want in meta["files"].items():
         path = os.path.join(directory, name)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise CheckpointCorruptError(
                 f"checkpoint {directory} is missing {name}"
             )
-        got = _file_digests(path)
+        try:
+            got = _file_digests(path)
+        except OSError as exc:
+            raise CheckpointCorruptError(
+                f"checkpoint {directory}: unreadable {name}: {exc}"
+            ) from exc
         for key in ("size", "crc32", "sha256"):
             if got[key] != want.get(key):
                 raise CheckpointCorruptError(
@@ -264,8 +283,8 @@ def _write_checkpoint_files(
 
 
 def is_checkpoint_dir(directory: str) -> bool:
-    """True if ``directory`` looks like a committed checkpoint (any
-    format version) -- the only kind of existing directory
+    """True if ``directory`` looks like a committed checkpoint in the
+    current format -- the only kind of existing directory
     :func:`save_checkpoint` will replace (besides an empty one)."""
     try:
         _read_metadata(directory)
@@ -360,14 +379,17 @@ def save_checkpoint(
 # -- load --------------------------------------------------------------------
 
 
-def _load_npz(directory: str, name: str) -> dict[str, np.ndarray]:
-    path = os.path.join(directory, name)
-    if not os.path.exists(path):
+def _load_npz(directory: str, name: str,
+              files: dict) -> dict[str, np.ndarray]:
+    """Arrays of file ``name``, which the verified manifest ``files``
+    must record: a load reads nothing :func:`verify_checkpoint` did not
+    check."""
+    if name not in files:
         raise CheckpointCorruptError(
-            f"checkpoint {directory} is missing {name}"
+            f"checkpoint {directory}: metadata.json does not record {name}"
         )
     try:
-        with np.load(path) as data:
+        with np.load(os.path.join(directory, name)) as data:
             return {k: data[k] for k in data.files}
     except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
         raise CheckpointCorruptError(
@@ -375,26 +397,24 @@ def _load_npz(directory: str, name: str) -> dict[str, np.ndarray]:
         ) from exc
 
 
-def load_checkpoint(
-    trainer: PTDTrainer, directory: str, *, verify: bool = True
-) -> bool:
+def load_checkpoint(trainer: PTDTrainer, directory: str) -> bool:
     """Restore ``trainer`` from ``directory``.
 
     Returns True if the optimizer state was restored (same parallel
     configuration), False if only weights were loaded (resharded resume;
-    the caller's fresh optimizer state is kept).  ``verify=True`` (the
-    default) checks every file's recorded checksums first, so corruption
-    surfaces as :class:`CheckpointCorruptError` before any state is
-    touched.  Architecture mismatches raise
-    :class:`CheckpointMismatchError`.
+    the caller's fresh optimizer state is kept).  Every file's recorded
+    checksums are verified first, so corruption surfaces as
+    :class:`CheckpointCorruptError` before any state is touched.
+    Architecture mismatches raise :class:`CheckpointMismatchError`.
     """
-    meta = verify_checkpoint(directory) if verify else _read_metadata(directory)
+    meta = verify_checkpoint(directory)
+    files = meta["files"]
     if meta["model"] != _model_signature(trainer.config):
         raise CheckpointMismatchError(
             "checkpoint architecture mismatch: "
             f"{meta['model']} vs {_model_signature(trainer.config)}"
         )
-    state = _load_npz(directory, "model.npz")
+    state = _load_npz(directory, "model.npz", files)
     try:
         for replica in trainer.replicas:
             replica.load_gathered_state_dict(state)
@@ -402,7 +422,7 @@ def load_checkpoint(
         raise CheckpointCorruptError(
             f"checkpoint {directory}: model.npz: {exc}"
         ) from exc
-    trainer.iteration = int(meta["iteration"])
+    trainer.iteration = meta["iteration"]
     # The parent's canonical state changed under the trainer: on the mp
     # backend the replica workers must re-sync before the next step.
     trainer.invalidate_workers()
@@ -410,12 +430,9 @@ def load_checkpoint(
     same_parallel = meta["parallel"] == _parallel_signature(trainer.parallel)
     if not same_parallel:
         return False
-    files = [_load_npz(directory, f"optimizer_rank{r}.npz")
-             for r in range(len(trainer.optimizers))]
-    if meta["format_version"] < FORMAT_VERSION:
-        files = _cut_per_parameter_moments(
-            directory, files, trainer.replicas[0].parameters())
-    for r, (opt, arrays) in enumerate(zip(trainer.optimizers, files)):
+    shards = [_load_npz(directory, f"optimizer_rank{r}.npz", files)
+              for r in range(len(trainer.optimizers))]
+    for r, (opt, arrays) in enumerate(zip(trainer.optimizers, shards)):
         for key in ("m", "v"):
             arr = _shard_array(directory, r, arrays, key)
             if arr.shape != (opt.m.size,):
@@ -438,40 +455,6 @@ def _shard_array(directory: str, r: int, arrays: dict,
             f"array {name!r}"
         )
     return arrays[name]
-
-
-def _cut_per_parameter_moments(directory: str, files: list[dict],
-                               params: list) -> list[dict]:
-    """Formats 1-3 kept moments per parameter: rank r's ring chunk of
-    each (3), or every full moment in every rank file (1-2).  Assemble
-    the full moments end to end in ``params`` order and cut each rank's
-    range of that vector out again, the format-4 layout."""
-    d = len(files)
-    full = {key: np.empty(sum(p.size for p in params)) for key in ("m", "v")}
-    offset = 0
-    for i, p in enumerate(params):
-        for r, arrays in enumerate(files):
-            lo, hi = owned_chunk(p.size, d, r)
-            for key in ("m", "v"):
-                arr = _shard_array(directory, r, arrays, f"{key}_{i}")
-                if arr.shape == p.shape:  # a full moment: formats 1-2
-                    full[key][offset:offset + p.size] = arr.reshape(-1)
-                elif arr.shape == (hi - lo,):
-                    full[key][offset + lo:offset + hi] = arr
-                else:
-                    raise CheckpointCorruptError(
-                        f"checkpoint {directory}: optimizer_rank{r}.npz "
-                        f"holds {key} of shape {arr.shape} for parameter "
-                        f"{i}; rank {r} owns {hi - lo} elements of it"
-                    )
-        offset += p.size
-    cut = []
-    for r, arrays in enumerate(files):
-        lo, hi = owned_chunk(offset, d, r)
-        cut.append({"step_count": _shard_array(directory, r, arrays,
-                                               "step_count"),
-                    "m": full["m"][lo:hi], "v": full["v"][lo:hi]})
-    return cut
 
 
 # -- run-level store ---------------------------------------------------------
@@ -612,10 +595,7 @@ class CheckpointStore:
         for iteration in candidates:
             path = self.path_for(iteration)
             try:
-                verify_checkpoint(path)
-                optimizer_restored = load_checkpoint(
-                    trainer, path, verify=False
-                )
+                optimizer_restored = load_checkpoint(trainer, path)
             except CheckpointError as exc:
                 skipped.append((iteration, str(exc)))
                 continue

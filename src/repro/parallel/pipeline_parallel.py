@@ -34,6 +34,10 @@ from repro.schedule import OpKind, PipelineSchedule, ScheduleOp, execute
 
 from .tensor_parallel import TensorParallelGPT, TensorParallelGroup
 
+#: Root of every stage's dropout streams: one (stage, microbatch) stream
+#: is ``SeedSequence([STAGE_RNG_SEED, stage, microbatch])``.
+STAGE_RNG_SEED = 1234
+
 
 class PipelineStage:
     """The layers of one global pipeline stage, with microbatch state."""
@@ -46,14 +50,12 @@ class PipelineStage:
         is_first: bool,
         is_last: bool,
         recompute: bool = False,
-        rng_seed: int = 0,
     ):
         self.stage_id = stage_id
         self.layers = layers
         self.is_first = is_first
         self.is_last = is_last
         self.recompute = recompute
-        self.rng_seed = rng_seed
         # Per-microbatch state: input + caches (or input only w/ recompute).
         self._stash: dict[int, tuple[Any, list | None]] = {}
 
@@ -61,7 +63,7 @@ class PipelineStage:
         """Deterministic per-(stage, microbatch) stream; recomputation
         re-derives the identical stream (§3.5 exact replay)."""
         return np.random.default_rng(
-            np.random.SeedSequence([self.rng_seed, self.stage_id, microbatch])
+            np.random.SeedSequence([STAGE_RNG_SEED, self.stage_id, microbatch])
         )
 
     def _run_forward(self, x: Any, microbatch: int) -> tuple[Any, list]:
@@ -118,7 +120,6 @@ def split_layers_into_stages(
     num_chunks: int,
     *,
     recompute: bool = False,
-    rng_seed: int = 0,
 ) -> list[PipelineStage]:
     """Partition [embedding, blocks..., head] into p*v global stages.
 
@@ -148,7 +149,6 @@ def split_layers_into_stages(
                 is_first=(g == 0),
                 is_last=(g == total - 1),
                 recompute=recompute,
-                rng_seed=rng_seed,
             )
         )
     return stages
@@ -192,7 +192,6 @@ class PipelineParallelGPT:
         recompute_activations: bool = False,
         log: TrafficLog | None = None,
         pipeline_ranks: list[int] | None = None,
-        data_rng_seed: int = 1234,
         buffer: np.ndarray | None = None,
     ):
         self.config = config
@@ -227,7 +226,6 @@ class PipelineParallelGPT:
             schedule.num_stages,
             schedule.num_chunks,
             recompute=recompute_activations,
-            rng_seed=data_rng_seed,
         )
         self._lay_flat(buffer)
         self._loss_cache: dict[int, Any] = {}

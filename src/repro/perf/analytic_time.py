@@ -51,9 +51,6 @@ def estimate_iteration(
     fused: bool = True,
     recompute: bool = True,
     scatter_gather: bool = True,
-    tp_channels: int = 2,
-    grad_dtype_size: int = 2,
-    activation_dtype_size: int = 2,
 ) -> AnalyticEstimate:
     """Closed-form analogue of :func:`repro.sim.simulate_iteration`.
 
@@ -70,9 +67,7 @@ def estimate_iteration(
         config, parallel,
         SimOptions(
             fused_kernels=fused, recompute_activations=recompute,
-            scatter_gather=scatter_gather, tp_channels=tp_channels,
-            grad_dtype_size=grad_dtype_size,
-            activation_dtype_size=activation_dtype_size,
+            scatter_gather=scatter_gather,
         ),
         node or dgx_a100(),
     )

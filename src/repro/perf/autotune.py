@@ -33,6 +33,7 @@ from repro.hardware import NodeSpec, dgx_a100
 from repro.obs.tracer import current_tracer
 
 from .memory import fits_in_memory
+from .microbatch import MICROBATCH_CANDIDATES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import SimOptions, SimulationResult
@@ -70,7 +71,6 @@ def enumerate_configs(
     global_batch_size: int,
     *,
     node: NodeSpec | None = None,
-    microbatch_candidates: tuple[int, ...] = (1, 2, 4, 8),
     chunk_candidates: tuple[int, ...] = (1, 2),
     max_tensor_parallel: int | None = None,
     recompute: bool = True,
@@ -98,7 +98,7 @@ def enumerate_configs(
                     continue
                 if v > 1 and p < 2:
                     continue
-                for b in microbatch_candidates:
+                for b in MICROBATCH_CANDIDATES:
                     b_prime = global_batch_size // d
                     if b_prime % b:
                         continue

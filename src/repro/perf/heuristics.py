@@ -17,7 +17,7 @@ from repro.config import GPTConfig, ParallelConfig
 from repro.hardware import ComputeModel, NodeSpec, dgx_a100
 
 from .memory import fits_in_memory
-from .microbatch import optimal_microbatch_size
+from .microbatch import MICROBATCH_CANDIDATES, optimal_microbatch_size
 
 
 def _divisors_up_to(value: int, cap: int) -> list[int]:
@@ -32,7 +32,6 @@ def suggest_parallel_config(
     node: NodeSpec | None = None,
     schedule_name: str = "1f1b",
     recompute: bool = True,
-    microbatch_candidates: tuple[int, ...] = (1, 2, 4, 8),
 ) -> ParallelConfig:
     """Pick (t, p, d, b) for ``config`` on ``num_gpus`` GPUs.
 
@@ -91,7 +90,7 @@ def suggest_parallel_config(
     # Takeaway #3: sweep the microbatch size.
     b_prime = global_batch_size // best.data_parallel_size
     feasible_bs = []
-    for b in microbatch_candidates:
+    for b in MICROBATCH_CANDIDATES:
         if b_prime % b != 0:
             continue
         cand = ParallelConfig(

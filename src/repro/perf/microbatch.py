@@ -21,6 +21,11 @@ from repro.hardware import ComputeModel
 
 from .layer_costs import stage_compute_cost
 
+#: The microbatch sizes both planners try: the exact search
+#: (:func:`~repro.perf.autotune.enumerate_configs`) and the Takeaway
+#: heuristics (:func:`~repro.perf.heuristics.suggest_parallel_config`).
+MICROBATCH_CANDIDATES = (1, 2, 4, 8)
+
 
 def microbatch_times(
     compute: ComputeModel,

@@ -39,7 +39,7 @@ When a :mod:`repro.obs.runlog` logger is active the harness doubles as
 the **ground-truth writer** for the anomaly detectors: every injected
 fault is recorded as a ``fault`` event naming the detector expected to
 catch it, kills silence the dead rank's heartbeats for
-``silent_rounds`` liveness rounds, recovery actions are mirrored as
+two liveness rounds, recovery actions are mirrored as
 ``recovery``/``checkpoint`` telemetry, and the plan's telemetry-layer
 faults (:class:`~repro.resilience.chaos.LossSpike`,
 :class:`~repro.resilience.chaos.Stall`) are injected by wrapping the
@@ -244,11 +244,25 @@ class HarnessGaveUpError(RuntimeError):
     """The recovery policy exhausted its restart or retry budget."""
 
 
+#: Rank failures a run survives; the next one gives up.
+MAX_RESTARTS = 8
+#: Attempts at one checkpoint save before the run gives up.
+MAX_SAVE_ATTEMPTS = 5
+#: Ceiling, in seconds, of the doubling backoff between save attempts.
+BACKOFF_CAP = 2.0
+
+
 class ChaosHarness:
     """Run ``total_iterations`` of real training under a chaos plan,
     checkpointing every ``checkpoint_every`` iterations and recovering
     from every injected failure.  See the module docstring for the
-    recovery policy and the determinism guarantee."""
+    recovery policy and the determinism guarantee.
+
+    The policy's budgets are module constants: a run gives up after
+    :data:`MAX_RESTARTS` rank failures or :data:`MAX_SAVE_ATTEMPTS`
+    failed attempts at one save; save retries back off from
+    ``backoff_base`` seconds, doubling up to :data:`BACKOFF_CAP`; a
+    permanent failure always reshards onto the ranks that are left."""
 
     def __init__(
         self,
@@ -263,12 +277,7 @@ class ChaosHarness:
         schedule: str = "1f1b",
         seed: int = 0,
         lr: float = 1e-2,
-        max_restarts: int = 8,
-        max_save_attempts: int = 5,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        allow_reshard: bool = True,
-        silent_rounds: int = 2,
         sleep: Callable[[float], None] | None = None,
         backend: str = "coop",
     ):
@@ -280,16 +289,9 @@ class ChaosHarness:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-        if max_save_attempts < 1:
+        if not 0 < backoff_base <= BACKOFF_CAP:
             raise ValueError(
-                f"max_save_attempts must be >= 1, got {max_save_attempts}"
-            )
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError(
-                "need 0 < backoff_base <= backoff_cap, got "
-                f"{backoff_base}/{backoff_cap}"
+                f"need 0 < backoff_base <= {BACKOFF_CAP}, got {backoff_base}"
             )
         self.config = config
         self.parallel = parallel
@@ -300,19 +302,7 @@ class ChaosHarness:
         self.schedule = schedule
         self.seed = seed
         self.lr = lr
-        self.max_restarts = max_restarts
-        self.max_save_attempts = max_save_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.allow_reshard = allow_reshard
-        if silent_rounds < 1:
-            raise ValueError(
-                f"silent_rounds must be >= 1, got {silent_rounds}"
-            )
-        #: Liveness rounds a killed rank stays silent for in the run
-        #: log before recovery telemetry appears -- what the
-        #: heartbeat-gap detector actually observes of a kill.
-        self.silent_rounds = silent_rounds
         self.sleep = sleep if sleep is not None else time.sleep
         self.store = CheckpointStore(
             directory, keep_last=keep_last, save_fault=self._save_fault
@@ -378,14 +368,13 @@ class ChaosHarness:
                                      expect="checkpoint")
                     runlog.recovery("save-retry", iteration,
                                     f"attempt {attempt}")
-                if attempt >= self.max_save_attempts:
+                if attempt >= MAX_SAVE_ATTEMPTS:
                     raise HarnessGaveUpError(
                         f"checkpoint save at iteration {iteration} still "
                         f"failing after {attempt} attempts"
                     ) from exc
                 delay = min(
-                    self.backoff_cap,
-                    self.backoff_base * (2 ** (attempt - 1)),
+                    BACKOFF_CAP, self.backoff_base * (2 ** (attempt - 1))
                 )
                 with obs_span("backoff", phase="chaos.backoff",
                               iteration=iteration, attempt=attempt):
@@ -437,7 +426,7 @@ class ChaosHarness:
             + (" (permanent)" if failure.permanent else ""),
         ))
         runlog = current_run_logger()
-        if failure.permanent and self.allow_reshard:
+        if failure.permanent:
             new_parallel = shrink_parallel(self.config, parallel)
             if new_parallel is not parallel:
                 parallel = new_parallel
@@ -523,7 +512,10 @@ class ChaosHarness:
                             )
                             alive = [r for r in range(parallel.world_size)
                                      if r != failure.rank]
-                            for _ in range(self.silent_rounds):
+                            # Two silent liveness rounds before recovery
+                            # telemetry: what the heartbeat-gap detector
+                            # actually observes of a kill.
+                            for _ in range(2):
                                 runlog.heartbeat(alive, failure.iteration)
                         # Tear down the dead trainer's worker processes
                         # and shared-memory segments before respawning:
@@ -531,9 +523,9 @@ class ChaosHarness:
                         # the mp backend (the coop path makes this a
                         # no-op).
                         trainer.close()
-                        if report.restarts > self.max_restarts:
+                        if report.restarts > MAX_RESTARTS:
                             raise HarnessGaveUpError(
-                                f"more than {self.max_restarts} restarts"
+                                f"more than {MAX_RESTARTS} restarts"
                             ) from failure
                         trainer, parallel, schedule = self._recover(
                             failure, report, parallel, schedule

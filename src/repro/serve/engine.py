@@ -44,8 +44,9 @@ crashes, KV-block corruption (caught by cache checksums), and
 allocator-exhaustion storms.  Recovery is supervised recompute-restart:
 the faulted session drops its blocks (rng untouched -- the retried
 stream still equals the per-request oracle) and re-queues under
-capped-exponential backoff on the virtual clock; a request out of
-retry budget fails with outcome ``failed``.
+capped-exponential backoff on the virtual clock (:data:`BACKOFF_BASE`
+steps, doubling up to :data:`BACKOFF_CAP`); a request past
+:data:`MAX_RETRIES` retries fails with outcome ``failed``.
 
 Determinism: requests sample from their own seeded generators
 (:class:`repro.serve.decode.DecodeSession`), preemption recomputes
@@ -84,6 +85,12 @@ if TYPE_CHECKING:  # serving without a fault plan loads neither
     from repro.resilience.serve_chaos import ServeChaosPlan
 
 SHED_POLICIES = ("reject-newest", "edf")
+#: Retries of one faulted request before it fails.
+MAX_RETRIES = 5
+#: First retry backoff, in virtual-clock steps; it doubles per retry.
+BACKOFF_BASE = 2
+#: Ceiling of the retry backoff, in virtual-clock steps.
+BACKOFF_CAP = 16
 
 
 @dataclass
@@ -115,9 +122,6 @@ class ServeEngine:
         max_queue: int | None = None,
         shed_policy: str = "reject-newest",
         chaos: ServeChaosPlan | None = None,
-        max_retries: int = 5,
-        backoff_base: int = 2,
-        backoff_cap: int = 16,
     ):
         if cache.num_layers != len(model.blocks):
             raise ValueError(
@@ -131,21 +135,11 @@ class ServeEngine:
                 f"shed_policy must be one of {SHED_POLICIES}, "
                 f"got {shed_policy!r}"
             )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_base < 1 or backoff_cap < backoff_base:
-            raise ValueError(
-                f"need 1 <= backoff_base <= backoff_cap, got "
-                f"base={backoff_base} cap={backoff_cap}"
-            )
         self.model = model
         self.cache = cache
         self.logger = logger
         self.max_queue = max_queue
         self.shed_policy = shed_policy
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.step_count = 0  # the virtual clock
         self.waiting: deque[_Entry] = deque()  # sorted by arrival_seq
         self.running: list[_Entry] = []  # admission order
@@ -488,16 +482,13 @@ class ServeEngine:
         self._running_seqs.discard(entry.arrival_seq)
         self.running.remove(entry)
         entry.retries += 1
-        if entry.retries > self.max_retries:
+        if entry.retries > MAX_RETRIES:
             self._emit("fault", entry, kind=kind, error=str(fault),
                        gave_up=True, retries=entry.retries - 1)
             self._record(entry, step, "failed")
             return
         self._emit("fault", entry, kind=kind, error=str(fault))
-        delay = min(
-            self.backoff_cap,
-            self.backoff_base * 2 ** (entry.retries - 1),
-        )
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (entry.retries - 1))
         entry.not_before = step + delay
         if not entry.in_backoff:
             entry.in_backoff = True
@@ -587,9 +578,7 @@ class ServeEngine:
             if self._injector is not None:
                 plan = self._injector.plan
                 max_steps += sum(e.steps for e in plan.exhaustions)
-                max_steps += (
-                    (self.max_retries + 1) * self.backoff_cap * len(pending)
-                )
+                max_steps += (MAX_RETRIES + 1) * BACKOFF_CAP * len(pending)
         t0 = time.perf_counter()
         i = 0
         try:

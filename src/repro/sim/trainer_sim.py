@@ -293,12 +293,13 @@ def simulate_iteration(
     *,
     options: SimOptions | None = None,
     node: NodeSpec | None = None,
-    topology: ClusterTopology | None = None,
 ) -> SimulationResult:
-    """Simulate one training iteration of ``config`` under ``parallel``."""
+    """Simulate one training iteration of ``config`` under ``parallel``
+    on the smallest DGX A100 cluster that holds it
+    (:func:`~repro.hardware.cluster_for_gpus`)."""
     options = options or SimOptions()
     node = node or dgx_a100()
-    pricing = price_iteration(config, parallel, options, node, topology)
+    pricing = price_iteration(config, parallel, options, node)
     tp_time, comm_time, dur = pricing.tp_time, pricing.comm_time, pricing.dur
     pipe_ranks, params_rank = pricing.pipe_ranks, pricing.params_rank
     dp_time, embed_time, opt_time = (

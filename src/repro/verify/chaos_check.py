@@ -20,10 +20,14 @@ executable as a ``python -m repro verify`` section:
   ring-summation tolerance.
 
 Each check returns a list of human-readable failures (empty = pass)
-so the runner can aggregate them like every other section.
+so the runner can aggregate them like every other section.  The two
+comparisons with a reference are one function, :func:`judge_recovery`,
+which ``python -m repro chaos`` also runs on the run it just made.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,35 +49,91 @@ def _dp2(batch: int = 4):
                           global_batch_size=batch)
 
 
-def _compare_bit_exact(report, base_losses, base_state) -> list[str]:
-    from repro.resilience import states_bit_equal
+@dataclass(frozen=True)
+class RecoveryVerdict:
+    """How a finished chaos run compares with its reference."""
 
-    failures = []
-    if report.losses != base_losses:
+    reference: str
+    loss_failures: list[str]
+    state_failures: list[str]
+
+    @property
+    def failures(self) -> list[str]:
+        return self.loss_failures + self.state_failures
+
+    def describe(self) -> str:
+        return (f"{self.reference}: losses={not self.loss_failures}  "
+                f"parameters={not self.state_failures}")
+
+
+def judge_recovery(report, config, *, schedule: str = "1f1b",
+                   seed: int = 0) -> RecoveryVerdict:
+    """Compare a finished :class:`~repro.resilience.ChaosReport` with
+    the run it must reproduce.
+
+    A run that kept its parallel configuration must equal the
+    uninterrupted run (:func:`~repro.resilience.run_baseline`) bit for
+    bit.  A resharded one must match the single-rank reference with the
+    optimizer reset where it restored
+    (:func:`~repro.resilience.run_reset_reference`), from that
+    iteration on, to fp64 ring-summation tolerance.
+    """
+    from repro.resilience import (
+        run_baseline,
+        run_reset_reference,
+        states_bit_equal,
+    )
+
+    total, parallel = report.iterations, report.final_parallel
+    if not report.resharded:
+        base_losses, base_state = run_baseline(
+            config, parallel, total_iterations=total, schedule=schedule,
+            seed=seed,
+        )
         bad = [i for i, (a, b) in
                enumerate(zip(report.losses, base_losses)) if a != b]
-        failures.append(
-            f"recovered losses differ from uninterrupted run at "
-            f"iterations {bad}"
+        return RecoveryVerdict(
+            "bit-exact vs uninterrupted run",
+            [f"recovered losses differ from uninterrupted run at "
+             f"iterations {bad}"] if bad else [],
+            [] if states_bit_equal(report.final_state, base_state) else
+            ["recovered final parameters are not bit-identical to the "
+             "uninterrupted run"],
         )
-    if not states_bit_equal(report.final_state, base_state):
-        failures.append(
-            "recovered final parameters are not bit-identical to the "
-            "uninterrupted run"
-        )
-    return failures
+    restored = [r for r in report.records if r.kind == "restore"]
+    reset_at = restored[0].at_iteration if restored else 0
+    ref_losses, ref_state = run_reset_reference(
+        config, parallel.global_batch_size, total_iterations=total,
+        reset_at=reset_at, seed=seed,
+    )
+    loss_failures = [
+        f"iteration {i} loss {report.losses[i]!r} deviates from the "
+        f"serial-reset reference {ref_losses[i]!r}"
+        for i in range(reset_at, total)
+        if not np.isclose(report.losses[i], ref_losses[i],
+                          rtol=LOSS_RTOL, atol=LOSS_ATOL)
+    ]
+    state_failures = []
+    for name, want in ref_state.items():
+        got = report.final_state.get(name)
+        if got is None:
+            state_failures.append(f"resharded state is missing {name}")
+        elif not np.allclose(got, want, rtol=PARAM_RTOL, atol=PARAM_ATOL):
+            state_failures.append(
+                f"parameter {name} deviates from the serial-reset "
+                f"reference (max |diff|={np.max(np.abs(got - want)):.3e})"
+            )
+    return RecoveryVerdict(
+        "resharded resume vs single-rank reference (optimizer reset at "
+        f"{reset_at})", loss_failures, state_failures,
+    )
 
 
 def check_bit_exact_resume(directory: str, *, kill_at: int = 3,
                            total: int = 6, seed: int = 0) -> list[str]:
     """Kill at ``kill_at``; the recovered run must equal the
     uninterrupted run bit for bit."""
-    from repro.resilience import (
-        ChaosHarness,
-        ChaosPlan,
-        Kill,
-        run_baseline,
-    )
+    from repro.resilience import ChaosHarness, ChaosPlan, Kill
 
     config, parallel = _tiny_model(), _dp2()
     plan = ChaosPlan(kills=(Kill(at_iteration=kill_at),))
@@ -87,11 +147,7 @@ def check_bit_exact_resume(directory: str, *, kill_at: int = 3,
         failures.append(
             f"expected exactly 1 restart, got {report.restarts}"
         )
-    base_losses, base_state = run_baseline(
-        config, parallel, total_iterations=total, seed=seed
-    )
-    failures += _compare_bit_exact(report, base_losses, base_state)
-    return failures
+    return failures + judge_recovery(report, config, seed=seed).failures
 
 
 def check_corrupt_fallback(directory: str, *, corrupt_at: int = 4,
@@ -106,7 +162,6 @@ def check_corrupt_fallback(directory: str, *, corrupt_at: int = 4,
         ChaosPlan,
         CorruptCheckpoint,
         Kill,
-        run_baseline,
     )
 
     config, parallel = _tiny_model(), _dp2()
@@ -131,10 +186,7 @@ def check_corrupt_fallback(directory: str, *, corrupt_at: int = 4,
             f"expected fallback to a checkpoint older than "
             f"{corrupt_at}, restored from {got}"
         )
-    base_losses, base_state = run_baseline(
-        config, parallel, total_iterations=total, seed=seed
-    )
-    failures += _compare_bit_exact(report, base_losses, base_state)
+    failures += judge_recovery(report, config, seed=seed).failures
     # The store must still resolve LATEST to a verified checkpoint.
     store = CheckpointStore(directory)
     latest = store.latest_iteration()
@@ -218,12 +270,7 @@ def check_reshard_resume(directory: str, *, kill_at: int = 3,
     """Permanent rank loss: the resharded resume must match the
     single-rank reference (optimizer reset at the restore point) to
     fp64 tolerance."""
-    from repro.resilience import (
-        ChaosHarness,
-        ChaosPlan,
-        Kill,
-        run_reset_reference,
-    )
+    from repro.resilience import ChaosHarness, ChaosPlan, Kill
 
     config, parallel = _tiny_model(), _dp2()
     plan = ChaosPlan(kills=(Kill(at_iteration=kill_at, permanent=True),))
@@ -232,10 +279,9 @@ def check_reshard_resume(directory: str, *, kill_at: int = 3,
         checkpoint_every=2, seed=seed, sleep=lambda s: None,
     )
     report = harness.run()
-    failures = []
     if not report.resharded:
-        failures.append("permanent rank loss did not trigger a reshard")
-        return failures
+        return ["permanent rank loss did not trigger a reshard"]
+    failures = []
     world = (report.final_parallel.pipeline_parallel_size
              * report.final_parallel.tensor_parallel_size
              * report.final_parallel.data_parallel_size)
@@ -243,29 +289,7 @@ def check_reshard_resume(directory: str, *, kill_at: int = 3,
         failures.append(
             f"reshard did not shrink the world: still {world} ranks"
         )
-    restored = [r for r in report.records if r.kind == "restore"]
-    reset_at = restored[0].at_iteration if restored else 0
-    ref_losses, ref_state = run_reset_reference(
-        config, parallel.global_batch_size, total_iterations=total,
-        reset_at=reset_at, seed=seed,
-    )
-    for i in range(reset_at, total):
-        if not np.isclose(report.losses[i], ref_losses[i],
-                          rtol=LOSS_RTOL, atol=LOSS_ATOL):
-            failures.append(
-                f"iteration {i} loss {report.losses[i]!r} deviates from "
-                f"the serial-reset reference {ref_losses[i]!r}"
-            )
-    for name, want in ref_state.items():
-        got = report.final_state.get(name)
-        if got is None:
-            failures.append(f"resharded state is missing {name}")
-        elif not np.allclose(got, want, rtol=PARAM_RTOL, atol=PARAM_ATOL):
-            failures.append(
-                f"parameter {name} deviates from the serial-reset "
-                f"reference (max |diff|={np.max(np.abs(got - want)):.3e})"
-            )
-    return failures
+    return failures + judge_recovery(report, config, seed=seed).failures
 
 
 CHAOS_CHECKS = (

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ParallelConfig, tiny_test_model
 from repro.parallel import PTDTrainer
@@ -134,23 +136,23 @@ class TestValidation:
     @pytest.mark.parametrize("damage", ["missing parameter",
                                         "shape mismatch for"])
     def test_bad_model_weight_is_corrupt_and_named(self, tmp_path, t, damage):
-        """Unverified, a model.npz without a weight or with one of the
-        wrong shape is corrupt, named, and loads nothing -- at every t."""
+        """A model.npz without a weight or with one of the wrong shape,
+        its digests re-recorded so that it verifies, is corrupt, named,
+        and loads nothing -- at every t."""
         save_checkpoint(make_trainer(t=t, d=1), str(tmp_path))
-        path = tmp_path / "model.npz"
-        with np.load(path) as data:
+        with np.load(tmp_path / "model.npz") as data:
             arrays = {k: data[k] for k in data.files}
         name = "blocks.1.ln2.gamma"
         if damage == "missing parameter":
             del arrays[name]
         else:
             arrays[name] = arrays[name][:1]
-        np.savez(path, **arrays)
+        _rewrite(str(tmp_path), "model.npz", arrays)
         b = make_trainer(t=t, d=1, seed=3)
         before = b.gather_state_dict()
         with pytest.raises(CheckpointCorruptError,
                            match=rf"model\.npz: {damage} {name}\b"):
-            load_checkpoint(b, str(tmp_path), verify=False)
+            load_checkpoint(b, str(tmp_path))
         after = b.gather_state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
@@ -183,14 +185,14 @@ class TestValidation:
             load_checkpoint(b, str(tmp_path))
 
     def test_unknown_format_version(self, tmp_path):
-        a = make_trainer()
-        save_checkpoint(a, str(tmp_path))
-        meta_path = tmp_path / "metadata.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = 99
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(CheckpointMismatchError, match="format"):
-            load_checkpoint(make_trainer(), str(tmp_path))
+        """Only format 4 is read: the older formats 1-3 are refused like
+        an unknown one, by name, whatever their files hold."""
+        save_checkpoint(make_trainer(), str(tmp_path))
+        for version in (1, 2, 3, 99):
+            _edit_metadata(str(tmp_path), format_version=version)
+            with pytest.raises(CheckpointMismatchError,
+                               match=rf"unknown checkpoint format {version}\b"):
+                load_checkpoint(make_trainer(), str(tmp_path))
 
     def test_missing_model_file_is_corrupt(self, tmp_path):
         a = make_trainer()
@@ -227,9 +229,9 @@ class TestValidation:
         }
         assert verify_checkpoint(str(tmp_path))["iteration"] == 0
 
-    def test_unverified_load_skips_checksums(self, tmp_path):
-        """A flipped byte inside the zip payload may still unpickle;
-        verify=False explicitly opts out of the integrity check."""
+    def test_flipped_optimizer_shard_fails_the_load(self, tmp_path):
+        """A flipped byte inside the zip payload may still unpickle; the
+        load's integrity check refuses it anyway."""
         a = make_trainer()
         ids, targets = batch()
         a.train_step(ids, targets)
@@ -239,123 +241,231 @@ class TestValidation:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(make_trainer(), str(tmp_path), verify=True)
-
-    def test_format_v1_still_loads(self, tmp_path):
-        """Pre-hardening checkpoints (no digests, the full moments of
-        every parameter in every rank file) remain readable."""
-        a = make_trainer()
-        ids, targets = batch()
-        a.train_step(ids, targets)
-        save_checkpoint(a, str(tmp_path))
-        arrays = {f"{key}_{i}": whole
-                  for (key, i), whole in _full_moments(a).items()}
-        arrays["step_count"] = np.array(a.optimizers[0].step_count)
-        for r in range(len(a.optimizers)):
-            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", arrays)
-        meta_path = tmp_path / "metadata.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = 1
-        del meta["files"]
-        meta_path.write_text(json.dumps(meta))
-        b = make_trainer(seed=7)
-        assert load_checkpoint(b, str(tmp_path)) is True
-        assert b.iteration == 1
-        for want, got in zip(a.optimizers, b.optimizers):
-            assert np.array_equal(want.m, got.m)
-            assert np.array_equal(want.v, got.v)
+        with pytest.raises(CheckpointCorruptError,
+                           match="optimizer_rank0.npz fails integrity"):
+            load_checkpoint(make_trainer(), str(tmp_path))
 
 
-def _rewrite(directory, name, arrays, version=None):
+def _write_metadata(directory, edit):
+    """Replace a committed checkpoint's metadata.json with ``edit`` of
+    its parsed contents."""
+    meta_path = os.path.join(directory, "metadata.json")
+    with open(meta_path) as f:
+        doc = edit(json.load(f))
+    with open(meta_path, "w") as f:
+        json.dump(doc, f)
+
+
+def _edit_metadata(directory, **fields):
+    """Set top-level fields of a committed checkpoint's metadata.json."""
+    _write_metadata(directory, lambda meta: {**meta, **fields})
+
+
+def _rewrite(directory, name, arrays):
     """Replace one file of a committed checkpoint, re-recording its
-    digests (and the format version) so only the content is changed."""
+    digests so only the content is changed."""
     from repro.parallel.checkpoint import _file_digests
 
     np.savez(os.path.join(directory, name), **arrays)
     meta_path = os.path.join(directory, "metadata.json")
     with open(meta_path) as f:
-        meta = json.load(f)
-    meta["files"][name] = _file_digests(os.path.join(directory, name))
-    if version is not None:
-        meta["format_version"] = version
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+        files = json.load(f)["files"]
+    files[name] = _file_digests(os.path.join(directory, name))
+    _edit_metadata(directory, files=files)
 
 
-def _full_moments(trainer):
-    """Every rank's ``m`` and ``v`` put back together: the full moments
-    of each parameter, in ``parameters()`` order."""
-    from repro.comm.primitives import owned_chunk
+def _set(path, value):
+    """``meta`` with the field at ``path`` (a tuple of keys) replaced."""
+    def edit(meta):
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return meta
+    return edit
 
-    params = trainer.replicas[0].parameters()
-    n, d = sum(p.size for p in params), len(trainer.optimizers)
-    full = {"m": np.empty(n), "v": np.empty(n)}
-    for r, opt in enumerate(trainer.optimizers):
-        lo, hi = owned_chunk(n, d, r)
-        full["m"][lo:hi], full["v"][lo:hi] = opt.m, opt.v
-    out = {}
-    offset = 0
-    for i, p in enumerate(params):
-        for key in ("m", "v"):
-            out[key, i] = full[key][offset:offset + p.size].reshape(p.shape)
-        offset += p.size
-    return out
+
+#: metadata.json documents that parse but have the wrong shape, each
+#: with the field its CheckpointCorruptError must name.
+MALFORMED = {
+    "null": (lambda meta: None, "not a JSON object"),
+    "list": (lambda meta: [], "not a JSON object"),
+    "string": (lambda meta: "x", "not a JSON object"),
+    "iteration-string": (_set(("iteration",), "x"), "'iteration'"),
+    "iteration-null": (_set(("iteration",), None), "'iteration'"),
+    "iteration-bool": (_set(("iteration",), True), "'iteration'"),
+    "iteration-float": (_set(("iteration",), 1.0), "'iteration'"),
+    "model-list": (_set(("model",), []), "'model'"),
+    "parallel-string": (_set(("parallel",), "p2"), "'parallel'"),
+    "files-list": (_set(("files",), []), "'files'"),
+    "files-entry-string": (_set(("files", "model.npz"), "x"), "'files'"),
+    "files-entry-null": (_set(("files", "optimizer_rank1.npz"), None),
+                         "'files'"),
+    "no-files": (lambda meta: {k: v for k, v in meta.items()
+                               if k != "files"}, "'files'"),
+}
+
+
+class TestMalformedMetadata:
+    """A metadata.json that parses but has the wrong shape is corrupt,
+    named, and never escapes the CheckpointError hierarchy."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_is_corrupt_and_named(self, tmp_path, case):
+        edit, field = MALFORMED[case]
+        save_checkpoint(make_trainer(), str(tmp_path))
+        _write_metadata(str(tmp_path), edit)
+        with pytest.raises(CheckpointCorruptError,
+                           match=rf"metadata\.json.*{field}"):
+            load_checkpoint(make_trainer(), str(tmp_path))
+
+    def test_a_file_the_manifest_does_not_record_is_not_read(self, tmp_path):
+        save_checkpoint(make_trainer(), str(tmp_path))
+        _write_metadata(str(tmp_path), lambda meta: {
+            **meta, "files": {k: v for k, v in meta["files"].items()
+                              if k != "optimizer_rank1.npz"}})
+        with pytest.raises(CheckpointCorruptError,
+                           match="does not record optimizer_rank1.npz"):
+            load_checkpoint(make_trainer(), str(tmp_path))
+
+    @pytest.mark.parametrize("case", ["null", "iteration-string",
+                                      "files-entry-string"])
+    def test_restore_falls_back_past_it(self, tmp_path, case):
+        store = CheckpointStore(str(tmp_path), keep_last=3)
+        t = make_trainer()
+        for _ in range(2):
+            t.train_step(*batch())
+            store.save(t)
+        _write_metadata(store.path_for(2), MALFORMED[case][0])
+        result = store.restore(make_trainer(seed=9))
+        assert result.iteration == 1
+        assert [it for it, _ in result.skipped] == [2]
+        assert "metadata.json" in result.skipped[0][1]
+
+
+#: Any JSON value, with the format versions ever written among them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([1, 2, 3, 4, 99])
+    | st.integers(-2, 2**40) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6,
+)
+DELETE = object()
+#: Paths into a committed metadata.json: every key the writer emits and
+#: one unknown key per level.
+METADATA_PATHS = (
+    [("format_version",), ("iteration",), ("model",), ("parallel",),
+     ("files",), ("extra",)]
+    + [("model", k) for k in ("num_layers", "hidden_size", "vocab_size",
+                              "extra")]
+    + [("parallel", k) for k in ("p", "t", "d", "B", "extra")]
+    + [("files", name) for name in ("model.npz", "optimizer_rank0.npz",
+                                    "optimizer_rank1.npz", "", "..",
+                                    "metadata.json")]
+    + [("files", name, k) for name in ("model.npz", "optimizer_rank1.npz")
+       for k in ("size", "crc32", "sha256")]
+)
+METADATA_EDITS = st.lists(
+    st.tuples(st.sampled_from(METADATA_PATHS),
+              st.just(DELETE) | JSON_VALUES),
+    max_size=3,
+)
+
+
+def _apply_edits(meta, edits, whole):
+    """``meta`` after ``edits`` (each sets or deletes the field at a
+    path whose parent is still an object), or ``whole`` if given."""
+    if whole is not DELETE:
+        return whole
+    for path, value in edits:
+        node = meta
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return meta
+
+
+@pytest.fixture(scope="module")
+def two_snapshots(tmp_path_factory):
+    """A store holding verified snapshots 1 and 2 (d = 2), the pristine
+    metadata of snapshot 2, and a trainer to load them into."""
+    store = CheckpointStore(str(tmp_path_factory.mktemp("manifest")),
+                            keep_last=2)
+    trainer = make_trainer(p=2, t=1, d=2)
+    for _ in range(2):
+        trainer.train_step(*batch())
+        store.save(trainer)
+    with open(os.path.join(store.path_for(2), "metadata.json")) as f:
+        pristine = json.load(f)
+    return store, pristine, make_trainer(p=2, t=1, d=2, seed=5)
+
+
+class TestMetadataProperty:
+    """Whatever metadata.json holds, a load either succeeds or raises a
+    CheckpointError, and a restore either restores or raises
+    CheckpointNotFoundError -- here, with a verified older snapshot on
+    disk, it always restores, from the edited one or past it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=METADATA_EDITS,
+           whole=st.just(DELETE) | st.just(DELETE) | JSON_VALUES)
+    def test_every_document_loads_or_raises_a_checkpoint_error(
+            self, two_snapshots, edits, whole):
+        store, pristine, trainer = two_snapshots
+        doc = _apply_edits(json.loads(json.dumps(pristine)), edits, whole)
+        path = store.path_for(2)
+        with open(os.path.join(path, "metadata.json"), "w") as f:
+            json.dump(doc, f)
+        try:
+            restored = load_checkpoint(trainer, path)
+        except CheckpointError:
+            loads = False
+        else:
+            loads = True
+            assert restored in (True, False)
+            assert trainer.iteration == doc["iteration"]
+        result = store.restore(trainer)  # snapshot 1 always verifies
+        if loads:
+            assert (result.iteration, result.skipped) == (2, [])
+        else:
+            assert result.iteration == 1
+            assert [it for it, _ in result.skipped] == [2]
 
 
 class TestShardedOptimizerState:
-    """Format 4: ``optimizer_rank<r>.npz`` holds rank r's moments over
-    its range of the flat parameter vector; format 3 (rank r's ring
-    chunk of every parameter) and format 2 (full moments in every rank
-    file) load."""
+    """``optimizer_rank<r>.npz`` holds rank r's moments over its range
+    of the flat parameter vector."""
 
     #: (p, t, d): tensor-parallel shards, a two-shard tied embedding,
     #: and ranges that cut parameters unevenly at d = 3
     GRIDS = ((2, 2, 2), (2, 1, 2), (2, 1, 3))
 
-    @staticmethod
-    def _restores_and_continues(directory, version, p, t, d):
-        """Rewrite a (p, t, d) checkpoint's optimizer files in format
-        ``version``; a trainer restored from it trains on bit for bit."""
-        from repro.comm.primitives import owned_chunk
-
+    @pytest.mark.parametrize("p,t,d", GRIDS)
+    def test_restores_and_continues_bit_identically(self, tmp_path, p, t, d):
         ids, targets = batch(B=6 * d)
         a = make_trainer(p=p, t=t, d=d, B=6 * d)
         for _ in range(2):
             a.train_step(ids, targets)
-        save_checkpoint(a, directory)
-        moments = _full_moments(a)
-        for r, opt in enumerate(a.optimizers):
-            arrays = {"step_count": np.array(opt.step_count)}
-            for i, param in enumerate(a.replicas[0].parameters()):
-                lo, hi = owned_chunk(param.size, d, r)
-                for key in ("m", "v"):
-                    whole = moments[key, i]
-                    arrays[f"{key}_{i}"] = (
-                        whole if version == 2 else whole.reshape(-1)[lo:hi])
-            _rewrite(directory, f"optimizer_rank{r}.npz", arrays,
-                     version=version)
-
+        save_checkpoint(a, str(tmp_path))
         b = make_trainer(p=p, t=t, d=d, B=6 * d, seed=99)
-        assert load_checkpoint(b, directory) is True
+        assert load_checkpoint(b, str(tmp_path)) is True
         for want, got in zip(a.optimizers, b.optimizers):
             assert np.array_equal(want.m, got.m)
             assert np.array_equal(want.v, got.v)
+            assert want.step_count == got.step_count
         for _ in range(2):
             assert a.train_step(ids, targets) == b.train_step(ids, targets)
         sa, sb = a.gather_state_dict(), b.gather_state_dict()
         for name in sa:
             assert np.array_equal(sa[name], sb[name]), name
-
-    def test_format_2_restores_and_continues_bit_identically(self, tmp_path):
-        for p, t, d in self.GRIDS:
-            self._restores_and_continues(
-                str(tmp_path / f"p{p}t{t}d{d}"), 2, p, t, d)
-
-    def test_format_3_restores_and_continues_bit_identically(self, tmp_path):
-        for p, t, d in self.GRIDS:
-            self._restores_and_continues(
-                str(tmp_path / f"p{p}t{t}d{d}"), 3, p, t, d)
 
     def test_shard_of_the_wrong_length_is_corrupt(self, tmp_path):
         a = make_trainer()
@@ -372,8 +482,6 @@ class TestShardedOptimizerState:
             load_checkpoint(make_trainer(), str(tmp_path))
 
     def test_shard_missing_an_array_is_corrupt(self, tmp_path):
-        """The format version, not the file's contents, picks the
-        layout: a format-4 file without ``m`` is named as corrupt."""
         a = make_trainer()
         a.train_step(*batch())
         save_checkpoint(a, str(tmp_path))
@@ -383,24 +491,6 @@ class TestShardedOptimizerState:
         _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
         with pytest.raises(CheckpointCorruptError,
                            match=r"optimizer_rank1\.npz is missing array 'm'"):
-            load_checkpoint(make_trainer(), str(tmp_path))
-
-    def test_per_parameter_chunk_of_the_wrong_length_is_corrupt(
-            self, tmp_path):
-        """The same for a format-3 file, whose chunks are cut per
-        parameter."""
-        a = make_trainer()
-        a.train_step(*batch())
-        save_checkpoint(a, str(tmp_path))
-        moments = _full_moments(a)
-        for r, opt in enumerate(a.optimizers):
-            arrays = {"step_count": np.array(opt.step_count)}
-            for (key, i), whole in moments.items():
-                arrays[f"{key}_{i}"] = whole.reshape(-1)[:-1]
-            _rewrite(str(tmp_path), f"optimizer_rank{r}.npz", arrays,
-                     version=3)
-        with pytest.raises(CheckpointCorruptError,
-                           match=r"optimizer_rank0.*m .*parameter 0; rank 0"):
             load_checkpoint(make_trainer(), str(tmp_path))
 
 
@@ -458,8 +548,8 @@ class TestAtomicCommit:
         assert verify_checkpoint(str(target))["iteration"] == 0
 
     def test_non_atomic_writer_matches_layout(self, tmp_path):
-        """The benchmark-baseline writer produces a loadable (v2)
-        checkpoint, just without crash safety."""
+        """The benchmark-baseline writer produces a loadable checkpoint,
+        just without crash safety."""
         a = make_trainer()
         save_checkpoint(a, str(tmp_path), atomic=False)
         b = make_trainer(seed=3)
@@ -512,6 +602,20 @@ class TestCheckpointStore:
         result = store.restore(fresh)
         assert result.iteration == 1
         assert [it for it, _ in result.skipped] == [2]
+
+    def test_restore_skips_an_old_format_snapshot(self, tmp_path):
+        store = CheckpointStore(str(tmp_path), keep_last=3)
+        t = make_trainer()
+        self.run_to(t, 1)
+        store.save(t)
+        self.run_to(t, 1)
+        store.save(t)
+        _edit_metadata(store.path_for(2), format_version=3)
+        result = store.restore(make_trainer(seed=9))
+        assert result.iteration == 1
+        ((iteration, reason),) = result.skipped
+        assert iteration == 2
+        assert "unknown checkpoint format 3" in reason
 
     def test_restore_with_nothing_usable(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -592,8 +592,8 @@ class TestAcceptanceGrid:
         events = run_chaos_with_log(tmp_path, GRID_PLAN)
         board = score_run(events)
         # Every detector fires within the same run, a bounded number of
-        # events after its fault (the kill needs silent_rounds=2
-        # heartbeat rounds; nothing should take more than one recovery
+        # events after its fault (a kill leaves two silent heartbeat
+        # rounds; nothing should take more than one recovery
         # cycle worth of events).
         for score in board.scores:
             assert 0 <= score.latency_events <= 40, board.describe()

@@ -40,6 +40,7 @@ from repro.serve import (
     TraceRequest,
     poisson_trace,
 )
+from repro.serve.engine import MAX_RETRIES
 
 from .test_monitor import score_of
 
@@ -258,14 +259,14 @@ class TestChaosRecovery:
         plan = ServeChaosPlan(crashes=(
             DecodeCrash(at_step=0, times=10),
         ))
-        engine, report, events = run_chaos([req], chaos=plan,
-                                           max_retries=2)
+        engine, report, events = run_chaos([req], chaos=plan)
         (metrics,) = report.requests
         assert metrics.outcome == "failed"
         assert "doomed" not in engine.outputs
         gave_up = [e for e in events if e["type"] == "request"
                    and e["phase"] == "fault" and e.get("gave_up")]
         assert len(gave_up) == 1
+        assert gave_up[0]["retries"] == MAX_RETRIES
 
     def test_storm_seizes_then_returns_blocks(self):
         req = TraceRequest("slow", 4, (1, 2, 3), 4, temperature=0.0)

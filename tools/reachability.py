@@ -78,8 +78,6 @@ KEPT: dict[str, str] = {
         "validator: the Chrome trace-event schema",
     "repro/obs/metrics.py::MetricsRegistry.counter_value":
         "client API: README, Observability",
-    "repro/parallel/checkpoint.py::_cut_per_parameter_moments":
-        "client API: README, format-2 and format-3 checkpoints still load",
     "repro/perf/analytic_time.py::AnalyticEstimate.tflops_per_gpu":
         "oracle: the closed form the simulator is held to within 5%",
     "repro/perf/analytic_time.py::estimate_iteration":
