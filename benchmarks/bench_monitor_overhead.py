@@ -14,8 +14,7 @@ The mission-control contract from ISSUE 7, the runlog twin of
 
 The guard reads the ``paired_ratio`` estimator of ``conftest.py``
 (alternating back-to-back pairs, re-measured up to three times over
-budget): each sample is one ``train_step`` of a fresh trainer, so cached
-eq. (3) FLOPs never carry across samples.
+budget): each sample is one ``train_step`` of a fresh trainer.
 """
 
 import contextlib

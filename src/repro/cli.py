@@ -302,12 +302,15 @@ def _cmd_goodput(args) -> int:
     )
     from repro.sim import simulate_iteration
 
+    failure_iters = _parse_int_list(args.failures or "", "--failures")
+    for flag, value in (("--node-mtbf-hours", args.node_mtbf_hours),
+                        ("--iterations", args.iterations),
+                        ("--min-interval", args.min_interval),
+                        ("--max-interval", args.max_interval)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{flag} must be > 0, got {value}")
     scenario = goodput_scenarios()[args.preset]
     if args.node_mtbf_hours is not None:
-        if args.node_mtbf_hours <= 0:
-            raise ValueError(
-                f"--node-mtbf-hours must be > 0, got {args.node_mtbf_hours}"
-            )
         from dataclasses import replace
 
         scenario = replace(scenario, node_mtbf_hours=args.node_mtbf_hours)
@@ -328,8 +331,9 @@ def _cmd_goodput(args) -> int:
           f"{scenario.num_nodes} nodes)")
     print(f"detection latency: {detect:.1f} s expected")
 
-    lo = args.min_interval or 2 * policy.save_seconds
-    hi = args.max_interval or mtbf
+    lo = (2 * policy.save_seconds if args.min_interval is None
+          else args.min_interval)
+    hi = mtbf if args.max_interval is None else args.max_interval
     sweep = sweep_checkpoint_interval(
         log_spaced_intervals(lo, hi, args.points),
         mtbf_seconds=mtbf,
@@ -352,13 +356,12 @@ def _cmd_goodput(args) -> int:
 
     # -- replay a concrete failure trace at the optimal interval ------------
     interval_iters = max(1, round(sweep.best.interval_seconds / iter_time))
-    if args.failures:
-        failure_iters = [int(x) for x in args.failures.split(",")]
-    else:
+    if not failure_iters:
         # One failure per cluster-MTBF of useful time, four MTBFs deep.
         step = max(1, round(mtbf / iter_time))
         failure_iters = [step * (i + 1) for i in range(4)]
-    total = args.iterations or (max(failure_iters) + interval_iters)
+    total = (max(failure_iters) + interval_iters if args.iterations is None
+             else args.iterations)
     kills = [Kill(at_iteration=k) for k in sorted(failure_iters) if k < total]
     print()
     print(f"failure trace    : rank failures at iterations "

@@ -13,6 +13,11 @@ Usage::
         model.loss_backward(caches)
     print(meter.total_flops)
 
+Every active :class:`~repro.obs.tracer.Tracer` is reported to as
+well, the way ``TrafficLog.add`` reaches
+:func:`~repro.obs.tracer.record_transfer`: the work lands in its metrics
+and on its innermost open span.
+
 Only GEMM work is counted (the paper's convention: "The majority of
 floating-point operations in the model are performed in the matrix
 multiplications (GEMMs) in the transformer and logit layers"); a
@@ -23,6 +28,10 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+
+# The tracer stack itself: it is mutated in place, never rebound, so
+# the untraced path below is one empty-list check with no call.
+from repro.obs.tracer import _ACTIVE as _TRACERS
 
 
 @dataclass
@@ -45,9 +54,12 @@ _ACTIVE: list[FlopMeter] = []
 
 
 def record_gemm_flops(category: str, flops: int) -> None:
-    """Report GEMM work to every active meter (no-op when none)."""
+    """Report GEMM work to every active meter and tracer (no-op when
+    none)."""
     for meter in _ACTIVE:
         meter.add(category, flops)
+    for tracer in _TRACERS:
+        tracer.on_flops(category, flops)
 
 
 def matmul_flops(*shape: int) -> int:

@@ -7,12 +7,12 @@ streams meet:
   intervals from the schedule executor, the comm primitives, the
   trainers, and the simulator (:mod:`repro.obs.tracer`);
 - **metrics** — counters/gauges/histograms in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, fed by the
-  :class:`~repro.nn.profiler.FlopMeter` and
-  :class:`~repro.comm.traffic.TrafficLog` adapters
-  (:mod:`repro.obs.adapters`, which :func:`trace` installs; it is the
-  package's one path to :mod:`repro.nn` and numpy, so it is not
-  imported here);
+  :class:`~repro.obs.metrics.MetricsRegistry`, fed by
+  :func:`~repro.nn.profiler.record_gemm_flops` and
+  :class:`~repro.comm.traffic.TrafficLog`, which report to every
+  active tracer, and by :func:`~repro.obs.metrics.report_iteration`,
+  an iteration's one Table-1 accounting (tokens/s, Tflop/s per GPU,
+  MFU), which the run log's ``iteration`` record shares;
 - **exports** — Chrome ``trace_event`` JSON (Perfetto /
   chrome://tracing), a flat phase-summary table, and a metrics dump
   (:mod:`repro.obs.export`), surfaced by ``python -m repro trace``.
@@ -23,7 +23,7 @@ active every instrumentation hook short-circuits on an empty list.
 The names below resolve on first use (:func:`repro.lazy_exports`):
 ``from repro.obs.tracer import span``, which every instrumented module
 runs, loads the tracer and the metrics registry, not the monitor, the
-run log, the exporters, the profiler or the telemetry.
+run log, the exporters or the profiler.
 """
 
 from repro import lazy_exports
@@ -31,14 +31,12 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "tracer": "GLOBAL_RANK CounterSample Span Tracer trace span "
               "current_tracer record_transfer",
-    "metrics": "Counter Gauge Histogram MetricsRegistry",
+    "metrics": "Counter Gauge Histogram MetricsRegistry report_iteration",
     "export": "chrome_trace chrome_trace_events counter_events "
               "write_chrome_trace phase_summary metrics_json write_metrics "
               "validate_chrome_trace",
     "profile": "ProfileReport RankProfile SpanStat profile_tracer "
                "folded_stacks write_folded",
-    "telemetry": "ThroughputReport MemoryBreakdown throughput_report "
-                 "sample_throughput sample_memory",
     "runlog": "RUNLOG_SCHEMA_VERSION RunLogger RunLogError RunRegistry "
               "RunInfo current_run_logger run_logging read_events "
               "parse_events manifest_of",

@@ -13,6 +13,10 @@ The conventions mirror Prometheus:
 Metric names are dotted paths (``comm.bytes.tp``, ``flops.attention``);
 the registry creates metrics on first touch so instrumentation sites
 never need registration boilerplate.
+
+:func:`report_iteration` is the one place an iteration's Table-1
+accounting (tokens/s, achieved Tflop/s per GPU, MFU) is computed; the
+trainer and the simulator hand it to the tracer and the run log alike.
 """
 
 from __future__ import annotations
@@ -139,3 +143,53 @@ class MetricsRegistry:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
+
+
+def report_iteration(tracer, runlog, config, parallel, seconds: float, *,
+                     peak_flops: float, with_recompute: bool,
+                     iteration: int, loss: float | None = None,
+                     grad_norm: float | None = None,
+                     rank_busy: dict[int, float] | None = None,
+                     t: float | None = None) -> None:
+    """Report one iteration's Table-1 accounting to the active sinks.
+
+    The paper's Table 1 unit: achieved Tflop/s per GPU and its fraction
+    of peak (MFU), from the eq. (3) closed form
+    ``config.flops_per_iteration`` -- the integer ``repro.verify``'s
+    conservation check pins to the FlopMeter, so trainer MFU, simulator
+    MFU and the analytic model come from one number.  ``seconds`` is the
+    measured or simulated iteration time, ``peak_flops`` the per-GPU
+    peak.
+
+    ``tracer`` (if not None) gets the ``throughput.*`` gauges and one
+    counter sample each of MFU, Tflop/s and tokens/s at ``t`` (None: its
+    clock); ``runlog`` gets one heartbeat round from every rank and the
+    ``iteration`` record, with ``loss``, ``grad_norm`` and ``rank_busy``
+    (per-rank busy seconds) passed through.
+    """
+    if seconds <= 0:
+        raise ValueError(f"seconds must be > 0, got {seconds}")
+    if peak_flops <= 0:
+        raise ValueError(f"peak_flops must be > 0, got {peak_flops}")
+    batch, n = parallel.global_batch_size, parallel.world_size
+    flops = config.flops_per_iteration(batch, with_recompute=with_recompute)
+    tokens_per_s = batch * config.seq_length / seconds
+    flops_per_gpu = flops / n / seconds
+    tflops_per_gpu = flops_per_gpu / 1e12
+    mfu = flops_per_gpu / peak_flops
+    if tracer is not None:
+        for name, value in (
+            ("iteration_seconds", seconds), ("tokens_per_s", tokens_per_s),
+            ("tflops_per_gpu", tflops_per_gpu), ("mfu", mfu),
+            ("model_flops", flops), ("num_gpus", n),
+            ("peak_flops", peak_flops),
+        ):
+            tracer.metrics.gauge(f"throughput.{name}").set(value)
+        for name, value in (("mfu", mfu), ("tflops_per_gpu", tflops_per_gpu),
+                            ("tokens_per_s", tokens_per_s)):
+            tracer.sample(f"throughput.{name}", value, t=t)
+    if runlog is not None:
+        runlog.heartbeat(range(n), iteration)
+        runlog.iteration(iteration, loss, seconds,
+                         tokens_per_s=tokens_per_s, mfu=mfu,
+                         grad_norm=grad_norm, rank_busy=rank_busy)

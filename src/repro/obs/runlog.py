@@ -55,7 +55,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO
@@ -75,6 +77,93 @@ EVENT_TYPES = (
 
 class RunLogError(ValueError):
     """A run log (or one of its events) is malformed or unreadable."""
+
+
+def _number(value) -> bool:
+    """A JSON number ``float()`` takes (not an int past 1e308)."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
+def _finite(value) -> bool:
+    """A number ``int()`` takes."""
+    return _number(value) and math.isfinite(value)
+
+
+def _is(kind):
+    return lambda value: isinstance(value, kind)
+
+
+_int, _str, _dict = _is(int), _is(str), _is(dict)
+
+
+def _ranks(value) -> bool:
+    return isinstance(value, list) and all(map(_int, value))
+
+
+def _rank_busy(value) -> bool:
+    """``{rank: seconds}`` with string keys ``int()`` takes."""
+    if not isinstance(value, dict):
+        return False
+    for rank, busy in value.items():
+        try:
+            int(rank)
+        except ValueError:
+            return False
+        if not _number(busy):
+            return False
+    return True
+
+
+def _or_none(check):
+    return lambda value: value is None or check(value)
+
+
+#: Per event type, the fields the monitor, its detectors, the
+#: scoreboard and the registry read: ``{field: (required, check)}``.
+#: :func:`parse_events` refuses an event that lacks a required field or
+#: holds a value a reader would trip on.
+_FIELDS: dict[str, dict] = {
+    "run-start": {"t": (False, _number),
+                  "expected_tokens_per_s": (False, _or_none(_number)),
+                  "model": (False, _or_none(_dict)),
+                  "parallel": (False, _or_none(_dict))},
+    "iteration": {"iteration": (True, _int),
+                  "loss": (False, _or_none(_number)),
+                  "tokens_per_s": (False, _or_none(_number)),
+                  "mfu": (False, _or_none(_number)),
+                  "rank_busy": (False, _or_none(_rank_busy)),
+                  "waiting": (False, _or_none(_int))},
+    "heartbeat": {"ranks": (True, _ranks), "iteration": (False, _int)},
+    "recovery": {"iteration": (False, _int)},
+    "request": {"request_id": (False, _or_none(_str)),
+                "step": (False, _finite)},
+    "ack": {"detector": (True, _str)},
+    "fault": {"kind": (True, _str), "iteration": (True, _int),
+              "expect": (False, _or_none(_str))},
+}
+
+
+def _check_event(event: dict) -> None:
+    """Raise :class:`RunLogError`, naming the event's ``seq`` and the
+    field, unless every reader of ``event`` can take it."""
+    seq = event.get("seq")
+    if not _int(seq):
+        raise RunLogError(f"run-log event has no integer seq: {seq!r}")
+    etype = event["type"]
+    if etype not in EVENT_TYPES:
+        raise RunLogError(f"run-log event seq {seq}: unknown type {etype!r}")
+    for name, (required, check) in _FIELDS.get(etype, {}).items():
+        if name not in event:
+            if required:
+                raise RunLogError(
+                    f"run-log event seq {seq}: {etype} lacks field {name!r}"
+                )
+        elif not check(event[name]):
+            raise RunLogError(
+                f"run-log event seq {seq}: {etype} field {name!r} holds "
+                f"{event[name]!r:.80}"
+            )
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -233,7 +322,10 @@ def parse_events(lines: Iterable[str]) -> Iterator[dict]:
 
     Tolerates a trailing partial line (a run mid-write) by stopping at
     the first unparseable *final* fragment; an unparseable line in the
-    middle of the stream is corruption and raises.
+    middle of the stream is corruption and raises.  So does an event
+    of an unknown type, or one lacking a field the monitor reads for
+    its type or holding a value it cannot take (``_FIELDS``): a
+    :class:`RunLogError` naming the event's ``seq`` and the field.
     """
     pending: str | None = None
     for line in lines:
@@ -257,6 +349,7 @@ def parse_events(lines: Iterable[str]) -> Iterator[dict]:
                 f"unsupported run-log schema version {event.get('v')!r} "
                 f"(this build reads version {RUNLOG_SCHEMA_VERSION})"
             )
+        _check_event(event)
         yield event
 
 

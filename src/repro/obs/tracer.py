@@ -23,8 +23,9 @@ Two clock regimes coexist:
 - **simulated spans** (``tracer.add_span(...)``) carry explicit
   start/end from a modelled timeline, e.g. the §2.2 list scheduler.
 
-Byte and FLOP accounting feed in through adapters: every
-:class:`~repro.comm.traffic.TrafficLog` transfer and every
+Bytes and FLOPs reach every active tracer the same way: each
+:class:`~repro.comm.traffic.TrafficLog` transfer (through
+:func:`record_transfer`) and each
 :func:`~repro.nn.profiler.record_gemm_flops` call is attributed to the
 innermost open span *and* to the tracer's
 :class:`~repro.obs.metrics.MetricsRegistry` (``comm.bytes.<kind>``,
@@ -199,7 +200,7 @@ class Tracer:
             self._stack[-1].add_counter("bytes", nbytes)
 
     def on_flops(self, category: str, flops: int) -> None:
-        """Attribute GEMM work (called by the FlopMeter adapter)."""
+        """Attribute GEMM work (called by ``record_gemm_flops``)."""
         self.metrics.counter(f"flops.{category}").inc(flops)
         self.metrics.counter("flops.total").inc(flops)
         if self._stack:
@@ -258,19 +259,11 @@ def span(name: str, phase: str = "", rank: int = GLOBAL_RANK,
 
 @contextlib.contextmanager
 def trace(clock: Callable[[], float] | None = None) -> Iterator[Tracer]:
-    """Activate a fresh :class:`Tracer` (nestable, exception-safe).
-
-    Also installs the FLOP adapter so GEMM work recorded via
-    :func:`repro.nn.profiler.record_gemm_flops` lands in the tracer's
-    metrics and on the innermost open span.
-    """
-    from .adapters import flop_adapter  # deferred: adapters import Tracer
-
+    """Activate a fresh :class:`Tracer` (nestable, exception-safe)."""
     tracer = Tracer(clock=clock)
     _ACTIVE.append(tracer)
     try:
-        with flop_adapter(tracer):
-            yield tracer
+        yield tracer
     finally:
         # Pop by identity: a second tracer created while this one is
         # active must not be confused with it (same fix as the

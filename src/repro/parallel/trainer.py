@@ -54,6 +54,7 @@ from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
 from repro.nn import Adam, WarmupCosineSchedule
 from repro.obs import span as obs_span
+from repro.obs.metrics import report_iteration
 from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import current_tracer
 from repro.schedule import make_schedule
@@ -358,6 +359,8 @@ class PTDTrainer(AbstractContextManager):
         runlog = current_run_logger()
         observed = tracer is not None or runlog is not None
         step_start = time.perf_counter() if observed else 0.0
+        # Per-DP-replica pipeline self times: the run log's per-rank busy
+        # proxy (the replicas are the concurrently schedulable units).
         rank_busy: dict[int, float] | None = {} if runlog is not None else None
         with obs_span("iteration", phase="iteration", iteration=self.iteration):
             if self._workers is not None:
@@ -367,12 +370,17 @@ class PTDTrainer(AbstractContextManager):
         mean_loss = float(np.mean(losses))
         if observed:
             seconds = time.perf_counter() - step_start
+            from repro.hardware import a100_80gb
+
+            report_iteration(
+                tracer, runlog, self.config, self.parallel, seconds,
+                peak_flops=a100_80gb().peak_flops,
+                with_recompute=self.recompute_activations,
+                iteration=self.iteration, loss=mean_loss,
+                grad_norm=self.last_grad_norm, rank_busy=rank_busy or {},
+            )
             if tracer is not None:
-                self._publish_telemetry(tracer, seconds)
-            if runlog is not None:
-                self._publish_runlog(
-                    runlog, mean_loss, seconds, rank_busy or {}
-                )
+                self._trace_memory(tracer)
         self.iteration += 1
         return mean_loss
 
@@ -525,70 +533,24 @@ class PTDTrainer(AbstractContextManager):
         self.close()
         return False
 
-    def _publish_telemetry(self, tracer, seconds: float) -> None:
-        """Table-1 throughput gauges + per-GPU memory counter samples.
-
-        Only runs under an active tracer (the untraced hot path pays a
-        single ``current_tracer()`` check).  FLOPs are the eq. (3)
-        closed form — the same number ``repro.verify``'s conservation
-        check pins to the FlopMeter — so trainer MFU, simulator MFU,
-        and the analytic model agree by construction; the *measured*
-        quantity is the wall-clock iteration time.
-        """
-        from repro.hardware import a100_80gb
-        from repro.obs.telemetry import (
-            MemoryBreakdown,
-            sample_memory,
-            sample_throughput,
-            throughput_report,
+    def _trace_memory(self, tracer) -> None:
+        """Per-GPU ``mem.*`` counter samples, in bytes: the model-state
+        split of ``perf.memory`` and the activation stash its footprint
+        model predicts.  Runs only under an active tracer."""
+        from repro.perf.memory import (
+            MODEL_STATE_SPLIT,
+            memory_footprint,
+            parameters_per_rank,
         )
-        from repro.perf.memory import memory_footprint, parameters_per_rank
 
-        report = throughput_report(
-            self.config, self.parallel, seconds,
-            peak_flops=a100_80gb().peak_flops,
-            with_recompute=self.recompute_activations,
-        )
-        sample_throughput(tracer, report)
+        params = parameters_per_rank(self.config, self.parallel)
+        for part, nbytes in MODEL_STATE_SPLIT:
+            tracer.sample(f"mem.{part}.bytes", nbytes * params)
         fp = memory_footprint(
             self.config, self.parallel,
             recompute=self.recompute_activations,
         )
-        sample_memory(
-            tracer,
-            MemoryBreakdown(parameters_per_rank(self.config, self.parallel)),
-            fp.activations + fp.stage_inputs,
-        )
-
-    def _publish_runlog(self, runlog, loss: float, seconds: float,
-                        rank_busy: dict[int, float]) -> None:
-        """One run-log heartbeat round + iteration record.
-
-        ``rank_busy`` carries per-data-parallel-replica pipeline self
-        times (the live engine's per-rank span self-time proxy — the
-        replicas are the concurrently-schedulable units here).  Only
-        runs when a run logger is active; the bare hot path pays a
-        single ``current_run_logger()`` check
-        (``benchmarks/bench_monitor_overhead.py``).
-        """
-        from repro.hardware import a100_80gb
-
-        if not hasattr(self, "_runlog_flops"):
-            self._runlog_flops = self.config.flops_per_iteration(
-                self.parallel.global_batch_size,
-                with_recompute=self.recompute_activations,
-            )
-            self._runlog_peak = a100_80gb().peak_flops
-        world = self.parallel.world_size
-        tokens = self.parallel.global_batch_size * self.config.seq_length
-        runlog.heartbeat(range(world), self.iteration)
-        runlog.iteration(
-            self.iteration, loss, seconds,
-            tokens_per_s=tokens / seconds,
-            mfu=self._runlog_flops / world / seconds / self._runlog_peak,
-            grad_norm=self.last_grad_norm,
-            rank_busy=rank_busy,
-        )
+        tracer.sample("mem.activations.bytes", fp.activations + fp.stage_inputs)
 
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Replica 0's full serial-layout weights."""

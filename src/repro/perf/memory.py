@@ -24,9 +24,11 @@ from repro.config import GPTConfig, ParallelConfig
 from repro.hardware import DeviceSpec
 
 
-#: bytes per parameter of optimizer+weight state with mixed precision:
+#: bytes per parameter of optimizer+weight state with mixed precision,
+#: split the way the ``mem.<part>.bytes`` counter series report it:
 #: fp16 weight (2) + fp16 grad (2) + fp32 master (4) + Adam m, v (4+4).
-MODEL_STATE_BYTES_PER_PARAM = 16
+MODEL_STATE_SPLIT = (("weights", 2), ("gradients", 2), ("optimizer", 12))
+MODEL_STATE_BYTES_PER_PARAM = sum(n for _, n in MODEL_STATE_SPLIT)
 
 
 def activation_bytes_per_layer(

@@ -43,10 +43,15 @@ from repro.hardware import (
     cluster_for_gpus,
     dgx_a100,
 )
+from repro.obs.metrics import report_iteration
 from repro.obs.runlog import current_run_logger
 from repro.obs.tracer import GLOBAL_RANK, current_tracer
 from repro.perf.layer_costs import StageCost, stage_compute_cost
-from repro.perf.memory import MODEL_STATE_BYTES_PER_PARAM, parameters_per_rank
+from repro.perf.memory import (
+    MODEL_STATE_BYTES_PER_PARAM,
+    MODEL_STATE_SPLIT,
+    parameters_per_rank,
+)
 from repro.schedule import OpKind, TimedOp, completion_order, make_schedule
 
 
@@ -399,29 +404,24 @@ def simulate_iteration(
         tracer.metrics.gauge("sim.pipeline_time").set(pipeline_time)
         tracer.metrics.counter("sim.model_flops").inc(model_flops)
 
-        # -- Table-1 throughput telemetry (simulated clock) -----------------
-        from repro.obs.telemetry import (
-            MemoryBreakdown,
-            sample_memory,
-            sample_throughput,
-            throughput_report,
-        )
-
-        sample_throughput(
-            tracer,
-            throughput_report(
-                config, parallel, iteration_time,
-                peak_flops=node.device.peak_flops,
-                with_recompute=options.recompute_activations,
-            ),
+    # -- Table-1 accounting (simulated clock) -------------------------------
+    runlog = current_run_logger()
+    if tracer is not None or runlog is not None:
+        report_iteration(
+            tracer, runlog, config, parallel, iteration_time,
+            peak_flops=node.device.peak_flops,
+            with_recompute=options.recompute_activations,
+            iteration=runlog.iterations_logged if runlog is not None else 0,
             t=iteration_time,
+            rank_busy={pipe_ranks[r]: busy[r] for r in range(p)},
         )
 
-        # -- per-rank memory timelines (activation sawtooth) ----------------
-        # Each forward window stashes one microbatch's activations for
-        # its stage (only the stage input survives under recompute,
-        # §3.3); the matching backward frees them.  Model state is
-        # constant for the iteration.
+    # -- per-rank memory timelines (activation sawtooth) --------------------
+    # Each forward window stashes one microbatch's activations for its
+    # stage (only the stage input survives under recompute, §3.3); the
+    # matching backward frees them.  Model state is constant for the
+    # iteration.
+    if tracer is not None and timeline is not None:
         from repro.perf.memory import (
             activation_bytes_per_layer,
             stage_input_bytes,
@@ -436,27 +436,17 @@ def simulate_iteration(
                 b, s, h, config.num_attention_heads, t,
                 dtype_size=options.activation_dtype_size,
             )
-        breakdown = MemoryBreakdown(params_rank)
         stashed = {r: 0 for r in pipe_ranks}
         for r in pipe_ranks:
-            sample_memory(tracer, breakdown, 0, rank=r, t=0.0)
+            for part, nbytes in MODEL_STATE_SPLIT:
+                tracer.sample(f"mem.{part}.bytes", nbytes * params_rank,
+                              rank=r, t=0.0)
+            tracer.sample("mem.activations.bytes", 0, rank=r, t=0.0)
         for w in sorted(timeline, key=lambda w: (w.end, w.start)):
             r = stage_rank(w.stage)
             delta = stash_bytes if w.kind is OpKind.FORWARD else -stash_bytes
             stashed[r] += delta
             tracer.sample("mem.activations.bytes", stashed[r], rank=r, t=w.end)
-
-    # -- run-log iteration record (modelled clock) --------------------------
-    runlog = current_run_logger()
-    if runlog is not None:
-        it = runlog.iterations_logged
-        runlog.heartbeat(range(n), it)
-        runlog.iteration(
-            it, loss=None, seconds=iteration_time,
-            tokens_per_s=parallel.global_batch_size * s / iteration_time,
-            mfu=model_flops / n / iteration_time / node.device.peak_flops,
-            rank_busy={pipe_ranks[r]: busy[r] for r in range(p)},
-        )
 
     return SimulationResult(
         iteration_time=iteration_time,

@@ -163,6 +163,37 @@ class TestGoodput:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def _refused(self, capsys, *flags) -> str:
+        """``flags`` on top of the fast run exit 2 with nothing printed
+        to stdout; the error line."""
+        rc = main([*GOODPUT_FAST, *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        return captured.err
+
+    def test_bad_failure_list_refused_before_output(self, capsys):
+        err = self._refused(capsys, "--failures", "3,x")
+        assert "error: --failures expects comma-separated integers" in err
+
+    def test_empty_failure_entries_are_skipped(self, capsys):
+        # `3,,5` parses like --kill-at does: the empty entry is skipped.
+        rc = main([*GOODPUT_FAST, "--failures", "3,,5"])
+        assert rc == 0
+        assert "at iterations [3, 5] of 40" in capsys.readouterr().out
+
+    def test_zero_iterations_refused(self, capsys):
+        err = self._refused(capsys, "--iterations", "0")
+        assert "error: --iterations must be > 0, got 0" in err
+
+    def test_non_positive_min_interval_refused(self, capsys):
+        err = self._refused(capsys, "--min-interval", "0")
+        assert "error: --min-interval must be > 0" in err
+
+    def test_non_positive_max_interval_refused(self, capsys):
+        err = self._refused(capsys, "--max-interval", "-5")
+        assert "error: --max-interval must be > 0" in err
+
 
 CHAOS_FAST = ["chaos", "--iterations", "6", "--every", "2",
               "--backoff", "0.001"]

@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.monitor import run_monitor, score_run
 from repro.obs.runlog import (
     EVENT_TYPES,
     RUNLOG_SCHEMA_VERSION,
@@ -132,6 +135,87 @@ class TestParseEvents:
 
     def test_manifest_of_headerless_log_is_empty(self):
         assert manifest_of([{"type": "heartbeat"}]) == {}
+
+    def test_unknown_type_refused_by_seq(self):
+        line = json.dumps({"v": 1, "seq": 7, "t": 0.0, "type": "nope"})
+        with pytest.raises(RunLogError, match="seq 7: unknown type 'nope'"):
+            list(parse_events([line]))
+
+    def test_heartbeat_without_ranks_names_seq_and_field(self):
+        line = json.dumps({"v": 1, "seq": 3, "t": 0.0, "type": "heartbeat",
+                           "iteration": 0})
+        with pytest.raises(RunLogError, match="seq 3: heartbeat lacks field "
+                                              "'ranks'"):
+            list(parse_events([line]))
+
+    def test_iteration_without_iteration_names_seq_and_field(self):
+        line = json.dumps({"v": 1, "seq": 4, "t": 0.0, "type": "iteration",
+                           "loss": 1.0})
+        with pytest.raises(RunLogError, match="seq 4: iteration lacks field "
+                                              "'iteration'"):
+            list(parse_events([line]))
+
+    def test_wrong_value_names_seq_and_field(self):
+        line = json.dumps({"v": 1, "seq": 5, "t": 0.0, "type": "iteration",
+                           "iteration": 0, "rank_busy": {"r0": 1.0}})
+        with pytest.raises(RunLogError, match="seq 5: iteration field "
+                                              "'rank_busy'"):
+            list(parse_events([line]))
+
+
+#: Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+#: Values shaped like the ones a real log holds, so that events often
+#: get past the first check and reach the detectors.
+PLAUSIBLE = (st.integers(-2, 40) | st.floats(-1e3, 1e3) | st.none()
+             | st.sampled_from(["r0", "r1", "arrive", "first-token",
+                                "preempt", "timeout", "restore",
+                                "save-retry", "checkpoint-skipped",
+                                "heartbeat-gap"])
+             | st.lists(st.integers(0, 4), max_size=4)
+             | st.dictionaries(st.sampled_from(["0", "1", "2", "x"]),
+                               st.floats(0, 10) | st.text(max_size=2),
+                               max_size=3))
+
+FIELD_NAMES = ["iteration", "loss", "tokens_per_s", "mfu", "rank_busy",
+               "waiting", "ranks", "kind", "expect", "detail", "phase",
+               "request_id", "step", "detector", "status", "model",
+               "parallel", "expected_tokens_per_s", "t"]
+
+EVENTS = st.builds(
+    lambda head, body: {**body, **head},
+    st.fixed_dictionaries({
+        "v": st.just(RUNLOG_SCHEMA_VERSION) | JSON_VALUES,
+        "seq": st.integers(0, 50) | JSON_VALUES,
+        "type": st.sampled_from(EVENT_TYPES) | JSON_VALUES,
+    }),
+    st.dictionaries(st.sampled_from(FIELD_NAMES), PLAUSIBLE | JSON_VALUES,
+                    max_size=6),
+) | JSON_VALUES
+
+
+class TestReaderProperty:
+    """Whatever JSON a run log holds, reading and monitoring it either
+    works or raises RunLogError -- never a KeyError or a TypeError from
+    inside a detector."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(events=st.lists(EVENTS, max_size=12))
+    def test_any_json_monitors_or_raises_a_run_log_error(self, events):
+        lines = [json.dumps(e) for e in events]
+        try:
+            parsed = list(parse_events(lines))
+        except RunLogError:
+            return
+        monitor = run_monitor(parsed)
+        score_run(parsed, monitor.alerts)
 
 
 class TestRunRegistry:

@@ -1,11 +1,13 @@
-"""Tests for throughput/MFU telemetry (repro.obs.telemetry).
+"""Tests for the Table-1 accounting (repro.obs.metrics.report_iteration).
 
 The acceptance bar: the MFU the trainer and the simulator publish
 agrees with the analytic eq. (3) FLOP model — the same
 ``config.flops_per_iteration`` integer the repro.verify conservation
-check pins — so Table-1 style numbers are derived from one source of
-truth.
+check pins — and the tracer and the run log carry the very same
+numbers, so Table-1 style numbers are derived from one source of truth.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -13,68 +15,90 @@ import pytest
 from repro.config import ParallelConfig, tiny_test_model
 from repro.config.presets import TABLE1_ROWS
 from repro.hardware import a100_80gb
-from repro.obs import MetricsRegistry, Tracer, trace
-from repro.obs.telemetry import (
-    MemoryBreakdown,
-    ThroughputReport,
-    sample_memory,
-    sample_throughput,
-    throughput_report,
-)
+from repro.obs import GLOBAL_RANK, Tracer, report_iteration, trace
+from repro.obs.runlog import RunLogger, parse_events, run_logging
 from repro.parallel import PTDTrainer
+from repro.perf.memory import (
+    MODEL_STATE_BYTES_PER_PARAM,
+    MODEL_STATE_SPLIT,
+    parameters_per_rank,
+)
 from repro.sim import SimOptions, simulate_iteration
 
+CONFIG = tiny_test_model()
+PARALLEL = ParallelConfig(
+    pipeline_parallel_size=1, tensor_parallel_size=1,
+    data_parallel_size=2, microbatch_size=1, global_batch_size=4,
+)
 
-def _report(seconds=2.0, flops=4_000_000_000_000, num_gpus=4,
-            batch=8, seq=1024, peak=312e12):
-    return ThroughputReport(seconds=seconds, flops=flops, num_gpus=num_gpus,
-                            global_batch_size=batch, seq_length=seq,
-                            peak_flops=peak)
+
+def _traced(seconds=2.0, peak=312e12, with_recompute=True):
+    tracer = Tracer()
+    report_iteration(tracer, None, CONFIG, PARALLEL, seconds,
+                     peak_flops=peak, with_recompute=with_recompute,
+                     iteration=0, t=1.0)
+    return tracer
 
 
 class TestThroughputReport:
     def test_table1_arithmetic(self):
-        rep = _report()
-        assert rep.tokens_per_second == 8 * 1024 / 2.0
-        assert rep.tflops_per_gpu == 4e12 / 4 / 2.0 / 1e12  # 0.5 TFLOP/s
-        assert rep.mfu == (4e12 / 4 / 2.0) / 312e12
+        g = _traced().metrics.as_dict()["gauges"]
+        flops = CONFIG.flops_per_iteration(4, with_recompute=True)
+        assert g["throughput.tokens_per_s"] == 4 * CONFIG.seq_length / 2.0
+        assert g["throughput.tflops_per_gpu"] == flops / 2 / 2.0 / 1e12
+        assert g["throughput.mfu"] == (flops / 2 / 2.0) / 312e12
 
     def test_validation(self):
         with pytest.raises(ValueError, match="seconds"):
-            _report(seconds=0.0)
-        with pytest.raises(ValueError, match="num_gpus"):
-            _report(num_gpus=0)
+            _traced(seconds=0.0)
         with pytest.raises(ValueError, match="peak_flops"):
-            _report(peak=-1.0)
+            _traced(peak=-1.0)
 
     def test_publish_gauges(self):
-        reg = MetricsRegistry()
-        rep = _report()
-        rep.publish(reg)
-        d = reg.as_dict()["gauges"]
-        assert d["throughput.mfu"] == rep.mfu
-        assert d["throughput.tflops_per_gpu"] == rep.tflops_per_gpu
-        assert d["throughput.tokens_per_s"] == rep.tokens_per_second
-        assert d["throughput.model_flops"] == float(rep.flops)
+        tracer = _traced()
+        assert list(tracer.metrics.gauges) == [
+            "throughput.iteration_seconds", "throughput.tokens_per_s",
+            "throughput.tflops_per_gpu", "throughput.mfu",
+            "throughput.model_flops", "throughput.num_gpus",
+            "throughput.peak_flops",
+        ]
+        g = tracer.metrics.as_dict()["gauges"]
+        assert g["throughput.iteration_seconds"] == 2.0
+        assert g["throughput.num_gpus"] == 2.0
+        assert g["throughput.peak_flops"] == 312e12
 
     def test_throughput_report_uses_eq3_flops(self):
-        config = tiny_test_model()
-        parallel = ParallelConfig(
-            pipeline_parallel_size=1, tensor_parallel_size=1,
-            data_parallel_size=2, microbatch_size=1, global_batch_size=4,
-        )
-        rep = throughput_report(config, parallel, 1.5,
-                                peak_flops=a100_80gb().peak_flops)
-        assert rep.flops == config.flops_per_iteration(4, with_recompute=True)
-        assert rep.num_gpus == parallel.world_size
+        for recompute in (True, False):
+            g = _traced(with_recompute=recompute).metrics.as_dict()["gauges"]
+            assert g["throughput.model_flops"] == float(
+                CONFIG.flops_per_iteration(4, with_recompute=recompute)
+            )
 
     def test_sample_throughput_emits_counter_series(self):
-        tracer = Tracer()
-        sample_throughput(tracer, _report(), t=1.0)
-        names = {s.name for s in tracer.samples}
-        assert names == {"throughput.mfu", "throughput.tflops_per_gpu",
-                         "throughput.tokens_per_s"}
-        assert tracer.metrics.gauge("throughput.mfu").value == _report().mfu
+        tracer = _traced()
+        assert [(s.name, s.rank, s.t) for s in tracer.samples] == [
+            ("throughput.mfu", GLOBAL_RANK, 1.0),
+            ("throughput.tflops_per_gpu", GLOBAL_RANK, 1.0),
+            ("throughput.tokens_per_s", GLOBAL_RANK, 1.0),
+        ]
+        g = tracer.metrics.as_dict()["gauges"]
+        assert tracer.samples[0].value == g["throughput.mfu"]
+
+    def test_run_log_only(self):
+        buf = io.StringIO()
+        logger = RunLogger(buf, "run-x", clock=lambda: 0.0)
+        report_iteration(None, logger, CONFIG, PARALLEL, 2.0,
+                         peak_flops=312e12, with_recompute=True,
+                         iteration=3, loss=1.5, grad_norm=0.5,
+                         rank_busy={0: 1.0, 1: 1.5})
+        beat, record = parse_events(buf.getvalue().splitlines())
+        assert beat["ranks"] == [0, 1] and beat["iteration"] == 3
+        g = _traced().metrics.as_dict()["gauges"]
+        assert record["tokens_per_s"] == g["throughput.tokens_per_s"]
+        assert record["mfu"] == g["throughput.mfu"]
+        assert (record["iteration"], record["loss"], record["seconds"],
+                record["grad_norm"]) == (3, 1.5, 2.0, 0.5)
+        assert record["rank_busy"] == {"0": 1.0, "1": 1.5}
 
 
 class TestTrainerTelemetry:
@@ -174,16 +198,74 @@ class TestSimTelemetry:
 
 class TestMemoryBreakdown:
     def test_sixteen_bytes_per_parameter(self):
-        b = MemoryBreakdown(parameters=1000)
-        assert b.weight_bytes == 2000
-        assert b.gradient_bytes == 2000
-        assert b.optimizer_bytes == 12000
-        assert b.weight_bytes + b.gradient_bytes + b.optimizer_bytes == 16000
+        assert MODEL_STATE_SPLIT == (
+            ("weights", 2), ("gradients", 2), ("optimizer", 12)
+        )
+        assert MODEL_STATE_BYTES_PER_PARAM == 16
 
     def test_sample_memory_series(self):
-        tracer = Tracer()
-        sample_memory(tracer, MemoryBreakdown(parameters=10),
-                      activation_bytes=7, rank=2, t=0.5)
-        by_name = {s.name: s for s in tracer.samples if s.rank == 2}
-        assert by_name["mem.activations.bytes"].value == 7.0
-        assert by_name["mem.weights.bytes"].t == 0.5
+        row = TABLE1_ROWS[0]
+        with trace() as tracer:
+            simulate_iteration(row.model, row.parallel,
+                               options=SimOptions(schedule_name="1f1b"))
+        params = parameters_per_rank(row.model, row.parallel)
+        first = [s for s in tracer.samples
+                 if s.name.startswith("mem.") and s.t == 0.0]
+        ranks = sorted({s.rank for s in first})
+        assert ranks and GLOBAL_RANK not in ranks
+        for r in ranks:
+            by_name = {s.name: s.value for s in first if s.rank == r}
+            assert by_name == {
+                "mem.weights.bytes": 2.0 * params,
+                "mem.gradients.bytes": 2.0 * params,
+                "mem.optimizer.bytes": 12.0 * params,
+                "mem.activations.bytes": 0.0,
+            }
+
+
+def _run_logged(run):
+    """Run ``run()`` traced and run-logged; the tracer and the one
+    ``iteration`` record it logged."""
+    buf = io.StringIO()
+    with trace() as tracer, run_logging(RunLogger(buf, "run-x")):
+        run()
+    (record,) = [e for e in parse_events(buf.getvalue().splitlines())
+                 if e["type"] == "iteration"]
+    return tracer, record
+
+
+class TestOneReport:
+    """The run log's ``iteration`` record and the tracer's gauges carry
+    the same tokens/s and MFU, bit for bit."""
+
+    def _assert_same(self, tracer, record):
+        g = tracer.metrics.as_dict()["gauges"]
+        assert record["tokens_per_s"] == g["throughput.tokens_per_s"]
+        assert record["mfu"] == g["throughput.mfu"]
+        assert record["seconds"] == g["throughput.iteration_seconds"]
+
+    @pytest.mark.parametrize("backend", ["coop", "mp"])
+    def test_trainer_step(self, backend):
+        config = tiny_test_model(num_layers=4, hidden_size=32,
+                                 num_attention_heads=4, vocab_size=64,
+                                 seq_length=16)
+        parallel = ParallelConfig(
+            pipeline_parallel_size=2, tensor_parallel_size=1,
+            data_parallel_size=2, microbatch_size=1, global_batch_size=4,
+        )
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 64, size=(4, 16))
+        targets = rng.integers(0, 64, size=(4, 16))
+        with PTDTrainer(config, parallel, backend=backend) as trainer:
+            tracer, record = _run_logged(
+                lambda: trainer.train_step(ids, targets)
+            )
+        self._assert_same(tracer, record)
+        assert record["grad_norm"] == trainer.last_grad_norm
+
+    def test_simulated_iteration(self):
+        row = TABLE1_ROWS[0]
+        tracer, record = _run_logged(lambda: simulate_iteration(
+            row.model, row.parallel, options=SimOptions(schedule_name="1f1b")
+        ))
+        self._assert_same(tracer, record)

@@ -424,6 +424,7 @@ def drive_entry_points() -> None:
         _repro("serve", "--smoke", "--metrics-out", "serve_metrics.json")
         _repro("serve", "--save-trace", "serve_trace.json",
                "--runlog", "runs")
+        _repro("monitor", "--runs", "runs", "--check")  # request events
         _repro("serve", "--trace", "serve_trace.json")
         _repro("serve", "--requests", "12", "--rate", "3.0",
                "--max-queue", "2", "--shed", "edf", "--deadline", "8",
