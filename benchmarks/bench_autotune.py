@@ -4,8 +4,8 @@ The paper chooses configurations by heuristic rather than search (§1).
 This bench runs the exact simulator-backed autotuner and reports how
 close the heuristic configuration comes to the true optimum; a second
 guard counts how few candidates that search has to simulate, a third
-how few times it evaluates what its candidates share, a fourth that a
-Table-1 sweep walks no schedule.
+how few times it evaluates what its candidates share, a fourth and a
+fifth that neither a Table-1 sweep nor a search walks a schedule.
 """
 
 from dataclasses import replace
@@ -114,4 +114,31 @@ def test_table1_sweep_walks_no_schedule(monkeypatch):
                                                  + rank3[2:],))
     with pytest.raises(DeadlockError):
         completion_order(tampered)
+    assert walked == [tampered]
+
+
+def test_searches_walk_no_schedule(monkeypatch):
+    """Autotuning Table-1 rows 4 and 6 (39.1B on 512 GPUs, 145.6B on
+    1 536) walks no schedule: every generator attaches its order, the
+    interleaved one too (the two searches walked 6: five interleaved
+    finalists of row 4 and p8 m96 v2 of row 6).  A tampered copy of an
+    interleaved schedule carries no order and is walked once.  Counts,
+    no clock."""
+    walked = []
+    walk = execution._walk
+    monkeypatch.setattr(
+        execution, "_walk",
+        lambda schedule: walked.append(schedule) or walk(schedule))
+    make_schedule.cache_clear()
+    for row in (TABLE1_ROWS[4], TABLE1_ROWS[6]):
+        autotune(row.model, row.num_gpus, row.parallel.global_batch_size,
+                 top_k=5)
+    assert make_schedule.cache_info().misses == 8
+    assert walked == []
+
+    good = make_schedule("interleaved", 4, 8, 2)
+    rank3 = good.ops[3]
+    tampered = replace(good, ops=good.ops[:3] + ((rank3[1], rank3[0])
+                                                 + rank3[2:],))
+    assert completion_order(tampered) != completion_order(good)
     assert walked == [tampered]

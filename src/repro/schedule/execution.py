@@ -6,12 +6,12 @@ consumer asks:
 
 - *In what order do the ops complete, and who waits on whom?*  A
   property of the schedule alone: :func:`completion_order` answers it
-  once per schedule object and caches the answer on that object -- in
-  closed form for a schedule the 1F1B generator just built, by one
-  readiness walk for any other.  An infeasible per-device order (one
-  that cannot be interleaved into any legal global order) raises
-  :class:`DeadlockError` -- the walk is the one place a deadlock is
-  diagnosed.
+  once per schedule object and caches the answer on that object -- as
+  the generator that just built the schedule computed it, or by one
+  readiness walk for a hand-built, loaded or tampered one.  An
+  infeasible per-device order (one that cannot be interleaved into any
+  legal global order) raises :class:`DeadlockError` -- the walk is the
+  one place a deadlock is diagnosed.
 - *What happens at each op?*  :func:`execute` calls a handler per entry
   (the numerical pipeline-parallel engine drives its real
   forward/backward passes with it), :func:`simulate_times` assigns
@@ -112,8 +112,8 @@ class CompletionOrder(NamedTuple):
 def completion_order(schedule: PipelineSchedule) -> CompletionOrder:
     """The completion order of ``schedule``, compiled once per object.
 
-    The 1F1B generator attaches its schedule's order in closed form;
-    any other schedule is walked on first use.  Either way the result is
+    Every generator attaches its schedule's order, computed from each
+    op's walk pass; any other schedule is walked on first use.  Either way the result is
     cached on the instance, outside its dataclass fields: equality,
     hashing and ``dataclasses.replace`` ignore it, so a schedule derived
     from this one (tampered ops under the same name and sizes) is walked

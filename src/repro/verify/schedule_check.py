@@ -21,8 +21,9 @@ schedule is safe on real ranks:
 - **memory bound** -- peak in-flight microbatches per rank must respect
   the schedule family's §2.2.1/§2.2.2 activation-memory argument
   (GPipe: m per chunk; 1F1B: p; interleaved 1F1B: warmup + 1).
-- **compiled order** -- a generated schedule's completion order (the
-  1F1B generator attaches it in closed form) must equal a fresh walk's.
+- **compiled order** -- a generated schedule's completion order (every
+  generator attaches one, computed from a pass formula) must equal a
+  fresh walk's.
 
 All checks return :class:`ScheduleViolation` records instead of raising
 so ``python -m repro verify`` can print a structured report;
@@ -67,40 +68,65 @@ class ScheduleViolationError(ValueError):
 
 # -- individual checks -------------------------------------------------------
 
+#: Missing ops a completeness violation names one by one, per rank; the
+#: rest are counted in one more violation.
+MISSING_NAMED = 16
+
+
 def check_completeness(schedule: PipelineSchedule) -> list[ScheduleViolation]:
-    """Exactly one F and one B per (microbatch, chunk) on every rank."""
+    """Exactly one F and one B per (microbatch, chunk) on every rank.
+
+    Costs O(ops listed), whatever iteration the schedule declares: the
+    ops a rank misses are counted, and the first :data:`MISSING_NAMED`
+    of them named, in (microbatch, chunk, kind letter) order."""
+    m, v = schedule.num_microbatches, schedule.num_chunks
     out: list[ScheduleViolation] = []
-    want = {
-        (kind, mb, c)
-        for kind in OpKind
-        for mb in range(schedule.num_microbatches)
-        for c in range(schedule.num_chunks)
-    }
     for rank, rank_ops in enumerate(schedule.ops):
         seen: dict[tuple, int] = {}
         for op in rank_ops:
             key = (op.kind, op.microbatch, op.chunk)
             seen[key] = seen.get(key, 0) + 1
-        for key, n in seen.items():
+        inside = 0
+        for (kind, mb, c), n in seen.items():
             if n > 1:
-                kind, mb, c = key
                 out.append(ScheduleViolation(
                     "completeness", rank,
                     f"{kind.value}{mb}.{c} appears {n} times",
                 ))
-            if key not in want:
-                kind, mb, c = key
+            if mb < m and c < v:
+                inside += 1
+            else:
                 out.append(ScheduleViolation(
                     "completeness", rank,
-                    f"{kind.value}{mb}.{c} is outside the (m={schedule.num_microbatches}, "
-                    f"v={schedule.num_chunks}) iteration",
+                    f"{kind.value}{mb}.{c} is outside the (m={m}, v={v}) "
+                    f"iteration",
                 ))
-        for key in sorted(want - set(seen), key=lambda k: (k[1], k[2], k[0].value)):
-            kind, mb, c = key
+        missing = 2 * m * v - inside
+        for kind, mb, c in _first_missing(seen, m, v, min(missing, MISSING_NAMED)):
             out.append(ScheduleViolation(
                 "completeness", rank, f"missing {kind.value}{mb}.{c}",
             ))
+        if missing > MISSING_NAMED:
+            out.append(ScheduleViolation(
+                "completeness", rank,
+                f"... and {missing - MISSING_NAMED} more missing",
+            ))
     return out
+
+
+def _first_missing(seen: dict, m: int, v: int, count: int) -> list[tuple]:
+    """The first ``count`` (kind, microbatch, chunk) of the iteration not
+    in ``seen``; each step finds one or passes one that is, so the scan
+    is O(len(seen) + count)."""
+    found: list[tuple] = []
+    for mb in range(m):
+        for c in range(v):
+            for kind in (OpKind.BACKWARD, OpKind.FORWARD):  # "B" < "F"
+                if len(found) == count:
+                    return found
+                if (kind, mb, c) not in seen:
+                    found.append((kind, mb, c))
+    return found
 
 
 def check_local_races(schedule: PipelineSchedule) -> list[ScheduleViolation]:
@@ -134,9 +160,9 @@ def check_deadlock(schedule: PipelineSchedule) -> list[ScheduleViolation]:
 def check_compiled_order(schedule: PipelineSchedule) -> list[ScheduleViolation]:
     """The order the schedule carries must be the one the walk finds.
 
-    A generator may attach its schedule's completion order in closed
-    form, and every other check reads that order: only a fresh walk can
-    tell a wrong closed form from a right one."""
+    Every generator attaches its schedule's completion order, computed
+    from a pass formula, and every other check reads that order: only a
+    fresh walk can tell a wrong formula from a right one."""
     try:
         walked = execution._walk(schedule)
     except DeadlockError as exc:
@@ -363,7 +389,7 @@ def schedule_from_json(text: str) -> PipelineSchedule:
     malformed input (the CLI maps that to a clean ``error:`` message)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"schedule JSON is not valid JSON: {exc}") from exc
     try:
         kinds = {k.value: k for k in OpKind}
@@ -381,5 +407,5 @@ def schedule_from_json(text: str) -> PipelineSchedule:
             num_chunks=int(data["num_chunks"]),
             ops=ops,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed schedule JSON: {exc}") from exc

@@ -10,7 +10,9 @@ Three layers of coverage:
    (p, t, d, v, b, m, schedule, recompute) configuration space.
 """
 
+import json
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.verify import (
     validate_schedule,
 )
 from repro.verify.runner import TABLE, grad_perturb_defect
+from repro.verify.schedule_check import MISSING_NAMED
 
 MUTATED = [section for section in TABLE if section.mutation]
 
@@ -122,10 +125,79 @@ class TestScheduleValidator:
         "{}",
         '{"name": "x", "num_stages": 1, "num_microbatches": 1, '
         '"num_chunks": 1, "ops": [[["Q", 0, 0]]]}',
+        pytest.param('{"name": "x", "num_stages": Infinity, '
+                     '"num_microbatches": 1, "num_chunks": 1, "ops": []}',
+                     id="infinite-size"),  # was an OverflowError
+        pytest.param("[" * 100_000, id="deeply-nested"),  # a RecursionError
     ])
     def test_malformed_json_raises_value_error(self, text):
         with pytest.raises(ValueError):
             schedule_from_json(text)
+
+    def test_a_large_declared_iteration_is_counted_not_listed(self):
+        """A fixture that lists two ops of a 10^9-microbatch iteration is
+        judged in O(ops listed): the first missing ops are named, the
+        rest counted in one line (it took 12 s and listed 1 999 998)."""
+        text = ('{"name": "x", "num_stages": 1, "num_microbatches": '
+                '1000000000, "num_chunks": 1, "ops": [[["F", 0, 0], '
+                '["B", 0, 0]]]}')
+        violations = validate_schedule(schedule_from_json(text))
+        assert len(violations) == MISSING_NAMED + 1
+        assert all(v.check == "completeness" for v in violations)
+        assert [v.message for v in violations[:3]] == [
+            "missing B1.0", "missing F1.0", "missing B2.0"]
+        assert violations[-1].message == (
+            f"... and {2 * 10**9 - 2 - MISSING_NAMED} more missing")
+        report = run_verification(fast=True, schedule_json=text)
+        (section,) = report.sections
+        assert not report.ok
+        assert sum("fixture" in f for f in section.failures) == len(violations)
+
+    def test_a_few_missing_ops_are_all_named(self):
+        schedule = make_schedule("interleaved", 2, 4, 2)
+        ops = list(schedule.ops)
+        ops[1] = ops[1][:3]  # rank 1 keeps three of its sixteen ops
+        violations = validate_schedule(replace(schedule, ops=tuple(ops)))
+        missing = [v.message for v in violations if v.rank == 1]
+        assert len(missing) == 2 * 4 * 2 - 3 < MISSING_NAMED
+        assert missing[0] == "missing B0.0"
+        assert not any("more missing" in message for message in missing)
+
+
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.integers(-2, 6), st.integers(-2, 10**12))
+_OP = st.one_of(
+    st.tuples(st.sampled_from(["F", "B", "Q"]), st.integers(-1, 5),
+              st.integers(-1, 3)).map(list),
+    st.lists(_SCALAR, max_size=4), _SCALAR)
+_SCHEDULE = st.fixed_dictionaries({
+    "name": st.one_of(st.sampled_from(
+        ["gpipe", "1f1b", "interleaved", "interleaved-gpipe", "x"]), _SCALAR),
+    "num_stages": st.one_of(st.integers(1, 3), _SCALAR),
+    "num_microbatches": st.one_of(st.integers(1, 4), _SCALAR),
+    "num_chunks": st.one_of(st.integers(1, 3), _SCALAR),
+    "ops": st.one_of(st.lists(st.lists(_OP, max_size=12), min_size=1,
+                              max_size=3), _SCALAR),
+})
+_JSON = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                     max_leaves=12)
+
+
+class TestScheduleJsonProperty:
+    @settings(max_examples=400, deadline=timedelta(seconds=5))
+    @given(st.one_of(st.text(max_size=60), _JSON.map(json.dumps),
+                     _SCHEDULE.map(json.dumps)))
+    def test_any_json_validates_or_raises_a_value_error(self, text):
+        """``--schedule-json``'s two steps on any text: each returns or
+        raises ``ValueError``, in bounded time whatever iteration the
+        text declares (up to 10^12 microbatches or chunks here)."""
+        try:
+            violations = validate_schedule(schedule_from_json(text))
+        except ValueError:
+            return
+        assert all(v.check for v in violations)
 
 
 class TestCollectiveSanitizer:
