@@ -1,7 +1,7 @@
 """Heap guard: a warm training step faults in almost no pages.
 
 ``PTDTrainer`` keeps the heap a step frees resident
-(``repro.parallel.trainer._keep_heap_resident``), so a warm step reuses
+(``repro.nn.heap.keep_heap_resident``), so a warm step reuses
 its numpy temporaries' pages instead of faulting them in again.  Each
 guard builds one trainer at ``train_ptd``'s shapes (``bench/wl_train.py``)
 in a fresh interpreter -- what a process faults depends on its heap
@@ -122,8 +122,8 @@ import json, sys
 import bench_heap
 name, args, keep_heap = json.loads(sys.argv[1])
 if not keep_heap:
-    from repro.parallel import trainer
-    trainer._keep_heap_resident = lambda: None
+    from repro.nn import heap
+    heap.keep_heap_resident = lambda: None
 print(json.dumps(getattr(bench_heap, name)(*args)))
 """
 

@@ -88,16 +88,18 @@ class CausalSelfAttention(Module):
         """Inference-only incremental forward over cached keys/values.
 
         ``x`` holds the ``s_new`` *newest* tokens' hidden states
-        (b, s_new, h); ``past_kv`` is ``(k, v)``, each (b, a, S, dk),
-        whose row ``i`` holds the ``lengths[i]`` positions already
-        decoded (``None`` at prefill).  The new keys/values go into the
-        slots behind them -- ``PagedKVCache.gather`` leaves room for a
-        batch of requests, an exact-length past is copied once into
-        buffers that have it -- and query ``j`` of row ``i`` attends to
-        columns ``<= lengths[i] + j``, so a prefill computes exactly
-        what :meth:`forward` computes in inference mode.  Returns
-        ``(out, (k_new, v_new))`` -- only the *new* tokens' keys/values,
-        for the caller's cache to absorb.
+        (b, s_new, h), and row ``i`` has ``lengths[i]`` positions already
+        decoded.  ``past_kv`` is ``None`` at prefill; or ``(k, v)``, each
+        (b, a, S, dk), row ``i`` holding its past; or a list of runs
+        ``(rows, k, v)`` covering the batch, as ``PagedKVCache.gather``
+        hands out views of its store.  The new keys/values go into the
+        positions behind each row's past -- in place when they exist
+        there (the cache's views), else into buffers an exact-length past
+        is copied into once -- and query ``j`` of row ``i`` attends to
+        columns ``<= lengths[i] + j``, one attention per run, so a
+        prefill computes exactly what :meth:`forward` computes in
+        inference mode.  Returns ``(out, (k_new, v_new))`` -- only the
+        *new* tokens' keys/values, for a caller's cache to absorb.
         """
         b, s_new, h = x.shape
         a, dk = self.num_heads, self.head_dim
@@ -107,29 +109,43 @@ class CausalSelfAttention(Module):
         if not lengths.ndim:  # one start for every row
             lengths = np.full(b, lengths)
         if past_kv is None:
-            k_all, v_all = k, v
+            ctx = self._attend(q, k, v, lengths)
         else:
-            k_all, v_all = past_kv
-            s_past, s_total = k_all.shape[2], lengths.max() + s_new
-            if s_past < s_total:
-                k_all, v_all = np.empty((2, b, a, s_total, dk))
-                k_all[:, :, :s_past], v_all[:, :, :s_past] = past_kv
-            rows = np.arange(b)[:, None]
-            slots = lengths[:, None] + np.arange(s_new)  # behind the past
-            k_all[rows, :, slots] = k.transpose(0, 2, 1, 3)
-            v_all[rows, :, slots] = v.transpose(0, 2, 1, 3)
-        # The kernel forward() runs, on the causal rows of these
-        # positions: that is what keeps a prefill bit-identical to it.
-        probs = F.scale_mask_softmax(
-            q @ k_all.transpose(0, 1, 3, 2), dk, lengths
-        )
-        ctx = probs @ v_all  # (b, a, s_new, dk)
-        record_gemm_flops(
-            "attention", 2 * matmul_flops(b, a, s_new, dk, k_all.shape[2])
-        )
+            if not isinstance(past_kv, list):  # one run of every row
+                past_kv = [(slice(None), *past_kv)]
+            ctx = np.empty((b, a, s_new, dk))
+            for rows, *run in past_kv:
+                ctx[rows] = self._attend_past(
+                    q[rows], k[rows], v[rows], run, lengths[rows])
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, s_new, h)
         out, _ = self.proj.forward(merged)
         return out, (k, v)
+
+    def _attend_past(self, q, k, v, past_kv, lengths):
+        """Write the new ``k``, ``v`` behind each row's past, then attend."""
+        n, a, s_new, dk = q.shape
+        k_all, v_all = past_kv
+        s_past, s_total = k_all.shape[2], lengths.max() + s_new
+        if s_past < s_total:  # an exact-length past
+            k_all, v_all = np.empty((2, n, a, s_total, dk))
+            k_all[:, :, :s_past], v_all[:, :, :s_past] = past_kv
+        rows = np.arange(n)[:, None]
+        slots = lengths[:, None] + np.arange(s_new)  # behind the past
+        k_all[rows, :, slots] = k.transpose(0, 2, 1, 3)
+        v_all[rows, :, slots] = v.transpose(0, 2, 1, 3)
+        return self._attend(q, k_all, v_all, lengths)
+
+    def _attend(self, q, k_all, v_all, lengths):
+        # The kernel forward() runs, on the causal rows of these
+        # positions: that is what keeps a prefill bit-identical to it.
+        n, a, s_new, dk = q.shape
+        probs = F.scale_mask_softmax(
+            q @ k_all.transpose(0, 1, 3, 2), dk, lengths
+        )
+        record_gemm_flops(
+            "attention", 2 * matmul_flops(n, a, s_new, dk, k_all.shape[2])
+        )
+        return probs @ v_all  # (n, a, s_new, dk)
 
     def backward(self, dy, cache):
         qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, (b, s) = cache
@@ -395,13 +411,11 @@ class GPTModel(Module):
         """:meth:`forward_step` below the head: ``(x, new_kvs)`` with
         ``x`` the final hidden states (b, s_new, h).  Serving applies
         the head to the one position it samples from."""
-        past_kvs = iter(past_kvs or [None] * len(self.blocks))
+        past_kvs = past_kvs or [None] * len(self.blocks)
         x = self.embedding.forward_step(token_ids, start=start)
         new_kvs = []
-        for block in self.blocks:
-            # next(), not zip: a lazily read layer of past K/V is
-            # dropped before the next one is fetched.
-            x, kv = block.forward_step(x, next(past_kvs), start)
+        for block, past_kv in zip(self.blocks, past_kvs):
+            x, kv = block.forward_step(x, past_kv, start)
             new_kvs.append(kv)
         return x, new_kvs
 

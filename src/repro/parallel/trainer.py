@@ -39,8 +39,6 @@ from the same :class:`ReplicaSpec`.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
@@ -52,7 +50,7 @@ from repro.comm.primitives import COOP, owned_chunk, ring_all_gather_hops
 from repro.comm.shm_ring import WorkerPool
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
-from repro.nn import Adam, WarmupCosineSchedule
+from repro.nn import Adam, WarmupCosineSchedule, heap
 from repro.obs import span as obs_span
 from repro.obs.metrics import report_iteration
 from repro.obs.runlog import current_run_logger
@@ -61,38 +59,6 @@ from repro.schedule import make_schedule
 
 from .data_parallel import scatter_batch
 from .pipeline_parallel import PipelineParallelGPT, make_microbatches
-
-#: glibc ``mallopt`` parameters (``<malloc.h>``).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_heap_resident() -> None:
-    """Keep a training step's freed heap in the process: once per
-    process, inherited by the replica workers it forks.
-
-    glibc hands freed memory at the top of the heap back to the kernel
-    past ``M_TRIM_THRESHOLD`` and serves blocks past ``M_MMAP_THRESHOLD``
-    from fresh mappings, so every step faults its numpy temporaries in
-    again (18k minor faults a coop step at ``train_ptd``'s shapes, 25-27k
-    a single-worker step, 7.9k in each mp worker).  Both thresholds are
-    set together, because setting either one freezes glibc's dynamic
-    tuning of both; the values are where that tuning tops out on 64-bit
-    glibc (mmap 32 MiB, trim twice that).  Where libc has no
-    ``mallopt`` this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # 32-bit glibc refuses this mmap threshold; trim alone would be worse
-    # than glibc's tuning, so it is set only with it.
-    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
 
 @dataclass(frozen=True)
 class ReplicaSpec:
@@ -282,7 +248,7 @@ class PTDTrainer(AbstractContextManager):
         log: TrafficLog | None = None,
         backend: str | Backend = "coop",
     ):
-        _keep_heap_resident()
+        heap.keep_heap_resident()
         parallel.validate_for_model(config)
         if grad_clip_norm is not None and grad_clip_norm <= 0:
             raise ValueError("grad_clip_norm must be positive")

@@ -6,7 +6,8 @@ generator, and a :class:`~repro.serve.kv_cache.KVHandle` into the shared
 pool.  Once a session's context is cached, its next token comes out of
 :func:`decode_batch`: one ragged
 :meth:`repro.nn.transformer.GPTModel.forward_step` for any number of
-sessions, reading K/V through their block tables.  :meth:`step` is the
+sessions, reading K/V in place through views of their cache slots and
+writing the new token's K/V straight into them.  :meth:`step` is the
 batch of one.  Every session samples with the same
 :func:`repro.nn.generate._pick` the full-recompute oracle uses and its
 own rng -- so its token stream equals
@@ -178,20 +179,22 @@ def decode_batch(sessions: list[DecodeSession]) -> np.ndarray:
     """One batched forward for ``sessions`` (all :attr:`batchable`, one
     model and cache): returns their next-token logits, ``(B, V)``.
 
-    Every request has its own context length, so K/V is read through
-    the block tables by :meth:`PagedKVCache.gather` (which raises
-    :class:`KVCorruptionError` before anything ran or changed) and the
-    new token's K/V is written back by one :meth:`PagedKVCache.append`.
+    Every request has its own context length, and its K/V is read where
+    it lives: :meth:`PagedKVCache.gather` (which raises
+    :class:`KVCorruptionError` before anything ran or changed) hands the
+    forward views of the requests' slots, the forward writes each new
+    token's K/V into them in place and attends once per run of
+    consecutive slots, and :meth:`PagedKVCache.append` books it.
     """
     model, cache = sessions[0].model, sessions[0].cache
     handles = [s.handle for s in sessions]
     past = cache.gather(handles)
     with span("forward", phase="serve"):
-        logits, new_kvs = model.forward_step(
+        logits, _ = model.forward_step(
             np.array([s.tokens[-1:] for s in sessions]), past,
             start=np.array([h.length for h in handles]),
         )
-        cache.append(handles, new_kvs)
+        cache.append(handles)
     return logits[:, -1]
 
 

@@ -14,6 +14,7 @@ CI and the ``repro serve`` CLI can pin a workload.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,9 @@ class TraceRequest:
     @classmethod
     def from_dict(cls, obj: dict) -> "TraceRequest":
         """Load one request; an integer field must be a JSON integer
-        (not a float, a bool or a string), or this raises ``ValueError``
-        naming the request and the field."""
+        (not a float, a bool or a string) and the temperature a finite
+        number, or this raises ``ValueError`` naming the request and the
+        field."""
 
         def integer(key, value):
             if type(value) is not int:  # bool is an int subclass
@@ -80,6 +82,12 @@ class TraceRequest:
             value = obj.get(key)
             return None if value is None else integer(key, value)
 
+        def finite(key, value):
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            return value
+
         try:
             return cls(
                 request_id=str(obj["request_id"]),
@@ -87,7 +95,8 @@ class TraceRequest:
                 prompt=tuple(integer("prompt", t) for t in obj["prompt"]),
                 max_new_tokens=integer("max_new_tokens",
                                        obj["max_new_tokens"]),
-                temperature=float(obj.get("temperature", 0.0)),
+                temperature=finite("temperature",
+                                   obj.get("temperature", 0.0)),
                 top_k=optional("top_k"),
                 seed=integer("seed", obj.get("seed", 0)),
                 stop_ids=tuple(integer("stop_ids", t)
@@ -95,7 +104,7 @@ class TraceRequest:
                 deadline_steps=optional("deadline_steps"),
                 queue_ttl=optional("queue_ttl"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             rid = obj.get("request_id") if isinstance(obj, dict) else None
             raise ValueError(
                 f"malformed trace request {rid!r}: {exc}"
@@ -162,9 +171,10 @@ def trace_to_json(trace: list[TraceRequest]) -> str:
 
 
 def trace_from_json(text: str) -> list[TraceRequest]:
+    """Load a trace; any malformed text raises ``ValueError``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"unparseable trace JSON: {exc}") from exc
     if not isinstance(obj, dict) or "requests" not in obj:
         raise ValueError("trace JSON must be an object with 'requests'")
@@ -172,6 +182,9 @@ def trace_from_json(text: str) -> list[TraceRequest]:
         raise ValueError(
             f"unsupported trace schema version {obj.get('schema_version')!r}"
         )
+    if not isinstance(obj["requests"], list):
+        raise ValueError(
+            f"trace 'requests' must be a list, got {obj['requests']!r}")
     trace = [TraceRequest.from_dict(r) for r in obj["requests"]]
     seen: set[str] = set()
     for request in trace:

@@ -339,8 +339,9 @@ def short_hop_defect(seed: int):
 
 
 def kv_offset_defect(seed: int):
-    """In one seeded batched single-token ``PagedKVCache.append``, one row
-    lands one slot off inside its block and its own slot never gets it."""
+    """In one seeded batched single-token ``PagedKVCache.append``, one
+    row's newest K/V lands one position off inside its block, and its
+    own position reads zero."""
     import numpy as np
 
     from repro.serve import PagedKVCache
@@ -353,7 +354,7 @@ def kv_offset_defect(seed: int):
     row = int(rng.integers(0, 1 << 16))
     writes = 0
 
-    def bent(self, handles, new_kvs):
+    def bent(self, handles, new_kvs=None):
         nonlocal writes
         real(self, handles, new_kvs)
         if not isinstance(handles, list) or self.block_size < 2:
@@ -363,10 +364,10 @@ def kv_offset_defect(seed: int):
             return
         handle = handles[row % len(handles)]
         block_index, off = divmod(handle.length - 1, self.block_size)
-        block = handle.block_table[block_index]
-        self.kv_pool[block, :, :, (off + 1) % self.block_size] = (
-            self.kv_pool[block, :, :, off])
-        self.kv_pool[block, :, :, off] = 0.0
+        slot = self.store[handle.slot]
+        first = block_index * self.block_size
+        slot[first + (off + 1) % self.block_size] = slot[first + off]
+        slot[first + off] = 0.0
 
     return _patched(PagedKVCache, "append", bent)
 

@@ -6,10 +6,11 @@ fast paths of :mod:`repro.serve` to it:
 
 - **paged K/V round trip** (``PagedKVCache.append`` / ``gather`` over a
   batch of handles, the write and read of the batched decode step):
-  after every ragged single-token write each handle must read back,
-  bit for bit, what a plain per-request list holds.  ``verify --inject
-  kv-offset`` proves this check can fail: a seeded defect lands one
-  batched row one slot off.
+  after every ragged single-token write -- through ``append``, or in
+  place through ``gather``'s views as the decode step writes -- each
+  handle must read back, bit for bit, what a plain per-request list
+  holds.  ``verify --inject kv-offset`` proves this check can fail: a
+  seeded defect lands one batched row one position off.
 - **cached decode** (`cached_generate`, paged KV cache + incremental
   ``forward_step``): token streams must be ``np.array_equal`` to the
   oracle across a seeded grid of sampling modes and prompt lengths
@@ -67,10 +68,22 @@ def _grid(fast: bool, seed: int):
 ROUNDTRIP_WRITES = 6  # batched single-token writes per round trip
 
 
+def _row(runs, i: int, n: int):
+    """Row ``i``'s first ``n`` positions in one layer of a batched
+    ``gather``: ``(k, v)``, each ``(1, a, n, dk)``."""
+    for rows, k, v in runs:
+        j = np.flatnonzero(rows == i)
+        if j.size:
+            return k[j[0]:j[0] + 1, :, :n], v[j[0]:j[0] + 1, :, :n]
+    raise AssertionError(f"row {i} is in no run")
+
+
 def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
     from repro.serve import PagedKVCache
 
-    config = tiny_test_model()
+    # A window past the longest context here, 8 + ROUNDTRIP_WRITES: a
+    # slot holds no more positions than the model's window.
+    config = tiny_test_model(seq_length=16)
     model = GPTModel(config, seed=seed)
     heads = config.num_attention_heads
     rng = np.random.default_rng(seed + 4)
@@ -90,15 +103,22 @@ def _check_kv_roundtrip(fast: bool, seed: int) -> list[str]:
             cache.append(handle, [tuple(layer) for layer in kept[-1]])
         for write in range(ROUNDTRIP_WRITES):
             new = kvs(len(handles), 1)
-            cache.append(handles, [tuple(layer) for layer in new])
+            if write % 2:  # as the decode step writes: into the views
+                for layer, runs in zip(new, cache.gather(handles)):
+                    for rows, *past in runs:
+                        for j, i in enumerate(rows):
+                            for t, value in zip(past, layer):
+                                t[j, :, handles[i].length] = value[i, :, 0]
+                cache.append(handles)
+            else:
+                cache.append(handles, [tuple(layer) for layer in new])
             kept = [np.concatenate([old, new[:, :, i:i + 1]], axis=4)
                     for i, old in enumerate(kept)]
             past = list(cache.gather(handles))
             for i, (handle, want) in enumerate(zip(handles, kept)):
                 n = handle.length
                 dense = np.array(cache.gather(handle))
-                ragged = np.array([[t[i:i + 1, :, :n] for t in layer]
-                                   for layer in past])
+                ragged = np.array([_row(layer, i, n) for layer in past])
                 if not (np.array_equal(dense, want)
                         and np.array_equal(ragged, want)):
                     failures.append(

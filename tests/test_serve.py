@@ -10,6 +10,9 @@ run-log event stream on the engine's virtual clock.
 
 import io
 import json
+import mmap
+import zlib
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.serve import (
     BlockAllocator,
     CacheFull,
     DecodeSession,
+    KVCorruptionError,
     PagedKVCache,
     ServeEngine,
     TraceRequest,
@@ -35,6 +39,8 @@ from repro.serve import (
     trace_to_json,
     validate_serve_metrics,
 )
+
+from .test_verify import _JSON, _SCALAR
 
 CFG = tiny_test_model()  # seq_length=8, vocab 64
 
@@ -146,12 +152,96 @@ class TestPagedKVCache:
         cache.free(handle)
         cache.assert_empty()
 
+    def test_warm_slots_stay_within_the_pool(self):
+        """Freed slots stay warm, zeroed, while the warm total fits the
+        pool's positions; past it, free slots go back first, then live
+        slots' pages past their lengths."""
+        cache = PagedKVCache.for_model(model(), num_blocks=4, block_size=2)
+        rng = np.random.default_rng(2)
+        a, b = cache.create(), cache.create()
+        cache.append(a, self.kv(rng, 6))
+        cache.append(b, self.kv(rng, 2))
+        assert (a.slot, b.slot) == (0, 1)
+        cache.free(a)
+        assert cache._warm_total == 8  # positions: slot 0 kept, zeroed
+        assert not cache.store[0].any()
+        cache.append(b, self.kv(rng, 4))  # 6 + 6 > 8: slot 0 goes back
+        assert cache._warm_total == 6
+        cache.free(b)
+        a, c = cache.create(), cache.create()
+        cache.append(a, self.kv(rng, 6))  # slot 0
+        cache.free(a)
+        want = self.kv(rng, 1)
+        cache.append(c, want)  # slot 0 again, warm past its length
+        assert c.slot == 0
+        d = cache.create()
+        cache.append(d, self.kv(rng, 6))  # 6 + 6 > 8: slot 0's tail goes
+        assert cache._warm_total == 7
+        assert not cache.store[0, 1:].any()
+        for layer, (k, v) in enumerate(cache.gather(c)):
+            np.testing.assert_array_equal(k, want[layer][0])
+            np.testing.assert_array_equal(v, want[layer][1])
+        cache.free(c)
+        cache.free(d)
+        cache.assert_empty()
+
+    def test_a_batch_reads_each_row_from_its_own_slot(self):
+        """Rows out of slot order, with a gap between their slots: one
+        run per stretch of consecutive slots, rows named in batch order."""
+        cache = PagedKVCache.for_model(model(), num_blocks=8, block_size=3)
+        rng = np.random.default_rng(3)
+        handles = [cache.create() for _ in range(4)]
+        kept = [self.kv(rng, n) for n in (2, 5, 1, 4)]
+        for handle, kvs in zip(handles, kept):
+            cache.append(handle, kvs)
+        order = [3, 0, 1]  # slots 3, 0, 1: runs (0, 1) and (3,)
+        for layer, runs in enumerate(cache.gather([handles[i] for i in order])):
+            assert [rows.tolist() for rows, _, _ in runs] == [[1, 2], [0]]
+            assert [k.shape[2] for _, k, _ in runs] == [6, 5]
+            for rows, k, v in runs:
+                for j, row in enumerate(rows):
+                    want = kept[order[row]][layer]
+                    n = want[0].shape[2]
+                    np.testing.assert_array_equal(k[j:j + 1, :, :n], want[0])
+                    np.testing.assert_array_equal(v[j:j + 1, :, :n], want[1])
+                    assert not k[j, :, n:].any() and not v[j, :, n:].any()
+        for handle in handles:
+            cache.free(handle)
+        cache.assert_empty()
+
     def test_blocks_for(self):
         cache = PagedKVCache.for_model(model(), num_blocks=4, block_size=3)
         assert cache.blocks_for(0) == 0
         assert cache.blocks_for(1) == 1
         assert cache.blocks_for(3) == 1
         assert cache.blocks_for(4) == 2
+
+    def test_a_large_pool_maps_linearly(self):
+        """A slot holds the model's window, not the whole pool, so the
+        mapping grows with the block count, not with its square."""
+        cache = PagedKVCache.for_model(model(), num_blocks=4096,
+                                       block_size=2)
+        window = CFG.seq_length * 2 * CFG.num_layers * CFG.hidden_size * 8
+        page = mmap.PAGESIZE
+        assert len(cache._map) == 4096 * -(-window // page) * page
+        handle = cache.create()
+        cache.append(handle, self.kv(np.random.default_rng(4), 3))
+        cache.free(handle)
+        cache.assert_empty()
+
+    def test_a_handle_holds_at_most_its_slot(self):
+        """Past the window (rounded up to whole blocks) an append is
+        refused like one past the pool, leaving the handle unchanged."""
+        cache = PagedKVCache.for_model(model(), num_blocks=8, block_size=3)
+        rng = np.random.default_rng(5)
+        handle = cache.create()
+        cache.append(handle, self.kv(rng, 9))  # 8 rounded up to 3 blocks
+        with pytest.raises(CacheFull):
+            cache.append(handle, self.kv(rng, 1))
+        assert (handle.length, handle.live_blocks) == (9, 3)
+        assert cache.live_blocks == 3
+        cache.free(handle)
+        cache.assert_empty()
 
     def test_cache_full_leaves_handle_usable(self):
         cache = PagedKVCache.for_model(model(), num_blocks=2, block_size=2)
@@ -162,6 +252,144 @@ class TestPagedKVCache:
             cache.append(handle, self.kv(rng, 1))
         assert handle.length == 4  # failed append did not corrupt state
         cache.free(handle)
+        cache.assert_empty()
+
+
+_ROWS = st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True)
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("create")),
+    st.tuples(st.just("append"), _ROWS, st.integers(1, 5), st.booleans()),
+    st.tuples(st.just("decode"), _ROWS),
+    st.tuples(st.just("gather"), _ROWS),
+    st.tuples(st.just("free"), st.integers(0, 7)),
+    st.tuples(st.just("corrupt"), st.integers(0, 7)),
+), max_size=40)
+
+
+class TestSlotStore:
+    """``PagedKVCache`` against a plain per-request copy of what each
+    request was given, over any interleaving of its operations."""
+
+    def check(self, cache, handles, mirror):
+        # warm (resident) positions within the pool's
+        assert cache._warm_total <= cache.capacity * cache.block_size
+        live = set()
+        for handle in handles:
+            n, want = handle.length, mirror[id(handle)]
+            assert want.shape[0] == n
+            dense = cache.gather(handle)
+            for layer, (k, v) in enumerate(dense):
+                np.testing.assert_array_equal(
+                    k[0], want[:, 0, layer].transpose(1, 0, 2))
+                np.testing.assert_array_equal(
+                    v[0], want[:, 1, layer].transpose(1, 0, 2))
+            if handle.slot is None:
+                continue
+            live.add(handle.slot)
+            assert not cache.store[handle.slot, n:].any()
+            for index, block in enumerate(handle.block_table):
+                run = cache.store[handle.slot, index * cache.block_size:
+                                  (index + 1) * cache.block_size]
+                assert run.flags.c_contiguous
+                if cache.checksums:
+                    assert cache._crcs[block] == zlib.crc32(run.tobytes())
+        for slot in set(range(cache.capacity)) - live:
+            assert not cache.store[slot].any()  # a free slot: zeros
+
+    def check_batch(self, cache, mirror, handles, past):
+        for layer, runs in enumerate(past):
+            seen = []
+            for rows, k, v in runs:
+                for j, i in enumerate(rows):
+                    n, want = handles[i].length, mirror[id(handles[i])]
+                    np.testing.assert_array_equal(
+                        k[j, :, :n], want[:, 0, layer].transpose(1, 0, 2))
+                    np.testing.assert_array_equal(
+                        v[j, :, :n], want[:, 1, layer].transpose(1, 0, 2))
+                    assert not k[j, :, n:].any() and not v[j, :, n:].any()
+                    seen.append(i)
+            assert sorted(seen) == list(range(len(handles)))
+
+    @given(num_blocks=st.integers(2, 8), block_size=st.integers(1, 4),
+           checksums=st.booleans(), ops=_STORE_OPS, seed=st.integers(0, 99))
+    @settings(max_examples=300, deadline=None)
+    def test_store_matches_a_plain_copy(self, num_blocks, block_size,
+                                        checksums, ops, seed):
+        cache = PagedKVCache.for_model(model(), num_blocks=num_blocks,
+                                       block_size=block_size,
+                                       checksums=checksums)
+        rng = np.random.default_rng(seed)
+        shape = (2, CFG.num_layers, CFG.num_attention_heads, CFG.head_dim)
+        handles, mirror = [], {}  # id -> (length, 2, L, a, dk)
+
+        def pick(rows, cached=False, room=False):
+            # room: decode never fills a slot, the window ends first
+            held = [h for h in handles if (h.length or not cached) and not
+                    (room and h.length == cache.store.shape[1])]
+            return [held[i] for i in dict.fromkeys(
+                r % len(held) for r in rows)] if held else []
+
+        for op, *args in ops:
+            if op == "create":
+                handles.append(cache.create())
+                mirror[id(handles[-1])] = np.zeros((0, *shape))
+            elif op == "append" and handles:
+                batch, (_, s_new, poison) = pick(args[0]), args
+                new = rng.standard_normal((len(batch), s_new, *shape))
+                if poison:
+                    new[:, :, 0], new[:, :, 1] = np.inf, np.nan
+                kvs = [tuple(new[:, :, part, layer].transpose(0, 2, 1, 3)
+                             for part in range(2))
+                       for layer in range(CFG.num_layers)]
+                try:
+                    cache.append(batch[0] if len(batch) == 1 else batch, kvs)
+                except CacheFull:
+                    pass
+                else:
+                    for handle, rows in zip(batch, new):
+                        mirror[id(handle)] = np.concatenate(
+                            [mirror[id(handle)], rows])
+            elif op == "decode" and pick(args[0], cached=True, room=True):
+                # As decode_batch does: the forward writes the new
+                # position into the views, append does the bookkeeping.
+                batch = pick(args[0], cached=True, room=True)
+                new = rng.standard_normal((len(batch), *shape))
+                for layer, runs in enumerate(cache.gather(batch)):
+                    for rows, *past in runs:
+                        for j, i in enumerate(rows):
+                            for part in range(2):
+                                past[part][j, :, batch[i].length] = (
+                                    new[i, part, layer])
+                try:
+                    cache.append(batch)
+                except CacheFull:
+                    pass
+                else:
+                    for handle, row in zip(batch, new):
+                        mirror[id(handle)] = np.concatenate(
+                            [mirror[id(handle)], row[None]])
+            elif op == "gather" and pick(args[0], cached=True):
+                batch = pick(args[0], cached=True)
+                self.check_batch(cache, mirror, batch,
+                                 list(cache.gather(batch)))
+            elif op == "free" and handles:
+                handle = handles.pop(args[0] % len(handles))
+                cache.free(handle)
+                del mirror[id(handle)]
+            elif op == "corrupt" and checksums:
+                held = [h for h in handles if h.block_table]
+                if held:
+                    victim = held[args[0] % len(held)]
+                    cache.corrupt_block(victim.block_table[-1])
+                    with pytest.raises(KVCorruptionError):
+                        cache.gather(handles)
+                    handles.remove(victim)
+                    cache.free(victim)
+                    del mirror[id(victim)]
+            self.check(cache, handles, mirror)
+        for handle in handles:
+            cache.free(handle)
+        self.check(cache, [], {})
         cache.assert_empty()
 
 
@@ -661,12 +889,58 @@ class TestTraffic:
         assert doc["top_k"] is doc["deadline_steps"] is doc["queue_ttl"] is None
         assert TraceRequest.from_dict(doc) == TraceRequest("r7", 1, (1, 2), 3)
 
+    @pytest.mark.parametrize("text,match", [
+        ('{"schema_version": 1, "requests": 5}', "'requests' must be a list"),
+        ("[" * 100_000, "unparseable"),
+        ('{"schema_version": 1, "requests": [{"request_id": "r1", '
+         '"arrival_step": 0, "prompt": [1], "max_new_tokens": 2, '
+         '"temperature": NaN}]}', "'r1'.*temperature must be finite"),
+        ('{"schema_version": 1, "requests": [{"request_id": "r2", '
+         '"arrival_step": 0, "prompt": [1], "max_new_tokens": 2, '
+         '"temperature": 1e999}]}', "'r2'.*temperature must be finite"),
+    ], ids=["requests-not-a-list", "deeply-nested", "nan-temperature",
+            "infinite-temperature"])
+    def test_malformed_trace_raises_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            trace_from_json(text)
+
     def test_arrivals_sorted_and_prompts_in_vocab(self):
         trace = poisson_trace(10, 2.0, vocab_size=16, seed=0)
         steps = [r.arrival_step for r in trace]
         assert steps == sorted(steps)
         for r in trace:
             assert all(0 <= t < 16 for t in r.prompt)
+
+
+_REQUEST = st.fixed_dictionaries({
+    "request_id": st.one_of(st.sampled_from(["a", "b"]), _SCALAR),
+    "arrival_step": st.one_of(st.integers(0, 5), _SCALAR),
+    "prompt": st.one_of(st.lists(st.integers(0, 8), max_size=4), _JSON),
+    "max_new_tokens": st.one_of(st.integers(0, 4), _SCALAR),
+}, optional={
+    "temperature": _SCALAR, "top_k": _SCALAR, "seed": _SCALAR,
+    "stop_ids": _JSON, "deadline_steps": _SCALAR, "queue_ttl": _SCALAR,
+})
+_TRACE = st.fixed_dictionaries({
+    "schema_version": st.one_of(st.just(1), _SCALAR),
+    "requests": st.one_of(st.lists(st.one_of(_REQUEST, _JSON), max_size=3),
+                          _JSON),
+})
+
+
+class TestTraceJsonProperty:
+    @settings(max_examples=400, deadline=timedelta(seconds=5))
+    @given(st.one_of(st.text(max_size=60), _JSON.map(json.dumps),
+                     _TRACE.map(json.dumps)))
+    def test_any_text_loads_or_raises_a_value_error(self, text):
+        """``repro serve --trace``'s reader on any text: a list of
+        requests, each with a finite temperature, or ``ValueError``."""
+        try:
+            trace = trace_from_json(text)
+        except ValueError:
+            return
+        assert isinstance(trace, list)
+        assert all(np.isfinite(r.temperature) for r in trace)
 
 
 # ---------------------------------------------------------------------------

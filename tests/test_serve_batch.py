@@ -262,23 +262,47 @@ class TestBatchedTick:
             np.testing.assert_array_equal(
                 engine.outputs[req.request_id], oracle(req))
 
-    def test_padding_never_reads_another_requests_block(self):
-        """A ragged batch pads its reads from the pool's all-zero block:
-        a foreign block 0 full of inf and NaN changes nothing."""
+    def run_beside_foreign_request(self, *, freed: bool):
+        """Four requests served beside a foreign request whose K/V is
+        all inf and NaN: live in slot 0, or freed before they start so
+        that the first of them reuses its slot.  After every tick, every
+        position past a live row's length reads 0.0."""
         engine, _ = make_engine(32, 4)
         cache = engine.cache
         foreign = cache.create()
         bad = np.full((1, CFG.num_attention_heads, 4, CFG.head_dim), np.inf)
         cache.append(foreign, [(bad, bad * np.nan)] * CFG.num_layers)
-        assert foreign.block_table == [0]
+        assert foreign.block_table == [0] and foreign.slot == 0
+        if freed:
+            cache.free(foreign)
         reqs = [request(f"r{i}", 2 + 5 * i, 10, seed=i) for i in range(4)]
-        engine.run(reqs)
+        for req in reqs:
+            engine.submit(req)
+        slots = set()
+        while engine.running or engine.waiting:
+            engine.tick()
+            handles = [e.session.handle for e in engine.running
+                       if e.session.handle is not None]
+            slots.update(h.slot for h in handles)
+            for handle in handles if freed else [*handles, foreign]:
+                assert not cache.store[handle.slot, handle.length:].any()
         for req in reqs:
             np.testing.assert_array_equal(
                 engine.outputs[req.request_id], oracle(req))
-        assert not cache.kv_pool[cache.capacity].any()
-        cache.free(foreign)
+        assert (0 in slots) == freed
+        if not freed:
+            cache.free(foreign)
         cache.assert_empty()
+
+    def test_padding_never_reads_another_requests_block(self):
+        """A ragged batch reads each row's own slot, zeros past its
+        length: a foreign request full of inf and NaN changes nothing."""
+        self.run_beside_foreign_request(freed=False)
+
+    def test_padding_never_reads_a_freed_requests_slot(self):
+        """The same when that request was freed and its slot reused:
+        freeing zeroes what it wrote."""
+        self.run_beside_foreign_request(freed=True)
 
     def test_tokens_per_tick_are_conserved(self):
         """``iteration.tokens`` == tokens booked to requests that tick,
