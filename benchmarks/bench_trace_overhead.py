@@ -3,9 +3,10 @@
 The observability contract, on a tiny PTD iteration:
 ``repro.obs`` tracing **enabled** vs. the untraced baseline -- the span
 bookkeeping, the byte and FLOP attribution and the iteration's Table-1
-accounting together must cost less than 5% of iteration time.  (With
-tracing off every hook is one empty-list check; ``span()`` returns one
-shared null context.)
+accounting together must cost less than 5% of iteration time.  (Bytes
+and FLOPs add into running totals whether or not a tracer is active,
+and spans read them by difference; with tracing off ``span()`` is one
+empty-list check returning one shared null context.)
 
 The guard reads the ``paired_ratio`` estimator of ``conftest.py``
 (alternating back-to-back pairs, re-measured up to three times over

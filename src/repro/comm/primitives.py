@@ -59,10 +59,10 @@ Hop = Callable[[int, int, int], None]
 def _comm_span(name: str, ranks: Sequence[int], kind: TrafficKind, tag: str):
     """One span per collective, on the group-leader rank's track.
 
-    Bytes are attached by the TrafficLog->tracer adapter, which credits
-    every logged hop to the innermost open span -- i.e. exactly this
-    one, so span byte totals equal the log's ground truth.  When no
-    tracer is active this is a no-op context manager.
+    Its ``bytes`` are what the running totals gained while it was the
+    innermost open span -- every hop it logged, so span byte totals
+    equal the log's ground truth.  When no tracer is active this is a
+    no-op context manager.
     """
     return _obs_span(
         name,

@@ -5,6 +5,11 @@ transfer it performs (ring steps included) to a :class:`TrafficLog`.
 The log is the ground truth for the paper's §3.2 communication-volume
 formulas (tensor parallelism moves ``8 b s h (t-1)/t`` bytes-worth of
 elements per layer per device; pipeline p2p moves ``b s h``).
+
+Every logged transfer also adds its bytes and a count into the
+process's running totals (:data:`repro.obs.tracer.BYTES`,
+:data:`~repro.obs.tracer.TRANSFERS`, :data:`~repro.obs.tracer.TOTALS`),
+traced or not; spans and traces read them by difference.
 """
 
 from __future__ import annotations
@@ -13,7 +18,12 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.obs.tracer import record_transfer
+# The running totals: mutated in place, never rebound.
+from repro.obs.tracer import (
+    BYTES as _BYTES,
+    TOTALS as _TOTALS,
+    TRANSFERS as _TRANSFERS,
+)
 
 
 class TrafficKind(enum.Enum):
@@ -58,11 +68,15 @@ class TrafficLog:
         kind: TrafficKind = TrafficKind.OTHER,
         tag: str = "",
     ) -> None:
-        record = TransferRecord(src, dst, int(nbytes), kind, tag)
-        self.records.append(record)
-        # Adapter into repro.obs: attribute the transfer to any active
-        # tracer (span + metrics); a no-op when tracing is off.
-        record_transfer(record.nbytes, record.kind.value)
+        nbytes = int(nbytes)
+        self.records.append(TransferRecord(src, dst, nbytes, kind, tag))
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # descriptor call, ten times slower on this path.
+        key = kind._value_
+        _BYTES[key] += nbytes
+        _TRANSFERS[key] += 1
+        _TOTALS[0] += nbytes
+        _TOTALS[1] += 1
 
     def total_bytes(self, kind: TrafficKind | None = None) -> int:
         return sum(r.nbytes for r in self.records if kind is None or r.kind is kind)

@@ -2,12 +2,12 @@
 
 The paper's machine (§5) connects 384 DGX A100 nodes in a three-level
 (leaf, spine, core) fat-tree with 850 switches, chosen for efficient
-all-reduce traffic.  We model the topology as a networkx graph whose
-edges carry bandwidth capacities, which lets us
+all-reduce traffic.  We model its geometry (nodes under leaves under
+spine groups under one core), which lets us
 
 - classify any (rank, rank) pair as NVLink (same node) or InfiniBand
   (different nodes) with a hop count for the latency term, and
-- compute bisection bandwidth by min-cut, used by the §5.9 experiment.
+- state the bisection bandwidth the §5.9 experiment compares against.
 
 The default dimensions give a full-bisection tree for up to 1024 nodes,
 more than covering the paper's 384.
@@ -112,63 +112,19 @@ class ClusterTopology:
             min(node.ib_bandwidth_per_hca, node.inter_node_bandwidth_per_gpu()),
         )
 
-    # -- graph / bisection --------------------------------------------------
-    def build_graph(self) -> nx.Graph:
-        """Fat-tree graph: node/leaf/spine/core vertices, capacity edges.
-
-        Each compute node connects to its leaf switch with its aggregate
-        IB bandwidth; uplinks are provisioned for full bisection.
-        """
-        import networkx as nx  # only the §5.9 experiment needs it
-
-        g = nx.Graph()
-        node_bw = self.node.total_ib_bandwidth
-        num_leaves = -(-self.num_nodes // self.nodes_per_leaf)
-        num_spine_groups = -(-num_leaves // self.leaves_per_spine_group)
-        for nid in range(self.num_nodes):
-            g.add_edge(f"node{nid}", f"leaf{self.leaf_of(nid)}", capacity=node_bw)
-        for leaf in range(num_leaves):
-            nodes_under = min(
-                self.nodes_per_leaf, self.num_nodes - leaf * self.nodes_per_leaf
-            )
-            up = node_bw * nodes_under
-            g.add_edge(
-                f"leaf{leaf}",
-                f"spine{leaf // self.leaves_per_spine_group}",
-                capacity=up,
-            )
-        for sg in range(num_spine_groups):
-            leaves_under = min(
-                self.leaves_per_spine_group,
-                num_leaves - sg * self.leaves_per_spine_group,
-            )
-            nodes_under = min(
-                leaves_under * self.nodes_per_leaf,
-                self.num_nodes - sg * self.leaves_per_spine_group * self.nodes_per_leaf,
-            )
-            g.add_edge(f"spine{sg}", "core", capacity=node_bw * max(nodes_under, 1))
-        return g
-
+    # -- bisection ----------------------------------------------------------
     def bisection_bandwidth(self) -> float:
-        """Min-cut bandwidth between the first and second half of nodes.
+        """Bandwidth across the cut between the first and second half of
+        the nodes.
 
-        Computed on the fat-tree graph with a super-source attached to
-        nodes [0, n/2) and a super-sink attached to nodes [n/2, n).
+        Every uplink is provisioned for full bisection, so the narrowest
+        cut is the smaller half's own injection links: ``⌊n/2⌋`` nodes'
+        aggregate IB bandwidth.  Inside one node it is NVSwitch, half the
+        GPUs to the other half.
         """
         if self.num_nodes == 1:
-            # Bisection inside one node: NVSwitch, 4 GPUs vs 4 GPUs.
             return self.node.nvlink_bandwidth * (self.gpus_per_node // 2)
-        import networkx as nx
-
-        g = self.build_graph()
-        half = self.num_nodes // 2
-        inf = float("inf")
-        for nid in range(half):
-            g.add_edge("SRC", f"node{nid}", capacity=inf)
-        for nid in range(half, self.num_nodes):
-            g.add_edge(f"node{nid}", "SNK", capacity=inf)
-        value, _ = nx.minimum_cut(g, "SRC", "SNK", capacity="capacity")
-        return value
+        return self.node.total_ib_bandwidth * (self.num_nodes // 2)
 
 
 @lru_cache(maxsize=256)

@@ -1,9 +1,9 @@
 """FLOP accounting for the numeric engine.
 
-A process-global meter that the numeric modules report their matrix-
-multiplication work to.  This closes the loop between the two halves of
-the reproduction: the FLOPs *actually executed* by the numpy engine for
-one training iteration must equal the paper's closed-form eq. (3)
+The numeric modules report their matrix-multiplication work through
+:func:`record_gemm_flops`.  This closes the loop between the two halves
+of the reproduction: the FLOPs *actually executed* by the numpy engine
+for one training iteration must equal the paper's closed-form eq. (3)
 (tested in ``tests/test_profiler.py``), so the analytical model and the
 running system count the same work.
 
@@ -13,10 +13,10 @@ Usage::
         model.loss_backward(caches)
     print(meter.total_flops)
 
-Every active :class:`~repro.obs.tracer.Tracer` is reported to as
-well, the way ``TrafficLog.add`` reaches
-:func:`~repro.obs.tracer.record_transfer`: the work lands in its metrics
-and on its innermost open span.
+Each call is one add into the process's running FLOP totals
+(:data:`repro.obs.tracer.FLOPS`), traced or not, the way
+``TrafficLog.add`` adds bytes.  A :func:`count_flops` meter, a span and
+a trace all read those totals by difference, so FLOPs take one path.
 
 Only GEMM work is counted (the paper's convention: "The majority of
 floating-point operations in the model are performed in the matrix
@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
-# The tracer stack itself: it is mutated in place, never rebound, so
-# the untraced path below is one empty-list check with no call.
-from repro.obs.tracer import _ACTIVE as _TRACERS
+# The running totals: mutated in place, never rebound, so binding them
+# here keeps each GEMM's accounting to two in-place adds.
+from repro.obs.tracer import FLOPS as _FLOPS, TOTALS as _TOTALS
 
 
 @dataclass
 class FlopMeter:
-    """Accumulates GEMM FLOPs by category."""
+    """GEMM FLOPs by category."""
 
     by_category: dict[str, int] = field(default_factory=dict)
 
@@ -50,16 +51,10 @@ class FlopMeter:
         return sum(self.by_category.values())
 
 
-_ACTIVE: list[FlopMeter] = []
-
-
 def record_gemm_flops(category: str, flops: int) -> None:
-    """Report GEMM work to every active meter and tracer (no-op when
-    none)."""
-    for meter in _ACTIVE:
-        meter.add(category, flops)
-    for tracer in _TRACERS:
-        tracer.on_flops(category, flops)
+    """Add GEMM work to the running totals."""
+    _FLOPS[category] += flops
+    _TOTALS[2] += flops
 
 
 def matmul_flops(*shape: int) -> int:
@@ -71,17 +66,14 @@ def matmul_flops(*shape: int) -> int:
 
 
 @contextlib.contextmanager
-def count_flops():
-    """Context manager activating a fresh :class:`FlopMeter`."""
+def count_flops() -> Iterator[FlopMeter]:
+    """Yield a :class:`FlopMeter` that, once the block exits, holds the
+    GEMM work recorded inside it (each category that gained any)."""
     meter = FlopMeter()
-    _ACTIVE.append(meter)
+    start = dict(_FLOPS)
     try:
         yield meter
     finally:
-        # Pop by identity, not equality: FlopMeter is a dataclass, so
-        # two meters with identical contents (e.g. nested empty meters)
-        # compare equal and list.remove would deactivate the wrong one.
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is meter:
-                del _ACTIVE[i]
-                break
+        for category, flops in _FLOPS.items():
+            if flops != start.get(category, 0):
+                meter.add(category, flops - start.get(category, 0))

@@ -7,10 +7,11 @@ streams meet:
   intervals from the schedule executor, the comm primitives, the
   trainers, and the simulator (:mod:`repro.obs.tracer`);
 - **metrics** — counters/gauges/histograms in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, fed by
-  :func:`~repro.nn.profiler.record_gemm_flops` and
-  :class:`~repro.comm.traffic.TrafficLog`, which report to every
-  active tracer, and by :func:`~repro.obs.metrics.report_iteration`,
+  :class:`~repro.obs.metrics.MetricsRegistry`, fed by the running byte
+  and FLOP totals that :class:`~repro.comm.traffic.TrafficLog` and
+  :func:`~repro.nn.profiler.record_gemm_flops` add into (read by
+  difference when a trace exits), and by
+  :func:`~repro.obs.metrics.report_iteration`,
   an iteration's one Table-1 accounting (tokens/s, Tflop/s per GPU,
   MFU), which the run log's ``iteration`` record shares;
 - **exports** — Chrome ``trace_event`` JSON (Perfetto /
@@ -18,7 +19,7 @@ streams meet:
   (:mod:`repro.obs.export`), surfaced by ``python -m repro trace``.
 
 Activate with ``with trace() as tracer: ...``; when no tracer is
-active every instrumentation hook short-circuits on an empty list.
+active every ``span()`` short-circuits on an empty list.
 
 The names below resolve on first use (:func:`repro.lazy_exports`):
 ``from repro.obs.tracer import span``, which every instrumented module
@@ -30,7 +31,7 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "tracer": "GLOBAL_RANK CounterSample Span Tracer trace span "
-              "current_tracer record_transfer",
+              "current_tracer",
     "metrics": "Counter Gauge Histogram MetricsRegistry report_iteration",
     "export": "chrome_trace chrome_trace_events counter_events "
               "write_chrome_trace phase_summary metrics_json write_metrics "

@@ -1,13 +1,13 @@
 """Structured span tracing with a process-global active-tracer stack.
 
-The tracing twin of :func:`repro.nn.profiler.count_flops`: activating a
-:class:`Tracer` (``with trace() as tracer:``) makes every instrumented
-site in the codebase — the schedule executor's per-op forward/backward
-work, each collective in :mod:`repro.comm.primitives`, the trainer's
-iteration phases, the discrete-event simulator's timed ops — emit
-:class:`Span` records into it.  When no tracer is active every hook is
-a single ``if`` on an empty list, so the instrumented hot paths stay
-effectively free (see ``benchmarks/bench_trace_overhead.py``).
+Activating a :class:`Tracer` (``with trace() as tracer:``) makes every
+instrumented site in the codebase — the schedule executor's per-op
+forward/backward work, each collective in :mod:`repro.comm.primitives`,
+the trainer's iteration phases, the discrete-event simulator's timed
+ops — emit :class:`Span` records into it.  When no tracer is active
+:func:`span` is one truthiness check returning a shared null context,
+so the instrumented hot paths stay effectively free (see
+``benchmarks/bench_trace_overhead.py``).
 
 A span carries ``(rank, phase, name, start, end)`` plus attached
 counters (``bytes``, ``flops``, ``stage``, ...).  Ranks are *virtual
@@ -17,25 +17,27 @@ belong to a single device.
 
 Two clock regimes coexist:
 
-- **live spans** (``tracer.span(...)`` context manager) read the
-  tracer's clock — wall time by default, or any injected callable such
-  as a deterministic tick counter;
+- **live spans** (``with tracer.span(...)``) read the tracer's clock —
+  wall time by default, or any injected callable such as a
+  deterministic tick counter;
 - **simulated spans** (``tracer.add_span(...)``) carry explicit
   start/end from a modelled timeline, e.g. the §2.2 list scheduler.
 
-Bytes and FLOPs reach every active tracer the same way: each
-:class:`~repro.comm.traffic.TrafficLog` transfer (through
-:func:`record_transfer`) and each
-:func:`~repro.nn.profiler.record_gemm_flops` call is attributed to the
-innermost open span *and* to the tracer's
-:class:`~repro.obs.metrics.MetricsRegistry` (``comm.bytes.<kind>``,
-``flops.<category>``), so span totals match the logs exactly.
+Bytes and FLOPs reach a tracer by difference, never per record: each
+:class:`~repro.comm.traffic.TrafficLog` transfer and each
+:func:`~repro.nn.profiler.record_gemm_flops` call adds into the running
+totals below, traced or not.  A live span's ``bytes`` / ``flops`` are
+what they gained while it was the innermost open span (its inclusive
+delta minus its children's), so each lands on exactly one span and span
+totals match the logs exactly; :func:`trace` fills the tracer's
+registry from their gain over its window.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -44,6 +46,15 @@ from .metrics import MetricsRegistry
 #: Track id for spans that describe the whole virtual cluster rather
 #: than one device (iteration, gradient all-reduce, optimizer).
 GLOBAL_RANK = -1
+
+#: The process's running totals, read only by difference: bytes and
+#: transfers per ``TrafficKind`` value, GEMM FLOPs per category, and
+#: ``TOTALS`` = [bytes, transfers, FLOPs].  Mutated in place, never
+#: rebound: ``TrafficLog`` and ``record_gemm_flops`` bind them.
+BYTES: defaultdict[str, int] = defaultdict(int)
+TRANSFERS: defaultdict[str, int] = defaultdict(int)
+FLOPS: defaultdict[str, int] = defaultdict(int)
+TOTALS = [0, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -62,9 +73,12 @@ class CounterSample:
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One traced interval on one virtual rank's timeline."""
+    """One traced interval on one virtual rank's timeline.
+
+    A live span is its own context manager: ``with tracer.span(...)``
+    closes it on exit, exceptions included."""
 
     name: str
     phase: str
@@ -74,6 +88,8 @@ class Span:
     depth: int = 0
     index: int = 0  # creation order; stable tie-break for equal starts
     counters: dict[str, float] = field(default_factory=dict)
+    #: the tracer a live span closes on; None for a simulated span
+    tracer: Tracer | None = field(default=None, repr=False, compare=False)
 
     @property
     def duration(self) -> float:
@@ -83,8 +99,11 @@ class Span:
     def closed(self) -> bool:
         return self.end is not None
 
-    def add_counter(self, name: str, amount: float) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+    def __enter__(self) -> Span:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.tracer.end(self)
 
 
 class Tracer:
@@ -105,27 +124,43 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._stack: list[Span] = []
         self._epoch: float | None = None
+        self._mark = tuple(TOTALS)  # the totals at the last open or close
 
     # -- live (clocked) spans ------------------------------------------------
+    def _settle(self) -> None:
+        """Credit what the totals gained since the last open or close to
+        the innermost open span: it was innermost all that time, so this
+        is its self share (inclusive minus its children's)."""
+        nbytes, transfers, flops = TOTALS
+        mark_bytes, mark_transfers, mark_flops = self._mark
+        if transfers == mark_transfers and flops == mark_flops:
+            return
+        self._mark = nbytes, transfers, flops
+        if self._stack:
+            counters = self._stack[-1].counters
+            if transfers != mark_transfers:
+                counters["bytes"] = (counters.get("bytes", 0)
+                                     + nbytes - mark_bytes)
+            if flops != mark_flops:
+                counters["flops"] = counters.get("flops", 0) + flops - mark_flops
+
     def begin(self, name: str, phase: str = "", rank: int = GLOBAL_RANK,
               **counters: float) -> Span:
         """Open a span at the current clock time (normalized so the
-        first event of the trace is t=0)."""
+        first event of the trace is t=0).  ``span`` is this method: the
+        :class:`Span` it returns closes itself as a context manager."""
         now = self.clock()
         if self._epoch is None:
             self._epoch = now
-        span = Span(
-            name=name,
-            phase=phase,
-            rank=rank,
-            start=now - self._epoch,
-            depth=len(self._stack),
-            index=len(self.spans),
-            counters=dict(counters),
-        )
+        self._settle()
+        span = Span(name, phase, rank, now - self._epoch,
+                    depth=len(self._stack), index=len(self.spans),
+                    counters=counters, tracer=self)
         self.spans.append(span)
         self._stack.append(span)
         return span
+
+    span = begin
 
     def end(self, span: Span) -> Span:
         """Close ``span``; it must be the innermost open span (strict
@@ -135,20 +170,10 @@ class Tracer:
                 f"span {span.name!r} is not the innermost open span; "
                 "spans must close in LIFO order"
             )
+        self._settle()
         self._stack.pop()
-        assert self._epoch is not None
         span.end = self.clock() - self._epoch
         return span
-
-    @contextlib.contextmanager
-    def span(self, name: str, phase: str = "", rank: int = GLOBAL_RANK,
-             **counters: float) -> Iterator[Span]:
-        """Context manager opening a nested live span (exception-safe)."""
-        s = self.begin(name, phase, rank, **counters)
-        try:
-            yield s
-        finally:
-            self.end(s)
 
     # -- simulated (explicitly timed) spans ---------------------------------
     def add_span(self, name: str, phase: str, rank: int, start: float,
@@ -164,7 +189,7 @@ class Tracer:
             end=end,
             depth=len(self._stack),
             index=len(self.spans),
-            counters=dict(counters),
+            counters=counters,
         )
         self.spans.append(span)
         return span
@@ -189,22 +214,6 @@ class Tracer:
         self.samples.append(s)
         self.metrics.gauge(name).set(value)
         return s
-
-    # -- attribution hooks ---------------------------------------------------
-    def on_transfer(self, nbytes: int, kind: str) -> None:
-        """Attribute one logged transfer (called by the TrafficLog hook)."""
-        self.metrics.counter(f"comm.bytes.{kind}").inc(nbytes)
-        self.metrics.counter("comm.bytes.total").inc(nbytes)
-        self.metrics.counter("comm.transfers").inc()
-        if self._stack:
-            self._stack[-1].add_counter("bytes", nbytes)
-
-    def on_flops(self, category: str, flops: int) -> None:
-        """Attribute GEMM work (called by ``record_gemm_flops``)."""
-        self.metrics.counter(f"flops.{category}").inc(flops)
-        self.metrics.counter("flops.total").inc(flops)
-        if self._stack:
-            self._stack[-1].add_counter("flops", flops)
 
     # -- queries -------------------------------------------------------------
     def counter_total(self, counter: str, phase: str | None = None) -> float:
@@ -231,17 +240,6 @@ def current_tracer() -> Tracer | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def record_transfer(nbytes: int, kind: str) -> None:
-    """Report one transfer to every active tracer (no-op when none).
-
-    This is the :class:`~repro.comm.traffic.TrafficLog` adapter entry
-    point; it is called from ``TrafficLog.add`` so *every* byte the
-    comm substrate accounts for is also attributed to the trace.
-    """
-    for tracer in _ACTIVE:
-        tracer.on_transfer(nbytes, kind)
-
-
 #: What :func:`span` returns when tracing is off: one shared context
 #: manager entering to None, so the null path builds nothing.
 _NO_SPAN = contextlib.nullcontext()
@@ -254,21 +252,36 @@ def span(name: str, phase: str = "", rank: int = GLOBAL_RANK,
     sites can use this unconditionally."""
     if not _ACTIVE:
         return _NO_SPAN
-    return _ACTIVE[-1].span(name, phase, rank, **counters)
+    return _ACTIVE[-1].begin(name, phase, rank, **counters)
 
 
 @contextlib.contextmanager
 def trace(clock: Callable[[], float] | None = None) -> Iterator[Tracer]:
-    """Activate a fresh :class:`Tracer` (nestable, exception-safe)."""
+    """Activate a fresh :class:`Tracer` (nestable, exception-safe).
+
+    On exit its registry gets what the running totals gained in the
+    window: ``comm.bytes.<kind>`` for each kind that logged a transfer
+    (0-byte ones included), ``comm.bytes.total`` and ``comm.transfers``
+    once any did, and ``flops.<category>`` and ``flops.total`` for the
+    GEMM work."""
     tracer = Tracer(clock=clock)
+    bytes0, transfers0, flops0 = dict(BYTES), dict(TRANSFERS), dict(FLOPS)
+    totals0 = TOTALS.copy()
     _ACTIVE.append(tracer)
     try:
         yield tracer
     finally:
-        # Pop by identity: a second tracer created while this one is
-        # active must not be confused with it (same fix as the
-        # count_flops() nesting bug).
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is tracer:
-                del _ACTIVE[i]
-                break
+        _ACTIVE.remove(tracer)  # a Tracer equals only itself
+        count = tracer.metrics.counter
+        for kind, transfers in TRANSFERS.items():
+            if transfers != transfers0.get(kind, 0):
+                count(f"comm.bytes.{kind}").inc(
+                    BYTES[kind] - bytes0.get(kind, 0))
+        if TOTALS[1] != totals0[1]:
+            count("comm.bytes.total").inc(TOTALS[0] - totals0[0])
+            count("comm.transfers").inc(TOTALS[1] - totals0[1])
+        for category, flops in FLOPS.items():
+            if flops != flops0.get(category, 0):
+                count(f"flops.{category}").inc(flops - flops0.get(category, 0))
+        if TOTALS[2] != totals0[2]:
+            count("flops.total").inc(TOTALS[2] - totals0[2])

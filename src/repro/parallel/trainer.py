@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,6 +206,26 @@ def load_state(replica: PipelineParallelGPT, optimizer: Adam,
     optimizer.step_count = state["step_count"]
 
 
+@lru_cache(maxsize=16)
+def _memory_samples(config: GPTConfig, parallel: ParallelConfig,
+                    recompute: bool) -> tuple[tuple[str, int], ...]:
+    """A traced step's per-GPU ``mem.*`` samples, in bytes: the
+    model-state split of ``perf.memory`` and the activation stash its
+    footprint model predicts.  Constants of the frozen configs, so
+    computed once rather than every traced step."""
+    from repro.perf.memory import (
+        MODEL_STATE_SPLIT,
+        memory_footprint,
+        parameters_per_rank,
+    )
+
+    params = parameters_per_rank(config, parallel)
+    fp = memory_footprint(config, parallel, recompute=recompute)
+    return (*((f"mem.{part}.bytes", nbytes * params)
+              for part, nbytes in MODEL_STATE_SPLIT),
+            ("mem.activations.bytes", fp.activations + fp.stage_inputs))
+
+
 class PTDTrainer(AbstractContextManager):
     """Train a GPT with composed pipeline/tensor/data parallelism.
 
@@ -346,7 +367,9 @@ class PTDTrainer(AbstractContextManager):
                 grad_norm=self.last_grad_norm, rank_busy=rank_busy or {},
             )
             if tracer is not None:
-                self._trace_memory(tracer)
+                for name, nbytes in _memory_samples(
+                        self.config, self.parallel, self.recompute_activations):
+                    tracer.sample(name, nbytes)
         self.iteration += 1
         return mean_loss
 
@@ -498,25 +521,6 @@ class PTDTrainer(AbstractContextManager):
     def __exit__(self, *exc):
         self.close()
         return False
-
-    def _trace_memory(self, tracer) -> None:
-        """Per-GPU ``mem.*`` counter samples, in bytes: the model-state
-        split of ``perf.memory`` and the activation stash its footprint
-        model predicts.  Runs only under an active tracer."""
-        from repro.perf.memory import (
-            MODEL_STATE_SPLIT,
-            memory_footprint,
-            parameters_per_rank,
-        )
-
-        params = parameters_per_rank(self.config, self.parallel)
-        for part, nbytes in MODEL_STATE_SPLIT:
-            tracer.sample(f"mem.{part}.bytes", nbytes * params)
-        fp = memory_footprint(
-            self.config, self.parallel,
-            recompute=self.recompute_activations,
-        )
-        tracer.sample("mem.activations.bytes", fp.activations + fp.stage_inputs)
 
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Replica 0's full serial-layout weights."""

@@ -41,6 +41,7 @@ Plans round-trip through JSON (``python -m repro chaos --plan``) by
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
@@ -181,6 +182,20 @@ class Stall:
             )
 
 
+#: A field's annotation -> (whether a JSON value fits it, what it is
+#: called in an error).  ``type``, not isinstance: a bool is an int
+#: subclass.  Every int is finite; ``abs(nan) < inf`` is False.
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: type(v) is int or v is None, "an integer"),
+    "float": (lambda v: type(v) in (int, float) and abs(v) < math.inf,
+              "a finite number"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "str | None": (lambda v: type(v) is str or v is None, "a string"),
+}
+
+
 class PlanCodec:
     """The JSON codec every chaos plan shares.
 
@@ -188,7 +203,9 @@ class PlanCodec:
     ``ENTRIES`` (plan key -> entry class, and what one entry is called
     in an error); ``KIND`` names the plan in its errors.  Loading
     parses or raises ``ValueError``, never anything else; an ``int``
-    field takes only a JSON integer (not a float or a bool).
+    field takes only a JSON integer (not a float or a bool), a
+    ``float`` field only a finite JSON number (not a bool), and a
+    ``bool`` or ``str`` field only its own JSON type.
     """
 
     KIND: ClassVar[str]
@@ -205,7 +222,7 @@ class PlanCodec:
     def from_json(cls, text: str):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"unparseable {cls.KIND}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{cls.KIND} must be a JSON object")
@@ -222,20 +239,16 @@ class PlanCodec:
         entry_cls, what = cls.ENTRIES[key]
         if not isinstance(entries, list):
             raise ValueError(f"{key} must be a list")
-        # integer field -> whether it may be null
-        integers = {f.name: f.type == "int | None" for f in fields(entry_cls)
-                    if f.type in ("int", "int | None")}
+        types = {f.name: _FIELD_TYPES[f.type] for f in fields(entry_cls)}
         out = []
         for index, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"{what} entries must be objects")
-            for name, nullable in integers.items():
-                value = entry.get(name, 0)
-                # ``type``, not isinstance: a bool is an int subclass
-                if type(value) is not int and not (nullable and value is None):
+            for name, (takes, called) in types.items():
+                if name in entry and not takes(entry[name]):
                     raise ValueError(
-                        f"{cls.KIND} {what} {index}: {name} must be an "
-                        f"integer, got {value!r}"
+                        f"{cls.KIND} {what} {index}: {name} must be "
+                        f"{called}, got {entry[name]!r}"
                     )
             try:
                 out.append(entry_cls(**entry))

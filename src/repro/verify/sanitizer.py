@@ -185,8 +185,8 @@ class CollectiveSanitizer:
         return self
 
     def __exit__(self, *exc) -> None:
-        # Pop by identity (same rationale as the tracer/FlopMeter stacks:
-        # two empty sanitizers compare equal as dataclasses).
+        # Pop by identity (same rationale as the tracer stack: two empty
+        # sanitizers compare equal as dataclasses).
         for i in range(len(_ACTIVE) - 1, -1, -1):
             if _ACTIVE[i] is self:
                 del _ACTIVE[i]

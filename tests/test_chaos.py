@@ -3,9 +3,13 @@ supervised harness's recovery guarantees."""
 
 import json
 import os
+from dataclasses import fields
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ParallelConfig, tiny_test_model
 from repro.resilience import (
@@ -18,6 +22,7 @@ from repro.resilience import (
     LossSpike,
     RankFailureError,
     SaveFailure,
+    ServeChaosPlan,
     Stall,
     TransientSaveError,
     batch_for_iteration,
@@ -37,6 +42,27 @@ CFG = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=4,
                       vocab_size=32, seq_length=8)
 
 
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=4))
+_JSON = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                     max_leaves=12)
+
+
+def _plan_shaped(plan):
+    """JSON text shaped like ``plan``: its keys, each a list of entries
+    naming the entry's fields (and a stray one), with any values --
+    NaN, infinities, bools and integers of any size included."""
+    def entries(entry_cls):
+        names = [f.name for f in fields(entry_cls)] + ["stray"]
+        return st.lists(st.dictionaries(st.sampled_from(names), _JSON,
+                                        max_size=4), max_size=3)
+    return st.fixed_dictionaries({}, optional={
+        key: entries(entry_cls)
+        for key, (entry_cls, _) in plan.ENTRIES.items()
+    }).map(json.dumps)
+
+
 def dp2(batch=4):
     return ParallelConfig(data_parallel_size=2, microbatch_size=1,
                           global_batch_size=batch)
@@ -48,6 +74,23 @@ def harness(tmp_path, plan, **kw):
     kw.setdefault("seed", 0)
     kw.setdefault("sleep", lambda s: None)
     return ChaosHarness(CFG, dp2(), str(tmp_path), plan=plan, **kw)
+
+
+class TestPlanJsonProperty:
+    @pytest.mark.parametrize("plan", [ChaosPlan, ServeChaosPlan])
+    @settings(max_examples=300, deadline=timedelta(seconds=5))
+    @given(data=st.data())
+    def test_any_text_loads_or_raises_a_value_error(self, plan, data):
+        """``PlanCodec.from_json`` on any text, for both plans: it loads
+        or raises ``ValueError``, in bounded time whatever sizes the
+        entries declare."""
+        text = data.draw(st.one_of(
+            st.text(max_size=60), _JSON.map(json.dumps), _plan_shaped(plan),
+            st.integers(1, 200_000).map(lambda depth: "[" * depth)))
+        try:
+            plan.from_json(text)
+        except ValueError:
+            pass
 
 
 class TestChaosPlan:
@@ -113,6 +156,40 @@ class TestChaosPlan:
         )
         assert plan.stalls == (Stall(at_iteration=1, seconds=2.0),)
         assert plan.loss_spikes == (LossSpike(at_iteration=0, factor=3.0),)
+
+    @pytest.mark.parametrize("entry,field,what", [
+        ('"stalls": [{"at_iteration": 1, "seconds": NaN}]', "seconds",
+         "stall 0"),
+        ('"stalls": [{"at_iteration": 1, "seconds": 1e999}]', "seconds",
+         "stall 0"),
+        ('"loss_spikes": [{"at_iteration": 1, "factor": NaN}]', "factor",
+         "loss_spike 0"),
+        ('"loss_spikes": [{"at_iteration": 1, "factor": true}]', "factor",
+         "loss_spike 0"),
+    ])
+    def test_float_fields_take_only_finite_numbers(self, entry, field, what):
+        with pytest.raises(ValueError,
+                           match=f"^chaos plan {what}: {field} must be a "
+                                 f"finite number"):
+            ChaosPlan.from_json("{" + entry + "}")
+
+    @pytest.mark.parametrize("plan,text,match", [
+        (ChaosPlan, '{"kills": [{"at_iteration": 1, "permanent": "no"}]}',
+         "kill 0: permanent must be a boolean"),
+        (ChaosPlan, '{"corruptions": [{"at_iteration": 1, "file": ["x"]}]}',
+         "corruption 0: file must be a string"),
+        (ServeChaosPlan, '{"crashes": [{"at_step": 1, "request_id": [1]}]}',
+         "crash 0: request_id must be a string"),
+    ])
+    def test_bool_and_str_fields_take_only_their_json_type(self, plan, text,
+                                                           match):
+        with pytest.raises(ValueError, match=match):
+            plan.from_json(text)
+
+    @pytest.mark.parametrize("plan", [ChaosPlan, ServeChaosPlan])
+    def test_deep_nesting_is_a_value_error(self, plan):
+        with pytest.raises(ValueError, match="unparseable"):
+            plan.from_json("[" * 100_000)
 
     @pytest.mark.parametrize("text,key", [
         ('{"kills": 3}', "kills"),

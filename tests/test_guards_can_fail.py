@@ -1,0 +1,52 @@
+"""Each timed guard under ``benchmarks/`` can fail: a planted defect
+that at least doubles the cost it bounds turns it red, on its own
+workload and with the real ``paired_ratio`` estimator.  A guard that
+stays green here could not catch the regression it exists for."""
+
+import importlib.util
+import time
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _slow_spans(monkeypatch):
+    """Every span sleeps 100 µs as it opens: the guard step's 33 spans
+    add over 3 ms to a ~10 ms step whose tracing costs well under 1 ms."""
+    from repro.obs.tracer import Tracer
+
+    begin = Tracer.begin
+
+    def slow_begin(self, *args, **kwargs):
+        time.sleep(1e-4)
+        return begin(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "begin", slow_begin)
+    monkeypatch.setattr(Tracer, "span", slow_begin)
+
+
+#: (guard file, its test function, the defect to plant)
+CASES = [
+    pytest.param("bench_trace_overhead.py",
+                 "test_tracing_overhead_under_5_percent", _slow_spans,
+                 id="trace"),
+]
+
+
+@pytest.mark.parametrize("guard_file,test_name,plant", CASES)
+def test_a_planted_defect_turns_the_guard_red(guard_file, test_name, plant,
+                                              monkeypatch):
+    guard = _load(BENCHMARKS / guard_file)
+    paired_ratio = _load(BENCHMARKS / "conftest.py")._paired_ratio
+    plant(monkeypatch)
+    with pytest.raises(AssertionError):
+        getattr(guard, test_name)(paired_ratio)

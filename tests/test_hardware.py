@@ -76,6 +76,13 @@ class TestTopology:
         expected = 32 * topo.node.total_ib_bandwidth
         assert bw == pytest.approx(expected, rel=0.01)
 
+    def test_three_node_bisection_by_hand(self):
+        """Three DGX nodes under one leaf, node 0 against nodes 1 and 2:
+        the cheapest cut is node 0's own link to the leaf, 8 HCAs at
+        25 GB/s, not the 400 GB/s of the other side's two links."""
+        topo = ClusterTopology(num_nodes=3)
+        assert topo.bisection_bandwidth() == 8 * 25e9
+
     def test_single_node_bisection_is_nvlink(self):
         topo = ClusterTopology(num_nodes=1)
         assert topo.bisection_bandwidth() == pytest.approx(4 * 300e9)

@@ -4,14 +4,20 @@ Covers the span nesting invariants, the zero-overhead no-op path, the
 Chrome-trace exporter's schema, the metrics registry, the adapter
 shims, and the headline guarantee: an end-to-end trace of a
 (p=2, t=2, d=2) iteration whose byte and FLOP totals equal the
-TrafficLog / FlopMeter ground truth exactly.
+TrafficLog / FlopMeter ground truth exactly, and the cost model behind
+it: bytes and FLOPs reach spans, traces and meters as differences of
+running totals, so the tracer is called per span, not per record.
 """
 
 import itertools
 import json
+import sys
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import TrafficKind, TrafficLog
 from repro.config import ParallelConfig, tiny_test_model
@@ -76,7 +82,7 @@ class TestSpanNesting:
     def test_counters_accumulate(self):
         t = Tracer(clock=ticker())
         with t.span("s", bytes=10) as s:
-            s.add_counter("bytes", 5)
+            TrafficLog().add(0, 1, 5)
         assert s.counters["bytes"] == 15
 
     def test_first_event_is_time_zero(self):
@@ -518,3 +524,174 @@ class TestCounterEventExport:
             validate_chrome_trace(with_extra({**ok, "ts": -1.0}))
         with pytest.raises(ValueError, match="unexpected event phase"):
             validate_chrome_trace(with_extra({**ok, "ph": "Q"}))
+
+
+GUARD_CFG = tiny_test_model(num_layers=4, hidden_size=32,
+                            num_attention_heads=4, vocab_size=64,
+                            seq_length=16)
+GUARD_PAR = ParallelConfig(pipeline_parallel_size=2, tensor_parallel_size=1,
+                           data_parallel_size=2, microbatch_size=1,
+                           global_batch_size=4)
+
+
+class TestTracerCostIsPerSpan:
+    def test_calls_into_the_tracer_scale_with_spans_not_records(self):
+        """One traced step of ``bench_trace_overhead``'s p2·d2 workload
+        runs 168 GEMMs and logs 20 transfers; the Python calls into
+        ``repro/obs/tracer.py`` are bounded by its 33 spans alone."""
+        import repro.obs.tracer as tracer_module
+        from repro.parallel import PTDTrainer
+
+        path = tracer_module.__file__
+        calls = 0
+        outer = sys.getprofile()  # a coverage tool's, kept running
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == path:
+                calls += 1
+            if outer is not None:
+                outer(frame, event, arg)
+
+        trainer = PTDTrainer(GUARD_CFG, GUARD_PAR)
+        ids = np.random.default_rng(0).integers(
+            0, GUARD_CFG.vocab_size, size=(4, GUARD_CFG.seq_length))
+        with trace() as tracer, count_flops() as meter:
+            sys.setprofile(profile)
+            try:
+                trainer.train_step(ids, ids)
+            finally:
+                sys.setprofile(outer)
+        records = len(trainer.log.records) + 168
+        assert meter.total_flops > 0 and len(trainer.log.records) == 20
+        assert calls <= 8 * len(tracer.spans) + 24, (
+            f"{calls} calls for {len(tracer.spans)} spans and {records} "
+            "GEMMs + transfers")
+
+
+_KINDS = list(TrafficKind)
+_WORK = st.one_of(
+    st.tuples(st.just("bytes"), st.sampled_from(_KINDS),
+              st.integers(0, 1000)),
+    st.tuples(st.just("flops"), st.sampled_from(["linear", "logit"]),
+              st.integers(1, 1000)),
+)
+_PROGRAM = st.recursive(
+    st.lists(_WORK, max_size=3),
+    lambda inner: st.lists(st.one_of(
+        _WORK, st.tuples(st.sampled_from(["span", "trace", "meter"]), inner)),
+        max_size=4),
+    max_leaves=24)
+
+
+class _Window:
+    """A span, trace or meter of a generated program, and the work that
+    ran while it was open."""
+
+    def __init__(self, what):
+        self.what, self.tracer, self.parent = what, None, None
+        self.work, self.span_work, self.obj = [], [], None
+
+
+def _run(program):
+    """Run ``program`` under one ``trace()``; return every window."""
+    log, windows = TrafficLog(), []
+
+    def execute(nodes, open_):
+        for node in nodes:
+            if node[0] in ("bytes", "flops"):
+                if node[0] == "bytes":
+                    log.add(0, 1, node[2], node[1])
+                else:
+                    record_gemm_flops(node[1], node[2])
+                for w in open_:
+                    w.work.append(node)
+                    if w.what == "trace" and any(
+                            o.what == "span" and o.tracer is w for o in open_):
+                        w.span_work.append(node)
+                continue
+            what, body = node
+            w = _Window(what)
+            if what == "span":  # opens on the innermost tracer
+                w.tracer = next(o for o in reversed(open_)
+                                if o.what == "trace")
+                w.parent = next((o for o in reversed(open_) if o.what == "span"
+                                 and o.tracer is w.tracer), None)
+            manager = {"span": span, "trace": trace,
+                       "meter": count_flops}[what]
+            with manager("s") if what == "span" else manager() as w.obj:
+                execute(body, open_ + [w])
+            windows.append(w)
+
+    root = _Window("trace")
+    with trace(clock=ticker()) as root.obj:
+        execute(program, [root])
+    return windows + [root]
+
+
+def _sums(work):
+    """Bytes, transfers and FLOPs of ``work``, per kind and in total."""
+    out = {"bytes": 0, "transfers": 0, "flops": 0}
+    for what, key, amount in work:
+        name = key.value if what == "bytes" else key
+        out[(what, name)] = out.get((what, name), 0) + amount
+        if what == "bytes":
+            out[("transfers", name)] = out.get(("transfers", name), 0) + 1
+            out["transfers"] += 1
+        out[what] += amount
+    return out
+
+
+class TestRunningTotalsProperty:
+    @settings(max_examples=200, deadline=timedelta(seconds=5))
+    @given(_PROGRAM)
+    def test_spans_traces_and_meters_read_their_windows(self, program):
+        windows = _run(program)
+        for w in windows:
+            got = _sums(w.work)
+            if w.what == "meter":
+                assert w.obj.total_flops == got["flops"]
+                assert w.obj.by_category == {
+                    key[1]: n for key, n in got.items()
+                    if isinstance(key, tuple) and key[0] == "flops"}
+            elif w.what == "trace":
+                spans = _sums(w.span_work)
+                assert w.obj.counter_total("bytes") == spans["bytes"]
+                assert w.obj.counter_total("flops") == spans["flops"]
+                counters = w.obj.metrics.as_dict()["counters"]
+                for kind in _KINDS:
+                    name = f"comm.bytes.{kind.value}"
+                    if ("transfers", kind.value) in got:
+                        assert counters[name] == got[("bytes", kind.value)]
+                    else:
+                        assert name not in counters
+                assert counters.get("comm.transfers", 0) == got["transfers"]
+                assert counters.get("comm.bytes.total", 0) == got["bytes"]
+                assert counters.get("flops.total", 0) == got["flops"]
+            else:
+                children = [c for c in windows if c.parent is w]
+                own = _sums(w.work)
+                for c in children:
+                    for key, n in _sums(c.work).items():
+                        own[key] = own.get(key, 0) - n
+                counters = w.obj.counters
+                assert counters.get("bytes", 0) == own["bytes"]
+                assert ("bytes" in counters) == (own["transfers"] > 0)
+                assert counters.get("flops", 0) == own["flops"]
+
+    @settings(max_examples=50, deadline=timedelta(seconds=5))
+    @given(st.lists(_WORK, max_size=6), st.lists(_WORK, max_size=6))
+    def test_span_bytes_equal_the_log_when_work_runs_in_spans(self, a, b):
+        log = TrafficLog()
+        with trace(clock=ticker()) as tracer:
+            for work in (a, b):
+                with span("s"):
+                    for what, key, amount in work:
+                        if what == "bytes":
+                            log.add(0, 1, amount, key)
+                        else:
+                            record_gemm_flops(key, amount)
+        assert tracer.counter_total("bytes") == log.total_bytes()
+        for kind in _KINDS:
+            assert (tracer.metrics.counter_value(f"comm.bytes.{kind.value}")
+                    == log.total_bytes(kind))

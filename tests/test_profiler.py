@@ -64,25 +64,24 @@ class TestFlopMeter:
         outer one (both empty) must deactivate the *inner* instance.
         list.remove() removed the first equal element -- the outer
         meter -- so work after the inner block was lost."""
-        from repro.nn.profiler import _ACTIVE, record_gemm_flops
+        from repro.nn.profiler import record_gemm_flops
 
-        depth = len(_ACTIVE)
         with count_flops() as outer:
             with count_flops() as inner:
                 pass  # both meters are empty, hence equal
             record_gemm_flops("late", 7)
         assert outer.by_category == {"late": 7}
         assert inner.by_category == {}
-        assert len(_ACTIVE) == depth
 
     def test_meter_deactivated_on_exception(self):
-        from repro.nn.profiler import _ACTIVE
+        from repro.nn.profiler import record_gemm_flops
 
-        depth = len(_ACTIVE)
         with pytest.raises(RuntimeError):
-            with count_flops():
+            with count_flops() as meter:
+                record_gemm_flops("linear", 3)
                 raise RuntimeError("boom")
-        assert len(_ACTIVE) == depth
+        record_gemm_flops("linear", 5)
+        assert meter.by_category == {"linear": 3}
 
 
 class TestEq3Agreement:
