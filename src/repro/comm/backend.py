@@ -2,23 +2,24 @@
 
 A :class:`~repro.comm.primitives.Backend` is the five primitives behind
 one front door (validation, sanitizer record, span, float64 flatten,
-single-rank shortcut -- all in :mod:`repro.comm.primitives`) plus the
+single-rank shortcut, traffic entry -- all in
+:mod:`repro.comm.primitives`) plus the
 *mover* that front door calls:
 
 - :class:`~repro.comm.primitives.CoopBackend` — the single-process
-  cooperative loops, the bit-exact oracle; logs each hop as it moves it.
+  cooperative loops, the bit-exact oracle.
 - :class:`MpBackend` — every virtual rank of a group is a real OS
   process (a :class:`~repro.comm.shm_ring.WorkerPool` serving
   :func:`ring_ops`) moving bytes between ``multiprocessing.shared_memory``
-  segments with the standard ring algorithms; the parent replays the
-  pure ``ring_*_hops`` plans for the hops it did not see.
+  segments with the standard ring algorithms.
 
-Only the mover differs, so the contract holds by construction, and is
-still asserted (``repro verify --only backend``, ``tests/test_backend.py``,
-``tests/test_front_door.py``): for identical inputs both backends return
-bit-identical arrays, raise the same validation errors, record the same
-sanitizer events, and append the exact same §3.3.1 hop sequence to the
-:class:`~repro.comm.traffic.TrafficLog`.
+A mover only moves bytes; the front door logs the call after it
+returns.  Only the mover differs, so the contract holds by construction,
+and is still asserted (``repro verify --only backend``,
+``tests/test_backend.py``, ``tests/test_front_door.py``): for identical
+inputs both backends return bit-identical arrays, raise the same
+validation errors, record the same sanitizer events, and log the exact
+same §3.3.1 hop sequence.
 
 Engines resolve a backend once with :func:`get_backend` and hold the
 object; the coop oracle is the default object, never ``None``.
@@ -28,15 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .primitives import (
-    COOP,
-    Backend,
-    CoopBackend,
-    replay,
-    ring_all_gather_hops,
-    ring_all_reduce_hops,
-    ring_reduce_scatter_hops,
-)
+from .primitives import COOP, Backend, CoopBackend
 from .shm_ring import (
     POOL_TIMEOUT,
     WorkerPool,
@@ -137,7 +130,7 @@ class MpBackend(Backend):
         self._pools.clear()
 
     # -- the mover -----------------------------------------------------------
-    def _all_reduce(self, flat, hop):
+    def _all_reduce(self, flat):
         k, n = len(flat), flat[0].size
         with scratch_segments([n * 8] * k) as segs:
             for seg, f in zip(segs, flat):
@@ -146,10 +139,9 @@ class MpBackend(Backend):
             self._pool(k).run("all_reduce", [(names, n)] * k)
             for seg, f in zip(segs, flat):
                 f[...] = _view(seg, (n,), np.float64)
-        replay(hop, ring_all_reduce_hops(n, 8, k))
         return flat
 
-    def _all_gather(self, shards, ax, hop):
+    def _all_gather(self, shards, ax):
         # Each rank's segment holds the whole (moveaxis'd) concatenation
         # with only its own row-slot filled in; the ring fills the rest.
         k = len(shards)
@@ -166,16 +158,14 @@ class MpBackend(Backend):
             self._pool(k).run(
                 "all_gather", [(names, offsets, shape, dtype)] * k
             )
-            out = [
+            return [
                 np.ascontiguousarray(
                     np.moveaxis(_view(seg, shape, dtype).copy(), 0, ax)
                 )
                 for seg in segs
             ]
-        replay(hop, ring_all_gather_hops([s.nbytes for s in shards]))
-        return out
 
-    def _reduce_scatter(self, wide, nbytes, hop):
+    def _reduce_scatter(self, wide):
         k, shape = len(wide), wide[0].shape
         slab_shape = (shape[0] // k,) + shape[1:]
         with scratch_segments([wide[0].nbytes] * k) as ins, \
@@ -184,11 +174,9 @@ class MpBackend(Backend):
                 _view(seg, shape, np.float64)[...] = w
             payload = ([s.name for s in ins], [s.name for s in outs], shape)
             self._pool(k).run("reduce_scatter", [payload] * k)
-            out = [_view(seg, slab_shape, np.float64).copy() for seg in outs]
-        replay(hop, ring_reduce_scatter_hops(nbytes, k))
-        return out
+            return [_view(seg, slab_shape, np.float64).copy() for seg in outs]
 
-    def _broadcast(self, buffer, root_index, k, hop):
+    def _broadcast(self, buffer, root_index, k):
         shape, dtype, nbytes = buffer.shape, buffer.dtype, buffer.nbytes
         with scratch_segments([nbytes] * k) as segs:
             _view(segs[root_index], shape, dtype)[...] = buffer
@@ -197,13 +185,10 @@ class MpBackend(Backend):
                 ("copy", (segs[root_index].name, segs[i].name, nbytes))
                 for i in range(k)
             ])
-            out = [_view(seg, shape, dtype).copy() for seg in segs]
-        replay(hop, [(root_index, i, nbytes)
-                     for i in range(k) if i != root_index])
-        return out
+            return [_view(seg, shape, dtype).copy() for seg in segs]
 
-    def _send(self, buffer, hop):
-        return self._broadcast(buffer, 0, 2, hop)[1]  # a fan-out of one
+    def _send(self, buffer):
+        return self._broadcast(buffer, 0, 2)[1]  # a fan-out of one
 
 
 def get_backend(spec: str | Backend | None = None) -> Backend:

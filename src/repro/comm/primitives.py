@@ -3,20 +3,24 @@
 These are the NCCL substitutes: each primitive takes the per-rank
 buffers of one process group (a sequence of numpy arrays, index i
 belonging to global rank ``ranks[i]``), really computes the collective
-with the standard ring algorithm, and logs every hop's bytes to a
-:class:`~repro.comm.traffic.TrafficLog`.
+with the standard ring algorithm, and writes one entry for the call to
+a :class:`~repro.comm.traffic.TrafficLog`.
 
 :class:`Backend` is the one front door: its five public methods own
 everything about a collective that is not byte movement (validation,
 the sanitizer record, the comm span, the float64 flatten -- an
 all-reduce's one copy of its payload -- and ``astype`` back, the
-single-rank shortcut) and hand validated arrays plus a
-``hop(src_index, dst_index, nbytes)`` callable to the *mover*, five
-hooks a backend plugs in.  :class:`CoopBackend` is the single-process
-mover -- the in-process ring loops, logging each hop where it moves it;
-the bit-exact oracle, whose methods the module-level functions
-(:func:`ring_all_reduce`, :func:`all_gather`, ...) are.  The
+single-rank shortcut, the traffic entry) and hand validated arrays to
+the *mover*, five hooks a backend plugs in.  :class:`CoopBackend` is the
+single-process mover -- the in-process ring loops, which move bytes and
+nothing else; the bit-exact oracle, whose methods the module-level
+functions (:func:`ring_all_reduce`, :func:`all_gather`, ...) are.  The
 real-process mover is :class:`repro.comm.backend.MpBackend`.
+
+A collective's hops are spelled in one place, its hop plan
+(:data:`HOP_PLANS`).  The front door writes the call -- op, ranks,
+size, kind, tag -- after its mover returns, and the log expands it
+through the plan only when its ``records`` are read.
 
 The ring all-reduce is its two phases run back to back, and each phase
 has a front door of its own (:meth:`Backend.reduce_scatter_phase`,
@@ -42,45 +46,33 @@ from __future__ import annotations
 from abc import abstractmethod
 from contextlib import AbstractContextManager
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.obs.tracer import span as _obs_span
 from repro.verify.sanitizer import record_collective as _sanitize
 
-from .traffic import TrafficKind, TrafficLog
+from .traffic import TrafficEntry, TrafficKind, TrafficLog
 
-#: ``hop(src_index, dst_index, nbytes)``: one transfer between two
-#: members of the group, by position in ``ranks``.
-Hop = Callable[[int, int, int], None]
+#: ``TrafficKind -> "comm.<value>"``: a comm span's phase, built once.
+_PHASES = {kind: f"comm.{kind.value}" for kind in TrafficKind}
 
 
 def _comm_span(name: str, ranks: Sequence[int], kind: TrafficKind, tag: str):
     """One span per collective, on the group-leader rank's track.
 
     Its ``bytes`` are what the running totals gained while it was the
-    innermost open span -- every hop it logged, so span byte totals
+    innermost open span -- the call's traffic entry, so span byte totals
     equal the log's ground truth.  When no tracer is active this is a
     no-op context manager.
     """
     return _obs_span(
         name,
-        phase=f"comm.{kind.value}",
+        phase=_PHASES[kind],
         rank=ranks[0] if len(ranks) else 0,
         group=len(ranks),
         tag=tag,
-    )
-
-
-def _hop_logger(ranks: Sequence[int], log: TrafficLog | None,
-                kind: TrafficKind, tag: str) -> Hop:
-    """The ``hop`` a mover reports to: group positions become global
-    ranks and the transfer lands in ``log`` (nowhere without one)."""
-    if log is None:
-        return lambda src, dst, nbytes: None
-    return lambda src, dst, nbytes: log.add(
-        ranks[src], ranks[dst], nbytes, kind, tag
     )
 
 
@@ -102,13 +94,6 @@ def owned_chunk(n: int, k: int, index: int) -> tuple[int, int]:
     bounds = ring_chunk_bounds(n, k)
     j = (index + 1) % k
     return bounds[j], bounds[j + 1]
-
-
-def replay(hop: Hop, plan: Iterable[tuple[int, int, int]]) -> None:
-    """Report a whole hop plan (``ring_*_hops``): how a mover whose
-    bytes travel in other processes accounts for them."""
-    for src, dst, nbytes in plan:
-        hop(src, dst, nbytes)
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:
@@ -218,9 +203,8 @@ class Backend(AbstractContextManager):
                 np.array(b, dtype=np.float64, order="C").reshape(-1)
                 for b in buffers
             ]
-            reduced = self._all_reduce(
-                flat, _hop_logger(ranks, log, kind, tag)
-            )
+            reduced = self._all_reduce(flat)
+            log_collective(log, "all_reduce", ranks, first.size, kind, tag)
             return [
                 f.reshape(first.shape).astype(first.dtype, copy=False)
                 for f in reduced
@@ -246,9 +230,10 @@ class Backend(AbstractContextManager):
         with _comm_span("all_gather", ranks, kind, tag):
             if len(ranks) == 1:
                 return [arrs[0].copy()]
-            return self._all_gather(
-                arrs, ax, _hop_logger(ranks, log, kind, tag)
-            )
+            gathered = self._all_gather(arrs, ax)
+            log_collective(log, "all_gather", ranks,
+                           tuple(a.nbytes for a in arrs), kind, tag)
+            return gathered
 
     def reduce_scatter(
         self,
@@ -279,9 +264,9 @@ class Backend(AbstractContextManager):
             if k == 1:
                 slabs = wide
             else:
-                slabs = self._reduce_scatter(
-                    wide, first.nbytes, _hop_logger(ranks, log, kind, tag)
-                )
+                slabs = self._reduce_scatter(wide)
+                log_collective(log, "reduce_scatter", ranks, first.nbytes,
+                               kind, tag)
             return [s.astype(first.dtype) for s in slabs]
 
     def broadcast(
@@ -303,10 +288,11 @@ class Backend(AbstractContextManager):
         with _comm_span("broadcast", ranks, kind, tag):
             if len(ranks) == 1:
                 return [buffer.copy()]
-            return self._broadcast(
-                buffer, list(ranks).index(root), len(ranks),
-                _hop_logger(ranks, log, kind, tag),
-            )
+            root_index = list(ranks).index(root)
+            out = self._broadcast(buffer, root_index, len(ranks))
+            log_collective(log, "broadcast", ranks,
+                           (root_index, buffer.nbytes), kind, tag)
+            return out
 
     def send(
         self,
@@ -322,12 +308,11 @@ class Backend(AbstractContextManager):
             raise ValueError("p2p send requires distinct src and dst ranks")
         buffer = np.asarray(buffer)
         _sanitize("send", (src, dst), buffer.shape, buffer.dtype, tag)
-        with _obs_span(
-            "send", phase=f"comm.{kind.value}", rank=src, dst=dst, tag=tag
-        ):
-            return self._send(
-                buffer, _hop_logger((src, dst), log, kind, tag)
-            )
+        with _obs_span("send", phase=_PHASES[kind], rank=src, dst=dst,
+                       tag=tag):
+            received = self._send(buffer)
+            log_collective(log, "send", (src, dst), buffer.nbytes, kind, tag)
+            return received
 
     def reduce_scatter_phase(
         self,
@@ -341,8 +326,8 @@ class Backend(AbstractContextManager):
         flat float64 vector per rank, the caller's to overwrite):
         position ``i`` ends holding chunk :func:`owned_chunk` of the sum,
         the rest of its vector partial sums."""
-        self._phase("reduce_scatter", self._reduce_scatter_phase,
-                    flat, ranks, log, kind, tag)
+        self._phase("reduce_scatter", "reduce_scatter_phase",
+                    self._reduce_scatter_phase, flat, ranks, log, kind, tag)
 
     def all_gather_phase(
         self,
@@ -355,10 +340,10 @@ class Backend(AbstractContextManager):
         """Phase two of :meth:`all_reduce`, in place: position ``i``'s
         :func:`owned_chunk` travels the ring, so every vector ends
         holding every position's."""
-        self._phase("all_gather", self._all_gather_phase,
-                    flat, ranks, log, kind, tag)
+        self._phase("all_gather", "all_gather_phase",
+                    self._all_gather_phase, flat, ranks, log, kind, tag)
 
-    def _phase(self, op, mover, flat, ranks, log, kind, tag) -> None:
+    def _phase(self, op, plan, mover, flat, ranks, log, kind, tag) -> None:
         _check_group(flat, ranks)
         first = flat[0]
         if first.dtype != np.float64 or first.ndim != 1:
@@ -369,12 +354,13 @@ class Backend(AbstractContextManager):
         _sanitize(op, ranks, first.shape, first.dtype, tag)
         with _comm_span(op, ranks, kind, tag):
             if len(ranks) > 1:
-                mover(flat, _hop_logger(ranks, log, kind, tag))
+                mover(flat)
+                log_collective(log, plan, ranks, first.size, kind, tag)
 
     # -- the mover (groups of two or more).  Inputs are not to be mutated,
     # -- except ``_all_reduce``'s (the front door's own copy) and the
     # -- phases' (the caller's, to be reduced or gathered in place). --------
-    def _reduce_scatter_phase(self, flat: list[np.ndarray], hop: Hop) -> None:
+    def _reduce_scatter_phase(self, flat: list[np.ndarray]) -> None:
         """Ring phase one in this process.  Step ``s``: position ``i``
         sends chunk ``i - s`` to ``i + 1``, which accumulates it."""
         k = len(flat)
@@ -384,9 +370,8 @@ class Backend(AbstractContextManager):
                 j = (i - step) % k
                 sl = slice(bounds[j], bounds[j + 1])
                 flat[(i + 1) % k][sl] += flat[i][sl]
-                hop(i, (i + 1) % k, (sl.stop - sl.start) * 8)
 
-    def _all_gather_phase(self, flat: list[np.ndarray], hop: Hop) -> None:
+    def _all_gather_phase(self, flat: list[np.ndarray]) -> None:
         """Ring phase two in this process.  Step ``s``: position ``i``
         forwards chunk ``i + 1 - s``, which it owns or was just sent."""
         k = len(flat)
@@ -396,31 +381,28 @@ class Backend(AbstractContextManager):
                 j = (i + 1 - step) % k
                 sl = slice(bounds[j], bounds[j + 1])
                 flat[(i + 1) % k][sl] = flat[i][sl]
-                hop(i, (i + 1) % k, (sl.stop - sl.start) * 8)
 
     @abstractmethod
-    def _all_reduce(self, flat: list[np.ndarray], hop: Hop) -> list[np.ndarray]:
+    def _all_reduce(self, flat: list[np.ndarray]) -> list[np.ndarray]:
         """Ring-sum ``k`` equal-length float64 vectors, the mover's to
         overwrite; ``k`` results, which may be those vectors."""
 
     @abstractmethod
-    def _all_gather(self, shards: list[np.ndarray], ax: int,
-                    hop: Hop) -> list[np.ndarray]:
+    def _all_gather(self, shards: list[np.ndarray],
+                    ax: int) -> list[np.ndarray]:
         """``k`` copies of the shards concatenated along ``ax``."""
 
     @abstractmethod
-    def _reduce_scatter(self, wide: list[np.ndarray], nbytes: int,
-                        hop: Hop) -> list[np.ndarray]:
-        """The ``k`` axis-0 slabs of the float64 sum; ``nbytes`` is one
-        buffer's size on the wire (its original dtype)."""
+    def _reduce_scatter(self, wide: list[np.ndarray]) -> list[np.ndarray]:
+        """The ``k`` axis-0 slabs of the float64 sum."""
 
     @abstractmethod
-    def _broadcast(self, buffer: np.ndarray, root_index: int, k: int,
-                   hop: Hop) -> list[np.ndarray]:
+    def _broadcast(self, buffer: np.ndarray, root_index: int,
+                   k: int) -> list[np.ndarray]:
         """``k`` copies of ``buffer``, fanned out from ``root_index``."""
 
     @abstractmethod
-    def _send(self, buffer: np.ndarray, hop: Hop) -> np.ndarray:
+    def _send(self, buffer: np.ndarray) -> np.ndarray:
         """A copy of ``buffer`` moved from position 0 to position 1."""
 
     # -- lifetime ------------------------------------------------------------
@@ -437,38 +419,22 @@ class CoopBackend(Backend):
 
     name = "coop"
 
-    def _all_reduce(self, flat, hop):
-        self._reduce_scatter_phase(flat, hop)
-        self._all_gather_phase(flat, hop)
+    def _all_reduce(self, flat):
+        self._reduce_scatter_phase(flat)
+        self._all_gather_phase(flat)
         return flat
 
-    def _all_gather(self, shards, ax, hop):
-        k = len(shards)
+    def _all_gather(self, shards, ax):
         full = np.concatenate(shards, axis=ax)
-        # Ring: each rank forwards each of the other k-1 shards once.
-        for step in range(k - 1):
-            for i in range(k):
-                hop(i, (i + 1) % k, shards[(i - step) % k].nbytes)
-        return [full.copy() for _ in range(k)]
+        return [full.copy() for _ in shards]
 
-    def _reduce_scatter(self, wide, nbytes, hop):
-        k = len(wide)
-        total = np.sum(wide, axis=0)
-        for step in range(k - 1):
-            for i in range(k):
-                hop(i, (i + 1) % k, nbytes // k)
-        return np.split(total, k, axis=0)
+    def _reduce_scatter(self, wide):
+        return np.split(np.sum(wide, axis=0), len(wide), axis=0)
 
-    def _broadcast(self, buffer, root_index, k, hop):
-        out = []
-        for i in range(k):
-            out.append(buffer.copy())
-            if i != root_index:
-                hop(root_index, i, buffer.nbytes)
-        return out
+    def _broadcast(self, buffer, root_index, k):
+        return [buffer.copy() for _ in range(k)]
 
-    def _send(self, buffer, hop):
-        hop(0, 1, buffer.nbytes)
+    def _send(self, buffer):
         return buffer.copy()
 
 
@@ -482,29 +448,9 @@ broadcast = COOP.broadcast
 send = COOP.send
 
 
-def ring_all_reduce_hops(
-    n: int, itemsize: int, k: int
-) -> list[tuple[int, int, int]]:
-    """The exact ``(src_index, dst_index, nbytes)`` hop sequence
-    :func:`ring_all_reduce` logs for a k-rank ring over ``n`` elements.
-
-    Pure function of the ring geometry — the mp backend replays this
-    plan into the parent's :class:`TrafficLog` while real processes move
-    the bytes, and the conformance tests assert the coop log matches it
-    record for record.  Its first half is the reduce-scatter phase's,
-    its second the all-gather phase's.
-    """
-    bounds = ring_chunk_bounds(n, k)
-    chunks = [(hi - lo) * itemsize for lo, hi in zip(bounds, bounds[1:])]
-    # Reduce-scatter walks the chunks as an all-gather of them would;
-    # the all-gather phase starts one chunk further round the ring.
-    return ring_all_gather_hops(chunks) + ring_all_gather_hops(
-        chunks[1:] + chunks[:1]
-    )
-
-
+# -- the hop plans: the one place a collective's hops are spelled -------------
 def ring_all_gather_hops(shard_nbytes: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Hop plan :func:`all_gather` logs: each rank forwards each of the
+    """Hop plan of :func:`all_gather`: each rank forwards each of the
     other ``k-1`` shards once around the ring."""
     k = len(shard_nbytes)
     if k < 2:
@@ -516,9 +462,68 @@ def ring_all_gather_hops(shard_nbytes: Sequence[int]) -> list[tuple[int, int, in
     return hops
 
 
+def ring_phase_hops(
+    n: int, itemsize: int, k: int, phase: int
+) -> list[tuple[int, int, int]]:
+    """Hop plan of ring phase 0 (reduce-scatter) or 1 (all-gather) over
+    ``n`` elements: an all-gather of the ring's chunks, phase 1 starting
+    one chunk further round."""
+    bounds = ring_chunk_bounds(n, k)
+    chunks = [(hi - lo) * itemsize for lo, hi in zip(bounds, bounds[1:])]
+    return ring_all_gather_hops(chunks[phase:] + chunks[:phase])
+
+
+def ring_all_reduce_hops(
+    n: int, itemsize: int, k: int
+) -> list[tuple[int, int, int]]:
+    """Hop plan of :func:`ring_all_reduce`: both phases, in order."""
+    return (ring_phase_hops(n, itemsize, k, 0)
+            + ring_phase_hops(n, itemsize, k, 1))
+
+
 def ring_reduce_scatter_hops(
     buffer_nbytes: int, k: int
 ) -> list[tuple[int, int, int]]:
-    """Hop plan :func:`reduce_scatter` logs: ``(k-1)`` steps of one
-    slab (``nbytes/k``) per rank -- an all-gather of ``k`` such slabs."""
+    """Hop plan of :func:`reduce_scatter`: ``(k-1)`` steps of one slab
+    (``nbytes/k``) per rank -- an all-gather of ``k`` such slabs."""
     return ring_all_gather_hops([buffer_nbytes // k] * k) if k > 1 else []
+
+
+def broadcast_hops(root_index: int, nbytes: int,
+                   k: int) -> list[tuple[int, int, int]]:
+    """Hop plan of :func:`broadcast`: root to every other position."""
+    return [(root_index, i, nbytes) for i in range(k) if i != root_index]
+
+
+#: ``op -> (plan, volume)``, functions of ``(k, size)``: the hops of a
+#: ``k``-rank call of ``size``, and their ``(bytes, count)`` in closed
+#: form -- a ring pass forwards every chunk ``k - 1`` times.  ``size``
+#: is the element count for the all-reduce and its phases (8 bytes each,
+#: the float64 the front door reduces in), the shards' bytes for the
+#: all-gather, ``(root_index, bytes)`` for the broadcast, else bytes.
+HOP_PLANS = {
+    "all_reduce": (lambda k, n: ring_all_reduce_hops(n, 8, k),
+                   lambda k, n: (16 * (k - 1) * n, 2 * k * (k - 1))),
+    "reduce_scatter_phase": (lambda k, n: ring_phase_hops(n, 8, k, 0),
+                             lambda k, n: (8 * (k - 1) * n, k * (k - 1))),
+    "all_gather_phase": (lambda k, n: ring_phase_hops(n, 8, k, 1),
+                         lambda k, n: (8 * (k - 1) * n, k * (k - 1))),
+    "all_gather": (lambda k, shards: ring_all_gather_hops(shards),
+                   lambda k, shards: ((k - 1) * sum(shards), k * (k - 1))),
+    "reduce_scatter": (lambda k, nbytes: ring_reduce_scatter_hops(nbytes, k),
+                       lambda k, nbytes: ((k - 1) * nbytes, k * (k - 1))),
+    "broadcast": (lambda k, size: broadcast_hops(*size, k),
+                  lambda k, size: ((k - 1) * size[1], k - 1)),
+    "send": (lambda k, nbytes: [(0, 1, nbytes)],
+             lambda k, nbytes: (nbytes, 1)),
+}
+
+
+def log_collective(log: TrafficLog | None, op: str, ranks: Sequence[int],
+                   size, kind: TrafficKind, tag: str) -> None:
+    """Write one call of ``op`` over ``ranks`` to ``log`` -- nothing
+    without a log, or for a group of one, which moves nothing."""
+    if log is not None and len(ranks) > 1:
+        nbytes, hops = HOP_PLANS[op][1](len(ranks), size)
+        log.write(TrafficEntry(op, tuple(ranks), size, kind, tag, nbytes,
+                               hops))

@@ -26,9 +26,10 @@ Bit-exactness (asserted by ``repro verify --only backend``): each phase
 performs the cooperative ring's float64 operation sequence per element,
 and a range's owner computes the same ``/d`` average and update the
 oracle's owner does.  Traffic accounting stays in the parent: workers
-return their replica's :class:`~repro.comm.traffic.TrafficLog` records
-for the step, keeping none, and the parent puts both phases of the
-gradient ring through the collective front door (:data:`WORKER_RING`).
+return their replica's :class:`~repro.comm.traffic.TrafficLog` entries
+for the step (one per collective call), keeping none, and the parent
+puts both phases of the gradient ring through the collective front door
+(:data:`WORKER_RING`), whose movers move nothing.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ import time
 
 import numpy as np
 
-from repro.comm.primitives import (
-    CoopBackend,
-    owned_chunk,
-    replay,
-    ring_all_reduce_hops,
-)
+from repro.comm.primitives import CoopBackend, owned_chunk
 from repro.comm.shm_ring import ring_all_gather_step, ring_reduce_scatter_step
 from repro.comm.traffic import TrafficLog
 
@@ -57,18 +53,17 @@ from .trainer import (
 
 class WorkerRing(CoopBackend):
     """The parent's front door onto the workers' gradient ring: each
-    phase leaves the sanitizer record, span and hop records of the coop
-    ring for bytes the workers moved between their segments."""
+    phase leaves the sanitizer record, span and traffic entry of the
+    coop ring for bytes the workers moved between their segments, so
+    its movers move nothing."""
 
     name = "mp"
 
-    def _reduce_scatter_phase(self, flat, hop):
-        plan = ring_all_reduce_hops(flat[0].size, 8, len(flat))
-        replay(hop, plan[:len(plan) // 2])
+    def _reduce_scatter_phase(self, flat):
+        pass
 
-    def _all_gather_phase(self, flat, hop):
-        plan = ring_all_reduce_hops(flat[0].size, 8, len(flat))
-        replay(hop, plan[len(plan) // 2:])
+    def _all_gather_phase(self, flat):
+        pass
 
 
 WORKER_RING = WorkerRing()
@@ -124,14 +119,12 @@ def replica_ops(dp: int, d: int, barrier_wait, segments,
             norm = apply_update([replica], [optimizer], spec, gather)
             if d > 1:
                 all_gather_parameters()
-            records = [
-                (r.src, r.dst, r.nbytes, r.kind, r.tag) for r in log.records
-            ]
+            entries = list(log.entries)
         finally:
-            # The parent keeps every record it is sent; kept here too,
+            # The parent keeps every entry it is sent; kept here too,
             # they would grow for the life of the worker.
             log.clear()
-        return loss, records, norm, time.perf_counter() - start
+        return loss, entries, norm, time.perf_counter() - start
 
     return {
         "step": step,

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.comm import Backend, ProcessGroups, TrafficLog, get_backend
-from repro.comm.primitives import COOP, owned_chunk, ring_all_gather_hops
+from repro.comm.primitives import COOP, log_collective, owned_chunk
 from repro.comm.shm_ring import WorkerPool
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
@@ -425,11 +425,11 @@ class PTDTrainer(AbstractContextManager):
             self._gradient_ring(COOP.all_gather_phase, "flat_data", "param")
 
     def _run_step_mp(self, shards, d, losses, rank_busy) -> None:
-        """One step on real processes.  The parent replays the workers'
-        replica-local traffic (in data-parallel order, matching the
-        oracle's sequential execution) and puts both phases of their
+        """One step on real processes.  The parent writes the workers'
+        replica-local traffic entries (in data-parallel order, matching
+        the oracle's sequential execution) and puts both phases of their
         gradient ring through the front door, so ``self.log`` is
-        record-for-record identical to coop."""
+        entry-for-entry identical to coop."""
         from .mp_workers import WORKER_RING
 
         if self._workers_stale:
@@ -449,10 +449,10 @@ class PTDTrainer(AbstractContextManager):
                 (*shard, opt.lr, opt.betas, opt.eps, opt.weight_decay)
                 for shard, opt in zip(shards, self.optimizers)
             ])
-            for dp, (loss, records, norm, seconds) in enumerate(results):
+            for dp, (loss, entries, norm, seconds) in enumerate(results):
                 losses.append(loss)
-                for record in records:  # (src, dst, nbytes, kind, tag)
-                    self.log.add(*record)
+                for entry in entries:
+                    self.log.write(entry)
                 if rank_busy is not None:
                     rank_busy[dp] = seconds
                 if dp == 0:
@@ -482,12 +482,10 @@ class PTDTrainer(AbstractContextManager):
         data-parallel rank: logged, like the cross-entropy scalars, as
         the traffic it is (the mp workers move it through their ring
         segments)."""
-        if self.spec.grad_clip_norm is None:
-            return
-        ranks = self._dp_ranks
-        for src, dst, nbytes in ring_all_gather_hops([8] * len(ranks)):
-            self.log.add(ranks[src], ranks[dst], nbytes,
-                         TrafficKind.DATA_PARALLEL, "dp.norm")
+        if self.spec.grad_clip_norm is not None:
+            ranks = self._dp_ranks
+            log_collective(self.log, "all_gather", ranks, (8,) * len(ranks),
+                           TrafficKind.DATA_PARALLEL, "dp.norm")
 
     def invalidate_workers(self) -> None:
         """Mark worker state stale after the parent's replicas were

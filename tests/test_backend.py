@@ -7,9 +7,11 @@ processes":
   bytes through shared memory must return bit-identical arrays *and*
   an identical :class:`~repro.comm.traffic.TrafficLog` to the coop
   primitives (the §3.3.1 byte-volume identities survive the swap);
-- **hop plans** — the pure hop-plan functions the mp backend replays
-  into the parent's log must match what the coop primitives actually
-  log, record for record;
+- **hop plans** — the pure hop-plan functions, the one place a
+  collective's hops are spelled, must match what the per-hop coop loops
+  of ``tests/reference_hops.py`` report, and every call's derived
+  ``TrafficLog.records`` must equal those loops' on both backends
+  (hypothesis over the five primitives and both ring phases);
 - **whole engine** — seeded (p, t, d) training runs under both
   backends produce exact-equal losses, parameters, optimizer state and
   traffic (:mod:`repro.verify.backend_check` grid).
@@ -24,12 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import TrafficLog
+from repro.comm import TrafficKind, TrafficLog
 from repro.comm.backend import CoopBackend, MpBackend, get_backend
 from repro.comm.groups import ProcessGroups
 from repro.comm.primitives import (
+    COOP,
+    HOP_PLANS,
     all_gather,
     broadcast,
+    broadcast_hops,
+    log_collective,
     reduce_scatter,
     ring_all_gather_hops,
     ring_all_reduce,
@@ -39,9 +45,11 @@ from repro.comm.primitives import (
 )
 from repro.comm.shm_ring import leaked_dev_shm_segments, live_segment_names
 from repro.config import ParallelConfig
+from repro.obs.tracer import TOTALS
 from repro.verify.backend_check import check_backend_case
 from repro.verify.conformance import ConformanceCase
 
+from .reference_hops import reference_hops, reference_records
 from .test_comm import group_families
 
 
@@ -63,32 +71,143 @@ def _buffers(k, shape=(6, 5), seed=0):
 
 
 class TestHopPlans:
-    """The analytic hop plans equal what the coop primitives log."""
+    """The analytic hop plans equal what the per-hop coop loops of
+    ``tests/reference_hops.py`` report."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_all_reduce(self, k, n):
         bufs = _buffers(k, shape=(n,))
-        log = TrafficLog()
-        ring_all_reduce(bufs, list(range(k)), log)
-        got = [(r.src, r.dst, r.nbytes) for r in log.records]
+        got = reference_hops("all_reduce", bufs, list(range(k)))
         assert got == ring_all_reduce_hops(n, bufs[0].itemsize, k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_all_gather(self, k):
         shards = [np.full((i + 1, 3), float(i)) for i in range(k)]
-        log = TrafficLog()
-        all_gather(shards, list(range(k)), log)
-        got = [(r.src, r.dst, r.nbytes) for r in log.records]
+        got = reference_hops("all_gather", shards, list(range(k)))
         assert got == ring_all_gather_hops([s.nbytes for s in shards])
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_reduce_scatter(self, k):
         bufs = _buffers(k, shape=(2 * k, 3))
-        log = TrafficLog()
-        reduce_scatter(bufs, list(range(k)), log)
-        got = [(r.src, r.dst, r.nbytes) for r in log.records]
+        got = reference_hops("reduce_scatter", bufs, list(range(k)))
         assert got == ring_reduce_scatter_hops(bufs[0].nbytes, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_broadcast(self, k):
+        buf = np.arange(6.0)
+        for root in range(k):
+            got = reference_hops("broadcast", buf, list(range(k)), root=root)
+            assert got == broadcast_hops(root, buf.nbytes, k)
+
+
+_OPS = ("all_reduce", "all_gather", "reduce_scatter", "broadcast", "send",
+        "reduce_scatter_phase", "all_gather_phase")
+
+
+@st.composite
+def _calls(draw, max_k):
+    """One valid front-door call: ``(op, args, kwargs, ranks, root,
+    axis)``, every buffer under 40 elements, all-gather shards uneven."""
+    op = draw(st.sampled_from(_OPS))
+    k = 2 if op == "send" else draw(st.integers(1, max_k))
+    ranks = draw(st.lists(st.integers(0, 15), min_size=k, max_size=k,
+                          unique=True))
+    dtype = (np.float64 if op.endswith("_phase") else
+             draw(st.sampled_from([np.float64, np.float32, np.int64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def array(shape):
+        return (10 * rng.standard_normal(shape)).astype(dtype)
+
+    n = draw(st.integers(0, 39))
+    root, axis, kwargs = None, 0, {}
+    if op == "all_gather":
+        cols, axis = draw(st.integers(1, 3)), draw(st.sampled_from([0, 1]))
+        rows = draw(st.lists(st.integers(0, 39 // (k * cols)), min_size=k,
+                             max_size=k))
+        buffers = [array((r, cols) if axis == 0 else (cols, r)) for r in rows]
+        args, kwargs = (buffers, ranks), {"axis": axis}
+    elif op == "reduce_scatter":
+        rows = k * draw(st.integers(1, 39 // (2 * k)))
+        shape = (rows, draw(st.integers(1, 2)))
+        buffers = [array(shape) for _ in range(k)]
+        args = (buffers, ranks)
+    elif op in ("broadcast", "send"):
+        buffers = array((n,))
+        root = draw(st.sampled_from(ranks))
+        args = ((buffers, root, ranks) if op == "broadcast"
+                else (buffers, ranks[0], ranks[1]))
+    else:
+        buffers = [array((n,)) for _ in range(k)]
+        args = (buffers, ranks)
+    return op, args, kwargs, buffers, ranks, root, axis
+
+
+def _derived_records_are_the_reference(backend, call, logged):
+    """One call on ``backend``: the log's one entry, its derived
+    records, and the running totals it moved."""
+    op, args, kwargs, buffers, ranks, root, axis = call
+    want = reference_records(op, buffers, ranks, TrafficKind.TENSOR_PARALLEL,
+                             "prop", root=root, axis=axis)
+    if op.endswith("_phase"):  # in place on the caller's vectors
+        args = ([b.copy() for b in buffers], ranks)
+    log = TrafficLog() if logged else None
+    before = TOTALS.copy()
+    getattr(backend, op)(*args, log=log, kind=TrafficKind.TENSOR_PARALLEL,
+                         tag="prop", **kwargs)
+    moved = [TOTALS[0] - before[0], TOTALS[1] - before[1]]
+    if log is None:
+        assert moved == [0, 0]
+        return
+    got = [(r.src, r.dst, r.nbytes, r.kind, r.tag) for r in log.records]
+    assert got == want
+    assert len(log.entries) == (len(ranks) > 1)
+    assert moved == [sum(r[2] for r in want), len(want)]
+    for entry in log.entries:
+        plan = HOP_PLANS[entry.op][0](len(entry.ranks), entry.size)
+        assert (entry.nbytes, entry.hops) == (
+            sum(h[2] for h in plan), len(plan))
+
+
+def test_a_group_of_one_writes_nothing():
+    """Whoever writes the entry -- the front door, clipping's norm
+    gather at d = 1, the cross-entropy scalars at t = 1."""
+    log = TrafficLog()
+    sizes = {"all_gather": (8,), "broadcast": (0, 8)}
+    for op in HOP_PLANS:
+        log_collective(log, op, [3], sizes.get(op, 8),
+                       TrafficKind.DATA_PARALLEL, "one")
+    assert log.entries == []
+
+
+@pytest.fixture(scope="module")
+def mp_and_worker_ring():
+    from repro.parallel.mp_workers import WORKER_RING
+
+    with MpBackend() as backend:
+        yield backend, WORKER_RING
+
+
+class TestDerivedRecordsProperty:
+    """Every primitive and both ring phases, ``k`` up to 6, logged or
+    not: the records the log derives from its one entry per call are the
+    per-hop loops' records, hop for hop, and the running totals move by
+    exactly their bytes and count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(call=_calls(max_k=6), logged=st.booleans())
+    def test_coop(self, call, logged):
+        _derived_records_are_the_reference(COOP, call, logged)
+
+    @settings(max_examples=25, deadline=None)
+    @given(call=_calls(max_k=3), logged=st.booleans())
+    def test_mp(self, call, logged, mp_and_worker_ring):
+        """The mp movers, and the phases through the mp trainer's
+        worker-ring front door, which moves nothing."""
+        mp_backend, worker_ring = mp_and_worker_ring
+        backend = worker_ring if call[0].endswith("_phase") else mp_backend
+        _derived_records_are_the_reference(backend, call, logged)
 
 
 class TestRawMpCollectives:

@@ -34,11 +34,29 @@ def _slow_spans(monkeypatch):
     monkeypatch.setattr(Tracer, "span", slow_begin)
 
 
+def _slow_traffic_writes(monkeypatch):
+    """Every collective's traffic entry sleeps 100 µs as it is written:
+    the guard's t=2 all-reduce, ~25 µs with its log attached, costs
+    ~200 µs (the sleep overshoots), and the guard reads ~12x."""
+    from repro.comm import primitives
+
+    log_collective = primitives.log_collective
+
+    def slow_log_collective(*args):
+        time.sleep(1e-4)
+        return log_collective(*args)
+
+    monkeypatch.setattr(primitives, "log_collective", slow_log_collective)
+
+
 #: (guard file, its test function, the defect to plant)
 CASES = [
     pytest.param("bench_trace_overhead.py",
                  "test_tracing_overhead_under_5_percent", _slow_spans,
                  id="trace"),
+    pytest.param("bench_kernels.py",
+                 "test_all_reduce_costs_a_bounded_multiple_of_its_ring",
+                 _slow_traffic_writes, id="all-reduce"),
 ]
 
 

@@ -201,16 +201,16 @@ def test_worker_runs_the_trainers_step_functions(monkeypatch):
     # The op table a replica worker serves, run here instead of in a
     # child (d=1: no ring, so the barrier is never waited on).
     ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
-    loss, records, norm, _ = ops["step"]((*batch, *_rates(trainer)))
+    loss, entries, norm, _ = ops["step"]((*batch, *_rates(trainer)))
     assert calls == ["forward_backward", "apply_update"] * 2
     assert loss == coop_loss and norm == trainer.last_grad_norm
-    assert len(records) == len(trainer.log.records)
+    assert entries == trainer.log.entries
     state = ops["get_state"](None)
     assert np.array_equal(trainer.replicas[0].flat_data, state["params"])
 
 
 def test_worker_keeps_no_records_between_steps(monkeypatch):
-    """The parent logs every record a step's reply carries, so a worker
+    """The parent logs every entry a step's reply carries, so a worker
     that kept them too would grow its log for as long as it lives."""
     logs = []
 
@@ -229,10 +229,9 @@ def test_worker_keeps_no_records_between_steps(monkeypatch):
     replies = []
     for _ in range(3):
         replies.append(ops["step"]((*batch, *_rates(trainer)))[1])
-        assert log.records == []
+        assert log.entries == []
     trainer.train_step(*batch)
-    assert [len(records) for records in replies] == [
-        len(trainer.log.records)] * 3
+    assert replies == [trainer.log.entries] * 3
 
 
 def test_a_workers_replica_lives_in_its_segment(monkeypatch):
