@@ -43,6 +43,7 @@ from typing import Any
 import numpy as np
 
 from repro.comm import Backend, TrafficKind, TrafficLog, get_backend
+from repro.comm.primitives import log_collective
 from repro.config import GPTConfig
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, LayerNorm
@@ -552,14 +553,9 @@ class VocabParallelOutputHead(ShardedModule):
         return out
 
     def _log_scalar_allreduce(self, n_tok: int, tag: str) -> None:
-        if self.group.size > 1:
-            # 8-byte scalar per token around the ring, both phases.
-            per_rank = 2 * (self.group.size - 1) / self.group.size * n_tok * 8
-            for r_idx, rank in enumerate(self.group.ranks):
-                dst = self.group.ranks[(r_idx + 1) % self.group.size]
-                self.group.log.add(
-                    rank, dst, int(per_rank), TrafficKind.TENSOR_PARALLEL, tag
-                )
+        """The ring all-reduce of one float64 per token, logged as such."""
+        log_collective(self.group.log, "all_reduce", self.group.ranks, n_tok,
+                       TrafficKind.TENSOR_PARALLEL, tag)
 
 
 class TensorParallelGPT(ShardedModule):

@@ -237,6 +237,32 @@ class TestDistributedOptimizer:
         assert log.records == trainer.log.records
 
 
+def test_a_step_writes_one_entry_per_call_and_builds_no_record(monkeypatch):
+    """An untraced coop step at ``train_ptd``'s shapes writes 206
+    entries -- 172 all-reduces (24 of them the cross entropy's scalars),
+    32 pipeline sends and the data-parallel ring's two phases -- and
+    builds no ``TransferRecord`` until ``records`` is read: 724 then."""
+    from repro.comm import traffic
+    from repro.obs.tracer import current_tracer
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    real = traffic.TransferRecord
+    monkeypatch.setattr(traffic, "TransferRecord", counted)
+    log = TrafficLog()
+    trainer = PTDTrainer(TRAIN_PTD, TRAIN_PTD_PARALLEL, seed=0, log=log)
+    rng = np.random.default_rng(0)
+    assert current_tracer() is None
+    trainer.train_step(rng.integers(0, 512, size=(8, 64)),
+                       rng.integers(0, 512, size=(8, 64)))
+    assert (len(log.entries), len(built)) == (206, 0)
+    assert len(log.records) == len(built) == 724
+
+
 class TestFlatLayout:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("p,t,v", [

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from repro.comm import TrafficKind, TrafficLog
-from repro.config import tiny_test_model
+from repro.config import GPTConfig, tiny_test_model
 from repro.nn import Adam, GPTModel
 from repro.parallel.tensor_parallel import (
     ParallelMLP,
     TensorParallelGPT,
     TensorParallelGroup,
 )
+
+from .reference_hops import reference_records
 
 
 def data(cfg, batch=2, seed=42):
@@ -166,6 +168,23 @@ class TestCommunicationVolume:
         b, s, h = 2, cfg.seq_length, cfg.hidden_size
         expected_elems = 8 * b * s * h * (t - 1) / t
         assert layer_bytes == pytest.approx(expected_elems * 8, rel=0.01)
+
+    def test_ce_scalar_all_reduces_log_the_ring_they_run(self):
+        """Each of the cross entropy's three scalar all-reduces logs the
+        ring all-reduce of one float64 per token: at t = 3 over 16
+        tokens, the per-hop loops' 12 hops and 512 bytes."""
+        cfg = GPTConfig(1, 12, 3, vocab_size=48, seq_length=16)
+        g = group(3)
+        tp = TensorParallelGPT(cfg, g, seed=0)
+        tp_loss(tp, *data(cfg, batch=1))
+        records = [(r.src, r.dst, r.nbytes, r.kind, r.tag)
+                   for r in g.log.records]
+        for tag in ("ce.max", "ce.sumexp", "ce.target"):
+            want = reference_records("all_reduce", [np.zeros(16)] * 3,
+                                     g.ranks, TrafficKind.TENSOR_PARALLEL,
+                                     tag)
+            assert [r for r in records if r[4] == tag] == want
+            assert g.log.by_tag()[tag] == 512
 
     def test_vocab_parallel_ce_avoids_logit_gather(self):
         """The CE loss communicates O(tokens) scalars, not O(tokens*V)."""
