@@ -26,7 +26,11 @@ same process a moment apart, so machine speed cancels:
   what is left is validation, the sanitizer record, the span and four
   validated hop records).  Bound: 3.8x -- the change clears it by 25%
   at its worst reading (45% at its best), the parent fails it by 13% or
-  more; the test passes on the best of three measurements.  ISSUE 19
+  more; the test passes on the best of three measurements.  With the
+  log keeping one entry per call, its byte and hop totals in closed
+  form, instead of four validated hop records: **1.59-1.87x** over
+  nine readings against **1.76-2.62x** on its parent, interleaved.
+  ISSUE 19
   asked for the plain ``a + b`` as the yardstick (parent ~10x, change
   5-6x); it was dropped because the same 64 KB sum reads 2.8 us in one
   process and 6.9 us in the next (where its result happens to land),

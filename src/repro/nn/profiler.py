@@ -15,7 +15,7 @@ Usage::
 
 Each call is one add into the process's running FLOP totals
 (:data:`repro.obs.tracer.FLOPS`), traced or not, the way
-``TrafficLog.add`` adds bytes.  A :func:`count_flops` meter, a span and
+``TrafficLog.write`` adds bytes.  A :func:`count_flops` meter, a span and
 a trace all read those totals by difference, so FLOPs take one path.
 
 Only GEMM work is counted (the paper's convention: "The majority of

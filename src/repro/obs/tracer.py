@@ -24,7 +24,7 @@ Two clock regimes coexist:
   start/end from a modelled timeline, e.g. the §2.2 list scheduler.
 
 Bytes and FLOPs reach a tracer by difference, never per record: each
-:class:`~repro.comm.traffic.TrafficLog` transfer and each
+:class:`~repro.comm.traffic.TrafficLog` entry and each
 :func:`~repro.nn.profiler.record_gemm_flops` call adds into the running
 totals below, traced or not.  A live span's ``bytes`` / ``flops`` are
 what they gained while it was the innermost open span (its inclusive
@@ -48,7 +48,7 @@ from .metrics import MetricsRegistry
 GLOBAL_RANK = -1
 
 #: The process's running totals, read only by difference: bytes and
-#: transfers per ``TrafficKind`` value, GEMM FLOPs per category, and
+#: hops per ``TrafficKind`` value, GEMM FLOPs per category, and
 #: ``TOTALS`` = [bytes, transfers, FLOPs].  Mutated in place, never
 #: rebound: ``TrafficLog`` and ``record_gemm_flops`` bind them.
 BYTES: defaultdict[str, int] = defaultdict(int)

@@ -65,6 +65,7 @@ KEPT: dict[str, str] = {
     "repro/comm/backend.py::MpBackend._send": _BROADCAST,
     "repro/comm/primitives.py::Backend.broadcast": _BROADCAST,
     "repro/comm/primitives.py::CoopBackend._broadcast": _BROADCAST,
+    "repro/comm/primitives.py::broadcast_hops": _BROADCAST,
     "repro/comm/shm_ring.py::cleanup_all_segments":
         "worker code: the atexit unlink of an mp run's segments; it runs "
         "after the hook is gone",
