@@ -331,8 +331,9 @@ def short_hop_defect(seed: int):
             return real(self, flat, ranks, log, kind, tag)
         moved = TrafficLog()
         real(self, flat, ranks, moved, kind, tag)
-        for i, r in enumerate(moved.records):
-            short = 8 if i == seed % len(moved.records) else 0
+        records = moved.records  # derived from the entry on every read
+        for i, r in enumerate(records):
+            short = 8 if i == seed % len(records) else 0
             log.add(r.src, r.dst, r.nbytes - short, r.kind, r.tag)
 
     return _patched(Backend, "all_gather_phase", bent)
