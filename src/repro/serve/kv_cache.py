@@ -207,19 +207,23 @@ class PagedKVCache:
         self.allocator = BlockAllocator(num_blocks)
         positions = num_blocks * block_size
         held = min(num_blocks, self.blocks_for(max_length)) * block_size
-        self._position_bytes = 2 * num_layers * num_heads * head_dim * 8
+        # A slot is (layer, K/V, head) strips of (position, head_dim):
+        # one head's keys or values for one request are one run.
+        self._item = 8 * head_dim  # one position of one strip
+        self._strip_bytes = held * self._item
+        self._strips = 2 * num_layers * num_heads
         # Slots start on page boundaries, so one can be returned whole.
-        self._slot_bytes = -(-held * self._position_bytes
+        self._slot_bytes = -(-self._strips * self._strip_bytes
                              // mmap.PAGESIZE) * mmap.PAGESIZE
         self._map = mmap.mmap(-1, num_blocks * self._slot_bytes,
                               flags=mmap.MAP_PRIVATE | _MAP_NORESERVE)
-        item = 8 * head_dim
+        self._bytes = memoryview(self._map)
+        strip = self._strip_bytes
         self.store = np.ndarray(
             (num_blocks, held, 2, num_layers, num_heads, head_dim),
             buffer=self._map,
-            strides=(self._slot_bytes, self._position_bytes,
-                     num_layers * num_heads * item, num_heads * item,
-                     item, 8),
+            strides=(self._slot_bytes, self._item, num_heads * strip,
+                     2 * num_heads * strip, strip, 8),
         )
         self._free_slots = list(range(num_blocks))  # a heap: lowest first
         self._owner: dict[int, KVHandle] = {}  # live slot -> its handle
@@ -228,8 +232,9 @@ class PagedKVCache:
         self._warm = [0] * num_blocks
         self._warm_total = 0
         self._budget = positions
-        # block -> CRC32 over the block's run of its slot; entries exist
-        # only for live blocks of checksummed caches.
+        # block -> CRC32 of the block's positions, chained over its
+        # strips in store order; entries exist only for live blocks of
+        # checksummed caches.
         self._crcs: dict[int, int] = {}
 
     @classmethod
@@ -247,10 +252,16 @@ class PagedKVCache:
             checksums=checksums,
         )
 
-    def _run(self, slot: int, index: int) -> np.ndarray:
-        """Block ``index`` of ``slot``: one contiguous run of positions."""
-        first = index * self.block_size
-        return self.store[slot, first:first + self.block_size]
+    def _crc(self, slot: int, index: int) -> int:
+        """CRC32 of block ``index`` of ``slot``: its piece of every strip,
+        chained in store order."""
+        piece = self.block_size * self._item
+        start = slot * self._slot_bytes + index * piece
+        crc, data, crc32 = 0, self._bytes, zlib.crc32
+        for at in range(start, start + self._strips * self._strip_bytes,
+                        self._strip_bytes):
+            crc = crc32(data[at:at + piece], crc)
+        return crc
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -342,8 +353,8 @@ class PagedKVCache:
             if self.checksums:
                 for index in range(first // self.block_size,
                                    len(handle.block_table)):
-                    self._crcs[handle.block_table[index]] = zlib.crc32(
-                        self._run(slot, index))
+                    self._crcs[handle.block_table[index]] = self._crc(
+                        slot, index)
         if self._warm_total > self._budget:
             self._trim()
 
@@ -366,12 +377,11 @@ class PagedKVCache:
         batch = not isinstance(handles, KVHandle)
         handles = self._check(handles)
         if self.checksums:
-            # Hot path (every block, every decode step): one crc32 per
-            # block, in batch order.
-            crcs, run, crc32 = self._crcs, self._run, zlib.crc32
+            # Hot path (every block, every decode step), in batch order.
+            crcs, crc = self._crcs, self._crc
             for handle in handles:
                 for index, block in enumerate(handle.block_table):
-                    if crcs.get(block) != crc32(run(handle.slot, index)):
+                    if crcs.get(block) != crc(handle.slot, index):
                         raise KVCorruptionError(block)
         if not batch:
             (handle,) = handles
@@ -415,8 +425,8 @@ class PagedKVCache:
         """
         for slot, handle in self._owner.items():
             if block in handle.block_table:
-                run = self._run(slot, handle.block_table.index(block))
-                run.view(np.uint64).flat[0] ^= 1
+                first = handle.block_table.index(block) * self.block_size
+                self.store[slot, first].view(np.uint64).flat[0] ^= 1
                 return
         raise ValueError(f"block {block} is in no handle's table")
 
@@ -448,14 +458,20 @@ class PagedKVCache:
                 self._release(slot, handle.length)
 
     def _release(self, slot: int, keep: int) -> None:
-        """Return the pages of ``slot`` past its first ``keep`` positions
-        (a page ``keep`` ends inside stays; it holds zeros past it)."""
-        page = mmap.PAGESIZE
-        start = (slot * self._slot_bytes
-                 + -(-keep * self._position_bytes // page) * page)
-        end = (slot + 1) * self._slot_bytes
-        if start < end:
-            self._map.madvise(mmap.MADV_DONTNEED, start, end - start)
+        """Return the pages of ``slot`` past its first ``keep`` positions,
+        strip by strip (a page that also holds positions below ``keep``
+        stays; it holds zeros past them)."""
+        page, base = mmap.PAGESIZE, slot * self._slot_bytes
+        if not keep:
+            spans = [(base, base + self._slot_bytes)]
+        else:
+            spans = [(at + keep * self._item, at + self._strip_bytes)
+                     for at in range(base, base + self._strips
+                                     * self._strip_bytes, self._strip_bytes)]
+        for start, end in spans:
+            start, end = -(-start // page) * page, end // page * page
+            if start < end:
+                self._map.madvise(mmap.MADV_DONTNEED, start, end - start)
         self._warm_total -= self._warm[slot] - keep
         self._warm[slot] = keep
 

@@ -209,6 +209,36 @@ class TestPagedKVCache:
             cache.free(handle)
         cache.assert_empty()
 
+    def test_a_heads_keys_are_one_contiguous_run(self):
+        """One request's keys (or values) for one layer and head are one
+        C-contiguous ``(positions, head_dim)`` run, in every view the
+        cache hands out."""
+        cache = PagedKVCache.for_model(model(), num_blocks=8, block_size=2)
+        rng = np.random.default_rng(6)
+        handles = [cache.create() for _ in range(2)]
+        for handle, n in zip(handles, (3, 5)):
+            cache.append(handle, self.kv(rng, n))
+        held = cache.store.shape[1]
+        for slot in range(cache.capacity):
+            for layer in range(CFG.num_layers):
+                for part in range(2):
+                    for head in range(CFG.num_attention_heads):
+                        run = cache.store[slot, :, part, layer, head]
+                        assert run.shape == (held, CFG.head_dim)
+                        assert run.flags.c_contiguous
+        for (k, v) in cache.gather(handles[1]):
+            assert all(k[0, head].flags.c_contiguous
+                       and v[0, head].flags.c_contiguous
+                       for head in range(CFG.num_attention_heads))
+        for runs in cache.gather(handles):
+            for _, k, v in runs:
+                assert all(t[row, head].flags.c_contiguous
+                           for t in (k, v) for row in range(len(k))
+                           for head in range(CFG.num_attention_heads))
+        for handle in handles:
+            cache.free(handle)
+        cache.assert_empty()
+
     def test_blocks_for(self):
         cache = PagedKVCache.for_model(model(), num_blocks=4, block_size=3)
         assert cache.blocks_for(0) == 0
@@ -255,6 +285,19 @@ class TestPagedKVCache:
         cache.assert_empty()
 
 
+def strip_crc(cache, slot, index):
+    """CRC32 of block ``index`` of ``slot``, chained over its piece of
+    every (layer, K/V, head) strip in store order."""
+    first, crc = index * cache.block_size, 0
+    for layer in range(cache.num_layers):
+        for part in range(2):
+            for head in range(cache.num_heads):
+                crc = zlib.crc32(cache.store[
+                    slot, first:first + cache.block_size, part, layer,
+                    head].tobytes(), crc)
+    return crc
+
+
 _ROWS = st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True)
 _STORE_OPS = st.lists(st.one_of(
     st.tuples(st.just("create")),
@@ -287,12 +330,10 @@ class TestSlotStore:
                 continue
             live.add(handle.slot)
             assert not cache.store[handle.slot, n:].any()
-            for index, block in enumerate(handle.block_table):
-                run = cache.store[handle.slot, index * cache.block_size:
-                                  (index + 1) * cache.block_size]
-                assert run.flags.c_contiguous
-                if cache.checksums:
-                    assert cache._crcs[block] == zlib.crc32(run.tobytes())
+            if cache.checksums:
+                for index, block in enumerate(handle.block_table):
+                    assert cache._crcs[block] == strip_crc(
+                        cache, handle.slot, index)
         for slot in set(range(cache.capacity)) - live:
             assert not cache.store[slot].any()  # a free slot: zeros
 
