@@ -7,7 +7,11 @@ actually produce the structure they were trained on.
 
 Decoding recomputes the full forward per step (no KV cache) -- fine for
 the model sizes the numeric engine runs, and guaranteed consistent with
-the training-path numerics.
+the training-path numerics.  Every sampled token in the library comes
+from :func:`sample_rows`: this oracle calls it with one row, and the
+serving engine with every row of a decode tick that shares a
+temperature and top-k, so a request's stream does not depend on what
+it was batched with.
 """
 
 from __future__ import annotations
@@ -65,35 +69,64 @@ def generate(
     for _ in range(max_new_tokens):
         context = np.array(out[-window:])[None, :]
         logits, _ = model.forward(context, training=False)
-        step = logits[0, -1]
-        token = _pick(step, temperature, top_k, rng)
+        token = int(sample_rows(logits[0, -1:], temperature, top_k,
+                                [rng])[0])
         out.append(token)
         if token in stop_ids:
             break
     return np.array(out, dtype=np.int64)
 
 
-def _pick(
+def sample_rows(
     logits: np.ndarray,
     temperature: float,
     top_k: int | None,
-    rng: np.random.Generator,
-) -> int:
+    rngs,
+) -> np.ndarray:
+    """Next tokens of ``logits`` ``(n, V)``, row ``i`` drawing from
+    ``rngs[i]``, every row with one ``temperature`` and ``top_k``.
+
+    ``temperature = 0`` is greedy and draws nothing.  Otherwise the rows
+    are divided by the temperature, cut to their ``top_k`` largest
+    (``argpartition``, so ties at the cutoff keep exactly ``top_k``),
+    and softmaxed and summed into a CDF in one pass over every row.
+    Each row then draws one ``rng.random()``, and its token is the count
+    of its CDF entries at or below the draw: the ``searchsorted(...,
+    side="right")`` that ``Generator.choice(V, p=probs)`` does on the
+    same CDF, so the token and the rng's next state are what one
+    ``choice`` per row gives.  Probabilities that are not finite raise
+    ``ValueError`` before any row draws.
+    """
     if temperature == 0.0:
-        return int(np.argmax(logits))
+        return np.argmax(logits, axis=1)
     scaled = logits / temperature
-    if top_k is not None and top_k < scaled.size:
+    n, vocab = scaled.shape
+    keep = None  # every column
+    if top_k is not None and top_k < vocab:
         # Keep exactly top_k indices.  A threshold test (scaled >= cutoff)
         # would keep *more* than top_k candidates when logits tie at the
-        # cutoff value; argpartition breaks ties by index instead.
-        keep = np.argpartition(scaled, -top_k)[-top_k:]
-        mask = np.full_like(scaled, -np.inf)
-        mask[keep] = scaled[keep]
-        scaled = mask
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    return int(rng.choice(scaled.size, p=probs))
+        # cutoff value; argpartition breaks ties by index instead.  The
+        # rest of the row is exp(-inf) = 0, so in column order the kept
+        # columns' CDF is the whole row's at them.
+        keep = np.sort(np.argpartition(scaled, -top_k, axis=1)[:, -top_k:],
+                       axis=1)
+        scaled = np.take_along_axis(scaled, keep, axis=1)
+    scaled -= scaled.max(axis=1, keepdims=True)
+    probs = np.exp(scaled, out=scaled)
+    row = probs
+    if keep is not None:
+        # The sum runs over the whole row, zeros included: numpy's
+        # pairwise sum groups columns by position, and so rounds by it.
+        row = np.zeros((n, vocab))
+        np.put_along_axis(row, keep, probs, axis=1)
+    probs /= row.sum(axis=1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise ValueError("Probabilities contain NaN")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.array([rng.random() for rng in rngs])
+    picked = (cdf <= draws[:, None]).sum(axis=1)
+    return picked if keep is None else keep[np.arange(n), picked]
 
 
 def perplexity(model: GPTModel, ids: np.ndarray, targets: np.ndarray) -> float:

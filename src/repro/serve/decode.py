@@ -8,11 +8,14 @@ pool.  Once a session's context is cached, its next token comes out of
 :meth:`repro.nn.transformer.GPTModel.forward_step` for any number of
 sessions, reading K/V in place through views of their cache slots and
 writing the new token's K/V straight into them.  :meth:`step` is the
-batch of one.  Every session samples with the same
-:func:`repro.nn.generate._pick` the full-recompute oracle uses and its
-own rng -- so its token stream equals
-``generate(model, prompt, n, rng=default_rng(seed))`` exactly,
-independent of how the engine batches, interleaves or preempts it.
+batch of one.  Every token is picked by
+:func:`repro.nn.generate.sample_rows`, the function the full-recompute
+oracle samples with: the engine hands it every row of a tick that
+shares a temperature and top-k at once, and each row draws from its
+own request's rng, which :meth:`DecodeSession.take` then books -- so a
+stream equals ``generate(model, prompt, n, rng=default_rng(seed))``
+exactly, independent of how the engine batches, interleaves or
+preempts it.
 
 Sliding-window handling: the model uses *learned absolute* position
 embeddings, so once the context reaches ``seq_length`` the window slides
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.generate import _pick
+from repro.nn.generate import sample_rows
 from repro.nn.transformer import GPTModel
 from repro.obs.tracer import span
 
@@ -134,8 +137,13 @@ class DecodeSession:
 
     def sample(self, logits: np.ndarray) -> int:
         """Pick the next token from its logits row with this request's
-        own sampling settings and rng; returns it."""
-        token = _pick(logits, self.temperature, self.top_k, self.rng)
+        own sampling settings and rng, and book it; returns it."""
+        return self.take(int(sample_rows(
+            logits[None], self.temperature, self.top_k, [self.rng])[0]))
+
+    def take(self, token: int) -> int:
+        """Book ``token``, drawn with this request's settings and rng, as
+        its next one; returns it."""
         self.tokens.append(token)
         self.generated += 1
         if token in self.stop_ids:

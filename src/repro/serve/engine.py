@@ -17,8 +17,9 @@ engine advances on a deterministic virtual clock (one unit per
    *plan → one batched forward → sample*.  The walk makes a sequential
    loop's decisions but only collects requests in the cached
    single-token regime into the tick's open batch, which
-   :func:`repro.serve.decode.decode_batch` runs as one ragged forward
-   before each request samples from its own logits row with its own
+   :func:`repro.serve.decode.decode_batch` runs as one ragged forward;
+   then one :func:`repro.nn.generate.sample_rows` pass per sampling
+   setting picks every row's token, each request drawing from its own
    rng.  The walk may only *add* to the batch: before anything else
    (a block check that fails, a preemption, a retry, a prefill or
    sliding-window step) the batch is flushed, so metrics, streams and
@@ -72,6 +73,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.nn.generate import sample_rows
 from repro.nn.transformer import GPTModel
 from repro.obs.tracer import span
 
@@ -340,8 +342,9 @@ class ServeEngine:
         return True
 
     def _flush(self, batch: list[_Entry], step: int) -> int:
-        """Run and empty the open batch -- one forward, then sample and
-        book each request in order; returns the tokens generated.  A
+        """Run and empty the open batch -- one forward, one sampling pass
+        per (temperature, top-k) among its requests, then book each
+        request in order; returns the tokens generated.  A
         request whose cache fails its checksum retries alone, between
         the requests before and after it."""
         todo = batch[:]
@@ -357,8 +360,17 @@ class ServeEngine:
             self._retry(todo[bad], step, fault)
             return done + self._flush(todo[bad + 1:], step)
         with span("sample", phase="serve"):
-            for entry, row in zip(todo, logits):
-                entry.session.sample(row)
+            groups: dict[tuple, list[int]] = {}  # settings -> batch rows
+            for row, entry in enumerate(todo):
+                session = entry.session
+                groups.setdefault((session.temperature, session.top_k),
+                                  []).append(row)
+            for (temperature, top_k), rows in groups.items():
+                sessions = [todo[row].session for row in rows]
+                tokens = sample_rows(logits[rows], temperature, top_k,
+                                     [session.rng for session in sessions])
+                for session, token in zip(sessions, tokens.tolist()):
+                    session.take(token)
         with span("bookkeeping", phase="serve"):
             for entry in todo:
                 self._stepped(entry, step)

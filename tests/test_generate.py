@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import tiny_test_model
 from repro.nn import Adam, GPTModel, generate, perplexity
+from repro.nn.generate import sample_rows
+
+from .reference_sampling import _pick
 
 CFG = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=4,
                       vocab_size=16, seq_length=8)
@@ -25,6 +30,11 @@ def trained_copier(steps=60):
         model.loss_backward(caches)
         opt.step()
     return model
+
+
+def pick(logits, temperature, top_k, rng) -> int:
+    """One row through :func:`sample_rows`."""
+    return int(sample_rows(logits[None], temperature, top_k, [rng])[0])
 
 
 class TestGenerate:
@@ -76,13 +86,11 @@ class TestGenerate:
         """Regression: tied logits at the cutoff must not widen the
         support past top_k (the old ``scaled >= cutoff`` mask kept every
         tied candidate)."""
-        from repro.nn.generate import _pick
-
         logits = np.zeros(12)  # all tied: cutoff == every logit
         logits[7] = 0.0
         rng = np.random.default_rng(0)
         picks = {
-            _pick(logits, 1.0, 3, rng) for _ in range(400)
+            pick(logits, 1.0, 3, rng) for _ in range(400)
         }
         assert len(picks) == 3, (
             f"top_k=3 with fully tied logits sampled {len(picks)} distinct "
@@ -92,13 +100,11 @@ class TestGenerate:
     def test_top_k_partial_tie_keeps_exactly_k(self):
         """Two clear leaders plus many tied at the cutoff: support is
         exactly top_k, and always contains the strict leaders."""
-        from repro.nn.generate import _pick
-
         logits = np.zeros(10)
         logits[2] = 5.0
         logits[8] = 4.0
         rng = np.random.default_rng(3)
-        picks = {_pick(logits, 5.0, 4, rng) for _ in range(600)}
+        picks = {pick(logits, 5.0, 4, rng) for _ in range(600)}
         assert len(picks) <= 4
         assert {2, 8} <= picks
 
@@ -177,6 +183,66 @@ class TestGenerate:
             generate(model, np.array([1]), 2, top_k=0)
         with pytest.raises(ValueError):
             generate(model, np.array([CFG.vocab_size]), 2)
+
+
+#: (temperature, top_k) settings a tick mixes; a top_k past V keeps all
+_SETTINGS = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+                      st.sampled_from([None, 1, 2, 5, 50, 2048, 4096]))
+
+
+class TestSampleRows:
+    """:func:`sample_rows` against the one-row sampler it replaced
+    (``tests/reference_sampling.py``): the same tokens, and every rng in
+    the same state after."""
+
+    @given(n=st.integers(1, 32), vocab=st.integers(2, 2048),
+           settings_=st.lists(_SETTINGS, min_size=1, max_size=3),
+           ties=st.sampled_from([0, 1, 2, 4]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_a_tick_equals_the_reference_row_by_row(self, n, vocab, settings_,
+                                                    ties, seed):
+        data = np.random.default_rng(seed)
+        if ties:  # few distinct values: ties at every top-k cutoff
+            logits = data.integers(0, ties + 1, size=(n, vocab)) * 1.5
+        else:
+            logits = data.standard_normal((n, vocab)) * 3.0
+        chosen = data.integers(0, len(settings_), size=n)
+        seeds = data.integers(0, 2**32, size=n)
+        ours = [np.random.default_rng(s) for s in seeds]
+        theirs = [np.random.default_rng(s) for s in seeds]
+        want = [_pick(logits[i], *settings_[chosen[i]], theirs[i])
+                for i in range(n)]
+        got = [None] * n
+        for group, (temperature, top_k) in enumerate(settings_):
+            rows = np.flatnonzero(chosen == group)
+            if rows.size:  # the engine's grouping: one pass per setting
+                tokens = sample_rows(logits[rows], temperature, top_k,
+                                     [ours[i] for i in rows])
+                for i, token in zip(rows, tokens.tolist()):
+                    got[i] = token
+        assert got == want
+        for mine, ref in zip(ours, theirs):
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("top_k", [None, 3])
+    def test_nan_logits_raise_before_any_row_draws(self, top_k):
+        logits = np.random.default_rng(1).standard_normal((4, 16))
+        logits[2, 5] = np.nan
+        rngs = [np.random.default_rng(i) for i in range(4)]
+        before = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match="NaN"):
+            sample_rows(logits, 1.0, top_k, rngs)
+        assert [rng.bit_generator.state for rng in rngs] == before
+        with pytest.raises(ValueError):  # the reference refuses it too
+            _pick(logits[2], 1.0, top_k, np.random.default_rng(2))
+
+    def test_greedy_rows_draw_nothing(self):
+        logits = np.random.default_rng(2).standard_normal((5, 9))
+        rngs = [np.random.default_rng(i) for i in range(5)]
+        before = [rng.bit_generator.state for rng in rngs]
+        np.testing.assert_array_equal(sample_rows(logits, 0.0, 3, rngs),
+                                      logits.argmax(axis=1))
+        assert [rng.bit_generator.state for rng in rngs] == before
 
 
 class TestPerplexity:
