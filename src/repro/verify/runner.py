@@ -23,13 +23,13 @@ are read from it.
 - ``serve-chaos``  the same under injected serving faults
   (:mod:`.serve_chaos_check`).
 
-Six sections own a mutation -- ``reorder``, ``collective-shape``,
-``grad-perturb``, ``frozen-lr``, ``short-hop`` and ``kv-offset``; the
-``*_defect`` functions below say what each plants.  Under ``--inject``
-the owning section runs unchanged with its defect planted; every
-failure then carries the one repro line that reproduces it, and a
-defect the section does not catch fails the run as a verifier that has
-lost its teeth.
+Seven sections own a mutation -- ``reorder``, ``collective-shape``,
+``grad-perturb``, ``frozen-lr``, ``short-hop``, ``kv-offset`` and
+``early-draw``; the ``*_defect`` functions below say what each plants.
+Under ``--inject`` the owning section runs unchanged with its defect
+planted; every failure then carries the one repro line that reproduces
+it, and a defect the section does not catch fails the run as a verifier
+that has lost its teeth.
 """
 
 from __future__ import annotations
@@ -373,6 +373,25 @@ def kv_offset_defect(seed: int):
     return _patched(PagedKVCache, "append", bent)
 
 
+def early_draw_defect(seed: int):
+    """A request hit by a decode crash draws once from its sampler rng
+    before the fault fires, so its retried stream runs one draw ahead of
+    its oracle (every seed plants the same defect)."""
+    from repro.resilience.serve_chaos import ServeChaosInjector
+    from repro.serve.kv_cache import DecodeCrashError
+
+    real = ServeChaosInjector.before_decode
+
+    def bent(self, engine, step, entry):
+        try:
+            real(self, engine, step, entry)
+        except DecodeCrashError:
+            entry.session.rng.random()
+            raise
+
+    return _patched(ServeChaosInjector, "before_decode", bent)
+
+
 # -- the table ---------------------------------------------------------------
 
 
@@ -394,6 +413,7 @@ TABLE = (
     Section("serve", _serve, Mutation("kv-offset", kv_offset_defect),
             note="decode conformance vs the generate oracle: {labels}"),
     Section("serve-chaos", _serve_chaos,
+            Mutation("early-draw", early_draw_defect),
             note="serving under fire: {labels}"),
 )
 SECTIONS = tuple(s.name for s in TABLE)
