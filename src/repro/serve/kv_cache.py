@@ -17,12 +17,16 @@ Two layers:
   ``/dev/shm`` zero-leak check of the mp backend).
 - :class:`PagedKVCache` — the tensors, in a *slot store*
   (vAttention, arXiv 2405.04437, with CPU pages in place of CUDA
-  virtual memory): every handle holding K/V owns one slot, a run of
-  positions laid out position-major as ``(slot, position, 2, layer,
-  head, head_dim)`` in one private anonymous mapping whose pages the
-  OS commits on first write.  Block ``j`` of a handle's table names
-  positions ``[j*block_size, (j+1)*block_size)`` of its slot: one
-  contiguous run, so its CRC is one zero-copy ``crc32``.  ``append``
+  virtual memory): every handle holding K/V owns one slot of positions
+  in one private anonymous mapping whose pages the OS commits on first
+  write.  A slot is laid out head-major, ``(layer, K/V, head, position,
+  head_dim)``, so one request's keys or values for one head are one
+  contiguous run that decode attention streams (the source paper's
+  §4.2 layout argument); ``store`` is a view of it indexed ``(slot,
+  position, 2, layer, head, head_dim)``.  Block ``j`` of a handle's
+  table names positions ``[j*block_size, (j+1)*block_size)`` of its
+  slot, a piece of every (layer, K/V, head) strip, and its CRC is
+  chained over those pieces in store order.  ``append``
   writes the new tokens' keys/values returned by
   :meth:`repro.nn.transformer.GPTModel.forward_step`; ``gather`` hands
   back views of the slots as its ``past_kvs``, and a batched forward
@@ -210,6 +214,7 @@ class PagedKVCache:
         # A slot is (layer, K/V, head) strips of (position, head_dim):
         # one head's keys or values for one request are one run.
         self._item = 8 * head_dim  # one position of one strip
+        self._piece = block_size * self._item  # one block of one strip
         self._strip_bytes = held * self._item
         self._strips = 2 * num_layers * num_heads
         # Slots start on page boundaries, so one can be returned whole.
@@ -255,7 +260,7 @@ class PagedKVCache:
     def _crc(self, slot: int, index: int) -> int:
         """CRC32 of block ``index`` of ``slot``: its piece of every strip,
         chained in store order."""
-        piece = self.block_size * self._item
+        piece = self._piece
         start = slot * self._slot_bytes + index * piece
         crc, data, crc32 = 0, self._bytes, zlib.crc32
         for at in range(start, start + self._strips * self._strip_bytes,

@@ -239,6 +239,38 @@ class TestPagedKVCache:
             cache.free(handle)
         cache.assert_empty()
 
+    def test_trim_returns_each_strips_tail(self):
+        """Past the budget a live slot's pages past its length go back
+        strip by strip: in every (layer, K/V, head) strip the whole
+        pages past the length read zeros again, and every position
+        below it keeps its K/V."""
+        # 16 KB strips: positions 16.. of each strip start a page.
+        page = mmap.PAGESIZE
+        cache = PagedKVCache(2, 2, page // (16 * 8), num_blocks=4,
+                             block_size=16, max_length=64)
+        rng = np.random.default_rng(8)
+
+        def kv(n):
+            shape = (1, 2, n, cache.head_dim)
+            return [(rng.standard_normal(shape), rng.standard_normal(shape))
+                    for _ in range(2)]
+
+        a, b, c = cache.create(), cache.create(), cache.create()
+        cache.append(a, kv(40))
+        cache.free(a)  # slot 0 stays warm for 40 positions
+        kept = kv(10)
+        cache.append(b, kept)  # slot 0 again
+        cache.store[0, 16:] = 7.0  # stale bytes only a released page loses
+        cache.append(c, kv(30))  # 40 + 30 > 64: slot 0's tail goes back
+        assert cache._warm == [10, 30, 0, 0]
+        assert not cache.store[0, 16:].any()
+        for layer, (k, v) in enumerate(cache.gather(b)):
+            np.testing.assert_array_equal(k, kept[layer][0])
+            np.testing.assert_array_equal(v, kept[layer][1])
+        cache.free(b)
+        cache.free(c)
+        cache.assert_empty()
+
     def test_blocks_for(self):
         cache = PagedKVCache.for_model(model(), num_blocks=4, block_size=3)
         assert cache.blocks_for(0) == 0
