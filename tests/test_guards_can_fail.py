@@ -49,22 +49,42 @@ def _slow_traffic_writes(monkeypatch):
     monkeypatch.setattr(primitives, "log_collective", slow_log_collective)
 
 
-#: (guard file, its test function, the defect to plant)
+def _copying_gather(monkeypatch):
+    """A batched ``PagedKVCache.gather`` copies the whole store each time
+    it hands out a layer's views: at the guard's 128-position window a
+    cached decode of 112 tokens costs 3-4x (two layers, a ~0.9 MB store),
+    and the guard reads under its 1.5x floor."""
+    from repro.serve import PagedKVCache
+
+    views = PagedKVCache._views
+
+    def copying_views(self, runs, layer):
+        self.store.copy()
+        return views(self, runs, layer)
+
+    monkeypatch.setattr(PagedKVCache, "_views", copying_views)
+
+
+#: (guard file, its test function, the defect to plant, the test's
+#: parameters)
 CASES = [
     pytest.param("bench_trace_overhead.py",
-                 "test_tracing_overhead_under_5_percent", _slow_spans,
+                 "test_tracing_overhead_under_5_percent", _slow_spans, {},
                  id="trace"),
     pytest.param("bench_kernels.py",
                  "test_all_reduce_costs_a_bounded_multiple_of_its_ring",
-                 _slow_traffic_writes, id="all-reduce"),
+                 _slow_traffic_writes, {}, id="all-reduce"),
+    # The wider of the guard's two windows, where it reads ~3x.
+    pytest.param("bench_serve.py", "test_cached_decode_at_least_1_5x_faster",
+                 _copying_gather, {"window": 128}, id="cached-decode"),
 ]
 
 
-@pytest.mark.parametrize("guard_file,test_name,plant", CASES)
+@pytest.mark.parametrize("guard_file,test_name,plant,params", CASES)
 def test_a_planted_defect_turns_the_guard_red(guard_file, test_name, plant,
-                                              monkeypatch):
+                                              params, monkeypatch):
     guard = _load(BENCHMARKS / guard_file)
     paired_ratio = _load(BENCHMARKS / "conftest.py")._paired_ratio
     plant(monkeypatch)
     with pytest.raises(AssertionError):
-        getattr(guard, test_name)(paired_ratio)
+        getattr(guard, test_name)(paired_ratio, **params)
