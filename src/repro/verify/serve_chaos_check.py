@@ -7,7 +7,8 @@ Five checks, one guarantee each:
   (:class:`~repro.resilience.serve_chaos.DecodeCrash`) across a grid of
   plans: every request still completes, every completed stream equals
   its per-request oracle (faults fire before the sampling rng is
-  consumed, so recompute-restart replays the exact stream), the cache
+  consumed, so recompute-restart replays the exact stream; ``verify
+  --inject early-draw`` proves this check can fail), the cache
   ends with zero live blocks, and per-tick token counts equal the sum
   over terminal requests (token conservation).
 - **corruption-checksum** — KV-block corruption against a checksummed
