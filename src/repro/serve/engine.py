@@ -344,9 +344,9 @@ class ServeEngine:
     def _flush(self, batch: list[_Entry], step: int) -> int:
         """Run and empty the open batch -- one forward, one sampling pass
         per (temperature, top-k) among its requests, then book each
-        request in order; returns the tokens generated.  A
-        request whose cache fails its checksum retries alone, between
-        the requests before and after it."""
+        request in order; returns the tokens generated.  A request whose
+        cache fails its checksum retries alone, between the requests
+        before and after it."""
         todo = batch[:]
         batch.clear()
         if not todo:
