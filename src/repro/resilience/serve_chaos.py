@@ -10,16 +10,17 @@ cares about:
   (the serving analogue of a rank failure).  Raised as
   :class:`DecodeCrashError` *before* the sampling rng is consumed, so
   the engine's recompute-restart retry replays the exact oracle stream.
-- :class:`KVCorruption` — one live cache block is perturbed in place
+- :class:`KVCorruption` — the first block of a running request's slot
+  is perturbed in place
   (silent memory bit-rot).  Requires a checksummed
   :class:`~repro.serve.kv_cache.PagedKVCache`: the next ``gather``
   touching the block raises
   :class:`~repro.serve.kv_cache.KVCorruptionError` instead of feeding
   garbage into a forward pass.
-- :class:`AllocExhaustion` — a storm seizes free cache blocks for a
-  span of steps (a co-tenant burst / memory-pressure event), starving
-  admission and forcing preemptions; the blocks are returned when the
-  storm ends, so the zero-leak invariant must still hold afterwards.
+- :class:`AllocExhaustion` — a storm holds a count of free cache
+  blocks for a span of steps (a co-tenant burst / memory-pressure
+  event), starving admission and forcing preemptions; it returns them
+  when it ends, so the zero-leak invariant must still hold afterwards.
 
 All faults are injected on the engine's deterministic virtual clock, so
 a faulted run replays bit-exactly.  Plans round-trip through JSON
@@ -80,7 +81,7 @@ class KVCorruption:
 
 @dataclass(frozen=True)
 class AllocExhaustion:
-    """Seize up to ``blocks`` free cache blocks (``None`` = every free
+    """Hold up to ``blocks`` free cache blocks (``None`` = every free
     block) for ``steps`` engine steps starting at ``at_step``."""
 
     at_step: int
@@ -168,8 +169,8 @@ class ServeChaosInjector:
         }
         self._announced: set[tuple[str, int]] = set()
         self._storms_started: set[int] = set()
-        # storm index -> (release_step, seized block ids)
-        self._held: dict[int, tuple[int, list[int]]] = {}
+        # storm index -> (release_step, blocks it holds)
+        self._held: dict[int, tuple[int, int]] = {}
 
     # -- ground truth --------------------------------------------------------
     def _announce(self, kind: str, index: int, step: int, expect: str,
@@ -185,8 +186,7 @@ class ServeChaosInjector:
         """Start/stop storms and land armed corruptions for ``step``."""
         for index, (release_step, blocks) in list(self._held.items()):
             if step >= release_step:
-                for block in blocks:
-                    self.cache.allocator.free(block)
+                self.cache.unhold(blocks)
                 del self._held[index]
         for index, storm in enumerate(self.plan.exhaustions):
             if step < storm.at_step or index in self._storms_started:
@@ -196,8 +196,8 @@ class ServeChaosInjector:
             n = self.cache.free_blocks if want is None else min(
                 want, self.cache.free_blocks
             )
-            seized = self.cache.allocator.alloc_many(n)
-            self._held[index] = (step + storm.steps, seized)
+            self.cache.hold(n)
+            self._held[index] = (step + storm.steps, n)
             self._announce(
                 "alloc-exhaustion", index, step, "queue-growth",
                 blocks=n, steps=storm.steps,
@@ -208,7 +208,7 @@ class ServeChaosInjector:
             victim = self._corruption_victim(engine, corruption)
             if victim is None:
                 continue  # stays armed until a victim holds blocks
-            self.cache.corrupt_block(victim.session.handle.block_table[0])
+            self.cache.corrupt_block(victim.session.handle.slot, 0)
             self._corrupt_left[index] -= 1
             self._announce(
                 "kv-corruption", index, step, "preemption-storm",
@@ -242,6 +242,5 @@ class ServeChaosInjector:
     def finish(self) -> None:
         """Release every storm-held block (idempotent)."""
         for _, blocks in self._held.values():
-            for block in blocks:
-                self.cache.allocator.free(block)
+            self.cache.unhold(blocks)
         self._held.clear()

@@ -6,7 +6,7 @@ engine, and every fast path is pinned to the slow-but-trusted
 ``repro.nn.generate`` oracle by differential tests (``repro verify
 --only serve``).
 
-- :mod:`repro.serve.kv_cache` -- block allocator + paged K/V pools
+- :mod:`repro.serve.kv_cache` -- the paged K/V pool and its block count
 - :mod:`repro.serve.decode`   -- per-request decode sessions, one batched step
 - :mod:`repro.serve.engine`   -- FIFO continuous batching + preemption
 - :mod:`repro.serve.traffic`  -- seeded Poisson traces, JSON replay
@@ -29,8 +29,7 @@ and the engine imports the fault injector only when it is given a
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "kv_cache": "BlockAllocator CacheFull KVCorruptionError KVHandle "
-                "PagedKVCache",
+    "kv_cache": "CacheFull KVCorruptionError KVHandle PagedKVCache",
     "decode": "DecodeSession cached_generate",
     "engine": "SHED_POLICIES ServeEngine",
     "metrics": "FINISH_REASONS OUTCOMES SERVE_METRICS_SCHEMA_VERSION "

@@ -119,18 +119,17 @@ class DecodeSession:
             raise RuntimeError("session already finished")
         if self.batchable:
             return self.sample(decode_batch([self])[0])
-        n = len(self.tokens)
-        if n > self.window:
-            # Sliding window: absolute positions shift every step, so
-            # cached K/V can never be reused -- release and recompute
-            # the shifted window (the oracle's exact computation).
+        # The context: a prompt, everything so far after a preemption
+        # or retry, or the sliding window.  Past the window absolute
+        # positions shift every step, so nothing cached can be reused.
+        fits = len(self.tokens) <= self.window
+        if not fits:
             self._drop_cache()
-            context = np.array(self.tokens[-self.window:])[None, :]
-            x, _ = self.model.hidden_step(context)
-        else:  # prefill: prompt, or everything so far after a preemption
-            if self.handle is None:
-                self.handle = self.cache.create()
-            x, new_kvs = self.model.hidden_step(np.array(self.tokens)[None, :])
+        elif self.handle is None:
+            self.handle = self.cache.create()
+        x, new_kvs = self.model.hidden_step(
+            np.array(self.tokens[-self.window:])[None, :])
+        if fits:
             self.cache.append(self.handle, new_kvs)
         logits, _ = self.model.head.forward(x[:, -1:])  # the sampled row only
         return self.sample(logits[0, -1])

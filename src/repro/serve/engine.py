@@ -7,12 +7,13 @@ engine advances on a deterministic virtual clock (one unit per
 
 1. **expires** requests past their deadline (total sojourn bound) or
    queue TTL (time-to-first-admission bound) with a typed ``timeout``
-   outcome;
-2. **admits** from the strict FIFO head of the waiting queue -- a
-   request behind a head that does not fit never jumps it (no
-   starvation by overtaking).  The one documented exception: a request
-   serving a chaos-retry backoff steps aside until its ``not_before``
-   step, so a crashed request cannot head-block healthy traffic;
+   outcome, scanning every live request;
+2. **admits** from the strict FIFO head of the waiting queue, in one
+   walk that stops at the first request that does not fit -- a request
+   behind it never jumps it (no starvation by overtaking).  The one
+   documented exception: a request serving a chaos-retry backoff steps
+   aside until its ``not_before`` step, so a crashed request cannot
+   head-block healthy traffic;
 3. **decodes** one token for every running request, oldest first:
    *plan → one batched forward → sample*.  The walk makes a sequential
    loop's decisions but only collects requests in the cached
@@ -55,6 +56,9 @@ rather than checkpoints, faults fire on the virtual clock, and
 admission order is a pure function of the trace -- so replaying a trace
 (chaos included) reproduces token streams, preemption pattern and
 virtual-clock metrics bit-exactly.
+
+A live request is in ``waiting`` or in ``running``, and its entry's
+one ``running`` field says which; nothing else shadows the queues.
 
 Every lifecycle transition is emitted as a ``request`` run-log event and
 each tick as an ``iteration`` event (token counts included), which is
@@ -109,7 +113,7 @@ class _Entry:
     admissions: int = 0
     retries: int = 0
     not_before: int = 0  # chaos-retry backoff gate
-    in_backoff: bool = False
+    running: bool = False  # in ``ServeEngine.running``, else waiting
 
 
 class ServeEngine:
@@ -149,10 +153,7 @@ class ServeEngine:
         self.outputs: dict[str, np.ndarray] = {}  # completed request streams
         self._next_seq = 0
         self._submitted: set[str] = set()  # every id ever queued or shed
-        self._running_seqs: set[int] = set()  # O(1) membership for the loop
         self._queued_new = 0  # waiting entries never admitted (the "queue")
-        self._backing_off = 0  # waiting entries re-queued by a chaos retry
-        self._slo_count = 0  # live entries carrying a deadline or TTL
         self._injector = None
         if chaos is not None:
             from repro.resilience.serve_chaos import ServeChaosInjector
@@ -202,8 +203,6 @@ class ServeEngine:
         )
         self._next_seq += 1
         self._submitted.add(req.request_id)
-        if entry.deadline_step is not None or entry.ttl_step is not None:
-            self._slo_count += 1
         self._emit(
             "arrive", entry,
             prompt_tokens=len(req.prompt),
@@ -287,7 +286,7 @@ class ServeEngine:
             self._expire(step)
             self._admit_waiting(step)
             for entry in list(self.running):  # oldest-admitted first
-                if entry.arrival_seq not in self._running_seqs:
+                if not entry.running:
                     continue  # preempted by an earlier request this tick
                 session = entry.session
                 if not (session.batchable and session.blocks_for_next_step()
@@ -355,7 +354,7 @@ class ServeEngine:
             logits = decode_batch([e.session for e in todo])
         except KVCorruptionError as fault:
             bad = next(i for i, e in enumerate(todo)
-                       if fault.block in e.session.handle.block_table)
+                       if e.session.handle.slot == fault.slot)
             done = self._flush(todo[:bad], step)
             self._retry(todo[bad], step, fault)
             return done + self._flush(todo[bad + 1:], step)
@@ -386,8 +385,6 @@ class ServeEngine:
 
     def _expire(self, step: int) -> None:
         """Time out requests past their deadline or queue TTL."""
-        if self._slo_count == 0:
-            return
         expired = [
             (e, "deadline") if (e.deadline_step is not None
                                 and step > e.deadline_step)
@@ -405,39 +402,24 @@ class ServeEngine:
                        generated=entry.session.generated)
 
     def _admit_waiting(self, step: int) -> None:
-        """Strict head-of-line FIFO admission (fast path); with chaos
-        retries in flight, entries inside their backoff window step
-        aside without unblocking anyone behind a head that does not
-        fit."""
-        if not self._backing_off:
-            while self.waiting:
-                head = self.waiting[0]
-                if (head.session.blocks_for_next_step()
-                        > self.cache.free_blocks):
-                    break
-                self.waiting.popleft()
-                self._admit(head, step)
-            return
-        kept: deque[_Entry] = deque()
-        blocked = False
+        """Strict head-of-line FIFO admission, up to the first entry
+        that does not fit; an entry inside its chaos-retry backoff
+        window steps aside without unblocking anyone behind it."""
+        aside: list[_Entry] = []
         while self.waiting:
-            entry = self.waiting.popleft()
-            if blocked or entry.not_before > step:
-                kept.append(entry)
-                continue
-            if entry.session.blocks_for_next_step() > self.cache.free_blocks:
-                blocked = True
-                kept.append(entry)
-                continue
-            self._admit(entry, step)
-        self.waiting = kept
+            entry = self.waiting[0]
+            if entry.not_before > step:
+                aside.append(self.waiting.popleft())
+            elif (entry.session.blocks_for_next_step()
+                    > self.cache.free_blocks):
+                break
+            else:
+                self._admit(self.waiting.popleft(), step)
+        self.waiting.extendleft(reversed(aside))
 
     def _admit(self, entry: _Entry, step: int) -> None:
-        if entry.in_backoff:
-            entry.in_backoff = False
-            self._backing_off -= 1
+        entry.running = True
         self.running.append(entry)
-        self._running_seqs.add(entry.arrival_seq)
         entry.admissions += 1
         if entry.admit_step is None:
             entry.admit_step = step
@@ -462,8 +444,7 @@ class ServeEngine:
     def _preempt(self, entry: _Entry, step: int) -> None:
         released = entry.session.live_blocks
         entry.session.preempt()
-        self._running_seqs.discard(entry.arrival_seq)
-        self.running.remove(entry)
+        self._remove(entry)
         self._requeue(entry)
         self._emit(
             "preempt", entry,
@@ -491,8 +472,7 @@ class ServeEngine:
         kind = ("decode-crash" if isinstance(fault, DecodeCrashError)
                 else "kv-corruption")
         entry.session.recover()
-        self._running_seqs.discard(entry.arrival_seq)
-        self.running.remove(entry)
+        self._remove(entry)
         entry.retries += 1
         if entry.retries > MAX_RETRIES:
             self._emit("fault", entry, kind=kind, error=str(fault),
@@ -502,31 +482,23 @@ class ServeEngine:
         self._emit("fault", entry, kind=kind, error=str(fault))
         delay = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (entry.retries - 1))
         entry.not_before = step + delay
-        if not entry.in_backoff:
-            entry.in_backoff = True
-            self._backing_off += 1
         self._requeue(entry)
         self._emit("retry", entry, attempt=entry.retries,
                    not_before=entry.not_before, backoff=delay)
 
     def _remove(self, entry: _Entry) -> None:
         """Detach a live entry from whichever queue holds it."""
-        if entry.arrival_seq in self._running_seqs:
-            self._running_seqs.discard(entry.arrival_seq)
+        if entry.running:
+            entry.running = False
             self.running.remove(entry)
             return
         self.waiting.remove(entry)
         if entry.admit_step is None:
             self._queued_new -= 1
-        if entry.in_backoff:
-            entry.in_backoff = False
-            self._backing_off -= 1
 
     def _record(self, entry: _Entry, step: int, outcome: str,
                 finish_reason: str | None = None) -> RequestMetrics:
         session = entry.session
-        if entry.deadline_step is not None or entry.ttl_step is not None:
-            self._slo_count -= 1
         metrics = RequestMetrics(
             request_id=entry.trace.request_id,
             prompt_tokens=session.prompt_len,
@@ -546,8 +518,7 @@ class ServeEngine:
     def _finish(self, entry: _Entry, step: int) -> None:
         session = entry.session
         session.release()
-        self._running_seqs.discard(entry.arrival_seq)
-        self.running.remove(entry)
+        self._remove(entry)
         if entry.admit_step is None:  # max_new=0 finishing at admission
             entry.admit_step = step
         metrics = self._record(

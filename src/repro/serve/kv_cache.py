@@ -1,38 +1,42 @@
 """Paged key/value cache for incremental GPT decode.
 
-vLLM-style block allocation (arXiv 2309.06180, the natural serving
+vLLM-style block accounting (arXiv 2309.06180, the natural serving
 counterpart of the source paper's training stack): the continuous-
 batching engine (:mod:`repro.serve.engine`) admits, preempts and
-finishes requests by allocating and releasing fixed-size *blocks* of
+finishes requests by taking and returning fixed-size *blocks* of
 positions from a shared pool, in O(block_size) granules.
 
-Two layers:
+:class:`PagedKVCache` keeps the tensors in a *slot store* (vAttention,
+arXiv 2405.04437, with CPU pages in place of CUDA virtual memory):
+every handle holding K/V owns one slot of positions in one private
+anonymous mapping whose pages the OS commits on first write.  A slot
+is laid out head-major, ``(layer, K/V, head, position, head_dim)``, so
+one request's keys or values for one head are one contiguous run that
+decode attention streams (the source paper's §4.2 layout argument);
+``store`` is a view of it indexed ``(slot, position, 2, layer, head,
+head_dim)``.
 
-- :class:`BlockAllocator` — bookkeeping only: a free list plus a live
-  set, with double-free detection and an all-or-nothing ``alloc_many``
-  so a failed extension never leaks partial allocations.  Property
-  tests (``tests/test_serve.py``) drive random alloc/free sequences
-  against its invariants: no double-assignment, never above capacity,
-  zero live blocks once every request finished (mirroring the
-  ``/dev/shm`` zero-leak check of the mp backend).
-- :class:`PagedKVCache` — the tensors, in a *slot store*
-  (vAttention, arXiv 2405.04437, with CPU pages in place of CUDA
-  virtual memory): every handle holding K/V owns one slot of positions
-  in one private anonymous mapping whose pages the OS commits on first
-  write.  A slot is laid out head-major, ``(layer, K/V, head, position,
-  head_dim)``, so one request's keys or values for one head are one
-  contiguous run that decode attention streams (the source paper's
-  §4.2 layout argument); ``store`` is a view of it indexed ``(slot,
-  position, 2, layer, head, head_dim)``.  Block ``j`` of a handle's
-  table names positions ``[j*block_size, (j+1)*block_size)`` of its
-  slot, a piece of every (layer, K/V, head) strip, and its CRC is
-  chained over those pieces in store order.  ``append``
-  writes the new tokens' keys/values returned by
-  :meth:`repro.nn.transformer.GPTModel.forward_step`; ``gather`` hands
-  back views of the slots as its ``past_kvs``, and a batched forward
-  writes its new token into them in place, leaving ``append`` only the
-  bookkeeping.  Nothing is copied to be read.  Positions past a
-  handle's length read zeros.
+A block is an accounting unit, not a place: block ``j`` of a handle is
+positions ``[j*block_size, (j+1)*block_size)`` of its slot, and a
+handle holds as many blocks as its length fills
+(:attr:`KVHandle.live_blocks`).  The pool keeps one count of the
+blocks in use -- the handles' plus any a storm :meth:`~PagedKVCache.hold`s
+-- and an ``append`` checks its whole grant against the free count
+before it changes anything, so a failed extension leaves every handle
+as it was.  The slot owner map and that count are all
+:meth:`~PagedKVCache.assert_empty` checks once every request finished
+(mirroring the ``/dev/shm`` zero-leak check of the mp backend);
+property tests (``tests/test_serve.py``) drive random sequences of
+every operation against the count's invariants.  A checksummed pool
+keeps one CRC per block of each slot, chained over the block's piece
+of every (layer, K/V, head) strip in store order.
+
+``append`` writes the new tokens' keys/values returned by
+:meth:`repro.nn.transformer.GPTModel.forward_step`; ``gather`` hands
+back views of the slots as its ``past_kvs``, and a batched forward
+writes its new token into them in place, leaving ``append`` only the
+bookkeeping.  Nothing is copied to be read.  Positions past a handle's
+length read zeros.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import mmap
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +81,7 @@ class DecodeCrashError(RuntimeError):
 
 
 class KVCorruptionError(RuntimeError):
-    """A block's stored K/V no longer matches its recorded checksum.
+    """A block of a slot no longer matches its recorded checksum.
 
     Raised by :meth:`PagedKVCache.gather` (checksummed caches only)
     before the corrupted values can feed a forward pass -- the engine
@@ -85,91 +89,29 @@ class KVCorruptionError(RuntimeError):
     request.
     """
 
-    def __init__(self, block: int):
+    def __init__(self, slot: int, index: int):
         super().__init__(
-            f"KV cache block {block} failed its checksum "
+            f"KV cache slot {slot} block {index} failed its checksum "
             f"(stored data was corrupted in place)"
         )
-        self.block = block
-
-
-class BlockAllocator:
-    """Free-list allocator over ``num_blocks`` equally-sized blocks."""
-
-    def __init__(self, num_blocks: int):
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-        self.num_blocks = num_blocks
-        # LIFO free list: block 0 is handed out first (stable, testable).
-        self._free = list(range(num_blocks - 1, -1, -1))
-        self._live: set[int] = set()
-
-    @property
-    def capacity(self) -> int:
-        return self.num_blocks
-
-    @property
-    def live(self) -> int:
-        return len(self._live)
-
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    def alloc(self) -> int:
-        if not self._free:
-            raise CacheFull(
-                f"all {self.num_blocks} cache blocks are live"
-            )
-        block = self._free.pop()
-        self._live.add(block)
-        return block
-
-    def alloc_many(self, n: int) -> list[int]:
-        """Allocate ``n`` blocks atomically: all of them or none.
-
-        A failed extension must leave the caller's block table unchanged
-        so a preempted-and-retried request sees consistent state.
-        """
-        if n < 0:
-            raise ValueError(f"cannot allocate {n} blocks")
-        if n > len(self._free):
-            raise CacheFull(
-                f"need {n} blocks, only {len(self._free)} of "
-                f"{self.num_blocks} free"
-            )
-        return [self.alloc() for _ in range(n)]
-
-    def free(self, block: int) -> None:
-        if block not in self._live:
-            raise ValueError(
-                f"double free (or foreign block): {block} is not live"
-            )
-        self._live.remove(block)
-        self._free.append(block)
-
-    def assert_empty(self) -> None:
-        """Zero live blocks -- the serving analogue of 'no leaked
-        /dev/shm segments'."""
-        if self._live:
-            raise AssertionError(
-                f"leaked cache blocks: {sorted(self._live)}"
-            )
+        self.slot = slot
+        self.index = index
 
 
 @dataclass
 class KVHandle:
-    """One request's share of the pool: its block table, its length and
-    the slot its positions live in (``None`` until it holds any)."""
+    """One request's share of the pool: the slot its positions live in
+    (``None`` until it holds any) and how many it holds.  Its blocks
+    are those positions counted in ``block_size`` granules."""
 
-    block_table: list[int] = field(default_factory=list)
+    block_size: int
     length: int = 0  # cached token positions
     freed: bool = False
     slot: int | None = None
 
     @property
     def live_blocks(self) -> int:
-        return len(self.block_table)
+        return -(-self.length // self.block_size)
 
 
 class PagedKVCache:
@@ -200,6 +142,8 @@ class PagedKVCache:
     ):
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
+        if num_blocks < 1:
+            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         # The store is mapped outside malloc; without the policy glibc
         # hands a tick's freed temporaries back and faults them in again.
         keep_heap_resident()
@@ -208,9 +152,11 @@ class PagedKVCache:
         self.head_dim = head_dim
         self.block_size = block_size
         self.checksums = checksums
-        self.allocator = BlockAllocator(num_blocks)
+        self.num_blocks = num_blocks
+        self._used = 0  # blocks the handles fill plus blocks held
         positions = num_blocks * block_size
-        held = min(num_blocks, self.blocks_for(max_length)) * block_size
+        per_slot = min(num_blocks, self.blocks_for(max_length))
+        held = per_slot * block_size
         # A slot is (layer, K/V, head) strips of (position, head_dim):
         # one head's keys or values for one request are one run.
         self._item = 8 * head_dim  # one position of one strip
@@ -237,10 +183,10 @@ class PagedKVCache:
         self._warm = [0] * num_blocks
         self._warm_total = 0
         self._budget = positions
-        # block -> CRC32 of the block's positions, chained over its
-        # strips in store order; entries exist only for live blocks of
-        # checksummed caches.
-        self._crcs: dict[int, int] = {}
+        # slot -> CRC32 of each of its blocks (checksummed caches only);
+        # entries past a handle's blocks are stale and never read.
+        self._crcs = [[0] * per_slot for _ in range(num_blocks)
+                      if checksums]
 
     @classmethod
     def for_model(cls, model, *, num_blocks: int, block_size: int,
@@ -271,15 +217,15 @@ class PagedKVCache:
     # -- capacity -----------------------------------------------------------
     @property
     def capacity(self) -> int:
-        return self.allocator.capacity
+        return self.num_blocks
 
     @property
     def free_blocks(self) -> int:
-        return self.allocator.free_blocks
+        return self.num_blocks - self._used
 
     @property
     def live_blocks(self) -> int:
-        return self.allocator.live
+        return self._used
 
     def blocks_for(self, num_positions: int) -> int:
         """Blocks a sequence of ``num_positions`` cached tokens occupies."""
@@ -287,7 +233,7 @@ class PagedKVCache:
 
     # -- per-request handles ------------------------------------------------
     def create(self) -> KVHandle:
-        return KVHandle()
+        return KVHandle(self.block_size)
 
     def _check(self, handles) -> list[KVHandle]:
         """``handles`` as a list (one handle is a batch of one)."""
@@ -304,12 +250,12 @@ class PagedKVCache:
         position per row in place, through the views :meth:`gather`
         handed out, and only the bookkeeping is left.
 
-        Needed blocks are allocated atomically *before* anything is
-        recorded, so an append past the pool's free blocks, or past the
-        positions a slot holds, raises :class:`CacheFull` and leaves
-        every handle unchanged (a position written in place reads zero
-        again).  Checksummed caches refresh the CRC of every block
-        written.
+        The whole grant of new blocks is checked against the free count
+        *before* anything is recorded, so an append past the pool's free
+        blocks, or past the positions a slot holds, raises
+        :class:`CacheFull` and leaves every handle unchanged (a position
+        written in place reads zero again).  Checksummed caches refresh
+        the CRC of every block written.
         """
         handles = self._check(handles)
         s_new = 1
@@ -325,25 +271,26 @@ class PagedKVCache:
                         f"K/V shape {k.shape} != expected {want}")
         if not s_new:
             return
-        extra = [self.blocks_for(h.length + s_new) - len(h.block_table)
-                 for h in handles]
-        try:
-            held = self.store.shape[1]
-            if max(h.length for h in handles) + s_new > held:
-                raise CacheFull(f"a handle holds at most {held} positions")
-            fresh = iter(self.allocator.alloc_many(sum(extra)))
-        except CacheFull:
+        grant = sum(self.blocks_for(h.length + s_new) - h.live_blocks
+                    for h in handles)
+        held, full = self.store.shape[1], None
+        if max(h.length for h in handles) + s_new > held:
+            full = f"a handle holds at most {held} positions"
+        elif grant > self.free_blocks:
+            full = (f"need {grant} blocks, only {self.free_blocks} of "
+                    f"{self.num_blocks} free")
+        if full:
             if new_kvs is None:  # undo the forward's writes
                 for h in handles:
                     if h.slot is not None:
                         self.store[h.slot, h.length:h.length + 1] = 0.0
-            raise
-        for row, (handle, n) in enumerate(zip(handles, extra)):
+            raise CacheFull(full)
+        self._used += grant
+        for row, handle in enumerate(handles):
             if handle.slot is None:
                 # Free slots cannot run out: each live one holds a block.
                 handle.slot = heapq.heappop(self._free_slots)
                 self._owner[handle.slot] = handle
-            handle.block_table.extend(next(fresh) for _ in range(n))
             first, slot = handle.length, handle.slot
             if new_kvs is not None:
                 # (a, s_new, dk) -> the slot's (s_new, a, dk) positions.
@@ -356,10 +303,10 @@ class PagedKVCache:
                 self._warm_total += handle.length - self._warm[slot]
                 self._warm[slot] = handle.length
             if self.checksums:
+                crcs = self._crcs[slot]
                 for index in range(first // self.block_size,
-                                   len(handle.block_table)):
-                    self._crcs[handle.block_table[index]] = self._crc(
-                        slot, index)
+                                   handle.live_blocks):
+                    crcs[index] = self._crc(slot, index)
         if self._warm_total > self._budget:
             self._trim()
 
@@ -383,11 +330,12 @@ class PagedKVCache:
         handles = self._check(handles)
         if self.checksums:
             # Hot path (every block, every decode step), in batch order.
-            crcs, crc = self._crcs, self._crc
+            crc = self._crc
             for handle in handles:
-                for index, block in enumerate(handle.block_table):
-                    if crcs.get(block) != crc(handle.slot, index):
-                        raise KVCorruptionError(block)
+                slot = handle.slot
+                for index in range(handle.live_blocks):
+                    if self._crcs[slot][index] != crc(slot, index):
+                        raise KVCorruptionError(slot, index)
         if not batch:
             (handle,) = handles
             slot = handle.slot or 0  # nothing cached: an empty view
@@ -419,33 +367,45 @@ class PagedKVCache:
                      kv[:, :, 1, layer].transpose(0, 2, 1, 3))
                     for rows, kv in runs]
 
-    def corrupt_block(self, block: int) -> None:
-        """Flip one bit of a stored value *without* refreshing its
-        checksum.
+    def corrupt_block(self, slot: int, index: int) -> None:
+        """Flip one bit of block ``index`` of ``slot`` *without*
+        refreshing its checksum.
 
         Chaos/test hook modelling in-place memory corruption: the next
-        checksummed :meth:`gather` touching ``block`` raises
+        checksummed :meth:`gather` touching the block raises
         :class:`KVCorruptionError`.  A flipped bit changes any value,
         inf and NaN included, so the flip never no-ops.
         """
-        for slot, handle in self._owner.items():
-            if block in handle.block_table:
-                first = handle.block_table.index(block) * self.block_size
-                self.store[slot, first].view(np.uint64).flat[0] ^= 1
-                return
-        raise ValueError(f"block {block} is in no handle's table")
+        handle = self._owner.get(slot)
+        if handle is None or not 0 <= index < handle.live_blocks:
+            raise ValueError(f"slot {slot} holds no block {index}")
+        self.store[slot, index * self.block_size].view(np.uint64).flat[0] ^= 1
+
+    def hold(self, blocks: int) -> None:
+        """Take ``blocks`` free blocks out of service until
+        :meth:`unhold` returns them (an allocator-exhaustion storm)."""
+        if blocks < 0:
+            raise ValueError(f"cannot hold {blocks} blocks")
+        if blocks > self.free_blocks:
+            raise CacheFull(f"need {blocks} blocks, only "
+                            f"{self.free_blocks} of {self.num_blocks} free")
+        self._used += blocks
+
+    def unhold(self, blocks: int) -> None:
+        """Return ``blocks`` that :meth:`hold` took."""
+        held = self._used - sum(h.live_blocks for h in self._owner.values())
+        if not 0 <= blocks <= held:
+            raise ValueError(f"cannot return {blocks} blocks: {held} held")
+        self._used -= blocks
 
     def free(self, handle: KVHandle) -> None:
         self._check(handle)
-        for block in handle.block_table:
-            self.allocator.free(block)
-            self._crcs.pop(block, None)
+        self._used -= handle.live_blocks
         if handle.slot is not None:  # zero what it wrote; the slot stays warm
             self.store[handle.slot, :handle.length] = 0.0
             del self._owner[handle.slot]
             heapq.heappush(self._free_slots, handle.slot)
             handle.slot = None
-        handle.block_table = []
         handle.length = 0
         handle.freed = True
 
@@ -481,7 +441,9 @@ class PagedKVCache:
         self._warm[slot] = keep
 
     def assert_empty(self) -> None:
-        self.allocator.assert_empty()
-        if self._owner:
+        """Zero blocks in use and no slot owned -- the serving analogue
+        of 'no leaked /dev/shm segments'."""
+        if self._used or self._owner:
             raise AssertionError(
-                f"leaked cache slots: {sorted(self._owner)}")
+                f"leaked cache blocks: {self._used} in use, slots "
+                f"{sorted(self._owner)} owned")

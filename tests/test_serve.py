@@ -23,7 +23,6 @@ from repro.config import tiny_test_model
 from repro.nn import GPTModel, generate
 from repro.obs.runlog import RunLogger
 from repro.serve import (
-    BlockAllocator,
     CacheFull,
     DecodeSession,
     KVCorruptionError,
@@ -50,73 +49,113 @@ def model():
 
 
 # ---------------------------------------------------------------------------
-# block allocator: hypothesis property tests
+# block accounting: hypothesis property tests at the pool level
 # ---------------------------------------------------------------------------
 
-class TestBlockAllocator:
-    @given(
-        capacity=st.integers(1, 16),
-        ops=st.lists(st.integers(0, 3), max_size=60),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_alloc_free_invariants(self, capacity, ops):
-        """Across any alloc/free interleaving: a block is never handed
-        out twice while live, live count never exceeds capacity, and
-        freeing everything leaves the pool empty."""
-        alloc = BlockAllocator(capacity)
-        held = []
-        for op in ops:
-            if op in (0, 1):  # alloc one
-                try:
-                    b = alloc.alloc()
-                except CacheFull:
-                    assert alloc.free_blocks == 0
-                    continue
-                assert b not in held, "block double-assigned"
-                assert 0 <= b < capacity
-                held.append(b)
-            elif op == 2 and held:  # free one
-                alloc.free(held.pop())
-            elif op == 3:  # alloc a batch
-                n = 2
-                try:
-                    batch = alloc.alloc_many(n)
-                except CacheFull:
-                    assert alloc.free_blocks < n
-                    continue
-                assert len(batch) == n
-                assert not set(batch) & set(held)
-                held.extend(batch)
-            assert alloc.live == len(held)
-            assert alloc.live <= capacity
-            assert alloc.live + alloc.free_blocks == capacity
-        for b in held:
-            alloc.free(b)
-        assert alloc.live == 0
-        alloc.assert_empty()
+_BATCH = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True)
+_POOL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("create")),
+    st.tuples(st.just("append"), _BATCH, st.integers(1, 5)),
+    st.tuples(st.just("free"), st.integers(0, 7)),
+    st.tuples(st.just("hold"), st.integers(0, 4)),
+    st.tuples(st.just("unhold"), st.integers(0, 4)),
+), max_size=50)
 
-    def test_alloc_many_is_atomic(self):
-        """A failed batch allocation must not leak partial blocks."""
-        alloc = BlockAllocator(3)
-        kept = alloc.alloc()
-        with pytest.raises(CacheFull):
-            alloc.alloc_many(3)
-        assert alloc.free_blocks == 2  # nothing consumed by the failure
-        alloc.free(kept)
-        alloc.assert_empty()
 
-    def test_double_free_rejected(self):
-        alloc = BlockAllocator(2)
-        b = alloc.alloc()
-        alloc.free(b)
+class TestBlockAccounting:
+    """The pool's one used-block count against the handles and the holds
+    it stands for, over any create/append/free/hold/unhold sequence."""
+
+    def state(self, cache, handles):
+        return (cache.live_blocks, cache.free_blocks, cache.store.tobytes(),
+                [(h.length, h.slot, h.live_blocks) for h in handles])
+
+    @given(num_blocks=st.integers(1, 8), block_size=st.integers(1, 3),
+           checksums=st.booleans(), ops=_POOL_OPS, seed=st.integers(0, 99))
+    @settings(max_examples=200, deadline=None)
+    def test_the_count_is_the_handles_and_the_holds(
+            self, num_blocks, block_size, checksums, ops, seed):
+        cache = PagedKVCache(1, 1, 2, num_blocks=num_blocks,
+                             block_size=block_size, max_length=9,
+                             checksums=checksums)
+        rng = np.random.default_rng(seed)
+        handles, held = [], 0
+        for op, *args in ops:
+            if op == "create":
+                handles.append(cache.create())
+            elif op == "append" and handles:
+                batch = [handles[i] for i in
+                         dict.fromkeys(i % len(handles) for i in args[0])]
+                s_new = args[1]
+                kv = rng.standard_normal((len(batch), 1, s_new, 2))
+                before = self.state(cache, handles)
+                lengths = [h.length for h in batch]
+                try:
+                    cache.append(batch, [(kv, kv)])
+                except CacheFull:
+                    # refused only when a slot or the pool is short ...
+                    grant = sum(cache.blocks_for(n + s_new)
+                                - cache.blocks_for(n) for n in lengths)
+                    assert (max(lengths) + s_new > cache.store.shape[1]
+                            or grant > cache.free_blocks)
+                    # ... and then nothing changed
+                    assert self.state(cache, handles) == before
+                else:
+                    assert [h.length for h in batch] == [
+                        n + s_new for n in lengths]
+            elif op == "free" and handles:
+                handle = handles.pop(args[0] % len(handles))
+                cache.free(handle)
+                with pytest.raises(ValueError):
+                    cache.free(handle)  # a double free
+            elif op == "hold":
+                before = self.state(cache, handles)
+                try:
+                    cache.hold(args[0])
+                except CacheFull:
+                    assert args[0] > cache.free_blocks
+                    assert self.state(cache, handles) == before
+                else:
+                    held += args[0]
+            elif op == "unhold":
+                before = self.state(cache, handles)
+                try:
+                    cache.unhold(args[0])
+                except ValueError:
+                    assert args[0] > held
+                    assert self.state(cache, handles) == before
+                else:
+                    held -= args[0]
+            live = cache.live_blocks
+            assert live <= cache.capacity
+            assert live + cache.free_blocks == cache.capacity
+            assert live == sum(h.live_blocks for h in handles) + held
+            assert all(h.live_blocks == cache.blocks_for(h.length)
+                       for h in handles)
+        if held or any(h.length for h in handles):
+            with pytest.raises(AssertionError):
+                cache.assert_empty()
+        for handle in handles:
+            cache.free(handle)
+        cache.unhold(held)
+        cache.assert_empty()
+
+    def test_assert_empty_raises_on_a_leaked_block_or_slot(self):
+        cache = PagedKVCache(1, 1, 2, num_blocks=2, block_size=2,
+                             max_length=4)
+        cache.hold(1)  # a block no handle fills
+        with pytest.raises(AssertionError, match="1 in use"):
+            cache.assert_empty()
+        cache.unhold(1)
+        handle = cache.create()
+        kv = np.ones((1, 1, 1, 2))
+        cache.append(handle, [(kv, kv)])  # a slot and its block
+        with pytest.raises(AssertionError, match=r"slots \[0\] owned"):
+            cache.assert_empty()
         with pytest.raises(ValueError):
-            alloc.free(b)
-
-    def test_assert_empty_raises_on_leak(self):
-        alloc = BlockAllocator(2)
-        alloc.alloc()
-        with pytest.raises(AssertionError):
-            alloc.assert_empty()
+            cache.unhold(1)  # the handle's block is not held
+        cache.free(handle)
+        cache.assert_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +402,8 @@ class TestSlotStore:
             live.add(handle.slot)
             assert not cache.store[handle.slot, n:].any()
             if cache.checksums:
-                for index, block in enumerate(handle.block_table):
-                    assert cache._crcs[block] == strip_crc(
+                for index in range(handle.live_blocks):
+                    assert cache._crcs[handle.slot][index] == strip_crc(
                         cache, handle.slot, index)
         for slot in set(range(cache.capacity)) - live:
             assert not cache.store[slot].any()  # a free slot: zeros
@@ -450,10 +489,10 @@ class TestSlotStore:
                 cache.free(handle)
                 del mirror[id(handle)]
             elif op == "corrupt" and checksums:
-                held = [h for h in handles if h.block_table]
+                held = [h for h in handles if h.live_blocks]
                 if held:
                     victim = held[args[0] % len(held)]
-                    cache.corrupt_block(victim.block_table[-1])
+                    cache.corrupt_block(victim.slot, victim.live_blocks - 1)
                     with pytest.raises(KVCorruptionError):
                         cache.gather(handles)
                     handles.remove(victim)

@@ -247,7 +247,7 @@ class TestBatchedTick:
         victim = engine.running[1]
         before = {e.trace.request_id: e.session.generated
                   for e in engine.running}
-        engine.cache.corrupt_block(victim.session.handle.block_table[0])
+        engine.cache.corrupt_block(victim.session.handle.slot, 0)
         assert engine.tick() == 3  # everyone else got their token
         for entry in engine.running:
             assert entry.session.generated == before[entry.trace.request_id] + 1
@@ -272,7 +272,7 @@ class TestBatchedTick:
         foreign = cache.create()
         bad = np.full((1, CFG.num_attention_heads, 4, CFG.head_dim), np.inf)
         cache.append(foreign, [(bad, bad * np.nan)] * CFG.num_layers)
-        assert foreign.block_table == [0] and foreign.slot == 0
+        assert foreign.live_blocks == 1 and foreign.slot == 0
         if freed:
             cache.free(foreign)
         reqs = [request(f"r{i}", 2 + 5 * i, 10, seed=i) for i in range(4)]

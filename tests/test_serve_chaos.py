@@ -189,11 +189,10 @@ class TestKVChecksums:
         rng = np.random.default_rng(1)
         handle = cache.create()
         cache.append(handle, self.kv(rng, 4))
-        victim = handle.block_table[0]
-        cache.corrupt_block(victim)
+        cache.corrupt_block(handle.slot, 1)
         with pytest.raises(KVCorruptionError) as exc:
             cache.gather(handle)
-        assert exc.value.block == victim
+        assert (exc.value.slot, exc.value.index) == (handle.slot, 1)
         cache.free(handle)  # corrupted blocks are still freeable
         cache.assert_empty()
 
@@ -203,7 +202,7 @@ class TestKVChecksums:
         rng = np.random.default_rng(2)
         handle = cache.create()
         cache.append(handle, self.kv(rng, 3))
-        cache.corrupt_block(handle.block_table[0])
+        cache.corrupt_block(handle.slot, 0)
         cache.free(handle)
         # Reusing the block with fresh content must not trip the stale
         # checksum: append re-checksums everything it touches.
