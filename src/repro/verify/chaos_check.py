@@ -9,7 +9,8 @@ executable as a ``python -m repro verify`` section:
 - **corrupted-newest fallback** -- when the newest checkpoint is
   corrupted after commit, recovery falls back to an older verified
   checkpoint and the run is *still* bit-identical (more work re-run,
-  same arithmetic);
+  same arithmetic); and a restore refuses a checkpoint whose bytes
+  changed where only its recorded digests can see it;
 - **commit safety** -- a save interrupted at any stage (mid-write,
   pre-commit, post-commit) never leaves the ``LATEST`` pointer naming a
   checkpoint that fails integrity verification, and never leaves a
@@ -32,6 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformance import LOSS_ATOL, LOSS_RTOL, PARAM_ATOL, PARAM_RTOL
+
+#: Offset of a zip local header's modification time: no zip CRC covers
+#: it and ``np.load`` never reads it.
+_ZIP_MTIME = 10
 
 
 def _tiny_model():
@@ -155,8 +160,15 @@ def check_corrupt_fallback(directory: str, *, corrupt_at: int = 4,
                            seed: int = 0) -> list[str]:
     """Corrupt the newest checkpoint, then kill: recovery must skip the
     corrupted snapshot, resume from the older verified one, and still
-    finish bit-identical."""
-    from repro.parallel.checkpoint import CheckpointStore
+    finish bit-identical.  Then change a byte of the newest checkpoint
+    that only its recorded digests cover: a restore must skip it too."""
+    import os
+
+    from repro.parallel import PTDTrainer
+    from repro.parallel.checkpoint import (
+        CheckpointNotFoundError,
+        CheckpointStore,
+    )
     from repro.resilience import (
         ChaosHarness,
         ChaosPlan,
@@ -192,6 +204,24 @@ def check_corrupt_fallback(directory: str, *, corrupt_at: int = 4,
     latest = store.latest_iteration()
     if latest is None:
         failures.append("LATEST pointer does not resolve after the run")
+        return failures
+    # A flipped array byte also fails the zip member's own CRC-32, so
+    # the fallback above holds even when no recorded digest is compared.
+    path = os.path.join(store.path_for(latest), "model.npz")
+    with open(path, "r+b") as f:
+        f.seek(_ZIP_MTIME)
+        byte = f.read(1)[0]
+        f.seek(_ZIP_MTIME)
+        f.write(bytes([byte ^ 0xFF]))
+    try:
+        accepted = store.restore(
+            PTDTrainer(config, parallel, seed=seed)).iteration
+    except CheckpointNotFoundError:
+        accepted = None
+    if accepted == latest:
+        failures.append(
+            f"restore accepted step-{latest} although its model.npz no "
+            f"longer matches its recorded digests")
     return failures
 
 

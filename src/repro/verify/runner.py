@@ -23,9 +23,10 @@ are read from it.
 - ``serve-chaos``  the same under injected serving faults
   (:mod:`.serve_chaos_check`).
 
-Seven sections own a mutation -- ``reorder``, ``collective-shape``,
-``grad-perturb``, ``frozen-lr``, ``short-hop``, ``kv-offset`` and
-``early-draw``; the ``*_defect`` functions below say what each plants.
+Every section owns a mutation -- ``reorder``, ``collective-shape``,
+``grad-perturb``, ``frozen-lr``, ``short-hop``, ``unchecked-digest``,
+``kv-offset`` and ``early-draw``; the ``*_defect`` functions below say
+what each plants.
 Under ``--inject`` the owning section runs unchanged with its defect
 planted; every failure then carries the one repro line that reproduces
 it, and a defect the section does not catch fails the run as a verifier
@@ -104,7 +105,7 @@ class Mutation(NamedTuple):
 class Section:
     name: str
     check: Callable[[Options], Pairs]
-    mutation: Mutation | None = None
+    mutation: Mutation
     note: str = ""  # formatted with {checks} and {labels}
 
 
@@ -339,6 +340,16 @@ def short_hop_defect(seed: int):
     return _patched(Backend, "all_gather_phase", bent)
 
 
+def unchecked_digest_defect(seed: int):
+    """A checkpoint restore reads the manifest but compares none of the
+    recorded file digests, so it accepts bytes that no longer match them
+    (every seed plants the same defect)."""
+    from repro.parallel import checkpoint
+
+    return _patched(checkpoint, "verify_checkpoint",
+                    checkpoint._read_metadata)
+
+
 def kv_offset_defect(seed: int):
     """In one seeded batched single-token ``PagedKVCache.append``, one
     row's newest K/V lands one position off inside its block, and its
@@ -409,7 +420,9 @@ TABLE = (
                  "collectives"),
     Section("conservation", _conservation,
             Mutation("short-hop", short_hop_defect)),
-    Section("chaos", _chaos, note="recovery conformance: {labels}"),
+    Section("chaos", _chaos,
+            Mutation("unchecked-digest", unchecked_digest_defect),
+            note="recovery conformance: {labels}"),
     Section("serve", _serve, Mutation("kv-offset", kv_offset_defect),
             note="decode conformance vs the generate oracle: {labels}"),
     Section("serve-chaos", _serve_chaos,
@@ -417,13 +430,13 @@ TABLE = (
             note="serving under fire: {labels}"),
 )
 SECTIONS = tuple(s.name for s in TABLE)
-INJECT_MODES = tuple(s.mutation.name for s in TABLE if s.mutation)
+INJECT_MODES = tuple(s.mutation.name for s in TABLE)
 
 
 def _select(only, case, schedule_json, inject) -> list[Section]:
     """Every section, or the one that each flag choosing a section names;
     two flags naming different sections are an error."""
-    owners = {s.mutation.name: s.name for s in TABLE if s.mutation}
+    owners = {s.mutation.name: s.name for s in TABLE}
     if inject is not None and inject not in owners:
         raise ValueError(
             f"unknown injection mode {inject!r}; choose from "

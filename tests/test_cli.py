@@ -347,7 +347,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", [
         "reorder", "collective-shape", "grad-perturb", "frozen-lr",
-        "short-hop", "kv-offset", "early-draw",
+        "short-hop", "unchecked-digest", "kv-offset", "early-draw",
     ])
     def test_injected_mutations_exit_nonzero_with_repro(self, mode, capsys):
         rc = main(["verify", "--inject", mode, "--fast"])
