@@ -6,9 +6,10 @@ when everything does:
 - **fault-free bookkeeping overhead** — an engine with the full
   degradation kit armed (per-request deadlines + queue TTLs + a bounded
   queue + per-block cache checksums) but no chaos must cost less than
-  5% of the plain engine's wall time on the same trace: deadline/TTL
-  checks are O(live SLO requests) per tick and the CRC32 touches only
-  blocks an append wrote;
+  5% of the plain engine's wall time on the same trace: the expiry
+  check scans every live request once per tick, an append checksums
+  only the blocks it wrote, and a gather verifies every block of the
+  requests it reads;
 - **chaos-recovery correctness under timing** — a crash + corruption +
   storm run, timed, must still complete every request with streams
   bit-equal to the per-request oracle and zero leaked blocks (recovery
