@@ -152,7 +152,7 @@ class PagedKVCache:
         self.head_dim = head_dim
         self.block_size = block_size
         self.checksums = checksums
-        self.num_blocks = num_blocks
+        self.capacity = num_blocks
         self._used = 0  # blocks the handles fill plus blocks held
         positions = num_blocks * block_size
         per_slot = min(num_blocks, self.blocks_for(max_length))
@@ -216,12 +216,8 @@ class PagedKVCache:
 
     # -- capacity -----------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        return self.num_blocks
-
-    @property
     def free_blocks(self) -> int:
-        return self.num_blocks - self._used
+        return self.capacity - self._used
 
     @property
     def live_blocks(self) -> int:
@@ -278,7 +274,7 @@ class PagedKVCache:
             full = f"a handle holds at most {held} positions"
         elif grant > self.free_blocks:
             full = (f"need {grant} blocks, only {self.free_blocks} of "
-                    f"{self.num_blocks} free")
+                    f"{self.capacity} free")
         if full:
             if new_kvs is None:  # undo the forward's writes
                 for h in handles:
@@ -388,7 +384,7 @@ class PagedKVCache:
             raise ValueError(f"cannot hold {blocks} blocks")
         if blocks > self.free_blocks:
             raise CacheFull(f"need {blocks} blocks, only "
-                            f"{self.free_blocks} of {self.num_blocks} free")
+                            f"{self.free_blocks} of {self.capacity} free")
         self._used += blocks
 
     def unhold(self, blocks: int) -> None:
