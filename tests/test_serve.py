@@ -62,9 +62,10 @@ _POOL_OPS = st.lists(st.one_of(
 ), max_size=50)
 
 
-class TestBlockAccounting:
-    """The pool's one used-block count against the handles and the holds
-    it stands for, over any create/append/free/hold/unhold sequence."""
+class TestBlockAllocator:
+    """The pool allocates blocks by one used-block count: checked against
+    the handles and the holds it stands for, over any
+    create/append/free/hold/unhold sequence."""
 
     def state(self, cache, handles):
         return (cache.live_blocks, cache.free_blocks, cache.store.tobytes(),
@@ -73,8 +74,8 @@ class TestBlockAccounting:
     @given(num_blocks=st.integers(1, 8), block_size=st.integers(1, 3),
            checksums=st.booleans(), ops=_POOL_OPS, seed=st.integers(0, 99))
     @settings(max_examples=200, deadline=None)
-    def test_the_count_is_the_handles_and_the_holds(
-            self, num_blocks, block_size, checksums, ops, seed):
+    def test_alloc_free_invariants(self, num_blocks, block_size, checksums,
+                                   ops, seed):
         cache = PagedKVCache(1, 1, 2, num_blocks=num_blocks,
                              block_size=block_size, max_length=9,
                              checksums=checksums)
@@ -140,7 +141,40 @@ class TestBlockAccounting:
         cache.unhold(held)
         cache.assert_empty()
 
-    def test_assert_empty_raises_on_a_leaked_block_or_slot(self):
+    def test_alloc_many_is_atomic(self):
+        """A batched grant the pool is short of takes no block and leaves
+        every handle, the count and the store as they were."""
+        cache = PagedKVCache(1, 1, 2, num_blocks=3, block_size=2,
+                             max_length=4)
+        a, b = cache.create(), cache.create()
+        one = np.ones((1, 1, 1, 2))
+        cache.append(a, [(one, one)])  # a: 1 block
+        before = self.state(cache, [a, b])
+        three = np.ones((2, 1, 3, 2))
+        with pytest.raises(CacheFull, match="need 3 blocks, only 2"):
+            cache.append([a, b], [(three, three)])  # a +1, b +2
+        assert self.state(cache, [a, b]) == before
+        with pytest.raises(CacheFull):
+            cache.hold(3)
+        assert self.state(cache, [a, b]) == before
+        assert cache.free_blocks == 2  # nothing consumed by the failures
+        cache.free(a)
+        cache.free(b)
+        cache.assert_empty()
+
+    def test_double_free_rejected(self):
+        cache = PagedKVCache(1, 1, 2, num_blocks=2, block_size=2,
+                             max_length=4)
+        handle = cache.create()
+        kv = np.ones((1, 1, 1, 2))
+        cache.append(handle, [(kv, kv)])
+        cache.free(handle)
+        with pytest.raises(ValueError):
+            cache.free(handle)
+        assert cache.free_blocks == 2  # its block went back once
+        cache.assert_empty()
+
+    def test_assert_empty_raises_on_leak(self):
         cache = PagedKVCache(1, 1, 2, num_blocks=2, block_size=2,
                              max_length=4)
         cache.hold(1)  # a block no handle fills
