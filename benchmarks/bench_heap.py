@@ -15,14 +15,25 @@ Readings, faults a step, glibc's defaults -> the trainer's policy: coop
 17 940-17 990 -> 39-41 (its own TrafficLog growing), single-worker
 24 940-25 070 -> 0-2, each mp worker 7 868-7 875 -> 0-5.
 
-One more guard reads memory, not faults: a replica worker holds one
-replica whatever d is.  Its peak resident set (VmHWM) at d = 4 minus at
-d = 2, each in a fresh interpreter, must be at most one parameter
-vector, 8·P bytes (7.1 MiB).  With the pool forked before the parent
-builds its replicas it reads +3.5 MiB (76.0 -> 79.5 MiB: the worker
-touches more of its neighbour's segment as d grows); forked after, every
-worker also carried the parent's d replicas and read +21.8 MiB
-(106.0 -> 127.8 MiB).
+With replica state outside the heap and the build's freed heap trimmed
+(``repro.nn.heap.unforked_zeros``, ``release_freed_heap``): coop 11-17,
+single-worker 0-2, each mp worker 0-2.
+
+Two more guards read memory, not faults, each as one parameter vector,
+8·P bytes (7.1 MiB), of a replica worker's peak resident set (VmHWM),
+every reading in a fresh interpreter:
+
+- A worker holds one replica whatever d is: its VmHWM at d = 4 minus at
+  d = 2.  It reads -0.05 MiB (77.6 both).  With the pool forked before
+  the parent builds its replicas but their vectors in the heap it read
+  +3.5 MiB (76.0 -> 79.5 MiB); forked after, every worker also carried
+  the parent's d replicas and read +21.8 MiB (106.0 -> 127.8 MiB).
+- A worker forked while a warm coop trainer exists in its parent, as in
+  the benchmark, holds none of it: its VmHWM minus that of a worker
+  forked in a fresh interpreter.  It reads -0.2 MiB (77.5 against
+  77.7); +42.8 MiB (129.1 against 86.3) while the coop trainer's
+  vectors and moments lived in the heap and its freed heap stayed, and
+  +42.6 MiB with the allocator minus ``MADV_DONTFORK``.
 """
 
 import json
@@ -104,10 +115,17 @@ def _peak_resident_bytes(pid: int) -> int:
     raise RuntimeError(f"no VmHWM in /proc/{pid}/status")
 
 
-def worker_peak_bytes(d: int) -> tuple[int, int]:
+def worker_peak_bytes(d: int, after_coop: bool = False) -> tuple[int, int]:
     """Largest peak resident set (VmHWM) among the replica workers of a
     new mp trainer at ``train_ptd``'s shapes with ``d`` data-parallel
-    replicas, after its warm steps, and P, its parameter count."""
+    replicas, after its warm steps, and P, its parameter count.  With
+    ``after_coop`` the mp trainer is built while a coop trainer at
+    ``train_ptd``'s (p, t, d), warm, exists in this process, as in the
+    benchmark."""
+    if after_coop:
+        coop, batch = _new_trainer(*TRAINERS["coop"], "coop")
+        for _ in range(WARM_STEPS):
+            coop.train_step(*batch)
     trainer, batch = _new_trainer(2, 2, d, "mp")
     with trainer:
         for _ in range(WARM_STEPS):
@@ -117,27 +135,35 @@ def worker_peak_bytes(d: int) -> tuple[int, int]:
         return peak, trainer.spec.flat_size()
 
 
+#: Python each new interpreter runs before it measures: a defect a test
+#: plants there (``tests/test_guards_can_fail.py``), none by default.
+PLANT = ""
+#: The trainer's heap policy made a no-op, as if it were not there.
+NO_HEAP_POLICY = """
+from repro.nn import heap
+heap.keep_heap_resident = lambda: None
+"""
+
 _CHILD = """
 import json, sys
 import bench_heap
-name, args, keep_heap = json.loads(sys.argv[1])
-if not keep_heap:
-    from repro.nn import heap
-    heap.keep_heap_resident = lambda: None
+name, args, plant = json.loads(sys.argv[1])
+exec(plant)
 print(json.dumps(getattr(bench_heap, name)(*args)))
 """
 
 
 def _fresh(name: str, args: list, keep_heap: bool = True):
     """``name(*args)`` of this module in a new interpreter, BLAS at one
-    thread as the benchmark runs it; ``keep_heap=False`` makes the
-    trainer's heap policy a no-op, as if it were not there."""
+    thread as the benchmark runs it, after :data:`PLANT`;
+    ``keep_heap=False`` also plants :data:`NO_HEAP_POLICY`."""
+    plant = PLANT if keep_heap else PLANT + NO_HEAP_POLICY
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (
         str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps([name, args, keep_heap])],
+        [sys.executable, "-c", _CHILD, json.dumps([name, args, plant])],
         env=env, capture_output=True, text=True, check=True, timeout=300)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -155,9 +181,10 @@ def test_warm_step_faults_no_pages(which):
 
 
 def test_a_worker_holds_one_replica_whatever_d():
-    # A worker forked after the parent built its d replicas carried all
-    # of them: two more at d = 4 than at d = 2.  Forked first, it only
-    # touches more of its neighbour's segment as d grows.
+    # A worker forked after the parent built its d replicas in the heap
+    # carried all of them: two more at d = 4 than at d = 2.  Forked
+    # first, or with the replicas in mappings no fork copies, it holds
+    # its own replica and the segments it reads.
     peak4, p = _fresh("worker_peak_bytes", [4])
     peak2, _ = _fresh("worker_peak_bytes", [2])
     growth = peak4 - peak2
@@ -165,3 +192,17 @@ def test_a_worker_holds_one_replica_whatever_d():
         f"a replica worker's peak RSS grows {growth / 2**20:.1f} MiB from "
         f"d = 2 to d = 4, more than one parameter vector "
         f"({8 * p / 2**20:.1f} MiB): it holds replicas it never reads")
+
+
+def test_a_worker_forked_after_a_coop_trainer_carries_none_of_it():
+    # The trainer's flat vectors and moments live in mappings no fork
+    # copies, and the pool trims the freed heap before it forks, so a
+    # worker starts as if its parent had built nothing else.
+    after, p = _fresh("worker_peak_bytes", [2, True])
+    fresh, _ = _fresh("worker_peak_bytes", [2])
+    growth = after - fresh
+    assert growth <= 8 * p, (
+        f"a replica worker forked after a warm coop trainer peaks "
+        f"{growth / 2**20:.1f} MiB above one forked in a fresh interpreter, "
+        f"more than one parameter vector ({8 * p / 2**20:.1f} MiB): it "
+        f"carries the coop trainer's pages")

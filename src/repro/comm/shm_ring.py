@@ -41,6 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.nn.heap import release_freed_heap
+
 from .primitives import ring_chunk_bounds
 
 SEGMENT_PREFIX = "reproshm"
@@ -250,11 +252,15 @@ class WorkerPool:
     per worker, unlinked by :meth:`close`; ``segments`` are those,
     attached in the worker, in rank order.
 
-    Create the pool before building anything large: under the fork
-    start method a worker starts as a copy of its creator, and every
-    page the creator has touched by then counts in the worker's
-    resident set for its whole life, read or not.  Build large state
-    in ``make_ops``, where only the worker that owns it holds it.
+    Under the fork start method a worker starts as a copy of its
+    creator, and every page of the creator's heap and ordinary mappings
+    counts in the worker's resident set for its whole life, read or
+    not.  The pool hands the creator's freed heap back to the kernel
+    before it forks (:func:`~repro.nn.heap.release_freed_heap`), and a
+    trainer keeps its replicas and moments in mappings no fork copies
+    (:func:`~repro.nn.heap.unforked_zeros`), so neither reaches a
+    worker.  Anything else large the creator holds does: build large
+    state in ``make_ops``, where only the worker that owns it holds it.
 
     A worker that raises leaves the pool usable: one ``RuntimeError``
     carries every traceback.  A worker that *died*, or a pool silent
@@ -271,6 +277,7 @@ class WorkerPool:
         self.timeout = timeout
         self.name = name
         ctx = mp.get_context(_start_method())
+        release_freed_heap()  # no worker starts with a copy of it
         self._barrier = ctx.Barrier(size)
         self._segments = (
             [create_segment(segment_bytes) for _ in range(size)]

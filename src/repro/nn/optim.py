@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .heap import unforked_zeros
 from .lr_scheduler import WarmupCosineSchedule, lr_at
 from .module import Parameter
 
@@ -20,8 +21,9 @@ class Adam:
     ``params`` are the parameters that range meets.  ``owned_data`` /
     ``owned_grads`` are those slices as views, so a parameter's storage
     must be contiguous.  The moments ``m`` and ``v`` are one vector each
-    over the owned elements end to end; ``_m[i]`` / ``_v[i]`` are the
-    views of ``params[i]``'s slice.
+    over the owned elements end to end, in a mapping a later fork does
+    not copy (:func:`~repro.nn.heap.unforked_zeros`); ``_m[i]`` /
+    ``_v[i]`` are the views of ``params[i]``'s slice.
 
     ``lr`` is a float or a schedule (anything with ``lr_at(step)``, such
     as :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`): step ``k``
@@ -60,8 +62,9 @@ class Adam:
             np.reshape(p.grad, -1, copy=False)[lo:hi]
             for p, (lo, hi) in zip(self.params, self.owned)
         ]
-        self.m = np.zeros(sum(hi - lo for lo, hi in self.owned))
-        self.v = np.zeros(self.m.size)
+        n = sum(hi - lo for lo, hi in self.owned)
+        moments = unforked_zeros(2 * n)
+        self.m, self.v = moments[:n], moments[n:]
         self._m = _slices(self.m, self.owned)
         self._v = _slices(self.v, self.owned)
 

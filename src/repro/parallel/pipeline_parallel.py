@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.comm import TrafficKind, TrafficLog, ring_all_reduce, send
 from repro.config import GPTConfig
+from repro.nn.heap import unforked_zeros
 from repro.nn.module import Module, Parameter
 from repro.schedule import OpKind, PipelineSchedule, ScheduleOp, execute
 
@@ -177,7 +178,8 @@ class PipelineParallelGPT:
     buffer:
         Where the replica lays itself flat (:meth:`_lay_flat`): its
         gradients in the first P elements, its parameters in the next
-        P.  A fresh zeroed vector by default.
+        P.  A fresh zeroed vector by default, in a mapping a later fork
+        does not copy (:func:`~repro.nn.heap.unforked_zeros`).
     """
 
     def __init__(
@@ -376,8 +378,10 @@ class PipelineParallelGPT:
         n = sum(p.size for p in params)
         if buffer is None:
             # zeros, not a fill: the pages of a gradient nothing writes
-            # (an mp parent's) stay untouched, so they cost no memory
-            buffer = np.zeros(2 * n)
+            # (an mp parent's) stay untouched, so they cost no memory;
+            # and outside the heap, so that no worker forked later
+            # carries a copy
+            buffer = unforked_zeros(2 * n)
         self.flat_grad, self.flat_data = buffer[:n], buffer[n:2 * n]
         offset = 0
         for p in params:

@@ -123,7 +123,11 @@ class ReplicaSpec:
                 mine.append(p)
                 owned.append((start, stop))
             offset += p.size
-        return replica, Adam(mine, lr=self.lr, betas=self.betas, owned=owned)
+        optimizer = Adam(mine, lr=self.lr, betas=self.betas, owned=owned)
+        # The serial model the shards were cut from and the shards laid
+        # flat are freed now, never to be needed again.
+        heap.release_freed_heap()
+        return replica, optimizer
 
 
 def forward_backward(replica: PipelineParallelGPT, ids: np.ndarray,
@@ -289,8 +293,10 @@ class PTDTrainer(AbstractContextManager):
         self.recompute_activations = recompute_activations
         self.log = log if log is not None else TrafficLog()
         # mp backend: one real process per data-parallel replica, forked
-        # before the parent builds anything large, so that each worker
-        # holds its own replica and none of the parent's d.  The parent's
+        # before the parent builds its d.  Each worker holds its own
+        # replica and none of this or any other trainer's: their flat
+        # vectors and moments live in mappings no fork copies, and the
+        # pool trims the freed heap before it forks.  The parent's
         # replicas stay the canonical checkpoint state; the staleness
         # flags track which side holds the freshest weights.
         self._workers = None

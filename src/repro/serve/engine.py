@@ -519,8 +519,6 @@ class ServeEngine:
         session = entry.session
         session.release()
         self._remove(entry)
-        if entry.admit_step is None:  # max_new=0 finishing at admission
-            entry.admit_step = step
         metrics = self._record(
             entry, step, "completed",
             finish_reason=session.finish_reason or "length",

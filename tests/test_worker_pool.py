@@ -12,8 +12,13 @@
 - **Optimizer shards** — each worker steps and keeps only its own ring
   chunk of the Adam state; a restore hands every worker its shard and a
   sync brings every shard back, bit-identical to coop at d = 3.
+- **Forks** — a forked child has none of the mappings replica state
+  lives in, and an mp trainer forked while a warm coop trainer exists
+  steps like it and loses no worker.
 """
 
+import gc
+import mmap
 import os
 import signal
 import threading
@@ -31,6 +36,7 @@ from repro.comm.shm_ring import (
     scratch_segments,
 )
 from repro.config import ParallelConfig, tiny_test_model
+from repro.nn import heap
 from repro.parallel import PTDTrainer, scatter_batch
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.parallel import mp_workers
@@ -171,6 +177,65 @@ def test_a_parent_build_that_raises_leaves_no_worker(monkeypatch):
     assert all(not proc.is_alive() for proc in pool._procs)
     assert live_segment_names() == []
     assert leaked_dev_shm_segments() == []
+
+
+# -- forks --------------------------------------------------------------------
+def _mapped(address: int) -> bool:
+    """Whether one of this process's mappings covers ``address``."""
+    with open("/proc/self/maps", encoding="ascii") as fh:
+        for line in fh:
+            lo, hi = (int(x, 16) for x in line.split()[0].split("-"))
+            if lo <= address < hi:
+                return True
+    return False
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"),
+                    reason="MADV_DONTFORK is Linux's")
+def test_a_fork_does_not_copy_replica_state():
+    """The child of a fork has no mapping where the parent's replica
+    state lives, and releasing the parent's array there unmaps nothing
+    the child mapped since.  The child answers through its exit code:
+    1 if the state is mapped, 2 if its own new vector was unmapped (a
+    fault would end it by signal)."""
+    state = heap.unforked_zeros(1 << 16)
+    state[:] = 1.0
+    address = state.ctypes.data
+    assert _mapped(address)
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            if _mapped(address):
+                code = 1
+            else:
+                own = heap.unforked_zeros(1 << 16)
+                own[:] = 2.0
+                del state
+                gc.collect()
+                code = 0 if own.sum() == 2.0 * own.size else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert state.sum() == state.size
+
+
+def test_an_mp_trainer_forked_after_a_warm_coop_trainer():
+    """Its workers hold nothing of the coop trainer, whose vectors they
+    cannot read; they step bit-identically to it and live until
+    ``close`` kills them."""
+    parallel = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=2,
+                              microbatch_size=1, global_batch_size=4)
+    batch = _batch(4, seed=4)
+    coop = PTDTrainer(CONFIG, parallel)
+    want = [coop.train_step(*batch) for _ in range(2)]
+    with PTDTrainer(CONFIG, parallel, backend="mp") as trainer:
+        procs = trainer._workers._procs
+        got = [trainer.train_step(*batch) for _ in range(2)]
+        assert [proc.exitcode for proc in procs] == [None, None]
+    assert got == want
+    assert [proc.exitcode for proc in procs] == [-signal.SIGKILL] * 2
 
 
 # -- the replica step -----------------------------------------------------------
