@@ -13,7 +13,10 @@ The ISSUE 9 guards, the serving twin of ``bench_monitor_overhead.py``:
   unbatched (see the test: the engine wall time the budget was
   written against, before a tick became one batched forward);
 - **TTFT/throughput report** -- the trace run must produce a
-  schema-valid SLO report (printed for the record).
+  schema-valid SLO report (printed for the record);
+- **prefill work** -- a prompt's first step at ``serve_prefill``'s
+  shape records no more GEMM FLOPs than its cache and its sampler read
+  (a count, no clock).
 
 Both timed guards read ``conftest.py``'s paired estimator.
 """
@@ -27,8 +30,10 @@ import pytest
 
 from repro.config import tiny_test_model
 from repro.nn import GPTModel, generate
+from repro.nn.profiler import count_flops
 from repro.obs.runlog import RunLogger
 from repro.serve import (
+    DecodeSession,
     PagedKVCache,
     ServeEngine,
     cached_generate,
@@ -151,3 +156,45 @@ def test_trace_run_reports_valid_slos():
           f"throughput={agg['tokens_per_s']:.0f} tok/s")
     assert agg["total_generated_tokens"] == sum(
         r.max_new_tokens for r in trace)  # no stop_ids: all run to length
+
+
+# -- prefill work --------------------------------------------------------------
+
+#: ``bench/run.py``'s ``serve_prefill`` model, and the middle of its
+#: 128-224-token prompts.
+PREFILL_CFG = tiny_test_model(num_layers=4, hidden_size=128,
+                              num_attention_heads=4, vocab_size=2048,
+                              seq_length=256)
+PREFILL_LEN = 176
+
+
+def test_prefill_records_only_what_its_cache_and_sampler_read():
+    """A prompt's first ``DecodeSession`` step -- prefill, K/V into a
+    checksummed pool, one sampled token -- records at most the GEMMs of
+    attention in causal blocks of 64 queries, a last block whose qkv
+    GEMM alone runs on every row, and a one-row head (printed as a share
+    of a prefill that runs the whole score square on every row)."""
+    model = GPTModel(PREFILL_CFG, seed=0)
+    cache = PagedKVCache.for_model(model, num_blocks=16, block_size=16,
+                                   checksums=True)
+    prompt = np.random.default_rng(3).integers(
+        0, PREFILL_CFG.vocab_size, size=PREFILL_LEN)
+    session = DecodeSession(model, cache, prompt, 1, temperature=0.0)
+    with count_flops() as meter:
+        session.step()
+    session.release()
+    cache.assert_empty()
+    s, h = PREFILL_LEN, PREFILL_CFG.hidden_size
+    f, l = PREFILL_CFG.ffn_hidden_size, PREFILL_CFG.num_layers
+    head = 2 * h * PREFILL_CFG.vocab_size
+    keys = sum((min(lo + 64, s) - lo) * min(lo + 64, s)
+               for lo in range(0, s, 64))
+    budget = (l * 6 * s * h * h + ((l - 1) * s + 1) * (2 * h * h + 4 * h * f)
+              + 4 * h * ((l - 1) * keys + s) + head)
+    square = l * (8 * s * h * h + 4 * s * h * f + 4 * s * s * h) + head
+    print(f"\nprefill of {s}: {meter.total_flops / 1e6:.1f} MFLOP, "
+          f"{meter.total_flops / square:.3f} of the square on every row")
+    assert meter.total_flops <= budget, (
+        f"a {s}-token prefill recorded {meter.total_flops} GEMM FLOPs, "
+        f"over the {budget} its cache and its sampler read"
+    )

@@ -26,6 +26,13 @@ from .layers import Dropout, Embedding, GeLU, LayerNorm, Linear, default_init
 from .profiler import matmul_flops, record_gemm_flops
 from .module import Module, Parameter
 
+#: Queries per causal block of a prefill's attention
+#: (:meth:`CausalSelfAttention._attend`).  64 keeps every prefill of up
+#: to 64 positions -- training's s = 64 among them -- one call,
+#: bit-identical to :meth:`GPTModel.forward`; it measured equal to 32
+#: at s in [128, 224].
+CAUSAL_BLOCK = 64
+
 
 class CausalSelfAttention(Module):
     """Multi-head self-attention with implicit causal masking.
@@ -96,34 +103,48 @@ class CausalSelfAttention(Module):
         positions behind each row's past -- in place when they exist
         there (the cache's views), else into buffers an exact-length past
         is copied into once -- and query ``j`` of row ``i`` attends to
-        columns ``<= lengths[i] + j``, one attention per run, so a
-        prefill computes exactly what :meth:`forward` computes in
-        inference mode.  Returns ``(out, (k_new, v_new))`` -- only the
-        *new* tokens' keys/values, for a caller's cache to absorb.
+        columns ``<= lengths[i] + j``, one attention per run (a prefill's
+        in causal blocks, see :meth:`_attend`).  Returns ``(out, (k_new,
+        v_new))`` -- only the *new* tokens' keys/values, for a caller's
+        cache to absorb.
         """
+        return self._step(x, past_kv, lengths, slice(None))
+
+    def last_row_step(self, x, past_kv=None, lengths=0):
+        """:meth:`forward_step` at the last new position only: ``out`` is
+        (b, 1, h), and the keys/values are every new position's.  The qkv
+        GEMM runs on every row, for those keys/values; the attention and
+        the projection on the last query alone."""
+        return self._step(x, past_kv, lengths, slice(-1, None))
+
+    def _step(self, x, past_kv, lengths, queries):
+        """Both steps above: attention out of the new positions that the
+        slice ``queries`` picks, which ends at the newest."""
         b, s_new, h = x.shape
         a, dk = self.num_heads, self.head_dim
         qkv, _ = self.qkv.forward(x)
         q, k, v = qkv.reshape(b, s_new, 3, a, dk).transpose(2, 0, 3, 1, 4)
+        q = q[:, :, queries]
         lengths = np.asarray(lengths)
         if not lengths.ndim:  # one start for every row
             lengths = np.full(b, lengths)
         if past_kv is None:
-            ctx = self._attend(q, k, v, lengths)
+            ctx = self._attend(q, k, v, lengths + (s_new - q.shape[2]))
         else:
             if not isinstance(past_kv, list):  # one run of every row
                 past_kv = [(slice(None), *past_kv)]
-            ctx = np.empty((b, a, s_new, dk))
+            ctx = np.empty(q.shape)
             for rows, *run in past_kv:
                 ctx[rows] = self._attend_past(
                     q[rows], k[rows], v[rows], run, lengths[rows])
-        merged = ctx.transpose(0, 2, 1, 3).reshape(b, s_new, h)
+        merged = ctx.transpose(0, 2, 1, 3).reshape(b, q.shape[2], h)
         out, _ = self.proj.forward(merged)
         return out, (k, v)
 
     def _attend_past(self, q, k, v, past_kv, lengths):
-        """Write the new ``k``, ``v`` behind each row's past, then attend."""
-        n, a, s_new, dk = q.shape
+        """Write the new ``k``, ``v`` behind each row's past, then attend
+        with ``q``, the last of the new positions' queries."""
+        n, a, s_new, dk = k.shape
         k_all, v_all = past_kv
         s_past, s_total = k_all.shape[2], lengths.max() + s_new
         if s_past < s_total:  # an exact-length past
@@ -133,19 +154,36 @@ class CausalSelfAttention(Module):
         slots = lengths[:, None] + np.arange(s_new)  # behind the past
         k_all[rows, :, slots] = k.transpose(0, 2, 1, 3)
         v_all[rows, :, slots] = v.transpose(0, 2, 1, 3)
-        return self._attend(q, k_all, v_all, lengths)
+        return self._attend(q, k_all, v_all, lengths + (s_new - q.shape[2]))
 
-    def _attend(self, q, k_all, v_all, lengths):
-        # The kernel forward() runs, on the causal rows of these
-        # positions: that is what keeps a prefill bit-identical to it.
-        n, a, s_new, dk = q.shape
+    def _attend(self, q, k_all, v_all, starts):
+        """Context of queries ``q`` (n, a, s_q, dk), query ``j`` of row
+        ``i`` at position ``starts[i] + j``, over the keys/values.
+
+        The kernel :meth:`forward` runs, on the causal rows of these
+        positions: that is what keeps a prefill of up to
+        :data:`CAUSAL_BLOCK` positions bit-identical to it.  A longer
+        prefill (every start 0) attends in causal blocks, the paper's
+        implicit causal masking (§4.2): queries ``[lo, hi)`` score keys
+        ``[0, hi)`` only, so no score a whole block would mask is
+        computed or recorded.  It sits within a few ulp of
+        :meth:`forward`, whose softmax rows sum the masked zeros too.
+        """
+        n, a, s_q, dk = q.shape
+        if s_q > CAUSAL_BLOCK and not np.any(starts):
+            ctx = np.empty(q.shape)
+            for lo in range(0, s_q, CAUSAL_BLOCK):
+                hi = lo + CAUSAL_BLOCK
+                ctx[:, :, lo:hi] = self._attend(
+                    q[:, :, lo:hi], k_all[:, :, :hi], v_all[:, :, :hi], lo)
+            return ctx
         probs = F.scale_mask_softmax(
-            q @ k_all.transpose(0, 1, 3, 2), dk, lengths
+            q @ k_all.transpose(0, 1, 3, 2), dk, starts
         )
         record_gemm_flops(
-            "attention", 2 * matmul_flops(n, a, s_new, dk, k_all.shape[2])
+            "attention", 2 * matmul_flops(n, a, s_q, dk, k_all.shape[2])
         )
-        return probs @ v_all  # (n, a, s_new, dk)
+        return probs @ v_all  # (n, a, s_q, dk)
 
     def backward(self, dy, cache):
         qkv_cache, q, k, v, probs, drop_mask, dropped, proj_cache, (b, s) = cache
@@ -252,10 +290,24 @@ class TransformerBlock(Module):
         """
         a, _ = self.ln1.forward(x)
         b, kv = self.attn.forward_step(a, past_kv, lengths)
+        return self._mlp_step(x, b), kv
+
+    def last_row_step(self, x, past_kv=None, lengths=0):
+        """:meth:`forward_step` at the last new position only: ``(y,
+        kv)`` with ``y`` (b, 1, h) and ``kv`` every new position's
+        keys/values.  LN1 and the qkv GEMM run on every row, for those;
+        the rest of the block on the last row alone."""
+        a, _ = self.ln1.forward(x)
+        b, kv = self.attn.last_row_step(a, past_kv, lengths)
+        return self._mlp_step(x[:, -1:], b), kv
+
+    def _mlp_step(self, x, b):
+        """The block's output from its input rows ``x`` and their
+        attention output ``b`` (a fresh array the residual lands in)."""
         x1 = np.add(x, b, out=b)
         e, _ = self.ln2.forward(x1)
         f, _ = self.mlp.forward(e)
-        return np.add(x1, f, out=f), kv
+        return np.add(x1, f, out=f)
 
     def backward(self, dy, cache):
         c_ln1, c_attn, m1, c_ln2, c_mlp, m2 = cache
@@ -408,16 +460,15 @@ class GPTModel(Module):
         return x, caches
 
     def hidden_step(self, token_ids, past_kvs=None, *, start=0):
-        """:meth:`forward_step` below the head: ``(x, new_kvs)`` with
-        ``x`` the final hidden states (b, s_new, h).  Serving applies
-        the head to the one position it samples from."""
-        past_kvs = past_kvs or [None] * len(self.blocks)
-        x = self.embedding.forward_step(token_ids, start=start)
-        new_kvs = []
-        for block, past_kv in zip(self.blocks, past_kvs):
-            x, kv = block.forward_step(x, past_kv, start)
-            new_kvs.append(kv)
-        return x, new_kvs
+        """:meth:`forward_step` below the head, at the last new position
+        only: ``(x, new_kvs)`` with ``x`` the final hidden state (b, 1,
+        h) of the position serving samples from, and ``new_kvs`` every
+        new position's keys/values.  The last block runs its qkv GEMM on
+        every row, for those, and the rest on the last row alone
+        (:meth:`TransformerBlock.last_row_step`): nothing reads the
+        other rows' outputs."""
+        return self._step(token_ids, past_kvs, start,
+                          self.blocks[-1].last_row_step)
 
     def forward_step(self, token_ids, past_kvs=None, *, start=0):
         """Inference-only incremental forward with cached keys/values.
@@ -427,14 +478,29 @@ class GPTModel(Module):
         one per row for a batch of requests) and ``past_kvs`` yields
         each block's ``(k, v)`` of the ``start`` positions before it,
         or is ``None`` at prefill.  Returns ``(logits, new_kvs)`` where
-        ``logits`` is (b, s_new, V) and ``new_kvs`` lists each block's
-        keys/values for the new tokens only.  A prefill call
-        (``past_kvs=None``, ``start=0``) is bit-identical to
-        ``forward(token_ids, training=False)``.
+        ``logits`` is (b, s_new, V), every row's, and ``new_kvs`` lists
+        each block's keys/values for the new tokens only.  A prefill
+        call (``past_kvs=None``, ``start=0``) of up to
+        :data:`CAUSAL_BLOCK` positions is bit-identical to
+        ``forward(token_ids, training=False)``; a longer one attends in
+        causal blocks and sits within a few ulp of it.
         """
-        x, new_kvs = self.hidden_step(token_ids, past_kvs, start=start)
+        x, new_kvs = self._step(token_ids, past_kvs, start,
+                                self.blocks[-1].forward_step)
         logits, _ = self.head.forward(x)
         return logits, new_kvs
+
+    def _step(self, token_ids, past_kvs, start, last_block_step):
+        """Embed the new tokens and run every block's ``forward_step``
+        but the last, which runs ``last_block_step``."""
+        past_kvs = past_kvs or [None] * len(self.blocks)
+        x = self.embedding.forward_step(token_ids, start=start)
+        steps = [block.forward_step for block in self.blocks[:-1]]
+        new_kvs = []
+        for step, past_kv in zip([*steps, last_block_step], past_kvs):
+            x, kv = step(x, past_kv, start)
+            new_kvs.append(kv)
+        return x, new_kvs
 
     def backward(self, dlogits, caches):
         dy = dlogits

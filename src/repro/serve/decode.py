@@ -21,8 +21,8 @@ Sliding-window handling: the model uses *learned absolute* position
 embeddings, so once the context reaches ``seq_length`` the window slides
 and every position's embedding changes each step.  Cached K/V is then
 invalid by construction; the session releases its blocks and recomputes
-the shifted window per step -- exactly the oracle's computation (and
-therefore bit-identical to it on that segment).
+the shifted window per step, as the oracle does, so its stream on that
+segment equals the oracle's.
 
 Preemption is recompute-style (the vLLM default): ``preempt()`` releases
 all blocks; the next ``step`` re-prefills prompt + generated-so-far.
@@ -131,7 +131,7 @@ class DecodeSession:
             np.array(self.tokens[-self.window:])[None, :])
         if fits:
             self.cache.append(self.handle, new_kvs)
-        logits, _ = self.model.head.forward(x[:, -1:])  # the sampled row only
+        logits, _ = self.model.head.forward(x)  # the sampled row only
         return self.sample(logits[0, -1])
 
     def sample(self, logits: np.ndarray) -> int:

@@ -101,6 +101,19 @@ def _forking_allocator(monkeypatch):
         guard, "PLANT", "import mmap; mmap.MADV_DONTFORK = mmap.MADV_NORMAL")
 
 
+def _every_row_last_block(monkeypatch):
+    """The last block runs every prompt row and keeps the last: a
+    176-token prefill records its projection, MLP and attention 176
+    times over, and the guard reads over its count."""
+    from repro.nn.transformer import TransformerBlock
+
+    def every_row(self, x, past_kv=None, lengths=0):
+        y, kv = self.forward_step(x, past_kv, lengths)
+        return y[:, -1:], kv
+
+    monkeypatch.setattr(TransformerBlock, "last_row_step", every_row)
+
+
 #: (guard file, its test function, the defect to plant, the test's
 #: parameters)
 CASES = [
@@ -122,6 +135,9 @@ CASES = [
     pytest.param("bench_heap.py",
                  "test_a_worker_forked_after_a_coop_trainer_carries_none_of_it",
                  _forking_allocator, {}, id="fork-copy"),
+    pytest.param("bench_serve.py",
+                 "test_prefill_records_only_what_its_cache_and_sampler_read",
+                 _every_row_last_block, {}, id="prefill-rows"),
 ]
 
 

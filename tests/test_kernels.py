@@ -283,9 +283,12 @@ class TestAttentionViews:
 
 
 class TestPrefillSharesTheTrainingKernel:
-    """``forward_step`` promises a prefill bit-identical to
-    ``forward(training=False)``; it holds because both run
-    ``F.scale_mask_softmax``."""
+    """``forward_step`` promises a prefill of up to one causal block (64
+    positions) bit-identical to ``forward(training=False)``; it holds
+    because both run ``F.scale_mask_softmax``."""
+
+    WIDE = GPTConfig(num_layers=2, hidden_size=24, num_attention_heads=3,
+                     vocab_size=40, seq_length=256)
 
     @given(b=st.integers(1, 3), s=st.integers(1, 20), seed=st.integers(0, 99))
     @settings(max_examples=25, deadline=None)
@@ -304,6 +307,30 @@ class TestPrefillSharesTheTrainingKernel:
         ids = np.random.default_rng(4).integers(0, 40, size=(2, 11))
         logits, _ = model.forward(ids, training=False)
         assert same(model.forward_step(ids)[0], logits)
+
+    def test_model_at_one_causal_block(self):
+        """64 positions are one causal block: still the same call."""
+        model = GPTModel(self.WIDE, seed=5)
+        ids = np.random.default_rng(5).integers(0, 40, size=(2, 64))
+        logits, _ = model.forward(ids, training=False)
+        assert same(model.forward_step(ids)[0], logits)
+
+    @pytest.mark.parametrize("s", [65, 128, 200])
+    def test_longer_prefill_sits_at_ulp(self, s):
+        """Past one block the softmax rows sum fewer masked zeros and the
+        products are narrower: within a few ulp of the square, and
+        ``hidden_step``'s one sampled row with the K/V ``forward_step``
+        writes, bit for bit."""
+        model = GPTModel(self.WIDE, seed=6)
+        ids = np.random.default_rng(s).integers(0, 40, size=(2, s))
+        logits, _ = model.forward(ids, training=False)
+        step, kvs = model.forward_step(ids)
+        np.testing.assert_allclose(step, logits, rtol=1e-12, atol=1e-12)
+        x, last_kvs = model.hidden_step(ids)
+        assert x.shape == (2, 1, 24)
+        np.testing.assert_allclose(model.head.forward(x)[0], step[:, -1:],
+                                   rtol=1e-12, atol=1e-12)
+        assert same(last_kvs, kvs)
 
 
 # -- aliasing and repeatability -------------------------------------------------

@@ -171,3 +171,45 @@ class TestEq3Agreement:
         assert meter.total_flops == cfg.flops_per_iteration(
             B, with_recompute=False
         )
+
+
+class TestPrefillFlops:
+    """Serving's prefill records the GEMMs it runs: attention in causal
+    blocks of 64 queries, block ``[lo, hi)`` over keys ``[0, hi)``, and
+    a last block whose qkv GEMM alone runs on every row."""
+
+    CFG = tiny_test_model(num_layers=3, hidden_size=16,
+                          num_attention_heads=2, vocab_size=32,
+                          seq_length=256)
+
+    @staticmethod
+    def closed_form(cfg, s):
+        """``(attention, linear)`` GEMM FLOPs of ``hidden_step`` over an
+        ``s``-token prefill of one request."""
+        h, f, l = cfg.hidden_size, cfg.ffn_hidden_size, cfg.num_layers
+        keys = sum((min(lo + 64, s) - lo) * min(lo + 64, s)
+                   for lo in range(0, s, 64))  # scored per query block
+        # q @ k^T and probs @ v: 2 s_q h keys each
+        attention = (l - 1) * 4 * h * keys + 4 * h * s  # last: one query
+        rows = (l - 1) * s + 1  # rows through proj, fc1 and fc2
+        linear = l * 2 * s * h * 3 * h + rows * (2 * h * h + 4 * h * f)
+        return attention, linear
+
+    @pytest.mark.parametrize("s", [1, 64, 65, 176, 256])
+    def test_hidden_step_records_its_closed_form(self, s):
+        model = GPTModel(self.CFG, seed=0)
+        ids = np.random.default_rng(s).integers(0, 32, size=(1, s))
+        with count_flops() as meter:
+            model.hidden_step(ids)
+        attention, linear = self.closed_form(self.CFG, s)
+        assert meter.by_category == {"attention": attention,
+                                     "linear": linear}
+
+    def test_one_block_is_the_whole_square(self):
+        """At s <= 64 a prefill's attention is training's square."""
+        h, l = self.CFG.hidden_size, self.CFG.num_layers
+        model = GPTModel(self.CFG, seed=0)
+        ids = np.random.default_rng(0).integers(0, 32, size=(1, 64))
+        with count_flops() as meter:
+            model.forward_step(ids)
+        assert meter.by_category["attention"] == l * 4 * 64 * 64 * h

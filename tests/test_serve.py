@@ -11,6 +11,7 @@ run-log event stream on the engine's virtual clock.
 import io
 import json
 import mmap
+import re
 import zlib
 from datetime import timedelta
 
@@ -376,6 +377,33 @@ class TestPagedKVCache:
         assert (handle.length, handle.live_blocks) == (9, 3)
         assert cache.live_blocks == 3
         cache.free(handle)
+        cache.assert_empty()
+
+    def test_a_refused_batched_append_undoes_the_in_place_write(self):
+        """A batched decode writes its token's K/V into the slot in place
+        through ``gather``'s views; when a storm's ``hold`` leaves the
+        pool short, ``append(handles)`` raises ``CacheFull``, the position
+        reads zero again, and the count and the handles are unchanged."""
+        m = model()
+        cache = PagedKVCache.for_model(m, num_blocks=4, block_size=2)
+        rng = np.random.default_rng(8)
+        handles = [cache.create() for _ in range(2)]
+        for handle in handles:
+            cache.append(handle, self.kv(rng, 2))  # one full block each
+        written = np.s_[[h.slot for h in handles], 2]  # the new position
+        m.forward_step(np.array([[5], [6]]), cache.gather(handles),
+                       start=np.array([2, 2]))
+        assert cache.store[written].all()  # written in place
+        cache.hold(cache.free_blocks)  # the storm: no block left
+        used = cache.live_blocks
+        with pytest.raises(CacheFull):
+            cache.append(handles)
+        assert not cache.store[written].any()
+        assert cache.live_blocks == used
+        assert [(h.length, h.live_blocks) for h in handles] == [(2, 1)] * 2
+        cache.unhold(2)
+        for handle in handles:
+            cache.free(handle)
         cache.assert_empty()
 
     def test_cache_full_leaves_handle_usable(self):
@@ -767,6 +795,221 @@ class TestServeEngine:
         bad = json.loads(json.dumps(good))
         bad["schema_version"] = 99
         assert validate_serve_metrics(bad)
+
+
+# ---------------------------------------------------------------------------
+# long prompts: causal attention blocks and the last block's one row
+# ---------------------------------------------------------------------------
+
+#: A 256-position window: a full prefill attends in four causal blocks.
+WIDE = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=2,
+                       vocab_size=64, seq_length=256)
+_SAMPLERS = pytest.mark.parametrize("temp,top_k", [(0.0, None), (1.0, 4)],
+                                    ids=["greedy", "top-k"])
+
+
+def _long_request(n, temp, top_k, max_new=3):
+    prompt = np.random.default_rng(n).integers(0, WIDE.vocab_size, size=n)
+    return TraceRequest(request_id=f"p{n}", arrival_step=0,
+                        prompt=tuple(int(t) for t in prompt),
+                        max_new_tokens=max_new, temperature=temp,
+                        top_k=top_k, seed=n)
+
+
+def _oracle(m, req):
+    return generate(m, np.array(req.prompt), req.max_new_tokens,
+                    temperature=req.temperature, top_k=req.top_k,
+                    rng=np.random.default_rng(req.seed))
+
+
+class TestLongPrompts:
+    @_SAMPLERS
+    @pytest.mark.parametrize("n", [1, 64, 65, 128, 200])
+    def test_session_stream_equals_oracle(self, n, temp, top_k):
+        m = GPTModel(WIDE, seed=0)
+        req = _long_request(n, temp, top_k)
+        cached = cached_generate(m, np.array(req.prompt), req.max_new_tokens,
+                                 temperature=temp, top_k=top_k,
+                                 rng=np.random.default_rng(req.seed),
+                                 block_size=16)
+        np.testing.assert_array_equal(cached, _oracle(m, req))
+
+    @_SAMPLERS
+    def test_engine_streams_equal_oracle(self, temp, top_k):
+        m = GPTModel(WIDE, seed=0)
+        trace = [_long_request(n, temp, top_k) for n in (1, 64, 65, 128, 200)]
+        cache = PagedKVCache.for_model(m, num_blocks=48, block_size=16)
+        engine = ServeEngine(m, cache)
+        engine.run(trace)
+        cache.assert_empty()
+        for req in trace:
+            np.testing.assert_array_equal(engine.outputs[req.request_id],
+                                          _oracle(m, req))
+
+    @_SAMPLERS
+    def test_an_over_window_request_holds_no_block(self, temp, top_k):
+        """A prompt past the window runs the sliding-window route on
+        every step -- four causal blocks and the last block's one row --
+        and never holds a block."""
+        m = GPTModel(WIDE, seed=0)
+        req = _long_request(WIDE.seq_length + 5, temp, top_k, max_new=4)
+        cache = PagedKVCache.for_model(m, num_blocks=2, block_size=16)
+        engine = ServeEngine(m, cache)
+        assert engine.peak_blocks(req) == 0
+        assert engine.submit(req)
+        while engine.running or engine.waiting:
+            engine.tick()
+            assert cache.live_blocks == 0
+            assert all(e.session.live_blocks == 0 for e in engine.running)
+        cache.assert_empty()
+        np.testing.assert_array_equal(engine.outputs[req.request_id],
+                                      _oracle(m, req))
+
+
+# ---------------------------------------------------------------------------
+# the serve report's validator: every violation it can report, and any JSON
+# ---------------------------------------------------------------------------
+
+def _set(where, **fields):
+    """An edit of a report: ``fields`` into the dict at ``where``, a key
+    of the report, a path such as ``("requests", i)``, or ``()``."""
+    def edit(report):
+        target = report
+        for key in (where if isinstance(where, tuple) else (where,)):
+            target = target[key]
+        target.update(fields)
+    return edit
+
+
+def _drop(*path):
+    def edit(report):
+        *parent, key = path
+        target = report
+        for step in parent:
+            target = target[step]
+        del target[key]
+    return edit
+
+
+def _completed(**fields):
+    return _set(("requests", 0), **{"outcome": "completed",
+                                    "finish_reason": "length",
+                                    "admit_step": 1, **fields})
+
+
+def _rejected(**fields):
+    return _set(("requests", 0), **{"outcome": "rejected",
+                                    "finish_reason": None, **fields})
+
+
+#: (edit of a valid report, a violation it must produce), one per
+#: violation ``validate_serve_metrics`` reports.
+_VIOLATIONS = [
+    pytest.param(lambda r: [r], "metrics must be an object, got list",
+                 id="not-an-object"),
+    pytest.param(_set((), schema_version=99), r"schema_version 99 != 2",
+                 id="schema-version"),
+    pytest.param(_set((), aggregate=[]), r"missing 'aggregate' object",
+                 id="no-aggregate"),
+    pytest.param(_drop("aggregate", "engine_steps"),
+                 r"aggregate missing 'engine_steps'", id="aggregate-key"),
+    pytest.param(_set((), requests={}), r"missing 'requests' list",
+                 id="no-requests"),
+    pytest.param(_set("aggregate", num_requests=7),
+                 r"aggregate.num_requests 7 != 3 request records",
+                 id="num-requests"),
+    pytest.param(lambda r: r["requests"].append(4),
+                 r"requests\[3\]: not an object", id="request-not-object"),
+    pytest.param(_drop("requests", 1, "finish_step"),
+                 r"requests\[1\]: missing 'finish_step'", id="request-key"),
+    pytest.param(_set(("requests", 0), request_id=""),
+                 r"requests\[0\]: request_id must be a non-empty string",
+                 id="request-id"),
+    pytest.param(_set(("requests", 0), outcome="lost"),
+                 r"requests\[0\]: outcome 'lost' not in", id="outcome"),
+    pytest.param(_completed(finish_reason="tired"),
+                 r"finish_reason 'tired' not in", id="finish-reason"),
+    pytest.param(_completed(admit_step=None), r"completed without admit_step",
+                 id="no-admit-step"),
+    pytest.param(_rejected(finish_reason="stop"),
+                 r"non-completed request carries finish_reason 'stop'",
+                 id="stray-finish-reason"),
+    pytest.param(_set(("requests", 0), retries=-1), r"retries < 0",
+                 id="retries"),
+    pytest.param(_set(("requests", 0), generated_tokens=-2),
+                 r"generated_tokens < 0", id="generated"),
+    pytest.param(_rejected(generated_tokens=2),
+                 r"rejected request generated 2 tokens", id="rejected-tokens"),
+    pytest.param(_completed(arrival_step=5, admit_step=4),
+                 r"admit_step < arrival_step", id="admit-before-arrival"),
+    pytest.param(_completed(admit_step=4, first_token_step=3),
+                 r"first_token_step < admit_step", id="token-before-admit"),
+    pytest.param(_completed(admit_step=4, finish_step=3),
+                 r"finish_step < admit_step", id="finish-before-admit"),
+    pytest.param(_set(("requests", 0), ttft_steps=-1),
+                 r"negative ttft_steps", id="ttft"),
+    pytest.param(lambda r: r["aggregate"].update(
+        total_generated_tokens=r["aggregate"]["total_generated_tokens"] + 1),
+        r"\(token conservation\)", id="conservation"),
+    pytest.param(_set("aggregate", outcomes={"completed": 0}),
+                 r"aggregate.outcomes .* != per-request tally",
+                 id="outcome-tally"),
+]
+
+
+@pytest.fixture(scope="module")
+def good_report():
+    trace = poisson_trace(3, 0.8, vocab_size=CFG.vocab_size, seed=3)
+    report = run_trace(trace, num_blocks=6)[1].to_dict()
+    assert validate_serve_metrics(report) == []
+    return json.dumps(report)
+
+
+_METRICS = st.fixed_dictionaries({
+    "schema_version": st.one_of(st.just(2), _SCALAR),
+    "aggregate": st.one_of(st.dictionaries(
+        st.sampled_from(["num_requests", "total_generated_tokens",
+                         "outcomes"]), _JSON), _JSON),
+    "requests": st.one_of(st.lists(st.one_of(st.dictionaries(
+        st.sampled_from(["request_id", "outcome", "finish_reason",
+                         "admit_step", "arrival_step", "first_token_step",
+                         "finish_step", "retries", "generated_tokens",
+                         "ttft_steps"]),
+        st.one_of(st.sampled_from(["completed", "rejected", "length"]),
+                  _SCALAR)), _JSON), max_size=3), _JSON),
+})
+
+
+class TestServeMetricsValidator:
+    @pytest.mark.parametrize("edit,violation", _VIOLATIONS)
+    def test_each_violation_has_an_example(self, good_report, edit,
+                                           violation):
+        report = json.loads(good_report)
+        report = edit(report) or report
+        found = validate_serve_metrics(report)
+        assert any(re.search(violation, v) for v in found), found
+
+    def test_the_examples_cover_every_violation(self):
+        """One example per place the validator reports a violation."""
+        import ast
+        import inspect
+
+        from repro.serve import metrics
+
+        tree = ast.parse(inspect.getsource(metrics.validate_serve_metrics))
+        reports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "violations.append"
+                   or isinstance(node, ast.Return)
+                   and isinstance(node.value, ast.List)]
+        assert len(reports) == len(_VIOLATIONS)
+
+    @settings(max_examples=400, deadline=timedelta(seconds=5))
+    @given(st.one_of(_JSON, _METRICS))
+    def test_any_json_returns_a_list_of_strings(self, obj):
+        found = validate_serve_metrics(obj)
+        assert isinstance(found, list)
+        assert all(isinstance(v, str) for v in found)
 
 
 # ---------------------------------------------------------------------------
