@@ -24,16 +24,21 @@ Two more guards read memory, not faults, each as one parameter vector,
 every reading in a fresh interpreter:
 
 - A worker holds one replica whatever d is: its VmHWM at d = 4 minus at
-  d = 2.  It reads -0.05 MiB (77.6 both).  With the pool forked before
-  the parent builds its replicas but their vectors in the heap it read
-  +3.5 MiB (76.0 -> 79.5 MiB); forked after, every worker also carried
-  the parent's d replicas and read +21.8 MiB (106.0 -> 127.8 MiB).
+  d = 2.  With the Adam moments in the worker's segment beside its
+  replica, it reads -0.20 and -0.09 MiB (77.6 against 77.8, 77.6
+  against 77.7); with them in a mapping of their own it read -0.05 and
+  +0.11 MiB (77.7 both).  With the pool forked before the parent builds
+  its replicas but their vectors in the heap it read +3.5 MiB (76.0 ->
+  79.5 MiB); forked after, every worker also carried the parent's d
+  replicas and read +21.8 MiB (106.0 -> 127.8 MiB).
 - A worker forked while a warm coop trainer exists in its parent, as in
   the benchmark, holds none of it: its VmHWM minus that of a worker
-  forked in a fresh interpreter.  It reads -0.2 MiB (77.5 against
-  77.7); +42.8 MiB (129.1 against 86.3) while the coop trainer's
-  vectors and moments lived in the heap and its freed heap stayed, and
-  +42.6 MiB with the allocator minus ``MADV_DONTFORK``.
+  forked in a fresh interpreter.  With the moments in the segment it
+  reads -0.20 and +0.18 MiB (77.6 against 77.8, 77.7 against 77.5);
+  with them in a mapping of their own, -0.26 and -0.06 MiB.  It read
+  +42.8 MiB (129.1 against 86.3) while the coop trainer's vectors and
+  moments lived in the heap and its freed heap stayed, and +42.6 MiB
+  with the allocator minus ``MADV_DONTFORK``.
 """
 
 import json

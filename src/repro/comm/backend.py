@@ -36,15 +36,12 @@ from .shm_ring import (
     attached,
     ring_all_reduce_step,
     scratch_segments,
+    segment_view,
 )
 
 __all__ = ["BACKENDS", "Backend", "CoopBackend", "MpBackend", "get_backend"]
 
 BACKENDS = ("coop", "mp")
-
-
-def _view(seg, shape, dtype) -> np.ndarray:
-    return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
 
 def ring_ops(rank: int, k: int, barrier_wait, _segments) -> dict:
@@ -56,14 +53,15 @@ def ring_ops(rank: int, k: int, barrier_wait, _segments) -> dict:
         names, n = payload
         with attached(names[rank], names[(rank - 1) % k]) as (mine, prev):
             ring_all_reduce_step(
-                n, rank, k, _view(mine, (n,), np.float64),
-                _view(prev, (n,), np.float64), barrier_wait,
+                n, rank, k, segment_view(mine, (n,)),
+                segment_view(prev, (n,)), barrier_wait,
             )
 
     def all_gather(payload):
         names, offsets, shape, dtype = payload
         with attached(names[rank], names[(rank - 1) % k]) as (mine, prev):
-            mine, prev = _view(mine, shape, dtype), _view(prev, shape, dtype)
+            mine = segment_view(mine, shape, dtype)
+            prev = segment_view(prev, shape, dtype)
             for step in range(k - 1):
                 j = (rank - 1 - step) % k
                 mine[offsets[j]:offsets[j + 1]] = prev[offsets[j]:offsets[j + 1]]
@@ -80,10 +78,10 @@ def ring_ops(rank: int, k: int, barrier_wait, _segments) -> dict:
         rows = shape[0] // k
         with attached(out_names[rank], *in_names) as (out, *ins):
             slabs = [
-                _view(seg, shape, np.float64)[rank * rows:(rank + 1) * rows]
+                segment_view(seg, shape)[rank * rows:(rank + 1) * rows]
                 for seg in ins
             ]
-            _view(out, (rows,) + shape[1:], np.float64)[...] = np.sum(
+            segment_view(out, (rows,) + shape[1:])[...] = np.sum(
                 np.stack(slabs), axis=0
             )
 
@@ -133,12 +131,13 @@ class MpBackend(Backend):
     def _all_reduce(self, flat):
         k, n = len(flat), flat[0].size
         with scratch_segments([n * 8] * k) as segs:
-            for seg, f in zip(segs, flat):
-                _view(seg, (n,), np.float64)[...] = f
+            views = [segment_view(seg, (n,)) for seg in segs]
+            for view, f in zip(views, flat):
+                view[...] = f
             names = [seg.name for seg in segs]
             self._pool(k).run("all_reduce", [(names, n)] * k)
-            for seg, f in zip(segs, flat):
-                f[...] = _view(seg, (n,), np.float64)
+            for view, f in zip(views, flat):
+                f[...] = view
         return flat
 
     def _all_gather(self, shards, ax):
@@ -152,18 +151,15 @@ class MpBackend(Backend):
         shape = (offsets[-1],) + moved[0].shape[1:]
         dtype = shards[0].dtype
         with scratch_segments([sum(s.nbytes for s in shards)] * k) as segs:
-            for j, seg in enumerate(segs):
-                _view(seg, shape, dtype)[offsets[j]:offsets[j + 1]] = moved[j]
+            views = [segment_view(seg, shape, dtype) for seg in segs]
+            for j, view in enumerate(views):
+                view[offsets[j]:offsets[j + 1]] = moved[j]
             names = [seg.name for seg in segs]
             self._pool(k).run(
                 "all_gather", [(names, offsets, shape, dtype)] * k
             )
-            return [
-                np.ascontiguousarray(
-                    np.moveaxis(_view(seg, shape, dtype).copy(), 0, ax)
-                )
-                for seg in segs
-            ]
+            return [np.ascontiguousarray(np.moveaxis(view.copy(), 0, ax))
+                    for view in views]
 
     def _reduce_scatter(self, wide):
         k, shape = len(wide), wide[0].shape
@@ -171,21 +167,22 @@ class MpBackend(Backend):
         with scratch_segments([wide[0].nbytes] * k) as ins, \
                 scratch_segments([wide[0].nbytes // k] * k) as outs:
             for seg, w in zip(ins, wide):
-                _view(seg, shape, np.float64)[...] = w
+                segment_view(seg, shape)[...] = w
             payload = ([s.name for s in ins], [s.name for s in outs], shape)
             self._pool(k).run("reduce_scatter", [payload] * k)
-            return [_view(seg, slab_shape, np.float64).copy() for seg in outs]
+            return [segment_view(seg, slab_shape).copy() for seg in outs]
 
     def _broadcast(self, buffer, root_index, k):
         shape, dtype, nbytes = buffer.shape, buffer.dtype, buffer.nbytes
         with scratch_segments([nbytes] * k) as segs:
-            _view(segs[root_index], shape, dtype)[...] = buffer
+            views = [segment_view(seg, shape, dtype) for seg in segs]
+            views[root_index][...] = buffer
             self._pool(k).request([
                 None if i == root_index else
                 ("copy", (segs[root_index].name, segs[i].name, nbytes))
                 for i in range(k)
             ])
-            return [_view(seg, shape, dtype).copy() for seg in segs]
+            return [view.copy() for view in views]
 
     def _send(self, buffer):
         return self._broadcast(buffer, 0, 2)[1]  # a fan-out of one

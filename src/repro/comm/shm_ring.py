@@ -5,7 +5,9 @@
    unlinked on :func:`destroy_segment`, :func:`cleanup_all_segments`
    (also wired to ``atexit``), or abnormal teardown.  Segments carry a
    recognisable ``reproshm_`` name prefix so tests (and the chaos
-   harness) can assert nothing leaked into ``/dev/shm``.
+   harness) can assert nothing leaked into ``/dev/shm``.  Arrays over a
+   segment come from :func:`segment_view`, whose mapping outlives the
+   segment's close and unlink.
 
 2. :class:`WorkerPool` — the one place real OS processes are spawned,
    asked, collected from, failed and closed.  What its workers *do* is
@@ -30,6 +32,8 @@ from __future__ import annotations
 import atexit
 import contextlib
 import itertools
+import math
+import mmap
 import multiprocessing as mp
 import os
 import time
@@ -84,6 +88,27 @@ def destroy_segment(seg: shared_memory.SharedMemory) -> None:
         seg.unlink()
     except FileNotFoundError:
         pass
+
+
+def segment_view(seg: shared_memory.SharedMemory, shape=None,
+                 dtype=np.float64) -> np.ndarray:
+    """``seg``'s bytes as an array of ``dtype``: ``shape`` over its
+    first bytes, or flat over all of them.
+
+    The view reads through a new mapping of the segment, never
+    ``seg.buf``, and keeps that mapping alive: closing ``seg`` (and
+    :func:`destroy_segment` unlinking its name) leaves the view
+    readable, and the mapping goes with the view and the views sliced
+    from it.  An array over ``seg.buf`` would not hold it:
+    ``SharedMemory.close`` unmaps under such an array, and its next
+    read faults.
+    """
+    # mmap keeps a duplicate of the descriptor, so seg may close first
+    mapping = mmap.mmap(seg._fd, seg.size)
+    if shape is None:
+        return np.frombuffer(mapping, dtype=dtype)
+    count = math.prod(shape)
+    return np.frombuffer(mapping, dtype=dtype, count=count).reshape(shape)
 
 
 @contextlib.contextmanager
@@ -211,9 +236,9 @@ def _worker_main(rank: int, size: int, conn, barrier, timeout: float,
                  segment_names: tuple[str, ...], make_ops, args) -> None:
     """Event loop of one pool worker (real OS process).
 
-    Attaches the pool's segments for its whole life (an op table may
-    keep views of them), builds its op table once, acknowledges, then
-    serves ``(op, payload)`` requests with ``("ok", result)`` or
+    Attaches the pool's segments for its whole life (an op table views
+    them through :func:`segment_view`), builds its op table once,
+    acknowledges, then serves ``(op, payload)`` requests with ``("ok", result)`` or
     ``("err", traceback)``.  On error the barrier is aborted so peers
     fail fast instead of deadlocking.
     """
@@ -249,8 +274,9 @@ class WorkerPool:
     and returns ``{op: callable(payload) -> result}``;
     ``barrier_wait()`` waits on the pool barrier for at most ``timeout``.
     With ``segment_bytes`` the pool owns one shared segment of that size
-    per worker, unlinked by :meth:`close`; ``segments`` are those,
-    attached in the worker, in rank order.
+    per worker, unlinked by :meth:`close`: :attr:`segments`, in rank
+    order, which the workers' ``segments`` attach.  Views of them
+    (:func:`segment_view`) stay readable after :meth:`close`.
 
     Under the fork start method a worker starts as a copy of its
     creator, and every page of the creator's heap and ordinary mappings
@@ -279,11 +305,11 @@ class WorkerPool:
         ctx = mp.get_context(_start_method())
         release_freed_heap()  # no worker starts with a copy of it
         self._barrier = ctx.Barrier(size)
-        self._segments = (
+        self.segments = (
             [create_segment(segment_bytes) for _ in range(size)]
             if segment_bytes else []
         )
-        names = tuple(seg.name for seg in self._segments)
+        names = tuple(seg.name for seg in self.segments)
         self._conns = []
         self._procs = []
         self._closed = False
@@ -392,9 +418,9 @@ class WorkerPool:
         for proc, conn in zip(self._procs, self._conns):
             proc.join(timeout=2.0)
             conn.close()
-        for seg in self._segments:
+        for seg in self.segments:
             destroy_segment(seg)
-        self._segments = []
+        self.segments = []
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

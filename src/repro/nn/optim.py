@@ -21,9 +21,11 @@ class Adam:
     ``params`` are the parameters that range meets.  ``owned_data`` /
     ``owned_grads`` are those slices as views, so a parameter's storage
     must be contiguous.  The moments ``m`` and ``v`` are one vector each
-    over the owned elements end to end, in a mapping a later fork does
-    not copy (:func:`~repro.nn.heap.unforked_zeros`); ``_m[i]`` /
-    ``_v[i]`` are the views of ``params[i]``'s slice.
+    over the owned elements end to end, ``m`` in the first n elements of
+    ``buffer`` and ``v`` in the next n (2n float64 or more, zeros), or
+    in a fresh mapping a later fork does not copy
+    (:func:`~repro.nn.heap.unforked_zeros`); ``_m[i]`` / ``_v[i]`` are
+    the views of ``params[i]``'s slice.
 
     ``lr`` is a float or a schedule (anything with ``lr_at(step)``, such
     as :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`): step ``k``
@@ -38,6 +40,7 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
         owned: Sequence[tuple[int, int]] | None = None,
+        buffer: np.ndarray | None = None,
     ):
         if lr_at(lr, 0) <= 0:
             raise ValueError("lr must be positive")
@@ -63,8 +66,8 @@ class Adam:
             for p, (lo, hi) in zip(self.params, self.owned)
         ]
         n = sum(hi - lo for lo, hi in self.owned)
-        moments = unforked_zeros(2 * n)
-        self.m, self.v = moments[:n], moments[n:]
+        moments = unforked_zeros(2 * n) if buffer is None else buffer
+        self.m, self.v = moments[:n], moments[n:2 * n]
         self._m = _slices(self.m, self.owned)
         self._v = _slices(self.v, self.owned)
 

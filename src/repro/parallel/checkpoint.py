@@ -423,9 +423,6 @@ def load_checkpoint(trainer: PTDTrainer, directory: str) -> bool:
             f"checkpoint {directory}: model.npz: {exc}"
         ) from exc
     trainer.iteration = meta["iteration"]
-    # The parent's canonical state changed under the trainer: on the mp
-    # backend the replica workers must re-sync before the next step.
-    trainer.invalidate_workers()
 
     same_parallel = meta["parallel"] == _parallel_signature(trainer.parallel)
     if not same_parallel:

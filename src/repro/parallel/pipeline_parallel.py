@@ -377,10 +377,8 @@ class PipelineParallelGPT:
         params = self.parameters()
         n = sum(p.size for p in params)
         if buffer is None:
-            # zeros, not a fill: the pages of a gradient nothing writes
-            # (an mp parent's) stay untouched, so they cost no memory;
-            # and outside the heap, so that no worker forked later
-            # carries a copy
+            # outside the heap, so that no worker forked later carries a
+            # copy
             buffer = unforked_zeros(2 * n)
         self.flat_grad, self.flat_data = buffer[:n], buffer[n:2 * n]
         offset = 0

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.comm import Backend, ProcessGroups, TrafficLog, get_backend
 from repro.comm.primitives import COOP, log_collective, owned_chunk
-from repro.comm.shm_ring import WorkerPool
+from repro.comm.shm_ring import WorkerPool, segment_view
 from repro.comm.traffic import TrafficKind
 from repro.config import GPTConfig, ParallelConfig
 from repro.nn import Adam, WarmupCosineSchedule, heap
@@ -95,10 +95,13 @@ class ReplicaSpec:
 
     def build(self, dp: int, log: TrafficLog, buffer: np.ndarray | None = None,
               ) -> tuple[PipelineParallelGPT, Adam]:
-        """Replica ``dp`` on its pipeline ranks of the Megatron grid,
-        laid flat in ``buffer`` (gradients in its first P elements,
-        parameters in the next P) or in a fresh one, and its optimizer
-        over the range ``owned_chunk(P, d, dp)`` of the flat vector."""
+        """Replica ``dp`` on its pipeline ranks of the Megatron grid and
+        its optimizer over the range ``owned_chunk(P, d, dp)`` of the
+        flat vector, laid in ``buffer`` -- the replica's gradients in
+        its first P elements and parameters in the next P, then the
+        optimizer's ``m`` and ``v`` (an mp worker's segment,
+        :func:`~repro.parallel.mp_workers.segment_bytes`) -- or in
+        fresh mappings."""
         par = self.parallel
         replica = PipelineParallelGPT(
             self.config,
@@ -123,7 +126,8 @@ class ReplicaSpec:
                 mine.append(p)
                 owned.append((start, stop))
             offset += p.size
-        optimizer = Adam(mine, lr=self.lr, betas=self.betas, owned=owned)
+        optimizer = Adam(mine, lr=self.lr, betas=self.betas, owned=owned,
+                         buffer=None if buffer is None else buffer[2 * n:])
         # The serial model the shards were cut from and the shards laid
         # flat are freed now, never to be needed again.
         heap.release_freed_heap()
@@ -186,30 +190,6 @@ def apply_update(replicas: list[PipelineParallelGPT], optimizers: list[Adam],
     return norm
 
 
-def export_state(optimizer: Adam,
-                 replica: PipelineParallelGPT | None = None) -> dict:
-    """A copy of one replica's Adam state, and of its flat parameter
-    vector when ``replica`` is given."""
-    state = {
-        "m": optimizer.m.copy(),
-        "v": optimizer.v.copy(),
-        "step_count": optimizer.step_count,
-    }
-    if replica is not None:
-        state["params"] = replica.flat_data.copy()
-    return state
-
-
-def load_state(replica: PipelineParallelGPT, optimizer: Adam,
-               state: dict) -> None:
-    """Write one :func:`export_state` into a replica and its optimizer."""
-    if "params" in state:
-        replica.flat_data[...] = state["params"]
-    optimizer.m[...] = state["m"]
-    optimizer.v[...] = state["v"]
-    optimizer.step_count = state["step_count"]
-
-
 @lru_cache(maxsize=16)
 def _memory_samples(config: GPTConfig, parallel: ParallelConfig,
                     recompute: bool) -> tuple[tuple[str, int], ...]:
@@ -240,17 +220,19 @@ class PTDTrainer(AbstractContextManager):
     - ``"mp"``: each data-parallel replica runs as a real OS process
       (:mod:`repro.parallel.mp_workers`), bit-identical to the oracle in
       losses, parameters, optimizer state and :class:`TrafficLog`
-      (``repro verify --only backend``).  The parent keeps canonical
-      replicas/optimizers for checkpointing; state is pulled lazily,
-      parameters from worker 0 and each optimizer shard from its own
-      worker.  Call :meth:`close` (or use the trainer as a
-      context manager) to release the worker processes.
+      (``repro verify --only backend``).  The parent's ``replicas`` and
+      ``optimizers`` are views of the workers' segments, so they hold
+      the workers' state after every step, and a write to them (a
+      checkpoint restore) is what the workers step next.  Call
+      :meth:`close` (or use the trainer as a context manager) to
+      release the worker processes; the state stays readable.
 
     ``lr`` is a float or a frozen
     :class:`~repro.nn.lr_scheduler.WarmupCosineSchedule`.  The parent's
-    ``optimizers[i]`` hold the one copy of the rate, betas, eps and
-    weight decay: mp workers receive them with every step, so writing
-    one acts the same on both backends.
+    ``optimizers[i]`` hold the one copy of the rate, betas, eps, weight
+    decay and step count: mp workers receive them with every step and
+    reply with the new count, so writing one acts the same on both
+    backends.
     ``zero_stage`` is 1 (the distributed optimizer) or 3 (ZeRO-3: one
     more parameter all-gather per step).
     """
@@ -294,31 +276,27 @@ class PTDTrainer(AbstractContextManager):
         self.log = log if log is not None else TrafficLog()
         # mp backend: one real process per data-parallel replica, forked
         # before the parent builds its d.  Each worker holds its own
-        # replica and none of this or any other trainer's: their flat
-        # vectors and moments live in mappings no fork copies, and the
-        # pool trims the freed heap before it forks.  The parent's
-        # replicas stay the canonical checkpoint state; the staleness
-        # flags track which side holds the freshest weights.
+        # replica and none of another trainer's: their flat vectors and
+        # moments live in mappings no fork copies, and the pool trims the
+        # freed heap before it forks.  Once every worker has built, the
+        # parent builds its d over the same segments, writing the values
+        # already there: one copy of the state.
         self._workers = None
-        self._parent_stale = False
-        self._workers_stale = False
         try:
+            buffers = [None] * parallel.d
             if self.backend.name == "mp":
-                from .mp_workers import replica_ops
+                from .mp_workers import replica_ops, segment_bytes
 
-                d = parallel.data_parallel_size
-                # d > 1: one ring segment per worker, holding its
-                # replica's gradients and parameters
-                # (mp_workers.replica_ops) and its partial sum of squares
-                # for the gradient norm
-                ring_bytes = 8 * (2 * self.spec.flat_size() + 1)
                 self._workers = WorkerPool(
-                    d, replica_ops, (self.spec,),
-                    segment_bytes=ring_bytes if d > 1 else 0,
+                    parallel.d, replica_ops, (self.spec,),
+                    segment_bytes=segment_bytes(self.spec),
                     timeout=self.backend.timeout, name="repro-replica",
                 )
+                buffers = [segment_view(seg)
+                           for seg in self._workers.segments]
             self.replicas, self.optimizers = map(list, zip(*(
-                self.spec.build(dp, self.log) for dp in range(parallel.d)
+                self.spec.build(dp, self.log, buffer)
+                for dp, buffer in enumerate(buffers)
             )))
         except BaseException:
             # no worker process or segment outlives a failed constructor
@@ -438,25 +416,23 @@ class PTDTrainer(AbstractContextManager):
         entry-for-entry identical to coop."""
         from .mp_workers import WORKER_RING
 
-        if self._workers_stale:
-            self._workers.run("set_state", [
-                export_state(opt, replica)
-                for replica, opt in zip(self.replicas, self.optimizers)
-            ])
-            self._workers_stale = False
         if d > 1 and self.spec.zero_stage == 3:
             self._gradient_ring(WORKER_RING.all_gather_phase, "flat_data",
                                 "zero3")
         with obs_span("pipeline", phase="pipeline"):
             # each worker steps with its parent optimizer's rate, betas,
-            # eps and weight decay, so a write to any of them on
-            # ``optimizers[i]`` acts as it does on coop
+            # eps, weight decay and step count, so a write to any of them
+            # on ``optimizers[i]`` acts as it does on coop
             results = self._workers.run("step", [
-                (*shard, opt.lr, opt.betas, opt.eps, opt.weight_decay)
+                (*shard, opt.lr, opt.betas, opt.eps, opt.weight_decay,
+                 opt.step_count)
                 for shard, opt in zip(shards, self.optimizers)
             ])
-            for dp, (loss, entries, norm, seconds) in enumerate(results):
+            for dp, (loss, entries, norm, count, seconds) in enumerate(
+                results
+            ):
                 losses.append(loss)
+                self.optimizers[dp].step_count = count
                 for entry in entries:
                     self.log.write(entry)
                 if rank_busy is not None:
@@ -472,7 +448,6 @@ class PTDTrainer(AbstractContextManager):
         if d > 1:
             self._gradient_ring(WORKER_RING.all_gather_phase, "flat_data",
                                 "param")
-        self._parent_stale = True
 
     def _gradient_ring(self, phase, attr: str, tag: str) -> None:
         """One phase of the data-parallel ring through the collective
@@ -493,28 +468,6 @@ class PTDTrainer(AbstractContextManager):
             log_collective(self.log, "all_gather", ranks, (8,) * len(ranks),
                            TrafficKind.DATA_PARALLEL, "dp.norm")
 
-    def invalidate_workers(self) -> None:
-        """Mark worker state stale after the parent's replicas were
-        mutated externally (checkpoint restore); a no-op on coop."""
-        if self._workers is not None:
-            self._workers_stale = True
-
-    def sync_from_workers(self) -> None:
-        """Ensure the parent replicas hold the freshest state: parameters
-        from worker 0 (replicas are bit-identical across the
-        data-parallel group, so one pull covers all of them) and each
-        optimizer's shard from the worker that owns it."""
-        if self._workers is not None and self._parent_stale:
-            states = self._workers.run(
-                "get_state", [dp > 0 for dp in range(len(self.replicas))]
-            )
-            params = states[0]["params"]
-            for replica, opt, state in zip(
-                self.replicas, self.optimizers, states
-            ):
-                load_state(replica, opt, {**state, "params": params})
-            self._parent_stale = False
-
     def close(self) -> None:
         """Release backend resources (mp worker processes + segments)."""
         if self._workers is not None:
@@ -528,5 +481,4 @@ class PTDTrainer(AbstractContextManager):
 
     def gather_state_dict(self) -> dict[str, np.ndarray]:
         """Replica 0's full serial-layout weights."""
-        self.sync_from_workers()
         return self.replicas[0].gather_state_dict()

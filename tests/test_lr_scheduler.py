@@ -37,7 +37,6 @@ def run(trainer, steps, start=0):
 
 
 def final_state(trainer):
-    trainer.sync_from_workers()
     return (trainer.gather_state_dict(),
             [(opt.step_count, [a.copy() for a in opt._m + opt._v])
              for opt in trainer.optimizers])

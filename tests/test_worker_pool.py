@@ -9,9 +9,12 @@
   same two functions, and the options only those functions read
   (``grad_clip_norm``, ``loss_scale``) stay bit-identical across
   backends.
-- **Optimizer shards** — each worker steps and keeps only its own ring
-  chunk of the Adam state; a restore hands every worker its shard and a
-  sync brings every shard back, bit-identical to coop at d = 3.
+- **One copy of the state** — each worker steps and keeps only its own
+  ring chunk of the Adam state, in its segment; the parent's replicas
+  and optimizers are views of the same segments, so after every step
+  they equal coop's with no pull, a restore writes every worker's shard
+  where it steps it, bit-identical to coop at d = 3, and a closed
+  trainer's state stays readable.
 - **Forks** — a forked child has none of the mappings replica state
   lives in, and an mp trainer forked while a warm coop trainer exists
   steps like it and loses no worker.
@@ -21,6 +24,7 @@ import gc
 import mmap
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -34,9 +38,10 @@ from repro.comm.shm_ring import (
     leaked_dev_shm_segments,
     live_segment_names,
     scratch_segments,
+    segment_view,
 )
 from repro.config import ParallelConfig, tiny_test_model
-from repro.nn import heap
+from repro.nn import WarmupCosineSchedule, heap
 from repro.parallel import PTDTrainer, scatter_batch
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.parallel import mp_workers
@@ -53,9 +58,9 @@ def _batch(batch_size, seed=0):
 
 def _rates(trainer, dp=0):
     """What a step's payload carries after the shard: the parent
-    optimizer's rate, betas, eps and weight decay."""
+    optimizer's rate, betas, eps, weight decay and step count."""
     opt = trainer.optimizers[dp]
-    return opt.lr, opt.betas, opt.eps, opt.weight_decay
+    return opt.lr, opt.betas, opt.eps, opt.weight_decay, opt.step_count
 
 
 @pytest.fixture(autouse=True)
@@ -260,18 +265,23 @@ def test_worker_runs_the_trainers_step_functions(monkeypatch):
                               global_batch_size=2)
     batch = _batch(2)
     trainer = PTDTrainer(CONFIG, parallel, grad_clip_norm=0.5)
+    rates = _rates(trainer)
     coop_loss = trainer.train_step(*batch)
     assert calls == ["forward_backward", "apply_update"]
 
     # The op table a replica worker serves, run here instead of in a
-    # child (d=1: no ring, so the barrier is never waited on).
-    ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
-    loss, entries, norm, _ = ops["step"]((*batch, *_rates(trainer)))
+    # child over a real segment (d=1: no ring, so the barrier is never
+    # waited on).
+    n = trainer.spec.flat_size()
+    with scratch_segments([mp_workers.segment_bytes(trainer.spec)]) as segs:
+        ops = mp_workers.replica_ops(0, 1, None, segs, trainer.spec)
+        loss, entries, norm, count, _ = ops["step"]((*batch, *rates))
+        params = segment_view(segs[0])[n:2 * n]
     assert calls == ["forward_backward", "apply_update"] * 2
     assert loss == coop_loss and norm == trainer.last_grad_norm
+    assert count == trainer.optimizers[0].step_count == 1
     assert entries == trainer.log.entries
-    state = ops["get_state"](None)
-    assert np.array_equal(trainer.replicas[0].flat_data, state["params"])
+    assert np.array_equal(trainer.replicas[0].flat_data, params)
 
 
 def test_worker_keeps_no_records_between_steps(monkeypatch):
@@ -288,22 +298,36 @@ def test_worker_keeps_no_records_between_steps(monkeypatch):
     parallel = ParallelConfig(pipeline_parallel_size=2, microbatch_size=1,
                               global_batch_size=2)
     trainer = PTDTrainer(CONFIG, parallel)
-    ops = mp_workers.replica_ops(0, 1, None, (), trainer.spec)
-    (log,) = logs
     batch = _batch(2)
     replies = []
-    for _ in range(3):
-        replies.append(ops["step"]((*batch, *_rates(trainer)))[1])
-        assert log.entries == []
+    with scratch_segments([mp_workers.segment_bytes(trainer.spec)]) as segs:
+        ops = mp_workers.replica_ops(0, 1, None, segs, trainer.spec)
+        (log,) = logs
+        for _ in range(3):
+            replies.append(ops["step"]((*batch, *_rates(trainer)))[1])
+            assert log.entries == []
     trainer.train_step(*batch)
     assert replies == [trainer.log.entries] * 3
 
 
+def _elements_of(view, array) -> list[int]:
+    """Where ``array``'s first element sits in the segment ``view``
+    maps: a NaN written through the one shows in the other."""
+    first = array.reshape(-1)[:1]
+    saved = first.copy()
+    first[...] = np.nan
+    where = np.flatnonzero(np.isnan(view)).tolist()
+    first[...] = saved
+    return where
+
+
 def test_a_workers_replica_lives_in_its_segment(monkeypatch):
     """Two replica op tables, run here on threads over real segments:
-    each worker's parameters and gradients are views of its own segment
-    (``[grads | params | norm slot]``), and a step through the ring,
-    clip included, leaves both replicas equal to the coop oracle's."""
+    each worker's parameters, gradients and moments are views of its own
+    segment (``[grads | params | m | v | ... | norm slot]``), a replica
+    the parent builds over that segment shares its memory, and a step
+    through the ring, clip included, leaves both workers' replicas and
+    the parent's equal to the coop oracle's."""
     built = []
     real_build = trainer_mod.ReplicaSpec.build
 
@@ -318,14 +342,26 @@ def test_a_workers_replica_lives_in_its_segment(monkeypatch):
     n = trainer.replicas[0].flat_data.size
     monkeypatch.setattr(trainer_mod.ReplicaSpec, "build", build)
     barrier = threading.Barrier(2)
-    with scratch_segments([8 * (2 * n + 1)] * 2) as segs:
+    size = mp_workers.segment_bytes(trainer.spec)
+    with scratch_segments([size] * 2) as segs:
         ops = [mp_workers.replica_ops(dp, 2, lambda: barrier.wait(30), segs,
                                       trainer.spec) for dp in range(2)]
-        for (replica, _), seg in zip(built, segs):
-            view = np.ndarray((2 * n + 1,), np.float64, buffer=seg.buf)
+        parents = [real_build(trainer.spec, dp, TrafficLog(),
+                              segment_view(seg))
+                   for dp, seg in enumerate(segs)]
+        for (replica, adam), parent, seg in zip(built, parents, segs):
+            view = segment_view(seg)
+            assert view.size * 8 == size
+            offset = 0
             for p in replica.parameters():
-                assert np.shares_memory(p.grad, view[:n])
-                assert np.shares_memory(p.data, view[n:2 * n])
+                assert _elements_of(view, p.grad) == [offset]
+                assert _elements_of(view, p.data) == [n + offset]
+                offset += p.size
+            k = adam.m.size
+            assert _elements_of(view, adam.m) == [2 * n]
+            assert _elements_of(view, adam.v) == [2 * n + k]
+            assert _elements_of(view, parent[0].flat_data) == [n]
+            assert _elements_of(view, parent[1].v) == [2 * n + k]
         shards = scatter_batch(*batch, 2)
         replies = [None, None]
 
@@ -342,9 +378,12 @@ def test_a_workers_replica_lives_in_its_segment(monkeypatch):
             assert reply[2] == trainer.last_grad_norm
             assert np.array_equal(replica.flat_data,
                                   trainer.replicas[0].flat_data)
-        # the segments close on the way out: no view of them may be left
-        del built, view, replica, p
-        ops.clear()
+    # the segments are closed and unlinked; the parent's views still read
+    for (replica, adam), want in zip(parents, trainer.optimizers):
+        assert np.array_equal(replica.flat_data,
+                              trainer.replicas[0].flat_data)
+        assert np.array_equal(adam.m, want.m)
+        assert np.array_equal(adam.v, want.v)
 
 
 def test_clip_and_loss_scale_bit_identical_across_backends():
@@ -377,29 +416,107 @@ def test_clip_and_loss_scale_bit_identical_across_backends():
     assert coop[6] == mp[6]
 
 
-# -- every optimizer shard survives a state sync ---------------------------------
+# -- one copy of the state: the parent's views of the segments ---------------
+def _state(trainer):
+    """Copies of what the parent holds: every replica's parameters and
+    every optimizer's ``m``, ``v`` and step count."""
+    return ([replica.flat_data.copy() for replica in trainer.replicas],
+            [(opt.m.copy(), opt.v.copy(), opt.step_count)
+             for opt in trainer.optimizers])
+
+
+def _state_differences(coop, mp) -> list[str]:
+    out = [f"replica {r} parameters"
+           for r, (want, got) in enumerate(zip(coop[0], mp[0]))
+           if not np.array_equal(want, got)]
+    for r, (want, got) in enumerate(zip(coop[1], mp[1])):
+        out += [f"rank {r} {key}" for key, a, b in zip(("m", "v"), want, got)
+                if not np.array_equal(a, b)]
+        if want[2] != got[2]:
+            out.append(f"rank {r} step_count")
+    return out
+
+
+@pytest.mark.parametrize("d, zero_stage", [(1, 1), (2, 1), (3, 1), (3, 3)])
+def test_the_parents_state_is_current_with_no_pull(d, zero_stage):
+    parallel = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=d,
+                              microbatch_size=1, global_batch_size=2 * d)
+    options = dict(
+        seed=3, grad_clip_norm=0.05, zero_stage=zero_stage,
+        lr=WarmupCosineSchedule(max_lr=1e-2, warmup_iters=2, decay_iters=6),
+    )
+    with PTDTrainer(CONFIG, parallel, **options) as coop, \
+            PTDTrainer(CONFIG, parallel, backend="mp", **options) as mp:
+        for step in range(3):
+            batch = _batch(2 * d, seed=step)
+            assert coop.train_step(*batch) == mp.train_step(*batch)
+            assert _state_differences(_state(coop), _state(mp)) == []
+        assert mp.optimizers[0].step_count == 3
+
+
+def test_a_restore_at_d1_is_what_its_worker_steps(tmp_path):
+    """d = 1 has a segment too: a restore writes into it, and the next
+    step starts from the restored state on both backends."""
+    parallel = ParallelConfig(pipeline_parallel_size=2, microbatch_size=1,
+                              global_batch_size=2)
+    with PTDTrainer(CONFIG, parallel, seed=0, lr=1e-2) as trainer:
+        for step in range(2):
+            trainer.train_step(*_batch(2, seed=step))
+        save_checkpoint(trainer, str(tmp_path))
+    runs = {}
+    for backend in ("coop", "mp"):
+        with PTDTrainer(CONFIG, parallel, seed=5, lr=1e-2,
+                        backend=backend) as trainer:
+            assert load_checkpoint(trainer, str(tmp_path)) is True
+            loss = trainer.train_step(*_batch(2, seed=9))
+            runs[backend] = loss, _state(trainer)
+    assert runs["coop"][0] == runs["mp"][0]
+    assert _state_differences(runs["coop"][1], runs["mp"][1]) == []
+    assert runs["mp"][1][1][0][2] == 3
+
+
+def test_a_closed_mp_trainer_reads_its_last_step(monkeypatch):
+    """``close`` unlinks every segment at once, and the parent's views
+    keep their mappings: a closed trainer's weights and moments are the
+    last step's, and nothing is reported when the segments' objects are
+    collected under the live views."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    parallel = ParallelConfig(data_parallel_size=2, microbatch_size=1,
+                              global_batch_size=4)
+    batch = _batch(4, seed=6)
+    with PTDTrainer(CONFIG, parallel) as coop, \
+            PTDTrainer(CONFIG, parallel, backend="mp") as mp:
+        for trainer in (coop, mp):
+            trainer.train_step(*batch)
+    assert live_segment_names() == []
+    assert leaked_dev_shm_segments() == []
+    gc.collect()
+    want, got = coop.gather_state_dict(), mp.gather_state_dict()
+    assert all(np.array_equal(want[name], got[name]) for name in want)
+    assert _state_differences(_state(coop), _state(mp)) == []
+    del mp, got
+    gc.collect()
+    assert unraisable == []
+
+
+# -- every optimizer shard survives a restore ---------------------------------
 D3 = ParallelConfig(pipeline_parallel_size=2, data_parallel_size=3,
                     microbatch_size=1, global_batch_size=6)
 
 
 def _restore_then_step(directory, backend):
-    """Restore a d = 3 checkpoint (so an mp trainer hands each worker
-    its shard), two steps, then pull everything back from the workers."""
+    """Restore a d = 3 checkpoint (on mp, into each worker's segment),
+    two steps, then read everything the parent holds."""
     with PTDTrainer(CONFIG, D3, seed=7, lr=1e-2, backend=backend) as trainer:
         assert load_checkpoint(trainer, directory) is True
         losses = [trainer.train_step(*_batch(6, seed=5)) for _ in range(2)]
-        return (losses, trainer.gather_state_dict(),
-                [trainer_mod.export_state(opt) for opt in trainer.optimizers])
+        return losses, _state(trainer)
 
 
 def _differences(coop, mp) -> list[str]:
-    out = [] if coop[0] == mp[0] else ["losses"]
-    out += [name for name in coop[1]
-            if not np.array_equal(coop[1][name], mp[1][name])]
-    for r, (want, got) in enumerate(zip(coop[2], mp[2])):
-        out += [f"rank {r} {key}" for key in ("m", "v")
-                if not np.array_equal(want[key], got[key])]
-    return out
+    return (([] if coop[0] == mp[0] else ["losses"])
+            + _state_differences(coop[1], mp[1]))
 
 
 @pytest.fixture(scope="module")
@@ -420,20 +537,15 @@ def test_every_shard_survives_restore_and_sync_at_d3(d3_checkpoint):
 
 
 def test_swapped_worker_shards_are_caught(d3_checkpoint, monkeypatch):
-    """The check above has teeth: workers 0 and 1 handed each other's
-    shard either fail to load it (unequal chunks) or step it wrongly."""
+    """The check above has teeth: with the parent's replica r laid over
+    worker r + 1's segment, the restore writes each rank's shard where
+    another worker steps it, and the parent reads another's back."""
     directory, coop = d3_checkpoint
-    real = WorkerPool.run
 
-    def swapped(self, op, payloads):
-        if op == "set_state":
-            payloads = [payloads[1], payloads[0], *payloads[2:]]
-        return real(self, op, payloads)
+    class RotatedPool(WorkerPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.segments = self.segments[1:] + self.segments[:1]
 
-    monkeypatch.setattr(WorkerPool, "run", swapped)
-    try:
-        mp = _restore_then_step(directory, "mp")
-    except RuntimeError as exc:
-        assert "set_state" in str(exc) or "broadcast" in str(exc)
-    else:
-        assert _differences(coop, mp) != []
+    monkeypatch.setattr(trainer_mod, "WorkerPool", RotatedPool)
+    assert _differences(coop, _restore_then_step(directory, "mp")) != []
