@@ -93,7 +93,7 @@ def test_coop_dispatch_under_5_percent(paired_ratio):
         return sample
 
     attempts = paired_ratio(twenty(routed), twenty(direct), bound=1.05)
-    overhead = min(attempts) - 1.0
+    overhead = attempts[-1] - 1.0
     print(f"\noverhead={overhead*100:.2f}%")
     assert overhead < 0.05, (
         f"backend dispatch adds {overhead*100:.1f}% over calling the "

@@ -39,6 +39,19 @@ every reading in a fresh interpreter:
   +42.8 MiB (129.1 against 86.3) while the coop trainer's vectors and
   moments lived in the heap and its freed heap stayed, and +42.6 MiB
   with the allocator minus ``MADV_DONTFORK``.
+
+Two more count the bytes an inference-only process allocates, with
+``tracemalloc`` (which numpy reports to), at ``serve_prefill``'s model
+(L4 h128 a4 V2048, ``bench/wl_serve.py``):
+
+- building the model traces its weights, 8.71 MB, and 24 KiB more; it
+  traced 17.44 MB while every ``Parameter`` zero-filled its gradient
+  as it was built;
+- a ``generate`` of 4 tokens after a 220-token prompt, the longest
+  stream the workload's oracle check runs, peaks 7.47 MB above the
+  model: one block's forward (6.72 MB) and its input.  It peaked
+  33.18 MB while the inference forward kept every layer's backward
+  cache and the loop kept the previous call's logits.
 """
 
 import json
@@ -46,12 +59,15 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import GPTConfig, ParallelConfig
+from repro.nn.generate import generate
+from repro.nn.transformer import GPTModel
 from repro.parallel import PTDTrainer
 
 HERE = Path(__file__).resolve().parent
@@ -211,3 +227,61 @@ def test_a_worker_forked_after_a_coop_trainer_carries_none_of_it():
         f"{growth / 2**20:.1f} MiB above one forked in a fresh interpreter, "
         f"more than one parameter vector ({8 * p / 2**20:.1f} MiB): it "
         f"carries the coop trainer's pages")
+
+
+#: ``serve_prefill``'s model (``bench/wl_serve.py``).
+SERVE_SHAPE = dict(num_layers=4, hidden_size=128, num_attention_heads=4,
+                   vocab_size=2048, seq_length=256)
+#: The longest stream its oracle check generates: a prompt of up to 224
+#: tokens before 2-6 new ones.
+PROMPT, NEW_TOKENS = 220, 4
+#: What a build may trace beyond its weights, as a share of them: the
+#: modules' Python objects (24 KiB, 0.3%).
+BUILD_SLACK = 1 / 16
+
+
+def _traced(fn):
+    """``(fn(), peak bytes traced while it ran)``, after one small model
+    has built and generated, so that no first-call allocation counts."""
+    tiny = GPTModel(GPTConfig(num_layers=1, hidden_size=8,
+                              num_attention_heads=2, vocab_size=16,
+                              seq_length=8))
+    generate(tiny, np.array([1, 2]), 2)
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_model_is_built_with_its_weights_alone():
+    # Gradients come with the first backward: a model that only runs
+    # forward holds its weights once.
+    model, peak = _traced(lambda: GPTModel(GPTConfig(**SERVE_SHAPE)))
+    weights = sum(p.data.nbytes for p in model.parameters())
+    assert peak <= weights * (1 + BUILD_SLACK), (
+        f"building the model traced {peak / 1e6:.2f} MB for "
+        f"{weights / 1e6:.2f} MB of weights: it allocates what no forward "
+        f"reads")
+
+
+def test_an_inference_forward_holds_one_layer():
+    # Each layer's backward cache dies before the next layer runs, and
+    # the loop keeps one row of a call's logits: the peak is one block's
+    # working set or the head's logits, whichever is larger, never the
+    # caches of every block.
+    model = GPTModel(GPTConfig(**SERVE_SHAPE))
+    total, vocab = PROMPT + NEW_TOKENS, SERVE_SHAPE["vocab_size"]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, total, SERVE_SHAPE["hidden_size"]))
+    model.blocks[0].forward(x, training=False)  # builds the causal mask
+    _, block = _traced(lambda: model.blocks[0].forward(x, training=False))
+    logits = total * vocab * 8
+    prompt = rng.integers(0, vocab, PROMPT)
+    _, peak = _traced(lambda: generate(model, prompt, NEW_TOKENS,
+                                       temperature=0.0))
+    assert peak <= logits + block, (
+        f"a {total}-token generate peaked {peak / 1e6:.2f} MB above its "
+        f"model, more than the full-row logits ({logits / 1e6:.2f} MB) "
+        f"plus one block's forward ({block / 1e6:.2f} MB): it keeps "
+        f"caches no backward reads")

@@ -52,9 +52,9 @@ same process a moment apart, so machine speed cancels:
   change clears it by 19% at its worst reading (27% at its best).
 
 All three use the ``paired_ratio`` estimator of ``conftest.py`` (shared
-with ``bench_serve_chaos``): back-to-back pairs in alternating order, the
-smaller of the ratio of minima and the median of per-pair ratios,
-re-measured up to three times when over budget.
+with ``bench_serve_chaos``): back-to-back pairs in alternating order,
+the median of per-pair ratios, with more pairs pooled in, up to three
+attempts, when over budget.
 """
 
 import time
@@ -98,7 +98,7 @@ def test_block_forward_not_slower_than_backward(paired_ratio):
         _seconds(lambda: block.backward(dy, cache), 5),
         bound=FORWARD_BOUND,
     )
-    assert min(attempts) <= FORWARD_BOUND, (
+    assert attempts[-1] <= FORWARD_BOUND, (
         f"a TransformerBlock forward costs more than {FORWARD_BOUND}x its "
         f"backward (ratios {attempts}): an element-wise kernel is "
         "outweighing the GEMMs -- profile F.gelu_forward, "
@@ -134,7 +134,7 @@ def test_all_reduce_costs_a_bounded_multiple_of_its_ring(paired_ratio):
     assert np.array_equal(ring_all_reduce([a, b], [0, 1], log)[0], a + b)
     attempts = paired_ratio(_seconds(all_reduces, 25), _seconds(bare_rings, 25),
                             bound=ALL_REDUCE_BOUND)
-    assert min(attempts) <= ALL_REDUCE_BOUND, (
+    assert attempts[-1] <= ALL_REDUCE_BOUND, (
         "a coop t=2 all-reduce of a 64 KB activation costs more than "
         f"{ALL_REDUCE_BOUND}x the bare ring it runs (ratios {attempts}): "
         "per-call set-up (chunk geometry, payload copies, per-hop records) "
@@ -160,7 +160,7 @@ def test_batched_linear_costs_one_gemm_over_its_rows(paired_ratio):
         _seconds(bare, 100),
         bound=BATCHED_LINEAR_BOUND,
     )
-    assert min(attempts) <= BATCHED_LINEAR_BOUND, (
+    assert attempts[-1] <= BATCHED_LINEAR_BOUND, (
         f"F.linear_forward on a {TICK_SHAPE} activation costs more than "
         f"{BATCHED_LINEAR_BOUND}x the one {FC1_SHAPE} GEMM over its rows "
         f"(ratios {attempts}): a 3-D `@` is a loop of per-sample BLAS calls "

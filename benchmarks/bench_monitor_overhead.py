@@ -70,7 +70,7 @@ def _iteration_time(logged: bool):
 def test_runlog_overhead_under_5_percent(paired_ratio):
     attempts = paired_ratio(_iteration_time(logged=True),
                             _iteration_time(logged=False), bound=1.05)
-    overhead = min(attempts) - 1.0
+    overhead = attempts[-1] - 1.0
     print(f"\noverhead={overhead*100:+.2f}%")
     assert overhead < 0.05, (
         f"run-logging overhead {overhead*100:.1f}% exceeds the 5% budget"

@@ -78,7 +78,7 @@ def test_cached_decode_at_least_1_5x_faster(paired_ratio, window):
     attempts = paired_ratio(_decode_sample(model, cached=True),
                             _decode_sample(model, cached=False),
                             bound=1 / 1.5)
-    speedup = 1 / min(attempts)
+    speedup = 1 / attempts[-1]
     print(f"\nwindow {window}: speedup={speedup:.2f}x")
     assert speedup > 1.5, (
         f"paged KV cache speedup {speedup:.2f}x below the 1.5x floor "
@@ -137,8 +137,8 @@ def test_serve_metrics_overhead_under_5_percent(paired_ratio):
     readings = [(ratio - 1) / batching for ratio in ratios]
     print(f"\nunbatched/plain={batching:.2f} overhead of the unbatched "
           + ", ".join(f"{r * 100:+.2f}%" for r in readings))
-    assert min(readings) < 0.05, (
-        f"serve-metrics overhead {min(readings)*100:.1f}% exceeds the 5% "
+    assert readings[-1] < 0.05, (
+        f"serve-metrics overhead {readings[-1]*100:.1f}% exceeds the 5% "
         f"budget"
     )
 

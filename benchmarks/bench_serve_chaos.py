@@ -90,9 +90,9 @@ def test_robustness_bookkeeping_overhead_under_5_percent(paired_ratio):
                           lambda: _engine_time(guarded=False, repeats=1),
                           bound=1.05)
     attempts = [ratio - 1.0 for ratio in ratios]
-    assert min(attempts) < 0.05, (
-        f"robustness bookkeeping overhead exceeded the 5% budget by both "
-        f"estimators on {len(attempts)} independent measurements: "
+    assert attempts[-1] < 0.05, (
+        f"robustness bookkeeping overhead exceeded the 5% budget on the "
+        f"median of pair ratios, pooled over {len(attempts)} attempts: "
         + ", ".join(f"{o*100:+.1f}%" for o in attempts)
     )
 

@@ -61,7 +61,7 @@ def _iteration_time(traced: bool):
 def test_tracing_overhead_under_5_percent(paired_ratio):
     attempts = paired_ratio(_iteration_time(traced=True),
                             _iteration_time(traced=False), bound=1.05)
-    overhead = min(attempts) - 1.0
+    overhead = attempts[-1] - 1.0
     print(f"\noverhead={overhead*100:+.2f}%")
     assert overhead < 0.05, (
         f"tracing overhead {overhead*100:.1f}% exceeds the 5% budget"

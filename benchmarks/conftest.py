@@ -48,42 +48,38 @@ def _paired_ratio(numerator, denominator, bound: float) -> list:
     callable returning one timed sample in seconds.
 
     Shared-machine noise swings single samples by far more than the
-    bounds these guards hold, in two distinct regimes, so the estimate
-    combines two estimators over ``PAIRS`` back-to-back sample pairs
-    (order alternating to cancel any first-runner bias):
+    bounds these guards hold, so the reading is the *median of per-pair
+    ratios* over back-to-back sample pairs (order alternating to cancel
+    any first-runner bias): a load plateau inflates both arms of a pair
+    alike and cancels in the ratio, and bursts lose to the median.
 
-    - *ratio of minima* -- robust to sustained co-tenant load with
-      occasional quiet windows: both arms sample the quiet window and
-      the minima compare like-for-like;
-    - *median of per-pair ratios* -- robust to load that never lets up:
-      a load plateau inflates both arms of a pair equally and cancels in
-      the ratio, while burst outliers lose to the median.
-
-    Noise can push either estimator up, but only a real cost increase
-    pushes up *both*, so an attempt reads the smaller of the two.  An
-    attempt over ``bound`` re-measures from scratch, up to ``ATTEMPTS``
-    times: residual noise clears on a retry, a genuine regression shifts
-    both estimators on every attempt.  Returns every attempt's ratio.
+    An attempt takes ``PAIRS`` pairs.  A reading over ``bound`` takes
+    ``PAIRS`` more, up to ``ATTEMPTS`` attempts, and reads the median
+    over every pair so far: a retry adds pairs and replaces none, so a
+    quiet spell cannot pass a real cost on its own draw.  The ratio of
+    the arms' minima is printed beside it and decides nothing (a
+    minimum of noisy samples is a draw that noise only lowers).
+    Returns the pooled reading after each attempt: the last is the
+    verdict, and every earlier one read over ``bound``.
     """
-    ratios = []
+    samples = []
+    readings = []
     for attempt in range(ATTEMPTS):
         numerator(), denominator()  # warm
-        samples = []
         for i in range(PAIRS):
             if i % 2 == 0:
                 num, den = numerator(), denominator()
             else:
                 den, num = denominator(), numerator()
             samples.append((num, den))
+        readings.append(statistics.median(n / d for n, d in samples))
         min_num, min_den = (min(arm) for arm in zip(*samples))
-        med_ratio = statistics.median(n / d for n, d in samples)
-        ratios.append(min(min_num / min_den, med_ratio))
-        print(f"\nattempt {attempt}: best {min_num * 1e6:.0f} us over "
-              f"{min_den * 1e6:.0f} us = {min_num / min_den:.3f}, median of "
-              f"pair ratios {med_ratio:.3f}")
-        if ratios[-1] <= bound:
+        print(f"\nattempt {attempt}: median of {len(samples)} pair ratios "
+              f"{readings[-1]:.3f} (best {min_num * 1e6:.0f} us over "
+              f"{min_den * 1e6:.0f} us = {min_num / min_den:.3f})")
+        if readings[-1] <= bound:
             break
-    return ratios
+    return readings
 
 
 @pytest.fixture

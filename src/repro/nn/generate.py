@@ -68,9 +68,10 @@ def generate(
     out = list(prompt_ids)
     for _ in range(max_new_tokens):
         context = np.array(out[-window:])[None, :]
-        logits, _ = model.forward(context, training=False)
-        token = int(sample_rows(logits[0, -1:], temperature, top_k,
-                                [rng])[0])
+        # the last row alone outlives the call: the next forward runs
+        # without this one's logits
+        last = model.forward(context, training=False)[0][0, -1:].copy()
+        token = int(sample_rows(last, temperature, top_k, [rng])[0])
         out.append(token)
         if token in stop_ids:
             break

@@ -21,13 +21,29 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with its gradient accumulator."""
+    """A trainable tensor with its gradient accumulator.
 
-    __slots__ = ("data", "grad")
+    The gradient comes into being on first read, zero: a model that only
+    runs forward (serving, the ``generate`` oracle) holds its weights
+    once, not twice.  Assigning ``grad`` rebinds it, as the pipeline
+    engine does to lay every gradient into one flat vector.
+    """
+
+    __slots__ = ("data", "_grad")
 
     def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -38,7 +54,8 @@ class Parameter:
         return self.data.size
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        if self._grad is not None:  # none yet is zero already
+            self._grad.fill(0.0)
 
 
 class Module:

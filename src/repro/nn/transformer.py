@@ -34,6 +34,31 @@ from .module import Module, Parameter
 CAUSAL_BLOCK = 64
 
 
+def forward_layers(layers, x, *, training=True, rng=None):
+    """``x`` through ``layers`` in order: ``(out, caches)``, one backward
+    cache per layer.  An inference pass (``training=False``) keeps none
+    and returns ``(out, [])``: each layer's cache is dropped before the
+    next layer runs, so the pass holds the weights and one layer's
+    working set.  The same kernels run in the same order either way, so
+    ``out`` is the same bits."""
+    caches = []
+    for layer in layers:
+        if training:
+            x, cache = layer.forward(x, training=True, rng=rng)
+            caches.append(cache)
+        else:  # the cache dies here, before the next layer runs
+            x = layer.forward(x, training=False, rng=rng)[0]
+    return x, caches
+
+
+def _backward_caches(caches):
+    """``caches``, or a ``ValueError`` if a forward kept none."""
+    if not caches:
+        raise ValueError("no caches to run backward over: an inference "
+                         "forward (training=False) keeps none")
+    return caches
+
+
 class CausalSelfAttention(Module):
     """Multi-head self-attention with implicit causal masking.
 
@@ -452,12 +477,12 @@ class GPTModel(Module):
         return [self.embedding, *self.blocks, self.head]
 
     def forward(self, token_ids, *, training=True, rng=None):
-        caches = []
-        x = token_ids
-        for layer in self.layers:
-            x, c = layer.forward(x, training=training, rng=rng)
-            caches.append(c)
-        return x, caches
+        """``(logits, caches)``: logits (b, s, V) and one backward cache
+        per layer, or none at all under ``training=False``
+        (:func:`forward_layers`), whose logits are the same bits at
+        dropout 0."""
+        return forward_layers(self.layers, token_ids, training=training,
+                              rng=rng)
 
     def hidden_step(self, token_ids, past_kvs=None, *, start=0):
         """:meth:`forward_step` below the head, at the last new position
@@ -504,20 +529,23 @@ class GPTModel(Module):
 
     def backward(self, dlogits, caches):
         dy = dlogits
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+        for layer, cache in zip(reversed(self.layers),
+                                reversed(_backward_caches(caches))):
             dy = layer.backward(dy, cache)
         return dy
 
     def loss(
         self, token_ids, targets, *, training=True, rng=None
     ) -> tuple[float, list]:
-        """Cross-entropy loss; returns (loss, caches-with-loss-cache)."""
+        """Cross-entropy loss; returns (loss, caches-with-loss-cache),
+        the caches empty under ``training=False`` (see :meth:`forward`)."""
         logits, caches = self.forward(token_ids, training=training, rng=rng)
         loss, ce_cache = F.cross_entropy_forward(logits, targets)
-        caches.append(ce_cache)
+        if training:
+            caches.append(ce_cache)
         return loss, caches
 
     def loss_backward(self, caches, scale: float = 1.0):
-        ce_cache = caches[-1]
+        ce_cache = _backward_caches(caches)[-1]
         dlogits = F.cross_entropy_backward(ce_cache, scale)
         return self.backward(dlogits, caches[:-1])

@@ -398,14 +398,19 @@ def _load_npz(directory: str, name: str,
 
 
 def load_checkpoint(trainer: PTDTrainer, directory: str) -> bool:
-    """Restore ``trainer`` from ``directory``.
+    """Restore ``trainer`` from ``directory``, all or nothing.
 
     Returns True if the optimizer state was restored (same parallel
     configuration), False if only weights were loaded (resharded resume;
-    the caller's fresh optimizer state is kept).  Every file's recorded
-    checksums are verified first, so corruption surfaces as
-    :class:`CheckpointCorruptError` before any state is touched.
-    Architecture mismatches raise :class:`CheckpointMismatchError`.
+    the caller's fresh optimizer state is kept).  Everything is read and
+    checked before anything is written: every file's recorded checksums,
+    the weights against every replica's shapes and, when the optimizer
+    state is restored, each rank's ``m`` and ``v`` (present, shaped to
+    the rank's range) and ``step_count`` (one integer).  So a refused
+    checkpoint -- :class:`CheckpointCorruptError`, or
+    :class:`CheckpointMismatchError` for another architecture -- leaves
+    the trainer as it found it.  What is staged is the arrays the load
+    reads anyway, so the peak is one checkpoint's arrays, as before.
     """
     meta = verify_checkpoint(directory)
     files = meta["files"]
@@ -417,30 +422,46 @@ def load_checkpoint(trainer: PTDTrainer, directory: str) -> bool:
     state = _load_npz(directory, "model.npz", files)
     try:
         for replica in trainer.replicas:
-            replica.load_gathered_state_dict(state)
+            replica.check_gathered_state_dict(state)
     except ValueError as exc:  # a missing or wrong-shaped weight, named
         raise CheckpointCorruptError(
             f"checkpoint {directory}: model.npz: {exc}"
         ) from exc
-    trainer.iteration = meta["iteration"]
-
     same_parallel = meta["parallel"] == _parallel_signature(trainer.parallel)
-    if not same_parallel:
-        return False
-    shards = [_load_npz(directory, f"optimizer_rank{r}.npz", files)
-              for r in range(len(trainer.optimizers))]
-    for r, (opt, arrays) in enumerate(zip(trainer.optimizers, shards)):
-        for key in ("m", "v"):
-            arr = _shard_array(directory, r, arrays, key)
-            if arr.shape != (opt.m.size,):
-                raise CheckpointCorruptError(
-                    f"checkpoint {directory}: optimizer_rank{r}.npz "
-                    f"holds {key} of shape {arr.shape}; rank {r} owns "
-                    f"{opt.m.size} elements"
-                )
-            getattr(opt, key)[...] = arr
-        opt.step_count = int(_shard_array(directory, r, arrays, "step_count"))
-    return True
+    shards = ([_optimizer_shard(directory, r, opt.m.size, files)
+               for r, opt in enumerate(trainer.optimizers)]
+              if same_parallel else [])
+    # Commit: nothing below can raise.
+    for replica in trainer.replicas:
+        replica.load_gathered_state_dict(state)
+    trainer.iteration = meta["iteration"]
+    for opt, (m, v, step_count) in zip(trainer.optimizers, shards):
+        opt.m[...] = m
+        opt.v[...] = v
+        opt.step_count = step_count
+    return same_parallel
+
+
+def _optimizer_shard(directory: str, r: int, owned: int,
+                     files: dict) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(m, v, step_count)`` of rank ``r``'s optimizer file, checked
+    against the ``owned`` elements of the rank's range."""
+    arrays = _load_npz(directory, f"optimizer_rank{r}.npz", files)
+    for key in ("m", "v"):
+        arr = _shard_array(directory, r, arrays, key)
+        if arr.shape != (owned,) or arr.dtype.kind != "f":
+            raise CheckpointCorruptError(
+                f"checkpoint {directory}: optimizer_rank{r}.npz "
+                f"holds {key} of shape {arr.shape} and dtype {arr.dtype}; "
+                f"rank {r} owns {owned} elements"
+            )
+    step_count = _shard_array(directory, r, arrays, "step_count")
+    if step_count.shape or step_count.dtype.kind not in "iu":
+        raise CheckpointCorruptError(
+            f"checkpoint {directory}: optimizer_rank{r}.npz holds "
+            f"step_count {step_count!r}, not one integer"
+        )
+    return arrays["m"], arrays["v"], int(step_count)
 
 
 def _shard_array(directory: str, r: int, arrays: dict,

@@ -416,6 +416,11 @@ class PipelineParallelGPT:
         self._model.load_gathered_state_dict(state)
         self.retie_embeddings()
 
+    def check_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """The checks :meth:`load_gathered_state_dict` runs before it
+        writes, alone."""
+        self._model.check_gathered_state_dict(state)
+
     def retie_embeddings(self) -> None:
         """Give the head's copy of each tied embedding parameter the
         first stage's values.  Training keeps the two equal only up to

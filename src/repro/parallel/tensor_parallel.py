@@ -49,7 +49,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Dropout, LayerNorm
 from repro.nn.module import Module, Parameter
 from repro.nn.profiler import matmul_flops, record_gemm_flops
-from repro.nn.transformer import GPTModel
+from repro.nn.transformer import GPTModel, forward_layers
 
 
 @dataclass
@@ -136,22 +136,29 @@ class ShardedModule(Module):
             for name, kind, shards in self.layout()
         }
 
-    def load_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`gather_state_dict`: cut serial-layout
-        weights onto the shards.  A missing name or a wrong shape
-        raises ``ValueError`` naming the weight, before any shard is
-        written; names the layout does not hold are ignored."""
-        layout = list(self.layout())
-        for name, kind, shards in layout:
+    def check_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Raise ``ValueError`` naming the first weight of the layout
+        that ``state`` lacks, or holds in a wrong shape or in a dtype
+        the shards cannot take; names the layout does not hold are
+        ignored.  Writes nothing."""
+        for name, kind, shards in self.layout():
             if name not in state:
                 raise ValueError(f"missing parameter {name}")
+            full = np.asarray(state[name])
             want = _joined_shape(kind, shards)
-            if np.shape(state[name]) != want:
+            if full.shape != want:
                 raise ValueError(
-                    f"shape mismatch for {name}: {want} vs "
-                    f"{np.shape(state[name])}"
-                )
-        for name, kind, shards in layout:
+                    f"shape mismatch for {name}: {want} vs {full.shape}")
+            if not np.can_cast(full.dtype, shards[0].data.dtype, "same_kind"):
+                raise ValueError(f"dtype mismatch for {name}: {full.dtype}")
+
+    def load_gathered_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`gather_state_dict`: cut serial-layout
+        weights onto the shards, after
+        :meth:`check_gathered_state_dict` (so a refused ``state``
+        writes no shard)."""
+        self.check_gathered_state_dict(state)
+        for name, kind, shards in self.layout():
             for p, part in zip(shards, _split(kind, state[name], len(shards))):
                 p.data.reshape(part.shape)[...] = part
 
@@ -602,9 +609,7 @@ class TensorParallelGPT(ShardedModule):
         yield from self.head.layout(prefix + "head.")
 
     def forward(self, token_ids, *, training=True, rng=None):
-        caches = []
-        x = token_ids
-        for layer in self.layers:
-            x, c = layer.forward(x, training=training, rng=rng)
-            caches.append(c)
-        return x, caches  # x is the sharded-logit list
+        """``(logit shards, caches)``, as :meth:`GPTModel.forward`: no
+        caches under ``training=False``."""
+        return forward_layers(self.layers, token_ids, training=training,
+                              rng=rng)

@@ -35,7 +35,7 @@ def batch(seed=0, B=8):
     )
 
 
-def make_trainer(p=2, t=2, d=2, v=1, seed=0, B=8):
+def make_trainer(p=2, t=2, d=2, v=1, seed=0, B=8, backend=None):
     return PTDTrainer(
         CFG,
         ParallelConfig(
@@ -44,7 +44,7 @@ def make_trainer(p=2, t=2, d=2, v=1, seed=0, B=8):
             num_model_chunks=v,
         ),
         schedule="interleaved" if v > 1 else "1f1b",
-        seed=seed, lr=1e-2,
+        seed=seed, lr=1e-2, backend=backend,
     )
 
 
@@ -491,6 +491,73 @@ class TestShardedOptimizerState:
         _rewrite(str(tmp_path), "optimizer_rank1.npz", arrays)
         with pytest.raises(CheckpointCorruptError,
                            match=r"optimizer_rank1\.npz is missing array 'm'"):
+            load_checkpoint(make_trainer(), str(tmp_path))
+
+
+def _trainer_state(trainer):
+    """Everything a restore writes, copied."""
+    return [trainer.iteration,
+            *(opt.step_count for opt in trainer.optimizers),
+            *(r.flat_data.copy() for r in trainer.replicas),
+            *(opt.m.copy() for opt in trainer.optimizers),
+            *(opt.v.copy() for opt in trainer.optimizers)]
+
+
+def _damage(directory, kind, d):
+    """Break the last file a restore reads in the way ``kind`` names,
+    re-recording its digests where it still exists."""
+    name = "model.npz" if kind == "model shape" else f"optimizer_rank{d - 1}.npz"
+    if kind == "missing file":
+        os.remove(os.path.join(directory, name))
+        return
+    with np.load(os.path.join(directory, name)) as data:
+        arrays = {k: data[k] for k in data.files}
+    if kind == "model shape":
+        arrays["blocks.3.mlp.fc2.bias"] = arrays["blocks.3.mlp.fc2.bias"][:-1]
+    elif kind == "missing array":
+        del arrays["v"]
+    elif kind == "wrong shape":
+        arrays["v"] = arrays["v"][:-1]
+    else:
+        arrays["step_count"] = np.array(float(arrays["step_count"]))
+    _rewrite(directory, name, arrays)
+
+
+class TestRestoreIsAllOrNothing:
+    """A refused restore leaves every replica's weights, every rank's
+    moments and step count, and the iteration as they were, whichever
+    part of the checkpoint is bad: everything is checked before anything
+    is written."""
+
+    KINDS = ("missing file", "missing array", "wrong shape",
+             "non-integer step_count", "model shape")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("backend,d", [("coop", 1), ("coop", 2),
+                                           ("mp", 2)])
+    def test_a_refused_restore_writes_nothing(self, tmp_path, kind,
+                                              backend, d):
+        ids, targets = batch()
+        a = make_trainer(d=d)
+        for _ in range(2):
+            a.train_step(ids, targets)
+        save_checkpoint(a, str(tmp_path))
+        _damage(str(tmp_path), kind, d)
+        with make_trainer(d=d, seed=3, backend=backend) as b:
+            b.train_step(*batch(seed=1))
+            before = _trainer_state(b)
+            with pytest.raises(CheckpointCorruptError):
+                load_checkpoint(b, str(tmp_path))
+            after = _trainer_state(b)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after,
+                                                         strict=True))
+
+    def test_a_non_integer_step_count_is_named(self, tmp_path):
+        save_checkpoint(make_trainer(), str(tmp_path))
+        _damage(str(tmp_path), "non-integer step_count", 2)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"optimizer_rank1\.npz holds step_count "
+                                 r"array\(0\.\), not one integer"):
             load_checkpoint(make_trainer(), str(tmp_path))
 
 

@@ -1,8 +1,9 @@
 """Each timed guard under ``benchmarks/`` can fail: a planted defect
 that at least doubles the cost it bounds turns it red, on its own
 workload and with the real ``paired_ratio`` estimator.  So can the
-memory guard a worker's fork is held to, with a defect that adds what
-it bounds many times over.  A guard that stays green here could not
+memory guards -- the one a worker's fork is held to, and those of an
+inference-only process's bytes -- each with a defect that adds what it
+bounds many times over.  A guard that stays green here could not
 catch the regression it exists for."""
 
 import functools
@@ -12,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from .test_nn_modules import _eager_grads
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -114,6 +117,22 @@ def _every_row_last_block(monkeypatch):
     monkeypatch.setattr(TransformerBlock, "last_row_step", every_row)
 
 
+def _kept_caches(monkeypatch):
+    """The inference forward keeps every layer's backward cache until it
+    returns: a 224-token generate peaks 29.03 MB above its model
+    against the guard's 10.39 (the logits plus one block's forward)."""
+    from repro.nn import transformer
+
+    def keeping_forward(layers, x, *, training=True, rng=None):
+        caches = []
+        for layer in layers:
+            x, cache = layer.forward(x, training=training, rng=rng)
+            caches.append(cache)
+        return x, caches
+
+    monkeypatch.setattr(transformer, "forward_layers", keeping_forward)
+
+
 #: (guard file, its test function, the defect to plant, the test's
 #: parameters)
 CASES = [
@@ -138,6 +157,14 @@ CASES = [
     pytest.param("bench_serve.py",
                  "test_prefill_records_only_what_its_cache_and_sampler_read",
                  _every_row_last_block, {}, id="prefill-rows"),
+    # Every Parameter zero-fills its gradient as it is built: a model
+    # that only runs forward holds its weights twice, and the build
+    # guard reads 17.44 MB against its 9.25.
+    pytest.param("bench_heap.py",
+                 "test_a_model_is_built_with_its_weights_alone",
+                 _eager_grads, {}, id="eager-grads"),
+    pytest.param("bench_heap.py", "test_an_inference_forward_holds_one_layer",
+                 _kept_caches, {}, id="kept-caches"),
 ]
 
 

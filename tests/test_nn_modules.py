@@ -272,3 +272,79 @@ class TestGPTModel:
         state.pop(next(iter(state)))
         with pytest.raises(ValueError, match="missing"):
             model.load_state_dict(state)
+
+
+def _eager_grads(monkeypatch):
+    """Every ``Parameter`` reads its gradient as it is built, so each
+    one holds its zeros from the start, as before gradients came lazily."""
+    from repro.nn.module import Parameter
+
+    init = Parameter.__init__
+
+    def eager_init(self, data):
+        init(self, data)
+        self.grad  # noqa: B018 -- the read allocates it
+
+    monkeypatch.setattr(Parameter, "__init__", eager_init)
+
+
+class TestInferenceHoldsNoTrainingState:
+    """A model that only runs forward holds its weights: no gradient
+    before the first backward, no cache after an inference forward."""
+
+    def make(self):
+        cfg = tiny_test_model()
+        ids = rng(3).integers(0, cfg.vocab_size, size=(2, cfg.seq_length))
+        return GPTModel(cfg, seed=0), ids, np.roll(ids, -1, axis=1)
+
+    def test_gradients_come_with_the_first_backward(self):
+        model, ids, targets = self.make()
+        params = model.parameters()
+        model.zero_grad()
+        model.loss(ids, targets, training=False)
+        assert all(p._grad is None for p in params)
+        _, caches = model.loss(ids, targets)
+        model.loss_backward(caches)
+        assert all(p._grad is not None for p in params)
+        assert any(p.grad.any() for p in params)
+        model.zero_grad()
+        assert not any(p.grad.any() for p in params)
+
+    def test_gradients_equal_a_model_built_with_them(self, monkeypatch):
+        """Two Adam steps from lazy gradients and from gradients built
+        with the model: the same weights, gradients and moments."""
+        from repro.nn import Adam
+
+        def train():
+            model, ids, targets = self.make()
+            opt = Adam(model.parameters(), lr=1e-2)
+            for _ in range(2):
+                model.zero_grad()
+                _, caches = model.loss(ids, targets)
+                model.loss_backward(caches)
+                opt.step()
+            return [*(p.data for p in opt.params), *(p.grad for p in opt.params),
+                    opt.m, opt.v]
+
+        lazy = train()
+        _eager_grads(monkeypatch)
+        assert all(np.array_equal(a, b) for a, b in zip(lazy, train(),
+                                                         strict=True))
+
+    def test_inference_forward_keeps_no_cache_and_the_same_bits(self):
+        model, ids, targets = self.make()
+        logits, caches = model.forward(ids, training=False)
+        assert caches == []
+        assert np.array_equal(logits, model.forward(ids)[0])
+        loss, caches = model.loss(ids, targets, training=False)
+        assert caches == []
+        assert loss == model.loss(ids, targets)[0]
+
+    def test_backward_over_an_inference_forward_is_refused(self):
+        model, ids, targets = self.make()
+        logits, caches = model.forward(ids, training=False)
+        with pytest.raises(ValueError, match="training=False.*keeps none"):
+            model.backward(np.ones_like(logits), caches)
+        _, caches = model.loss(ids, targets, training=False)
+        with pytest.raises(ValueError, match="training=False.*keeps none"):
+            model.loss_backward(caches)

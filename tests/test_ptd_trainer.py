@@ -317,6 +317,32 @@ class TestFlatLayout:
         assert np.array_equal(trainer.replicas[0].flat_data, want)
 
 
+    @pytest.mark.parametrize("backend", ["coop", "mp"])
+    def test_lazy_gradients_train_as_eager_ones(self, backend, monkeypatch):
+        """A parameter's gradient comes with its first read, and the
+        build lays every one into the flat vector: two steps from
+        parameters that held their zeros from the start give the same
+        gradients, moments and weights."""
+        from .test_nn_modules import _eager_grads
+
+        ids, targets = global_batch(8)
+
+        def train():
+            with make_trainer(p=2, t=2, d=2, backend=backend) as trainer:
+                for _ in range(2):
+                    trainer.train_step(ids, targets)
+                return [a.copy() for a in (
+                    *(r.flat_grad for r in trainer.replicas),
+                    *(r.flat_data for r in trainer.replicas),
+                    *(o.m for o in trainer.optimizers),
+                    *(o.v for o in trainer.optimizers))]
+
+        lazy = train()
+        _eager_grads(monkeypatch)
+        assert all(np.array_equal(a, b) for a, b in zip(lazy, train(),
+                                                         strict=True))
+
+
 class TestSerialReference:
     @pytest.mark.parametrize("m", [1, 4])
     def test_single_worker_trainer_is_the_serial_reference(self, m):

@@ -47,6 +47,19 @@ def tp_loss_backward(tp, caches):
 
 
 class TestForwardEquivalence:
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_inference_forward_keeps_no_cache_and_the_same_bits(self, t):
+        from repro.serve.tp import TensorParallelDecoder
+
+        cfg = tiny_test_model(num_layers=2, hidden_size=16,
+                              num_attention_heads=4, vocab_size=64,
+                              seq_length=8)
+        ids, _ = data(cfg)
+        decoder = TensorParallelDecoder(cfg, world=t)
+        logits, caches = decoder.forward(ids, training=False)
+        assert caches == []
+        assert np.array_equal(logits, decoder.forward(ids, training=True)[0])
+
     @pytest.mark.parametrize("t", [1, 2, 4])
     def test_loss_matches_serial(self, t):
         cfg = tiny_test_model(num_layers=2, hidden_size=16, num_attention_heads=4,
